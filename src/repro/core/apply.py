@@ -112,10 +112,7 @@ def move_ops(
             seg_dim[moved] = 0
             seg_rc[moved] = False
         # Clamp partition-option indices for ops new to this setting.
-        limits = np.asarray(
-            [config_graph_num_options(graph, k) for k in range(lo, hi)]
-        )
-        seg_dim = np.minimum(seg_dim, limits - 1)
+        seg_dim = np.minimum(seg_dim, graph.arrays.num_options[lo:hi] - 1)
         stages.append(
             StageConfig(
                 start=lo,
@@ -130,11 +127,6 @@ def move_ops(
     return ParallelConfig(
         stages=stages, microbatch_size=config.microbatch_size
     )
-
-
-def config_graph_num_options(graph: OpGraph, op_index: int) -> int:
-    """Partition-option count of one op (array-backed helper)."""
-    return int(graph.arrays.num_options[op_index])
 
 
 def _idlest_stage(ctx: ApplyContext, exclude: int) -> Optional[int]:

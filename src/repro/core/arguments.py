@@ -35,7 +35,7 @@ def _stage_fits(
     perf_model: PerfModel, config: ParallelConfig, stage_index: int
 ) -> bool:
     report = perf_model.estimate(config)
-    return report.stages[stage_index].peak_memory <= report.memory_limit
+    return report.peak_memories[stage_index] <= report.memory_limit
 
 
 def greedy_recompute(
@@ -53,8 +53,7 @@ def greedy_recompute(
     the stage already fits without changes.
     """
     report = perf_model.estimate(config)
-    stage_report = report.stages[stage_index]
-    overflow = stage_report.peak_memory - report.memory_limit
+    overflow = report.peak_memories[stage_index] - report.memory_limit
     if overflow <= 0:
         return None
     stage = config.stages[stage_index]
@@ -63,7 +62,7 @@ def greedy_recompute(
     if candidates.size == 0:
         return None
     order = candidates[np.argsort(act[candidates])[::-1]]
-    savings = np.cumsum(act[order]) * max(1, stage_report.in_flight)
+    savings = np.cumsum(act[order]) * max(1, report.in_flight(stage_index))
 
     def with_prefix(k: int) -> ParallelConfig:
         new = config.mutated_copy([stage_index])
@@ -99,13 +98,12 @@ def greedy_unrecompute(
     if recomputed.size == 0:
         return None
     report = perf_model.estimate(config)
-    stage_report = report.stages[stage_index]
-    slack = report.memory_limit - stage_report.peak_memory
+    slack = report.memory_limit - report.peak_memories[stage_index]
     if slack < 0:
         return None
     act = stage_activation_bytes(perf_model.graph, config, stage_index)
     order = recomputed[np.argsort(act[recomputed])]
-    growth = np.cumsum(act[order]) * max(1, stage_report.in_flight)
+    growth = np.cumsum(act[order]) * max(1, report.in_flight(stage_index))
 
     def with_prefix(k: int) -> ParallelConfig:
         new = config.mutated_copy([stage_index])

@@ -479,6 +479,7 @@ def _run_counts_in_pool(
     deadline: Optional[Deadline] = None,
     worker_memory_mb: Optional[float] = None,
     bus=None,
+    call: object,
 ):
     """Self-healing scheduler over a persistent worker pool.
 
@@ -516,8 +517,9 @@ def _run_counts_in_pool(
     ``driver.pool.worker_exit`` for actual process churn.  Completed
     and finally-failed counts carry their payload objects in private
     ``_result`` / ``_failure`` attrs for in-process subscribers
-    (checkpointing), and each worker's own captured event stream is
-    re-emitted with ``num_stages``/``attempt`` attribution.
+    (checkpointing), plus the caller's ``call`` token as ``_call``, and
+    each worker's own captured event stream is re-emitted with
+    ``num_stages``/``attempt`` attribution.
     """
     bus = bus if bus is not None else get_bus()
     queue = deque((count, 0, 0.0) for count in counts)  # (count, attempt, not_before)
@@ -573,6 +575,7 @@ def _run_counts_in_pool(
                 error=error,
                 failure_kind=kind,
                 _failure=failures[count],
+                _call=call,
             )
 
     def shed_queued_past_deadline() -> None:
@@ -594,6 +597,7 @@ def _run_counts_in_pool(
                 error=failures[count].error,
                 failure_kind="deadline",
                 _failure=failures[count],
+                _call=call,
             )
 
     try:
@@ -688,6 +692,7 @@ def _run_counts_in_pool(
                             num_stages=count,
                             attempt=task.attempt,
                             _result=value,
+                            _call=call,
                         )
                     else:
                         bus.emit(
@@ -897,12 +902,17 @@ def search_all_stage_counts(
     # serial loop and the multiprocess scheduler publish the same
     # ``driver.count.completed`` / ``driver.count.failed`` events, and
     # this sink (whose presence activates the bus) persists them.
+    # Concurrent calls share the process bus: count events carry this
+    # call's private ``_call`` token and the sink records only its own.
     bus = get_bus()
+    call = object()
     checkpoint_sink = None
     if checkpoint is not None:
         snapshot = checkpoint
 
         def record(event: Event) -> None:
+            if event.attrs.get("_call") is not call:
+                return
             if event.name == DRIVER_COUNT_COMPLETED:
                 run = event.attrs["_result"]
                 if run.result.partial:
@@ -954,6 +964,7 @@ def search_all_stage_counts(
                         error=failures[count].error,
                         failure_kind="deadline",
                         _failure=failures[count],
+                        _call=call,
                     )
                     continue
                 attempt = 0
@@ -1004,6 +1015,7 @@ def search_all_stage_counts(
                             error=error,
                             failure_kind=failures[count].kind,
                             _failure=failures[count],
+                            _call=call,
                         )
                         break
                     run = StageCountResult(num_stages=count, result=result)
@@ -1014,6 +1026,7 @@ def search_all_stage_counts(
                         num_stages=count,
                         attempt=attempt,
                         _result=run,
+                        _call=call,
                     )
                     break
         elif todo:
@@ -1047,6 +1060,7 @@ def search_all_stage_counts(
                 deadline=deadline,
                 worker_memory_mb=worker_memory_mb,
                 bus=bus,
+                call=call,
             )
             results.update(fresh)
             outcome.pool_forks = pool_stats["forks"]

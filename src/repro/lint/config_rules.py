@@ -38,9 +38,7 @@ def analyze_structure(config, graph, cluster) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     _check_spans(config, graph, out)
     _check_devices(config, cluster, out)
-    _check_parallel_degrees(config, cluster, out)
-    _check_tp_dims(config, graph, out)
-    _check_microbatch(config, graph, out)
+    _check_ops(config, graph, cluster, out)
     return out
 
 
@@ -92,74 +90,82 @@ def _check_devices(config, cluster, out: List[Diagnostic]) -> None:
         ))
 
 
-def _check_parallel_degrees(config, cluster, out: List[Diagnostic]) -> None:
-    for i, stage in enumerate(config.stages):
-        for name, arr in (("tp", stage.tp), ("dp", stage.dp)):
-            if np.any(arr < 1):
-                out.append(Diagnostic(
-                    "ACE120",
-                    f"stage {i} has non-positive {name}",
-                    location=_stage_loc(i),
-                ))
-            bad = arr & (arr - 1)
-            if np.any(bad):
-                out.append(Diagnostic(
-                    "ACE121",
-                    f"stage {i} has non-power-of-two {name} values",
-                    location=_stage_loc(i),
-                ))
-        if np.any(stage.tp * stage.dp != stage.num_devices):
-            out.append(Diagnostic(
-                "ACE122",
-                f"stage {i}: tp * dp != num_devices ({stage.num_devices})",
-                location=_stage_loc(i),
-            ))
-        if np.any(stage.tp > cluster.num_gpus):
-            out.append(Diagnostic(
-                "ACE123",
-                f"stage {i} tp exceeds cluster size",
-                location=_stage_loc(i),
-            ))
+#: Per-op checks ``(code, message, hint)``, one flag row each, in the
+#: order ``_check_ops`` fills and reports them.
+_OP_CHECKS = (
+    ("ACE120", "stage {i} has non-positive tp", ""),
+    ("ACE121", "stage {i} has non-power-of-two tp values", ""),
+    ("ACE120", "stage {i} has non-positive dp", ""),
+    ("ACE121", "stage {i} has non-power-of-two dp values", ""),
+    ("ACE122", "stage {i}: tp * dp != num_devices ({n})", ""),
+    ("ACE123", "stage {i} tp exceeds cluster size", ""),
+    ("ACE130", "stage {i} has negative tp_dim", ""),
+    ("ACE131", "stage {i} has tp_dim beyond an op's partition options",
+     ""),
+    ("ACE141", "stage {i}: microbatch {mbs} not divisible by some op dp",
+     "every op's per-GPU share mbs/dp must be integral"),
+)
 
 
-def _check_tp_dims(config, graph, out: List[Diagnostic]) -> None:
-    num_options = graph.arrays.num_options
-    for i, stage in enumerate(config.stages):
-        if np.any(stage.tp_dim < 0):
-            out.append(Diagnostic(
-                "ACE130",
-                f"stage {i} has negative tp_dim",
-                location=_stage_loc(i),
-            ))
-        limit = num_options[stage.start:stage.end]
-        # When the span itself is broken the slice can be the wrong
-        # length; the span diagnostics above already cover that case.
-        if limit.shape == stage.tp_dim.shape and np.any(
-            stage.tp_dim >= limit
-        ):
-            out.append(Diagnostic(
-                "ACE131",
-                f"stage {i} has tp_dim beyond an op's partition options",
-                location=_stage_loc(i),
-            ))
-
-
-def _check_microbatch(config, graph, out: List[Diagnostic]) -> None:
+def _check_ops(config, graph, cluster, out: List[Diagnostic]) -> None:
+    """Every per-op check over all stages' ops at once: a stage fails a
+    check when its segment of that check's flag row has a set flag."""
+    stages = config.stages
     mbs = config.microbatch_size
+    lengths = [len(stage.tp) for stage in stages]
+    limits = [graph.arrays.num_options[s.start:s.end] for s in stages]
+    # A broken span can slice the wrong number of limits; the span
+    # diagnostics above already cover that case, so ACE131 skips it.
+    checkable = [lim.shape == s.tp_dim.shape for lim, s in zip(limits, stages)]
+    tp = np.concatenate([stage.tp for stage in stages])
+    dp = np.concatenate([stage.dp for stage in stages])
+    tp_dim = np.concatenate([stage.tp_dim for stage in stages])
+    devices = np.repeat([stage.num_devices for stage in stages], lengths)
+    flags = np.empty((len(_OP_CHECKS), len(tp)), dtype=bool)
+    np.less(tp, 1, out=flags[0])
+    np.not_equal(tp & (tp - 1), 0, out=flags[1])
+    np.less(dp, 1, out=flags[2])
+    np.not_equal(dp & (dp - 1), 0, out=flags[3])
+    np.not_equal(tp * dp, devices, out=flags[4])
+    np.greater(tp, cluster.num_gpus, out=flags[5])
+    np.less(tp_dim, 0, out=flags[6])
+    np.greater_equal(tp_dim, np.concatenate([
+        lim if ok else np.zeros_like(s.tp_dim)
+        for lim, ok, s in zip(limits, checkable, stages)
+    ]), out=flags[7])
+    np.not_equal(mbs % dp, 0, out=flags[8])
+    hits = None
+    if flags.any():
+        # Flag counts before each op, so an empty segment reads 0.
+        before = np.zeros((len(flags), len(tp) + 1), dtype=np.int64)
+        np.cumsum(flags, axis=1, out=before[:, 1:])
+        bounds = np.cumsum([0] + lengths)
+        hits = before[:, bounds[1:]] > before[:, bounds[:-1]]
+        hits[7] &= checkable
+
+    def report(lo: int, hi: int) -> None:
+        if hits is None:
+            return
+        # Stage-major: nonzero walks the [stage, check] view in C order.
+        for i, row in zip(*np.nonzero(hits[lo:hi].T)):
+            i = int(i)
+            code, message, hint = _OP_CHECKS[lo + int(row)]
+            out.append(Diagnostic(
+                code,
+                message.format(i=i, n=stages[i].num_devices, mbs=mbs),
+                location=_stage_loc(i),
+                hint=hint,
+            ))
+
+    report(0, 6)  # parallel degrees
+    report(6, 8)  # tp_dims
     if graph.global_batch_size % mbs:
         out.append(Diagnostic(
             "ACE140",
             f"microbatch {mbs} does not divide global batch "
             f"{graph.global_batch_size}",
         ))
-    for i, stage in enumerate(config.stages):
-        if np.any(mbs % stage.dp):
-            out.append(Diagnostic(
-                "ACE141",
-                f"stage {i}: microbatch {mbs} not divisible by some op dp",
-                location=_stage_loc(i),
-                hint="every op's per-GPU share mbs/dp must be integral",
-            ))
+    report(8, 9)  # microbatch share per op
 
 
 # ----------------------------------------------------------------------

@@ -178,3 +178,10 @@ class StageConfig:
                 self.signature_bytes(), digest_size=16
             ).digest()
         return self._sig_digest
+
+    def base_digest(self) -> bytes:
+        """Like :meth:`digest`, but blind to the recompute flags."""
+        sig = self.signature_bytes()  # recompute flags come last
+        return hashlib.blake2b(
+            memoryview(sig)[:len(sig) - self.recompute.nbytes], digest_size=16
+        ).digest()

@@ -50,12 +50,12 @@ def activation_kept_mask(
     """
     if recompute.shape != stage_id.shape:
         raise ValueError("recompute and stage_id must have the same shape")
-    prev_rc = np.concatenate([[False], recompute[:-1]])
-    same_stage = np.concatenate(
-        [[False], stage_id[1:] == stage_id[:-1]]
+    # Dropped: recomputed ops whose same-stage predecessor recomputes.
+    dropped = np.zeros(recompute.shape, dtype=bool)
+    dropped[1:] = (
+        recompute[1:] & recompute[:-1] & (stage_id[1:] == stage_id[:-1])
     )
-    segment_start = recompute & ~(prev_rc & same_stage)
-    return (~recompute | segment_start).astype(np.float64)
+    return (~dropped).astype(np.float64)
 
 
 def allocator_reserve(

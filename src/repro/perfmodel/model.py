@@ -14,7 +14,9 @@ Estimation is structured in two layers:
    microbatch_size)``.  Reconfiguration primitives touch one or two
    stages, so after the first estimate of a configuration family a new
    candidate re-costs only its dirty stages instead of the whole op
-   chain.
+   chain.  A miss whose stage differs from a recent one only in its
+   recompute flags reuses that stage's recompute-free base (a small
+   LRU keyed by ``stage.base_digest()``) and pays two masked sums.
 2. A cheap assembly step combines the cached stage costs with the
    stage-count-dependent parts: pipeline p2p boundary transfers, 1F1B
    in-flight counts, the allocator view of peak memory, and the Eq. 2
@@ -43,19 +45,20 @@ from ..telemetry.events import (
     PERFMODEL_ESTIMATE_BATCH,
     PERFMODEL_FIRST_FEASIBLE,
 )
-from .memory import (
-    activation_kept_mask,
-    in_flight_counts,
-    stage_allocator_reserve,
-)
+from .memory import activation_kept_mask, stage_allocator_reserve
 from .report import (
+    STAGE_ROW_WIDTH,
     LazyStages,
     PerfReport,
     StageCost,
-    StageReport,
     lazy_perf_report,
 )
-from .timing import stage_totals
+
+#: Recompute-free stage bases kept per model.  Each entry holds two
+#: per-op vectors, so the bound keeps deep models' memory flat: on a
+#: gpt-1000l search 256 entries cost 16% peak RSS, 32 cost 3% and miss
+#: only 3% more often.
+STAGE_BASE_CACHE_SIZE = 32
 
 
 def _log2_int(values: np.ndarray) -> np.ndarray:
@@ -97,9 +100,9 @@ class PerfModel:
         database: a profile database covering the graph's operators.
         cache_size: whole-config estimates kept in the LRU.
         stage_cache_size: per-stage costs kept in the LRU (0 disables
-            stage-level memoization; every estimate then re-costs all
-            stages, which is the reference path the equivalence tests
-            compare against).
+            stage-level memoization, the recompute-free bases included;
+            every estimate then re-costs all stages, which is the
+            reference path the equivalence tests compare against).
         reserve_safety_factor: override for the allocator over-reserve.
     """
 
@@ -148,6 +151,9 @@ class PerfModel:
             OrderedDict()
         )
         self._stage_cache_size = stage_cache_size
+        self._base_cache: "OrderedDict[Tuple[bytes, int], tuple]" = (
+            OrderedDict()
+        )
         # Telemetry counters replace the former bare-int attributes;
         # the individual Counter objects are hoisted to slots-backed
         # locals because ``inc`` sits on the estimator hot path.
@@ -170,21 +176,21 @@ class PerfModel:
         self._ar_ibw = ar.inv_bandwidth
         self._ag_lat = ag.latency
         self._ag_ibw = ag.inv_bandwidth
-        self._p2p_intra = database.collective("p2p_intra")
-        self._p2p_inter = database.collective("p2p_inter")
+        p2p = [database.collective(n) for n in ("p2p_intra", "p2p_inter")]
         # Pipeline p2p always moves data between exactly two ranks, so
         # only the group-size-2 coefficients are ever used; hoist them
-        # to scalars for the vectorized boundary pricing.  Single-GPU
-        # clusters may not profile level 1 — they also never build a
-        # multi-stage pipeline, so zeros are never read.
-        self._p2p_lat = np.array([
-            kind.latency[1] if len(kind.latency) > 1 else 0.0
-            for kind in (self._p2p_intra, self._p2p_inter)
-        ])
-        self._p2p_ibw = np.array([
-            kind.inv_bandwidth[1] if len(kind.inv_bandwidth) > 1 else 0.0
-            for kind in (self._p2p_intra, self._p2p_inter)
-        ])
+        # to Python floats, indexed 0 = intra-node, 1 = inter-node.
+        # Single-GPU clusters may not profile level 1 — they also never
+        # build a multi-stage pipeline, so zeros are never read.
+        self._p2p_lat = [
+            float(kind.latency[1]) if len(kind.latency) > 1 else 0.0
+            for kind in p2p
+        ]
+        self._p2p_ibw = [
+            float(kind.inv_bandwidth[1])
+            if len(kind.inv_bandwidth) > 1 else 0.0
+            for kind in p2p
+        ]
 
     # ------------------------------------------------------------------
     # public API
@@ -375,7 +381,7 @@ class PerfModel:
         return reports
 
     def estimate_fresh(self, config: ParallelConfig) -> PerfReport:
-        """Re-cost every stage from scratch, bypassing both caches.
+        """Re-cost every stage from scratch, bypassing every cache.
 
         Reference path for the incremental-vs-full equivalence tests:
         the result must be bit-identical to :meth:`estimate` no matter
@@ -383,14 +389,10 @@ class PerfModel:
         """
         mbs = config.microbatch_size
         costs = [
-            self._cost_stage_uncached(stage, mbs)
+            self._cost_stage_uncached(stage, mbs, fresh=True)
             for stage in config.stages
         ]
         return self._assemble(config, costs)
-
-    def iteration_time(self, config: ParallelConfig) -> float:
-        """Shortcut: predicted seconds per training iteration."""
-        return self.estimate(config).iteration_time
 
     def cache_info(self) -> dict:
         """Sizes and hit/miss counters of both memo layers."""
@@ -454,7 +456,7 @@ class PerfModel:
     def _cost_stage(self, stage: StageConfig, mbs: int) -> StageCost:
         """Memoized per-stage cost, keyed by stage identity + mbs."""
         if self._stage_cache_size <= 0:
-            return self._cost_stage_uncached(stage, mbs)
+            return self._cost_stage_uncached(stage, mbs, fresh=True)
         key = (stage.digest(), mbs)
         cached = self._stage_cache.get(key)
         if cached is not None:
@@ -468,12 +470,39 @@ class PerfModel:
         self._c_stage_costs.value += 1
         return cost
 
-    def _cost_stage_uncached(self, stage: StageConfig, mbs: int) -> StageCost:
+    def _cost_stage_uncached(
+        self, stage: StageConfig, mbs: int, fresh: bool = False
+    ) -> StageCost:
+        """A stage's recompute-free base (LRU-cached unless ``fresh``)
+        plus its two recompute terms, which apply the flags to per-op
+        base vectors with the same values and reductions as costing
+        from scratch — bit-identical either way."""
+        key = (stage.base_digest(), mbs)
+        base = None if fresh else self._base_cache.pop(key, None)
+        if base is None:
+            base = self._cost_stage_base(stage, mbs)
+        if not fresh:  # (re)insert as the most recent entry
+            self._base_cache[key] = base
+            if len(self._base_cache) > STAGE_BASE_CACHE_SIZE:
+                self._base_cache.popitem(last=False)
+        fields, rc_time, act_bytes = base
+        rc = stage.recompute
+        kept = activation_kept_mask(rc, np.zeros(len(rc), dtype=np.int64))
+        return StageCost(
+            recompute_time=float(np.where(rc, rc_time, 0.0).sum()),
+            activation_bytes=float((act_bytes * kept).sum()),
+            **fields,
+        )
+
+    def _cost_stage_base(self, stage: StageConfig, mbs: int) -> tuple:
+        """``(StageCost fields the recompute flags cannot change,
+        per-op recompute seconds, per-op saved-activation bytes)``."""
         graph, ga, pg = self.graph, self.graph.arrays, self.profiled
         elem = self._elem
         idx = np.arange(stage.start, stage.end)
-        tp, dp, tp_dim, rc = stage.tp, stage.dp, stage.tp_dim, stage.recompute
-        etp = np.minimum(tp, ga.max_tp[idx])
+        span = slice(stage.start, stage.end)
+        tp, dp, tp_dim = stage.tp, stage.dp, stage.tp_dim
+        etp = np.minimum(tp, ga.max_tp[span])
         tp_lv = _log2_int(tp)
         etp_lv = _log2_int(etp)
         samples = mbs / dp.astype(np.float64)
@@ -485,7 +514,6 @@ class PerfModel:
         bwd = pg.bwd_fixed[idx, tp_lv, tp_dim] + samples * pg.bwd_slope[
             idx, tp_lv, tp_dim
         ]
-        rc_extra = np.where(rc, fwd, 0.0)
 
         # --- tensor-parallel collectives per microbatch ----------------
         comm_mask = etp > 1
@@ -501,8 +529,6 @@ class PerfModel:
             self._ar_lat[etp_lv] + bwd_bytes * self._ar_ibw[etp_lv],
             0.0,
         )
-        # Recomputation repeats the forward collectives too.
-        rc_comm = np.where(rc, tp_fwd_comm, 0.0)
 
         # --- in-stage resharding (flexible tp/dp combinations, §4.2) ---
         # One-way cost; assembly charges it once forward, once backward.
@@ -510,7 +536,7 @@ class PerfModel:
         if stage.num_ops > 1:
             change = (tp[:-1] != tp[1:]) | (dp[:-1] != dp[1:])
             group_lv = _log2_int(tp[:-1] * dp[:-1])
-            resh_bytes = ga.out_numel[idx[:-1]] * samples[:-1] * elem
+            resh_bytes = ga.out_numel[span][:-1] * samples[:-1] * elem
             reshard = float(
                 np.where(
                     change,
@@ -523,26 +549,22 @@ class PerfModel:
         # One allreduce per distinct dp degree present in the stage
         # (ops sharing a degree share a process group).  Bucket grad
         # bytes by log-level instead of looping over np.unique.
-        grad_bytes = ga.params[idx] * elem / etp
+        weight_bytes = ga.params[span] * elem / etp
         dp_lv = _log2_int(dp)
         counts = np.bincount(dp_lv)
-        sums = np.bincount(dp_lv, weights=grad_bytes)
+        sums = np.bincount(dp_lv, weights=weight_bytes)
         levels = np.nonzero(counts[1:])[0] + 1
         dp_sync = float(
             np.sum(self._ar_lat[levels] + sums[levels] * self._ar_ibw[levels])
         )
 
         # --- memory ----------------------------------------------------
-        kept = activation_kept_mask(
-            rc, np.zeros(stage.num_ops, dtype=np.int64)
-        )
-        act_bytes = ga.saved_numel[idx] * samples / etp * elem * kept
-        weight_bytes = ga.params[idx] * elem / etp
+        act_bytes = ga.saved_numel[span] * samples / etp * elem
         optimizer_bytes = (
-            ga.params[idx] * float(graph.optimizer_bytes_per_param) / etp
+            ga.params[span] * float(graph.optimizer_bytes_per_param) / etp
         )
         transient = (
-            (ga.saved_numel[idx] + ga.out_numel[idx]) * samples / etp * elem
+            (ga.saved_numel[span] + ga.out_numel[span]) * samples / etp * elem
         )
         reserve = stage_allocator_reserve(
             transient, safety_factor=self.reserve_safety_factor
@@ -551,20 +573,20 @@ class PerfModel:
             ga.out_numel[stage.end - 1] * mbs / float(dp[-1]) * elem
         )
 
-        return StageCost(
+        fields = dict(
             fwd_time=float(fwd.sum()),
             bwd_time=float(bwd.sum()),
-            recompute_time=float((rc_extra + rc_comm).sum()),
             tp_fwd_comm_time=float(tp_fwd_comm.sum()),
             tp_bwd_comm_time=float(tp_bwd_comm.sum()),
             reshard_time=reshard,
             dp_sync_time=dp_sync,
             weight_bytes=float(weight_bytes.sum()),
             optimizer_bytes=float(optimizer_bytes.sum()),
-            activation_bytes=float(act_bytes.sum()),
             reserved_bytes=reserve,
             egress_bytes=egress,
         )
+        # Recomputation repeats the forward and its collectives.
+        return fields, fwd + tp_fwd_comm, act_bytes
 
     # ------------------------------------------------------------------
     # assembly (stage-count dependent, cheap)
@@ -602,85 +624,62 @@ class PerfModel:
     def _assemble(
         self, config: ParallelConfig, costs: List[StageCost]
     ) -> PerfReport:
+        """One report in Python floats: over a handful of stages this
+        beats numpy's per-call overhead, and every expression keeps
+        :meth:`_assemble_batch`'s operand association (its prefix sum
+        is a sequential ``cumsum``), so the two are bit-identical."""
+        stages = config.stages
         stage_limits = None
-        factors = self._stage_factors(
-            [s.num_devices for s in config.stages]
-        )
+        factors = self._stage_factors([s.num_devices for s in stages])
         if factors is not None:
             scales, stage_limits = factors
             costs = [
                 cost if scale == 1.0 else cost.scaled(scale)
                 for cost, scale in zip(costs, scales)
             ]
-        num_stages = config.num_stages
+        num_stages = len(costs)
         num_mb = config.num_microbatches(self.graph.global_batch_size)
-
-        # --- pipeline p2p per microbatch (vectorized boundary loop) ----
-        p2p_fwd_in = np.zeros(num_stages)
-        p2p_bwd_in = np.zeros(num_stages)
-        if num_stages > 1:
-            devs = np.array(
-                [s.num_devices for s in config.stages], dtype=np.int64
-            )
-            boundary_dev = np.clip(
-                np.cumsum(devs)[:-1] - 1, 0, self.cluster.num_gpus - 2
-            )
-            gpn = self.cluster.gpus_per_node
-            inter = (boundary_dev // gpn) != ((boundary_dev + 1) // gpn)
-            kind = inter.astype(np.int64)  # 0 -> intra, 1 -> inter
-            egress = np.array([c.egress_bytes for c in costs[:-1]])
-            transfer = np.where(
-                egress > 0,
-                self._p2p_lat[kind] + egress * self._p2p_ibw[kind],
-                0.0,
-            )
-            p2p_fwd_in[1:] = transfer
-            p2p_bwd_in[:-1] = transfer
-
-        in_flight = in_flight_counts(num_stages, num_mb)
-
-        stage_reports = []
+        gpn = self.cluster.gpus_per_node
+        rows, in_flight = [], []
+        prefix, iteration_time, p2p_in, devices = 0.0, -np.inf, 0.0, 0
         for i, cost in enumerate(costs):
-            stage_reports.append(
-                StageReport(
-                    fwd_time_mb=cost.fwd_time,
-                    bwd_time_mb=cost.bwd_time,
-                    recompute_time_mb=cost.recompute_time,
-                    tp_comm_time_mb=cost.tp_fwd_comm_time
-                    + cost.tp_bwd_comm_time,
-                    reshard_time_mb=cost.reshard_time * 2.0,
-                    p2p_time_mb=float(p2p_fwd_in[i] + p2p_bwd_in[i]),
-                    dp_sync_time=cost.dp_sync_time,
-                    weight_bytes=cost.weight_bytes,
-                    optimizer_bytes=cost.optimizer_bytes,
-                    activation_bytes_mb=cost.activation_bytes,
-                    in_flight=int(in_flight[i]),
-                    reserved_bytes=cost.reserved_bytes,
+            # Pipeline p2p to the next stage over the boundary's link.
+            devices += stages[i].num_devices
+            p2p_out = 0.0
+            if i < num_stages - 1 and cost.egress_bytes > 0:
+                device = min(max(devices - 1, 0), self.cluster.num_gpus - 2)
+                kind = int(device // gpn != (device + 1) // gpn)
+                p2p_out = (
+                    self._p2p_lat[kind]
+                    + cost.egress_bytes * self._p2p_ibw[kind]
                 )
+            in_flight.append(min(num_stages - i, num_mb))
+            rows += (
+                cost.fwd_time, cost.bwd_time, cost.recompute_time,
+                cost.tp_fwd_comm_time + cost.tp_bwd_comm_time,
+                cost.reshard_time * 2.0, p2p_in + p2p_out,
+                cost.dp_sync_time, cost.weight_bytes, cost.optimizer_bytes,
+                cost.activation_bytes, cost.reserved_bytes,
             )
-
-        fwd_total = (
-            np.array(
-                [c.fwd_time + c.tp_fwd_comm_time + c.reshard_time
-                 for c in costs]
+            # Eq. 2: warmup prefix + steady microbatches + dp sync.
+            pair = (
+                cost.fwd_time + cost.tp_fwd_comm_time + cost.reshard_time
+                + p2p_in
+            ) + (
+                cost.bwd_time + cost.recompute_time + cost.tp_bwd_comm_time
+                + cost.reshard_time + p2p_out
             )
-            + p2p_fwd_in
+            total = prefix + num_mb * pair + cost.dp_sync_time
+            iteration_time = max(iteration_time, total)
+            prefix += pair
+            p2p_in = p2p_out
+        payload = LazyStages(rows, in_flight, oom=False)
+        limits = stage_limits or [self.memory_limit] * num_stages
+        payload.oom = any(
+            peak > limit for peak, limit in zip(payload.peaks(), limits)
         )
-        bwd_total = (
-            np.array(
-                [c.bwd_time + c.recompute_time + c.tp_bwd_comm_time
-                 + c.reshard_time for c in costs]
-            )
-            + p2p_bwd_in
-        )
-        dp_sync = np.array([c.dp_sync_time for c in costs])
-        totals = stage_totals(fwd_total, bwd_total, num_mb, dp_sync)
-        return PerfReport(
-            stages=tuple(stage_reports),
-            num_microbatches=num_mb,
-            iteration_time=float(totals.max()),
-            memory_limit=self.memory_limit,
-            stage_limits=stage_limits,
+        return lazy_perf_report(
+            payload, num_mb, iteration_time, self.memory_limit, stage_limits
         )
 
     def _assemble_batch(
@@ -753,7 +752,8 @@ class PerfModel:
             out_bytes = egress[:, :-1]
             transfer = np.where(
                 boundary & (out_bytes > 0),
-                self._p2p_lat[kind] + out_bytes * self._p2p_ibw[kind],
+                np.array(self._p2p_lat)[kind]
+                + out_bytes * np.array(self._p2p_ibw)[kind],
                 0.0,
             )
             p2p_fwd_in[:, 1:] = transfer
@@ -789,44 +789,33 @@ class PerfModel:
             ]
             oom_flags = np.any(valid & (peaks > limit_arr), axis=1)
 
-        tp_comm = tp_fwd + tp_bwd
-        reshard_rt = reshard * 2.0
-        p2p_time = p2p_fwd_in + p2p_bwd_in
-        # One bulk [batch, stage, field] conversion covering the ten
-        # leading float fields of StageReport in declaration order; the
-        # int-typed in_flight and trailing reserved_bytes convert
-        # separately so in_flight stays a Python int like the scalar
-        # path produces.
-        planes = np.stack(
+        # One bulk conversion to flat LazyStages rows; in_flight stays
+        # apart so it converts to Python ints.
+        rows = np.stack(
             (
-                fwd, bwd, recompute, tp_comm, reshard_rt, p2p_time,
-                dp_sync, weight, optimizer, activation,
+                fwd, bwd, recompute, tp_fwd + tp_bwd, reshard * 2.0,
+                p2p_fwd_in + p2p_bwd_in, dp_sync, weight, optimizer,
+                activation, reserved,
             ),
             axis=2,
-        ).tolist()
+        ).reshape(num_configs, max_stages * STAGE_ROW_WIDTH).tolist()
         in_flight_l = in_flight.tolist()
-        reserved_l = reserved.tolist()
-        peaks_l = peaks.tolist()
         iteration_l = iteration_times.tolist()
         num_mb_l = num_mb.tolist()
         counts_l = counts.tolist()
         oom_l = oom_flags.tolist()
 
         # Reports come out stage-lazy: most batch-estimated candidates
-        # only ever answer objective queries (iteration time + the peak
-        # memories precomputed above), and the search discards them
-        # without reading per-stage detail.  LazyStages materializes
-        # identical StageReport tuples for the survivors on demand.
+        # only ever answer objective queries, and the search discards
+        # them without reading per-stage detail.  LazyStages
+        # materializes identical StageReport tuples for the survivors
+        # on demand.
         memory_limit = self.memory_limit
         reports: List[PerfReport] = []
         for b in range(num_configs):
             n = counts_l[b]
             payload = LazyStages(
-                planes[b][:n],
-                in_flight_l[b][:n],
-                reserved_l[b][:n],
-                peaks_l[b][:n],
-                oom_l[b],
+                rows[b][:n * STAGE_ROW_WIDTH], in_flight_l[b][:n], oom_l[b]
             )
             reports.append(
                 lazy_perf_report(
@@ -840,13 +829,6 @@ class PerfModel:
                 )
             )
         return reports, oom_flags
-
-    # ------------------------------------------------------------------
-    def _p2p_kind(self, boundary_device: int):
-        device = max(0, min(boundary_device, self.cluster.num_gpus - 2))
-        if self.cluster.node_of(device) == self.cluster.node_of(device + 1):
-            return self._p2p_intra
-        return self._p2p_inter
 
 
 def build_perf_model(

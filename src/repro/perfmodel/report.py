@@ -189,49 +189,43 @@ class StageReport:
         )
 
 
-#: StageReport float fields materialized from a lazy plane row, in
-#: declaration order (in_flight and reserved_bytes are carried apart so
-#: in_flight stays a Python int).
-_STAGE_REPORT_PLANE_FIELDS = (
-    "fwd_time_mb",
-    "bwd_time_mb",
-    "recompute_time_mb",
-    "tp_comm_time_mb",
-    "reshard_time_mb",
-    "p2p_time_mb",
-    "dp_sync_time",
-    "weight_bytes",
-    "optimizer_bytes",
-    "activation_bytes_mb",
-)
+#: Values per stage in :attr:`LazyStages.rows`: the float fields of
+#: :class:`StageReport` in declaration order, ``reserved_bytes`` last.
+STAGE_ROW_WIDTH = 11
 
 
 class LazyStages:
-    """Deferred per-stage report payload for batch-assembled estimates.
+    """Deferred per-stage report payload for assembled estimates.
 
-    The batched assembly kernel computes every stage value as array
-    planes; most of those reports only ever answer "what is your
-    objective?" before the search discards them, so building eight
-    ``StageReport`` objects per candidate up front is pure overhead.
-    This payload keeps the plane rows (plus the precomputed Eq. 1 peak
-    memories and OOM verdict) and materializes the ``StageReport``
-    tuple on first access — with values bit-identical to the eager
-    scalar path, since they are the same Python floats either way.
+    Most estimated reports only ever answer "what is your objective?"
+    or "does stage i fit?" before the search discards them, so this
+    keeps one flat row of stage values, the (int) in-flight counts and
+    the OOM verdict, and builds ``StageReport`` objects on first access.
+    Peaks use :attr:`StageReport.peak_memory`'s operand association.
     """
 
-    __slots__ = ("planes", "in_flight", "reserved", "peaks", "oom")
+    __slots__ = ("rows", "in_flight", "oom")
 
-    def __init__(self, planes, in_flight, reserved, peaks, oom):
-        self.planes = planes
+    def __init__(self, rows, in_flight, oom):
+        self.rows = rows
         self.in_flight = in_flight
-        self.reserved = reserved
-        self.peaks = peaks
         self.oom = oom
+
+    def peaks(self) -> List[float]:
+        rows = self.rows
+        starts = range(0, len(rows), STAGE_ROW_WIDTH)
+        peaks = []
+        for k, infl in zip(starts, self.in_flight):
+            weight, optimizer, activation, reserved = rows[k + 7:k + 11]
+            peaks.append(weight + optimizer + activation * infl + reserved)
+        return peaks
 
     def build(self) -> Tuple[StageReport, ...]:
         new_stage = StageReport.__new__
+        rows = self.rows
+        starts = range(0, len(rows), STAGE_ROW_WIDTH)
         reports = []
-        for row, infl, resv in zip(self.planes, self.in_flight, self.reserved):
+        for k, infl in zip(starts, self.in_flight):
             report = new_stage(StageReport)
             fields = report.__dict__
             (
@@ -245,9 +239,9 @@ class LazyStages:
                 fields["weight_bytes"],
                 fields["optimizer_bytes"],
                 fields["activation_bytes_mb"],
-            ) = row
+            ) = rows[k:k + 10]
             fields["in_flight"] = infl
-            fields["reserved_bytes"] = resv
+            fields["reserved_bytes"] = rows[k + 10]
             reports.append(report)
         return tuple(reports)
 
@@ -256,11 +250,11 @@ class LazyStages:
 class PerfReport:
     """Predicted performance of a full configuration.
 
-    Instances from the scalar estimator carry their ``stages`` tuple
-    directly; instances from the batch estimator defer it behind a
-    :class:`LazyStages` payload (see :func:`lazy_perf_report`) and
-    materialize on first access.  Equality, hashing, pickling, and
-    every property read through the same field values either way.
+    Instances built directly carry their ``stages`` tuple; the
+    estimator's instances defer it behind a :class:`LazyStages` payload
+    (see :func:`lazy_perf_report`) and materialize on first access.
+    Equality, hashing, pickling, and every property read through the
+    same field values either way.
     """
 
     stages: Tuple[StageReport, ...]
@@ -301,14 +295,21 @@ class PerfReport:
     def num_stages(self) -> int:
         payload = self.__dict__.get("_lazy")
         if payload is not None:
-            return len(payload.peaks)
+            return len(payload.in_flight)
         return len(self.stages)
+
+    def in_flight(self, stage: int) -> int:
+        """1F1B in-flight microbatches of one stage (Eq. 1)."""
+        payload = self.__dict__.get("_lazy")
+        if payload is not None:
+            return payload.in_flight[stage]
+        return self.stages[stage].in_flight
 
     @property
     def peak_memories(self) -> List[float]:
         payload = self.__dict__.get("_lazy")
         if payload is not None:
-            return list(payload.peaks)
+            return payload.peaks()
         return [s.peak_memory for s in self.stages]
 
     @property

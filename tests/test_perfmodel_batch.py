@@ -6,9 +6,11 @@ enough that insertions evict mid-batch — ``estimate_batch(configs)``
 must leave the model in exactly the state a ``[estimate(c) for c in
 configs]`` loop would, and return exactly the reports that loop would.
 The hypothesis test below drives randomized batches (duplicates
-included) against randomized warm subsets and LRU sizes; deterministic
-tests pin down the trickiest corner (a mid-batch eviction forcing a
-later config to re-miss) and the batch telemetry shape.
+included) against randomized warm subsets and LRU sizes, on a
+homogeneous and a heterogeneous cluster, over 1-, 2- and 4-stage
+configs; deterministic tests pin down the trickiest corner (a
+mid-batch eviction forcing a later config to re-miss) and the batch
+telemetry shape.
 """
 
 import functools
@@ -17,6 +19,7 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ClusterSpec, DeviceSpec
 from repro.parallel import ParallelConfig, balanced_config
 from repro.perfmodel import PerfModel
 from repro.perfmodel.model import _PendingReport
@@ -37,17 +40,32 @@ from conftest import make_tight_cluster, make_tiny_gpt
 
 
 @functools.lru_cache(maxsize=None)
-def _problem():
+def _problem(hetero=False):
     graph = make_tiny_gpt()
-    cluster = make_tight_cluster(4, memory_mb=24)
+    if hetero:
+        # Two nodes of unequal speed and capacity: assembly scales the
+        # compute of stages on the slow node and checks each stage
+        # against its own node's memory.
+        cluster = ClusterSpec(
+            num_nodes=2,
+            gpus_per_node=2,
+            node_devices=(
+                DeviceSpec(name="tiny-6MB", memory_bytes=6 * 2**20),
+                DeviceSpec(
+                    name="slow-8MB", memory_bytes=8 * 2**20, efficiency=0.3
+                ),
+            ),
+        )
+    else:
+        cluster = make_tight_cluster(4, memory_mb=6)
     database = SimulatedProfiler(cluster, seed=0).profile(graph)
     return graph, cluster, database
 
 
 @functools.lru_cache(maxsize=None)
-def _variants():
+def _variants(hetero=False):
     """A pool of distinct configs spanning 1/2/4 stages, tp, and mbs."""
-    graph, cluster, _ = _problem()
+    graph, cluster, _ = _problem(hetero)
     pool = []
     for num_stages in (1, 2, 4):
         base = balanced_config(graph, cluster, num_stages)
@@ -72,8 +90,8 @@ def _variants():
     return tuple(pool)
 
 
-def _fresh_models(cache_size, stage_cache_size):
-    graph, cluster, database = _problem()
+def _fresh_models(cache_size, stage_cache_size, hetero=False):
+    graph, cluster, database = _problem(hetero)
     kwargs = dict(cache_size=cache_size, stage_cache_size=stage_cache_size)
     return (
         PerfModel(graph, cluster, database, **kwargs),
@@ -108,13 +126,14 @@ def _assert_same_state(seq, bat):
     ),
     cache_size=st.sampled_from([1, 2, 3, 1024]),
     stage_cache_size=st.sampled_from([0, 2, 1024]),
+    hetero=st.booleans(),
 )
 def test_batch_bit_identical_to_sequential(
-    batch_idx, warm_idx, cache_size, stage_cache_size
+    batch_idx, warm_idx, cache_size, stage_cache_size, hetero
 ):
-    variants = _variants()
+    variants = _variants(hetero)
     n = len(variants)
-    seq, bat = _fresh_models(cache_size, stage_cache_size)
+    seq, bat = _fresh_models(cache_size, stage_cache_size, hetero)
     for i in warm_idx:  # identical warm state on both models
         seq.estimate(variants[i % n])
         bat.estimate(variants[i % n])
@@ -133,6 +152,17 @@ def test_batch_bit_identical_to_sequential(
         assert pickle.dumps(b) == pickle.dumps(a)
         assert all(type(s.in_flight) is int for s in b.stages)
     _assert_same_state(seq, bat)
+
+
+def test_pool_covers_one_stage_and_heterogeneous_limits():
+    """The property's pool really spans 1-stage configs, per-stage
+    memory limits, and both OOM verdicts on each cluster."""
+    for hetero in (False, True):
+        model, _ = _fresh_models(1024, 1024, hetero)
+        reports = [model.estimate(config) for config in _variants(hetero)]
+        assert {r.num_stages for r in reports} == {1, 2, 4}
+        assert {r.is_oom for r in reports} == {False, True}
+        assert all((r.stage_limits is not None) == hetero for r in reports)
 
 
 def test_midbatch_eviction_matches_sequential():

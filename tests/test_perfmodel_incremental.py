@@ -23,11 +23,15 @@ from repro.core import (
     rank_bottlenecks,
     search_all_stage_counts,
 )
+from repro.core.arguments import stage_activation_bytes
 from repro.ir.models import build_model
 from repro.ir.models.synthetic import build_synthetic
 from repro.parallel import balanced_config, changed_stages
 from repro.perfmodel import PerfModel
+from repro.perfmodel import model as model_module
 from repro.profiling import SimulatedProfiler
+
+from conftest import make_tiny_gpt
 
 PRIMITIVES = [
     "inc-op#", "dec-op#", "inc-mbs", "dec-mbs",
@@ -132,6 +136,95 @@ class TestIncrementalEquivalence:
         # estimate_fresh never touches the metric.
         model.estimate_fresh(config)
         assert model.num_estimates == 2
+
+
+class TestRecomputeDeltaCosting:
+    """Stages that differ only in recompute flags share one cached
+    recompute-free base; the two recompute terms are re-derived."""
+
+    @pytest.mark.parametrize("base_cache_size", [1, 2, 32])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_recompute_walk_matches_fresh_under_eviction(
+        self, monkeypatch, seed, base_cache_size
+    ):
+        """Random recompute-flag walks, with occasional tp edits that
+        churn the base LRU: every estimate is bit-identical to costing
+        from scratch, and the base cache both hits and evicts."""
+        monkeypatch.setattr(
+            model_module, "STAGE_BASE_CACHE_SIZE", base_cache_size
+        )
+        graph = build_synthetic(24, seed=seed)
+        cluster = paper_cluster(4)
+        database = SimulatedProfiler(cluster, seed=0).profile(graph)
+        model = PerfModel(graph, cluster, database)
+        reference = PerfModel(graph, cluster, database)
+        bases = []
+        original = model._cost_stage_base
+
+        def counted(stage, mbs):
+            bases.append(stage.base_digest())
+            return original(stage, mbs)
+
+        model._cost_stage_base = counted
+        rng = np.random.default_rng(seed)
+        config = balanced_config(graph, cluster, 2)  # 2 GPUs per stage
+        for _ in range(60):
+            index = int(rng.integers(config.num_stages))
+            config = config.mutated_copy([index])
+            stage = config.stages[index]
+            if rng.random() < 0.15 and stage.num_devices >= 2:
+                stage.set_uniform_parallel(int(rng.choice([1, 2])))
+            else:
+                flips = rng.random(stage.num_ops) < 0.3
+                stage.recompute[flips] = ~stage.recompute[flips]
+            assert_reports_identical(
+                model.estimate(config), reference.estimate_fresh(config)
+            )
+            assert len(model._base_cache) <= base_cache_size
+        # Recompute-only misses reused a base; a base is re-costed only
+        # after the LRU evicted it.
+        assert len(bases) < model.num_stage_costs
+        distinct = len(set(bases))
+        if distinct > base_cache_size:
+            assert distinct < len(bases)
+        else:
+            assert distinct == len(bases)
+
+    def test_recompute_terms_match_their_definition(self):
+        """Recomputing every op repeats its forward and forward
+        collectives, and keeps only the first op's activation."""
+        graph = make_tiny_gpt()
+        cluster = paper_cluster(4)
+        database = SimulatedProfiler(cluster, seed=0).profile(graph)
+        model = PerfModel(graph, cluster, database)
+        config = balanced_config(graph, cluster, 2).mutated_copy([0])
+        config.stages[0].set_uniform_parallel(2)
+        plain = model._cost_stage(config.stages[0], config.microbatch_size)
+        everything = config.mutated_copy([0])
+        everything.stages[0].recompute[:] = True
+        recomputed = model._cost_stage(
+            everything.stages[0], config.microbatch_size
+        )
+        assert plain.tp_fwd_comm_time > 0
+        assert plain.recompute_time == 0.0
+        assert recomputed.recompute_time == pytest.approx(
+            plain.fwd_time + plain.tp_fwd_comm_time
+        )
+        assert recomputed.activation_bytes == pytest.approx(
+            stage_activation_bytes(graph, config, 0)[0]
+        )
+        assert len(model._base_cache) == 1
+
+    def test_fresh_estimates_bypass_the_base_cache(self):
+        graph = build_synthetic(16, seed=4)
+        cluster = paper_cluster(4)
+        database = SimulatedProfiler(cluster, seed=0).profile(graph)
+        model = PerfModel(graph, cluster, database)
+        model.estimate_fresh(balanced_config(graph, cluster, 2))
+        assert len(model._base_cache) == 0
+        off = PerfModel(graph, cluster, database, stage_cache_size=0)
+        off.estimate(balanced_config(graph, cluster, 2))
+        assert len(off._base_cache) == 0
 
 
 class TestLRUEviction:

@@ -2,10 +2,12 @@
 
 import json
 import os
+import threading
 import time
 
 import pytest
 
+from repro.cluster import paper_cluster
 from repro.core import (
     AcesoSearch,
     CheckpointError,
@@ -16,6 +18,7 @@ from repro.core import (
     retry_delay,
     search_all_stage_counts,
 )
+from repro.core.checkpoint import _result_to_dict
 from repro.core.search import _failure_kind_from_error, _stage_count_worker
 from repro.faults import (
     DeviceFailure,
@@ -32,6 +35,10 @@ from repro.faults import (
 from repro.perfmodel import PerfModel
 from repro.profiling import SimulatedProfiler
 from repro.runtime.simulator import simulate_pipeline
+from repro.telemetry import CallbackSink, get_bus
+from repro.telemetry.events import DRIVER_COUNT_COMPLETED
+
+from conftest import make_tiny_gpt
 
 BUDGET = {"max_iterations": 6}
 
@@ -515,6 +522,67 @@ class TestCheckpointResume:
                 checkpoint_path=path,
                 resume=True,
             )
+
+    def test_concurrent_searches_checkpoint_only_their_own_counts(
+        self, tmp_path
+    ):
+        """Two threads searching different models on the shared bus:
+        each checkpoint holds exactly its own counts and plans."""
+        cluster = paper_cluster(4)
+        problems = {}
+        for name, layers, counts in (("a", 4, [1, 2]), ("b", 6, [1, 4])):
+            graph = make_tiny_gpt(num_layers=layers)
+            database = SimulatedProfiler(cluster, seed=0).profile(graph)
+            problems[name] = (graph, database, counts)
+        a_held, b_done = threading.Event(), threading.Event()
+
+        def hold_a_until_b_is_done(event) -> None:
+            # A stalls inside its first count event, checkpoint sink
+            # attached, while B runs from start to finish.
+            if threading.current_thread().name == "a":
+                a_held.set()
+                assert b_done.wait(timeout=120)
+
+        outcomes = {}
+
+        def search(name: str) -> None:
+            graph, database, counts = problems[name]
+            try:
+                if name == "b":
+                    assert a_held.wait(timeout=120)
+                outcomes[name] = search_all_stage_counts(
+                    graph, cluster, PerfModel(graph, cluster, database),
+                    stage_counts=counts,
+                    budget_per_count=BUDGET,
+                    checkpoint_path=tmp_path / f"{name}.ckpt.json",
+                )
+            finally:
+                if name == "b":
+                    b_done.set()
+
+        gate = get_bus().add_sink(CallbackSink(
+            hold_a_until_b_is_done, names=(DRIVER_COUNT_COMPLETED,)
+        ))
+        try:
+            threads = {
+                name: threading.Thread(target=search, args=(name,), name=name)
+                for name in problems
+            }
+            threads["a"].start()
+            threads["b"].start()
+            for thread in threads.values():
+                thread.join(timeout=300)
+                assert not thread.is_alive()
+        finally:
+            get_bus().remove_sink(gate)
+
+        for name, (_, _, counts) in problems.items():
+            checkpoint = SearchCheckpoint.load(tmp_path / f"{name}.ckpt.json")
+            assert sorted(checkpoint.completed) == counts
+            for run in outcomes[name].runs:
+                assert checkpoint.completed[run.num_stages] == (
+                    _result_to_dict(run.result)
+                )
 
     def test_checkpoint_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"
