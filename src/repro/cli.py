@@ -444,12 +444,20 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    from .lint.diagnostics import ArtifactError
     from .parallel.serialization import load_config
     from .parallel.validation import validate_config
 
     graph = build_model(args.model)
     cluster = paper_cluster(args.gpus)
-    config = load_config(args.plan)
+    try:
+        config = load_config(args.plan)
+    except ArtifactError as exc:
+        print(
+            f"repro-estimate: cannot load plan {args.plan}: {exc}",
+            file=sys.stderr,
+        )
+        return 1
     validate_config(config, graph, cluster)
     fault_plan = None
     if args.fault_plan:
@@ -692,7 +700,7 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
     if args.timeline:
         try:
             timeline = ChurnTimeline.load(args.timeline)
-        except (OSError, ValueError, KeyError) as exc:
+        except ValueError as exc:
             print(
                 f"repro-elastic: cannot load {args.timeline}: {exc}",
                 file=sys.stderr,
@@ -782,7 +790,7 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
 
         try:
             timeline = ChurnTimeline.load(args.churn_timeline)
-        except (OSError, ValueError, KeyError) as exc:
+        except ValueError as exc:
             print(
                 f"repro-replan: cannot load churn timeline "
                 f"{args.churn_timeline}: {exc}",

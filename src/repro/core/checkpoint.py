@@ -12,21 +12,22 @@ count, so a crash between writes costs at most one stage count of work.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..ioutil import write_json_atomic
+from ..lint.diagnostics import ArtifactError
 from ..parallel.serialization import config_from_dict, config_to_dict
 
 #: Format marker so future layout changes stay loadable.
 CHECKPOINT_FORMAT_VERSION = 1
 
 
-class CheckpointError(ValueError):
-    """A checkpoint file is unreadable or belongs to another search."""
+class CheckpointError(ArtifactError):
+    """A checkpoint file fails its schema (``ACE32x``) or belongs to
+    another search."""
 
 
 def _result_to_dict(result) -> dict:
@@ -61,10 +62,10 @@ def _result_from_dict(data: dict, perf_model):
             (float(entry["objective"]), config_from_dict(entry["config"]))
             for entry in data["top_configs"]
         ],
-        num_estimates=int(data["num_estimates"]),
+        num_estimates=data["num_estimates"],
         elapsed_seconds=float(data["elapsed_seconds"]),
-        converged=bool(data["converged"]),
-        visited_signatures=tuple(data.get("visited_signatures", ())),
+        converged=data["converged"],
+        visited_signatures=tuple(data["visited_signatures"]),
     )
 
 
@@ -99,39 +100,22 @@ class SearchCheckpoint:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "SearchCheckpoint":
-        try:
-            data = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"cannot read search checkpoint {path}: {exc}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise CheckpointError(
-                f"search checkpoint {path} is not a JSON object"
-            )
-        version = data.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
-            raise CheckpointError(
-                f"unsupported checkpoint format version: {version!r} "
-                f"(expected {CHECKPOINT_FORMAT_VERSION})"
-            )
-        try:
-            return cls(
-                stage_counts=[int(c) for c in data["stage_counts"]],
-                budget_kwargs=data["budget_kwargs"],
-                context=data.get("context", {}),
-                completed={
-                    int(count): payload
-                    for count, payload in data.get("completed", {}).items()
-                },
-                failures=list(data.get("failures", [])),
-                path=Path(path),
-            )
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise CheckpointError(
-                f"search checkpoint {path} is malformed: "
-                f"{type(exc).__name__}: {exc}"
-            ) from exc
+        """Read a checkpoint; raises :class:`CheckpointError` unless the
+        file passes the checkpoint schema checker (``ACE32x``)."""
+        from ..lint.artifacts import check_checkpoint, load_artifact
+
+        data = load_artifact(path, "ACE320", check_checkpoint, CheckpointError)
+        return cls(
+            stage_counts=data["stage_counts"],
+            budget_kwargs=data["budget_kwargs"],
+            context=data.get("context", {}),
+            completed={
+                int(count): payload
+                for count, payload in data.get("completed", {}).items()
+            },
+            failures=data.get("failures", []),
+            path=Path(path),
+        )
 
     @classmethod
     def load_or_quarantine(

@@ -873,9 +873,8 @@ def search_all_stage_counts(
     checkpoint = None
     restored: List[StageCountResult] = []
     if checkpoint_path is not None:
-        import os
-
-        if resume and os.path.exists(checkpoint_path):
+        if resume:
+            # None for a missing file, or a quarantined invalid one.
             checkpoint = SearchCheckpoint.load_or_quarantine(
                 checkpoint_path
             )

@@ -99,27 +99,13 @@ class ChurnEvent:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChurnEvent":
-        unknown = set(data) - {
-            "time", "kind", "node_id", "device_id", "factor", "scope"
-        }
-        if unknown:
-            raise ValueError(
-                f"unknown churn event fields: {sorted(unknown)}"
-            )
-        return cls(
-            time=float(data["time"]),
-            kind=str(data["kind"]),
-            node_id=(
-                int(data["node_id"]) if "node_id" in data else None
-            ),
-            device_id=(
-                int(data["device_id"]) if "device_id" in data else None
-            ),
-            factor=(
-                float(data["factor"]) if "factor" in data else None
-            ),
-            scope=str(data["scope"]) if "scope" in data else None,
-        )
+        """Inverse of :meth:`to_dict`; raises ``ArtifactError``
+        (``ACE353``) unless ``data`` passes the churn-event schema."""
+        from ..lint.artifacts import check_churn_event
+        from ..lint.diagnostics import require_valid
+
+        require_valid(check_churn_event(data, "churn event"))
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -145,8 +131,6 @@ class ChurnTimeline:
         times = [event.time for event in self.events]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("churn events must be time-ordered")
-        if self.num_nodes is not None and self.num_nodes < 1:
-            raise ValueError("num_nodes must be positive when given")
 
     @property
     def is_empty(self) -> bool:
@@ -177,24 +161,19 @@ class ChurnTimeline:
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ChurnTimeline":
-        version = data.get("format_version")
-        if version != CHURN_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported churn timeline format version: "
-                f"{version!r} (expected {CHURN_FORMAT_VERSION})"
-            )
+    def from_dict(
+        cls, data: dict, location: str = "churn timeline"
+    ) -> "ChurnTimeline":
+        """Inverse of :meth:`to_dict`; raises ``ArtifactError``
+        (``ACE35x``) unless ``data`` passes the churn-timeline schema."""
+        from ..lint.artifacts import check_churn_timeline
+        from ..lint.diagnostics import require_valid
+
+        require_valid(check_churn_timeline(data, location))
         return cls(
-            seed=int(data.get("seed", 0)),
-            events=tuple(
-                ChurnEvent.from_dict(event)
-                for event in data.get("events", [])
-            ),
-            num_nodes=(
-                int(data["num_nodes"])
-                if data.get("num_nodes") is not None
-                else None
-            ),
+            seed=data.get("seed", 0),
+            events=tuple(ChurnEvent(**event) for event in data["events"]),
+            num_nodes=data.get("num_nodes"),
         )
 
     def save(self, path: Union[str, Path]) -> None:
@@ -202,7 +181,9 @@ class ChurnTimeline:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ChurnTimeline":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        from ..lint.artifacts import load_artifact
+
+        return cls.from_dict(load_artifact(path, "ACE350"), str(path))
 
 
 def random_churn_timeline(

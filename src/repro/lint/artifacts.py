@@ -1,524 +1,509 @@
-"""Tier-A linting of every on-disk JSON artifact the planner touches.
+"""One schema checker per on-disk artifact family, shared with the loaders.
 
-One collect-all linter per artifact family, each returning
-:class:`~repro.lint.diagnostics.Diagnostic` lists instead of raising:
+Each family has one ``check_*(data, location) -> List[Diagnostic]``
+over parsed JSON, whose keys are declared once in a :class:`Field`
+table (required or optional, plus a :class:`Check` on the value):
+plans (``ACE30x``), plan-cache entries (``ACE31x``), search
+checkpoints (``ACE32x``), request journals (``ACE33x``, whose payload
+schema is ``PlanRequest.from_json``, shared with the HTTP front),
+run-log lines (``ACE34x``) and churn timelines (``ACE35x``).
 
-* serialized plans (``repro.parallel.serialization``) — ``ACE30x``
-* plan-cache entries (``<fingerprint>.plan.json``) — ``ACE31x``
-* search checkpoints (``<fingerprint>.ckpt.json``) — ``ACE32x``
-* journaled requests (``<fingerprint>.request.json``) — ``ACE33x``
-* telemetry run logs (JSONL) — ``ACE34x`` (plus the ``fleet.*``
-  cross-event invariants, ``ACE41x``)
-* churn timelines (``*.churn.json``) — ``ACE35x``
-* fleet state artifacts (``*.fleet.json``) — ``ACE40x``
-
-These are *static* checks: nothing is deserialized into live planner
-objects, so a hostile or bit-rotted file can be linted safely before
-the daemon resumes from it.
+Every loader runs its family's checker before it builds anything and
+raises :class:`~repro.lint.diagnostics.ArtifactError` with the errors,
+so an artifact loads exactly when it lints clean.  Each ``lint_*_file``
+is the same checker plus the rules that are lint-only by design:
+unregistered event names (ACE343), the ``fleet.*`` cross-event
+invariants (ACE41x) and the total-preemption warning (ACE354).  Fleet
+state files (``*.fleet.json``, ``ACE40x``) are only linted.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from .diagnostics import Diagnostic
+from ..telemetry.bus import (
+    COUNTER,
+    EVENT,
+    LEVELS_BY_NAME,
+    SPAN_BEGIN,
+    SPAN_END,
+)
+from .diagnostics import ArtifactError, Diagnostic, errors_only, require_valid
 
 #: Fingerprints are the first 16 hex digits of a sha256.
 _FINGERPRINT_HEX = 16
+_HEX = "0123456789abcdef"
 
-#: Valid run-log event kinds (see ``repro.telemetry.bus``).
-_EVENT_KINDS = frozenset(("event", "span_begin", "span_end", "counter"))
 
-_PLAN_KEYS = frozenset(("format_version", "microbatch_size", "stages"))
-_STAGE_KEYS = frozenset(
-    ("start", "end", "num_devices", "tp", "dp", "tp_dim", "recompute")
-)
-_STAGE_ARRAY_KEYS = ("tp", "dp", "tp_dim", "recompute")
-_CACHE_KEYS = frozenset(("plan", "objective", "model", "gpus"))
-#: Optional cache-entry keys: allowed but not required, so entries
-#: minted before the field existed keep linting clean.
-_CACHE_OPTIONAL_KEYS = frozenset(("strategy",))
-_CHECKPOINT_KEYS = frozenset(
-    ("format_version", "stage_counts", "budget_kwargs", "context",
-     "completed", "failures")
-)
-_RESULT_KEYS = frozenset(
-    ("best_config", "best_objective", "top_configs", "num_estimates",
-     "elapsed_seconds", "converged", "visited_signatures")
-)
-_RUN_LOG_KEYS = ("name", "kind", "ts", "pid", "source", "level", "attrs")
+class Check(NamedTuple):
+    """A predicate on one JSON value and the phrase naming what it accepts."""
+
+    ok: Callable[[object], bool]
+    expect: str
+
+
+class Field(NamedTuple):
+    """One schema key: whether it must be present, what it must hold."""
+
+    required: bool
+    check: Check
+    #: Code for a bad value, when it differs from the table's code.
+    code: Optional[str] = None
+
+
+def _is(types, low=None) -> Callable[[object], bool]:
+    """Instances of ``types`` (bools only for ``bool``), at least ``low``."""
+
+    def ok(value) -> bool:
+        return (
+            isinstance(value, types)
+            and isinstance(value, bool) == (types is bool)
+            and (low is None or value >= low)
+        )
+
+    return ok
+
+
+def _list_of(item_ok: Callable[[object], bool]) -> Callable[[object], bool]:
+    return lambda value: isinstance(value, list) and all(map(item_ok, value))
+
+
+def _nullable(check: Check) -> Check:
+    return Check(lambda v: v is None or check.ok(v), f"null or {check.expect}")
+
+
+ANY = Check(lambda value: True, "anything")
+INT = Check(_is(int), "an int")
+POSITIVE_INT = Check(_is(int, 1), "a positive int")
+NON_NEGATIVE_INT = Check(_is(int, 0), "a non-negative int")
+NUMBER = Check(_is((int, float)), "a number")
+NON_NEGATIVE = Check(_is((int, float), 0), "a non-negative number")
+STRING = Check(_is(str), "a string")
+NAME = Check(lambda v: isinstance(v, str) and v != "", "a non-empty string")
+BOOLEAN = Check(_is(bool), "a boolean")
+OBJECT = Check(_is(dict), "a JSON object")
+LIST = Check(_is(list), "a list")
+#: ``format_version`` is declared in every table but checked by
+#: :func:`_check_version`, which owns its family's version code.
+_VERSION = Field(False, ANY)
+
+
+def _diag(code: str, message: str, location: str, **kwargs) -> Diagnostic:
+    return Diagnostic(code, message, location=location, **kwargs)
+
+
+def _check_fields(
+    data, fields: Dict[str, Field], code: str, what: str, location: str
+) -> List[Diagnostic]:
+    """Unknown and missing keys, then each present key's check."""
+    if not isinstance(data, dict):
+        return [_diag(code, f"{what} must be a JSON object", location)]
+    out: List[Diagnostic] = []
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        out.append(_diag(code, f"unknown {what} field(s) {unknown}", location))
+    missing = [k for k, f in fields.items() if f.required and k not in data]
+    if missing:
+        out.append(_diag(code, f"missing {what} field(s) {missing}", location))
+    for key, spec in fields.items():
+        if key in data and not spec.check.ok(data[key]):
+            got = repr(data[key])
+            got = got if len(got) <= 60 else got[:57] + "..."
+            out.append(_diag(
+                spec.code or code,
+                f"{what} field {key!r} must be {spec.check.expect}, got {got}",
+                location,
+            ))
+    return out
+
+
+def _check_version(
+    data: dict, code: str, what: str, location: str, expected: int = 1
+) -> List[Diagnostic]:
+    version = data.get("format_version")
+    if INT.ok(version) and version == expected:
+        return []
+    message = f"unsupported {what} format version {version!r}"
+    return [_diag(code, f"{message} (expected {expected})", location)]
 
 
 def _is_fingerprint(text: str) -> bool:
-    return len(text) == _FINGERPRINT_HEX and all(
-        c in "0123456789abcdef" for c in text
-    )
+    return len(text) == _FINGERPRINT_HEX and set(text) <= set(_HEX)
 
 
-def _load_json(
-    path: Path, code: str
-) -> Tuple[Optional[object], List[Diagnostic]]:
+def _stem(location: str, suffix: str) -> str:
+    name = Path(location).name
+    return name[: -len(suffix)] if name.endswith(suffix) else Path(name).stem
+
+
+def _read(
+    path: Path, code: str, parse: Callable[[str], object] = json.loads
+) -> Tuple[object, List[Diagnostic]]:
+    """``(parsed text, [])``, or ``(None, [diagnostic])`` if unreadable."""
     try:
-        return json.loads(path.read_text()), []
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return None, [Diagnostic(
+        return parse(path.read_text(encoding="utf-8")), []
+    except (OSError, ValueError) as exc:  # incl. JSON and Unicode errors
+        return None, [_diag(
             code,
             f"cannot read {path}: {type(exc).__name__}: {exc}",
-            location=str(path),
+            str(path),
         )]
+
+
+def load_artifact(
+    path: Union[str, Path],
+    code: str,
+    check: Optional[Callable[[object, str], List[Diagnostic]]] = None,
+    error: type = ArtifactError,
+) -> object:
+    """Parse the JSON at ``path`` (``code`` if unreadable) and raise
+    ``error`` unless ``check``, located at the path, finds no error."""
+    data, diagnostics = _read(Path(path), code)
+    require_valid(diagnostics, error)
+    if check is not None:
+        require_valid(check(data, str(path)), error)
+    return data
+
+
+def _file_linter(check, code: str) -> Callable[[Union[str, Path]], list]:
+    """A ``lint_*_file`` that is exactly ``check`` over the parsed file."""
+
+    def lint(path: Union[str, Path]) -> List[Diagnostic]:
+        data, out = _read(Path(path), code)
+        return out or check(data, str(path))
+
+    return lint
 
 
 # ----------------------------------------------------------------------
 # serialized plans (ACE30x)
 # ----------------------------------------------------------------------
-def lint_plan_dict(data, location: str) -> List[Diagnostic]:
-    """Strict-schema lint of one serialized plan dict."""
-    out: List[Diagnostic] = []
+#: Per-op arrays: one entry per op of the stage's ``[start, end)`` span.
+_OP_ARRAYS = ("tp", "dp", "tp_dim", "recompute")
+_INTS = Field(True, Check(_list_of(INT.ok), "a list of ints"))
+_BOOLS = Field(True, Check(_list_of(BOOLEAN.ok), "a list of booleans"))
+_PLAN_FIELDS = {
+    "format_version": _VERSION,
+    "microbatch_size": Field(True, POSITIVE_INT),
+    "stages": Field(True, Check(
+        lambda v: LIST.ok(v) and bool(v), "a non-empty list"
+    )),
+}
+_STAGE_FIELDS = {
+    "start": Field(True, INT),
+    "end": Field(True, INT),
+    "num_devices": Field(True, INT),
+    "tp": _INTS,
+    "dp": _INTS,
+    "tp_dim": _INTS,
+    "recompute": _BOOLS,
+}
+
+
+def check_plan(data, location: str) -> List[Diagnostic]:
+    """Schema of one serialized plan (``config_to_dict``), ``ACE30x``."""
+    out = _check_fields(data, _PLAN_FIELDS, "ACE303", "plan", location)
     if not isinstance(data, dict):
-        return [Diagnostic(
-            "ACE303", "plan must be a JSON object", location=location
-        )]
-    version = data.get("format_version")
-    if version != 1:
-        out.append(Diagnostic(
-            "ACE302",
-            f"unsupported plan format version {version!r} (expected 1)",
-            location=location,
-        ))
-    unknown = sorted(set(data) - _PLAN_KEYS)
-    if unknown:
-        out.append(Diagnostic(
-            "ACE303",
-            f"unknown plan field(s) {unknown}",
-            location=location,
-        ))
-    missing = sorted(_PLAN_KEYS - set(data))
-    if missing:
-        out.append(Diagnostic(
-            "ACE303",
-            f"missing plan field(s) {missing}",
-            location=location,
-        ))
-    mbs = data.get("microbatch_size")
-    if "microbatch_size" in data and (
-        not isinstance(mbs, int) or isinstance(mbs, bool) or mbs < 1
-    ):
-        out.append(Diagnostic(
-            "ACE303",
-            f"microbatch_size must be a positive int, got {mbs!r}",
-            location=location,
-        ))
+        return out
+    out = _check_version(data, "ACE302", "plan", location) + out
     stages = data.get("stages")
-    if "stages" in data:
-        if not isinstance(stages, list) or not stages:
-            out.append(Diagnostic(
-                "ACE303",
-                "stages must be a non-empty list",
-                location=location,
-            ))
-        else:
-            for i, stage in enumerate(stages):
-                out.extend(_lint_plan_stage(stage, i, location))
+    for i, stage in enumerate(stages if LIST.ok(stages) else ()):
+        loc = f"{location} stage {i}"
+        out.extend(_check_fields(
+            stage, _STAGE_FIELDS, "ACE303", f"stage {i}", loc
+        ))
+        if not isinstance(stage, dict) or not (
+            INT.ok(stage.get("start")) and INT.ok(stage.get("end"))
+        ):
+            continue
+        span = stage["end"] - stage["start"]
+        for key in _OP_ARRAYS:
+            value = stage.get(key)
+            if LIST.ok(value) and len(value) != span:
+                out.append(_diag(
+                    "ACE303",
+                    f"stage {i} field {key!r} has {len(value)} entries "
+                    f"for a {span}-op span",
+                    loc,
+                ))
     return out
 
 
-def _lint_plan_stage(stage, i: int, location: str) -> List[Diagnostic]:
-    loc = f"{location} stage {i}"
-    if not isinstance(stage, dict):
-        return [Diagnostic(
-            "ACE303", f"stage {i} must be a JSON object", location=loc
-        )]
-    out: List[Diagnostic] = []
-    unknown = sorted(set(stage) - _STAGE_KEYS)
-    if unknown:
-        out.append(Diagnostic(
-            "ACE303", f"stage {i} has unknown field(s) {unknown}",
-            location=loc,
-        ))
-    missing = sorted(_STAGE_KEYS - set(stage))
-    if missing:
-        out.append(Diagnostic(
-            "ACE303", f"stage {i} is missing field(s) {missing}",
-            location=loc,
-        ))
-        return out
-    for key in ("start", "end", "num_devices"):
-        if not isinstance(stage[key], int) or isinstance(stage[key], bool):
-            out.append(Diagnostic(
-                "ACE303",
-                f"stage {i} field {key!r} must be an int, got "
-                f"{stage[key]!r}",
-                location=loc,
-            ))
-            return out
-    span = stage["end"] - stage["start"]
-    for key in _STAGE_ARRAY_KEYS:
-        value = stage[key]
-        if not isinstance(value, list):
-            out.append(Diagnostic(
-                "ACE303",
-                f"stage {i} field {key!r} must be a list",
-                location=loc,
-            ))
-        elif span > 0 and len(value) != span:
-            out.append(Diagnostic(
-                "ACE303",
-                f"stage {i} field {key!r} has {len(value)} entries for a "
-                f"{span}-op span",
-                location=loc,
-            ))
-    return out
-
-
-def lint_plan_file(path: Union[str, Path]) -> List[Diagnostic]:
-    """Lint one serialized plan JSON file."""
-    path = Path(path)
-    data, out = _load_json(path, "ACE301")
-    if data is None:
-        return out
-    return lint_plan_dict(data, str(path))
+lint_plan_file = _file_linter(check_plan, "ACE301")
 
 
 # ----------------------------------------------------------------------
 # plan-cache entries (ACE31x)
 # ----------------------------------------------------------------------
-def lint_plan_cache_file(path: Union[str, Path]) -> List[Diagnostic]:
-    """Lint one ``<fingerprint>.plan.json`` cache entry."""
-    path = Path(path)
-    out: List[Diagnostic] = []
-    stem = path.name[: -len(".plan.json")] if path.name.endswith(
-        ".plan.json"
-    ) else path.stem
-    if not _is_fingerprint(stem):
-        out.append(Diagnostic(
-            "ACE311",
-            f"cache entry filename {path.name!r} is not "
-            f"<{_FINGERPRINT_HEX}-hex-fingerprint>.plan.json",
-            location=str(path),
-            hint="cache keys are PlanRequest.fingerprint() digests",
-        ))
-    data, load_diags = _load_json(path, "ACE301")
-    out.extend(load_diags)
-    if data is None:
-        return out
-    if not isinstance(data, dict):
-        out.append(Diagnostic(
-            "ACE310", "cache entry must be a JSON object",
-            location=str(path),
-        ))
-        return out
-    unknown = sorted(set(data) - _CACHE_KEYS - _CACHE_OPTIONAL_KEYS)
-    if unknown:
-        out.append(Diagnostic(
-            "ACE310",
-            f"cache entry has unknown field(s) {unknown}",
-            location=str(path),
-        ))
-    missing = sorted(_CACHE_KEYS - set(data))
-    if missing:
-        out.append(Diagnostic(
-            "ACE310",
-            f"cache entry is missing field(s) {missing}",
-            location=str(path),
-        ))
-    if "objective" in data and not isinstance(
-        data["objective"], (int, float)
-    ):
-        out.append(Diagnostic(
-            "ACE310",
-            f"cache entry objective must be a number, got "
-            f"{data['objective']!r}",
-            location=str(path),
-        ))
-    if "model" in data and not isinstance(data["model"], str):
-        out.append(Diagnostic(
-            "ACE310", "cache entry model must be a string",
-            location=str(path),
-        ))
-    if "strategy" in data and not isinstance(data["strategy"], str):
-        out.append(Diagnostic(
-            "ACE310", "cache entry strategy must be a string",
-            location=str(path),
-        ))
-    if "gpus" in data and (
-        not isinstance(data["gpus"], int) or data["gpus"] < 1
-    ):
-        out.append(Diagnostic(
-            "ACE310",
-            f"cache entry gpus must be a positive int, got "
-            f"{data['gpus']!r}",
-            location=str(path),
-        ))
-    if "plan" in data:
-        out.extend(lint_plan_dict(data["plan"], f"{path} plan"))
+_CACHE_FIELDS = {
+    "plan": Field(True, ANY),
+    "objective": Field(True, NUMBER),
+    "model": Field(True, STRING),
+    "gpus": Field(True, POSITIVE_INT),
+    # Optional, so entries minted before the field existed stay valid.
+    "strategy": Field(False, STRING),
+}
+
+
+def check_plan_cache_entry(data, location: str) -> List[Diagnostic]:
+    """Schema of one cache entry, ``ACE31x``; ``location`` is its path,
+    whose file name must be ``<fingerprint>.plan.json`` (ACE311)."""
+    out = [] if _is_fingerprint(_stem(location, ".plan.json")) else [_diag(
+        "ACE311",
+        f"cache entry filename {Path(location).name!r} is not "
+        f"<{_FINGERPRINT_HEX}-hex-fingerprint>.plan.json",
+        location,
+        hint="cache keys are PlanRequest.fingerprint() digests",
+    )]
+    out.extend(_check_fields(
+        data, _CACHE_FIELDS, "ACE310", "cache entry", location
+    ))
+    if isinstance(data, dict) and "plan" in data:
+        out.extend(check_plan(data["plan"], f"{location} plan"))
     return out
+
+
+lint_plan_cache_file = _file_linter(check_plan_cache_entry, "ACE301")
 
 
 # ----------------------------------------------------------------------
 # search checkpoints (ACE32x)
 # ----------------------------------------------------------------------
-def lint_checkpoint_file(path: Union[str, Path]) -> List[Diagnostic]:
-    """Lint one ``SearchCheckpoint`` JSON file."""
-    path = Path(path)
-    data, out = _load_json(path, "ACE320")
-    if data is None:
-        return out
+_CHECKPOINT_FIELDS = {
+    "format_version": _VERSION,
+    "stage_counts": Field(True, Check(
+        _list_of(POSITIVE_INT.ok), "a list of positive ints"
+    )),
+    "budget_kwargs": Field(True, OBJECT),
+    "context": Field(False, OBJECT),
+    "completed": Field(False, OBJECT),
+    "failures": Field(False, LIST),
+}
+#: One completed stage count (``checkpoint._result_to_dict``).
+_RESULT_FIELDS = {
+    "best_config": Field(True, ANY),
+    "best_objective": Field(True, NUMBER),
+    "top_configs": Field(True, LIST),
+    "num_estimates": Field(True, NON_NEGATIVE_INT),
+    "elapsed_seconds": Field(True, NON_NEGATIVE),
+    "converged": Field(True, BOOLEAN),
+    "visited_signatures": Field(True, Check(
+        _list_of(STRING.ok), "a list of strings"
+    )),
+}
+_TOP_CONFIG_FIELDS = {
+    "objective": Field(True, NUMBER),
+    "config": Field(True, ANY),
+}
+_FAILURE_FIELDS = {
+    "num_stages": Field(True, POSITIVE_INT),
+    "error": Field(True, STRING),
+    "attempts": Field(True, NON_NEGATIVE_INT),
+}
+
+
+def check_checkpoint(data, location: str) -> List[Diagnostic]:
+    """Schema of one ``SearchCheckpoint`` file, ``ACE32x``."""
     if not isinstance(data, dict):
-        return [Diagnostic(
-            "ACE320", "checkpoint must be a JSON object",
-            location=str(path),
-        )]
-    version = data.get("format_version")
-    if version != 1:
-        out.append(Diagnostic(
-            "ACE321",
-            f"unsupported checkpoint format version {version!r} "
-            f"(expected 1)",
-            location=str(path),
-        ))
-    unknown = sorted(set(data) - _CHECKPOINT_KEYS)
-    if unknown:
-        out.append(Diagnostic(
-            "ACE322",
-            f"checkpoint has unknown field(s) {unknown}",
-            location=str(path),
-        ))
-    missing = sorted(
-        {"stage_counts", "budget_kwargs"} - set(data)
-    )
-    if missing:
-        out.append(Diagnostic(
-            "ACE322",
-            f"checkpoint is missing field(s) {missing}",
-            location=str(path),
-        ))
-    stage_counts: List[int] = []
-    raw_counts = data.get("stage_counts", [])
-    if not isinstance(raw_counts, list) or any(
-        not isinstance(c, int) or isinstance(c, bool) or c < 1
-        for c in raw_counts
-    ):
-        out.append(Diagnostic(
-            "ACE322",
-            f"stage_counts must be a list of positive ints, got "
-            f"{raw_counts!r}",
-            location=str(path),
-        ))
-    else:
-        stage_counts = raw_counts
-    for key in ("budget_kwargs", "context"):
-        if key in data and not isinstance(data[key], dict):
-            out.append(Diagnostic(
-                "ACE322",
-                f"checkpoint field {key!r} must be a JSON object",
-                location=str(path),
-            ))
+        return [_diag("ACE320", "checkpoint must be a JSON object", location)]
+    out = _check_version(data, "ACE321", "checkpoint", location)
+    out.extend(_check_fields(
+        data, _CHECKPOINT_FIELDS, "ACE322", "checkpoint", location
+    ))
     completed = data.get("completed", {})
     completed_counts: List[int] = []
-    if not isinstance(completed, dict):
-        out.append(Diagnostic(
-            "ACE322", "checkpoint completed must be a JSON object",
-            location=str(path),
-        ))
-        completed = {}
-    for key, payload in completed.items():
-        loc = f"{path} completed[{key}]"
+    for key, payload in (completed.items() if OBJECT.ok(completed) else ()):
+        loc = f"{location} completed[{key}]"
         try:
             count = int(key)
-        except (TypeError, ValueError):
-            out.append(Diagnostic(
-                "ACE322",
-                f"completed key {key!r} is not a stage count",
-                location=loc,
+        except ValueError:
+            out.append(_diag(
+                "ACE322", f"completed key {key!r} is not a stage count", loc
             ))
             continue
         completed_counts.append(count)
+        out.extend(_check_fields(
+            payload, _RESULT_FIELDS, "ACE322", f"completed[{key}]", loc
+        ))
         if not isinstance(payload, dict):
-            out.append(Diagnostic(
-                "ACE322",
-                f"completed[{key}] must be a JSON object",
-                location=loc,
-            ))
             continue
-        missing_result = sorted(_RESULT_KEYS - set(payload))
-        if missing_result:
-            out.append(Diagnostic(
-                "ACE322",
-                f"completed[{key}] is missing field(s) {missing_result}",
-                location=loc,
-            ))
+        best = payload.get("best_config")
         if "best_config" in payload:
-            out.extend(lint_plan_dict(
-                payload["best_config"], f"{loc}.best_config"
+            out.extend(check_plan(best, f"{loc}.best_config"))
+        stages = best.get("stages") if isinstance(best, dict) else None
+        if LIST.ok(stages) and len(stages) != count:
+            out.append(_diag(
+                "ACE323",
+                f"completed[{key}] best_config has {len(stages)} "
+                f"stages, expected {count}",
+                loc,
             ))
-        if "best_config" in payload and isinstance(
-            payload["best_config"], dict
-        ):
-            stages = payload["best_config"].get("stages")
-            if isinstance(stages, list) and len(stages) != count:
-                out.append(Diagnostic(
-                    "ACE323",
-                    f"completed[{key}] best_config has {len(stages)} "
-                    f"stages, expected {count}",
-                    location=loc,
-                ))
+        top = payload.get("top_configs")
+        for j, entry in enumerate(top if LIST.ok(top) else ()):
+            what = f"completed[{key}].top_configs[{j}]"
+            out.extend(_check_fields(
+                entry, _TOP_CONFIG_FIELDS, "ACE322", what, loc
+            ))
+            if isinstance(entry, dict) and "config" in entry:
+                plan_location = f"{location} {what}.config"
+                out.extend(check_plan(entry["config"], plan_location))
     failures = data.get("failures", [])
     failed_counts: List[int] = []
-    if not isinstance(failures, list):
-        out.append(Diagnostic(
-            "ACE322", "checkpoint failures must be a list",
-            location=str(path),
-        ))
-        failures = []
-    for i, failure in enumerate(failures):
-        if not isinstance(failure, dict) or not {
-            "num_stages", "error", "attempts"
-        } <= set(failure):
-            out.append(Diagnostic(
-                "ACE322",
-                f"failures[{i}] must carry num_stages/error/attempts",
-                location=str(path),
-            ))
-            continue
-        if isinstance(failure["num_stages"], int):
+    for i, failure in enumerate(failures if LIST.ok(failures) else ()):
+        problems = _check_fields(
+            failure, _FAILURE_FIELDS, "ACE322", f"failures[{i}]", location
+        )
+        out.extend(problems)
+        if not problems:
             failed_counts.append(failure["num_stages"])
-    if stage_counts:
+    stage_counts = data.get("stage_counts")
+    if _CHECKPOINT_FIELDS["stage_counts"].check.ok(stage_counts):
         stray = sorted(set(completed_counts) - set(stage_counts))
         if stray:
-            out.append(Diagnostic(
+            out.append(_diag(
                 "ACE323",
                 f"completed stage counts {stray} are absent from "
                 f"stage_counts {sorted(stage_counts)}",
-                location=str(path),
+                location,
             ))
     # record_run removes a count's failure record on success, so a
     # count in both sets means the file was hand-edited or torn.
     both = sorted(set(completed_counts) & set(failed_counts))
     if both:
-        out.append(Diagnostic(
+        out.append(_diag(
             "ACE323",
             f"stage counts {both} appear as both completed and failed",
-            location=str(path),
+            location,
         ))
     return out
+
+
+lint_checkpoint_file = _file_linter(check_checkpoint, "ACE320")
 
 
 # ----------------------------------------------------------------------
 # journaled requests (ACE33x)
 # ----------------------------------------------------------------------
-def lint_journal_file(path: Union[str, Path]) -> List[Diagnostic]:
-    """Lint one ``<fingerprint>.request.json`` journal entry."""
+#: Value types of one ``PlanRequest`` payload; the ranges are the
+#: request's own invariants.
+_REQUEST_FIELDS = {
+    "protocol_version": Field(False, ANY),
+    "model": Field(True, STRING),
+    "gpus": Field(False, INT),
+    "stage_counts": Field(False, _nullable(_INTS.check)),
+    "iterations": Field(False, INT),
+    "seed": Field(False, INT),
+    "deadline_seconds": Field(False, _nullable(NUMBER)),
+    "priority": Field(False, INT),
+    "strategy": Field(False, STRING),
+    "strategy_kwargs": Field(False, _nullable(OBJECT)),
+}
+
+
+def check_request_fields(data, location: str) -> List[Diagnostic]:
+    """Keys and value types of one request payload (``ACE330``), the
+    schema ``PlanRequest.from_json`` enforces on the wire and journal."""
+    return _check_fields(data, _REQUEST_FIELDS, "ACE330", "request", location)
+
+
+def check_journal(data, location: str) -> List[Diagnostic]:
+    """Schema of one journaled request, ``ACE33x``: a valid
+    ``PlanRequest`` payload (ACE330) whose ``location``, when it names
+    a ``<fingerprint>.request.json`` file, matches it (ACE331)."""
     from ..service.protocol import PlanRequest, ProtocolError
 
-    path = Path(path)
-    data, out = _load_json(path, "ACE301")
-    if data is None:
-        return out
     try:
         request = PlanRequest.from_json(data)
     except ProtocolError as exc:
-        out.append(Diagnostic(
-            "ACE330", str(exc), location=str(path),
-        ))
-        return out
-    if path.name.endswith(".request.json"):
-        stem = path.name[: -len(".request.json")]
-        expected = request.fingerprint()
-        if stem != expected:
-            out.append(Diagnostic(
-                "ACE331",
-                f"journal filename fingerprint {stem!r} does not match "
-                f"the request's fingerprint {expected!r}",
-                location=str(path),
-                hint="the journal was renamed or its request edited",
-            ))
-    return out
+        hint = "see repro.service.protocol.PlanRequest for the schema"
+        return [_diag("ACE330", str(exc), location, hint=hint)]
+    stem = _stem(location, ".request.json")
+    expected = request.fingerprint()
+    if stem == expected or not location.endswith(".request.json"):
+        return []
+    return [_diag(
+        "ACE331",
+        f"journal filename fingerprint {stem!r} does not match the "
+        f"request's fingerprint {expected!r}",
+        location,
+        hint="the journal was renamed or its request edited",
+    )]
+
+
+lint_journal_file = _file_linter(check_journal, "ACE301")
 
 
 # ----------------------------------------------------------------------
 # telemetry run logs (ACE34x)
 # ----------------------------------------------------------------------
-def lint_run_log_file(path: Union[str, Path]) -> List[Diagnostic]:
-    """Collect-all twin of ``repro.telemetry.validate_run_log``.
+_EVENT_KINDS = (EVENT, SPAN_BEGIN, SPAN_END, COUNTER)
+#: One run-log line (``telemetry.Event.to_json``).
+_RUN_LOG_FIELDS = {
+    "name": Field(True, NAME),
+    "kind": Field(True, Check(
+        lambda v: STRING.ok(v) and v in _EVENT_KINDS,
+        f"one of {sorted(_EVENT_KINDS)}",
+    ), code="ACE342"),
+    "ts": Field(True, NON_NEGATIVE),
+    "pid": Field(True, INT),
+    "source": Field(True, STRING),
+    "level": Field(True, Check(
+        lambda v: INT.ok(v) or (STRING.ok(v) and v in LEVELS_BY_NAME),
+        f"an int or one of {sorted(LEVELS_BY_NAME)}",
+    )),
+    "attrs": Field(True, OBJECT),
+}
 
-    Adds the registry check the raise-first validator cannot do: every
-    event name must come from :mod:`repro.telemetry.events` (ACE343).
-    """
+
+def check_run_log_event(data, location: str) -> List[Diagnostic]:
+    """Schema of one parsed run-log line, ``ACE341``/``ACE342``."""
+    return _check_fields(data, _RUN_LOG_FIELDS, "ACE341", "event", location)
+
+
+def parse_run_log_line(
+    line: str, location: str
+) -> Tuple[object, List[Diagnostic]]:
+    """``(event, diagnostics)`` for one run-log line: an unreadable line
+    is ``ACE340``, a parsed one gets :func:`check_run_log_event`."""
+    if not line.strip():
+        return None, [_diag("ACE340", "blank line in run log", location)]
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        return None, [_diag("ACE340", f"invalid JSON: {exc}", location)]
+    return data, check_run_log_event(data, location)
+
+
+def lint_run_log_file(path: Union[str, Path]) -> List[Diagnostic]:
+    """The run-log checker over every line, plus two lint-only rules:
+    every event name must come from :mod:`repro.telemetry.events`
+    (ACE343), and a router log must keep the ``fleet.*`` cross-event
+    invariants (ACE41x)."""
     from ..telemetry import events as registry
 
     path = Path(path)
-    out: List[Diagnostic] = []
+    lines, out = _read(path, "ACE340", str.splitlines)
+    if out:
+        return out
     parsed: List[Tuple[int, str, dict]] = []
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        return [Diagnostic(
-            "ACE340",
-            f"cannot read {path}: {type(exc).__name__}: {exc}",
-            location=str(path),
-        )]
     for lineno, line in enumerate(lines, start=1):
         loc = f"{path}:{lineno}"
-        if not line.strip():
-            out.append(Diagnostic(
-                "ACE340", "blank line in run log", location=loc,
-            ))
+        data, diagnostics = parse_run_log_line(line, loc)
+        out.extend(diagnostics)
+        name = data.get("name") if isinstance(data, dict) else None
+        if not NAME.ok(name):
             continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            out.append(Diagnostic(
-                "ACE340", f"invalid JSON: {exc}", location=loc,
-            ))
-            continue
-        if not isinstance(data, dict):
-            out.append(Diagnostic(
-                "ACE341", "event must be a JSON object", location=loc,
-            ))
-            continue
-        missing = [key for key in _RUN_LOG_KEYS if key not in data]
-        if missing:
-            out.append(Diagnostic(
-                "ACE341", f"missing keys {missing}", location=loc,
-            ))
-            continue
-        if not isinstance(data["name"], str) or not data["name"]:
-            out.append(Diagnostic(
-                "ACE341", "name must be a non-empty string", location=loc,
-            ))
-            continue
-        if not isinstance(data["ts"], (int, float)) or data["ts"] < 0:
-            out.append(Diagnostic(
-                "ACE341", "ts must be a non-negative number", location=loc,
-            ))
-        if not isinstance(data["pid"], int):
-            out.append(Diagnostic(
-                "ACE341", "pid must be an int", location=loc,
-            ))
-        if not isinstance(data["attrs"], dict):
-            out.append(Diagnostic(
-                "ACE341", "attrs must be an object", location=loc,
-            ))
-        kind = data["kind"]
-        if kind not in _EVENT_KINDS:
-            out.append(Diagnostic(
-                "ACE342",
-                f"unknown event kind {kind!r} (expected one of "
-                f"{sorted(_EVENT_KINDS)})",
-                location=loc,
-            ))
-        if not registry.is_registered(data["name"]):
-            out.append(Diagnostic(
+        if not registry.is_registered(name):
+            out.append(_diag(
                 "ACE343",
-                f"event name {data['name']!r} is not in the telemetry "
-                f"registry",
-                location=loc,
+                f"event name {name!r} is not in the telemetry registry",
+                loc,
                 hint="register it in repro/telemetry/events.py",
             ))
         if isinstance(data.get("attrs"), dict):
-            parsed.append((lineno, data["name"], data["attrs"]))
+            parsed.append((lineno, name, data["attrs"]))
     out.extend(_lint_fleet_events(parsed, path))
     return out
 
@@ -537,178 +522,45 @@ def _lint_fleet_events(
       undeclared name means two runs' logs were interleaved or an event
       was hand-edited (ACE411).
     """
-    fleet = [
-        (lineno, name, attrs)
-        for lineno, name, attrs in parsed
-        if name.startswith("fleet.")
-    ]
-    if not fleet:
-        return []
     out: List[Diagnostic] = []
     declared: set = set()
     saw_start = False
     routed: dict = {}
-    for lineno, name, attrs in fleet:
-        loc = f"{path}:{lineno}"
-        if name == "fleet.start":
-            saw_start = True
+    for lineno, name, attrs in parsed:
+        if not name.startswith("fleet."):
+            continue
+        if name in ("fleet.start", "fleet.ring.rebuilt"):
+            saw_start = saw_start or name == "fleet.start"
             replicas = attrs.get("replicas")
-            if isinstance(replicas, list):
-                declared.update(r for r in replicas if isinstance(r, str))
-        elif name == "fleet.ring.rebuilt":
-            joined = attrs.get("joined")
-            if isinstance(joined, str):
-                declared.add(joined)
-            replicas = attrs.get("replicas")
-            if isinstance(replicas, list):
-                declared.update(r for r in replicas if isinstance(r, str))
-        elif name == "fleet.request.routed":
-            fingerprint = attrs.get("fingerprint")
-            if isinstance(fingerprint, str):
-                routed.setdefault(fingerprint, []).append(lineno)
-        elif name == "fleet.request.completed":
-            fingerprint = attrs.get("fingerprint")
-            if isinstance(fingerprint, str) and fingerprint in routed:
-                pending = routed[fingerprint]
-                if pending:
-                    pending.pop(0)
-                if not pending:
-                    del routed[fingerprint]
-        if saw_start:
-            replica = attrs.get("replica")
-            if isinstance(replica, str) and replica not in declared:
-                out.append(Diagnostic(
-                    "ACE411",
-                    f"{name} references replica {replica!r}, which no "
-                    f"fleet.start or fleet.ring.rebuilt declared",
-                    location=loc,
-                ))
+            declared.update(
+                r for r in (replicas if LIST.ok(replicas) else ())
+                if isinstance(r, str)
+            )
+            if isinstance(attrs.get("joined"), str):
+                declared.add(attrs["joined"])
+        fingerprint = attrs.get("fingerprint")
+        if isinstance(fingerprint, str):
+            pending = routed.setdefault(fingerprint, [])
+            if name == "fleet.request.routed":
+                pending.append(lineno)
+            elif name == "fleet.request.completed" and pending:
+                pending.pop(0)
+        replica = attrs.get("replica")
+        if saw_start and isinstance(replica, str) and replica not in declared:
+            out.append(_diag(
+                "ACE411",
+                f"{name} references replica {replica!r}, which no "
+                f"fleet.start or fleet.ring.rebuilt declared",
+                f"{path}:{lineno}",
+            ))
     for fingerprint, pending in sorted(routed.items()):
         for lineno in pending:
-            out.append(Diagnostic(
+            out.append(_diag(
                 "ACE410",
                 f"request {fingerprint} was routed but never reached a "
                 f"fleet.request.completed event",
-                location=f"{path}:{lineno}",
+                f"{path}:{lineno}",
                 hint="a lost request: the router must always answer",
-            ))
-    return out
-
-
-# ----------------------------------------------------------------------
-# fleet state artifacts (ACE40x)
-# ----------------------------------------------------------------------
-#: Config fields that must be positive / non-negative, mirroring
-#: ``FleetConfig.__post_init__``.
-_FLEET_POSITIVE = ("vnodes", "request_timeout", "hedge_factor", "down_after")
-_FLEET_NON_NEGATIVE = ("retries",)
-
-
-def lint_fleet_state_file(path: Union[str, Path]) -> List[Diagnostic]:
-    """Lint one ``*.fleet.json`` router state artifact (ACE40x)."""
-    path = Path(path)
-    loc = str(path)
-    data, out = _load_json(path, "ACE401")
-    if data is None:
-        return out
-    if not isinstance(data, dict):
-        return [Diagnostic(
-            "ACE401", "fleet state must be a JSON object", location=loc,
-        )]
-    missing = sorted(
-        {"format_version", "fleet", "replicas"} - set(data)
-    )
-    if missing:
-        out.append(Diagnostic(
-            "ACE401",
-            f"fleet state is missing field(s) {missing}",
-            location=loc,
-        ))
-    version = data.get("format_version")
-    if "format_version" in data and version != 1:
-        out.append(Diagnostic(
-            "ACE401",
-            f"unsupported fleet state format_version {version!r} "
-            f"(expected 1)",
-            location=loc,
-        ))
-    config = data.get("fleet")
-    if "fleet" in data and not isinstance(config, dict):
-        out.append(Diagnostic(
-            "ACE401", "fleet config must be a JSON object", location=loc,
-        ))
-        config = None
-    if isinstance(config, dict):
-        for key in _FLEET_POSITIVE:
-            value = config.get(key)
-            if value is not None and (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or value <= 0
-            ):
-                out.append(Diagnostic(
-                    "ACE403",
-                    f"fleet config {key!r} must be positive, got "
-                    f"{value!r}",
-                    location=loc,
-                ))
-        for key in _FLEET_NON_NEGATIVE:
-            value = config.get(key)
-            if value is not None and (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or value < 0
-            ):
-                out.append(Diagnostic(
-                    "ACE403",
-                    f"fleet config {key!r} must be >= 0, got {value!r}",
-                    location=loc,
-                ))
-    replicas = data.get("replicas")
-    if "replicas" in data and not isinstance(replicas, list):
-        out.append(Diagnostic(
-            "ACE401", "fleet replicas must be a list", location=loc,
-        ))
-        replicas = None
-    if isinstance(replicas, list):
-        if not replicas:
-            out.append(Diagnostic(
-                "ACE403",
-                "fleet state declares zero replicas",
-                location=loc,
-                hint="a fleet needs at least one replica",
-            ))
-        names: List[str] = []
-        for i, replica in enumerate(replicas):
-            if not isinstance(replica, dict) or not isinstance(
-                replica.get("name"), str
-            ) or not replica.get("name"):
-                out.append(Diagnostic(
-                    "ACE401",
-                    f"replicas[{i}] must be an object with a non-empty "
-                    f"'name'",
-                    location=loc,
-                ))
-                continue
-            names.append(replica["name"])
-            if "healthy" in replica and not isinstance(
-                replica["healthy"], bool
-            ):
-                out.append(Diagnostic(
-                    "ACE401",
-                    f"replicas[{i}] 'healthy' must be a boolean",
-                    location=loc,
-                ))
-        duplicates = sorted(
-            {name for name in names if names.count(name) > 1}
-        )
-        if duplicates:
-            out.append(Diagnostic(
-                "ACE402",
-                f"duplicate replica name(s) {duplicates}",
-                location=loc,
-                hint="replica names are ring identities; they must be "
-                "unique",
             ))
     return out
 
@@ -716,92 +568,96 @@ def lint_fleet_state_file(path: Union[str, Path]) -> List[Diagnostic]:
 # ----------------------------------------------------------------------
 # churn timelines (ACE35x)
 # ----------------------------------------------------------------------
-def lint_churn_timeline_file(
-    path: Union[str, Path],
+_CHURN_FIELDS = {
+    "format_version": _VERSION,
+    "seed": Field(False, INT),
+    "events": Field(True, LIST),
+    "num_nodes": Field(False, _nullable(POSITIVE_INT)),
+}
+#: Value types of one event; which payload each kind needs, and the
+#: payload ranges, are ``ChurnEvent``'s own invariants.
+_CHURN_EVENT_FIELDS = {
+    "time": Field(True, NUMBER),
+    "kind": Field(True, STRING),
+    "node_id": Field(False, INT),
+    "device_id": Field(False, INT),
+    "factor": Field(False, NUMBER),
+    "scope": Field(False, STRING),
+}
+
+
+def check_churn_event(
+    data, location: str, what: str = "churn event"
 ) -> List[Diagnostic]:
-    """Lint one ``*.churn.json`` timeline (Tier A, ``ACE35x``).
+    """Schema of one churn event (``ChurnEvent.to_dict``), ``ACE353``."""
+    from ..elastic.timeline import ChurnEvent
 
-    Checks the schema (readable JSON object with ``seed`` and
-    ``events``), the format version, time-ordering, per-event kind and
-    payload validity, and warns when some prefix of the timeline
-    preempts every node it ever mentions — a run replaying it will
-    halt there until a join arrives.
-    """
-    from ..elastic.timeline import CHURN_FORMAT_VERSION, ChurnEvent
-
-    path = Path(path)
-    loc = str(path)
-    data, out = _load_json(path, "ACE350")
-    if data is None:
-        return out
-    if not isinstance(data, dict) or not isinstance(
-        data.get("events"), list
-    ):
-        return [Diagnostic(
-            "ACE350",
-            "churn timeline must be a JSON object with an "
-            "'events' array",
-            location=loc,
-        )]
-    version = data.get("format_version")
-    if version != CHURN_FORMAT_VERSION:
-        out.append(Diagnostic(
-            "ACE351",
-            f"unsupported churn timeline format_version {version!r} "
-            f"(expected {CHURN_FORMAT_VERSION})",
-            location=loc,
-        ))
-    events: List[ChurnEvent] = []
-    for i, raw in enumerate(data["events"]):
-        if not isinstance(raw, dict):
-            out.append(Diagnostic(
-                "ACE353",
-                f"event #{i} is not a JSON object",
-                location=loc,
-            ))
-            continue
+    out = _check_fields(data, _CHURN_EVENT_FIELDS, "ACE353", what, location)
+    if not out:
         try:
-            events.append(ChurnEvent.from_dict(raw))
-        except (KeyError, TypeError, ValueError) as exc:
-            out.append(Diagnostic(
-                "ACE353",
-                f"event #{i} is invalid: {exc}",
-                location=loc,
-                attrs={"index": i, "kind": raw.get("kind")},
-            ))
-    times = [event.time for event in events]
+            ChurnEvent(**data)
+        except ValueError as exc:
+            out.append(_diag("ACE353", f"{what} is invalid: {exc}", location))
+    return out
+
+
+def check_churn_timeline(data, location: str) -> List[Diagnostic]:
+    """Schema of one churn timeline (``ChurnTimeline.to_dict``), ``ACE35x``."""
+    from ..elastic.timeline import CHURN_FORMAT_VERSION
+
+    what = "churn timeline"
+    out = _check_fields(data, _CHURN_FIELDS, "ACE350", what, location)
+    if not isinstance(data, dict):
+        return out
+    version = CHURN_FORMAT_VERSION
+    out = _check_version(data, "ACE351", what, location, version) + out
+    events = data.get("events")
+    times = []
+    for i, raw in enumerate(events if LIST.ok(events) else ()):
+        problems = check_churn_event(raw, location, f"event #{i}")
+        out.extend(problems)
+        if not problems:
+            times.append(raw["time"])
     if any(b < a for a, b in zip(times, times[1:])):
-        out.append(Diagnostic(
+        out.append(_diag(
             "ACE352",
             "churn timeline events are not sorted by time",
-            location=loc,
+            location,
             hint="sort events by their 'time' field",
         ))
-    # Total preemption: with a recorded cluster size, count nodes
-    # exactly; otherwise fall back to the nodes the timeline mentions
-    # (a timeline can't name the nodes it never touches).
+    return out
+
+
+def lint_churn_timeline_file(path: Union[str, Path]) -> List[Diagnostic]:
+    """The churn-timeline checker, plus the lint-only warning (ACE354)
+    when some prefix of a valid timeline preempts every node: a run
+    replaying it halts there until a join arrives."""
+    data, out = _read(Path(path), "ACE350")
+    out = out or check_churn_timeline(data, str(path))
+    if errors_only(out):
+        return out
+    # With a recorded cluster size, count nodes exactly; otherwise fall
+    # back to the nodes the timeline mentions (a timeline can't name
+    # the nodes it never touches).
     num_nodes = data.get("num_nodes")
-    nodes_seen = {
-        e.node_id for e in events if e.node_id is not None
-    }
+    nodes_seen = {e["node_id"] for e in data["events"] if "node_id" in e}
     preempted: set = set()
-    for event in events:
-        if event.kind == "node_preempt":
-            preempted.add(event.node_id)
-        elif event.kind == "node_join":
-            preempted.discard(event.node_id)
-        dark = (
+    for event in data["events"]:
+        if event["kind"] == "node_preempt":
+            preempted.add(event["node_id"])
+        elif event["kind"] == "node_join":
+            preempted.discard(event["node_id"])
+        if (
             len(preempted) >= num_nodes
-            if isinstance(num_nodes, int)
+            if num_nodes is not None
             else bool(nodes_seen) and preempted >= nodes_seen
-        )
-        if dark:
-            out.append(Diagnostic(
+        ):
+            out.append(_diag(
                 "ACE354",
-                f"at t={event.time:g} every node the timeline "
+                f"at t={event['time']:g} every node the timeline "
                 f"mentions is preempted; a replay halts there",
+                str(path),
                 severity="warning",
-                location=loc,
                 hint="add a node_join or keep one node alive",
             ))
             break
@@ -809,52 +665,112 @@ def lint_churn_timeline_file(
 
 
 # ----------------------------------------------------------------------
+# fleet state artifacts (ACE40x, lint-only)
+# ----------------------------------------------------------------------
+_FLEET_STATE_FIELDS = {
+    "format_version": _VERSION,
+    "fleet": Field(True, OBJECT),
+    "replicas": Field(True, LIST),
+}
+_REPLICA_FIELDS = {
+    "name": Field(True, NAME),
+    "healthy": Field(False, BOOLEAN),
+    "address": Field(False, ANY),
+}
+
+
+def lint_fleet_state_file(path: Union[str, Path]) -> List[Diagnostic]:
+    """Lint one ``*.fleet.json`` router state artifact (ACE40x)."""
+    from ..service.fleet import fleet_config_problems
+
+    loc = str(path)
+    data, out = _read(Path(path), "ACE401")
+    out = out or _check_fields(
+        data, _FLEET_STATE_FIELDS, "ACE401", "fleet state", loc
+    )
+    if not isinstance(data, dict):
+        return out
+    out = _check_version(data, "ACE401", "fleet state", loc) + out
+    if isinstance(data.get("fleet"), dict):
+        out.extend(
+            _diag("ACE403", f"fleet config {problem}", loc)
+            for problem in fleet_config_problems(data["fleet"])
+        )
+    replicas = data.get("replicas")
+    if not LIST.ok(replicas):
+        return out
+    if not replicas:
+        out.append(_diag(
+            "ACE403",
+            "fleet state declares zero replicas",
+            loc,
+            hint="a fleet needs at least one replica",
+        ))
+    for i, replica in enumerate(replicas):
+        out.extend(_check_fields(
+            replica, _REPLICA_FIELDS, "ACE401", f"replicas[{i}]", loc
+        ))
+    names = [
+        replica["name"] for replica in replicas
+        if isinstance(replica, dict) and STRING.ok(replica.get("name"))
+    ]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        out.append(_diag(
+            "ACE402",
+            f"duplicate replica name(s) {duplicates}",
+            loc,
+            hint="replica names are ring identities; they must be unique",
+        ))
+    return out
+
+
+# ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
+_BY_SUFFIX = (
+    (".churn.json", lint_churn_timeline_file),
+    (".fleet.json", lint_fleet_state_file),
+    (".request.json", lint_journal_file),
+    (".ckpt.json", lint_checkpoint_file),
+    (".jsonl", lint_run_log_file),
+)
+
+
 def lint_artifact_path(path: Union[str, Path]) -> List[Diagnostic]:
     """Lint one artifact file, dispatching on its name/shape."""
     path = Path(path)
     name = path.name
-    if name.endswith(".churn.json"):
-        return lint_churn_timeline_file(path)
-    if name.endswith(".fleet.json"):
-        return lint_fleet_state_file(path)
-    if name.endswith(".request.json"):
-        return lint_journal_file(path)
-    if name.endswith(".ckpt.json"):
-        return lint_checkpoint_file(path)
+    for suffix, lint in _BY_SUFFIX:
+        if name.endswith(suffix):
+            return lint(path)
     if name.endswith(".plan.json") and _is_fingerprint(
         name[: -len(".plan.json")]
     ):
         return lint_plan_cache_file(path)
-    if name.endswith(".jsonl"):
-        return lint_run_log_file(path)
-    data, out = _load_json(path, "ACE301")
-    if data is None:
+    data, out = _read(path, "ACE301")
+    if out:
         return out
     if isinstance(data, dict):
-        if {"fleet", "replicas"} <= set(data):
+        keys = set(data)
+        if {"fleet", "replicas"} <= keys:
             return lint_fleet_state_file(path)
-        if {"events", "seed"} <= set(data):
+        if {"events", "seed"} <= keys:
             return lint_churn_timeline_file(path)
-        if {"plan", "objective"} <= set(data):
+        if {"plan", "objective"} <= keys:
             return lint_plan_cache_file(path)
-        if {"stage_counts", "completed"} <= set(data) or {
-            "stage_counts", "budget_kwargs"
-        } <= set(data):
+        if "stage_counts" in keys and keys & {"completed", "budget_kwargs"}:
             return lint_checkpoint_file(path)
-        if "protocol_version" in data and "model" in data:
+        if "protocol_version" in keys and "model" in keys:
             return lint_journal_file(path)
-        if "stages" in data or "microbatch_size" in data:
-            return lint_plan_dict(data, str(path))
-    return [Diagnostic(
+        if "stages" in keys or "microbatch_size" in keys:
+            return check_plan(data, str(path))
+    return [_diag(
         "ACE301",
         f"unrecognized artifact shape in {name}",
-        location=str(path),
+        str(path),
         severity="warning",
-        hint=(
-            "expected a plan, cache entry (*.plan.json), checkpoint "
-            "(*.ckpt.json), request journal (*.request.json), or "
-            "run log (*.jsonl)"
-        ),
+        hint="expected a plan, cache entry (*.plan.json), checkpoint "
+        "(*.ckpt.json), request journal (*.request.json), or run log "
+        "(*.jsonl)",
     )]

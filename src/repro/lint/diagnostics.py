@@ -12,7 +12,8 @@ Code taxonomy:
 * ``ACE2xx`` — feasibility: Eq. 1 memory vs. device capacity,
   primitive legality, request-level lower bounds.
 * ``ACE3xx`` — on-disk artifacts: plans, plan-cache entries,
-  checkpoints, request journals, telemetry run logs.
+  checkpoints, request journals, telemetry run logs, churn timelines.
+  Loaders raise these as an :class:`ArtifactError`.
 * ``ACE4xx`` — fleet artifacts: ``*.fleet.json`` state files and the
   cross-event ``fleet.*`` invariants of router run logs.
 * ``ACE9xx`` — codebase invariants enforced by the Tier-B ``ast`` lint.
@@ -24,7 +25,7 @@ CI filters, and admission clients can match on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 ERROR = "error"
 WARNING = "warning"
@@ -211,3 +212,24 @@ def max_severity(diagnostics: Iterable[Diagnostic]) -> Optional[str]:
 def errors_only(diagnostics: Iterable[Diagnostic]) -> List[Diagnostic]:
     """Just the error-severity diagnostics."""
     return [d for d in diagnostics if d.severity == ERROR]
+
+
+class ArtifactError(ValueError):
+    """An artifact failed its family's schema checker; ``diagnostics``
+    holds the errors, with the codes ``repro-lint`` reports."""
+
+    def __init__(self, message: str, diagnostics: Sequence = ()) -> None:
+        super().__init__(message)
+        self.diagnostics = list(diagnostics)
+
+
+def require_valid(
+    diagnostics: Iterable[Diagnostic], error: type = ArtifactError
+) -> None:
+    """Raise ``error`` (an :class:`ArtifactError`) carrying every
+    error-severity diagnostic; the message leads with the first."""
+    errors = errors_only(diagnostics)
+    if errors:
+        first = errors[0]
+        where = f"{first.location}: " if first.location else ""
+        raise error(f"{where}{first.code} {first.message}", errors)

@@ -23,21 +23,16 @@ def analyze_request(data) -> Tuple[Optional[object], List[Diagnostic]]:
     payload does not even parse.  Any error-severity diagnostic means
     the request must not reach a worker.
     """
-    from ..service.protocol import PlanRequest, ProtocolError
+    from ..service.protocol import PlanRequest
+    from .artifacts import check_journal
 
-    if isinstance(data, PlanRequest):
-        request = data
-    else:
-        try:
-            request = PlanRequest.from_json(data)
-        except ProtocolError as exc:
-            return None, [Diagnostic(
-                "ACE330",
-                str(exc),
-                location="request",
-                hint="see repro.service.protocol.PlanRequest for the schema",
-            )]
-    return request, analyze_plan_request(request)
+    if not isinstance(data, PlanRequest):
+        # The wire payload shares the journal's schema (ACE330).
+        problems = check_journal(data, "request")
+        if problems:
+            return None, problems
+        data = PlanRequest.from_json(data)
+    return data, analyze_plan_request(data)
 
 
 def analyze_plan_request(request) -> List[Diagnostic]:

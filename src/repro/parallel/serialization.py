@@ -41,19 +41,18 @@ def config_to_dict(config: ParallelConfig) -> dict:
     }
 
 
-def config_from_dict(data: dict) -> ParallelConfig:
-    """Inverse of :func:`config_to_dict` (validates the version)."""
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported plan format version: {version!r} "
-            f"(expected {FORMAT_VERSION})"
-        )
+def config_from_dict(data: dict, location: str = "plan") -> ParallelConfig:
+    """Inverse of :func:`config_to_dict`; raises ``ArtifactError``
+    (``ACE30x``) unless ``data`` passes the plan schema checker."""
+    from ..lint.artifacts import check_plan
+    from ..lint.diagnostics import require_valid
+
+    require_valid(check_plan(data, location))
     stages = [
         StageConfig(
-            start=int(s["start"]),
-            end=int(s["end"]),
-            num_devices=int(s["num_devices"]),
+            start=s["start"],
+            end=s["end"],
+            num_devices=s["num_devices"],
             tp=np.asarray(s["tp"], dtype=np.int64),
             dp=np.asarray(s["dp"], dtype=np.int64),
             tp_dim=np.asarray(s["tp_dim"], dtype=np.int64),
@@ -62,7 +61,7 @@ def config_from_dict(data: dict) -> ParallelConfig:
         for s in data["stages"]
     ]
     return ParallelConfig(
-        stages=stages, microbatch_size=int(data["microbatch_size"])
+        stages=stages, microbatch_size=data["microbatch_size"]
     )
 
 
@@ -72,5 +71,7 @@ def save_config(config: ParallelConfig, path: Union[str, Path]) -> None:
 
 
 def load_config(path: Union[str, Path]) -> ParallelConfig:
-    """Read a plan from a JSON file."""
-    return config_from_dict(json.loads(Path(path).read_text()))
+    """Read a plan from a JSON file (raises ``ArtifactError``)."""
+    from ..lint.artifacts import load_artifact
+
+    return config_from_dict(load_artifact(path, "ACE301"), str(path))

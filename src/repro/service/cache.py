@@ -16,13 +16,13 @@ the old world is worse than no plan at all.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Callable, Optional
 
 from ..ioutil import write_json_atomic
+from ..lint.diagnostics import ArtifactError
 from ..telemetry import get_bus
 from ..telemetry.events import (
     SERVICE_CACHE_HIT,
@@ -53,18 +53,20 @@ class PlanCache:
             self._preload()
 
     def _preload(self) -> None:
-        """Warm the cache from persisted plans, oldest first (LRU order)."""
+        """Warm the cache from persisted plans, oldest first (LRU order);
+        an entry failing its schema (``ACE31x``) is a miss."""
+        from ..lint.artifacts import check_plan_cache_entry, load_artifact
+
         paths = sorted(
             self.directory.glob("*.plan.json"),
             key=lambda p: p.stat().st_mtime,
         )
         for path in paths[-self.max_entries:]:
             try:
-                entry = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue  # a torn write is a miss, not a crash
-            if isinstance(entry, dict) and "plan" in entry:
-                self._entries[path.name[: -len(".plan.json")]] = entry
+                entry = load_artifact(path, "ACE301", check_plan_cache_entry)
+            except ArtifactError:
+                continue
+            self._entries[path.name[: -len(".plan.json")]] = entry
 
     def get(self, fingerprint: str) -> Optional[dict]:
         with self._lock:

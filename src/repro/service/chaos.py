@@ -134,15 +134,18 @@ def synthetic_planner(
         rng = random.Random(
             f"{request.model}:{request.gpus}:{request.seed}"
         )
-        stages = list(request.stage_counts or (min(4, request.gpus),))
-        plan = {
-            "model": request.model,
-            "gpus": request.gpus,
-            "stages": stages,
-            "assignment": [
-                rng.randrange(request.gpus) for _ in range(8)
-            ],
-        }
+        num_stages = max(request.stage_counts or (min(4, request.gpus),))
+        devices = max(1, request.gpus // num_stages)
+        # Shaped like ``config_to_dict``: a restarted daemon's cache
+        # reloads it through the plan schema.
+        stages = [
+            {"start": i, "end": i + 1, "num_devices": devices, "tp": [1],
+             "dp": [devices], "tp_dim": [rng.randrange(2)],
+             "recompute": [False]}
+            for i in range(num_stages)
+        ]
+        plan = {"format_version": 1, "stages": stages,
+                "microbatch_size": rng.choice((1, 2, 4))}
         return PlanOutcome(
             plan=plan,
             objective=round(rng.uniform(1.0, 2.0), 6),

@@ -29,7 +29,6 @@ degraded daemon is diagnosable from its run log alone.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +39,7 @@ from typing import Callable, Dict, List, Optional, Union
 from ..core.budget import Deadline
 from ..ioutil import write_json_atomic
 from ..lint.diagnostics import ERROR as LINT_ERROR
+from ..lint.diagnostics import ArtifactError
 from ..lint.requests import analyze_plan_request
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
@@ -592,15 +592,17 @@ class PlannerDaemon:
     def _readmit_journaled(self) -> None:
         """Re-admit requests a previous daemon journaled but never
         finished (the other half of the SIGTERM drain contract)."""
+        from ..lint.artifacts import check_journal, load_artifact
+
         if self.state_dir is None:
             return
         for path in sorted(self.state_dir.glob("*.request.json")):
             try:
-                request = PlanRequest.from_json(
-                    json.loads(path.read_text())
-                )
-            except (OSError, ValueError):
-                continue  # torn journal entry: the client will retry
+                data = load_artifact(path, "ACE301", check_journal)
+            except ArtifactError:
+                # Torn, or renamed (ACE331): the client will retry.
+                continue
+            request = PlanRequest.from_json(data)
             get_bus().emit(
                 SERVICE_REQUEST_READMITTED,
                 source="service",

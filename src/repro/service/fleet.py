@@ -77,6 +77,29 @@ from .ring import HashRing
 #: Format marker for ``*.fleet.json`` state artifacts.
 FLEET_STATE_FORMAT_VERSION = 1
 
+#: Bounds of the :class:`FleetConfig` knobs, declared once: the config
+#: raises on the first violation, ``repro-lint`` reports all (ACE403).
+FLEET_BOUNDS = {
+    "vnodes": (">=", 1),
+    "retries": (">=", 0),
+    "request_timeout": (">", 0),
+    "hedge_factor": (">", 0),
+    "down_after": (">=", 1),
+}
+
+
+def fleet_config_problems(values: dict) -> List[str]:
+    """Every :data:`FLEET_BOUNDS` violation in a config mapping."""
+    problems = []
+    for key, (relation, bound) in FLEET_BOUNDS.items():
+        value = values.get(key)
+        in_range = type(value) in (int, float) and (
+            value > bound or (relation == ">=" and value == bound)
+        )
+        if value is not None and not in_range:
+            problems.append(f"{key} must be {relation} {bound}, got {value!r}")
+    return problems
+
 
 class ReplicaError(RuntimeError):
     """A replica failed at the transport level (no protocol answer)."""
@@ -108,16 +131,9 @@ class FleetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.request_timeout <= 0:
-            raise ValueError("request_timeout must be positive")
-        if self.hedge_factor <= 0:
-            raise ValueError("hedge_factor must be positive")
-        if self.down_after < 1:
-            raise ValueError("down_after must be >= 1")
+        problems = fleet_config_problems(self.to_json())
+        if problems:
+            raise ValueError(problems[0])
 
     def to_json(self) -> dict:
         return {
@@ -942,7 +958,7 @@ class _FleetHandler(JSONHandler):
         try:
             body = self._read_body()
             result = self._router.churn(body)
-        except (ProtocolError, KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:  # ProtocolError, ArtifactError
             self._send_json(400, {"error": str(exc)})
             return
         self._send_json(200, result)

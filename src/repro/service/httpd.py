@@ -170,7 +170,7 @@ class _Handler(JSONHandler):
         try:
             body = self._read_body()
             result = self._daemon.apply_churn(body)
-        except (ProtocolError, KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:  # ProtocolError, ArtifactError
             self._send_json(400, {"error": str(exc)})
             return
         self._send_json(200, result)

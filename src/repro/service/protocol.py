@@ -141,55 +141,19 @@ class PlanRequest:
 
     @classmethod
     def from_json(cls, data: dict) -> "PlanRequest":
-        if not isinstance(data, dict):
-            raise ProtocolError("request must be a JSON object")
-        version = data.get("protocol_version", PROTOCOL_VERSION)
+        """Parse a wire or journal payload: value types must pass
+        ``repro.lint.artifacts.check_request_fields``, ranges the
+        constructor; raises :class:`ProtocolError` otherwise."""
+        from ..lint.artifacts import check_request_fields
+
+        problems = check_request_fields(data, "request")
+        if problems:
+            raise ProtocolError(problems[0].message)
+        fields = dict(data)
+        version = fields.pop("protocol_version", PROTOCOL_VERSION)
         if version != PROTOCOL_VERSION:
-            raise ProtocolError(
-                f"unsupported protocol version: {version!r}"
-            )
-        unknown = sorted(
-            set(data)
-            - {
-                "protocol_version", "model", "gpus", "stage_counts",
-                "iterations", "seed", "deadline_seconds", "priority",
-                "strategy", "strategy_kwargs",
-            }
-        )
-        if unknown:
-            raise ProtocolError(f"unknown request field(s): {unknown}")
-        try:
-            stage_counts = data.get("stage_counts")
-            strategy_kwargs = data.get("strategy_kwargs")
-            return cls(
-                model=data["model"],
-                gpus=int(data.get("gpus", 8)),
-                stage_counts=(
-                    tuple(int(c) for c in stage_counts)
-                    if stage_counts is not None
-                    else None
-                ),
-                iterations=int(data.get("iterations", 30)),
-                seed=int(data.get("seed", 0)),
-                deadline_seconds=(
-                    float(data["deadline_seconds"])
-                    if data.get("deadline_seconds") is not None
-                    else None
-                ),
-                priority=int(data.get("priority", 0)),
-                strategy=str(data.get("strategy", "greedy")),
-                strategy_kwargs=(
-                    dict(strategy_kwargs)
-                    if strategy_kwargs is not None
-                    else None
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ProtocolError):
-                raise
-            raise ProtocolError(
-                f"malformed request: {type(exc).__name__}: {exc}"
-            ) from exc
+            raise ProtocolError(f"unsupported protocol version: {version!r}")
+        return cls(**fields)
 
 
 @dataclass

@@ -44,8 +44,6 @@ from .sinks import (
     ConsoleSink,
     JsonlSink,
     RingBufferSink,
-    events_to_jsonl,
-    read_run_log,
     validate_run_log,
 )
 from .summary import render_summary, summarize_events
@@ -72,9 +70,7 @@ __all__ = [
     "WARNING",
     "chrome_trace_from_events",
     "chrome_trace_from_tasks",
-    "events_to_jsonl",
     "get_bus",
-    "read_run_log",
     "render_summary",
     "set_bus",
     "summarize_events",

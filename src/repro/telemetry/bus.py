@@ -69,13 +69,15 @@ class Event:
 
     @classmethod
     def from_json(cls, data: dict) -> "Event":
+        level = data.get("level", INFO)
         return cls(
             name=data["name"],
             kind=data.get("kind", EVENT),
             ts=float(data.get("ts", 0.0)),
             pid=int(data.get("pid", 0)),
             source=data.get("source", ""),
-            level=int(data.get("level", INFO)),
+            # Run logs may spell a level by name ("info").
+            level=int(LEVELS_BY_NAME.get(level, level)),
             attrs=dict(data.get("attrs", {})),
         )
 

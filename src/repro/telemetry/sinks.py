@@ -13,12 +13,9 @@ import sys
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 from .bus import LEVEL_NAMES, Event
-
-#: Keys every run-log line must carry (the JSONL schema).
-RUN_LOG_KEYS = ("name", "kind", "ts", "pid", "source", "level", "attrs")
 
 
 class RingBufferSink:
@@ -117,59 +114,20 @@ class CallbackSink:
             self._fn(event)
 
 
-# ---------------------------------------------------------------------
-# run-log reading / validation
-# ---------------------------------------------------------------------
-def read_run_log(path: Union[str, Path]) -> List[Event]:
-    """Parse a JSONL run log back into :class:`Event` objects."""
-    events = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(Event.from_json(json.loads(line)))
-    return events
-
-
 def validate_run_log(path: Union[str, Path]) -> List[Event]:
-    """Strictly validate a JSONL run log; returns the parsed events.
+    """Read a JSONL run log whose every line passes the run-log schema
+    checker (:func:`repro.lint.artifacts.check_run_log_event`).
 
-    Every line must be a standalone JSON object carrying the full
-    schema (:data:`RUN_LOG_KEYS`) with JSON-serializable attrs and a
-    non-negative timestamp.  Raises ``ValueError`` with the offending
-    line number on the first violation.
+    Raises :class:`~repro.lint.diagnostics.ArtifactError` on the first
+    bad line, as ``line N: ACE34x ...``.
     """
+    from ..lint.artifacts import parse_run_log_line
+    from ..lint.diagnostics import require_valid
+
     events: List[Event] = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                raise ValueError(f"line {lineno}: blank line in run log")
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"line {lineno}: invalid JSON: {exc}")
-            if not isinstance(data, dict):
-                raise ValueError(f"line {lineno}: event must be an object")
-            missing = [key for key in RUN_LOG_KEYS if key not in data]
-            if missing:
-                raise ValueError(
-                    f"line {lineno}: missing keys {missing}"
-                )
-            if not isinstance(data["name"], str) or not data["name"]:
-                raise ValueError(f"line {lineno}: name must be a string")
-            if not isinstance(data["ts"], (int, float)) or data["ts"] < 0:
-                raise ValueError(
-                    f"line {lineno}: ts must be a non-negative number"
-                )
-            if not isinstance(data["pid"], int):
-                raise ValueError(f"line {lineno}: pid must be an int")
-            if not isinstance(data["attrs"], dict):
-                raise ValueError(f"line {lineno}: attrs must be an object")
+            data, diagnostics = parse_run_log_line(line, f"line {lineno}")
+            require_valid(diagnostics)
             events.append(Event.from_json(data))
     return events
-
-
-def events_to_jsonl(events: Iterable[Event]) -> str:
-    """Serialize events to run-log text (one JSON object per line)."""
-    return "".join(json.dumps(e.to_json()) + "\n" for e in events)

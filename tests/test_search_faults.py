@@ -723,6 +723,40 @@ class TestCheckpointQuarantine:
         on_disk = json.loads(path.read_text())
         assert sorted(on_disk["completed"]) == ["1", "2", "4"]
 
+    def test_torn_completed_entry_is_quarantined(
+        self, tiny_graph, small_cluster, tiny_database, tmp_path
+    ):
+        """A completed count missing a field fails the checkpoint schema
+        at load, so resume quarantines the file and searches afresh
+        instead of dying on a KeyError while restoring the runs."""
+        from repro.parallel import config_to_dict
+        from repro.service import plan_digest
+
+        def search(**kwargs):
+            best = search_all_stage_counts(
+                tiny_graph, small_cluster,
+                fresh_model(tiny_graph, small_cluster, tiny_database),
+                budget_per_count=BUDGET, **kwargs,
+            ).best
+            return plan_digest(config_to_dict(best.best_config))
+
+        reference = search()
+        path = tmp_path / "search.ckpt.json"
+        assert search(checkpoint_path=path) == reference
+        data = json.loads(path.read_text())
+        del data["completed"]["2"]["top_configs"]
+        path.write_text(json.dumps(data))
+        events = []
+        bus = get_bus()
+        sink = bus.add_sink(CallbackSink(events.append))
+        try:
+            resumed = search(checkpoint_path=path, resume=True)
+        finally:
+            bus.remove_sink(sink)
+        assert resumed == reference
+        assert (tmp_path / "search.ckpt.json.corrupt").exists()
+        assert "checkpoint.corrupt" in [e.name for e in events]
+
 
 class TestDeadline:
     def test_deadline_semantics(self):

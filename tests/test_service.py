@@ -55,6 +55,16 @@ def quick_planner(request, *, deadline=None, checkpoint_path=None):
     return ok_outcome(request)
 
 
+def cache_entry(objective=1.0):
+    """A cache entry that passes the ``ACE31x`` schema."""
+    plan = {
+        "format_version": 1, "microbatch_size": 1,
+        "stages": [{"start": 0, "end": 1, "num_devices": 4, "tp": [2],
+                    "dp": [2], "tp_dim": [0], "recompute": [False]}],
+    }
+    return {"plan": plan, "objective": objective, "model": "m", "gpus": 4}
+
+
 @pytest.fixture()
 def bus_events():
     """Install a fresh global bus and collect every event."""
@@ -245,11 +255,19 @@ class TestPlanCache:
         assert cache.get("c") is not None
 
     def test_write_through_persistence(self, tmp_path):
+        fingerprint = PlanRequest(model="m", gpus=4).fingerprint()
         first = PlanCache(directory=tmp_path)
-        first.put("abc", {"plan": {"stages": []}, "objective": 0.5})
-        assert (tmp_path / "abc.plan.json").exists()
+        first.put(fingerprint, cache_entry(objective=0.5))
+        assert (tmp_path / f"{fingerprint}.plan.json").exists()
         reborn = PlanCache(directory=tmp_path)
-        assert reborn.get("abc")["objective"] == 0.5
+        assert reborn.get(fingerprint)["objective"] == 0.5
+
+    def test_schema_invalid_entry_is_not_preloaded(self, tmp_path):
+        fingerprint = PlanRequest(model="m", gpus=4).fingerprint()
+        (tmp_path / f"{fingerprint}.plan.json").write_text(
+            json.dumps({"plan": {"stages": "junk"}})
+        )
+        assert PlanCache(directory=tmp_path).get(fingerprint) is None
 
     def test_torn_plan_file_is_skipped(self, tmp_path):
         (tmp_path / "bad.plan.json").write_text('{"plan": tru')
@@ -425,6 +443,31 @@ class TestDaemon:
         assert "service.request.readmitted" in [
             e.name for e in bus_events
         ]
+
+    def test_malformed_cached_plan_is_searched_fresh(
+        self, tmp_path, bus_events
+    ):
+        request = PlanRequest(model="m", gpus=4)
+        (tmp_path / f"{request.fingerprint()}.plan.json").write_text(
+            json.dumps({"plan": {"stages": "junk"}})
+        )
+        daemon = self.make(state_dir=tmp_path)
+        response = daemon.submit(request, timeout=10)
+        assert response.status == STATUS_SERVED
+        assert not response.cached
+        assert response.plan == ok_outcome(request).plan
+
+    def test_misnamed_journal_is_not_readmitted(self, tmp_path, bus_events):
+        request = PlanRequest(model="m", gpus=4)
+        journal = tmp_path / f"{'0' * 16}.request.json"  # ACE331
+        journal.write_text(json.dumps(request.to_json()))
+        daemon = self.make(state_dir=tmp_path)
+        # Re-admission runs synchronously inside start().
+        assert "service.request.readmitted" not in [
+            e.name for e in bus_events
+        ]
+        assert daemon.admission.stats()["admitted"] == 0
+        assert journal.exists()
 
     def test_drain_sheds_queue_and_reports(self, bus_events):
         def gated_planner(request, *, deadline=None,

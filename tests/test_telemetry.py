@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import AcesoSearch, SearchBudget, search_all_stage_counts
 from repro.core.trace import SearchTrace
 from repro.faults import DeviceFailure, FaultPlan, StragglerSlowdown
+from repro.lint.diagnostics import ArtifactError
 from repro.parallel import balanced_config
 from repro.perfmodel import PerfModel
 from repro.runtime import Executor
@@ -26,7 +27,6 @@ from repro.telemetry import (
     chrome_trace_from_events,
     chrome_trace_from_tasks,
     get_bus,
-    read_run_log,
     render_summary,
     summarize_events,
     using_bus,
@@ -131,43 +131,49 @@ class TestRunLog:
         bus.emit("beta", source="tests", level=WARNING,
                  nested={"k": [1, 2]}, _private=object())
         bus.close()
-        events = read_run_log(path)
+        # validation accepts what the sink writes, event for event
+        events = validate_run_log(path)
         assert [e.name for e in events] == ["alpha", "beta"]
         assert events[1].attrs == {"nested": {"k": [1, 2]}}
         assert events[1].level == WARNING
-        # validation accepts what the sink writes
-        validated = validate_run_log(path)
-        assert [e.to_json() for e in validated] == [
-            e.to_json() for e in events
+        assert [e.to_json() for e in events] == [
+            json.loads(line) for line in path.read_text().splitlines()
         ]
+
+    #: (bad line, short label naming the case's test id, expected error)
+    BAD_LINES = [
+        ("not json", "invalid JSON", "line 1: ACE340 invalid JSON"),
+        ("[1, 2]", "must be an object",
+         "line 1: ACE341 event must be a JSON object"),
+        ('{"name": "x"}', "missing keys",
+         "line 1: ACE341 missing event field"),
+        ('{"name": "", "kind": "event", "ts": 0, "pid": 1, '
+         '"source": "", "level": 20, "attrs": {}}',
+         "name must be a string",
+         "line 1: ACE341 event field 'name' must be a non-empty string"),
+        ('{"name": "x", "kind": "event", "ts": -1, "pid": 1, '
+         '"source": "", "level": 20, "attrs": {}}',
+         "non-negative",
+         "line 1: ACE341 event field 'ts' must be a non-negative number"),
+        ('{"name": "x", "kind": "event", "ts": 0, "pid": 1, '
+         '"source": "", "level": 20, "attrs": []}',
+         "attrs must be an object",
+         "line 1: ACE341 event field 'attrs' must be a JSON object"),
+        ('{"name": "x", "kind": "bogus", "ts": 0, "pid": 1, '
+         '"source": "", "level": 20, "attrs": {}}',
+         "unknown kind",
+         "line 1: ACE342 event field 'kind' must be one of"),
+    ]
 
     @pytest.mark.parametrize(
         "line, message",
-        [
-            ("not json", "invalid JSON"),
-            ("[1, 2]", "must be an object"),
-            ('{"name": "x"}', "missing keys"),
-            (
-                '{"name": "", "kind": "event", "ts": 0, "pid": 1, '
-                '"source": "", "level": 20, "attrs": {}}',
-                "name must be a string",
-            ),
-            (
-                '{"name": "x", "kind": "event", "ts": -1, "pid": 1, '
-                '"source": "", "level": 20, "attrs": {}}',
-                "non-negative",
-            ),
-            (
-                '{"name": "x", "kind": "event", "ts": 0, "pid": 1, '
-                '"source": "", "level": 20, "attrs": []}',
-                "attrs must be an object",
-            ),
-        ],
+        [(line, message) for line, _, message in BAD_LINES],
+        ids=[f"{line}-{label}" for line, label, _ in BAD_LINES],
     )
     def test_validation_rejects_bad_lines(self, tmp_path, line, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(line + "\n")
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ArtifactError, match=message):
             validate_run_log(path)
 
     def test_validation_reports_line_number(self, tmp_path):
