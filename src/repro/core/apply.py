@@ -486,15 +486,15 @@ def _finalize(
     ctx: ApplyContext, candidates: List[ParallelConfig]
 ) -> List[ParallelConfig]:
     """Validate and locally dedupe candidate configurations."""
-    seen = {ctx.config.signature()}
+    seen = {ctx.config.cache_key()}
     result = []
     for candidate in candidates:
         if candidate is None:
             continue
-        signature = candidate.signature()
-        if signature in seen:
+        key = candidate.cache_key()
+        if key in seen:
             continue
-        seen.add(signature)
+        seen.add(key)
         if is_valid(candidate, ctx.graph, ctx.cluster):
             result.append(candidate)
     return result

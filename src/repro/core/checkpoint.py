@@ -5,7 +5,11 @@ changes — only holds if an interrupted search doesn't lose its work.
 A :class:`SearchCheckpoint` persists, as JSON, everything needed to
 resume ``search_all_stage_counts`` bit-exactly: per-stage-count best and
 top-k configurations (via :mod:`repro.parallel.serialization`), visited
-signatures, estimate counts, and structured failure records.  The file
+signatures, estimate counts, and structured failure records.
+``visited_signatures`` holds the hex ``ParallelConfig.cache_key()`` of
+each visited configuration, the key the search deduplicates on (not
+``signature()``); a resume restores it verbatim and never compares it
+with live configurations.  The file
 is rewritten atomically after every completed (or finally-failed) stage
 count, so a crash between writes costs at most one stage count of work.
 """

@@ -1,9 +1,12 @@
 """Configuration deduplication (§4.3).
 
 The multi-hop search can reach one configuration along many primitive
-paths; the semantic signature (a hash over stage spans, device counts,
+paths; a semantic identity (a hash over stage spans, device counts,
 per-op settings, and microbatch size) lets the search skip re-exploring
-them.  ``VisitedSet`` also counts hits, which quantifies how much work
+them.  The identity is :meth:`ParallelConfig.cache_key`, which is
+composed from the stages' cached digests, so keying a candidate that
+shares all but one stage with its parent hashes only that stage.
+``VisitedSet`` also counts hits, which quantifies how much work
 deduplication saves.
 """
 
@@ -13,33 +16,33 @@ from ..parallel.config import ParallelConfig
 
 
 class VisitedSet:
-    """Signature set with hit accounting."""
+    """Cache-key set with hit accounting."""
 
     def __init__(self) -> None:
-        self._signatures = set()
+        self._keys = set()
         self.hits = 0
 
     def add(self, config: ParallelConfig) -> bool:
         """Record ``config``; returns True when it was new."""
-        signature = config.signature()
-        if signature in self._signatures:
+        key = config.cache_key()
+        if key in self._keys:
             self.hits += 1
             return False
-        self._signatures.add(signature)
+        self._keys.add(key)
         return True
 
     def __contains__(self, config: ParallelConfig) -> bool:
-        seen = config.signature() in self._signatures
+        seen = config.cache_key() in self._keys
         if seen:
             self.hits += 1
         return seen
 
     def signatures(self) -> frozenset:
-        """Snapshot of every signature seen (for checkpointing)."""
-        return frozenset(self._signatures)
+        """Every key seen, hex-encoded (for checkpointing)."""
+        return frozenset(key.hex() for key in self._keys)
 
     def __len__(self) -> int:
-        return len(self._signatures)
+        return len(self._keys)
 
 
 class UnexploredPool:
@@ -54,17 +57,17 @@ class UnexploredPool:
         self._pool = {}
 
     def put(self, config: ParallelConfig, objective: float) -> None:
-        self._pool.setdefault(config.signature(), (objective, config))
+        self._pool.setdefault(config.cache_key(), (objective, config))
 
     def remove(self, config: ParallelConfig) -> None:
-        self._pool.pop(config.signature(), None)
+        self._pool.pop(config.cache_key(), None)
 
     def pop_best(self):
         """Remove and return the lowest-objective entry (or ``None``)."""
         if not self._pool:
             return None
-        signature = min(self._pool, key=lambda s: self._pool[s][0])
-        _, config = self._pool.pop(signature)
+        key = min(self._pool, key=lambda k: self._pool[k][0])
+        _, config = self._pool.pop(key)
         return config
 
     def __len__(self) -> int:

@@ -80,7 +80,8 @@ class SearchResult:
     delta of the model's counter over the run), so serial searches
     sharing one :class:`PerfModel` and parallel workers with fresh
     models report the same quantity.  ``visited_signatures`` snapshots
-    the dedup set for checkpointing.
+    the dedup set for checkpointing, as the hex ``cache_key()`` of every
+    visited configuration.
 
     ``partial`` marks a search cut short by a :class:`Deadline`: the
     plan is the best found by that point — bit-exact with what an
@@ -395,9 +396,9 @@ class MultiStageSearchResult:
         seen = set()
         for run in self.runs:
             for objective, config in run.result.top_configs:
-                signature = config.signature()
-                if signature not in seen:
-                    seen.add(signature)
+                key = config.cache_key()
+                if key not in seen:
+                    seen.add(key)
                     merged.append((objective, config))
         merged.sort(key=lambda pair: pair[0])
         return merged[:k]

@@ -261,8 +261,8 @@ def _update_top(
     config: ParallelConfig,
     k: int,
 ) -> List[Tuple[float, ParallelConfig]]:
-    signatures = {c.signature() for _, c in top}
-    if config.signature() not in signatures:
+    keys = {c.cache_key() for _, c in top}
+    if config.cache_key() not in keys:
         top = top + [(objective, config)]
     top.sort(key=lambda pair: pair[0])
     return top[:k]

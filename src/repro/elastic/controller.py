@@ -408,9 +408,9 @@ class ElasticController:
             if adapted is None:
                 continue
             for variant in (adapted, memory_safe_variant(adapted)):
-                signature = variant.signature()
-                if signature not in seen:
-                    seen.add(signature)
+                key = variant.cache_key()
+                if key not in seen:
+                    seen.add(key)
                     candidates.append(variant)
         return candidates
 

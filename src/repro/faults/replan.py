@@ -87,9 +87,9 @@ def _warm_replan(
         if candidate is None:
             continue
         for variant in (candidate, memory_safe_variant(candidate)):
-            signature = variant.signature()
-            if signature not in seen:
-                seen.add(signature)
+            key = variant.cache_key()
+            if key not in seen:
+                seen.add(key)
                 adapted.append(variant)
 
     init: Optional[ParallelConfig] = None

@@ -105,13 +105,14 @@ class ParallelConfig:
         )
 
     def signature(self) -> str:
-        """Semantic hash for deduplication (§4.3).
+        """Stable hex hash of the configuration's full serialization.
 
         Two configurations that apply the same settings to the same op
         spans hash identically even when reached via different primitive
-        sequences.  Stages cache their raw ``signature_bytes``, so for
-        configs produced via :meth:`mutated_copy` only the dirty
-        stages re-serialize their arrays.
+        sequences.  It serializes every op of every stage, so the search
+        never calls it (dedup keys on :meth:`cache_key`); it identifies
+        plans in reports, and the executor seeds its measurement noise
+        from its exact value.
         """
         if not self._signature:
             digest = hashlib.blake2b(digest_size=16)
@@ -124,7 +125,7 @@ class ParallelConfig:
         return self._signature
 
     def cache_key(self) -> bytes:
-        """Fast identity key for memoization hot paths.
+        """Identity key for deduplication (§4.3) and memoization.
 
         Semantically equivalent to :meth:`signature` (two configs get
         the same key iff they apply the same settings to the same op

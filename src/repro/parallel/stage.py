@@ -47,10 +47,16 @@ class StageConfig:
     # once it has been costed/hashed; the mutation helpers that are
     # allowed to edit arrays in place reset these (see
     # ``_invalidate_signature``), and ``clone()`` never copies them.
-    _sig_bytes: Optional[bytes] = field(
+    # ``_base_src`` is the stage a clone was copied from, kept until the
+    # clone's first :meth:`base_digest` (see there).  None of the three
+    # is pickled.
+    _base_digest: Optional[bytes] = field(
         default=None, repr=False, compare=False
     )
-    _sig_digest: Optional[bytes] = field(
+    _digest: Optional[bytes] = field(
+        default=None, repr=False, compare=False
+    )
+    _base_src: Optional["StageConfig"] = field(
         default=None, repr=False, compare=False
     )
 
@@ -101,9 +107,22 @@ class StageConfig:
     def op_indices(self) -> range:
         return range(self.start, self.end)
 
+    def __getstate__(self) -> dict:
+        """Pickle without identity caches or the clone link: a stage
+        sent through a worker-pool pipe re-hashes on first use and
+        never drags its source stage along."""
+        state = self.__dict__.copy()
+        state.update(_base_digest=None, _digest=None, _base_src=None)
+        return state
+
     def clone(self) -> "StageConfig":
-        """Deep copy (arrays copied so mutations stay local)."""
-        return StageConfig(
+        """Deep copy (arrays copied so mutations stay local).
+
+        The copy remembers this stage when its base digest is already
+        computed, so a copy whose edits leave tp/dp/tp_dim alone reuses
+        it instead of re-hashing them.
+        """
+        stage = StageConfig(
             start=self.start,
             end=self.end,
             num_devices=self.num_devices,
@@ -112,6 +131,9 @@ class StageConfig:
             tp_dim=self.tp_dim.copy(),
             recompute=self.recompute.copy(),
         )
+        if self._base_digest is not None:
+            stage._base_src = self
+        return stage
 
     def slice_arrays(self, lo: int, hi: int) -> "StageConfig":
         """New stage covering local op range ``[lo, hi)`` of this one."""
@@ -137,8 +159,8 @@ class StageConfig:
 
     def _invalidate_signature(self) -> None:
         """Drop cached identity after an in-place mutation."""
-        self._sig_bytes = None
-        self._sig_digest = None
+        self._base_digest = None
+        self._digest = None
 
     def with_devices(self, num_devices: int) -> "StageConfig":
         """Copy with a new device count, rescaling per-op dp.
@@ -154,34 +176,67 @@ class StageConfig:
         stage.dp = num_devices // stage.tp
         return stage
 
+    def _header_bytes(self) -> bytes:
+        return np.array(
+            [self.start, self.end, self.num_devices], dtype=np.int64
+        ).tobytes()
+
     def signature_bytes(self) -> bytes:
         """Raw bytes identifying this stage's semantics (for hashing)."""
-        if self._sig_bytes is None:
-            header = np.array(
-                [self.start, self.end, self.num_devices], dtype=np.int64
-            )
-            self._sig_bytes = b"".join(
-                (
-                    header.tobytes(),
-                    self.tp.tobytes(),
-                    self.dp.tobytes(),
-                    self.tp_dim.tobytes(),
-                    self.recompute.tobytes(),
-                )
-            )
-        return self._sig_bytes
+        return b"".join((
+            self._header_bytes(),
+            self.tp.tobytes(),
+            self.dp.tobytes(),
+            self.tp_dim.tobytes(),
+            self.recompute.tobytes(),
+        ))
 
     def digest(self) -> bytes:
-        """16-byte stable hash of :meth:`signature_bytes` (cached)."""
-        if self._sig_digest is None:
-            self._sig_digest = hashlib.blake2b(
-                self.signature_bytes(), digest_size=16
-            ).digest()
-        return self._sig_digest
+        """16-byte stable hash: :meth:`base_digest` then the recompute
+        flags (cached), so a recompute-only edit hashes one byte per op."""
+        if self._digest is None:
+            digest = hashlib.blake2b(self.base_digest(), digest_size=16)
+            digest.update(self.recompute.tobytes())
+            self._digest = digest.digest()
+        return self._digest
 
     def base_digest(self) -> bytes:
-        """Like :meth:`digest`, but blind to the recompute flags."""
-        sig = self.signature_bytes()  # recompute flags come last
-        return hashlib.blake2b(
-            memoryview(sig)[:len(sig) - self.recompute.nbytes], digest_size=16
-        ).digest()
+        """Like :meth:`digest`, but blind to the recompute flags (cached).
+
+        A clone first compares itself with the stage it was copied from
+        (see :meth:`clone`): when the header and the tp/dp/tp_dim arrays
+        are exactly equal it takes that stage's digest, otherwise it
+        hashes them.  Either way the link is dropped.
+        """
+        if self._base_digest is None:
+            src, self._base_src = self._base_src, None
+            if (
+                src is not None
+                and src._base_digest is not None
+                and self._same_base(src)
+            ):
+                self._base_digest = src._base_digest
+            else:
+                digest = hashlib.blake2b(
+                    self._header_bytes(), digest_size=16
+                )
+                digest.update(self.tp.tobytes())
+                digest.update(self.dp.tobytes())
+                digest.update(self.tp_dim.tobytes())
+                self._base_digest = digest.digest()
+        return self._base_digest
+
+    def _same_base(self, other: "StageConfig") -> bool:
+        """Whether ``other`` hashes to the same base digest as this."""
+        return (
+            (self.start, self.end, self.num_devices)
+            == (other.start, other.end, other.num_devices)
+            and all(
+                a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in (
+                    (self.tp, other.tp),
+                    (self.dp, other.dp),
+                    (self.tp_dim, other.tp_dim),
+                )
+            )
+        )

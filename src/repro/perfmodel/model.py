@@ -506,28 +506,29 @@ class PerfModel:
         tp_lv = _log2_int(tp)
         etp_lv = _log2_int(etp)
         samples = mbs / dp.astype(np.float64)
+        # Flat element indices into the C-ordered ``[op, tp_level,
+        # option]`` profile tables and ``[op, option]`` comm tables:
+        # one ``take`` per table reads the same values a 3-index
+        # fancy gather would, without its per-axis index broadcasting.
+        _, num_levels, num_opts = pg.fwd_fixed.shape
+        flat = (idx * num_levels + tp_lv) * num_opts + tp_dim
+        flat_opt = idx * ga.fwd_comm_numel.shape[1] + tp_dim
 
         # --- per-op compute times (profiled linear models) -------------
-        fwd = pg.fwd_fixed[idx, tp_lv, tp_dim] + samples * pg.fwd_slope[
-            idx, tp_lv, tp_dim
-        ]
-        bwd = pg.bwd_fixed[idx, tp_lv, tp_dim] + samples * pg.bwd_slope[
-            idx, tp_lv, tp_dim
-        ]
+        fwd = pg.fwd_fixed.take(flat) + samples * pg.fwd_slope.take(flat)
+        bwd = pg.bwd_fixed.take(flat) + samples * pg.bwd_slope.take(flat)
 
         # --- tensor-parallel collectives per microbatch ----------------
         comm_mask = etp > 1
-        fwd_bytes = ga.fwd_comm_numel[idx, tp_dim] * samples * elem
-        bwd_bytes = ga.bwd_comm_numel[idx, tp_dim] * samples * elem
+        fwd_bytes = ga.fwd_comm_numel.take(flat_opt) * samples * elem
+        bwd_bytes = ga.bwd_comm_numel.take(flat_opt) * samples * elem
+        ar_lat = self._ar_lat.take(etp_lv)
+        ar_ibw = self._ar_ibw.take(etp_lv)
         tp_fwd_comm = np.where(
-            comm_mask & (fwd_bytes > 0),
-            self._ar_lat[etp_lv] + fwd_bytes * self._ar_ibw[etp_lv],
-            0.0,
+            comm_mask & (fwd_bytes > 0), ar_lat + fwd_bytes * ar_ibw, 0.0
         )
         tp_bwd_comm = np.where(
-            comm_mask & (bwd_bytes > 0),
-            self._ar_lat[etp_lv] + bwd_bytes * self._ar_ibw[etp_lv],
-            0.0,
+            comm_mask & (bwd_bytes > 0), ar_lat + bwd_bytes * ar_ibw, 0.0
         )
 
         # --- in-stage resharding (flexible tp/dp combinations, §4.2) ---

@@ -1,7 +1,11 @@
 """Tests for repro.parallel.config."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.parallel import ParallelConfig, StageConfig
 
@@ -113,6 +117,92 @@ class TestIdentity:
                 same_sig = a.signature() == b.signature()
                 same_key = a.cache_key() == b.cache_key()
                 assert same_sig == same_key
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_cache_key_equality_iff_signature_equality(self, data):
+        """Config pairs that differ only in recompute flags, only in the
+        microbatch size, only in one stage boundary, or not at all: the
+        dedup key and the signature agree on equality."""
+        num_stages = data.draw(st.integers(1, 4), label="stages")
+        num_ops = data.draw(st.integers(num_stages + 1, 12), label="ops")
+        cuts = sorted(data.draw(st.sets(
+            st.integers(1, num_ops - 1),
+            min_size=num_stages - 1, max_size=num_stages - 1,
+        ), label="cuts"))
+        bounds = [0] + cuts + [num_ops]
+        tps = [data.draw(st.sampled_from([1, 2, 4])) for _ in cuts + [0]]
+        mbs = data.draw(st.sampled_from([1, 2, 4]), label="mbs")
+        a = config_from_bounds(bounds, tps, mbs)
+        a.cache_key()  # hashed stages, as in the search
+
+        kind = data.draw(st.sampled_from(
+            ["none", "recompute", "mbs", "boundary"]
+        ))
+        if kind == "none":
+            b = a.clone()
+        elif kind == "recompute":
+            index = data.draw(st.integers(0, num_stages - 1))
+            b = a.mutated_copy([index])
+            stage = b.stages[index]
+            op = data.draw(st.integers(0, stage.num_ops - 1))
+            stage.recompute[op] = data.draw(st.booleans())
+        elif kind == "mbs":
+            b = a.mutated_copy()
+            b.microbatch_size = data.draw(st.sampled_from([1, 2, 4]))
+        else:
+            moved = list(bounds)
+            if num_stages > 1:
+                cut = data.draw(st.integers(1, num_stages - 1))
+                moved[cut] = data.draw(st.integers(
+                    moved[cut - 1] + 1, moved[cut + 1] - 1
+                ))
+            b = config_from_bounds(moved, tps, mbs)
+        assert (a.cache_key() == b.cache_key()) == (
+            a.signature() == b.signature()
+        )
+
+
+def config_from_bounds(bounds, tps, mbs):
+    return ParallelConfig(
+        stages=[
+            StageConfig.uniform(lo, hi, 4, tp=tp)
+            for lo, hi, tp in zip(bounds, bounds[1:], tps)
+        ],
+        microbatch_size=mbs,
+    )
+
+
+class TestPickleHygiene:
+    def test_chained_clones_pickle_like_a_fresh_stage(self):
+        """Neither digests nor the clone link ride along in a pickle, so
+        nothing a search chain built crosses the worker-pool pipe."""
+        rng = np.random.default_rng(0)
+        fresh = StageConfig.uniform(0, 16, 4, tp=2)
+        stage = fresh.clone()
+        for step in range(50):
+            stage = stage.clone()
+            ops = rng.random(stage.num_ops) < 0.3
+            if step % 3:
+                stage.recompute[ops] = ~stage.recompute[ops]
+            else:
+                stage.tp_dim[ops] = 1 - stage.tp_dim[ops]
+            stage.digest()
+        assert len(pickle.dumps(stage)) == len(pickle.dumps(fresh))
+        restored = pickle.loads(pickle.dumps(stage.clone()))
+        assert restored._base_src is None
+        assert restored._digest is None and restored._base_digest is None
+        assert restored.digest() == stage.digest()
+
+    def test_config_pickle_carries_no_clone_link(self):
+        config = two_stage_config()
+        config.cache_key()
+        child = config.mutated_copy([0])
+        child.stages[0].recompute[1] = True
+        assert child.stages[0]._base_src is config.stages[0]
+        restored = pickle.loads(pickle.dumps(child))
+        assert all(s._base_src is None for s in restored.stages)
+        assert restored.cache_key() == child.cache_key()
 
 
 class TestViews:

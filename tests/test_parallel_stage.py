@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.parallel import StageConfig, is_power_of_two
 
@@ -80,3 +82,125 @@ class TestStageConfig:
         b = StageConfig.uniform(0, 4, 4, tp=2)
         assert a.signature_bytes() != b.signature_bytes()
         assert a.signature_bytes() == a.clone().signature_bytes()
+
+
+def rebuilt(stage):
+    """A stage built from scratch out of ``stage``'s header and arrays."""
+    return StageConfig(
+        start=stage.start,
+        end=stage.end,
+        num_devices=stage.num_devices,
+        tp=stage.tp.copy(),
+        dp=stage.dp.copy(),
+        tp_dim=stage.tp_dim.copy(),
+        recompute=stage.recompute.copy(),
+    )
+
+
+def assert_hashes_like_rebuilt(stage):
+    fresh = rebuilt(stage)
+    assert stage.base_digest() == fresh.base_digest()
+    assert stage.digest() == fresh.digest()
+
+
+class TestDigestInheritance:
+    def test_recompute_only_clone_reuses_the_base_digest(self):
+        stage = StageConfig.uniform(0, 6, 4, tp=2)
+        base = stage.base_digest()
+        copy = stage.clone()
+        copy.recompute[2:5] = True
+        assert copy.base_digest() is base
+        assert copy.digest() != stage.digest()
+        assert copy._base_src is None
+        assert_hashes_like_rebuilt(copy)
+
+    def test_edited_clone_rehashes(self):
+        stage = StageConfig.uniform(0, 6, 4, tp=2)
+        stage.digest()
+        copy = stage.clone()
+        copy.tp_dim[0] = 1
+        assert copy.base_digest() != stage.base_digest()
+        assert_hashes_like_rebuilt(copy)
+
+    def test_clone_of_unhashed_stage_keeps_no_link(self):
+        stage = StageConfig.uniform(0, 6, 4)
+        assert stage.clone()._base_src is None
+
+    def test_source_reset_after_clone_is_not_trusted(self):
+        stage = StageConfig.uniform(0, 6, 4, tp=2)
+        stage.digest()
+        copy = stage.clone()
+        stage.set_uniform_parallel(4)
+        stage.digest()
+        assert_hashes_like_rebuilt(copy)
+        assert copy.base_digest() != stage.base_digest()
+
+    def test_invalidate_clears_both_digests(self):
+        stage = StageConfig.uniform(0, 6, 4, tp=2)
+        before = (stage.base_digest(), stage.digest())
+        stage.set_uniform_parallel(1)
+        assert (stage.base_digest(), stage.digest()) != before
+        assert_hashes_like_rebuilt(stage)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_clone_edit_chains_hash_like_fresh_stages(self, data):
+        """Random chains of clones and in-place edits: after every step
+        each live stage hashes exactly like one rebuilt from its arrays,
+        and digests agree with ``signature_bytes`` equality."""
+        num_ops = data.draw(st.integers(1, 10), label="num_ops")
+        devices = data.draw(st.sampled_from([1, 2, 4, 8]), label="devices")
+        pool = [StageConfig.uniform(0, num_ops, devices)]
+        pool[0].digest()
+
+        def draw_tp(stage):
+            return data.draw(st.sampled_from(
+                [t for t in (1, 2, 4, 8) if t <= stage.num_devices]
+            ))
+
+        def draw_span(stage):
+            lo = data.draw(st.integers(0, stage.num_ops - 1))
+            return lo, data.draw(st.integers(lo + 1, stage.num_ops))
+
+        for _ in range(data.draw(st.integers(1, 20), label="steps")):
+            src = pool[data.draw(st.integers(0, len(pool) - 1))]
+            kind = data.draw(st.sampled_from([
+                "tp", "tp_dim", "recompute", "rewrite", "uniform",
+                "devices", "slice", "reset_source",
+            ]))
+            stage = src.clone()
+            lo, hi = draw_span(stage)
+            if kind == "tp":
+                tp = draw_tp(stage)
+                stage.tp[lo:hi] = tp
+                stage.dp[lo:hi] = stage.num_devices // tp
+            elif kind == "tp_dim":
+                stage.tp_dim[lo:hi] = data.draw(st.integers(0, 2))
+            elif kind == "recompute":
+                stage.recompute[lo:hi] = data.draw(st.booleans())
+            elif kind == "rewrite":  # an edit that changes nothing
+                stage.tp[lo:hi] = src.tp[lo:hi]
+                stage.recompute[lo:hi] = src.recompute[lo:hi]
+            elif kind == "uniform":  # in place, on a hashed stage
+                stage = src
+                stage.set_uniform_parallel(draw_tp(stage))
+            elif kind == "devices":
+                stage = src.with_devices(
+                    data.draw(st.sampled_from([1, 2, 4, 8]))
+                )
+            elif kind == "slice":
+                stage = src.slice_arrays(lo, hi)
+            else:  # the source moves on before the clone hashes
+                src.set_uniform_parallel(draw_tp(src))
+                if data.draw(st.booleans()):
+                    src.digest()
+            if stage is not src:
+                pool.append(stage)
+            for live in pool:
+                assert_hashes_like_rebuilt(live)
+
+        for a in pool:
+            for b in pool:
+                assert (a.digest() == b.digest()) == (
+                    a.signature_bytes() == b.signature_bytes()
+                )

@@ -9,9 +9,12 @@ or fanned out over worker processes.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import paper_cluster
 from repro.core import (
@@ -26,7 +29,7 @@ from repro.core import (
 from repro.core.arguments import stage_activation_bytes
 from repro.ir.models import build_model
 from repro.ir.models.synthetic import build_synthetic
-from repro.parallel import balanced_config, changed_stages
+from repro.parallel import StageConfig, balanced_config, changed_stages
 from repro.perfmodel import PerfModel
 from repro.perfmodel import model as model_module
 from repro.profiling import SimulatedProfiler
@@ -225,6 +228,148 @@ class TestRecomputeDeltaCosting:
         off = PerfModel(graph, cluster, database, stage_cache_size=0)
         off.estimate(balanced_config(graph, cluster, 2))
         assert len(off._base_cache) == 0
+
+
+def frozen_fancy_index_cost_stage_base(model, stage, mbs):
+    """Frozen copy of ``PerfModel._cost_stage_base`` as it read the
+    profile, comm-numel and allreduce tables with multi-axis fancy
+    indexing, before those reads became flat-index ``take`` gathers.
+    ``estimate_fresh`` shares the live gathers, so this copy is the
+    oracle for them."""
+    from repro.perfmodel.memory import stage_allocator_reserve
+    from repro.perfmodel.model import _log2_int
+
+    graph, ga, pg = model.graph, model.graph.arrays, model.profiled
+    elem = model._elem
+    idx = np.arange(stage.start, stage.end)
+    span = slice(stage.start, stage.end)
+    tp, dp, tp_dim = stage.tp, stage.dp, stage.tp_dim
+    etp = np.minimum(tp, ga.max_tp[span])
+    tp_lv = _log2_int(tp)
+    etp_lv = _log2_int(etp)
+    samples = mbs / dp.astype(np.float64)
+
+    fwd = pg.fwd_fixed[idx, tp_lv, tp_dim] + samples * pg.fwd_slope[
+        idx, tp_lv, tp_dim
+    ]
+    bwd = pg.bwd_fixed[idx, tp_lv, tp_dim] + samples * pg.bwd_slope[
+        idx, tp_lv, tp_dim
+    ]
+
+    comm_mask = etp > 1
+    fwd_bytes = ga.fwd_comm_numel[idx, tp_dim] * samples * elem
+    bwd_bytes = ga.bwd_comm_numel[idx, tp_dim] * samples * elem
+    tp_fwd_comm = np.where(
+        comm_mask & (fwd_bytes > 0),
+        model._ar_lat[etp_lv] + fwd_bytes * model._ar_ibw[etp_lv],
+        0.0,
+    )
+    tp_bwd_comm = np.where(
+        comm_mask & (bwd_bytes > 0),
+        model._ar_lat[etp_lv] + bwd_bytes * model._ar_ibw[etp_lv],
+        0.0,
+    )
+
+    reshard = 0.0
+    if stage.num_ops > 1:
+        change = (tp[:-1] != tp[1:]) | (dp[:-1] != dp[1:])
+        group_lv = _log2_int(tp[:-1] * dp[:-1])
+        resh_bytes = ga.out_numel[span][:-1] * samples[:-1] * elem
+        reshard = float(
+            np.where(
+                change,
+                model._ag_lat[group_lv]
+                + resh_bytes * model._ag_ibw[group_lv],
+                0.0,
+            ).sum()
+        )
+
+    weight_bytes = ga.params[span] * elem / etp
+    dp_lv = _log2_int(dp)
+    counts = np.bincount(dp_lv)
+    sums = np.bincount(dp_lv, weights=weight_bytes)
+    levels = np.nonzero(counts[1:])[0] + 1
+    dp_sync = float(
+        np.sum(model._ar_lat[levels] + sums[levels] * model._ar_ibw[levels])
+    )
+
+    act_bytes = ga.saved_numel[span] * samples / etp * elem
+    optimizer_bytes = (
+        ga.params[span] * float(graph.optimizer_bytes_per_param) / etp
+    )
+    transient = (
+        (ga.saved_numel[span] + ga.out_numel[span]) * samples / etp * elem
+    )
+    reserve = stage_allocator_reserve(
+        transient, safety_factor=model.reserve_safety_factor
+    )
+    egress = float(
+        ga.out_numel[stage.end - 1] * mbs / float(dp[-1]) * elem
+    )
+
+    fields = dict(
+        fwd_time=float(fwd.sum()),
+        bwd_time=float(bwd.sum()),
+        tp_fwd_comm_time=float(tp_fwd_comm.sum()),
+        tp_bwd_comm_time=float(tp_bwd_comm.sum()),
+        reshard_time=reshard,
+        dp_sync_time=dp_sync,
+        weight_bytes=float(weight_bytes.sum()),
+        optimizer_bytes=float(optimizer_bytes.sum()),
+        reserved_bytes=reserve,
+        egress_bytes=egress,
+    )
+    return fields, fwd + tp_fwd_comm, act_bytes
+
+
+@functools.lru_cache(maxsize=None)
+def synthetic_model(seed):
+    graph = build_synthetic(40, seed=seed)
+    cluster = paper_cluster(8)
+    database = SimulatedProfiler(cluster, seed=seed).profile(graph)
+    return PerfModel(graph, cluster, database)
+
+
+class TestFlatIndexGathers:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 3), data=st.data())
+    def test_matches_frozen_fancy_index_gathers(self, seed, data):
+        """Random stages with mixed per-op tp/dp, padded partition
+        options (tp_dim past an op's real option count) and any mbs:
+        the flat-index base costing is bit-identical to the frozen
+        fancy-index one."""
+        model = synthetic_model(seed)
+        num_ops = model.graph.num_ops
+        assert np.any(model.graph.arrays.num_options == 1)  # padding
+        start = data.draw(st.integers(0, num_ops - 1), label="start")
+        end = data.draw(st.integers(start + 1, num_ops), label="end")
+        n = end - start
+        devices = data.draw(st.sampled_from([1, 2, 4, 8]), label="gpus")
+        degrees = [t for t in (1, 2, 4, 8) if t <= devices]
+        tp = np.array(data.draw(st.lists(
+            st.sampled_from(degrees), min_size=n, max_size=n
+        ), label="tp"), dtype=np.int64)
+        max_opts = model.profiled.fwd_fixed.shape[2]
+        stage = StageConfig(
+            start=start,
+            end=end,
+            num_devices=devices,
+            tp=tp,
+            dp=devices // tp,
+            tp_dim=np.array(data.draw(st.lists(
+                st.integers(0, max_opts - 1), min_size=n, max_size=n
+            ), label="tp_dim"), dtype=np.int64),
+            recompute=np.zeros(n, dtype=bool),
+        )
+        mbs = data.draw(st.sampled_from([1, 2, 4, 8, 16]), label="mbs")
+
+        fields, rc_vec, act_vec = model._cost_stage_base(stage, mbs)
+        want_fields, want_rc, want_act = frozen_fancy_index_cost_stage_base(
+            model, stage, mbs
+        )
+        assert fields == want_fields
+        assert rc_vec.tobytes() == want_rc.tobytes()
+        assert act_vec.tobytes() == want_act.tobytes()
 
 
 class TestLRUEviction:
