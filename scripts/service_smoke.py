@@ -5,23 +5,31 @@ Boots the daemon as a real subprocess, fires concurrent plan requests
 at it — including one guaranteed worker crash (nonexistent model) and
 one sub-second deadline — and asserts that every request gets a
 well-formed terminal response (served / partial / rejected / failed),
-that nothing hangs, and that the daemon drains cleanly on SIGTERM
-leaving a schema-valid run log behind for the build artifact.
+that nothing hangs, that an already-served ``/plan`` repeated on one
+keep-alive connection answers in well under the ~40 ms a Nagle plus
+delayed-ACK stall would cost, and that the daemon drains cleanly on
+SIGTERM leaving a schema-valid run log behind for the build artifact.
 
 Run from the repository root: ``PYTHONPATH=src python scripts/service_smoke.py``
 """
 
+import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
 TERMINAL = {"served", "partial", "rejected", "failed"}
 SMOKE_DIR = "smoke-service"
+#: Repeats of one cached ``/plan`` on a single keep-alive connection.
+KEEP_ALIVE_REPEATS = 20
+KEEP_ALIVE_MEDIAN_MS = 20.0
 
 REQUESTS = [
     # Normal load (the first two share a fingerprint: cache check).
@@ -56,6 +64,28 @@ def post_plan(port, payload, timeout=180):
             return reply.status, json.loads(reply.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def keep_alive_repeats(port, payload):
+    """``(milliseconds, cached)`` per repeat of ``payload`` on one
+    connection; a first, untimed request makes sure the plan is cached."""
+    body = json.dumps(payload)
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=180)
+    repeats = []
+    try:
+        for _ in range(KEEP_ALIVE_REPEATS + 1):
+            start = time.perf_counter()
+            conn.request(
+                "POST", "/plan", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            answer = json.loads(conn.getresponse().read())
+            repeats.append(
+                ((time.perf_counter() - start) * 1e3, answer.get("cached"))
+            )
+    finally:
+        conn.close()
+    return repeats[1:]
 
 
 def main():
@@ -95,9 +125,7 @@ def main():
     # worker; the trailing pair then applies queue pressure.
     for thread in threads[:4]:
         thread.start()
-    import time as _time
-
-    _time.sleep(0.25)
+    time.sleep(0.25)
     for thread in threads[4:]:
         thread.start()
     for thread in threads:
@@ -161,6 +189,25 @@ def main():
     print(f"healthz: {health['status']}")
     if health["status"] not in ("healthy", "degraded"):
         problems.append(f"bad healthz status: {health['status']!r}")
+
+    try:
+        repeats = keep_alive_repeats(port, REQUESTS[0])
+    except (OSError, ValueError) as error:
+        problems.append(f"keep-alive phase: {error}")
+    else:
+        median = statistics.median(ms for ms, _ in repeats)
+        misses = sum(1 for _, cached in repeats if not cached)
+        print(
+            f"keep-alive: {len(repeats)} cached /plan repeats, "
+            f"median {median:.2f} ms"
+        )
+        if misses:
+            problems.append(f"keep-alive: {misses} repeats missed the cache")
+        if median >= KEEP_ALIVE_MEDIAN_MS:
+            problems.append(
+                f"keep-alive median {median:.2f} ms >= "
+                f"{KEEP_ALIVE_MEDIAN_MS} ms (Nagle/delayed-ACK stall?)"
+            )
 
     process.send_signal(signal.SIGTERM)
     try:

@@ -1,14 +1,15 @@
 """Atomic JSON artifact writes shared by every persistence site.
 
-Every JSON artifact this repository leaves on disk — plan-cache
-entries, request journals, search checkpoints, fleet state, tournament
-reports, benchmark payloads — goes through :func:`write_json_atomic`:
-serialize to a temp file in the destination directory, ``fsync`` is
-deliberately skipped (these are resumable caches, not databases), then
-``os.replace`` onto the final name.  A crash mid-write therefore leaves
-either the previous complete file or a stray ``.tmp``-suffixed orphan,
-never a torn artifact — readers still tolerate torn files defensively
-(quarantine, skip-as-miss), but the writer no longer produces them.
+Every JSON artifact the planner leaves on disk — plan-cache entries,
+request journals, search checkpoints, fleet state, tournament reports —
+goes through :func:`write_json_atomic`: encode the payload as compact
+JSON with the C encoder, write it to a temp file in the destination
+directory in one ``write``, then ``os.replace`` onto the final name
+(``fsync`` is deliberately skipped: these are resumable caches, not
+databases).  A crash mid-write therefore leaves either the previous
+complete file or a stray ``.tmp``-suffixed orphan, never a torn
+artifact — readers still tolerate torn files defensively (quarantine,
+skip-as-miss), but the writer no longer produces them.
 """
 
 from __future__ import annotations
@@ -24,18 +25,20 @@ def write_json_atomic(
     path: Union[str, Path],
     payload: object,
     *,
-    indent: int = 2,
     sort_keys: bool = False,
 ) -> Path:
-    """Atomically serialize ``payload`` as JSON at ``path``.
+    """Atomically serialize ``payload`` as compact JSON at ``path``.
 
-    The temp file lives in the destination directory so the final
+    The payload is encoded before any temp file exists, so an
+    unserializable payload raises without touching the directory.  The
+    temp file lives in the destination directory so the final
     ``os.replace`` stays on one filesystem (rename atomicity).  The
     parent directory is created when missing.  On any failure the temp
     file is removed and the previous ``path`` contents are untouched.
     Returns ``path`` as a :class:`~pathlib.Path`.
     """
     path = Path(path)
+    text = json.dumps(payload, sort_keys=sort_keys) + "\n"
     directory = path.parent
     directory.mkdir(parents=True, exist_ok=True)
     fd, temp_name = tempfile.mkstemp(
@@ -43,8 +46,7 @@ def write_json_atomic(
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent, sort_keys=sort_keys)
-            handle.write("\n")
+            handle.write(text)
         os.replace(temp_name, path)
     except BaseException:
         try:

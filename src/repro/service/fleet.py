@@ -64,7 +64,7 @@ from ..telemetry.events import (
 )
 from .cache import PlanCache
 from .daemon import PlannerDaemon
-from .httpd import JSONHandler, response_status_code
+from .httpd import JSONHandler
 from .protocol import (
     STATUS_REJECTED,
     STATUS_SERVED,
@@ -910,58 +910,20 @@ class _FleetHandler(JSONHandler):
     def _router(self) -> FleetRouter:
         return self.server.fleet_router  # type: ignore[attr-defined]
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/healthz":
-            self._send_json(200, self._router.fleet_health())
-        elif self.path == "/readyz":
-            ready = self._router.ready
-            self._send_json(200 if ready else 503, {"ready": ready})
-        else:
-            self._send_json(404, {"error": f"no such path: {self.path}"})
+    def _health(self) -> dict:
+        return self._router.fleet_health()
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        if self.path == "/plan":
-            self._handle_plan()
-        elif self.path == "/invalidate":
-            self._handle_invalidate()
-        elif self.path == "/churn":
-            self._handle_churn()
-        else:
-            self._send_json(404, {"error": f"no such path: {self.path}"})
+    def _ready(self) -> bool:
+        return self._router.ready
 
-    def _handle_plan(self) -> None:
-        try:
-            request = PlanRequest.from_json(self._read_body())
-        except (ProtocolError, ValueError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        response = self._router.submit(request)
-        self._send_json(
-            response_status_code(response),
-            response.to_json(),
-            retry_after=response.retry_after,
-        )
+    def _submit(self, request: PlanRequest):
+        return self._router.submit(request)
 
-    def _handle_invalidate(self) -> None:
-        try:
-            body = self._read_body()
-        except (ProtocolError, ValueError) as exc:
-            self._send_json(400, {"error": str(exc)})
-            return
-        gpus = body.get("gpus")
-        if gpus is not None and not isinstance(gpus, int):
-            self._send_json(400, {"error": "gpus must be an integer"})
-            return
-        self._send_json(200, self._router.invalidate(gpus=gpus))
+    def _invalidate(self, gpus: Optional[int]) -> dict:
+        return self._router.invalidate(gpus=gpus)
 
-    def _handle_churn(self) -> None:
-        try:
-            body = self._read_body()
-            result = self._router.churn(body)
-        except ValueError as exc:  # ProtocolError, ArtifactError
-            self._send_json(400, {"error": str(exc)})
-            return
-        self._send_json(200, result)
+    def _churn(self, body: dict) -> dict:
+        return self._router.churn(body)
 
 
 def serve_fleet(

@@ -9,7 +9,11 @@ hedging, and every degradation rung are deterministic.
 
 from __future__ import annotations
 
+import http.client
+import inspect
 import json
+import os
+import tempfile
 import threading
 import time
 import urllib.request
@@ -83,6 +87,55 @@ class TestWriteJsonAtomic:
             write_json_atomic(path, {"bad": object()})
         assert json.loads(path.read_text()) == {"v": 1}
         assert list(tmp_path.iterdir()) == [path]
+
+    def test_single_write_of_compact_json(self, tmp_path, monkeypatch):
+        writes = []
+        real_fdopen = os.fdopen
+
+        class RecordingHandle:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                self.handle.__enter__()
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+            def write(self, text):
+                writes.append(text)
+                return self.handle.write(text)
+
+        monkeypatch.setattr(
+            os, "fdopen",
+            lambda *a, **k: RecordingHandle(real_fdopen(*a, **k)),
+        )
+        path = tmp_path / "x.json"
+        payload = {"b": [1, 2.5], "a": {"c": None, "d": "e"}}
+        write_json_atomic(path, payload, sort_keys=True)
+        expected = json.dumps(payload, sort_keys=True) + "\n"
+        assert writes == [expected]
+        assert path.read_text() == expected
+        assert expected.count("\n") == 1
+
+    def test_unserializable_payload_raises_before_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        def no_temp_file(*args, **kwargs):
+            pytest.fail("temp file created for an unserializable payload")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_temp_file)
+        with pytest.raises(TypeError):
+            write_json_atomic(tmp_path / "x.json", {"bad": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_indent_keyword_is_gone(self, tmp_path):
+        assert "indent" not in inspect.signature(
+            write_json_atomic
+        ).parameters
+        with pytest.raises(TypeError):
+            write_json_atomic(tmp_path / "x.json", {}, indent=2)
 
 
 # ----------------------------------------------------------------------
@@ -668,7 +721,10 @@ class TestFleetLint:
 # HTTP front-end
 # ----------------------------------------------------------------------
 class TestFleetHTTP:
-    def test_plan_health_invalidate_over_http(self, tmp_path):
+    @pytest.fixture()
+    def fleet(self, tmp_path):
+        """A 2-replica fleet behind a live ``FleetHTTPServer``; yields
+        ``(server, replica names)``."""
         replicas = {
             f"r{i}": InProcessReplica(
                 f"r{i}",
@@ -686,33 +742,65 @@ class TestFleetHTTP:
             target=server.serve_forever, daemon=True
         )
         thread.start()
-        host, port = server.server_address[:2]
-        base = f"http://{host}:{port}"
         try:
-            body = json.dumps(_request().to_json()).encode()
-            req = urllib.request.Request(
-                f"{base}/plan", data=body,
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(req, timeout=10) as raw:
-                assert raw.status == 200
-                data = json.loads(raw.read())
-            assert data["status"] == STATUS_SERVED
-            assert data["replica"] in replicas
-            with urllib.request.urlopen(
-                f"{base}/healthz", timeout=10
-            ) as raw:
-                health = json.loads(raw.read())
-            assert health["status"] == "healthy"
-            inv = urllib.request.Request(
-                f"{base}/invalidate", data=b"{}",
-                headers={"Content-Type": "application/json"},
-            )
-            with urllib.request.urlopen(inv, timeout=10) as raw:
-                dropped = json.loads(raw.read())
-            assert set(dropped["replicas"]) == set(replicas)
+            yield server, set(replicas)
         finally:
             server.shutdown()
             thread.join(timeout=5)
             router.stop()
             server.server_close()
+
+    def test_plan_health_invalidate_over_http(self, fleet):
+        server, replicas = fleet
+        host, port = server.server_address[:2]
+        base = f"http://{host}:{port}"
+        body = json.dumps(_request().to_json()).encode()
+        req = urllib.request.Request(
+            f"{base}/plan", data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(req, timeout=10) as raw:
+            assert raw.status == 200
+            data = json.loads(raw.read())
+        assert data["status"] == STATUS_SERVED
+        assert data["replica"] in replicas
+        with urllib.request.urlopen(
+            f"{base}/healthz", timeout=10
+        ) as raw:
+            health = json.loads(raw.read())
+        assert health["status"] == "healthy"
+        inv = urllib.request.Request(
+            f"{base}/invalidate", data=b"{}",
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(inv, timeout=10) as raw:
+            dropped = json.loads(raw.read())
+        assert set(dropped["replicas"]) == replicas
+
+    def test_keep_alive_requests_do_not_stall(self, fleet):
+        """Sequential requests on one keep-alive connection never wait
+        on the client's delayed ACK (about 40 ms each without
+        ``TCP_NODELAY``)."""
+        server, _ = fleet
+        body = json.dumps(_request().to_json())
+        conn = http.client.HTTPConnection(
+            *server.server_address[:2], timeout=10
+        )
+
+        def roundtrip(method, path, payload=None):
+            conn.request(method, path, body=payload)
+            reply = conn.getresponse()
+            data = json.loads(reply.read())
+            assert reply.status == 200, data
+            return data
+
+        try:
+            roundtrip("POST", "/plan", body)  # warm the cache
+            start = time.perf_counter()
+            for _ in range(10):
+                roundtrip("GET", "/healthz")
+                assert roundtrip("POST", "/plan", body)["cached"]
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 20 * 0.015, f"20 requests took {elapsed:.3f}s"

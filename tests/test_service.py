@@ -8,6 +8,7 @@ process, including the SIGTERM drain/resume contract.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -40,6 +41,7 @@ from repro.service import (
     TicketTimeout,
     serve,
 )
+from repro.service.httpd import JSONHandler
 from repro.telemetry import CallbackSink, TelemetryBus, using_bus
 
 
@@ -753,6 +755,60 @@ class TestHTTP:
         assert body["dropped"] == 1
         code, body = self.post(server, "/invalidate", {"gpus": "x"})
         assert code == 400
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        """Sequential requests on one keep-alive connection never wait
+        on the client's delayed ACK (about 40 ms each without
+        ``TCP_NODELAY``)."""
+        body = json.dumps(PlanRequest(model="m", gpus=4).to_json())
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10
+        )
+
+        def roundtrip(method, path, payload=None):
+            conn.request(method, path, body=payload)
+            reply = conn.getresponse()
+            data = json.loads(reply.read())
+            assert reply.status == 200, data
+            return data
+
+        try:
+            roundtrip("POST", "/plan", body)  # warm the cache
+            start = time.perf_counter()
+            for _ in range(10):
+                roundtrip("GET", "/healthz")
+                assert roundtrip("POST", "/plan", body)["cached"]
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 20 * 0.015, f"20 requests took {elapsed:.3f}s"
+
+    def test_access_log_with_and_without_sink(self, server, monkeypatch):
+        clients = []
+        real_address_string = JSONHandler.address_string
+
+        def recording_address_string(handler):
+            clients.append(real_address_string(handler))
+            return clients[-1]
+
+        monkeypatch.setattr(
+            JSONHandler, "address_string", recording_address_string
+        )
+        with using_bus(TelemetryBus()):
+            assert self.get(server, "/healthz")[0] == 200
+        assert clients == []  # no sink: nothing formatted
+        events = []
+        bus = TelemetryBus()
+        bus.add_sink(CallbackSink(events.append))
+        with using_bus(bus):
+            assert self.get(server, "/healthz")[0] == 200
+        access = [e for e in events if e.name == "service.http.access"]
+        assert len(access) == 1
+        assert access[0].source == "service"
+        assert access[0].attrs == {
+            "client": "127.0.0.1",
+            "line": '"GET /healthz HTTP/1.1" 200 -',
+        }
 
 
 class TestRealPlannerEndToEnd:
