@@ -19,8 +19,8 @@ work:
   per-estimate events into a ring buffer.  The inactive path is the
   zero-overhead contract of ``repro.telemetry``.
 * **search wall-clock** — ``search_all_stage_counts`` serial vs the
-  persistent worker pool at 2 and 4 workers, which must return the
-  identical best configuration.
+  persistent worker pool at 2 and 4 requested workers (capped at the
+  usable cores), which must return the identical best configuration.
 
 Results are emitted to ``benchmarks/results/BENCH_perfmodel.json`` so
 later PRs can track the estimator's perf trajectory.
@@ -33,6 +33,7 @@ import time
 
 from repro.cluster import paper_cluster
 from repro.core import search_all_stage_counts
+from repro.core.pool import usable_cores
 from repro.ir.models import build_model
 from repro.parallel import ParallelConfig, balanced_config
 from repro.perfmodel import PerfModel
@@ -168,12 +169,15 @@ def _timed(run, variants):
 
 
 def _rate(model, variants):
-    return _timed(lambda configs: [model.estimate(c) for c in configs],
+    # A scored candidate's cost: a scalar estimate defers its Eq. 2
+    # assembly until the objective reads ``iteration_time``, so timing
+    # unread estimates would skip work the batch column pays for.
+    return _timed(lambda configs: [model.objective(c) for c in configs],
                   variants)
 
 
 def _batch_rate(model, variants):
-    return _timed(model.estimate_batch, variants)
+    return _timed(model.objective_batch, variants)
 
 
 def _estimate_rates(model_name):
@@ -416,21 +420,15 @@ def test_telemetry_overhead():
     assert off_rate >= 0.95 * base_rate, (off_rate, base_rate)
 
 
-def _usable_cores():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
-
-
 def test_search_serial_vs_workers():
     """The persistent pool beats serial wall-clock, identical answer.
 
-    The wall-clock comparison needs real cores: on a single-core
-    machine process fan-out can only add scheduling overhead, so there
-    the bench records the timings at every worker count (and the core
-    count, so the JSON is interpretable) but only enforces result
-    identity.
+    The wall-clock comparison needs real cores, and the driver caps
+    the pool at the usable core count (``usable_cores``): a request for
+    4 workers runs at most that many processes, and on a single-core
+    machine every run is serial.  There the bench records the timings
+    at every worker count (and the core count, so the JSON is
+    interpretable) but only enforces result identity.
     """
     print_header("search_all_stage_counts: serial vs worker pool")
     graph = build_model("gpt3-350m")
@@ -445,7 +443,7 @@ def test_search_serial_vs_workers():
             budget_per_count=budget, workers=workers,
         )
     serial = outcomes[1]
-    cores = _usable_cores()
+    cores = usable_cores()
     rows = [
         [
             "serial" if workers == 1 else f"workers={workers}",

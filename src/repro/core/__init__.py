@@ -12,7 +12,6 @@ from .arguments import (
     greedy_recompute,
     greedy_unrecompute,
     op_move_counts,
-    stage_activation_bytes,
     tune_recompute,
 )
 from .bottleneck import Bottleneck, identify_bottleneck, rank_bottlenecks
@@ -130,6 +129,5 @@ __all__ = [
     "rank_bottlenecks",
     "retry_delay",
     "search_all_stage_counts",
-    "stage_activation_bytes",
     "tune_recompute",
 ]

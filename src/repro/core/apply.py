@@ -394,9 +394,9 @@ def apply_inc_rc(ctx: ApplyContext) -> List[ParallelConfig]:
         candidates.append(everything)
         half = ctx.config.mutated_copy([stage_index])
         target = half.stages[stage_index]
-        from .arguments import stage_activation_bytes
-
-        act = stage_activation_bytes(ctx.graph, ctx.config, stage_index)
+        act = ctx.perf_model.stage_activation_bytes(
+            stage, ctx.config.microbatch_size
+        )
         order = np.argsort(act)[::-1]
         target.recompute[order[: max(1, stage.num_ops // 2)]] = True
         candidates.append(half)

@@ -19,21 +19,10 @@ from ..parallel.config import ParallelConfig
 from ..perfmodel.model import PerfModel
 
 
-def stage_activation_bytes(
-    graph: OpGraph, config: ParallelConfig, stage_index: int
-) -> np.ndarray:
-    """Per-op saved-activation bytes of one stage at current settings."""
-    stage = config.stages[stage_index]
-    arrays = graph.arrays
-    sl = slice(stage.start, stage.end)
-    etp = np.minimum(stage.tp, arrays.max_tp[sl])
-    samples = config.microbatch_size / stage.dp.astype(np.float64)
-    return arrays.saved_numel[sl] * samples / etp * graph.elem_bytes
-
-
 def _stage_fits(
     perf_model: PerfModel, config: ParallelConfig, stage_index: int
 ) -> bool:
+    # Reads only Eq. 1, so the estimate's Eq. 2 assembly never runs.
     report = perf_model.estimate(config)
     return report.peak_memories[stage_index] <= report.memory_limit
 
@@ -57,7 +46,7 @@ def greedy_recompute(
     if overflow <= 0:
         return None
     stage = config.stages[stage_index]
-    act = stage_activation_bytes(perf_model.graph, config, stage_index)
+    act = perf_model.stage_activation_bytes(stage, config.microbatch_size)
     candidates = np.where(~stage.recompute)[0]
     if candidates.size == 0:
         return None
@@ -101,7 +90,7 @@ def greedy_unrecompute(
     slack = report.memory_limit - report.peak_memories[stage_index]
     if slack < 0:
         return None
-    act = stage_activation_bytes(perf_model.graph, config, stage_index)
+    act = perf_model.stage_activation_bytes(stage, config.microbatch_size)
     order = recomputed[np.argsort(act[recomputed])]
     growth = np.cumsum(act[order]) * max(1, report.in_flight(stage_index))
 

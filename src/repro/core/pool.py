@@ -25,6 +25,7 @@ executor.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 from dataclasses import dataclass
@@ -50,6 +51,15 @@ _FORK_LOCK = threading.Lock()
 #: Seconds to wait for a worker to acknowledge shutdown before
 #: escalating to ``terminate()``.
 _SHUTDOWN_GRACE = 2.0
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on: its affinity set where the
+    platform has one, else ``os.cpu_count()``."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _apply_worker_memory_limit(memory_limit_mb: Optional[float]) -> None:

@@ -58,6 +58,7 @@ from .budget import Deadline, SearchBudget
 from .finetune import finetune
 from .multihop import MultiHopSearcher
 from .pool import PoolWorker, WorkerPool, _apply_worker_memory_limit  # noqa: F401 - re-export
+from .pool import usable_cores
 from .searcher import (
     SearchContext,
     Searcher,
@@ -804,7 +805,11 @@ def search_all_stage_counts(
     keys are validated up front so a typo fails before any worker
     forks.  With ``workers > 1`` stage counts are dispatched onto a
     persistent pool of up to ``workers`` processes that load the
-    problem state once and are reused across tasks, each task under
+    problem state once and are reused across tasks; the pool never
+    outnumbers the usable cores (:func:`usable_cores`), where extra
+    processes only time-slice, so a 1-core box searches serially unless
+    the run needs worker processes for isolation (a per-count timeout,
+    a memory cap, or a custom ``_worker_fn``).  Each task runs under
     ``timeout_per_count`` seconds (``None`` = no limit); a count that
     raises, crashes its worker, or hangs is retried up to
     ``max_retries`` more times with jittered exponential backoff
@@ -859,6 +864,14 @@ def search_all_stage_counts(
         raise ValueError(
             "pass either options or strategy_kwargs, not both"
         )
+    isolated = (
+        timeout_per_count is not None
+        or worker_memory_mb is not None
+        or _worker_fn is not None
+    )
+    workers = min(workers, len(counts))
+    if not isolated:
+        workers = min(workers, usable_cores())
     worker_fn = _worker_fn or _stage_count_worker
     jitter_seed = options.seed if options is not None else 0
 
@@ -895,7 +908,7 @@ def search_all_stage_counts(
     todo = [count for count in counts if count not in done_counts]
 
     started = time.perf_counter()
-    outcome = MultiStageSearchResult(workers=min(workers, len(counts)))
+    outcome = MultiStageSearchResult(workers=workers)
 
     # Checkpoint recording subscribes to the driver's lifecycle events
     # instead of threading ad-hoc callbacks through the scheduler: the
@@ -932,7 +945,7 @@ def search_all_stage_counts(
         DRIVER_BEGIN,
         source="driver",
         stage_counts=list(counts),
-        workers=min(workers, len(counts)),
+        workers=workers,
         restored=sorted(done_counts),
     )
     for run in restored:

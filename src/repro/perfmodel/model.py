@@ -16,11 +16,15 @@ Estimation is structured in two layers:
    candidate re-costs only its dirty stages instead of the whole op
    chain.  A miss whose stage differs from a recent one only in its
    recompute flags reuses that stage's recompute-free base (a small
-   LRU keyed by ``stage.base_digest()``) and pays two masked sums.
+   LRU keyed by ``stage.base_digest()``) and pays two masked sums, or
+   none when the stage recomputes nothing.
 2. A cheap assembly step combines the cached stage costs with the
    stage-count-dependent parts: pipeline p2p boundary transfers, 1F1B
    in-flight counts, the allocator view of peak memory, and the Eq. 2
-   warmup/steady/cooldown totals.
+   warmup/steady/cooldown totals.  A scalar estimate applies Eq. 1 at
+   once and defers Eq. 2 until its ``iteration_time`` or ``stages`` is
+   read, so a recompute probe that only asks "does stage i fit?" never
+   pays for it.
 
 Whole-config estimates are additionally memoized by configuration
 identity (``ParallelConfig.cache_key``) in a second LRU; the miss counter (``num_estimates``) is the
@@ -45,7 +49,7 @@ from ..telemetry.events import (
     PERFMODEL_ESTIMATE_BATCH,
     PERFMODEL_FIRST_FEASIBLE,
 )
-from .memory import activation_kept_mask, stage_allocator_reserve
+from .memory import stage_allocator_reserve
 from .report import (
     STAGE_ROW_WIDTH,
     LazyStages,
@@ -69,6 +73,93 @@ def _log2_int(values: np.ndarray) -> np.ndarray:
     no float ``log2`` rounding hazard.
     """
     return np.frexp(values.astype(np.float64))[1] - 1
+
+
+class _DeferredEq2:
+    """Payload of a scalar estimate whose Eq. 2 assembly is pending.
+
+    Eq. 1 is applied eagerly: the in-flight counts, peak memories and
+    OOM verdict are what ``first_feasible_estimate`` and recompute
+    probes read, and they are cheap.  :meth:`resolve` runs the rest
+    (pipeline p2p, the Eq. 2 totals, the per-stage rows) on the first
+    read of ``iteration_time`` or ``stages``.  The payload holds the
+    stage costs, device counts and compute scales, never the config or
+    its stage arrays, and ``links`` is the model's shared p2p table
+    ``(latencies, inverse bandwidths, gpus per node, gpu count)``.
+    """
+
+    __slots__ = (
+        "costs", "devices", "scales", "num_mb", "links",
+        "in_flight", "peak_list", "oom",
+    )
+
+    def __init__(
+        self, costs, devices, scales, num_mb, links, in_flight, peaks, oom
+    ):
+        self.costs = costs
+        self.devices = devices
+        self.scales = scales
+        self.num_mb = num_mb
+        self.links = links
+        self.in_flight = in_flight
+        self.peak_list = peaks
+        self.oom = oom
+
+    def peaks(self) -> List[float]:
+        return list(self.peak_list)
+
+    def resolve(self) -> Tuple[LazyStages, float]:
+        """``(assembled payload, iteration_time)``, in Python floats.
+
+        Over a handful of stages this beats numpy's per-call overhead,
+        and every expression keeps :meth:`PerfModel._assemble_batch`'s
+        operand association (its prefix sum is a sequential
+        ``cumsum``; a compute scale multiplies exactly as
+        :meth:`StageCost.scaled` does), so the two are bit-identical.
+        """
+        costs, devices, scales, num_mb = (
+            self.costs, self.devices, self.scales, self.num_mb
+        )
+        p2p_lat, p2p_ibw, gpn, num_gpus = self.links
+        last = len(costs) - 1
+        rows = []
+        prefix, iteration_time, p2p_in, end = 0.0, -np.inf, 0.0, 0
+        for i, cost in enumerate(costs):
+            # Pipeline p2p to the next stage over the boundary's link.
+            end += devices[i]
+            p2p_out = 0.0
+            if i < last and cost.egress_bytes > 0:
+                device = min(max(end - 1, 0), num_gpus - 2)
+                kind = int(device // gpn != (device + 1) // gpn)
+                p2p_out = p2p_lat[kind] + cost.egress_bytes * p2p_ibw[kind]
+            fwd, bwd, recompute = (
+                cost.fwd_time, cost.bwd_time, cost.recompute_time
+            )
+            if scales is not None and scales[i] != 1.0:
+                scale = scales[i]
+                fwd, bwd, recompute = (
+                    fwd * scale, bwd * scale, recompute * scale
+                )
+            rows += (
+                fwd, bwd, recompute,
+                cost.tp_fwd_comm_time + cost.tp_bwd_comm_time,
+                cost.reshard_time * 2.0, p2p_in + p2p_out,
+                cost.dp_sync_time, cost.weight_bytes, cost.optimizer_bytes,
+                cost.activation_bytes, cost.reserved_bytes,
+            )
+            # Eq. 2: warmup prefix + steady microbatches + dp sync.
+            pair = (
+                fwd + cost.tp_fwd_comm_time + cost.reshard_time + p2p_in
+            ) + (
+                bwd + recompute + cost.tp_bwd_comm_time
+                + cost.reshard_time + p2p_out
+            )
+            total = prefix + num_mb * pair + cost.dp_sync_time
+            iteration_time = max(iteration_time, total)
+            prefix += pair
+            p2p_in = p2p_out
+        payload = LazyStages(rows, self.in_flight, self.peak_list, self.oom)
+        return payload, iteration_time
 
 
 class _PendingReport:
@@ -191,6 +282,10 @@ class PerfModel:
             if len(kind.inv_bandwidth) > 1 else 0.0
             for kind in p2p
         ]
+        self._links = (
+            self._p2p_lat, self._p2p_ibw,
+            cluster.gpus_per_node, cluster.num_gpus,
+        )
 
     # ------------------------------------------------------------------
     # public API
@@ -470,24 +565,53 @@ class PerfModel:
         self._c_stage_costs.value += 1
         return cost
 
+    def stage_activation_bytes(
+        self, stage: StageConfig, mbs: int
+    ) -> np.ndarray:
+        """Per-op saved-activation bytes of ``stage`` at microbatch size
+        ``mbs``: the vector Eq. 1 sums before recomputation drops any of
+        it, computed as the stage's recompute-free base computes it."""
+        span = slice(stage.start, stage.end)
+        return self._activation_bytes(
+            span,
+            mbs / stage.dp.astype(np.float64),
+            np.minimum(stage.tp, self.graph.arrays.max_tp[span]),
+        )
+
+    def _activation_bytes(
+        self, span: slice, samples: np.ndarray, etp: np.ndarray
+    ) -> np.ndarray:
+        return self.graph.arrays.saved_numel[span] * samples / etp * self._elem
+
     def _cost_stage_uncached(
         self, stage: StageConfig, mbs: int, fresh: bool = False
     ) -> StageCost:
         """A stage's recompute-free base (LRU-cached unless ``fresh``)
         plus its two recompute terms, which apply the flags to per-op
         base vectors with the same values and reductions as costing
-        from scratch — bit-identical either way."""
-        key = (stage.base_digest(), mbs)
-        base = None if fresh else self._base_cache.pop(key, None)
-        if base is None:
+        from scratch — bit-identical either way.  A stage that
+        recomputes nothing keeps every activation, so its terms are the
+        base's activation total and zero seconds."""
+        if fresh:
             base = self._cost_stage_base(stage, mbs)
-        if not fresh:  # (re)insert as the most recent entry
-            self._base_cache[key] = base
+        else:
+            key = (stage.base_digest(), mbs)
+            base = self._base_cache.pop(key, None)
+            if base is None:
+                base = self._cost_stage_base(stage, mbs)
+            self._base_cache[key] = base  # (re)insert as the most recent
             if len(self._base_cache) > STAGE_BASE_CACHE_SIZE:
                 self._base_cache.popitem(last=False)
-        fields, rc_time, act_bytes = base
+        fields, rc_time, act_bytes, act_total = base
         rc = stage.recompute
-        kept = activation_kept_mask(rc, np.zeros(len(rc), dtype=np.int64))
+        if not rc.any():
+            return StageCost(
+                recompute_time=0.0, activation_bytes=act_total, **fields
+            )
+        # ``activation_kept_mask`` within one stage: a recomputed op
+        # whose predecessor also recomputes keeps nothing.
+        kept = np.ones(len(rc))
+        kept[1:] -= rc[1:] & rc[:-1]
         return StageCost(
             recompute_time=float(np.where(rc, rc_time, 0.0).sum()),
             activation_bytes=float((act_bytes * kept).sum()),
@@ -496,7 +620,8 @@ class PerfModel:
 
     def _cost_stage_base(self, stage: StageConfig, mbs: int) -> tuple:
         """``(StageCost fields the recompute flags cannot change,
-        per-op recompute seconds, per-op saved-activation bytes)``."""
+        per-op recompute seconds, per-op saved-activation bytes, their
+        sum)``."""
         graph, ga, pg = self.graph, self.graph.arrays, self.profiled
         elem = self._elem
         idx = np.arange(stage.start, stage.end)
@@ -560,7 +685,7 @@ class PerfModel:
         )
 
         # --- memory ----------------------------------------------------
-        act_bytes = ga.saved_numel[span] * samples / etp * elem
+        act_bytes = self._activation_bytes(span, samples, etp)
         optimizer_bytes = (
             ga.params[span] * float(graph.optimizer_bytes_per_param) / etp
         )
@@ -587,7 +712,7 @@ class PerfModel:
             egress_bytes=egress,
         )
         # Recomputation repeats the forward and its collectives.
-        return fields, fwd + tp_fwd_comm, act_bytes
+        return fields, fwd + tp_fwd_comm, act_bytes, float(act_bytes.sum())
 
     # ------------------------------------------------------------------
     # assembly (stage-count dependent, cheap)
@@ -625,62 +750,33 @@ class PerfModel:
     def _assemble(
         self, config: ParallelConfig, costs: List[StageCost]
     ) -> PerfReport:
-        """One report in Python floats: over a handful of stages this
-        beats numpy's per-call overhead, and every expression keeps
-        :meth:`_assemble_batch`'s operand association (its prefix sum
-        is a sequential ``cumsum``), so the two are bit-identical."""
-        stages = config.stages
-        stage_limits = None
-        factors = self._stage_factors([s.num_devices for s in stages])
-        if factors is not None:
-            scales, stage_limits = factors
-            costs = [
-                cost if scale == 1.0 else cost.scaled(scale)
-                for cost, scale in zip(costs, scales)
-            ]
+        """A report with Eq. 1 applied and Eq. 2 deferred (see
+        :class:`_DeferredEq2`).  Peaks keep
+        :attr:`StageReport.peak_memory`'s operand association."""
+        devices = [stage.num_devices for stage in config.stages]
         num_stages = len(costs)
         num_mb = config.num_microbatches(self.graph.global_batch_size)
-        gpn = self.cluster.gpus_per_node
-        rows, in_flight = [], []
-        prefix, iteration_time, p2p_in, devices = 0.0, -np.inf, 0.0, 0
-        for i, cost in enumerate(costs):
-            # Pipeline p2p to the next stage over the boundary's link.
-            devices += stages[i].num_devices
-            p2p_out = 0.0
-            if i < num_stages - 1 and cost.egress_bytes > 0:
-                device = min(max(devices - 1, 0), self.cluster.num_gpus - 2)
-                kind = int(device // gpn != (device + 1) // gpn)
-                p2p_out = (
-                    self._p2p_lat[kind]
-                    + cost.egress_bytes * self._p2p_ibw[kind]
-                )
-            in_flight.append(min(num_stages - i, num_mb))
-            rows += (
-                cost.fwd_time, cost.bwd_time, cost.recompute_time,
-                cost.tp_fwd_comm_time + cost.tp_bwd_comm_time,
-                cost.reshard_time * 2.0, p2p_in + p2p_out,
-                cost.dp_sync_time, cost.weight_bytes, cost.optimizer_bytes,
-                cost.activation_bytes, cost.reserved_bytes,
-            )
-            # Eq. 2: warmup prefix + steady microbatches + dp sync.
-            pair = (
-                cost.fwd_time + cost.tp_fwd_comm_time + cost.reshard_time
-                + p2p_in
-            ) + (
-                cost.bwd_time + cost.recompute_time + cost.tp_bwd_comm_time
-                + cost.reshard_time + p2p_out
-            )
-            total = prefix + num_mb * pair + cost.dp_sync_time
-            iteration_time = max(iteration_time, total)
-            prefix += pair
-            p2p_in = p2p_out
-        payload = LazyStages(rows, in_flight, oom=False)
+        scales = stage_limits = None
+        factors = self._stage_factors(devices)
+        if factors is not None:
+            scales, stage_limits = factors
         limits = stage_limits or [self.memory_limit] * num_stages
-        payload.oom = any(
-            peak > limit for peak, limit in zip(payload.peaks(), limits)
+        in_flight, peaks, oom = [], [], False
+        for i, cost in enumerate(costs):
+            infl = min(num_stages - i, num_mb)
+            peak = (
+                cost.weight_bytes + cost.optimizer_bytes
+                + cost.activation_bytes * infl + cost.reserved_bytes
+            )
+            in_flight.append(infl)
+            peaks.append(peak)
+            oom = oom or peak > limits[i]
+        payload = _DeferredEq2(
+            costs, devices, scales, num_mb, self._links,
+            in_flight, peaks, oom,
         )
         return lazy_perf_report(
-            payload, num_mb, iteration_time, self.memory_limit, stage_limits
+            payload, num_mb, None, self.memory_limit, stage_limits
         )
 
     def _assemble_batch(
@@ -695,10 +791,11 @@ class PerfModel:
         float64 tensors (see ``STAGE_COST_COLUMNS``); the Eq. 1 peak
         memories, pipeline p2p boundary transfers, and Eq. 2 totals are
         then evaluated for the whole batch at once.  Every expression
-        mirrors :meth:`_assemble`'s operand association order on the
-        same float64 values, so the returned reports are bit-identical
-        to the scalar path; slots past a configuration's own stage
-        count are masked out of every reduction.  Returns the reports
+        mirrors :meth:`_DeferredEq2.resolve`'s operand association
+        order on the same float64 values, so the returned reports are
+        bit-identical to the scalar path's; slots past a
+        configuration's own stage count are masked out of every
+        reduction.  Returns the reports
         plus a per-config OOM flag vector (used for first-feasible
         tracking without re-deriving it from report properties).
         """
@@ -801,6 +898,7 @@ class PerfModel:
             axis=2,
         ).reshape(num_configs, max_stages * STAGE_ROW_WIDTH).tolist()
         in_flight_l = in_flight.tolist()
+        peaks_l = peaks.tolist()
         iteration_l = iteration_times.tolist()
         num_mb_l = num_mb.tolist()
         counts_l = counts.tolist()
@@ -816,7 +914,8 @@ class PerfModel:
         for b in range(num_configs):
             n = counts_l[b]
             payload = LazyStages(
-                rows[b][:n * STAGE_ROW_WIDTH], in_flight_l[b][:n], oom_l[b]
+                rows[b][:n * STAGE_ROW_WIDTH], in_flight_l[b][:n],
+                peaks_l[b][:n], oom_l[b],
             )
             reports.append(
                 lazy_perf_report(

@@ -199,26 +199,27 @@ class LazyStages:
 
     Most estimated reports only ever answer "what is your objective?"
     or "does stage i fit?" before the search discards them, so this
-    keeps one flat row of stage values, the (int) in-flight counts and
-    the OOM verdict, and builds ``StageReport`` objects on first access.
-    Peaks use :attr:`StageReport.peak_memory`'s operand association.
+    keeps one flat row of stage values, the (int) in-flight counts, the
+    peak memories (computed with :attr:`StageReport.peak_memory`'s
+    operand association) and the OOM verdict, and builds
+    ``StageReport`` objects on first access.
+
+    A report's payload may instead be one whose Eq. 2 assembly is still
+    pending (the scalar estimator's, see ``repro.perfmodel.model``): it
+    has the same ``in_flight``/``oom``/``peaks()`` surface plus a
+    ``resolve()`` returning ``(LazyStages, iteration_time)``.
     """
 
-    __slots__ = ("rows", "in_flight", "oom")
+    __slots__ = ("rows", "in_flight", "peak_list", "oom")
 
-    def __init__(self, rows, in_flight, oom):
+    def __init__(self, rows, in_flight, peaks, oom):
         self.rows = rows
         self.in_flight = in_flight
+        self.peak_list = peaks
         self.oom = oom
 
     def peaks(self) -> List[float]:
-        rows = self.rows
-        starts = range(0, len(rows), STAGE_ROW_WIDTH)
-        peaks = []
-        for k, infl in zip(starts, self.in_flight):
-            weight, optimizer, activation, reserved = rows[k + 7:k + 11]
-            peaks.append(weight + optimizer + activation * infl + reserved)
-        return peaks
+        return list(self.peak_list)
 
     def build(self) -> Tuple[StageReport, ...]:
         new_stage = StageReport.__new__
@@ -252,9 +253,11 @@ class PerfReport:
 
     Instances built directly carry their ``stages`` tuple; the
     estimator's instances defer it behind a :class:`LazyStages` payload
-    (see :func:`lazy_perf_report`) and materialize on first access.
-    Equality, hashing, pickling, and every property read through the
-    same field values either way.
+    (see :func:`lazy_perf_report`) and materialize on first access.  A
+    scalar estimate also defers ``iteration_time``: its payload runs
+    the Eq. 2 assembly when ``iteration_time`` or ``stages`` is first
+    read.  Equality, hashing, pickling, and every property read
+    through the same field values either way.
     """
 
     stages: Tuple[StageReport, ...]
@@ -268,14 +271,20 @@ class PerfReport:
 
     def __getattr__(self, name: str):
         # Only ever reached when normal lookup fails, i.e. for the
-        # not-yet-materialized ``stages`` of a lazy instance.
-        if name == "stages":
-            payload = self.__dict__.pop("_lazy", None)
-            if payload is not None:
-                stages = payload.build()
-                self.__dict__["stages"] = stages
-                return stages
-        raise AttributeError(name)
+        # not-yet-assembled ``iteration_time`` or the not-yet-built
+        # ``stages`` of a lazy instance.
+        fields = self.__dict__
+        payload = fields.get("_lazy")
+        if payload is None or name not in ("stages", "iteration_time"):
+            raise AttributeError(name)
+        if "iteration_time" not in fields:
+            payload, fields["iteration_time"] = payload.resolve()
+            fields["_lazy"] = payload
+            if name == "iteration_time":
+                return fields["iteration_time"]
+        del fields["_lazy"]
+        stages = fields["stages"] = payload.build()
+        return stages
 
     def __getstate__(self) -> dict:
         # Canonical field order regardless of lazy/eager construction
@@ -379,9 +388,9 @@ class PerfReport:
 
 
 def lazy_perf_report(
-    payload: LazyStages,
+    payload,
     num_microbatches: int,
-    iteration_time: float,
+    iteration_time: Optional[float],
     memory_limit: float,
     stage_limits: Optional[Tuple[float, ...]] = None,
 ) -> PerfReport:
@@ -389,13 +398,16 @@ def lazy_perf_report(
 
     Bypasses the dataclass ``__init__`` so the ``stages`` slot stays
     unset until :attr:`PerfReport.stages` is first read (at which point
-    ``__getattr__`` materializes it from ``payload``).
+    ``__getattr__`` materializes it from ``payload``).  With
+    ``iteration_time=None`` that slot stays unset too, and ``payload``
+    must be a pending-assembly payload (see :class:`LazyStages`).
     """
     report = PerfReport.__new__(PerfReport)
     fields = report.__dict__
     fields["_lazy"] = payload
     fields["num_microbatches"] = num_microbatches
-    fields["iteration_time"] = iteration_time
+    if iteration_time is not None:
+        fields["iteration_time"] = iteration_time
     fields["memory_limit"] = memory_limit
     fields["stage_limits"] = stage_limits
     return report

@@ -7,7 +7,6 @@ from repro.core import (
     greedy_recompute,
     greedy_unrecompute,
     op_move_counts,
-    stage_activation_bytes,
     tune_recompute,
 )
 from repro.parallel import balanced_config, is_valid
@@ -37,10 +36,20 @@ def tight_setup():
 class TestStageActivationBytes:
     def test_shape_and_positive(self, tiny_graph, small_cluster,
                                 tiny_perf_model, tiny_config):
-        act = stage_activation_bytes(tiny_graph, tiny_config, 0)
-        assert act.shape == (tiny_config.stages[0].num_ops,)
+        """The activations the greedy recompute ranks are the ones the
+        estimator charges: the stage base's vector, whose sum is Eq. 1's
+        activation term when nothing is recomputed."""
+        stage = tiny_config.stages[0]
+        mbs = tiny_config.microbatch_size
+        act = tiny_perf_model.stage_activation_bytes(stage, mbs)
+        assert act.shape == (stage.num_ops,)
         assert np.all(act >= 0)
         assert act.sum() > 0
+        base_act = tiny_perf_model._cost_stage_base(stage, mbs)[2]
+        assert act.tobytes() == base_act.tobytes()
+        assert not stage.recompute.any()
+        cost = tiny_perf_model._cost_stage_uncached(stage, mbs, fresh=True)
+        assert cost.activation_bytes == float(act.sum())
 
 
 class TestGreedyRecompute:

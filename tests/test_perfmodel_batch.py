@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, DeviceSpec
+from repro.ir.models.synthetic import build_synthetic
 from repro.parallel import ParallelConfig, balanced_config
 from repro.perfmodel import PerfModel
 from repro.perfmodel.model import _PendingReport
@@ -231,3 +232,123 @@ def test_estimate_batch_emits_one_aggregated_event():
     assert attrs["batch"] == 3
     assert attrs["hits"] == 1
     assert attrs["misses"] == 2
+
+
+@functools.lru_cache(maxsize=None)
+def _synthetic_problem(seed, hetero):
+    graph = build_synthetic(24, seed=seed)
+    if hetero:
+        cluster = ClusterSpec(
+            num_nodes=2,
+            gpus_per_node=2,
+            node_devices=(
+                DeviceSpec(name="fast-6MB", memory_bytes=6 * 2**20),
+                DeviceSpec(
+                    name="slow-9MB", memory_bytes=9 * 2**20,
+                    efficiency=0.4,
+                ),
+            ),
+        )
+    else:
+        cluster = make_tight_cluster(4, memory_mb=7)
+    database = SimulatedProfiler(cluster, seed=0).profile(graph)
+    return graph, cluster, database
+
+
+def _first_read(report, attribute):
+    if attribute == "pickle":
+        return pickle.dumps(report)
+    if attribute == "in_flight":
+        return [report.in_flight(i) for i in range(report.num_stages)]
+    return getattr(report, attribute)
+
+
+def _assert_same_report(a, b):
+    """Field for field, the fast paths too, and identical pickles."""
+    assert a.num_stages == b.num_stages
+    assert a.peak_memories == b.peak_memories
+    assert a.is_oom == b.is_oom
+    assert [a.in_flight(i) for i in range(a.num_stages)] == [
+        b.in_flight(i) for i in range(b.num_stages)
+    ]
+    assert a.iteration_time == b.iteration_time
+    assert a.num_microbatches == b.num_microbatches
+    assert a.memory_limit == b.memory_limit
+    assert a.stage_limits == b.stage_limits
+    assert a.stages == b.stages
+    assert pickle.dumps(a) == pickle.dumps(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 3),
+    hetero=st.booleans(),
+    num_stages=st.sampled_from([1, 2, 4]),
+    mbs=st.sampled_from([1, 2, 4, 8]),
+    data=st.data(),
+)
+def test_deferred_scalar_report_matches_fresh_and_batch(
+    seed, hetero, num_stages, mbs, data
+):
+    """A scalar miss defers Eq. 2; whichever attribute is read first
+    (or a pickle), it equals ``estimate_fresh`` and ``estimate_batch``
+    field for field, and an attached sink sees the same verdicts."""
+    graph, cluster, database = _synthetic_problem(seed, hetero)
+    config = balanced_config(
+        graph, cluster, num_stages, microbatch_size=mbs
+    ).mutated_copy(range(num_stages))
+    for i, stage in enumerate(config.stages):
+        degrees = [t for t in (1, 2, 4) if t <= stage.num_devices]
+        stage.set_uniform_parallel(
+            data.draw(st.sampled_from(degrees), label=f"tp{i}")
+        )
+        stage.recompute[:] = data.draw(st.lists(
+            st.booleans(), min_size=stage.num_ops, max_size=stage.num_ops
+        ), label=f"rc{i}")
+    want = PerfModel(graph, cluster, database).estimate_batch([config])[0]
+
+    for attribute in (
+        "peak_memories", "is_oom", "in_flight", "iteration_time",
+        "stages", "pickle",
+    ):
+        model = PerfModel(graph, cluster, database)
+        report = model.estimate(config)
+        deferred = attribute in ("peak_memories", "is_oom", "in_flight")
+        _first_read(report, attribute)
+        # Eq. 1 reads leave the Eq. 2 assembly pending.
+        assert ("iteration_time" not in report.__dict__) == deferred
+        fresh = model.estimate_fresh(config)
+        _first_read(fresh, attribute)
+        _assert_same_report(report, want)
+        _assert_same_report(fresh, want)
+        assert model.first_feasible_estimate == (
+            None if want.is_oom else 1
+        )
+
+    bus = TelemetryBus()
+    sink = bus.add_sink(RingBufferSink())
+    model = PerfModel(graph, cluster, database)
+    with using_bus(bus):
+        report = model.estimate(config)
+    # The event reads iteration_time, so an active bus assembles at once.
+    assert "iteration_time" in report.__dict__
+    (event,) = [e for e in sink.events if e.name == PERFMODEL_ESTIMATE]
+    assert event.attrs["oom"] == want.is_oom
+    assert event.attrs["iteration_time"] == want.iteration_time
+    _assert_same_report(report, want)
+
+
+def test_deferred_property_covers_both_verdicts():
+    """The synthetic problems mix feasible and OOM configs on both
+    clusters, so the property exercises both ``is_oom`` answers."""
+    for hetero in (False, True):
+        verdicts = set()
+        for seed in range(4):
+            graph, cluster, database = _synthetic_problem(seed, hetero)
+            model = PerfModel(graph, cluster, database)
+            for num_stages in (1, 2, 4):
+                for mbs in (1, 8):
+                    verdicts.add(model.estimate(balanced_config(
+                        graph, cluster, num_stages, microbatch_size=mbs
+                    )).is_oom)
+        assert verdicts == {False, True}

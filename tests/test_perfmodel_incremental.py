@@ -26,12 +26,12 @@ from repro.core import (
     rank_bottlenecks,
     search_all_stage_counts,
 )
-from repro.core.arguments import stage_activation_bytes
 from repro.ir.models import build_model
 from repro.ir.models.synthetic import build_synthetic
 from repro.parallel import StageConfig, balanced_config, changed_stages
 from repro.perfmodel import PerfModel
 from repro.perfmodel import model as model_module
+from repro.perfmodel.memory import activation_kept_mask
 from repro.profiling import SimulatedProfiler
 
 from conftest import make_tiny_gpt
@@ -213,8 +213,10 @@ class TestRecomputeDeltaCosting:
         assert recomputed.recompute_time == pytest.approx(
             plain.fwd_time + plain.tp_fwd_comm_time
         )
-        assert recomputed.activation_bytes == pytest.approx(
-            stage_activation_bytes(graph, config, 0)[0]
+        assert recomputed.activation_bytes == (
+            model.stage_activation_bytes(
+                config.stages[0], config.microbatch_size
+            )[0]
         )
         assert len(model._base_cache) == 1
 
@@ -363,13 +365,58 @@ class TestFlatIndexGathers:
         )
         mbs = data.draw(st.sampled_from([1, 2, 4, 8, 16]), label="mbs")
 
-        fields, rc_vec, act_vec = model._cost_stage_base(stage, mbs)
+        fields, rc_vec, act_vec, act_sum = model._cost_stage_base(stage, mbs)
         want_fields, want_rc, want_act = frozen_fancy_index_cost_stage_base(
             model, stage, mbs
         )
         assert fields == want_fields
         assert rc_vec.tobytes() == want_rc.tobytes()
         assert act_vec.tobytes() == want_act.tobytes()
+        assert act_sum == float(want_act.sum())
+
+
+class TestRecomputeTermsOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 3), data=st.data())
+    def test_terms_match_the_executor_formula(self, seed, data):
+        """Both recompute terms, from the base LRU and fresh, equal the
+        executor's ``sum(act * activation_kept_mask(rc, stage_id))`` and
+        the recomputed forward over the frozen base vectors, bit for
+        bit, for all-off, all-on, alternating and random masks."""
+        model = synthetic_model(seed)
+        num_ops = model.graph.num_ops
+        start = data.draw(st.integers(0, num_ops - 1), label="start")
+        end = data.draw(st.integers(start + 1, num_ops), label="end")
+        n = end - start
+        devices = data.draw(st.sampled_from([1, 2, 4, 8]), label="gpus")
+        tp = data.draw(
+            st.sampled_from([t for t in (1, 2, 4, 8) if t <= devices]),
+            label="tp",
+        )
+        mbs = data.draw(st.sampled_from([1, 2, 4, 8]), label="mbs")
+        random_mask = np.array(data.draw(st.lists(
+            st.booleans(), min_size=n, max_size=n
+        ), label="rc"))
+        alternating = np.arange(n) % 2 == 0
+        masks = (
+            np.zeros(n, dtype=bool), np.ones(n, dtype=bool),
+            alternating, ~alternating, random_mask,
+        )
+        uniform = StageConfig.uniform(start, end, devices, tp=tp)
+        _, want_rc, want_act = frozen_fancy_index_cost_stage_base(
+            model, uniform, mbs
+        )
+        stage_id = np.full(n, 3, dtype=np.int64)
+        for rc in masks:
+            stage = uniform.clone()
+            stage.recompute[:] = rc
+            kept = activation_kept_mask(rc, stage_id)
+            want_activation = float((want_act * kept).sum())
+            want_recompute = float(np.where(rc, want_rc, 0.0).sum())
+            for fresh in (True, False):
+                cost = model._cost_stage_uncached(stage, mbs, fresh=fresh)
+                assert cost.activation_bytes == want_activation
+                assert cost.recompute_time == want_recompute
 
 
 class TestLRUEviction:

@@ -19,6 +19,7 @@ from repro.core import (
     search_all_stage_counts,
 )
 from repro.core.checkpoint import _result_to_dict
+from repro.core.pool import WorkerPool, usable_cores
 from repro.core.search import _failure_kind_from_error, _stage_count_worker
 from repro.faults import (
     DeviceFailure,
@@ -438,6 +439,48 @@ class TestCrashSafeDriver:
         )
         assert serial.num_estimates == parallel.num_estimates
         assert serial.best.best_objective == parallel.best.best_objective
+
+    def test_pool_is_capped_at_usable_cores(
+        self, monkeypatch, tiny_graph, small_cluster, tiny_database
+    ):
+        """With one usable core, ``workers=2`` searches serially (no
+        fork) and returns the pool's plan and estimate count; a run
+        that needs worker isolation keeps its pool."""
+
+        def run(**kwargs):
+            return search_all_stage_counts(
+                tiny_graph,
+                small_cluster,
+                fresh_model(tiny_graph, small_cluster, tiny_database),
+                budget_per_count=BUDGET,
+                workers=2,
+                **kwargs,
+            )
+
+        pooled = run()
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert usable_cores() == 1
+        isolated = run(timeout_per_count=60.0)
+        assert isolated.workers == 2
+        assert isolated.pool_forks > 0
+
+        def no_fork(pool):
+            raise AssertionError("a 1-core run must not fork")
+
+        monkeypatch.setattr(WorkerPool, "spawn", no_fork)
+        capped = run()
+        assert capped.workers == 1
+        assert capped.pool_forks == 0
+        for outcome in (capped, isolated):
+            assert outcome.num_estimates == pooled.num_estimates
+            assert outcome.best.best_objective == pooled.best.best_objective
+            assert (
+                outcome.best.best_config.cache_key()
+                == pooled.best.best_config.cache_key()
+            )
 
 
 class TestCheckpointResume:
