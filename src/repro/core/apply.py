@@ -20,7 +20,7 @@ from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..parallel.stage import StageConfig
-from ..parallel.validation import is_valid
+from ..parallel.validation import Verdicts, is_valid
 from ..perfmodel.model import PerfModel
 from ..perfmodel.report import PerfReport
 from .arguments import op_move_counts, tune_recompute
@@ -33,6 +33,9 @@ class ApplyContext:
 
     ``attach_recompute`` enables §4.3's "attach inc/dec-rc to every
     primitive" combination; the ablation benches turn it off.
+    ``verified`` is the search's structure-verdict set (see
+    :func:`repro.parallel.validation.is_valid`); ``None`` checks every
+    stage of every candidate.
     """
 
     graph: OpGraph
@@ -42,6 +45,7 @@ class ApplyContext:
     report: PerfReport
     bottleneck: Bottleneck
     attach_recompute: bool = True
+    verified: Optional[Verdicts] = None
 
     @property
     def stage_index(self) -> int:
@@ -495,6 +499,6 @@ def _finalize(
         if key in seen:
             continue
         seen.add(key)
-        if is_valid(candidate, ctx.graph, ctx.cluster):
+        if is_valid(candidate, ctx.graph, ctx.cluster, ctx.verified):
             result.append(candidate)
     return result

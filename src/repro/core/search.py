@@ -38,6 +38,7 @@ from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..parallel.initializer import balanced_config
+from ..parallel.validation import Verdicts
 from ..perfmodel.model import PerfModel
 from ..perfmodel.report import PerfReport
 from ..telemetry import WARNING, CallbackSink, Event, get_bus
@@ -176,6 +177,9 @@ class AcesoSearch(Searcher):
             if opts.use_heuristic2
             else np.random.default_rng(opts.seed)
         )
+        # Structure verdicts of every stage this search has validated,
+        # shared by the multi-hop candidates and fine-tuning.
+        verified: Verdicts = set()
         searcher = MultiHopSearcher(
             self.graph,
             self.cluster,
@@ -186,6 +190,7 @@ class AcesoSearch(Searcher):
             beam_width=opts.beam_width,
             max_nodes=opts.max_nodes_per_iteration,
             attach_recompute=opts.attach_recompute,
+            verified=verified,
         )
 
         config = init_config
@@ -236,6 +241,7 @@ class AcesoSearch(Searcher):
                         self.perf_model,
                         max_split_points=opts.finetune_split_points,
                         stages=scope,
+                        verified=verified,
                     )
                 if ctx.deadline_expired():
                     # Same prefix rule for a deadline hit in finetune.

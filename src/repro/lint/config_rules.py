@@ -4,7 +4,11 @@
 ``validate_config`` raise-on-first checker: same invariants (§3.1 and
 §5.1 of the paper), same check order, byte-identical message text —
 ``validate_config`` now wraps this analyzer's first error, so the two
-can never drift.  ``analyze_memory`` is the static Eq. 1 feasibility
+can never drift.  Its optional ``stages`` argument limits the per-op
+checks (ACE120–131, ACE141) to a subset of stage indices; the
+whole-config checks (spans, devices, ACE140) always run.  The search's
+memoized ``is_valid`` passes the stages it has not verified before.
+``analyze_memory`` is the static Eq. 1 feasibility
 pass: it prices every stage with the performance model and reports
 which stages would OOM and by how much.  ``analyze_primitives`` is the
 Table 1 preflight: every registered primitive must have an applier and
@@ -13,7 +17,7 @@ a resolvable partner spec before the search may expand it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -27,18 +31,29 @@ def _stage_loc(i: int) -> str:
 # ----------------------------------------------------------------------
 # structural invariants (ACE1xx)
 # ----------------------------------------------------------------------
-def analyze_structure(config, graph, cluster) -> List[Diagnostic]:
+def analyze_structure(
+    config, graph, cluster, stages: Optional[Sequence[int]] = None
+) -> List[Diagnostic]:
     """Collect every violated structural invariant of ``config``.
 
     Diagnostics appear in the exact order the legacy raise-on-first
     checker tested them (spans, devices, parallel degrees, tp_dims,
     microbatch), so ``diagnostics[0]`` is always the violation
     ``validate_config`` historically raised.
+
+    ``stages`` (ascending stage indices) limits the per-op checks to
+    those stages; ``None`` checks every stage.  A stage's per-op
+    diagnostics depend only on its header, its tp/dp/tp_dim arrays and
+    the microbatch size, so a caller may skip stages it has already
+    seen pass at the same microbatch size.
     """
     out: List[Diagnostic] = []
     _check_spans(config, graph, out)
     _check_devices(config, cluster, out)
-    _check_ops(config, graph, cluster, out)
+    _check_ops(
+        config, graph, cluster, out,
+        range(len(config.stages)) if stages is None else stages,
+    )
     return out
 
 
@@ -107,15 +122,52 @@ _OP_CHECKS = (
 )
 
 
-def _check_ops(config, graph, cluster, out: List[Diagnostic]) -> None:
-    """Every per-op check over all stages' ops at once: a stage fails a
-    check when its segment of that check's flag row has a set flag."""
-    stages = config.stages
+def _check_ops(
+    config, graph, cluster, out: List[Diagnostic], indices: Sequence[int]
+) -> None:
+    """Every per-op check over the ``indices`` stages' ops at once: a
+    stage fails a check when its segment of that check's flag row has
+    a set flag."""
     mbs = config.microbatch_size
+    stages = [config.stages[i] for i in indices]
+    hits = None
+    if stages:
+        hits = _op_check_hits(stages, mbs, graph, cluster)
+
+    def report(lo: int, hi: int) -> None:
+        if hits is None:
+            return
+        # Stage-major: nonzero walks the [stage, check] view in C order.
+        for i, row in zip(*np.nonzero(hits[lo:hi].T)):
+            i = int(i)
+            code, message, hint = _OP_CHECKS[lo + int(row)]
+            out.append(Diagnostic(
+                code,
+                message.format(
+                    i=indices[i], n=stages[i].num_devices, mbs=mbs
+                ),
+                location=_stage_loc(indices[i]),
+                hint=hint,
+            ))
+
+    report(0, 6)  # parallel degrees
+    report(6, 8)  # tp_dims
+    if graph.global_batch_size % mbs:
+        out.append(Diagnostic(
+            "ACE140",
+            f"microbatch {mbs} does not divide global batch "
+            f"{graph.global_batch_size}",
+        ))
+    report(8, 9)  # microbatch share per op
+
+
+def _op_check_hits(stages, mbs, graph, cluster) -> Optional[np.ndarray]:
+    """``[check, stage]`` verdicts of ``_OP_CHECKS`` over ``stages``,
+    or ``None`` when no op fails any check."""
     lengths = [len(stage.tp) for stage in stages]
     limits = [graph.arrays.num_options[s.start:s.end] for s in stages]
     # A broken span can slice the wrong number of limits; the span
-    # diagnostics above already cover that case, so ACE131 skips it.
+    # diagnostics already cover that case, so ACE131 skips it.
     checkable = [lim.shape == s.tp_dim.shape for lim, s in zip(limits, stages)]
     tp = np.concatenate([stage.tp for stage in stages])
     dp = np.concatenate([stage.dp for stage in stages])
@@ -134,38 +186,15 @@ def _check_ops(config, graph, cluster, out: List[Diagnostic]) -> None:
         for lim, ok, s in zip(limits, checkable, stages)
     ]), out=flags[7])
     np.not_equal(mbs % dp, 0, out=flags[8])
-    hits = None
-    if flags.any():
-        # Flag counts before each op, so an empty segment reads 0.
-        before = np.zeros((len(flags), len(tp) + 1), dtype=np.int64)
-        np.cumsum(flags, axis=1, out=before[:, 1:])
-        bounds = np.cumsum([0] + lengths)
-        hits = before[:, bounds[1:]] > before[:, bounds[:-1]]
-        hits[7] &= checkable
-
-    def report(lo: int, hi: int) -> None:
-        if hits is None:
-            return
-        # Stage-major: nonzero walks the [stage, check] view in C order.
-        for i, row in zip(*np.nonzero(hits[lo:hi].T)):
-            i = int(i)
-            code, message, hint = _OP_CHECKS[lo + int(row)]
-            out.append(Diagnostic(
-                code,
-                message.format(i=i, n=stages[i].num_devices, mbs=mbs),
-                location=_stage_loc(i),
-                hint=hint,
-            ))
-
-    report(0, 6)  # parallel degrees
-    report(6, 8)  # tp_dims
-    if graph.global_batch_size % mbs:
-        out.append(Diagnostic(
-            "ACE140",
-            f"microbatch {mbs} does not divide global batch "
-            f"{graph.global_batch_size}",
-        ))
-    report(8, 9)  # microbatch share per op
+    if not flags.any():
+        return None
+    # Flag counts before each op, so an empty segment reads 0.
+    before = np.zeros((len(flags), len(tp) + 1), dtype=np.int64)
+    np.cumsum(flags, axis=1, out=before[:, 1:])
+    bounds = np.cumsum([0] + lengths)
+    hits = before[:, bounds[1:]] > before[:, bounds[:-1]]
+    hits[7] &= checkable
+    return hits
 
 
 # ----------------------------------------------------------------------

@@ -58,11 +58,15 @@ from .report import (
     lazy_perf_report,
 )
 
-#: Recompute-free stage bases kept per model.  Each entry holds two
-#: per-op vectors, so the bound keeps deep models' memory flat: on a
-#: gpt-1000l search 256 entries cost 16% peak RSS, 32 cost 3% and miss
-#: only 3% more often.
+#: Bounds of the recompute-free stage-base LRU.  Each entry holds two
+#: per-op vectors, so the LRU is bounded by the ops it holds: it evicts
+#: only while it holds more than ``STAGE_BASE_CACHE_SIZE`` entries
+#: *and* more than ``STAGE_BASE_CACHE_OPS`` ops (1 MiB of float64
+#: vectors).  On gpt3-350m, 99.6% of base reuses fall within 65,536 ops
+#: but only 85% within 32 entries; on gpt-1000l the entry floor keeps
+#: 98% of reuses, where 65,536 ops would keep 96%.
 STAGE_BASE_CACHE_SIZE = 32
+STAGE_BASE_CACHE_OPS = 65_536
 
 
 def _log2_int(values: np.ndarray) -> np.ndarray:
@@ -245,6 +249,7 @@ class PerfModel:
         self._base_cache: "OrderedDict[Tuple[bytes, int], tuple]" = (
             OrderedDict()
         )
+        self._base_cache_ops = 0
         # Telemetry counters replace the former bare-int attributes;
         # the individual Counter objects are hoisted to slots-backed
         # locals because ``inc`` sits on the estimator hot path.
@@ -286,6 +291,21 @@ class PerfModel:
             self._p2p_lat, self._p2p_ibw,
             cluster.gpus_per_node, cluster.num_gpus,
         )
+        # Config-independent per-op products of stage costing, hoisted
+        # with their operand association intact (bit-identical values):
+        # the op parts of the flat profile/comm indices, the weight and
+        # optimizer bytes before the tp split, and the transient numel.
+        ga = graph.arrays
+        _, num_levels, num_opts = self.profiled.fwd_fixed.shape
+        ops = np.arange(graph.num_ops)
+        self._op_levels = ops * num_levels
+        self._op_options = ops * ga.fwd_comm_numel.shape[1]
+        self._num_opts = num_opts
+        self._param_bytes = ga.params * self._elem
+        self._param_optimizer_bytes = ga.params * float(
+            graph.optimizer_bytes_per_param
+        )
+        self._transient_numel = ga.saved_numel + ga.out_numel
 
     # ------------------------------------------------------------------
     # public API
@@ -574,7 +594,7 @@ class PerfModel:
         span = slice(stage.start, stage.end)
         return self._activation_bytes(
             span,
-            mbs / stage.dp.astype(np.float64),
+            mbs / stage.dp,
             np.minimum(stage.tp, self.graph.arrays.max_tp[span]),
         )
 
@@ -595,13 +615,19 @@ class PerfModel:
         if fresh:
             base = self._cost_stage_base(stage, mbs)
         else:
+            cache = self._base_cache
             key = (stage.base_digest(), mbs)
-            base = self._base_cache.pop(key, None)
+            base = cache.pop(key, None)
             if base is None:
                 base = self._cost_stage_base(stage, mbs)
-            self._base_cache[key] = base  # (re)insert as the most recent
-            if len(self._base_cache) > STAGE_BASE_CACHE_SIZE:
-                self._base_cache.popitem(last=False)
+                self._base_cache_ops += stage.num_ops
+            cache[key] = base  # (re)insert as the most recent
+            while (
+                len(cache) > STAGE_BASE_CACHE_SIZE
+                and self._base_cache_ops > STAGE_BASE_CACHE_OPS
+            ):
+                _, (_, _, act_bytes, _) = cache.popitem(last=False)
+                self._base_cache_ops -= len(act_bytes)
         fields, rc_time, act_bytes, act_total = base
         rc = stage.recompute
         if not rc.any():
@@ -622,22 +648,20 @@ class PerfModel:
         """``(StageCost fields the recompute flags cannot change,
         per-op recompute seconds, per-op saved-activation bytes, their
         sum)``."""
-        graph, ga, pg = self.graph, self.graph.arrays, self.profiled
+        ga, pg = self.graph.arrays, self.profiled
         elem = self._elem
-        idx = np.arange(stage.start, stage.end)
         span = slice(stage.start, stage.end)
         tp, dp, tp_dim = stage.tp, stage.dp, stage.tp_dim
         etp = np.minimum(tp, ga.max_tp[span])
         tp_lv = _log2_int(tp)
         etp_lv = _log2_int(etp)
-        samples = mbs / dp.astype(np.float64)
+        samples = mbs / dp
         # Flat element indices into the C-ordered ``[op, tp_level,
         # option]`` profile tables and ``[op, option]`` comm tables:
         # one ``take`` per table reads the same values a 3-index
         # fancy gather would, without its per-axis index broadcasting.
-        _, num_levels, num_opts = pg.fwd_fixed.shape
-        flat = (idx * num_levels + tp_lv) * num_opts + tp_dim
-        flat_opt = idx * ga.fwd_comm_numel.shape[1] + tp_dim
+        flat = (self._op_levels[span] + tp_lv) * self._num_opts + tp_dim
+        flat_opt = self._op_options[span] + tp_dim
 
         # --- per-op compute times (profiled linear models) -------------
         fwd = pg.fwd_fixed.take(flat) + samples * pg.fwd_slope.take(flat)
@@ -675,7 +699,7 @@ class PerfModel:
         # One allreduce per distinct dp degree present in the stage
         # (ops sharing a degree share a process group).  Bucket grad
         # bytes by log-level instead of looping over np.unique.
-        weight_bytes = ga.params[span] * elem / etp
+        weight_bytes = self._param_bytes[span] / etp
         dp_lv = _log2_int(dp)
         counts = np.bincount(dp_lv)
         sums = np.bincount(dp_lv, weights=weight_bytes)
@@ -686,12 +710,8 @@ class PerfModel:
 
         # --- memory ----------------------------------------------------
         act_bytes = self._activation_bytes(span, samples, etp)
-        optimizer_bytes = (
-            ga.params[span] * float(graph.optimizer_bytes_per_param) / etp
-        )
-        transient = (
-            (ga.saved_numel[span] + ga.out_numel[span]) * samples / etp * elem
-        )
+        optimizer_bytes = self._param_optimizer_bytes[span] / etp
+        transient = self._transient_numel[span] * samples / etp * elem
         reserve = stage_allocator_reserve(
             transient, safety_factor=self.reserve_safety_factor
         )

@@ -145,16 +145,19 @@ class TestRecomputeDeltaCosting:
     """Stages that differ only in recompute flags share one cached
     recompute-free base; the two recompute terms are re-derived."""
 
-    @pytest.mark.parametrize("base_cache_size", [1, 2, 32])
+    @pytest.mark.parametrize("base_cache_ops", [1, 24, 1_000_000])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_recompute_walk_matches_fresh_under_eviction(
-        self, monkeypatch, seed, base_cache_size
+        self, monkeypatch, seed, base_cache_ops
     ):
         """Random recompute-flag walks, with occasional tp edits that
         churn the base LRU: every estimate is bit-identical to costing
-        from scratch, and the base cache both hits and evicts."""
+        from scratch, the LRU holds no more ops than its bound allows
+        (beyond its one-entry floor), and a base is re-costed only
+        after the LRU evicted it."""
+        monkeypatch.setattr(model_module, "STAGE_BASE_CACHE_SIZE", 1)
         monkeypatch.setattr(
-            model_module, "STAGE_BASE_CACHE_SIZE", base_cache_size
+            model_module, "STAGE_BASE_CACHE_OPS", base_cache_ops
         )
         graph = build_synthetic(24, seed=seed)
         cluster = paper_cluster(4)
@@ -171,6 +174,7 @@ class TestRecomputeDeltaCosting:
         model._cost_stage_base = counted
         rng = np.random.default_rng(seed)
         config = balanced_config(graph, cluster, 2)  # 2 GPUs per stage
+        evicted = set()
         for _ in range(60):
             index = int(rng.integers(config.num_stages))
             config = config.mutated_copy([index])
@@ -180,18 +184,24 @@ class TestRecomputeDeltaCosting:
             else:
                 flips = rng.random(stage.num_ops) < 0.3
                 stage.recompute[flips] = ~stage.recompute[flips]
+            held_before = set(model._base_cache)
             assert_reports_identical(
                 model.estimate(config), reference.estimate_fresh(config)
             )
-            assert len(model._base_cache) <= base_cache_size
+            cache = model._base_cache
+            evicted |= {digest for digest, _ in held_before - set(cache)}
+            held_ops = sum(len(act) for _, _, act, _ in cache.values())
+            assert model._base_cache_ops == held_ops
+            assert held_ops <= base_cache_ops or len(cache) <= 1
         # Recompute-only misses reused a base; a base is re-costed only
         # after the LRU evicted it.
         assert len(bases) < model.num_stage_costs
-        distinct = len(set(bases))
-        if distinct > base_cache_size:
-            assert distinct < len(bases)
-        else:
-            assert distinct == len(bases)
+        recosted = {digest for digest in bases if bases.count(digest) > 1}
+        assert recosted <= evicted
+        if base_cache_ops < graph.num_ops:
+            assert recosted
+        if base_cache_ops >= 1_000_000:
+            assert not evicted and not recosted
 
     def test_recompute_terms_match_their_definition(self):
         """Recomputing every op repeats its forward and forward

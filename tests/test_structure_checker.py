@@ -6,6 +6,10 @@ spans (shifted, empty, broken), device counts, tp/dp degrees, tp_dims
 and the microbatch size — and requires the exact diagnostics, in the
 exact order, that a frozen verbatim copy of the per-stage checker it
 replaced reports.
+
+The second half pins the search's verdict memo: along chains of
+primitive-like edits, ``is_valid`` with one verdict set per chain must
+agree with a full ``analyze_structure`` at every step.
 """
 
 from __future__ import annotations
@@ -17,9 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import paper_cluster
+from repro.core.apply import move_ops
+from repro.ir.models.synthetic import build_synthetic
+from repro.lint import config_rules
 from repro.lint.config_rules import analyze_structure
 from repro.lint.diagnostics import Diagnostic
-from repro.parallel import StageConfig, balanced_config
+from repro.parallel import (
+    StageConfig,
+    balanced_config,
+    imbalanced_gpu_config,
+    is_valid,
+)
 
 from conftest import make_tiny_gpt
 
@@ -253,3 +265,203 @@ def test_empty_span_next_to_a_bad_stage():
     assert [d.location for d in actual if d.code.startswith("ACE12")] == [
         "stage 2", "stage 2", "stage 3", "stage 3",
     ]
+
+
+# ----------------------------------------------------------------------
+# memoized verdicts
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _synthetic(seed: int):
+    return build_synthetic(24, seed=seed), paper_cluster(8)
+
+
+def _full_verdict(config, graph, cluster) -> bool:
+    with np.errstate(divide="ignore"):  # dp == 0 in mbs % dp
+        return analyze_structure(config, graph, cluster) == []
+
+
+def _memo_verdict(config, graph, cluster, verified) -> bool:
+    with np.errstate(divide="ignore"):
+        return is_valid(config, graph, cluster, verified)
+
+
+def _swap_tp_dp(stage: StageConfig, op: int, toward_tp: bool) -> None:
+    """Double tp and halve dp (or the reverse) on a suffix of ops."""
+    suffix = slice(op % stage.num_ops, None)
+    tp, dp = stage.tp[suffix], stage.dp[suffix]
+    movable = (dp >= 2) if toward_tp else (tp >= 2)
+    if toward_tp:
+        tp[movable] *= 2
+        dp[movable] //= 2
+    else:
+        tp[movable] //= 2
+        dp[movable] *= 2
+
+
+def _edit(config, graph, edit):
+    """A copy of ``config`` with one edit applied, or ``None``.
+
+    Only the stages an edit touches are cloned (``mutated_copy``), so
+    every other stage keeps its identity and cached digests, as in the
+    search.
+    """
+    kind, index, value = edit
+    n = config.num_stages
+    i = index % n
+    if kind == "shift":
+        count, toward_next = value
+        step = 1 if toward_next else -1
+        return move_ops(config, graph, i, (i + step) % n, count)
+    if kind == "mbs":
+        out = config.mutated_copy()
+        out.microbatch_size = value
+        return out
+    if kind in ("devices_move", "devices_relabel"):
+        j = value % n
+        if i == j:
+            return None
+        out = config.mutated_copy([i, j])
+        a, b = out.stages[i], out.stages[j]
+        if kind == "devices_relabel":
+            # Header-only edit: the per-op arrays keep their bytes.
+            a.num_devices, b.num_devices = b.num_devices, a.num_devices
+        else:
+            out.stages[i] = a.with_devices(b.num_devices)
+            out.stages[j] = b.with_devices(a.num_devices)
+        return out
+    out = config.mutated_copy([i])
+    stage = out.stages[i]
+    if kind == "tp_dp":
+        op, toward_tp = value
+        _swap_tp_dp(stage, op, toward_tp)
+    elif kind == "recompute":
+        flips = np.arange(stage.num_ops) % (value + 1) == 0
+        stage.recompute[flips] = ~stage.recompute[flips]
+    else:  # one corruption from the generator above
+        _corrupt(out, [(kind, i, value)])
+    return out
+
+
+_EDITS = st.one_of(
+    st.tuples(st.just("shift"), st.integers(0, 7),
+              st.tuples(st.integers(1, 4), st.booleans())),
+    st.tuples(st.just("tp_dp"), st.integers(0, 7),
+              st.tuples(st.integers(0, 99), st.booleans())),
+    st.tuples(st.just("devices_move"), st.integers(0, 7), st.integers(0, 7)),
+    st.tuples(st.just("devices_relabel"), st.integers(0, 7),
+              st.integers(0, 7)),
+    st.tuples(st.just("mbs"), st.just(0),
+              st.sampled_from([1, 2, 3, 4, 8, 16, 32])),
+    st.tuples(st.just("recompute"), st.integers(0, 7), st.integers(0, 3)),
+    _CORRUPTIONS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 3),
+    num_stages=st.sampled_from([1, 2, 3, 4, 5, 8]),
+    hoard=st.booleans(),
+    mbs=st.sampled_from([1, 2, 4, 8]),
+    # Span corruptions break the array shapes a clone checks, so the
+    # chain never starts from one.
+    initial=st.lists(
+        _CORRUPTIONS.filter(lambda c: c[0] not in ("start", "end", "empty")),
+        max_size=1,
+    ),
+    edits=st.lists(_EDITS, min_size=1, max_size=25),
+)
+def test_memoized_verdicts_match_a_full_check(
+    seed, num_stages, hoard, mbs, initial, edits
+):
+    """Walk a chain of edits with one verdict set: every candidate's
+    memoized verdict equals a full check.  Like the search, the chain
+    moves on only from valid candidates, and starts from a possibly
+    invalid configuration; ``hoard`` starts it from uneven device
+    counts (Exp#7's imbalance-GPU layout)."""
+    graph, cluster = _synthetic(seed)
+    layout = imbalanced_gpu_config if hoard else balanced_config
+    config = _corrupt(
+        layout(graph, cluster, num_stages, microbatch_size=mbs), initial
+    )
+    verified = set()
+    assert _memo_verdict(config, graph, cluster, verified) == _full_verdict(
+        config, graph, cluster
+    )
+    for edit in edits:
+        candidate = _edit(config, graph, edit)
+        if candidate is None:
+            continue
+        expected = _full_verdict(candidate, graph, cluster)
+        assert _memo_verdict(candidate, graph, cluster, verified) == expected
+        if expected:
+            config = candidate
+
+
+def test_verdict_is_per_microbatch_size():
+    """A stage verified at mbs 4 is re-checked at mbs 2, where its
+    dp of 4 no longer divides the microbatch."""
+    graph, cluster = _synthetic(0)
+    config = balanced_config(graph, cluster, 2, microbatch_size=4)
+    assert set(config.stages[0].dp) == {4}
+    verified = set()
+    assert is_valid(config, graph, cluster, verified)
+    smaller = config.mutated_copy()
+    smaller.microbatch_size = 2
+    assert not is_valid(smaller, graph, cluster, verified)
+    assert not _full_verdict(smaller, graph, cluster)
+
+
+def test_shared_bad_stage_is_never_accepted():
+    """An invalid initial config never verifies its bad stage, so no
+    candidate sharing that stage is accepted either."""
+    graph, cluster = _synthetic(1)
+    config = balanced_config(graph, cluster, 4, microbatch_size=2)
+    config.stages[1].tp[0] = 3  # not a power of two
+    verified = set()
+    assert not is_valid(config, graph, cluster, verified)
+    for index in (0, 2, 3):
+        candidate = config.mutated_copy([index])
+        candidate.stages[index].recompute[:] = True
+        assert candidate.stages[1] is config.stages[1]
+        assert not is_valid(candidate, graph, cluster, verified)
+    assert (config.stages[1].base_digest(), 2) not in verified
+
+
+def test_relabelled_devices_are_rechecked():
+    """Swapping two stages' device counts keeps every per-op array's
+    bytes but not the stage headers, which the verdict key covers."""
+    graph, cluster = _synthetic(2)
+    config = balanced_config(graph, cluster, 3, microbatch_size=4)
+    assert [s.num_devices for s in config.stages] == [2, 2, 4]
+    verified = set()
+    assert is_valid(config, graph, cluster, verified)
+    relabelled = _edit(config, graph, ("devices_relabel", 1, 2))
+    assert not is_valid(relabelled, graph, cluster, verified)
+    moved = _edit(config, graph, ("devices_move", 1, 2))
+    assert is_valid(moved, graph, cluster, verified)
+
+
+def test_recompute_only_edit_runs_no_per_op_check(monkeypatch):
+    """A recompute-only candidate hits the memo for every stage; a
+    tp/dp edit checks only the stage it cloned."""
+    graph, cluster = _synthetic(3)
+    config = balanced_config(graph, cluster, 4, microbatch_size=2)
+    verified = set()
+    assert is_valid(config, graph, cluster, verified)
+    checked = []
+    original = config_rules._op_check_hits
+
+    def spy(stages, *args):
+        checked.append(len(stages))
+        return original(stages, *args)
+
+    monkeypatch.setattr(config_rules, "_op_check_hits", spy)
+    candidate = config.mutated_copy([2])
+    candidate.stages[2].recompute[::2] = True
+    assert is_valid(candidate, graph, cluster, verified)
+    assert checked == []
+    candidate = config.mutated_copy([2])
+    _swap_tp_dp(candidate.stages[2], 0, toward_tp=True)
+    assert is_valid(candidate, graph, cluster, verified)
+    assert checked == [1]
