@@ -462,14 +462,11 @@ def _run_entries_in_pool(
                 index = pending[0]
                 entry = entries[index]
                 try:
-                    worker.conn.send(
-                        (entry.to_json(), deadline_seconds)
-                    )
+                    pool.send(worker, (entry.to_json(), deadline_seconds))
                 except (BrokenPipeError, OSError):
                     pool.discard(worker)
                     continue
                 pending.pop(0)
-                worker.busy = True
                 bus.emit(
                     ARENA_ENTRY_BEGIN,
                     source="arena",
@@ -505,11 +502,7 @@ def _run_entries_in_pool(
                     worker.busy = False
                     worker.tasks_done += 1
                     status, value, worker_events = message
-                    if bus.active:
-                        for event in worker_events:
-                            bus.emit_event(
-                                event.with_attrs(arena_entry=entry.name)
-                            )
+                    pool.forward(worker_events, arena_entry=entry.name)
                     if status == "ok":
                         outcomes[index] = value
                         bus.emit(

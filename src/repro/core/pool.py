@@ -88,15 +88,19 @@ def _pool_worker_main(
 ) -> None:
     """Task loop of one pool worker.
 
-    Receives tasks over the pipe until a ``None`` sentinel (or a closed
-    pipe) arrives.  Every task runs under a fresh telemetry bus with a
-    capture sink — the forked parent bus, and any file handles its
-    sinks hold, is never written — and its events travel back alongside
-    the result so the parent can merge them with worker attribution.
-    A task that raises reports ``("error", message, events)`` and the
-    worker *survives* to take the next task; only a crash (abort,
-    kill, unhandled exit) loses the process, and the scheduler detects
-    that through the dead pipe and exit code.
+    Receives ``(task, filters)`` messages over the pipe until a ``None``
+    sentinel (or a closed pipe) arrives.  Every task runs under a fresh
+    telemetry bus — the forked parent bus, and any file handles its
+    sinks hold, is never written.  ``filters`` are the parent bus's
+    sink filters (:meth:`WorkerPool.send` attaches them): the task's bus
+    captures only the events they keep, and those travel back alongside
+    the result so the parent can re-emit them with worker attribution.
+    With no filters the task's bus stays inactive, builds no event at
+    all, and the task returns ``[]``.  A task that raises reports
+    ``("error", message, events)`` and the worker *survives* to take the
+    next task; only a crash (abort, kill, unhandled exit) loses the
+    process, and the scheduler detects that through the dead pipe and
+    exit code.
     """
     from ..telemetry import RingBufferSink, TelemetryBus, set_bus
 
@@ -105,13 +109,16 @@ def _pool_worker_main(
     worker_fn, payload_builder = state
     while True:
         try:
-            task = conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             break
-        if task is None:
+        if message is None:
             break
+        task, filters = message
         bus = TelemetryBus()
-        capture = bus.add_sink(RingBufferSink())
+        capture = RingBufferSink(filters=filters)
+        if filters:
+            bus.add_sink(capture)
         set_bus(bus)
         try:
             result = worker_fn(payload_builder(task))
@@ -156,6 +163,9 @@ class WorkerPool:
 
     * :meth:`acquire` returns an idle worker, growing the pool if
       allowed, or ``None`` when saturated.
+    * :meth:`send` dispatches a task to a worker, with the bus's sink
+      filters attached so the worker captures only what the bus keeps;
+      :meth:`forward` re-emits the events a task brought back.
     * :meth:`discard` removes one worker (optionally killing it) —
       used for crashes and timeouts; the next :meth:`acquire` forks a
       replacement.
@@ -240,6 +250,22 @@ class WorkerPool:
         if worker is None and self.can_grow():
             worker = self.spawn()
         return worker
+
+    def send(self, worker: PoolWorker, task) -> None:
+        """Dispatch ``task`` to ``worker`` and mark it busy.
+
+        Raises ``BrokenPipeError``/``OSError`` if the worker died while
+        idle; the task never started and the caller may re-dispatch it.
+        """
+        worker.conn.send((task, self._bus.filters))
+        worker.busy = True
+
+    def forward(self, events, **attribution) -> None:
+        """Re-emit a task's captured ``events`` stamped with
+        ``attribution`` (e.g. the stage count the task searched)."""
+        bus = self._bus
+        for event in events:
+            bus.emit_event(event.with_attrs(**attribution))
 
     def discard(self, worker: PoolWorker, *, kill: bool = False) -> None:
         """Remove ``worker`` from the pool (terminating it if asked)."""

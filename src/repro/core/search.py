@@ -526,8 +526,8 @@ def _run_counts_in_pool(
     and finally-failed counts carry their payload objects in private
     ``_result`` / ``_failure`` attrs for in-process subscribers
     (checkpointing), plus the caller's ``call`` token as ``_call``, and
-    each worker's own captured event stream is re-emitted with
-    ``num_stages``/``attempt`` attribution.
+    each worker's captured events (only those the bus's sinks keep) are
+    re-emitted with ``num_stages``/``attempt`` attribution.
     """
     bus = bus if bus is not None else get_bus()
     queue = deque((count, 0, 0.0) for count in counts)  # (count, attempt, not_before)
@@ -542,14 +542,6 @@ def _run_counts_in_pool(
         memory_limit_mb=worker_memory_mb,
         bus=bus,
     )
-
-    def forward(worker_events, count: int, attempt: int) -> None:
-        if not bus.active:
-            return
-        for event in worker_events:
-            bus.emit_event(
-                event.with_attrs(num_stages=count, attempt=attempt)
-            )
 
     def register_failure(
         count: int, attempt: int, error: str, kind: str = "error"
@@ -634,14 +626,13 @@ def _run_counts_in_pool(
                     break  # every worker busy and the pool is at cap
                 queue.popleft()
                 try:
-                    worker.conn.send(task_for(count))
+                    pool.send(worker, task_for(count))
                 except (BrokenPipeError, OSError):
                     # The idle worker died between tasks; replace it and
                     # re-dispatch the task, which never started.
                     pool.discard(worker)
                     queue.appendleft((count, attempt, not_before))
                     continue
-                worker.busy = True
                 dispatched += 1
                 bus.emit(
                     DRIVER_WORKER_SPAWN,
@@ -691,7 +682,9 @@ def _run_counts_in_pool(
                     worker.busy = False
                     worker.tasks_done += 1
                     status, value, worker_events = message
-                    forward(worker_events, count, task.attempt)
+                    pool.forward(
+                        worker_events, num_stages=count, attempt=task.attempt
+                    )
                     if status == "ok":
                         results[count] = value
                         bus.emit(

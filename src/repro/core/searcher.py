@@ -113,7 +113,7 @@ class SearchContext:
     # telemetry
     # ------------------------------------------------------------------
     def emit(self, name: str, **attrs) -> None:
-        """Capture an event locally and publish it on the active bus.
+        """Capture an event locally and publish it if a sink keeps it.
 
         The local capture is what :meth:`finish` rebuilds the
         :class:`SearchTrace` from, so traces are bit-identical whether
@@ -127,7 +127,7 @@ class SearchContext:
             attrs=attrs,
         )
         self.events.append(event)
-        if self.bus.active:
+        if self.bus.wants(name):
             self.bus.emit_event(event)
 
     def record_iteration(
@@ -235,8 +235,7 @@ class SearchContext:
                 self.perf_model.num_estimates - self.estimates_start
             ),
         )
-        if self.bus.active:
-            self.perf_model.emit_counters(self.bus)
+        self.perf_model.emit_counters(self.bus)
         trace = SearchTrace.from_events(self.events)
         return SearchResult(
             best_config=self.best,

@@ -345,14 +345,15 @@ class PerfModel:
         bus = get_bus()
         if self.first_feasible_estimate is None and not report.is_oom:
             self.first_feasible_estimate = self._c_estimates.value
-            if bus.active:
-                bus.emit(
-                    PERFMODEL_FIRST_FEASIBLE,
-                    source="perfmodel",
-                    level=DEBUG,
-                    estimates=self.first_feasible_estimate,
-                )
-        if bus.active:
+            bus.emit(
+                PERFMODEL_FIRST_FEASIBLE,
+                source="perfmodel",
+                level=DEBUG,
+                estimates=self.first_feasible_estimate,
+            )
+        # Reading iteration_time resolves a deferred Eq. 2, so the event
+        # is built only when some sink keeps it.
+        if bus.wants(PERFMODEL_ESTIMATE, DEBUG):
             bus.emit(
                 PERFMODEL_ESTIMATE,
                 source="perfmodel",
@@ -476,14 +477,14 @@ class PerfModel:
                 reports[i] = miss_reports[slot]
 
         bus = get_bus()
-        if bus.active and configs:
-            if first_feasible_now:
-                bus.emit(
-                    PERFMODEL_FIRST_FEASIBLE,
-                    source="perfmodel",
-                    level=DEBUG,
-                    estimates=self.first_feasible_estimate,
-                )
+        if first_feasible_now:
+            bus.emit(
+                PERFMODEL_FIRST_FEASIBLE,
+                source="perfmodel",
+                level=DEBUG,
+                estimates=self.first_feasible_estimate,
+            )
+        if configs and bus.wants(PERFMODEL_ESTIMATE_BATCH, DEBUG):
             bus.emit(
                 PERFMODEL_ESTIMATE_BATCH,
                 source="perfmodel",

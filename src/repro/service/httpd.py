@@ -92,9 +92,9 @@ class JSONHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args) -> None:
         # Route access logs onto the telemetry bus instead of stderr so
         # the daemon run log is the single source of truth; format
-        # nothing when no sink is attached.
+        # nothing when no sink keeps the event.
         bus = get_bus()
-        if bus.active:
+        if bus.wants(SERVICE_HTTP_ACCESS):
             bus.emit(
                 SERVICE_HTTP_ACCESS,
                 source=self.telemetry_source,

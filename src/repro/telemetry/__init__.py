@@ -8,8 +8,10 @@ process-local :class:`TelemetryBus`, and pluggable sinks turn the
 stream into artifacts (an in-memory ring buffer, a JSONL run log, a
 console narration, a Chrome ``chrome://tracing`` timeline).
 
-With no sinks attached the bus is inactive and emission short-circuits
-after one check, so telemetry-off code paths stay at full speed
+An event no attached sink keeps is never built: each sink states what
+it keeps as a :class:`SinkFilter`, and producers ask
+``TelemetryBus.wants(name, level)`` first.  With no sinks attached that
+answer is one check, so telemetry-off code paths stay at full speed
 (guarded by ``benchmarks/bench_perfmodel_micro.py``).
 """
 
@@ -19,6 +21,7 @@ from .bus import (
     ERROR,
     EVENT,
     INFO,
+    KEEP_ALL,
     LEVELS_BY_NAME,
     LEVEL_NAMES,
     SPAN_BEGIN,
@@ -27,6 +30,7 @@ from .bus import (
     Counter,
     CounterGroup,
     Event,
+    SinkFilter,
     Span,
     TelemetryBus,
     get_bus,
@@ -60,11 +64,13 @@ __all__ = [
     "Event",
     "INFO",
     "JsonlSink",
+    "KEEP_ALL",
     "LEVELS_BY_NAME",
     "LEVEL_NAMES",
     "RingBufferSink",
     "SPAN_BEGIN",
     "SPAN_END",
+    "SinkFilter",
     "Span",
     "TelemetryBus",
     "WARNING",

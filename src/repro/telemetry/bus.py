@@ -1,24 +1,34 @@
 """Process-local telemetry bus: typed events, spans, and counters.
 
 One bus per process fans events out to pluggable sinks (ring buffer,
-JSONL run log, console).  The design constraint is the estimator hot
-path: with no sinks attached the bus is *inactive* and every ``emit``
-returns after one attribute check, so disabled telemetry costs nothing
-measurable (``benchmarks/bench_perfmodel_micro.py`` guards this).
+JSONL run log, console, callback).  The design constraint is the
+estimator hot path: an event costs nothing unless some attached sink
+keeps it.  Every sink states what it keeps as a :class:`SinkFilter`
+(event names and a minimum level), and :meth:`TelemetryBus.wants`
+answers "does any sink keep this event?" from a memo that only
+``add_sink``/``remove_sink`` reset.  ``emit`` and ``span`` return at
+once for an unwanted event, and producers that compute attributes
+guard on ``wants`` before computing them.  With no sinks attached the
+bus is *inactive* and that answer is one attribute check
+(``benchmarks/bench_perfmodel_micro.py`` guards this).
 
 Producers never hold a bus reference across process boundaries; they
-call :func:`get_bus` at emit time, and pool workers install their own
-bus per task (see ``repro.core.pool._pool_worker_main``) whose captured
-events are forwarded to the parent with worker attribution.
+call :func:`get_bus` at emit time.  Pool workers install their own bus
+per task (see ``repro.core.pool._pool_worker_main``).  It captures only
+what the parent bus's filters keep, which travel with the task, and the
+parent re-emits the captured events with worker attribution.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, Mapping, NamedTuple, Optional, Tuple,
+)
 
 #: Event severity levels (logging-module numeric scale).
 DEBUG, INFO, WARNING, ERROR = 10, 20, 30, 40
@@ -31,6 +41,24 @@ LEVELS_BY_NAME = {name: value for value, name in LEVEL_NAMES.items()}
 EVENT, SPAN_BEGIN, SPAN_END, COUNTER = (
     "event", "span_begin", "span_end", "counter"
 )
+
+
+class SinkFilter(NamedTuple):
+    """What one sink keeps: events named in ``names`` (every name when
+    ``None``) at or above ``min_level``.  Picklable, so pool tasks can
+    carry the parent's filters to their workers."""
+
+    names: Optional[FrozenSet[str]] = None
+    min_level: int = 0
+
+    def keeps(self, name: str, level: int) -> bool:
+        return level >= self.min_level and (
+            self.names is None or name in self.names
+        )
+
+
+#: The filter of a sink that keeps every event.
+KEEP_ALL = SinkFilter()
 
 
 @dataclass(frozen=True)
@@ -135,13 +163,19 @@ _NULL_SPAN = _NullSpan()
 class TelemetryBus:
     """Process-local event bus with pluggable sinks.
 
-    The bus is *active* exactly when at least one sink is attached;
-    every producer guards on that, so a sinkless bus adds only the cost
-    of the check.
+    A sink is anything with ``handle(event)`` and a ``filters`` tuple of
+    :class:`SinkFilter` (it keeps the events any of them keeps).  The
+    bus is *active* when at least one sink is attached, and it *wants*
+    an event when some sink keeps it; producers guard on :meth:`wants`,
+    so an event no sink keeps is never built.
     """
 
     def __init__(self) -> None:
-        self._sinks: List = []
+        # Both are replaced, never mutated, so emitting threads iterate
+        # a stable snapshot; _lock serializes the replacements.
+        self._sinks: Tuple = ()
+        self._wants: Dict[Tuple[str, int], bool] = {}
+        self._lock = threading.Lock()
         self.epoch = time.perf_counter()
         self.pid = os.getpid()
 
@@ -150,15 +184,42 @@ class TelemetryBus:
     def active(self) -> bool:
         return bool(self._sinks)
 
+    @property
+    def filters(self) -> Tuple[SinkFilter, ...]:
+        """The distinct filters of every attached sink."""
+        return tuple(dict.fromkeys(
+            f for sink in self._sinks for f in sink.filters
+        ))
+
+    def wants(self, name: str, level: int = INFO) -> bool:
+        """Whether any attached sink keeps a ``name`` event at ``level``.
+
+        Memoized per ``(name, level)`` until the next sink change.  The
+        memo is read before the sinks, and a sink change replaces the
+        sinks before the memo, so a racing answer is never cached.
+        """
+        if not self._sinks:
+            return False
+        memo = self._wants
+        wanted = memo.get((name, level))
+        if wanted is None:
+            wanted = memo[(name, level)] = any(
+                f.keeps(name, level)
+                for sink in self._sinks for f in sink.filters
+            )
+        return wanted
+
     def add_sink(self, sink):
-        self._sinks.append(sink)
+        with self._lock:
+            self._sinks = (*self._sinks, sink)
+            self._wants = {}
         return sink
 
     def remove_sink(self, sink) -> None:
-        try:
-            self._sinks.remove(sink)
-        except ValueError:
-            pass
+        with self._lock:
+            if sink in self._sinks:
+                self._sinks = tuple(s for s in self._sinks if s is not sink)
+                self._wants = {}
 
     @contextmanager
     def sink(self, sink) -> Iterator:
@@ -182,8 +243,8 @@ class TelemetryBus:
         level: int = INFO,
         **attrs,
     ) -> Optional[Event]:
-        """Build and dispatch an event; no-op on an inactive bus."""
-        if not self._sinks:
+        """Build and dispatch an event; no-op unless a sink keeps it."""
+        if not self._sinks or not self.wants(name, level):
             return None
         event = Event(
             name=name,
@@ -210,8 +271,9 @@ class TelemetryBus:
 
         The yielded handle's :meth:`Span.set` attributes land on the
         closing event, which also carries the measured ``duration``.
+        A span no sink keeps yields a shared no-op handle.
         """
-        if not self._sinks:
+        if not self.wants(name, level):
             yield _NULL_SPAN
             return
         begin = self.clock()
@@ -232,11 +294,12 @@ class TelemetryBus:
 
     def close(self) -> None:
         """Close every sink that supports closing and detach all."""
-        for sink in self._sinks:
+        with self._lock:
+            sinks, self._sinks, self._wants = self._sinks, (), {}
+        for sink in sinks:
             closer = getattr(sink, "close", None)
             if closer is not None:
                 closer()
-        self._sinks.clear()
 
 
 class Counter:
@@ -282,14 +345,17 @@ class CounterGroup:
 
         The default name is ``<source>.counters``; groups used outside
         tests must register theirs in :mod:`repro.telemetry.events`.
+        Nothing is snapshotted unless a sink keeps the event.
         """
-        bus.emit(
-            name or f"{self.source}.counters",  # lint: allow(ACE902)
-            kind=COUNTER,
-            source=self.source,
-            level=DEBUG,
-            **self.snapshot(),
-        )
+        name = name or f"{self.source}.counters"
+        if bus.wants(name, DEBUG):
+            bus.emit(
+                name,  # lint: allow(ACE902)
+                kind=COUNTER,
+                source=self.source,
+                level=DEBUG,
+                **self.snapshot(),
+            )
 
 
 # ---------------------------------------------------------------------

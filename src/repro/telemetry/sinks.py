@@ -1,9 +1,11 @@
 """Telemetry sinks: ring buffer, JSONL run log, console, callbacks.
 
-A sink is anything with ``handle(event)``; ``close()`` is optional and
-called by :meth:`TelemetryBus.close`.  The JSONL format is the on-disk
-run log consumed by ``repro-trace`` and the CI smoke job: one event per
-line, schema-checked by :func:`validate_run_log`.
+A sink is anything with ``handle(event)`` and a ``filters`` tuple of
+:class:`~repro.telemetry.bus.SinkFilter` saying which events it keeps
+(the bus builds no event that no sink keeps); ``close()`` is optional
+and called by :meth:`TelemetryBus.close`.  The JSONL format is the
+on-disk run log consumed by ``repro-trace`` and the CI smoke job: one
+event per line, schema-checked by :func:`validate_run_log`.
 """
 
 from __future__ import annotations
@@ -13,19 +15,30 @@ import sys
 import threading
 from collections import deque
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .bus import LEVEL_NAMES, Event
+from .bus import KEEP_ALL, LEVEL_NAMES, Event, SinkFilter
 
 
 class RingBufferSink:
-    """Keep the most recent ``capacity`` events in memory."""
+    """Keep the most recent ``capacity`` events in memory.
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
+    It keeps every event unless given ``filters``; a pool worker's
+    capture sink is given the parent bus's filters.
+    """
+
+    def __init__(
+        self,
+        capacity: Optional[int] = None,
+        *,
+        filters: Tuple[SinkFilter, ...] = (KEEP_ALL,),
+    ) -> None:
         self._events: deque = deque(maxlen=capacity)
+        self.filters = tuple(filters)
 
     def handle(self, event: Event) -> None:
-        self._events.append(event)
+        if any(f.keeps(event.name, event.level) for f in self.filters):
+            self._events.append(event)
 
     @property
     def events(self) -> List[Event]:
@@ -47,6 +60,8 @@ class JsonlSink:
     at once, and ``TextIOWrapper`` corrupts its buffer under concurrent
     writers.
     """
+
+    filters = (KEEP_ALL,)
 
     def __init__(
         self, path: Union[str, Path], *, flush_every: int = 64
@@ -79,6 +94,7 @@ class ConsoleSink:
     def __init__(self, stream=None, *, min_level: int = 30) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self.min_level = min_level
+        self.filters = (SinkFilter(min_level=min_level),)
 
     def handle(self, event: Event) -> None:
         if event.level < self.min_level:
@@ -108,6 +124,7 @@ class CallbackSink:
     ) -> None:
         self._fn = fn
         self._names = frozenset(names) if names is not None else None
+        self.filters = (SinkFilter(names=self._names),)
 
     def handle(self, event: Event) -> None:
         if self._names is None or event.name in self._names:

@@ -32,6 +32,7 @@ from repro.parallel import (
     imbalanced_gpu_config,
     is_valid,
 )
+from repro.parallel.stage import is_power_of_two
 
 from conftest import make_tiny_gpt
 
@@ -325,6 +326,13 @@ def _edit(config, graph, edit):
         if kind == "devices_relabel":
             # Header-only edit: the per-op arrays keep their bytes.
             a.num_devices, b.num_devices = b.num_devices, a.num_devices
+        elif not (
+            is_power_of_two(a.num_devices) and is_power_of_two(b.num_devices)
+        ):
+            # A corrupted device count has no per-op rescaling
+            # (``with_devices`` raises); the search moves devices only
+            # between valid stages.
+            return None
         else:
             out.stages[i] = a.with_devices(b.num_devices)
             out.stages[j] = b.with_devices(a.num_devices)

@@ -16,6 +16,9 @@ from repro.runtime import Executor
 from repro.runtime.simulator import simulate_pipeline
 from repro.telemetry import (
     DEBUG,
+    ERROR,
+    INFO,
+    KEEP_ALL,
     WARNING,
     CallbackSink,
     ConsoleSink,
@@ -23,6 +26,7 @@ from repro.telemetry import (
     Event,
     JsonlSink,
     RingBufferSink,
+    SinkFilter,
     TelemetryBus,
     chrome_trace_from_events,
     chrome_trace_from_tasks,
@@ -101,6 +105,128 @@ class TestBus:
         bus.emit("wanted")
         bus.emit("unwanted")
         assert [e.name for e in seen] == ["wanted"]
+
+    @pytest.mark.parametrize("make_sink, kept", [
+        (lambda tmp: RingBufferSink(), {
+            ("any.name", DEBUG), ("any.name", ERROR), ("wanted", INFO),
+        }),
+        (lambda tmp: JsonlSink(tmp / "log.jsonl"), {
+            ("any.name", DEBUG), ("any.name", ERROR), ("wanted", INFO),
+        }),
+        (lambda tmp: ConsoleSink(min_level=WARNING), {
+            ("any.name", ERROR),
+        }),
+        (lambda tmp: CallbackSink(print, names=("wanted",)), {
+            ("wanted", INFO),
+        }),
+        (lambda tmp: CallbackSink(print), {
+            ("any.name", DEBUG), ("any.name", ERROR), ("wanted", INFO),
+        }),
+    ], ids=["ring", "jsonl", "console-warning", "callback-names",
+            "callback-all"])
+    def test_wants_truth_table(self, tmp_path, make_sink, kept):
+        bus = TelemetryBus()
+        questions = [("any.name", DEBUG), ("any.name", ERROR),
+                     ("wanted", INFO)]
+        assert not any(bus.wants(*q) for q in questions)
+        bus.add_sink(make_sink(tmp_path))
+        assert {q for q in questions if bus.wants(*q)} == kept
+        # The memo is keyed by (name, level) and stable between sink
+        # changes: asking again gives the same answers.
+        assert {q for q in questions if bus.wants(*q)} == kept
+        bus.close()
+        assert not any(bus.wants(*q) for q in questions)
+
+    def test_wants_memo_resets_on_add_and_remove(self):
+        bus = TelemetryBus()
+        bus.add_sink(ConsoleSink(min_level=WARNING))
+        assert not bus.wants("unit.test", DEBUG)  # memoized False
+        ring = bus.add_sink(RingBufferSink())
+        assert bus.wants("unit.test", DEBUG)  # add_sink cleared it
+        bus.remove_sink(ring)
+        assert not bus.wants("unit.test", DEBUG)  # so did remove_sink
+        assert bus.wants("unit.test", WARNING)
+        assert bus.filters == (SinkFilter(min_level=WARNING),)
+
+    def test_bus_filters_are_distinct_and_picklable(self):
+        import pickle
+
+        bus = TelemetryBus()
+        bus.add_sink(RingBufferSink())
+        bus.add_sink(RingBufferSink())
+        bus.add_sink(CallbackSink(print, names=("a", "b")))
+        filters = bus.filters
+        assert filters == (
+            KEEP_ALL, SinkFilter(names=frozenset({"a", "b"})),
+        )
+        assert pickle.loads(pickle.dumps(filters)) == filters
+
+    def test_filtered_ring_keeps_only_what_its_filters_keep(self):
+        ring = RingBufferSink(filters=(
+            SinkFilter(names=frozenset({"a"})), SinkFilter(min_level=ERROR),
+        ))
+        bus = TelemetryBus()
+        bus.add_sink(ring)
+        bus.add_sink(RingBufferSink())  # keeps everything
+        for name in ("a", "b"):
+            for level in (DEBUG, ERROR):
+                bus.emit(name, level=level)
+        assert [(e.name, e.level) for e in ring.events] == [
+            ("a", DEBUG), ("a", ERROR), ("b", ERROR),
+        ]
+
+    def test_unwanted_events_and_spans_are_not_built(self):
+        bus = TelemetryBus()
+        seen = []
+        bus.add_sink(CallbackSink(seen.append, names=("wanted",)))
+        assert bus.emit("unwanted", value=1) is None
+        with bus.span("unwanted.span") as span:
+            span.set(ignored=True)  # the shared no-op handle
+        with bus.span("wanted") as span:
+            span.set(kept=True)
+        assert [(e.name, e.kind) for e in seen] == [
+            ("wanted", "span_begin"), ("wanted", "span_end"),
+        ]
+
+    def test_concurrent_sink_changes_lose_no_sink(self):
+        """Daemon threads attach and detach checkpoint sinks on the one
+        process bus; a lost add or remove would leave a thread's own
+        sink missing (its events undelivered) or a stale one behind."""
+        import sys
+        import threading
+
+        bus = TelemetryBus()
+        rounds, threads = 300, 8
+        delivered = [0] * threads
+
+        def churn(index):
+            name = f"unit.thread{index}"
+
+            def count(event):
+                delivered[index] += 1
+
+            for _ in range(rounds):
+                sink = bus.add_sink(CallbackSink(count, names=(name,)))
+                if bus.wants(name):
+                    bus.emit(name)
+                bus.remove_sink(sink)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=churn, args=(i,))
+                for i in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert delivered == [rounds] * threads
+        assert not bus.active and bus.filters == ()
 
     def test_using_bus_restores_previous(self):
         override = TelemetryBus()
@@ -369,6 +495,38 @@ class TestPerfModelTelemetry:
         names = [e.name for e in ring.events]
         assert names.count("perfmodel.estimate") == 1  # miss only
         assert "perfmodel.first_feasible" in names
+
+
+    def test_console_only_bus_builds_no_debug_event(
+        self, tiny_graph, small_cluster, tiny_database, monkeypatch
+    ):
+        """A warning-level console keeps no DEBUG estimate event, so a
+        scalar miss never reads iteration_time and Eq. 2 stays
+        deferred."""
+        import io
+
+        perf_model = fresh_model(tiny_graph, small_cluster, tiny_database)
+        config = balanced_config(tiny_graph, small_cluster, 2)
+        bus = TelemetryBus()
+        stream = io.StringIO()
+        bus.add_sink(ConsoleSink(stream, min_level=WARNING))
+        built = []
+        real_emit_event = TelemetryBus.emit_event
+        monkeypatch.setattr(
+            TelemetryBus, "emit_event",
+            lambda self, event: (
+                built.append(event), real_emit_event(self, event)
+            ),
+        )
+        with using_bus(bus):
+            report = perf_model.estimate(config)
+            perf_model.estimate_batch(
+                [balanced_config(tiny_graph, small_cluster, 4)]
+            )
+            perf_model.emit_counters()
+        assert perf_model.num_estimates == 2
+        assert "iteration_time" not in report.__dict__
+        assert built == [] and stream.getvalue() == ""
 
 
 class TestDriverTelemetry:
