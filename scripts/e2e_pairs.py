@@ -1,0 +1,117 @@
+#!/usr/bin/env python
+"""Pair a parent and a change checkout on one end-to-end workload.
+
+Runs ``benchmarks/e2e/run.py --workload W --seed i --seconds S --trace 0``
+in both checkouts for ``i`` in ``0 .. N-1``, alternating which side goes
+first per seed so host-speed drift hits both alike (the pairing
+procedure of ``benchmarks/e2e/README.md``).  Prints every pair's
+end-to-end metrics, then per metric the two medians, the parent's
+interquartile range and how many pairs the change won.  A claimed gain
+needs at least nine wins in ten and a median gap above the parent's
+IQR.  Metric directions come from the parent's ``BENCHMARK.json``.
+
+Exits 1 when any run fails: a non-zero exit, no result line, a failed
+request or ``correct: false``.
+
+Run from anywhere:
+``python scripts/e2e_pairs.py PARENT_DIR CHANGE_DIR --workload
+search-1000l --pairs 10``
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIDES = ("parent", "change")
+
+
+def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run in checkout ``root``; its JSON result line."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=root, capture_output=True, text=True, check=False,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = {"correct": False, "failed": None, "metrics": {}}
+    result["returncode"] = proc.returncode
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+    return result
+
+
+def broken(result: dict) -> bool:
+    return bool(result["returncode"] or not result.get("correct")
+                or result.get("failed"))
+
+
+def iqr(values) -> float:
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def directions(root: Path) -> dict:
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+
+def summarize(pairs, better: dict) -> None:
+    print(f"\n{'metric':16s} {'parent':>12s} {'change':>12s} "
+          f"{'delta':>8s} {'parent IQR':>11s} {'wins':>6s}")
+    for name, direction in better.items():
+        rows = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                for p, c in pairs
+                if name in p["metrics"] and name in c["metrics"]]
+        if not rows:
+            continue
+        parent = statistics.median(a for a, _ in rows)
+        change = statistics.median(b for _, b in rows)
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(sign * (b - a) < 0 for a, b in rows)
+        delta = (change - parent) / abs(parent) if parent else 0.0
+        print(f"{name:16s} {parent:12.6g} {change:12.6g} {delta:+8.1%} "
+              f"{iqr([a for a, _ in rows]):11.4g} {wins:3d}/{len(rows)}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path, help="parent checkout")
+    parser.add_argument("change", type=Path, help="change checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
+    roots = {"parent": args.parent, "change": args.change}
+    better = directions(args.parent)
+    pairs = []
+    failed = False
+    for seed in range(args.pairs):
+        order = SIDES if seed % 2 == 0 else SIDES[::-1]
+        results = {}
+        for side in order:
+            results[side] = run_side(
+                roots[side], args.workload, seed, args.seconds)
+            metrics = results[side]["metrics"]
+            values = " ".join(
+                f"{name}={metrics[name]['value']:.6g}"
+                for name in better if name in metrics)
+            mark = " BROKEN" if broken(results[side]) else ""
+            print(f"seed {seed} {side:6s} {values}{mark}", flush=True)
+            failed = failed or broken(results[side])
+        pairs.append((results["parent"], results["change"]))
+    summarize(pairs, better)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -134,7 +134,7 @@ def _tune_partition_dims(
     flippable = multi_option & split
     if not np.any(flippable):
         return config, best_objective
-    kinds = np.array([graph.ops[i].kind for i in range(stage.start, stage.end)])
+    kinds = arrays.kind_code[sl]  # numbered in sorted kind-name order
     best = config
     for kind in np.unique(kinds[flippable]):
         mask = flippable & (kinds == kind)

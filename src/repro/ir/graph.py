@@ -9,8 +9,9 @@ performance model can evaluate thousand-op models in microseconds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class OpGraph:
     def arrays(self) -> "GraphArrays":
         """The cached vectorized view (built lazily, immutable)."""
         if self._arrays is None:
-            self._arrays = GraphArrays.from_ops(self.ops)
+            self._arrays = GraphArrays(self.ops)
         return self._arrays
 
     def op_index(self, name: str) -> int:
@@ -110,82 +111,74 @@ class OpGraph:
         )
 
 
+#: The :class:`OpSpec` fields that decide an op's cost: all but its name.
+COST_FIELDS = tuple(f.name for f in fields(OpSpec) if f.name != "name")
+_cost_key = attrgetter(*COST_FIELDS)
+
+
 class GraphArrays:
     """Immutable numpy views over per-op quantities of an op chain.
 
     Indexing convention: every array has one entry per op, in op order.
     Partition-option-dependent arrays are 2-D ``(num_ops, max_options)``,
     padded with the last valid option.
+
+    Ops equal in every :data:`COST_FIELDS` value form one *cost class*
+    (a 1,000-layer GPT has about ten).  ``class_ops`` holds the first op
+    of each class in order of first appearance and ``op_class`` each
+    op's class, so every per-op table is a gather of per-class rows.
+    ``kind_code`` is each op's index into the sorted distinct kinds.
     """
 
     __slots__ = (
-        "flops",
-        "bwd_flops",
-        "params",
-        "out_numel",
-        "saved_numel",
-        "max_tp",
-        "num_options",
-        "fwd_comm_numel",
-        "bwd_comm_numel",
-        "shards_output",
+        "flops", "bwd_flops", "params", "out_numel", "saved_numel",
+        "max_tp", "num_options", "fwd_comm_numel", "bwd_comm_numel",
+        "shards_output", "kind_code", "op_class", "class_ops",
     )
 
-    def __init__(
-        self,
-        flops: np.ndarray,
-        bwd_flops: np.ndarray,
-        params: np.ndarray,
-        out_numel: np.ndarray,
-        saved_numel: np.ndarray,
-        max_tp: np.ndarray,
-        num_options: np.ndarray,
-        fwd_comm_numel: np.ndarray,
-        bwd_comm_numel: np.ndarray,
-        shards_output: np.ndarray,
-    ) -> None:
-        self.flops = flops
-        self.bwd_flops = bwd_flops
-        self.params = params
-        self.out_numel = out_numel
-        self.saved_numel = saved_numel
-        self.max_tp = max_tp
-        self.num_options = num_options
-        self.fwd_comm_numel = fwd_comm_numel
-        self.bwd_comm_numel = bwd_comm_numel
-        self.shards_output = shards_output
-        for arr in (
-            flops, bwd_flops, params, out_numel, saved_numel,
-            max_tp, num_options, fwd_comm_numel, bwd_comm_numel, shards_output,
-        ):
-            arr.setflags(write=False)
+    def __init__(self, ops: Sequence[OpSpec]) -> None:
+        classes: Dict[tuple, int] = {}
+        self.op_class = np.fromiter(
+            (classes.setdefault(_cost_key(op), len(classes)) for op in ops),
+            dtype=np.int64,
+            count=len(ops),
+        )
+        self.op_class.setflags(write=False)
+        _, first = np.unique(self.op_class, return_index=True)
+        reps = self.class_ops = tuple(ops[i] for i in first)
+        max_opts = max(op.num_partition_options for op in reps)
+        padded = [
+            [op.partition_options[min(j, op.num_partition_options - 1)]
+             for j in range(max_opts)]
+            for op in reps
+        ]
+        kinds = sorted({op.kind for op in reps})
 
-    @classmethod
-    def from_ops(cls, ops: Sequence[OpSpec]) -> "GraphArrays":
-        n = len(ops)
-        max_opts = max(op.num_partition_options for op in ops)
-        flops = np.array([op.flops for op in ops], dtype=np.float64)
-        bwd_flops = np.array([op.bwd_flops for op in ops], dtype=np.float64)
-        params = np.array([op.params for op in ops], dtype=np.float64)
-        out_numel = np.array([op.out_numel for op in ops], dtype=np.float64)
-        saved_numel = np.array([op.saved_numel for op in ops], dtype=np.float64)
-        max_tp = np.array([op.max_tp for op in ops], dtype=np.int64)
-        num_options = np.array(
-            [op.num_partition_options for op in ops], dtype=np.int64
+        def gather(rows, dtype) -> np.ndarray:
+            table = np.array(rows, dtype=dtype).take(self.op_class, axis=0)
+            table.setflags(write=False)
+            return table
+
+        f64 = np.float64
+        self.flops = gather([op.flops for op in reps], f64)
+        self.bwd_flops = gather([op.bwd_flops for op in reps], f64)
+        self.params = gather([op.params for op in reps], f64)
+        self.out_numel = gather([op.out_numel for op in reps], f64)
+        self.saved_numel = gather([op.saved_numel for op in reps], f64)
+        self.max_tp = gather([op.max_tp for op in reps], np.int64)
+        self.num_options = gather(
+            [op.num_partition_options for op in reps], np.int64
         )
-        fwd_comm = np.zeros((n, max_opts), dtype=np.float64)
-        bwd_comm = np.zeros((n, max_opts), dtype=np.float64)
-        shards = np.zeros((n, max_opts), dtype=bool)
-        for i, op in enumerate(ops):
-            for j in range(max_opts):
-                opt = op.partition_options[min(j, op.num_partition_options - 1)]
-                fwd_comm[i, j] = opt.fwd_comm_numel
-                bwd_comm[i, j] = opt.bwd_comm_numel
-                shards[i, j] = opt.shards_output
-        return cls(
-            flops, bwd_flops, params, out_numel, saved_numel,
-            max_tp, num_options, fwd_comm, bwd_comm, shards,
+        self.fwd_comm_numel = gather(
+            [[o.fwd_comm_numel for o in row] for row in padded], f64
         )
+        self.bwd_comm_numel = gather(
+            [[o.bwd_comm_numel for o in row] for row in padded], f64
+        )
+        self.shards_output = gather(
+            [[o.shards_output for o in row] for row in padded], bool
+        )
+        self.kind_code = gather([kinds.index(op.kind) for op in reps], np.int64)
 
     @property
     def num_ops(self) -> int:

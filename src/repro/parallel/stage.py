@@ -201,7 +201,10 @@ class StageConfig:
         return self._digest
 
     def base_digest(self) -> bytes:
-        """Like :meth:`digest`, but blind to the recompute flags (cached).
+        """Like :meth:`digest`, but blind to the recompute flags (cached):
+        SHA-256 of the header and tp/dp/tp_dim arrays, cut to 16 bytes.
+        On CPUs with SHA extensions it hashes these 24 bytes per op
+        faster than blake2b.
 
         A clone first compares itself with the stage it was copied from
         (see :meth:`clone`): when the header and the tp/dp/tp_dim arrays
@@ -217,13 +220,11 @@ class StageConfig:
             ):
                 self._base_digest = src._base_digest
             else:
-                digest = hashlib.blake2b(
-                    self._header_bytes(), digest_size=16
-                )
+                digest = hashlib.sha256(self._header_bytes())
                 digest.update(self.tp.tobytes())
                 digest.update(self.dp.tobytes())
                 digest.update(self.tp_dim.tobytes())
-                self._base_digest = digest.digest()
+                self._base_digest = digest.digest()[:16]
         return self._base_digest
 
     def _same_base(self, other: "StageConfig") -> bool:

@@ -182,9 +182,11 @@ class ProfileDatabase:
 class ProfiledGraph:
     """Dense per-op profile arrays for one graph.
 
-    Indexing: ``fwd_fixed[op, tp_level, option]`` etc.  Options beyond
-    an op's real option count repeat its last option (same padding as
-    :class:`~repro.ir.graph.GraphArrays`).
+    Indexing: ``fwd_fixed[op, tp_level, option]`` etc.  Row ``op`` is
+    ``database.lookup(op_signature(op))``, its options beyond the op's
+    real option count repeating its last option (same padding as
+    :class:`~repro.ir.graph.GraphArrays`).  Rows are looked up once per
+    cost class and gathered to the ops.
     """
 
     __slots__ = (
@@ -199,25 +201,21 @@ class ProfiledGraph:
     def __init__(self, graph: OpGraph, database: ProfileDatabase) -> None:
         self.graph = graph
         self.database = database
-        n = graph.num_ops
-        num_levels = tp_level_index(database.max_tp) + 1
-        max_opts = max(op.num_partition_options for op in graph.ops)
-        shape = (n, num_levels, max_opts)
-        self.fwd_fixed = np.zeros(shape)
-        self.fwd_slope = np.zeros(shape)
-        self.bwd_fixed = np.zeros(shape)
-        self.bwd_slope = np.zeros(shape)
-        for i, op in enumerate(graph.ops):
-            record = database.lookup(op_signature(op))
-            for j in range(max_opts):
-                src = min(j, record.num_options - 1)
-                self.fwd_fixed[i, :, j] = record.fwd_fixed[:, src]
-                self.fwd_slope[i, :, j] = record.fwd_slope[:, src]
-                self.bwd_fixed[i, :, j] = record.bwd_fixed[:, src]
-                self.bwd_slope[i, :, j] = record.bwd_slope[:, src]
-        for arr in (self.fwd_fixed, self.fwd_slope,
-                    self.bwd_fixed, self.bwd_slope):
-            arr.setflags(write=False)
+        arrays = graph.arrays
+        options = np.arange(arrays.fwd_comm_numel.shape[1])
+        records = [database.lookup(op_signature(op)) for op in arrays.class_ops]
+        pads = [np.minimum(options, r.num_options - 1) for r in records]
+
+        def gather(tables) -> np.ndarray:
+            rows = np.stack([t[:, pad] for t, pad in zip(tables, pads)])
+            table = rows.take(arrays.op_class, axis=0)
+            table.setflags(write=False)
+            return table
+
+        self.fwd_fixed = gather([r.fwd_fixed for r in records])
+        self.fwd_slope = gather([r.fwd_slope for r in records])
+        self.bwd_fixed = gather([r.bwd_fixed for r in records])
+        self.bwd_slope = gather([r.bwd_slope for r in records])
 
     @property
     def num_tp_levels(self) -> int:

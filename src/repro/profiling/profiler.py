@@ -112,7 +112,7 @@ class SimulatedProfiler:
     # ------------------------------------------------------------------
     def _profile_ops(self, graph: OpGraph, database: ProfileDatabase) -> None:
         unique: Dict[str, OpSpec] = {}
-        for op in graph.ops:
+        for op in graph.arrays.class_ops:  # first op of each cost class
             unique.setdefault(op_signature(op), op)
         levels = tp_levels(database.max_tp)
         for signature, op in unique.items():

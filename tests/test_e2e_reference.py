@@ -1,12 +1,13 @@
-"""The end-to-end benchmark's gpt3-350m reference plan, in tier-1.
+"""The end-to-end benchmark's reference plans, in tier-1.
 
 ``benchmarks/e2e/reference.json`` records the plan digest, objective
 and estimate count of each search workload's request.  The benchmark
 checks a plan's digest and objective; these tests also pin the estimate
 count, which is Exp#4's "explored configurations" metric and what every
-estimate-budgeted search spends.  The request runs once serially and
-once on a 2-process worker pool, the two paths the benchmark times.
-They read the reference and never rewrite it.
+estimate-budgeted search spends.  The gpt3-350m request runs once
+serially and once on a 2-process worker pool, the two paths the
+benchmark times; the 8,004-op gpt-1000l request runs serially.  They
+read the reference and never rewrite it.
 """
 
 from __future__ import annotations
@@ -24,18 +25,22 @@ REFERENCE = (
 )
 
 
-def _check_against_reference(**kwargs):
-    expected = json.loads(REFERENCE.read_text())["search"]["gpt3-350m"]
+def _check_against_reference(model="gpt3-350m", estimates=16394, **kwargs):
+    expected = json.loads(REFERENCE.read_text())["search"][model]
     request = PlanRequest.from_json(expected["request"])
     outcome = plan_request(request, **kwargs)
     assert plan_digest(outcome.plan) == expected["digest"]
     assert outcome.objective == expected["objective"]
-    assert outcome.num_estimates == expected["estimates"] == 16394
+    assert outcome.num_estimates == expected["estimates"] == estimates
     assert not outcome.partial and not outcome.failures
 
 
 def test_gpt3_350m_request_matches_the_e2e_reference():
     _check_against_reference(search_workers=1)
+
+
+def test_gpt_1000l_request_matches_the_e2e_reference():
+    _check_against_reference("gpt-1000l", 2564, search_workers=1)
 
 
 def test_gpt3_350m_pool_request_matches_the_e2e_reference():

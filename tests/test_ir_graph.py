@@ -79,7 +79,7 @@ class TestGraphArrays:
 
     def test_option_padding_repeats_last(self):
         graph = two_op_graph()
-        arrays = GraphArrays.from_ops(graph.ops)
+        arrays = GraphArrays(graph.ops)
         # op "e" has 1 option; padded column repeats it.
         assert (
             arrays.fwd_comm_numel[1, 0] == arrays.fwd_comm_numel[1, 1]
