@@ -7,13 +7,6 @@ work:
   per candidate) with the per-stage cost cache warm vs the cold path
   that re-costs every stage (the pre-refactor behaviour), on a 48- and
   a 1000-layer GPT chain.
-* **scalar vs batched** — the same warm methodology through
-  ``estimate_batch``: candidates submitted as one array-assembled
-  batch instead of a Python loop.  Rates are best-of-N over
-  interleaved repeats (standard timeit practice — on a contended box
-  the max rate is the real cost, the rest is scheduler noise), and the
-  batched/scalar *ratio* is the machine-independent number the CI
-  regression gate tracks.
 * **telemetry off vs on** — the same warm path with the bus inactive
   (no sinks: the production search default) vs actively emitting
   per-estimate events into a ring buffer.  The inactive path is the
@@ -35,7 +28,7 @@ from repro.cluster import paper_cluster
 from repro.core import search_all_stage_counts
 from repro.core.pool import usable_cores
 from repro.ir.models import build_model
-from repro.parallel import ParallelConfig, balanced_config
+from repro.parallel import balanced_config
 from repro.perfmodel import PerfModel
 from repro.profiling import SimulatedProfiler
 from repro.telemetry import RingBufferSink, TelemetryBus, using_bus
@@ -47,25 +40,6 @@ BENCH_JSON = os.path.join(RESULTS_DIR, "BENCH_perfmodel.json")
 #: Candidate estimates per timing run (distinct configs, so every one
 #: misses the whole-config cache like fresh search candidates do).
 NUM_CANDIDATES = 200
-
-#: Interleaved repeats for the best-of-N scalar-vs-batch comparison.
-BATCH_REPEATS = 5
-
-#: Allowed regression of a batched/scalar throughput ratio relative to
-#: the committed baseline before the bench (and CI) fails.  Each ratio
-#: is machine-independent — both rates come from the same run on the
-#: same box, in the same candidate regime — so 0.8 means "no more than
-#: 20% slower relative to the scalar path", not a wall-clock bound.
-BATCH_REGRESSION_FLOOR = 0.8
-
-#: Per candidate regime: (batch column, scalar column of the same
-#: regime, their ratio).  Each batch column is gated on its own ratio.
-BATCH_REGIMES = (
-    ("batch_fresh_estimates_per_s", "scalar_warm_estimates_per_s",
-     "fresh_speedup"),
-    ("batch_steady_estimates_per_s", "scalar_steady_estimates_per_s",
-     "steady_speedup"),
-)
 
 
 def _setup(model_name, num_gpus=8, stages=8):
@@ -88,66 +62,6 @@ def _candidates(base, count):
         variants.append(child)
     return variants
 
-def _distinct_candidates(base, count):
-    """Distinct candidates beyond the ``_candidates`` cycle length.
-
-    The dirty stage's recompute mask is the binary representation of
-    the variant index, so candidates stay pairwise distinct for any
-    ``count`` the bench can afford — repeated signatures would hit the
-    whole-config cache and silently inflate the measured rate.
-    """
-    variants = []
-    num_stages = base.num_stages
-    for i in range(count):
-        stage_index = i % num_stages
-        child = base.mutated_copy([stage_index])
-        stage = child.stages[stage_index]
-        bits = i // num_stages + 1
-        op = 0
-        while bits:
-            if bits & 1:
-                stage.recompute[op] = True
-            bits >>= 1
-            op += 1
-        variants.append(child)
-    return variants
-
-
-def _combination_candidates(base, count, patterns_per_stage=4):
-    """Steady-state candidates: fresh combinations of cached stages.
-
-    Each candidate recombines per-stage settings drawn from a small
-    pool (``patterns_per_stage`` recompute variants per stage, indexed
-    by the base-``patterns_per_stage`` digits of the candidate
-    number), so configurations stay pairwise distinct — every one
-    misses the whole-config cache — while after a short warmup every
-    *per-stage* cost is already cached.  This is the state a search
-    reaches after its first few candidates: neighborhoods recombine
-    stage settings far more often than they invent new ones, which is
-    the incremental-reuse observation the two-level cache is built on.
-    """
-    num_stages = base.num_stages
-    variant_stages = []
-    for stage in base.stages:
-        options = [stage]
-        for pattern in range(1, patterns_per_stage):
-            clone = stage.clone()
-            clone.recompute[(pattern - 1) % clone.num_ops] = True
-            options.append(clone)
-        variant_stages.append(options)
-    configs = []
-    for i in range(count):
-        digits, stages = i + 1, []
-        for s in range(num_stages):
-            stages.append(variant_stages[s][digits % patterns_per_stage])
-            digits //= patterns_per_stage
-        configs.append(
-            ParallelConfig(
-                stages=stages, microbatch_size=base.microbatch_size
-            )
-        )
-    return configs
-
 
 def _timed(run, variants):
     """``(rate, seconds)`` of ``run(variants)``.
@@ -169,15 +83,11 @@ def _timed(run, variants):
 
 
 def _rate(model, variants):
-    # A scored candidate's cost: a scalar estimate defers its Eq. 2
-    # assembly until the objective reads ``iteration_time``, so timing
-    # unread estimates would skip work the batch column pays for.
+    # A scored candidate's cost: an estimate defers its Eq. 2 assembly
+    # until the objective reads ``iteration_time``, so timing unread
+    # estimates would skip work the search pays for.
     return _timed(lambda configs: [model.objective(c) for c in configs],
                   variants)
-
-
-def _batch_rate(model, variants):
-    return _timed(model.objective_batch, variants)
 
 
 def _estimate_rates(model_name):
@@ -227,133 +137,6 @@ def test_estimates_per_second():
     assert deep["speedup"] >= 3.0, deep
     for out in results:
         assert out["warm_estimates_per_s"] > out["cold_estimates_per_s"]
-
-
-def _committed_batch_baseline():
-    """The ``batch`` section of the checked-in JSON, if any.
-
-    Read *before* ``_merge_json`` overwrites it, so the regression gate
-    compares against the committed baseline, not this run.
-    """
-    if not os.path.exists(BENCH_JSON):
-        return {}
-    with open(BENCH_JSON) as handle:
-        payload = json.load(handle)
-    return {r["model"]: r for r in payload.get("batch", [])}
-
-
-def test_batch_estimates_per_second():
-    """``estimate_batch`` holds its committed lead over scalar estimates.
-
-    Two candidate regimes, both measured scalar *and* batched so every
-    number has a like-for-like partner:
-
-    * **fresh** — the established warm-column methodology: each
-      candidate dirties one stage, so every estimate pays one uncached
-      stage costing plus warm hits for the rest.  Here stage costing
-      dominates both paths and batching buys only its overhead back.
-    * **steady** — ``_combination_candidates``: distinct whole-config
-      misses whose per-stage costs are all cached, the state a search
-      ranking thousands of neighbors sits in.  This is the regime the
-      batched kernel targets, and where it shows its full margin.
-
-    Rates are best-of-N over interleaved repeats with fresh distinct
-    candidates per repeat (every estimate misses the whole-config
-    cache).  Each batch column is gated against its committed ratio to
-    the scalar column of the *same* regime (``fresh_speedup``,
-    ``steady_speedup``; machine-independent — both rates come from the
-    same run), failing on a >20% relative regression.  The cross-regime
-    ``batch_speedup`` (steady batched over fresh scalar) is recorded
-    but not gated: it falls whenever fresh-regime stage costing gets
-    cheaper, even if the batch path is untouched.
-    """
-    print_header(
-        f"PerfModel estimates/sec: scalar vs batched (best of {BATCH_REPEATS})"
-    )
-    baseline = _committed_batch_baseline()
-    warmup = 100
-    rows, results = [], []
-    for model_name in ("gpt-48l", "gpt-1000l"):
-        graph, cluster, database, base = _setup(model_name)
-        fresh_pool = _distinct_candidates(
-            base, 2 * BATCH_REPEATS * NUM_CANDIDATES
-        )
-        steady_pool = _combination_candidates(
-            base, warmup + 2 * BATCH_REPEATS * NUM_CANDIDATES
-        )
-        models = [PerfModel(graph, cluster, database) for _ in range(4)]
-        scalar_warm, batch_fresh, scalar_steady, batch_steady = models
-        for model in models:
-            model.estimate(base)  # prime the base stage costs
-        for config in steady_pool[:warmup]:  # fill the stage-cost pool
-            scalar_steady.estimate(config)
-            batch_steady.estimate(config)
-        best = [0.0, 0.0, 0.0, 0.0]
-        for repeat in range(BATCH_REPEATS):
-            lo = 2 * repeat * NUM_CANDIDATES
-            hi = lo + NUM_CANDIDATES
-            columns = (
-                (scalar_warm, _rate, fresh_pool[lo:hi]),
-                (batch_fresh, _batch_rate, fresh_pool[hi:hi + NUM_CANDIDATES]),
-                (scalar_steady, _rate, steady_pool[warmup + lo:warmup + hi]),
-                (
-                    batch_steady,
-                    _batch_rate,
-                    steady_pool[warmup + hi:warmup + hi + NUM_CANDIDATES],
-                ),
-            )
-            for column, (model, runner, chunk) in enumerate(columns):
-                best[column] = max(best[column], runner(model, chunk)[0])
-        out = {
-            "model": model_name,
-            "num_ops": graph.num_ops,
-            "candidates": NUM_CANDIDATES,
-            "repeats": BATCH_REPEATS,
-            "scalar_warm_estimates_per_s": best[0],
-            "batch_fresh_estimates_per_s": best[1],
-            "scalar_steady_estimates_per_s": best[2],
-            "batch_steady_estimates_per_s": best[3],
-            "fresh_speedup": best[1] / best[0],
-            "steady_speedup": best[3] / best[2],
-            "batch_speedup": best[3] / best[0],
-        }
-        results.append(out)
-        rows.append([
-            model_name,
-            graph.num_ops,
-            f"{best[0]:.0f}",
-            f"{best[1]:.0f}",
-            f"{best[2]:.0f}",
-            f"{best[3]:.0f}",
-            f"{out['batch_speedup']:.1f}x",
-        ])
-    print_table(
-        [
-            "model", "ops", "scalar warm", "batch fresh",
-            "scalar steady", "batch steady", "speedup",
-        ],
-        rows,
-    )
-    _merge_json({"batch": results})
-    for out in results:
-        # In the fresh regime stage costing dominates both paths, so on
-        # very deep models batching is break-even (gpt-1000l sits near
-        # 1.0x); the contract is only "never meaningfully slower".
-        assert out["fresh_speedup"] >= BATCH_REGRESSION_FLOOR, out
-        assert (
-            out["batch_steady_estimates_per_s"]
-            > out["scalar_steady_estimates_per_s"]
-        )
-        committed = baseline.get(out["model"], {})
-        for batch_column, scalar_column, ratio in BATCH_REGIMES:
-            if ratio not in committed:
-                continue
-            floor = BATCH_REGRESSION_FLOOR * committed[ratio]
-            assert out[ratio] >= floor, (
-                f"{out['model']}: {batch_column} / {scalar_column} = "
-                f"{out[ratio]:.2f} regressed >20% below the committed "
-                f"{committed[ratio]:.2f}"
-            )
 
 
 def test_telemetry_overhead():

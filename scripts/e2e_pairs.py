@@ -6,16 +6,25 @@ in both checkouts for ``i`` in ``0 .. N-1``, alternating which side goes
 first per seed so host-speed drift hits both alike (the pairing
 procedure of ``benchmarks/e2e/README.md``).  Prints every pair's
 end-to-end metrics, then per metric the two medians, the parent's
-interquartile range and how many pairs the change won.  A claimed gain
-needs at least nine wins in ten and a median gap above the parent's
-IQR.  Metric directions come from the parent's ``BENCHMARK.json``.
+interquartile range, how many pairs the change won and a verdict:
+
+* ``gain``: the change wins at least nine pairs in ten and its median
+  beats the parent's by more than the parent's IQR;
+* ``worse``: the change's median is worse than the parent's by more
+  than the metric's relative ``bound``;
+* ``unresolved``: the parent's IQR is wider than the bound and not
+  every change run beats every parent run;
+* ``same`` otherwise.
+
+Metric directions and bounds come from the parent's ``BENCHMARK.json``.
 
 Exits 1 when any run fails: a non-zero exit, no result line, a failed
-request or ``correct: false``.
+request or ``correct: false``.  With ``--claim METRIC`` it exits 2
+unless that metric reads ``gain`` and no metric reads ``worse``.
 
 Run from anywhere:
 ``python scripts/e2e_pairs.py PARENT_DIR CHANGE_DIR --workload
-search-1000l --pairs 10``
+search-350m --pairs 10 --claim plan_s``
 """
 
 import argparse
@@ -58,15 +67,37 @@ def iqr(values) -> float:
     return q3 - q1
 
 
-def directions(root: Path) -> dict:
+def metric_specs(root: Path) -> dict:
+    """``{metric: (better, bound)}`` from ``root``'s BENCHMARK.json."""
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
 
 
-def summarize(pairs, better: dict) -> None:
+def verdict(rows, better: str, bound: float) -> str:
+    """``gain``, ``worse``, ``unresolved`` or ``same`` for one metric's
+    ``(parent, change)`` pairs (see the module docstring)."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent = [sign * a for a, _ in rows]
+    change = [sign * b for _, b in rows]
+    wins = sum(b < a for a, b in zip(parent, change))
+    spread = iqr(parent)
+    base = statistics.median(parent)
+    gap = statistics.median(change) - base
+    if 10 * wins >= 9 * len(rows) and -gap > spread:
+        return "gain"
+    if gap > bound * abs(base):
+        return "worse"
+    if spread > bound * abs(base) and max(change) >= min(parent):
+        return "unresolved"
+    return "same"
+
+
+def summarize(pairs, specs: dict) -> dict:
+    """Print the per-metric table; return ``{metric: verdict}``."""
     print(f"\n{'metric':16s} {'parent':>12s} {'change':>12s} "
-          f"{'delta':>8s} {'parent IQR':>11s} {'wins':>6s}")
-    for name, direction in better.items():
+          f"{'delta':>8s} {'parent IQR':>11s} {'wins':>6s} verdict")
+    verdicts = {}
+    for name, (better, bound) in specs.items():
         rows = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
                 for p, c in pairs
                 if name in p["metrics"] and name in c["metrics"]]
@@ -74,11 +105,14 @@ def summarize(pairs, better: dict) -> None:
             continue
         parent = statistics.median(a for a, _ in rows)
         change = statistics.median(b for _, b in rows)
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if better == "lower" else -1.0
         wins = sum(sign * (b - a) < 0 for a, b in rows)
         delta = (change - parent) / abs(parent) if parent else 0.0
+        verdicts[name] = verdict(rows, better, bound)
         print(f"{name:16s} {parent:12.6g} {change:12.6g} {delta:+8.1%} "
-              f"{iqr([a for a, _ in rows]):11.4g} {wins:3d}/{len(rows)}")
+              f"{iqr([a for a, _ in rows]):11.4g} {wins:3d}/{len(rows)} "
+              f"{verdicts[name]}")
+    return verdicts
 
 
 def main(argv=None) -> int:
@@ -88,11 +122,16 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="exit 2 unless METRIC reads gain and no "
+                             "metric reads worse")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be positive")
     roots = {"parent": args.parent, "change": args.change}
-    better = directions(args.parent)
+    specs = metric_specs(args.parent)
+    if args.claim is not None and args.claim not in specs:
+        parser.error(f"--claim: unknown metric {args.claim!r}")
     pairs = []
     failed = False
     for seed in range(args.pairs):
@@ -104,13 +143,21 @@ def main(argv=None) -> int:
             metrics = results[side]["metrics"]
             values = " ".join(
                 f"{name}={metrics[name]['value']:.6g}"
-                for name in better if name in metrics)
+                for name in specs if name in metrics)
             mark = " BROKEN" if broken(results[side]) else ""
             print(f"seed {seed} {side:6s} {values}{mark}", flush=True)
             failed = failed or broken(results[side])
         pairs.append((results["parent"], results["change"]))
-    summarize(pairs, better)
-    return 1 if failed else 0
+    verdicts = summarize(pairs, specs)
+    if failed:
+        return 1
+    if args.claim is not None:
+        held = (verdicts.get(args.claim) == "gain"
+                and "worse" not in verdicts.values())
+        print(f"claim {args.claim}: {'holds' if held else 'fails'}")
+        if not held:
+            return 2
+    return 0
 
 
 if __name__ == "__main__":

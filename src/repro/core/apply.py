@@ -92,7 +92,7 @@ def move_ops(
     for i in range(num_stages):
         if bounds[i + 1] - bounds[i] < 1:
             return None
-    tp, dp, tp_dim, rc, old_stage = config.gather_arrays()
+    num_options = graph.arrays.num_options
     stages: List[StageConfig] = []
     for i, old in enumerate(config.stages):
         lo, hi = bounds[i], bounds[i + 1]
@@ -101,22 +101,23 @@ def move_ops(
             # its cached digest (and stage-level cost) stays valid.
             stages.append(old)
             continue
-        seg_tp = tp[lo:hi].copy()
-        seg_dp = dp[lo:hi].copy()
-        seg_dim = tp_dim[lo:hi].copy()
-        seg_rc = rc[lo:hi].copy()
-        moved = old_stage[lo:hi] != i
-        if np.any(moved):
-            native = np.where(~moved)[0]
-            if native.size == 0:
-                return None
-            anchor = native[0] if lo > old.start else native[-1]
-            seg_tp[moved] = seg_tp[anchor]
-            seg_dp[moved] = seg_dp[anchor]
-            seg_dim[moved] = 0
-            seg_rc[moved] = False
+        # Native ops keep their settings: local slice [k0, k1) of the
+        # old stage.  Both boundaries shift the same way, so ops enter
+        # at the front or at the back, never at both.
+        k0 = max(lo, old.start) - old.start
+        k1 = min(hi, old.end) - old.start
+        if k1 <= k0:
+            return None
+        # Entering ops adopt the anchor's tp/dp, the first partition
+        # option and no recompute.
+        front, back = old.start - lo, hi - old.end
+        anchor = k0 if lo > old.start else k1 - 1
+        seg_tp = _relay_segment(old.tp, k0, k1, front, back, old.tp[anchor])
+        seg_dp = _relay_segment(old.dp, k0, k1, front, back, old.dp[anchor])
+        seg_dim = _relay_segment(old.tp_dim, k0, k1, front, back, 0)
+        seg_rc = _relay_segment(old.recompute, k0, k1, front, back, False)
         # Clamp partition-option indices for ops new to this setting.
-        seg_dim = np.minimum(seg_dim, graph.arrays.num_options[lo:hi] - 1)
+        seg_dim = np.minimum(seg_dim, num_options[lo:hi] - 1)
         stages.append(
             StageConfig(
                 start=lo,
@@ -131,6 +132,17 @@ def move_ops(
     return ParallelConfig(
         stages=stages, microbatch_size=config.microbatch_size
     )
+
+
+def _relay_segment(values, k0, k1, front, back, fill):
+    """``values[k0:k1]`` plus ``front`` (or ``back``) entering ops set
+    to ``fill``, in ``values``' dtype; a copy either way."""
+    native = values[k0:k1]
+    if front > 0:
+        return np.concatenate((np.full(front, fill, values.dtype), native))
+    if back > 0:
+        return np.concatenate((native, np.full(back, fill, values.dtype)))
+    return native.copy()
 
 
 def _idlest_stage(ctx: ApplyContext, exclude: int) -> Optional[int]:

@@ -94,9 +94,8 @@ def _warm_replan(
 
     init: Optional[ParallelConfig] = None
     init_objective = float("inf")
-    # One batched estimate over every adapted survivor; batch order is
-    # the prior objective order, so ``first_feasible_estimate`` lands on
-    # the same survivor a sequential scan would have found.
+    # Survivors are estimated in prior objective order, so
+    # ``first_feasible_estimate`` lands on the first feasible one.
     reports = perf_model.estimate_batch(adapted)
     for candidate, report in zip(adapted, reports):
         objective = perf_model.objective_from_report(report)

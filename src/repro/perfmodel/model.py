@@ -21,7 +21,7 @@ Estimation is structured in two layers:
 2. A cheap assembly step combines the cached stage costs with the
    stage-count-dependent parts: pipeline p2p boundary transfers, 1F1B
    in-flight counts, the allocator view of peak memory, and the Eq. 2
-   warmup/steady/cooldown totals.  A scalar estimate applies Eq. 1 at
+   warmup/steady/cooldown totals.  An estimate applies Eq. 1 at
    once and defers Eq. 2 until its ``iteration_time`` or ``stages`` is
    read, so a recompute probe that only asks "does stage i fit?" never
    pays for it.
@@ -44,19 +44,9 @@ from ..parallel.config import ParallelConfig
 from ..parallel.stage import StageConfig
 from ..profiling.database import ProfileDatabase, ProfiledGraph
 from ..telemetry import DEBUG, CounterGroup, get_bus
-from ..telemetry.events import (
-    PERFMODEL_ESTIMATE,
-    PERFMODEL_ESTIMATE_BATCH,
-    PERFMODEL_FIRST_FEASIBLE,
-)
+from ..telemetry.events import PERFMODEL_ESTIMATE, PERFMODEL_FIRST_FEASIBLE
 from .memory import stage_allocator_reserve
-from .report import (
-    STAGE_ROW_WIDTH,
-    LazyStages,
-    PerfReport,
-    StageCost,
-    lazy_perf_report,
-)
+from .report import LazyStages, PerfReport, StageCost, lazy_perf_report
 
 #: Bounds of the recompute-free stage-base LRU.  Each entry holds two
 #: per-op vectors, so the LRU is bounded by the ops it holds: it evicts
@@ -115,11 +105,10 @@ class _DeferredEq2:
     def resolve(self) -> Tuple[LazyStages, float]:
         """``(assembled payload, iteration_time)``, in Python floats.
 
-        Over a handful of stages this beats numpy's per-call overhead,
-        and every expression keeps :meth:`PerfModel._assemble_batch`'s
-        operand association (its prefix sum is a sequential
-        ``cumsum``; a compute scale multiplies exactly as
-        :meth:`StageCost.scaled` does), so the two are bit-identical.
+        Over a handful of stages plain Python floats beat numpy's
+        per-call overhead.  A stage's Eq. 2 pair time is its forward
+        half plus its backward half, and the iteration time is the
+        largest warmup prefix + ``num_mb`` pairs + dp sync over stages.
         """
         costs, devices, scales, num_mb = (
             self.costs, self.devices, self.scales, self.num_mb
@@ -164,26 +153,6 @@ class _DeferredEq2:
             p2p_in = p2p_out
         payload = LazyStages(rows, self.in_flight, self.peak_list, self.oom)
         return payload, iteration_time
-
-
-class _PendingReport:
-    """Placeholder occupying a config-cache slot during a batch.
-
-    :meth:`PerfModel.estimate_batch` must mutate the LRU in exactly the
-    order a sequential loop of :meth:`PerfModel.estimate` would — a
-    miss early in the batch can evict an entry that a config later in
-    the batch would otherwise have hit.  Phase 1 therefore *reserves*
-    each miss's slot immediately (evicting at the sequential position)
-    and phase 3 replaces the placeholder with the assembled report.
-    ``slot`` is the miss's index into the batch's miss list, so repeat
-    occurrences within the batch resolve to the same report.
-    Placeholders never outlive the ``estimate_batch`` call.
-    """
-
-    __slots__ = ("slot",)
-
-    def __init__(self, slot: int) -> None:
-        self.slot = slot
 
 
 class PerfModel:
@@ -366,135 +335,12 @@ class PerfModel:
     def estimate_batch(
         self, configs: Sequence[ParallelConfig]
     ) -> List[PerfReport]:
-        """Predict the performance of many candidates at once.
+        """:meth:`estimate` of each config, in order.
 
-        Semantically a loop of :meth:`estimate` — same caches, same
-        counters, same ``num_estimates`` accounting, and bit-identical
-        reports — but cache misses are assembled together by
-        :meth:`_assemble_batch` as padded ``[batch, stage]`` array ops,
-        and telemetry is one aggregated ``perfmodel.estimate_batch``
-        event per call instead of one event per costed config.
-
-        ``first_feasible_estimate`` advances exactly as the sequential
-        loop would: the counter value at the first non-OOM *miss* in
-        batch order.  Eviction fidelity holds too: each miss reserves
-        its LRU slot in phase 1 with a :class:`_PendingReport`, so an
-        insertion mid-batch evicts (and can force a later config to
-        re-miss) at exactly the point the sequential loop would.
+        The e2e benchmark's layer table (``benchmarks/e2e/layers.py``)
+        times this and :meth:`objective_batch` by name.
         """
-        reports: List[Optional[PerfReport]] = [None] * len(configs)
-        miss_indices: List[int] = []
-        miss_keys: List[bytes] = []
-        duplicates: List[Tuple[int, int]] = []
-        cache = self._cache
-        for i, config in enumerate(configs):
-            key = config.cache_key()
-            cached = cache.get(key)
-            if cached is not None:
-                cache.move_to_end(key)
-                self._c_config_hits.value += 1
-                if isinstance(cached, _PendingReport):
-                    # Repeat within one batch: sequentially the second
-                    # occurrence would hit the entry the first inserted.
-                    duplicates.append((i, cached.slot))
-                else:
-                    reports[i] = cached
-                continue
-            if len(cache) >= self._cache_size:
-                cache.popitem(last=False)
-            cache[key] = _PendingReport(len(miss_indices))
-            miss_indices.append(i)
-            miss_keys.append(key)
-
-        first_feasible_now = False
-        oom_count = 0
-        if miss_indices:
-            miss_configs = [configs[i] for i in miss_indices]
-            try:
-                # Inlined hit path of _cost_stage (same cache, counters,
-                # and LRU recency updates): the per-call overhead is
-                # visible at batch sizes in the thousands.
-                stage_cache = self._stage_cache
-                stage_hits = self._c_stage_hits
-                cost_stage = self._cost_stage
-                costs_per_config: List[List[StageCost]] = []
-                for config in miss_configs:
-                    mbs = config.microbatch_size
-                    costs = []
-                    for stage in config.stages:
-                        cache_key = (stage.digest(), mbs)
-                        cached_cost = stage_cache.get(cache_key)
-                        if cached_cost is not None:
-                            stage_cache.move_to_end(cache_key)
-                            stage_hits.value += 1
-                            costs.append(cached_cost)
-                        else:
-                            costs.append(cost_stage(stage, mbs))
-                    costs_per_config.append(costs)
-                limits_per_config = None
-                if self._node_scale is not None:
-                    # Heterogeneous: apply placement-dependent compute
-                    # scales to the (placement-free) cached stage costs
-                    # and collect each config's per-stage memory limits.
-                    limits_per_config = []
-                    scaled_per_config = []
-                    for config, costs in zip(
-                        miss_configs, costs_per_config
-                    ):
-                        scales, limits = self._stage_factors(
-                            [s.num_devices for s in config.stages]
-                        )
-                        limits_per_config.append(limits)
-                        scaled_per_config.append([
-                            cost if scale == 1.0 else cost.scaled(scale)
-                            for cost, scale in zip(costs, scales)
-                        ])
-                    costs_per_config = scaled_per_config
-                miss_reports, oom_flags = self._assemble_batch(
-                    miss_configs, costs_per_config, limits_per_config
-                )
-            except BaseException:
-                # Never leak placeholders into the cache where a later
-                # estimate() could return one as a report.
-                for key in miss_keys:
-                    if isinstance(cache.get(key), _PendingReport):
-                        del cache[key]
-                raise
-            oom_count = int(np.count_nonzero(oom_flags))
-            for key, report, oom in zip(miss_keys, miss_reports, oom_flags):
-                # The reserved slot may be gone (evicted mid-batch) —
-                # the sequential loop would have lost the entry too.
-                # Replacing a still-present value preserves LRU order.
-                if key in cache:
-                    cache[key] = report
-                self._c_estimates.value += 1
-                if self.first_feasible_estimate is None and not oom:
-                    self.first_feasible_estimate = self._c_estimates.value
-                    first_feasible_now = True
-            for i, report in zip(miss_indices, miss_reports):
-                reports[i] = report
-            for i, slot in duplicates:
-                reports[i] = miss_reports[slot]
-
-        bus = get_bus()
-        if first_feasible_now:
-            bus.emit(
-                PERFMODEL_FIRST_FEASIBLE,
-                source="perfmodel",
-                level=DEBUG,
-                estimates=self.first_feasible_estimate,
-            )
-        if configs and bus.wants(PERFMODEL_ESTIMATE_BATCH, DEBUG):
-            bus.emit(
-                PERFMODEL_ESTIMATE_BATCH,
-                source="perfmodel",
-                level=DEBUG,
-                batch=len(configs),
-                hits=len(configs) - len(miss_indices),
-                misses=len(miss_indices),
-                oom=oom_count,
-            )
-        return reports
+        return [self.estimate(config) for config in configs]
 
     def estimate_fresh(self, config: ParallelConfig) -> PerfReport:
         """Re-cost every stage from scratch, bypassing every cache.
@@ -539,8 +385,8 @@ class PerfModel:
     def objective_from_report(self, report: PerfReport) -> float:
         """The :meth:`objective` scoring rule for an existing report.
 
-        Split out so batch callers can score the reports
-        :meth:`estimate_batch` returns without a second cache lookup.
+        Split out so callers holding a report (for example one from
+        :meth:`estimate`) score it without a second cache lookup.
         """
         if not report.is_oom:
             return report.iteration_time
@@ -560,11 +406,8 @@ class PerfModel:
     def objective_batch(
         self, configs: Sequence[ParallelConfig]
     ) -> List[float]:
-        """Search objectives for many candidates (one batched estimate)."""
-        return [
-            self.objective_from_report(report)
-            for report in self.estimate_batch(configs)
-        ]
+        """:meth:`objective` of each config, in order."""
+        return [self.objective(config) for config in configs]
 
     # ------------------------------------------------------------------
     # per-stage costing (stage-count invariant, memoized)
@@ -797,159 +640,8 @@ class PerfModel:
             in_flight, peaks, oom,
         )
         return lazy_perf_report(
-            payload, num_mb, None, self.memory_limit, stage_limits
+            payload, num_mb, self.memory_limit, stage_limits
         )
-
-    def _assemble_batch(
-        self,
-        configs: Sequence[ParallelConfig],
-        costs_per_config: Sequence[List[StageCost]],
-        limits_per_config: Optional[Sequence[Tuple[float, ...]]] = None,
-    ) -> Tuple[List[PerfReport], np.ndarray]:
-        """Assemble many configurations' reports in one set of array ops.
-
-        Stage costs are gathered into padded ``[batch, stage, column]``
-        float64 tensors (see ``STAGE_COST_COLUMNS``); the Eq. 1 peak
-        memories, pipeline p2p boundary transfers, and Eq. 2 totals are
-        then evaluated for the whole batch at once.  Every expression
-        mirrors :meth:`_DeferredEq2.resolve`'s operand association
-        order on the same float64 values, so the returned reports are
-        bit-identical to the scalar path's; slots past a
-        configuration's own stage count are masked out of every
-        reduction.  Returns the reports
-        plus a per-config OOM flag vector (used for first-feasible
-        tracking without re-deriving it from report properties).
-        """
-        num_configs = len(configs)
-        counts = np.array(
-            [config.num_stages for config in configs], dtype=np.int64
-        )
-        max_stages = int(counts.max())
-        stage_pos = np.arange(max_stages)
-        valid = stage_pos[None, :] < counts[:, None]
-
-        # Gather every stage's precomputed cost row into one flat
-        # [total_stages, column] block, then scatter through the valid
-        # mask: boolean fancy indexing walks the padded tensor in
-        # C order, which is exactly the (config, stage) order the flat
-        # lists were built in.
-        flat_rows: List[np.ndarray] = []
-        flat_devs: List[int] = []
-        for config, costs in zip(configs, costs_per_config):
-            for cost in costs:
-                flat_rows.append(cost.row)
-            for stage in config.stages:
-                flat_devs.append(stage.num_devices)
-        rows = np.zeros((num_configs, max_stages, 12), dtype=np.float64)
-        devs = np.zeros((num_configs, max_stages), dtype=np.int64)
-        rows[valid] = np.concatenate(flat_rows).reshape(len(flat_rows), 12)
-        devs[valid] = flat_devs
-        (
-            fwd, bwd, recompute, tp_fwd, tp_bwd, reshard, dp_sync,
-            weight, optimizer, activation, reserved, egress,
-        ) = np.moveaxis(rows, 2, 0)
-
-        batch_size = self.graph.global_batch_size
-        num_mb = np.array(
-            [config.num_microbatches(batch_size) for config in configs],
-            dtype=np.int64,
-        )
-
-        # --- pipeline p2p per microbatch (vectorized over the batch) ---
-        p2p_fwd_in = np.zeros((num_configs, max_stages))
-        p2p_bwd_in = np.zeros((num_configs, max_stages))
-        if max_stages > 1:
-            boundary_dev = np.clip(
-                np.cumsum(devs, axis=1)[:, :-1] - 1,
-                0,
-                self.cluster.num_gpus - 2,
-            )
-            gpn = self.cluster.gpus_per_node
-            inter = (boundary_dev // gpn) != ((boundary_dev + 1) // gpn)
-            kind = inter.astype(np.int64)  # 0 -> intra, 1 -> inter
-            boundary = stage_pos[None, :-1] < counts[:, None] - 1
-            out_bytes = egress[:, :-1]
-            transfer = np.where(
-                boundary & (out_bytes > 0),
-                np.array(self._p2p_lat)[kind]
-                + out_bytes * np.array(self._p2p_ibw)[kind],
-                0.0,
-            )
-            p2p_fwd_in[:, 1:] = transfer
-            p2p_bwd_in[:, :-1] = transfer
-
-        in_flight = np.minimum(
-            counts[:, None] - stage_pos[None, :], num_mb[:, None]
-        )
-
-        # --- Eq. 2 totals: same association order as the scalar path ---
-        fwd_total = ((fwd + tp_fwd) + reshard) + p2p_fwd_in
-        bwd_total = (((bwd + recompute) + tp_bwd) + reshard) + p2p_bwd_in
-        pair = fwd_total + bwd_total
-        prefix = np.zeros((num_configs, max_stages))
-        prefix[:, 1:] = np.cumsum(pair, axis=1)[:, :-1]
-        totals = (prefix + num_mb[:, None] * pair) + dp_sync
-        iteration_times = np.where(valid, totals, -np.inf).max(axis=1)
-
-        # --- Eq. 1 peak memory feasibility ----------------------------
-        peaks = (weight + optimizer) + activation * in_flight + reserved
-        if limits_per_config is None:
-            oom_flags = np.any(
-                valid & (peaks > self.memory_limit), axis=1
-            )
-        else:
-            limit_arr = np.full(
-                (num_configs, max_stages), np.inf, dtype=np.float64
-            )
-            limit_arr[valid] = [
-                limit
-                for limits in limits_per_config
-                for limit in limits
-            ]
-            oom_flags = np.any(valid & (peaks > limit_arr), axis=1)
-
-        # One bulk conversion to flat LazyStages rows; in_flight stays
-        # apart so it converts to Python ints.
-        rows = np.stack(
-            (
-                fwd, bwd, recompute, tp_fwd + tp_bwd, reshard * 2.0,
-                p2p_fwd_in + p2p_bwd_in, dp_sync, weight, optimizer,
-                activation, reserved,
-            ),
-            axis=2,
-        ).reshape(num_configs, max_stages * STAGE_ROW_WIDTH).tolist()
-        in_flight_l = in_flight.tolist()
-        peaks_l = peaks.tolist()
-        iteration_l = iteration_times.tolist()
-        num_mb_l = num_mb.tolist()
-        counts_l = counts.tolist()
-        oom_l = oom_flags.tolist()
-
-        # Reports come out stage-lazy: most batch-estimated candidates
-        # only ever answer objective queries, and the search discards
-        # them without reading per-stage detail.  LazyStages
-        # materializes identical StageReport tuples for the survivors
-        # on demand.
-        memory_limit = self.memory_limit
-        reports: List[PerfReport] = []
-        for b in range(num_configs):
-            n = counts_l[b]
-            payload = LazyStages(
-                rows[b][:n * STAGE_ROW_WIDTH], in_flight_l[b][:n],
-                peaks_l[b][:n], oom_l[b],
-            )
-            reports.append(
-                lazy_perf_report(
-                    payload,
-                    num_mb_l[b],
-                    iteration_l[b],
-                    memory_limit,
-                    None
-                    if limits_per_config is None
-                    else limits_per_config[b],
-                )
-            )
-        return reports, oom_flags
 
 
 def build_perf_model(

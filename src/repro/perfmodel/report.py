@@ -12,28 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 #: Resource names used by bottleneck analysis (Table 1 columns).
 RESOURCES = ("compute", "communication", "memory")
-
-#: Column order of :attr:`StageCost.row` — the batched assembly kernel
-#: gathers stage costs into ``[batch, stage, len(STAGE_COST_COLUMNS)]``
-#: tensors and slices per-field planes by these positions.
-STAGE_COST_COLUMNS = (
-    "fwd_time",
-    "bwd_time",
-    "recompute_time",
-    "tp_fwd_comm_time",
-    "tp_bwd_comm_time",
-    "reshard_time",
-    "dp_sync_time",
-    "weight_bytes",
-    "optimizer_bytes",
-    "activation_bytes",
-    "reserved_bytes",
-    "egress_bytes",
-)
 
 
 @dataclass(frozen=True)
@@ -68,68 +48,6 @@ class StageCost:
     activation_bytes: float
     reserved_bytes: float
     egress_bytes: float
-
-    def __post_init__(self) -> None:
-        # Precomputed STAGE_COST_COLUMNS vector so the batched assembly
-        # copies one contiguous row per stage instead of re-reading
-        # twelve attributes per candidate on the hot path.  Stored via
-        # object.__setattr__ (the dataclass is frozen) and deliberately
-        # not a field: equality, hashing, and pickling see only the
-        # twelve scalars.
-        object.__setattr__(
-            self,
-            "row",
-            np.array(
-                [
-                    self.fwd_time,
-                    self.bwd_time,
-                    self.recompute_time,
-                    self.tp_fwd_comm_time,
-                    self.tp_bwd_comm_time,
-                    self.reshard_time,
-                    self.dp_sync_time,
-                    self.weight_bytes,
-                    self.optimizer_bytes,
-                    self.activation_bytes,
-                    self.reserved_bytes,
-                    self.egress_bytes,
-                ],
-                dtype=np.float64,
-            ),
-        )
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("row", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
-
-    def scaled(self, compute_scale: float) -> "StageCost":
-        """Copy with compute terms stretched by ``compute_scale``.
-
-        Heterogeneous assembly prices a stage on the slowest device it
-        occupies by scaling the roofline compute columns (forward,
-        backward, recompute); collective and memory terms are link- and
-        capacity-bound, not device-speed-bound, and stay as profiled on
-        the reference device.
-        """
-        return StageCost(
-            fwd_time=self.fwd_time * compute_scale,
-            bwd_time=self.bwd_time * compute_scale,
-            recompute_time=self.recompute_time * compute_scale,
-            tp_fwd_comm_time=self.tp_fwd_comm_time,
-            tp_bwd_comm_time=self.tp_bwd_comm_time,
-            reshard_time=self.reshard_time,
-            dp_sync_time=self.dp_sync_time,
-            weight_bytes=self.weight_bytes,
-            optimizer_bytes=self.optimizer_bytes,
-            activation_bytes=self.activation_bytes,
-            reserved_bytes=self.reserved_bytes,
-            egress_bytes=self.egress_bytes,
-        )
 
 
 @dataclass(frozen=True)
@@ -204,9 +122,9 @@ class LazyStages:
     operand association) and the OOM verdict, and builds
     ``StageReport`` objects on first access.
 
-    A report's payload may instead be one whose Eq. 2 assembly is still
-    pending (the scalar estimator's, see ``repro.perfmodel.model``): it
-    has the same ``in_flight``/``oom``/``peaks()`` surface plus a
+    A fresh estimate's payload is the one before this: its Eq. 2
+    assembly is still pending (see ``repro.perfmodel.model``).  It has
+    the same ``in_flight``/``oom``/``peaks()`` surface plus a
     ``resolve()`` returning ``(LazyStages, iteration_time)``.
     """
 
@@ -252,11 +170,10 @@ class PerfReport:
     """Predicted performance of a full configuration.
 
     Instances built directly carry their ``stages`` tuple; the
-    estimator's instances defer it behind a :class:`LazyStages` payload
-    (see :func:`lazy_perf_report`) and materialize on first access.  A
-    scalar estimate also defers ``iteration_time``: its payload runs
-    the Eq. 2 assembly when ``iteration_time`` or ``stages`` is first
-    read.  Equality, hashing, pickling, and every property read
+    estimator's instances defer both ``iteration_time`` and ``stages``
+    behind a pending-assembly payload (see :func:`lazy_perf_report`),
+    which runs the Eq. 2 assembly when either is first read and leaves
+    a :class:`LazyStages` that materializes ``stages`` on access.  Equality, hashing, pickling, and every property read
     through the same field values either way.
     """
 
@@ -390,24 +307,20 @@ class PerfReport:
 def lazy_perf_report(
     payload,
     num_microbatches: int,
-    iteration_time: Optional[float],
     memory_limit: float,
     stage_limits: Optional[Tuple[float, ...]] = None,
 ) -> PerfReport:
-    """Construct a :class:`PerfReport` with deferred stage reports.
+    """Construct a :class:`PerfReport` whose Eq. 2 assembly is pending.
 
-    Bypasses the dataclass ``__init__`` so the ``stages`` slot stays
-    unset until :attr:`PerfReport.stages` is first read (at which point
-    ``__getattr__`` materializes it from ``payload``).  With
-    ``iteration_time=None`` that slot stays unset too, and ``payload``
-    must be a pending-assembly payload (see :class:`LazyStages`).
+    Bypasses the dataclass ``__init__`` so the ``iteration_time`` and
+    ``stages`` slots stay unset until one is first read (at which point
+    ``__getattr__`` resolves ``payload``, a pending-assembly payload
+    with the :class:`LazyStages` surface plus ``resolve()``).
     """
     report = PerfReport.__new__(PerfReport)
     fields = report.__dict__
     fields["_lazy"] = payload
     fields["num_microbatches"] = num_microbatches
-    if iteration_time is not None:
-        fields["iteration_time"] = iteration_time
     fields["memory_limit"] = memory_limit
     fields["stage_limits"] = stage_limits
     return report

@@ -37,7 +37,6 @@ ARENA_END = "arena.end"
 
 # -- performance model ------------------------------------------------
 PERFMODEL_ESTIMATE = "perfmodel.estimate"
-PERFMODEL_ESTIMATE_BATCH = "perfmodel.estimate_batch"
 PERFMODEL_FIRST_FEASIBLE = "perfmodel.first_feasible"
 PERFMODEL_COUNTERS = "perfmodel.counters"
 

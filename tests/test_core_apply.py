@@ -1,7 +1,11 @@
 """Tests for primitive application."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ApplyContext,
@@ -9,7 +13,15 @@ from repro.core import (
     identify_bottleneck,
     move_ops,
 )
-from repro.parallel import balanced_config, is_valid, validate_config
+from repro.parallel import (
+    ParallelConfig,
+    StageConfig,
+    balanced_config,
+    is_valid,
+    validate_config,
+)
+
+from conftest import make_tiny_gpt
 
 
 @pytest.fixture()
@@ -91,6 +103,108 @@ class TestMoveOps:
         # Ops arriving in stage 1 adopt tp=2.
         assert np.all(moved.stages[1].tp == 2)
         validate_config(moved, tiny_graph, small_cluster)
+
+
+@functools.lru_cache(maxsize=None)
+def _relay_graph():
+    return make_tiny_gpt()
+
+
+@st.composite
+def _relay_case(draw):
+    """A 2-4 stage config with random per-op settings, plus a move."""
+    graph = _relay_graph()
+    num_ops = graph.num_ops
+    num_options = graph.arrays.num_options
+    num_stages = draw(st.integers(2, 4), label="stages")
+    cuts = sorted(draw(st.lists(
+        st.integers(1, num_ops - 1), min_size=num_stages - 1,
+        max_size=num_stages - 1, unique=True,
+    ), label="cuts"))
+    bounds = [0] + cuts + [num_ops]
+    stages = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        devices = draw(st.sampled_from([1, 2, 4]))
+        n = hi - lo
+        tp = np.array(draw(st.lists(
+            st.sampled_from([t for t in (1, 2, 4) if t <= devices]),
+            min_size=n, max_size=n,
+        )), dtype=np.int64)
+        tp_dim = np.array([
+            draw(st.integers(0, int(num_options[op]) - 1))
+            for op in range(lo, hi)
+        ], dtype=np.int64)
+        recompute = np.array(draw(st.lists(
+            st.booleans(), min_size=n, max_size=n,
+        )), dtype=bool)
+        stages.append(StageConfig(
+            start=lo, end=hi, num_devices=devices, tp=tp,
+            dp=devices // tp, tp_dim=tp_dim, recompute=recompute,
+        ))
+    src, dst = draw(st.lists(
+        st.integers(0, num_stages - 1), min_size=2, max_size=2,
+        unique=True,
+    ), label="src/dst")
+    count = draw(st.integers(1, num_ops), label="count")
+    config = ParallelConfig(stages=stages, microbatch_size=1)
+    return graph, config, src, dst, count
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_relay_case())
+def test_relay_rule_on_non_uniform_stages(case):
+    """Every stage of a relay, against ops located by global index: a
+    stage whose span did not move is shared; native ops keep their
+    settings; ops entering a stage take the tp/dp of its anchor (its
+    first native op when its start moved right, its last otherwise),
+    partition option 0 and no recompute; the option clamp covers the
+    whole segment; arrays stay int64/bool; and the relay fails exactly
+    when some stage keeps no native op."""
+    graph, config, src, dst, count = case
+    tp, dp, tp_dim, rc, owner = config.gather_arrays()
+    num_options = graph.arrays.num_options
+    bounds = [s.start for s in config.stages] + [config.num_ops]
+    shift = -count if src < dst else count
+    for j in range(min(src, dst) + 1, max(src, dst) + 1):
+        bounds[j] += shift
+    spans = list(zip(bounds, bounds[1:]))
+    no_native = any(
+        min(hi, old.end) <= max(lo, old.start)
+        for (lo, hi), old in zip(spans, config.stages)
+    )
+
+    moved = move_ops(config, graph, src, dst, count)
+
+    assert (moved is None) == no_native
+    if moved is None:
+        return
+    assert moved.microbatch_size == config.microbatch_size
+    for i, ((lo, hi), old, new) in enumerate(
+        zip(spans, config.stages, moved.stages)
+    ):
+        assert (new.start, new.end) == (lo, hi)
+        assert new.num_devices == old.num_devices
+        if (lo, hi) == (old.start, old.end):
+            assert new is old
+            continue
+        ops = np.arange(lo, hi)
+        native = ops[owner[lo:hi] == i]
+        anchor = native[0] if lo > old.start else native[-1]
+        entering = owner[lo:hi] != i
+        want_tp = np.where(entering, tp[anchor], tp[lo:hi])
+        want_dp = np.where(entering, dp[anchor], dp[lo:hi])
+        want_dim = np.minimum(
+            np.where(entering, 0, tp_dim[lo:hi]), num_options[lo:hi] - 1
+        )
+        want_rc = np.where(entering, False, rc[lo:hi])
+        for got, want in (
+            (new.tp, want_tp), (new.dp, want_dp),
+            (new.tp_dim, want_dim), (new.recompute, want_rc),
+        ):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert new.tp.dtype == new.dp.dtype == new.tp_dim.dtype == np.int64
+        assert new.recompute.dtype == bool
 
 
 class TestAppliers:

@@ -280,10 +280,10 @@ class TestHeterogeneousCluster:
             balanced_config(graph, hetero, stages) for stages in (1, 2, 4)
         ]
         scalar_model = PerfModel(graph, hetero, database)
-        batch_model = PerfModel(graph, hetero, database)
+        fresh_model = PerfModel(graph, hetero, database)
         scalar = [scalar_model.estimate(c) for c in configs]
-        batch = batch_model.estimate_batch(configs)
-        for left, right in zip(scalar, batch):
+        fresh = [fresh_model.estimate_fresh(c) for c in configs]
+        for left, right in zip(scalar, fresh):
             assert left.iteration_time == pytest.approx(
                 right.iteration_time
             )

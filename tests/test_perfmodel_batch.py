@@ -1,43 +1,36 @@
-"""Equivalence of ``estimate_batch`` with a sequential ``estimate`` loop.
+"""The deferred Eq. 2 report of a scalar estimate, and its oracles.
 
-The batched estimator's contract is *bit identity*: for any batch of
-configurations and any starting cache state — warm, cold, or small
-enough that insertions evict mid-batch — ``estimate_batch(configs)``
-must leave the model in exactly the state a ``[estimate(c) for c in
-configs]`` loop would, and return exactly the reports that loop would.
-The hypothesis test below drives randomized batches (duplicates
-included) against randomized warm subsets and LRU sizes, on a
-homogeneous and a heterogeneous cluster, over 1-, 2- and 4-stage
-configs; deterministic tests pin down the trickiest corner (a
-mid-batch eviction forcing a later config to re-miss) and the batch
-telemetry shape.
+An estimate applies Eq. 1 at once and defers the Eq. 2 assembly until
+``iteration_time`` or ``stages`` is first read.  The hypothesis
+property below reads each attribute first in turn (and pickles) and
+checks the report field for field against ``estimate_fresh``, which
+re-costs every stage with no cache at all; an active sink must see the
+same verdicts.  Independently of the estimator's own assembly, the
+iteration time must equal the 1F1B formula of
+``perfmodel.timing.iteration_time_1f1b`` evaluated on the materialized
+stage reports, on a homogeneous and a heterogeneous cluster.
 """
 
 import functools
 import pickle
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, DeviceSpec
 from repro.ir.models.synthetic import build_synthetic
 from repro.parallel import ParallelConfig, balanced_config
-from repro.perfmodel import PerfModel
-from repro.perfmodel.model import _PendingReport
+from repro.perfmodel import PerfModel, iteration_time_1f1b
 from repro.profiling import SimulatedProfiler
 from repro.telemetry import RingBufferSink, TelemetryBus, using_bus
-from repro.telemetry.events import (
-    PERFMODEL_ESTIMATE,
-    PERFMODEL_ESTIMATE_BATCH,
-)
+from repro.telemetry.events import PERFMODEL_ESTIMATE
 
 from conftest import make_tight_cluster, make_tiny_gpt
 
 # Built lazily (not at import/collection time) and shared by every
-# example: hypothesis runs many examples per test, so the problem and
-# the candidate pool must not be rebuilt per example.  The cluster is
-# deliberately tight so the pool mixes feasible and OOM candidates and
-# ``first_feasible_estimate`` accounting is actually exercised.
+# test and example.  The cluster is deliberately tight so the pool
+# mixes feasible and OOM candidates.
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,147 +84,36 @@ def _variants(hetero=False):
     return tuple(pool)
 
 
-def _fresh_models(cache_size, stage_cache_size, hetero=False):
-    graph, cluster, database = _problem(hetero)
-    kwargs = dict(cache_size=cache_size, stage_cache_size=stage_cache_size)
-    return (
-        PerfModel(graph, cluster, database, **kwargs),
-        PerfModel(graph, cluster, database, **kwargs),
-    )
-
-
-def _assert_same_state(seq, bat):
-    """Counters, feasibility tracking, and both LRUs (order included)."""
-    assert bat.num_estimates == seq.num_estimates
-    assert bat.num_stage_costs == seq.num_stage_costs
-    assert bat.num_stage_hits == seq.num_stage_hits
-    assert (
-        bat.counters["config_hits"].value
-        == seq.counters["config_hits"].value
-    )
-    assert bat.first_feasible_estimate == seq.first_feasible_estimate
-    assert list(bat._cache.keys()) == list(seq._cache.keys())
-    assert list(bat._stage_cache.keys()) == list(seq._stage_cache.keys())
-    for key, report in bat._cache.items():
-        assert not isinstance(report, _PendingReport)
-        assert report.iteration_time == seq._cache[key].iteration_time
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    batch_idx=st.lists(
-        st.integers(min_value=0, max_value=63), min_size=0, max_size=10
-    ),
-    warm_idx=st.lists(
-        st.integers(min_value=0, max_value=63), min_size=0, max_size=6
-    ),
-    cache_size=st.sampled_from([1, 2, 3, 1024]),
-    stage_cache_size=st.sampled_from([0, 2, 1024]),
-    hetero=st.booleans(),
-)
-def test_batch_bit_identical_to_sequential(
-    batch_idx, warm_idx, cache_size, stage_cache_size, hetero
-):
-    variants = _variants(hetero)
-    n = len(variants)
-    seq, bat = _fresh_models(cache_size, stage_cache_size, hetero)
-    for i in warm_idx:  # identical warm state on both models
-        seq.estimate(variants[i % n])
-        bat.estimate(variants[i % n])
-    batch = [variants[i % n] for i in batch_idx]
-
-    seq_reports = [seq.estimate(config) for config in batch]
-    bat_reports = bat.estimate_batch(batch)
-
-    assert len(bat_reports) == len(seq_reports)
-    for a, b in zip(seq_reports, bat_reports):
-        # Lazy fast paths first, *before* equality materializes stages.
-        assert b.num_stages == a.num_stages
-        assert b.is_oom == a.is_oom
-        assert b.peak_memories == a.peak_memories
-        assert b == a
-        assert pickle.dumps(b) == pickle.dumps(a)
-        assert all(type(s.in_flight) is int for s in b.stages)
-    _assert_same_state(seq, bat)
-
-
 def test_pool_covers_one_stage_and_heterogeneous_limits():
-    """The property's pool really spans 1-stage configs, per-stage
+    """The oracle's pool really spans 1-stage configs, per-stage
     memory limits, and both OOM verdicts on each cluster."""
     for hetero in (False, True):
-        model, _ = _fresh_models(1024, 1024, hetero)
+        model = PerfModel(*_problem(hetero))
         reports = [model.estimate(config) for config in _variants(hetero)]
         assert {r.num_stages for r in reports} == {1, 2, 4}
         assert {r.is_oom for r in reports} == {False, True}
         assert all((r.stage_limits is not None) == hetero for r in reports)
 
 
-def test_midbatch_eviction_matches_sequential():
-    """The corner the slot reservation exists for.
-
-    With ``cache_size=2``, a batch ``[a, b, c, a]`` against a cache
-    warmed with ``a``: sequentially, c's insertion evicts a, so the
-    final a *re-misses*.  A batch path that resolved hits against the
-    pre-batch cache would count it as a hit instead.
-    """
-    variants = _variants()
-    a, b, c = variants[0], variants[1], variants[2]
-    seq, bat = _fresh_models(2, 1024)
-    seq.estimate(a)
-    bat.estimate(a)
-
-    batch = [a, b, c, a]
-    seq_reports = [seq.estimate(config) for config in batch]
-    bat_reports = bat.estimate_batch(batch)
-
-    assert seq.num_estimates == 4  # warm-up miss + b + c + re-missed a
-    assert seq.counters["config_hits"].value == 1
-    assert [r.iteration_time for r in bat_reports] == [
-        r.iteration_time for r in seq_reports
-    ]
-    _assert_same_state(seq, bat)
+def test_iteration_time_matches_1f1b_oracle():
+    """Eq. 2 from the materialized stage reports, by the timing
+    module's formula: each stage's pair time is its compute plus its
+    communication per microbatch, and its sync term is the dp sync.
+    The operands associate differently, hence the tolerance."""
+    for hetero in (False, True):
+        graph, cluster, database = _problem(hetero)
+        model = PerfModel(graph, cluster, database)
+        for config in _variants(hetero):
+            _assert_eq2_oracle(model.estimate(config))
 
 
-def test_in_batch_duplicates_share_one_estimate():
-    variants = _variants()
-    seq, bat = _fresh_models(1024, 1024)
-    batch = [variants[3], variants[3], variants[4], variants[3]]
-    seq_reports = [seq.estimate(config) for config in batch]
-    bat_reports = bat.estimate_batch(batch)
-    assert bat.num_estimates == 2
-    assert bat_reports[0] is bat_reports[1] is bat_reports[3]
-    assert bat_reports[0] == seq_reports[0]
-    _assert_same_state(seq, bat)
-
-
-def test_empty_batch_is_a_no_op():
-    model, _ = _fresh_models(1024, 1024)
-    bus = TelemetryBus()
-    sink = bus.add_sink(RingBufferSink())
-    with using_bus(bus):
-        assert model.estimate_batch([]) == []
-    assert model.num_estimates == 0
-    assert sink.events == []
-
-
-def test_estimate_batch_emits_one_aggregated_event():
-    variants = _variants()
-    model, _ = _fresh_models(1024, 1024)
-    model.estimate(variants[0])  # one warm entry -> one hit in the batch
-    bus = TelemetryBus()
-    sink = bus.add_sink(RingBufferSink())
-    with using_bus(bus):
-        model.estimate_batch([variants[0], variants[1], variants[2]])
-    batch_events = [
-        e for e in sink.events if e.name == PERFMODEL_ESTIMATE_BATCH
-    ]
-    per_config = [e for e in sink.events if e.name == PERFMODEL_ESTIMATE]
-    assert len(batch_events) == 1
-    assert per_config == []
-    attrs = batch_events[0].attrs
-    assert attrs["batch"] == 3
-    assert attrs["hits"] == 1
-    assert attrs["misses"] == 2
+def _assert_eq2_oracle(report):
+    pairs = [s.compute_time_mb + s.comm_time_mb for s in report.stages]
+    want = iteration_time_1f1b(
+        pairs, [0.0] * len(pairs), report.num_microbatches,
+        [s.dp_sync_time for s in report.stages],
+    )
+    assert report.iteration_time == pytest.approx(want, rel=1e-12)
 
 
 @functools.lru_cache(maxsize=None)
@@ -290,9 +172,9 @@ def _assert_same_report(a, b):
 def test_deferred_scalar_report_matches_fresh_and_batch(
     seed, hetero, num_stages, mbs, data
 ):
-    """A scalar miss defers Eq. 2; whichever attribute is read first
-    (or a pickle), it equals ``estimate_fresh`` and ``estimate_batch``
-    field for field, and an attached sink sees the same verdicts."""
+    """A miss defers Eq. 2; whichever attribute is read first (or a
+    pickle), it equals ``estimate_fresh`` of an untouched model field
+    for field, and an attached sink sees the same verdicts."""
     graph, cluster, database = _synthetic_problem(seed, hetero)
     config = balanced_config(
         graph, cluster, num_stages, microbatch_size=mbs
@@ -305,7 +187,8 @@ def test_deferred_scalar_report_matches_fresh_and_batch(
         stage.recompute[:] = data.draw(st.lists(
             st.booleans(), min_size=stage.num_ops, max_size=stage.num_ops
         ), label=f"rc{i}")
-    want = PerfModel(graph, cluster, database).estimate_batch([config])[0]
+    want = PerfModel(graph, cluster, database).estimate_fresh(config)
+    _assert_eq2_oracle(want)
 
     for attribute in (
         "peak_memories", "is_oom", "in_flight", "iteration_time",
