@@ -7,6 +7,9 @@ work:
   per candidate) with the per-stage cost cache warm vs the cold path
   that re-costs every stage (the pre-refactor behaviour), on a 48- and
   a 1000-layer GPT chain.
+* **depth slope** — cold and warm seconds per estimate on gpt-Nl for
+  N in ``DEPTHS``: how a candidate's cost grows with model depth
+  (Exp#3's 1,000-layer claim).  Recorded only, with no gate.
 * **telemetry off vs on** — the same warm path with the bus inactive
   (no sinks: the production search default) vs actively emitting
   per-estimate events into a ring buffer.  The inactive path is the
@@ -40,6 +43,9 @@ BENCH_JSON = os.path.join(RESULTS_DIR, "BENCH_perfmodel.json")
 #: Candidate estimates per timing run (distinct configs, so every one
 #: misses the whole-config cache like fresh search candidates do).
 NUM_CANDIDATES = 200
+
+#: Layer counts of the gpt-Nl models the depth section times.
+DEPTHS = (250, 500, 1000, 2000)
 
 
 def _setup(model_name, num_gpus=8, stages=8):
@@ -137,6 +143,30 @@ def test_estimates_per_second():
     assert deep["speedup"] >= 3.0, deep
     for out in results:
         assert out["warm_estimates_per_s"] > out["cold_estimates_per_s"]
+
+
+def test_depth_slope():
+    """Seconds per estimate against depth, cold and warm (no gate)."""
+    print_header("PerfModel seconds per estimate vs depth")
+    rows, results = [], []
+    for layers in DEPTHS:
+        out = _estimate_rates(f"gpt-{layers}l")
+        cold = out["cold_seconds"] / out["candidates"]
+        warm = out["warm_seconds"] / out["candidates"]
+        results.append({
+            "model": out["model"],
+            "layers": layers,
+            "num_ops": out["num_ops"],
+            "candidates": out["candidates"],
+            "cold_seconds_per_estimate": cold,
+            "warm_seconds_per_estimate": warm,
+        })
+        rows.append([
+            out["model"], out["num_ops"],
+            f"{cold * 1e6:.0f}", f"{warm * 1e6:.0f}",
+        ])
+    print_table(["model", "ops", "cold us/est", "warm us/est"], rows)
+    _merge_json({"depth": results})
 
 
 def test_telemetry_overhead():

@@ -1,10 +1,11 @@
 #!/usr/bin/env python
-"""Pair a parent and a change checkout on one end-to-end workload.
+"""Pair a parent and a change checkout on end-to-end workloads.
 
 Runs ``benchmarks/e2e/run.py --workload W --seed i --seconds S --trace 0``
 in both checkouts for ``i`` in ``0 .. N-1``, alternating which side goes
 first per seed so host-speed drift hits both alike (the pairing
-procedure of ``benchmarks/e2e/README.md``).  Prints every pair's
+procedure of ``benchmarks/e2e/README.md``).  ``--workload`` repeats;
+each workload gets its own pairs and table.  Prints every pair's
 end-to-end metrics, then per metric the two medians, the parent's
 interquartile range, how many pairs the change won and a verdict:
 
@@ -20,11 +21,12 @@ Metric directions and bounds come from the parent's ``BENCHMARK.json``.
 
 Exits 1 when any run fails: a non-zero exit, no result line, a failed
 request or ``correct: false``.  With ``--claim METRIC`` it exits 2
-unless that metric reads ``gain`` and no metric reads ``worse``.
+unless that metric reads ``gain`` on the first workload named and no
+metric reads ``worse`` on any workload.
 
 Run from anywhere:
 ``python scripts/e2e_pairs.py PARENT_DIR CHANGE_DIR --workload
-search-350m --pairs 10 --claim plan_s``
+search-1000l --workload search-350m --pairs 10 --claim plan_s``
 """
 
 import argparse
@@ -115,31 +117,24 @@ def summarize(pairs, specs: dict) -> dict:
     return verdicts
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("parent", type=Path, help="parent checkout")
-    parser.add_argument("change", type=Path, help="change checkout")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--claim", metavar="METRIC",
-                        help="exit 2 unless METRIC reads gain and no "
-                             "metric reads worse")
-    args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be positive")
-    roots = {"parent": args.parent, "change": args.change}
-    specs = metric_specs(args.parent)
-    if args.claim is not None and args.claim not in specs:
-        parser.error(f"--claim: unknown metric {args.claim!r}")
-    pairs = []
+def claim_holds(verdicts: dict, workload: str, metric: str) -> bool:
+    """``metric`` reads ``gain`` on ``workload`` and no metric reads
+    ``worse`` on any workload of ``{workload: {metric: verdict}}``."""
+    return verdicts[workload].get(metric) == "gain" and not any(
+        "worse" in table.values() for table in verdicts.values())
+
+
+def run_pairs(roots: dict, workload: str, pairs: int, seconds: float,
+              specs: dict):
+    """Alternate the two sides over ``pairs`` seeds of ``workload``,
+    printing each run; ``([(parent, change), ...], any run broken)``."""
+    results_by_seed = []
     failed = False
-    for seed in range(args.pairs):
+    for seed in range(pairs):
         order = SIDES if seed % 2 == 0 else SIDES[::-1]
         results = {}
         for side in order:
-            results[side] = run_side(
-                roots[side], args.workload, seed, args.seconds)
+            results[side] = run_side(roots[side], workload, seed, seconds)
             metrics = results[side]["metrics"]
             values = " ".join(
                 f"{name}={metrics[name]['value']:.6g}"
@@ -147,14 +142,44 @@ def main(argv=None) -> int:
             mark = " BROKEN" if broken(results[side]) else ""
             print(f"seed {seed} {side:6s} {values}{mark}", flush=True)
             failed = failed or broken(results[side])
-        pairs.append((results["parent"], results["change"]))
-    verdicts = summarize(pairs, specs)
+        results_by_seed.append((results["parent"], results["change"]))
+    return results_by_seed, failed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent", type=Path, help="parent checkout")
+    parser.add_argument("change", type=Path, help="change checkout")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload to pair; repeat for several")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="exit 2 unless METRIC reads gain on the "
+                             "first workload and no metric reads worse")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
+    if len(set(args.workload)) < len(args.workload):
+        parser.error("--workload: name each workload once")
+    roots = {"parent": args.parent, "change": args.change}
+    specs = metric_specs(args.parent)
+    if args.claim is not None and args.claim not in specs:
+        parser.error(f"--claim: unknown metric {args.claim!r}")
+    verdicts = {}
+    failed = False
+    for workload in args.workload:
+        print(f"\n== {workload}", flush=True)
+        pairs, broke = run_pairs(
+            roots, workload, args.pairs, args.seconds, specs)
+        failed = failed or broke
+        verdicts[workload] = summarize(pairs, specs)
     if failed:
         return 1
     if args.claim is not None:
-        held = (verdicts.get(args.claim) == "gain"
-                and "worse" not in verdicts.values())
-        print(f"claim {args.claim}: {'holds' if held else 'fails'}")
+        held = claim_holds(verdicts, args.workload[0], args.claim)
+        print(f"claim {args.claim} on {args.workload[0]}: "
+              f"{'holds' if held else 'fails'}")
         if not held:
             return 2
     return 0

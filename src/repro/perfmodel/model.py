@@ -2,7 +2,8 @@
 
 ``PerfModel`` composes the profiled per-op linear time models and
 collective coefficients into per-stage resource predictions and the
-Eq. 2 iteration time, entirely with vectorized numpy gathers.
+Eq. 2 iteration time, reading every per-op term from one table per
+microbatch size indexed by (cost class, tp level, dp level, option).
 
 Estimation is structured in two layers:
 
@@ -27,14 +28,14 @@ Estimation is structured in two layers:
    pays for it.
 
 Whole-config estimates are additionally memoized by configuration
-identity (``ParallelConfig.cache_key``) in a second LRU; the miss counter (``num_estimates``) is the
-"explored configurations" metric of Exp#4.
+identity (``ParallelConfig.cache_key``) in a second LRU, whose miss
+counter (``num_estimates``) is Exp#4's "explored configurations" metric.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +58,13 @@ from .report import LazyStages, PerfReport, StageCost, lazy_perf_report
 #: 98% of reuses, where 65,536 ops would keep 96%.
 STAGE_BASE_CACHE_SIZE = 32
 STAGE_BASE_CACHE_OPS = 65_536
+
+#: Class-setting table rows (:meth:`PerfModel._class_table`): these
+#: StageCost fields, then activation bytes (also summed), recompute
+#: seconds, transient bytes and one-way reshard seconds.
+_SUMMED = ("fwd_time", "bwd_time", "tp_fwd_comm_time", "tp_bwd_comm_time",
+           "weight_bytes", "optimizer_bytes")
+_WEIGHT, _ACTIVATION, _RECOMPUTE, _TRANSIENT, _RESHARD = 4, 6, 7, 8, 9
 
 
 def _log2_int(values: np.ndarray) -> np.ndarray:
@@ -260,21 +268,15 @@ class PerfModel:
             self._p2p_lat, self._p2p_ibw,
             cluster.gpus_per_node, cluster.num_gpus,
         )
-        # Config-independent per-op products of stage costing, hoisted
-        # with their operand association intact (bit-identical values):
-        # the op parts of the flat profile/comm indices, the weight and
-        # optimizer bytes before the tp split, and the transient numel.
-        ga = graph.arrays
-        _, num_levels, num_opts = self.profiled.fwd_fixed.shape
-        ops = np.arange(graph.num_ops)
-        self._op_levels = ops * num_levels
-        self._op_options = ops * ga.fwd_comm_numel.shape[1]
-        self._num_opts = num_opts
-        self._param_bytes = ga.params * self._elem
-        self._param_optimizer_bytes = ga.params * float(
-            graph.optimizer_bytes_per_param
+        # Table column parts (see _stage_codes) and tables, one per mbs.
+        _, num_tp_levels, self._num_opts = self.profiled.fwd_fixed.shape
+        self._num_dp_levels = cluster.num_gpus.bit_length()
+        self._class_offset = graph.arrays.op_class * (
+            num_tp_levels * self._num_dp_levels * self._num_opts
         )
-        self._transient_numel = ga.saved_numel + ga.out_numel
+        levels = _log2_int(np.arange(cluster.num_gpus + 1))
+        self._levels = levels.astype(np.int64)
+        self._tables: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -434,18 +436,9 @@ class PerfModel:
     ) -> np.ndarray:
         """Per-op saved-activation bytes of ``stage`` at microbatch size
         ``mbs``: the vector Eq. 1 sums before recomputation drops any of
-        it, computed as the stage's recompute-free base computes it."""
-        span = slice(stage.start, stage.end)
-        return self._activation_bytes(
-            span,
-            mbs / stage.dp,
-            np.minimum(stage.tp, self.graph.arrays.max_tp[span]),
-        )
-
-    def _activation_bytes(
-        self, span: slice, samples: np.ndarray, etp: np.ndarray
-    ) -> np.ndarray:
-        return self.graph.arrays.saved_numel[span] * samples / etp * self._elem
+        it, gathered from the recompute-free base's table column."""
+        codes, _, _ = self._stage_codes(stage)
+        return self._class_table(mbs)[_ACTIVATION].take(codes)
 
     def _cost_stage_uncached(
         self, stage: StageConfig, mbs: int, fresh: bool = False
@@ -488,95 +481,102 @@ class PerfModel:
             **fields,
         )
 
+    def _class_table(self, mbs: int) -> np.ndarray:
+        """The read-only ``[column, class·T·D·O]`` table at ``mbs``, each
+        entry computed from its class's first op in the per-op operand
+        order, so it equals costing that op directly, bit for bit.
+        Levels no valid stage reaches clip to the collectives' last."""
+        table = self._tables.get(mbs)
+        if table is not None:
+            return table
+        ga, pg, elem = self.graph.arrays, self.profiled, self._elem
+        _, first = np.unique(ga.op_class, return_index=True)
+
+        def per_class(values: np.ndarray) -> np.ndarray:
+            """Class rows of a per-op table as ``[class, tp, dp, opt]``."""
+            rows = values[first]
+            opts = rows.shape[-1] if rows.ndim > 1 else 1
+            return rows.reshape(len(first), -1, 1, opts)
+
+        tp_lv = np.arange(pg.fwd_fixed.shape[1])[:, None, None]
+        dp_lv = np.arange(self._num_dp_levels)[:, None]
+        samples = mbs / (1 << dp_lv)
+        etp = np.minimum(1 << tp_lv, per_class(ga.max_tp))
+        ar_lv = np.minimum(_log2_int(etp), len(self._ar_lat) - 1)
+        ag_lv = np.minimum(tp_lv + dp_lv, len(self._ag_lat) - 1)
+
+        def tp_comm(numel: np.ndarray) -> np.ndarray:
+            nbytes = per_class(numel) * samples * elem
+            comm = self._ar_lat[ar_lv] + nbytes * self._ar_ibw[ar_lv]
+            return np.where((etp > 1) & (nbytes > 0), comm, 0.0)
+
+        fwd = per_class(pg.fwd_fixed) + samples * per_class(pg.fwd_slope)
+        tp_fwd_comm = tp_comm(ga.fwd_comm_numel)
+        saved = per_class(ga.saved_numel)
+        opt_bytes = float(self.graph.optimizer_bytes_per_param)
+        resh_bytes = per_class(ga.out_numel) * samples * elem
+        columns = (
+            fwd,
+            per_class(pg.bwd_fixed) + samples * per_class(pg.bwd_slope),
+            tp_fwd_comm,
+            tp_comm(ga.bwd_comm_numel),
+            per_class(ga.params * elem) / etp,
+            per_class(ga.params) * opt_bytes / etp,
+            saved * samples / etp * elem,
+            fwd + tp_fwd_comm,  # recomputation repeats the forward
+            (saved + per_class(ga.out_numel)) * samples / etp * elem,
+            self._ag_lat[ag_lv] + resh_bytes * self._ag_ibw[ag_lv],
+        )
+        table = self._tables[mbs] = np.stack(
+            [np.broadcast_to(c, fwd.shape).ravel() for c in columns]
+        )
+        table.setflags(write=False)
+        return table
+
+    def _stage_codes(self, stage: StageConfig) -> tuple:
+        """Per-op ``(table column, tp_level * D + dp_level, dp_level)``."""
+        dp_lv = self._levels.take(stage.dp)
+        setting = self._levels.take(stage.tp) * self._num_dp_levels + dp_lv
+        codes = (
+            self._class_offset[stage.start:stage.end]
+            + setting * self._num_opts + stage.tp_dim
+        )
+        return codes, setting, dp_lv
+
     def _cost_stage_base(self, stage: StageConfig, mbs: int) -> tuple:
         """``(StageCost fields the recompute flags cannot change,
         per-op recompute seconds, per-op saved-activation bytes, their
-        sum)``."""
-        ga, pg = self.graph.arrays, self.profiled
-        elem = self._elem
-        span = slice(stage.start, stage.end)
-        tp, dp, tp_dim = stage.tp, stage.dp, stage.tp_dim
-        etp = np.minimum(tp, ga.max_tp[span])
-        tp_lv = _log2_int(tp)
-        etp_lv = _log2_int(etp)
-        samples = mbs / dp
-        # Flat element indices into the C-ordered ``[op, tp_level,
-        # option]`` profile tables and ``[op, option]`` comm tables:
-        # one ``take`` per table reads the same values a 3-index
-        # fancy gather would, without its per-axis index broadcasting.
-        flat = (self._op_levels[span] + tp_lv) * self._num_opts + tp_dim
-        flat_opt = self._op_options[span] + tp_dim
-
-        # --- per-op compute times (profiled linear models) -------------
-        fwd = pg.fwd_fixed.take(flat) + samples * pg.fwd_slope.take(flat)
-        bwd = pg.bwd_fixed.take(flat) + samples * pg.bwd_slope.take(flat)
-
-        # --- tensor-parallel collectives per microbatch ----------------
-        comm_mask = etp > 1
-        fwd_bytes = ga.fwd_comm_numel.take(flat_opt) * samples * elem
-        bwd_bytes = ga.bwd_comm_numel.take(flat_opt) * samples * elem
-        ar_lat = self._ar_lat.take(etp_lv)
-        ar_ibw = self._ar_ibw.take(etp_lv)
-        tp_fwd_comm = np.where(
-            comm_mask & (fwd_bytes > 0), ar_lat + fwd_bytes * ar_ibw, 0.0
-        )
-        tp_bwd_comm = np.where(
-            comm_mask & (bwd_bytes > 0), ar_lat + bwd_bytes * ar_ibw, 0.0
-        )
-
-        # --- in-stage resharding (flexible tp/dp combinations, §4.2) ---
-        # One-way cost; assembly charges it once forward, once backward.
-        reshard = 0.0
-        if stage.num_ops > 1:
-            change = (tp[:-1] != tp[1:]) | (dp[:-1] != dp[1:])
-            group_lv = _log2_int(tp[:-1] * dp[:-1])
-            resh_bytes = ga.out_numel[span][:-1] * samples[:-1] * elem
-            reshard = float(
-                np.where(
-                    change,
-                    self._ag_lat[group_lv] + resh_bytes * self._ag_ibw[group_lv],
-                    0.0,
-                ).sum()
-            )
-
-        # --- data-parallel gradient sync per iteration -----------------
-        # One allreduce per distinct dp degree present in the stage
-        # (ops sharing a degree share a process group).  Bucket grad
-        # bytes by log-level instead of looping over np.unique.
-        weight_bytes = self._param_bytes[span] / etp
-        dp_lv = _log2_int(dp)
+        sum)``: one gather of the stage's table columns and one row sum.
+        Each row is contiguous, so numpy sums it pairwise exactly as a
+        1-D ``sum`` of the per-op vector would."""
+        codes, setting, dp_lv = self._stage_codes(stage)
+        cols = self._class_table(mbs).take(codes, axis=1)
+        *summed, act_total = cols[:len(_SUMMED) + 1].sum(axis=1).tolist()
+        # One-way reshard; assembly charges it once forward, once back.
+        change = setting[:-1] != setting[1:]
+        reshard = float(np.where(change, cols[_RESHARD, :-1], 0.0).sum())
+        # One dp allreduce per distinct dp degree in the stage (ops
+        # sharing a degree share a process group), bucketed by level.
         counts = np.bincount(dp_lv)
-        sums = np.bincount(dp_lv, weights=weight_bytes)
+        sums = np.bincount(dp_lv, weights=cols[_WEIGHT])
         levels = np.nonzero(counts[1:])[0] + 1
         dp_sync = float(
             np.sum(self._ar_lat[levels] + sums[levels] * self._ar_ibw[levels])
         )
-
-        # --- memory ----------------------------------------------------
-        act_bytes = self._activation_bytes(span, samples, etp)
-        optimizer_bytes = self._param_optimizer_bytes[span] / etp
-        transient = self._transient_numel[span] * samples / etp * elem
         reserve = stage_allocator_reserve(
-            transient, safety_factor=self.reserve_safety_factor
+            cols[_TRANSIENT], safety_factor=self.reserve_safety_factor
         )
         egress = float(
-            ga.out_numel[stage.end - 1] * mbs / float(dp[-1]) * elem
+            self.graph.arrays.out_numel[stage.end - 1] * mbs
+            / float(stage.dp[-1]) * self._elem
         )
-
         fields = dict(
-            fwd_time=float(fwd.sum()),
-            bwd_time=float(bwd.sum()),
-            tp_fwd_comm_time=float(tp_fwd_comm.sum()),
-            tp_bwd_comm_time=float(tp_bwd_comm.sum()),
-            reshard_time=reshard,
-            dp_sync_time=dp_sync,
-            weight_bytes=float(weight_bytes.sum()),
-            optimizer_bytes=float(optimizer_bytes.sum()),
-            reserved_bytes=reserve,
-            egress_bytes=egress,
+            zip(_SUMMED, summed), reshard_time=reshard, dp_sync_time=dp_sync,
+            reserved_bytes=reserve, egress_bytes=egress,
         )
-        # Recomputation repeats the forward and its collectives.
-        return fields, fwd + tp_fwd_comm, act_bytes, float(act_bytes.sum())
+        # Owned copies: a view would pin every gathered row in the LRU.
+        rc_time, act_bytes = cols[_RECOMPUTE].copy(), cols[_ACTIVATION].copy()
+        return fields, rc_time, act_bytes, act_total
 
     # ------------------------------------------------------------------
     # assembly (stage-count dependent, cheap)

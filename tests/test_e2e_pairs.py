@@ -49,3 +49,89 @@ def test_unresolved_when_the_parent_spreads_past_the_bound():
     # a median gap (1.35) inside the parent's IQR (1.45).
     clear = [0.5] * len(noisy)
     assert e2e_pairs.verdict(_pairs(noisy, clear), "lower", 0.25) == "same"
+
+
+def test_claim_reads_the_first_workload_and_worse_anywhere():
+    verdicts = {
+        "search-1000l": {"plan_s": "gain", "setup_s": "same"},
+        "serve-mixed": {"plan_s": "same", "latency_p50_ms": "unresolved"},
+    }
+    assert e2e_pairs.claim_holds(verdicts, "search-1000l", "plan_s")
+    # The gain must be on the first workload named.
+    assert not e2e_pairs.claim_holds(verdicts, "serve-mixed", "plan_s")
+    # A worse metric on any workload voids the claim.
+    verdicts["serve-mixed"]["peak_rss_mb"] = "worse"
+    assert not e2e_pairs.claim_holds(verdicts, "search-1000l", "plan_s")
+
+
+def _fake_runs(plan_s):
+    """A ``run_side`` stand-in: ``plan_s[(workload, side)]`` per run."""
+    def run_side(root, workload, seed, seconds):
+        value = plan_s[(workload, root.name)] + 0.001 * seed
+        return {"correct": True, "failed": 0, "returncode": 0,
+                "metrics": {"plan_s": {"value": value}}}
+    return run_side
+
+
+def _checkouts(tmp_path):
+    roots = []
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(
+            (_SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+        roots.append(str(root))
+    return roots
+
+
+def test_each_workload_gets_its_own_pairs_and_table(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(e2e_pairs, "run_side", _fake_runs({
+        ("search-1000l", "parent"): 1.0, ("search-1000l", "change"): 0.8,
+        ("serve-mixed", "parent"): 0.2, ("serve-mixed", "change"): 0.2,
+    }))
+    argv = _checkouts(tmp_path) + [
+        "--workload", "search-1000l", "--workload", "serve-mixed",
+        "--pairs", "3", "--claim", "plan_s",
+    ]
+    assert e2e_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    first, second = out.split("== serve-mixed")
+    assert "== search-1000l" in first
+    for section in (first, second):
+        assert section.count("seed ") == 6  # 3 pairs, two sides each
+        rows = [ln for ln in section.splitlines() if ln.startswith("plan_s")]
+        assert len(rows) == 1  # one table row
+    assert "3/3 gain" in first and "0/3 same" in second
+    assert "claim plan_s on search-1000l: holds" in out
+
+
+def test_claim_fails_on_worse_elsewhere_or_gain_not_first(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(e2e_pairs, "run_side", _fake_runs({
+        ("search-1000l", "parent"): 1.0, ("search-1000l", "change"): 0.8,
+        ("serve-mixed", "parent"): 0.2, ("serve-mixed", "change"): 0.3,
+    }))
+    roots = _checkouts(tmp_path)
+    worse = ["--workload", "search-1000l", "--workload", "serve-mixed"]
+    assert e2e_pairs.main(
+        roots + worse + ["--pairs", "3", "--claim", "plan_s"]) == 2
+    # Without a claim, a worse metric alone does not fail the run.
+    assert e2e_pairs.main(roots + worse + ["--pairs", "3"]) == 0
+    gain_second = ["--workload", "serve-mixed", "--workload", "search-1000l"]
+    monkeypatch.setattr(e2e_pairs, "run_side", _fake_runs({
+        ("search-1000l", "parent"): 1.0, ("search-1000l", "change"): 0.8,
+        ("serve-mixed", "parent"): 0.2, ("serve-mixed", "change"): 0.2,
+    }))
+    assert e2e_pairs.main(
+        roots + gain_second + ["--pairs", "3", "--claim", "plan_s"]) == 2
+    assert "claim plan_s on serve-mixed: fails" in capsys.readouterr().out
+
+
+def test_a_workload_named_twice_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        e2e_pairs.main(_checkouts(tmp_path) + [
+            "--workload", "search-1000l", "--workload", "search-1000l"])
+    assert exc.value.code == 2

@@ -243,11 +243,12 @@ class TestRecomputeDeltaCosting:
 
 
 def frozen_fancy_index_cost_stage_base(model, stage, mbs):
-    """Frozen copy of ``PerfModel._cost_stage_base`` as it read the
-    profile, comm-numel and allreduce tables with multi-axis fancy
-    indexing, before those reads became flat-index ``take`` gathers.
-    ``estimate_fresh`` shares the live gathers, so this copy is the
-    oracle for them."""
+    """Frozen copy of ``PerfModel._cost_stage_base`` as it computed
+    every per-op term from the op's own profile, comm-numel and
+    collective rows with multi-axis fancy indexing, before those terms
+    moved into the class-setting tables.  ``estimate_fresh`` and
+    ``stage_cache_size=0`` read the same tables as the cached path, so
+    this copy is the tables' only independent oracle."""
     from repro.perfmodel.memory import stage_allocator_reserve
     from repro.perfmodel.model import _log2_int
 
@@ -342,22 +343,60 @@ def synthetic_model(seed):
     return PerfModel(graph, cluster, database)
 
 
-class TestFlatIndexGathers:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 3), data=st.data())
-    def test_matches_frozen_fancy_index_gathers(self, seed, data):
-        """Random stages with mixed per-op tp/dp, padded partition
-        options (tp_dim past an op's real option count) and any mbs:
-        the flat-index base costing is bit-identical to the frozen
-        fancy-index one."""
-        model = synthetic_model(seed)
+@functools.lru_cache(maxsize=None)
+def capped_synthetic_model(seed, gpus, reserve_safety_factor):
+    """A synthetic graph whose every third op caps tp at 2 or 4, so tp
+    above ``max_tp`` clamps at a level between 1 and tp, on a
+    ``gpus``-GPU cluster (1 to 5 dp levels)."""
+    graph = build_synthetic(40, seed=seed)
+    ops = [
+        dataclasses.replace(op, max_tp=min(op.max_tp, 2 << (i // 3 % 2)))
+        if i % 3 == 0 else op
+        for i, op in enumerate(graph.ops)
+    ]
+    graph = dataclasses.replace(graph, ops=ops)
+    cluster = paper_cluster(gpus)
+    database = SimulatedProfiler(cluster, seed=seed).profile(graph)
+    return PerfModel(
+        graph, cluster, database,
+        reserve_safety_factor=reserve_safety_factor,
+    )
+
+
+class TestClassSettingTables:
+    """Stage costing gathers every per-op term from one table per
+    microbatch size, indexed by (cost class, tp level, dp level,
+    option).  Every path reads those tables, so they are checked
+    against the frozen per-op costing above."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 3),
+        gpus=st.sampled_from([1, 2, 8, 16]),
+        reserve_safety_factor=st.sampled_from([None, 1.25]),
+        data=st.data(),
+    )
+    def test_matches_frozen_per_op_costing(
+        self, seed, gpus, reserve_safety_factor, data
+    ):
+        """Random stages on 1- to 16-GPU clusters with mixed per-op
+        tp/dp, tp above an op's ``max_tp``, padded partition options
+        (tp_dim past an op's real option count), any mbs and either
+        allocator safety factor: the gathered base costing and
+        ``stage_activation_bytes`` are bit-identical to the frozen
+        per-op costing."""
+        model = capped_synthetic_model(seed, gpus, reserve_safety_factor)
+        ga = model.graph.arrays
         num_ops = model.graph.num_ops
-        assert np.any(model.graph.arrays.num_options == 1)  # padding
+        assert np.any(ga.num_options == 1)  # padding
+        assert {1, 2, 4} <= set(ga.max_tp.tolist())  # clamps
         start = data.draw(st.integers(0, num_ops - 1), label="start")
         end = data.draw(st.integers(start + 1, num_ops), label="end")
         n = end - start
-        devices = data.draw(st.sampled_from([1, 2, 4, 8]), label="gpus")
-        degrees = [t for t in (1, 2, 4, 8) if t <= devices]
+        devices = data.draw(st.sampled_from(
+            [d for d in (1, 2, 4, 8, 16) if d <= gpus]
+        ), label="devices")
+        degrees = [t for t in (1, 2, 4, 8, 16) if t <= devices]
         tp = np.array(data.draw(st.lists(
             st.sampled_from(degrees), min_size=n, max_size=n
         ), label="tp"), dtype=np.int64)
@@ -383,6 +422,38 @@ class TestFlatIndexGathers:
         assert rc_vec.tobytes() == want_rc.tobytes()
         assert act_vec.tobytes() == want_act.tobytes()
         assert act_sum == float(want_act.sum())
+        activation = model.stage_activation_bytes(stage, mbs)
+        assert activation.tobytes() == want_act.tobytes()
+
+    def test_base_lru_holds_owned_vectors_it_accounts_for(self):
+        """After a short gpt3-350m search, every per-op vector in the
+        base LRU owns its data (a view of the stage's gather would pin
+        all of its table rows) and has one entry per stage op, and the
+        LRU's op count is the sum of those lengths."""
+        graph = build_model("gpt3-350m")
+        cluster = paper_cluster(8)
+        database = SimulatedProfiler(cluster, seed=0).profile(graph)
+        model = PerfModel(graph, cluster, database)
+        num_ops = {}
+        original = model._cost_stage_base
+
+        def recorded(stage, mbs):
+            num_ops[(stage.base_digest(), mbs)] = stage.num_ops
+            return original(stage, mbs)
+
+        model._cost_stage_base = recorded
+        AcesoSearch(graph, cluster, model).run(
+            balanced_config(graph, cluster, 4), SearchBudget(max_iterations=4)
+        )
+        cache = model._base_cache
+        assert cache
+        for key, (_, rc_time, act_bytes, _) in cache.items():
+            for vec in (rc_time, act_bytes):
+                assert vec.base is None
+                assert len(vec) == num_ops[key]
+        assert model._base_cache_ops == sum(
+            len(act_bytes) for _, _, act_bytes, _ in cache.values()
+        )
 
 
 class TestRecomputeTermsOracle:
