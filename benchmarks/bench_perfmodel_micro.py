@@ -9,7 +9,9 @@ work:
   a 1000-layer GPT chain.
 * **depth slope** — cold and warm seconds per estimate on gpt-Nl for
   N in ``DEPTHS``: how a candidate's cost grows with model depth
-  (Exp#3's 1,000-layer claim).  Recorded only, with no gate.
+  (Exp#3's 1,000-layer claim), plus the microseconds a fresh one-stage
+  config pays outside the estimator: its base digest (``identity_us``)
+  and its structure check (``check_us``).  Recorded only, with no gate.
 * **telemetry off vs on** — the same warm path with the bus inactive
   (no sinks: the production search default) vs actively emitting
   per-estimate events into a ring buffer.  The inactive path is the
@@ -26,11 +28,13 @@ import gc
 import json
 import os
 import time
+import timeit
 
 from repro.cluster import paper_cluster
 from repro.core import search_all_stage_counts
 from repro.core.pool import usable_cores
 from repro.ir.models import build_model
+from repro.lint.config_rules import _op_check_hits
 from repro.parallel import balanced_config
 from repro.perfmodel import PerfModel
 from repro.profiling import SimulatedProfiler
@@ -145,14 +149,37 @@ def test_estimates_per_second():
         assert out["warm_estimates_per_s"] > out["cold_estimates_per_s"]
 
 
+def _fresh_stage_us(model_name):
+    """``(identity_us, check_us)``: best-of microseconds for the base
+    digest and the structure check of a fresh one-stage config."""
+    graph = build_model(model_name)
+    cluster = paper_cluster(8)
+    config = balanced_config(graph, cluster, 1)
+    stage = config.stages[0]
+
+    def identity():
+        stage._invalidate_signature()  # a fresh stage's first hash
+        stage.base_digest()
+
+    def check():
+        _op_check_hits([stage], config.microbatch_size, graph, cluster)
+
+    return tuple(
+        min(timeit.repeat(run, number=50, repeat=7)) / 50 * 1e6
+        for run in (identity, check)
+    )
+
+
 def test_depth_slope():
-    """Seconds per estimate against depth, cold and warm (no gate)."""
+    """Seconds per estimate against depth, cold and warm, and a fresh
+    stage's identity and check microseconds (no gate)."""
     print_header("PerfModel seconds per estimate vs depth")
     rows, results = [], []
     for layers in DEPTHS:
         out = _estimate_rates(f"gpt-{layers}l")
         cold = out["cold_seconds"] / out["candidates"]
         warm = out["warm_seconds"] / out["candidates"]
+        identity_us, check_us = _fresh_stage_us(out["model"])
         results.append({
             "model": out["model"],
             "layers": layers,
@@ -160,12 +187,16 @@ def test_depth_slope():
             "candidates": out["candidates"],
             "cold_seconds_per_estimate": cold,
             "warm_seconds_per_estimate": warm,
+            "identity_us": identity_us,
+            "check_us": check_us,
         })
         rows.append([
             out["model"], out["num_ops"],
             f"{cold * 1e6:.0f}", f"{warm * 1e6:.0f}",
+            f"{identity_us:.0f}", f"{check_us:.0f}",
         ])
-    print_table(["model", "ops", "cold us/est", "warm us/est"], rows)
+    print_table(["model", "ops", "cold us/est", "warm us/est",
+                 "identity us", "check us"], rows)
     _merge_json({"depth": results})
 
 

@@ -19,6 +19,11 @@ interquartile range, how many pairs the change won and a verdict:
 
 Metric directions and bounds come from the parent's ``BENCHMARK.json``.
 
+``--trace-pairs N`` adds N alternating traced pairs per workload
+(``run.py --trace 1 --seconds 10``) and prints each layer's ``self_s``
+median for parent and change, with the parent's min-max range, to show
+which layer a change moved.  ``--pairs 0`` skips the untraced pairs.
+
 Exits 1 when any run fails: a non-zero exit, no result line, a failed
 request or ``correct: false``.  With ``--claim METRIC`` it exits 2
 unless that metric reads ``gain`` on the first workload named and no
@@ -38,12 +43,18 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 
+#: Measuring time of one traced run.
+TRACE_SECONDS = 10.0
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run in checkout ``root``; its JSON result line."""
+
+def run_side(root: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One run in checkout ``root`` (per-layer metrics when ``trace``);
+    its JSON result line."""
     proc = subprocess.run(
         [sys.executable, "benchmarks/e2e/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=root, capture_output=True, text=True, check=False,
     )
     lines = proc.stdout.strip().splitlines()
@@ -117,6 +128,36 @@ def summarize(pairs, specs: dict) -> dict:
     return verdicts
 
 
+def layer_table(pairs) -> dict:
+    """Print each layer's ``self_s`` median per side and the parent's
+    min-max range over traced pairs; return ``{layer: (parent median,
+    change median, parent min, parent max)}``."""
+    print(f"\n{'layer self_s':44s} {'parent':>9s} {'change':>9s} "
+          f"{'delta':>8s} parent range")
+    names = dict.fromkeys(
+        name for pair in pairs for run in pair
+        for name in run["metrics"] if name.endswith(".self_s"))
+
+    def values(runs, name):
+        found = (run["metrics"].get(name, {}).get("value") for run in runs)
+        return [value for value in found if value is not None]
+
+    table = {}
+    for name in names:
+        parent, change = (values(side, name) for side in zip(*pairs))
+        layer = name[:-len(".self_s")]
+        if not parent or not change:
+            print(f"{layer:44s} missing")
+            continue
+        row = (statistics.median(parent), statistics.median(change),
+               min(parent), max(parent))
+        delta = (row[1] - row[0]) / row[0] if row[0] else 0.0
+        print(f"{layer:44s} {row[0]:9.4f} {row[1]:9.4f} {delta:+8.1%} "
+              f"{row[2]:.4f}-{row[3]:.4f}")
+        table[layer] = row
+    return table
+
+
 def claim_holds(verdicts: dict, workload: str, metric: str) -> bool:
     """``metric`` reads ``gain`` on ``workload`` and no metric reads
     ``worse`` on any workload of ``{workload: {metric: verdict}}``."""
@@ -125,22 +166,26 @@ def claim_holds(verdicts: dict, workload: str, metric: str) -> bool:
 
 
 def run_pairs(roots: dict, workload: str, pairs: int, seconds: float,
-              specs: dict):
-    """Alternate the two sides over ``pairs`` seeds of ``workload``,
-    printing each run; ``([(parent, change), ...], any run broken)``."""
+              specs: dict, trace: int = 0):
+    """Alternate the two sides over ``pairs`` seeds of ``workload``
+    (traced runs when ``trace``), printing each run; ``([(parent,
+    change), ...], any run broken)``."""
     results_by_seed = []
     failed = False
     for seed in range(pairs):
         order = SIDES if seed % 2 == 0 else SIDES[::-1]
         results = {}
         for side in order:
-            results[side] = run_side(roots[side], workload, seed, seconds)
+            results[side] = run_side(
+                roots[side], workload, seed, seconds, trace)
             metrics = results[side]["metrics"]
             values = " ".join(
                 f"{name}={metrics[name]['value']:.6g}"
                 for name in specs if name in metrics)
             mark = " BROKEN" if broken(results[side]) else ""
-            print(f"seed {seed} {side:6s} {values}{mark}", flush=True)
+            label = "traced seed" if trace else "seed"
+            print(f"{label} {seed} {side:6s} {values}{mark}".rstrip(),
+                  flush=True)
             failed = failed or broken(results[side])
         results_by_seed.append((results["parent"], results["change"]))
     return results_by_seed, failed
@@ -152,14 +197,22 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="change checkout")
     parser.add_argument("--workload", action="append", required=True,
                         help="workload to pair; repeat for several")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="untraced pairs per workload")
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--trace-pairs", type=int, default=0, metavar="N",
+                        help="traced pairs per workload: per-layer "
+                             "self_s medians")
     parser.add_argument("--claim", metavar="METRIC",
                         help="exit 2 unless METRIC reads gain on the "
                              "first workload and no metric reads worse")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be positive")
+    if args.pairs < 0 or args.trace_pairs < 0:
+        parser.error("--pairs and --trace-pairs cannot be negative")
+    if not args.pairs and not args.trace_pairs:
+        parser.error("nothing to run: --pairs and --trace-pairs are 0")
+    if args.claim is not None and not args.pairs:
+        parser.error("--claim needs untraced --pairs")
     if len(set(args.workload)) < len(args.workload):
         parser.error("--workload: name each workload once")
     roots = {"parent": args.parent, "change": args.change}
@@ -170,10 +223,17 @@ def main(argv=None) -> int:
     failed = False
     for workload in args.workload:
         print(f"\n== {workload}", flush=True)
-        pairs, broke = run_pairs(
-            roots, workload, args.pairs, args.seconds, specs)
-        failed = failed or broke
-        verdicts[workload] = summarize(pairs, specs)
+        if args.pairs:
+            pairs, broke = run_pairs(
+                roots, workload, args.pairs, args.seconds, specs)
+            failed = failed or broke
+            verdicts[workload] = summarize(pairs, specs)
+        if args.trace_pairs:
+            traced, broke = run_pairs(
+                roots, workload, args.trace_pairs, TRACE_SECONDS, specs,
+                trace=1)
+            failed = failed or broke
+            layer_table(traced)
     if failed:
         return 1
     if args.claim is not None:

@@ -164,8 +164,11 @@ def _check_ops(
 def _op_check_hits(stages, mbs, graph, cluster) -> Optional[np.ndarray]:
     """``[check, stage]`` verdicts of ``_OP_CHECKS`` over ``stages``,
     or ``None`` when no op fails any check."""
+    num_options = graph.arrays.num_options
+    if all(_is_clean(s, mbs, num_options, cluster.num_gpus) for s in stages):
+        return None
     lengths = [len(stage.tp) for stage in stages]
-    limits = [graph.arrays.num_options[s.start:s.end] for s in stages]
+    limits = [num_options[s.start:s.end] for s in stages]
     # A broken span can slice the wrong number of limits; the span
     # diagnostics already cover that case, so ACE131 skips it.
     checkable = [lim.shape == s.tp_dim.shape for lim, s in zip(limits, stages)]
@@ -195,6 +198,25 @@ def _op_check_hits(stages, mbs, graph, cluster) -> Optional[np.ndarray]:
     hits = before[:, bounds[1:]] > before[:, bounds[:-1]]
     hits[7] &= checkable
     return hits
+
+
+def _is_clean(stage, mbs, num_options, num_gpus) -> bool:
+    """Whether a few reductions prove that no ``_OP_CHECKS`` flag fires
+    on ``stage``.  With n a power of two, positive degrees with
+    ``tp * dp == n`` are powers of two, and a dp no larger than the
+    lowest set bit of ``mbs`` divides it.  Bounding tp and dp by n
+    first keeps ``tp * dp`` from overflowing int64 (n < 2**31)."""
+    n = stage.num_devices
+    tp, dp, tp_dim = stage.tp, stage.dp, stage.tp_dim
+    limit = num_options[stage.start:stage.end]
+    return bool(
+        1 <= n <= num_gpus and not n & (n - 1)
+        and len(tp) and limit.shape == tp_dim.shape
+        and 1 <= tp.min() and tp.max() <= n
+        and 1 <= dp.min() and dp.max() <= min(n, mbs & -mbs)
+        and (tp * dp == n).all()
+        and 0 <= tp_dim.min() and (tp_dim < limit).all()
+    )
 
 
 # ----------------------------------------------------------------------

@@ -193,18 +193,21 @@ class StageConfig:
 
     def digest(self) -> bytes:
         """16-byte stable hash: :meth:`base_digest` then the recompute
-        flags (cached), so a recompute-only edit hashes one byte per op."""
+        flags, one bit each (cached; the header fixes the op count, so
+        the last byte's padding bits are unambiguous)."""
         if self._digest is None:
             digest = hashlib.blake2b(self.base_digest(), digest_size=16)
-            digest.update(self.recompute.tobytes())
+            digest.update(np.packbits(self.recompute))
             self._digest = digest.digest()
         return self._digest
 
     def base_digest(self) -> bytes:
         """Like :meth:`digest`, but blind to the recompute flags (cached):
-        SHA-256 of the header and tp/dp/tp_dim arrays, cut to 16 bytes.
-        On CPUs with SHA extensions it hashes these 24 bytes per op
-        faster than blake2b.
+        SHA-256 of the header and the tp, dp and tp_dim values, cut to
+        16 bytes.  The values are hashed one byte each when all lie in
+        [0, 255] and as int64 otherwise; the header fixes the op count,
+        so the payload's length (3 or 24 bytes per op) tells the two
+        encodings apart.
 
         A clone first compares itself with the stage it was copied from
         (see :meth:`clone`): when the header and the tp/dp/tp_dim arrays
@@ -221,18 +224,22 @@ class StageConfig:
                 self._base_digest = src._base_digest
             else:
                 digest = hashlib.sha256(self._header_bytes())
-                digest.update(self.tp.tobytes())
-                digest.update(self.dp.tobytes())
-                digest.update(self.tp_dim.tobytes())
+                tp, dp, tp_dim = self.tp, self.dp, self.tp_dim
+                # Nonzero for any value outside [0, 255], negatives too.
+                wide = np.count_nonzero((tp | dp | tp_dim) >> 8)
+                for values in (tp, dp, tp_dim):
+                    digest.update(
+                        values.tobytes() if wide else values.astype(np.uint8)
+                    )
                 self._base_digest = digest.digest()[:16]
         return self._base_digest
 
     def _same_base(self, other: "StageConfig") -> bool:
         """Whether ``other`` hashes to the same base digest as this.
 
-        The digest hashes the header and the arrays' bytes, so equal
-        headers, dtypes and bytes are exactly equal digests; comparing
-        bytes costs a tenth of ``np.array_equal``.
+        Equal headers, dtypes and bytes are exactly equal digests.
+        Comparing bytes costs a tenth of ``np.array_equal`` on short
+        stages; at 8,004 ops both cost about 7 us per array.
         """
         return (
             (self.start, self.end, self.num_devices)

@@ -436,7 +436,12 @@ class PerfModel:
     ) -> np.ndarray:
         """Per-op saved-activation bytes of ``stage`` at microbatch size
         ``mbs``: the vector Eq. 1 sums before recomputation drops any of
-        it, gathered from the recompute-free base's table column."""
+        it.  The read-only vector the base LRU holds when the stage's
+        base is cached (read without touching the LRU's order), else
+        gathered from the table's activation row."""
+        base = self._base_cache.get((stage.base_digest(), mbs))
+        if base is not None:
+            return base[2]
         codes, _, _ = self._stage_codes(stage)
         return self._class_table(mbs)[_ACTIVATION].take(codes)
 
@@ -575,7 +580,10 @@ class PerfModel:
             reserved_bytes=reserve, egress_bytes=egress,
         )
         # Owned copies: a view would pin every gathered row in the LRU.
+        # Read-only, since stage_activation_bytes hands them out.
         rc_time, act_bytes = cols[_RECOMPUTE].copy(), cols[_ACTIVATION].copy()
+        rc_time.setflags(write=False)
+        act_bytes.setflags(write=False)
         return fields, rc_time, act_bytes, act_total
 
     # ------------------------------------------------------------------

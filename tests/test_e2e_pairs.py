@@ -66,7 +66,8 @@ def test_claim_reads_the_first_workload_and_worse_anywhere():
 
 def _fake_runs(plan_s):
     """A ``run_side`` stand-in: ``plan_s[(workload, side)]`` per run."""
-    def run_side(root, workload, seed, seconds):
+    def run_side(root, workload, seed, seconds, trace=0):
+        assert not trace
         value = plan_s[(workload, root.name)] + 0.001 * seed
         return {"correct": True, "failed": 0, "returncode": 0,
                 "metrics": {"plan_s": {"value": value}}}
@@ -134,4 +135,82 @@ def test_a_workload_named_twice_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         e2e_pairs.main(_checkouts(tmp_path) + [
             "--workload", "search-1000l", "--workload", "search-1000l"])
+    assert exc.value.code == 2
+
+
+def _fake_traced_runs(self_s, calls):
+    """A traced ``run_side`` stand-in: ``self_s[side][layer]`` seconds
+    plus ``seed`` ms per run, and the seconds and trace flags seen."""
+    def run_side(root, workload, seed, seconds, trace=0):
+        calls.append((root.name, workload, seed, seconds, trace))
+        metrics = {f"{layer}.self_s": {"value": value + 0.001 * seed}
+                   for layer, value in self_s[root.name].items()}
+        metrics["perfmodel.stage_cost.calls"] = {"value": 100.0}
+        metrics["gone.layer.self_s"] = {"value": None, "missing": True}
+        return {"correct": True, "failed": 0, "returncode": 0,
+                "metrics": metrics}
+    return run_side
+
+
+def test_trace_pairs_print_layer_medians_and_the_parent_range(
+    tmp_path, monkeypatch, capsys
+):
+    calls = []
+    monkeypatch.setattr(e2e_pairs, "run_side", _fake_traced_runs({
+        "parent": {"parallel.validation.validate_config": 0.195,
+                   "perfmodel.stage_cost": 0.335},
+        "change": {"parallel.validation.validate_config": 0.093,
+                   "perfmodel.stage_cost": 0.335},
+    }, calls))
+    argv = _checkouts(tmp_path) + [
+        "--workload", "search-1000l", "--pairs", "0", "--trace-pairs", "3"]
+    assert e2e_pairs.main(argv) == 0
+    # Only traced runs, sides alternating per seed, at the fixed length.
+    assert calls == [
+        ("parent", "search-1000l", 0, e2e_pairs.TRACE_SECONDS, 1),
+        ("change", "search-1000l", 0, e2e_pairs.TRACE_SECONDS, 1),
+        ("change", "search-1000l", 1, e2e_pairs.TRACE_SECONDS, 1),
+        ("parent", "search-1000l", 1, e2e_pairs.TRACE_SECONDS, 1),
+        ("parent", "search-1000l", 2, e2e_pairs.TRACE_SECONDS, 1),
+        ("change", "search-1000l", 2, e2e_pairs.TRACE_SECONDS, 1),
+    ]
+    rows = {line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("parallel.", "perfmodel.", "gone."))}
+    assert rows["parallel.validation.validate_config"] == [
+        "0.1960", "0.0940", "-52.0%", "0.1950-0.1970"]
+    assert rows["perfmodel.stage_cost"] == [
+        "0.3360", "0.3360", "+0.0%", "0.3350-0.3370"]
+    assert rows["gone.layer"] == ["missing"]
+    assert "perfmodel.stage_cost.calls" not in rows
+
+
+def test_layer_table_returns_medians_and_range():
+    def run(value):
+        return {"metrics": {"a.self_s": {"value": value}}}
+
+    pairs = [(run(1.0), run(0.5)), (run(3.0), run(0.7)), (run(2.0), run(0.6))]
+    assert e2e_pairs.layer_table(pairs) == {"a": (2.0, 0.6, 1.0, 3.0)}
+
+
+def test_trace_pairs_fail_on_a_broken_run(tmp_path, monkeypatch):
+    def broken_side(root, workload, seed, seconds, trace=0):
+        return {"correct": root.name == "parent", "failed": 0,
+                "returncode": 0, "metrics": {}}
+
+    monkeypatch.setattr(e2e_pairs, "run_side", broken_side)
+    argv = _checkouts(tmp_path) + [
+        "--workload", "search-1000l", "--pairs", "0", "--trace-pairs", "1"]
+    assert e2e_pairs.main(argv) == 1
+
+
+@pytest.mark.parametrize("extra", [
+    ["--pairs", "0"],
+    ["--pairs", "0", "--trace-pairs", "2", "--claim", "plan_s"],
+    ["--trace-pairs", "-1"],
+])
+def test_trace_pair_usage_errors(tmp_path, extra):
+    with pytest.raises(SystemExit) as exc:
+        e2e_pairs.main(_checkouts(tmp_path) + [
+            "--workload", "search-1000l"] + extra)
     assert exc.value.code == 2

@@ -204,3 +204,107 @@ class TestDigestInheritance:
                 assert (a.digest() == b.digest()) == (
                     a.signature_bytes() == b.signature_bytes()
                 )
+
+
+#: Values on both sides of the one-byte encoding's range, and far out.
+EDGE_VALUES = [-1, 0, 1, 255, 256, 2**40]
+
+
+def raw_stage(start, num_devices, tp, dp, tp_dim, recompute):
+    """A stage built from raw (possibly invalid) per-op values."""
+    return StageConfig(
+        start=start,
+        end=start + len(tp),
+        num_devices=num_devices,
+        tp=np.array(tp, dtype=np.int64),
+        dp=np.array(dp, dtype=np.int64),
+        tp_dim=np.array(tp_dim, dtype=np.int64),
+        recompute=np.array(recompute, dtype=bool),
+    )
+
+
+def base_bytes(stage):
+    """What :meth:`StageConfig.base_digest` identifies: the header and
+    the tp/dp/tp_dim bytes."""
+    return stage._header_bytes() + b"".join(
+        a.tobytes() for a in (stage.tp, stage.dp, stage.tp_dim)
+    )
+
+
+@st.composite
+def edge_stages(draw, num_ops):
+    def values():
+        return draw(st.lists(
+            st.sampled_from(EDGE_VALUES), min_size=num_ops, max_size=num_ops
+        ))
+
+    return raw_stage(
+        draw(st.sampled_from([0, 1])),
+        draw(st.sampled_from([1, 256])),
+        values(), values(), values(),
+        draw(st.lists(st.booleans(), min_size=num_ops, max_size=num_ops)),
+    )
+
+
+class TestDigestEncodings:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_digests_are_injective_at_the_encoding_edges(self, data):
+        """Stages whose values straddle the one-byte range (negative,
+        255, 256, 2**40) and whose recompute flags pack into a partial
+        last byte (1-17 ops): ``base_digest`` is equal exactly when the
+        header and tp/dp/tp_dim bytes are, ``digest`` exactly when
+        ``signature_bytes`` are."""
+        lengths = data.draw(st.lists(
+            st.integers(1, 17), min_size=2, max_size=4
+        ), label="lengths")
+        pool = [data.draw(edge_stages(n)) for n in lengths]
+        # Near twins: one value or one flag changed.
+        for stage in list(pool):
+            twin = stage.clone()
+            op = data.draw(st.integers(0, stage.num_ops - 1))
+            name = data.draw(st.sampled_from(
+                ["tp", "dp", "tp_dim", "recompute"]
+            ))
+            array = getattr(twin, name)
+            if name == "recompute":
+                array[op] = not array[op]
+            else:
+                array[op] = data.draw(st.sampled_from(EDGE_VALUES))
+            pool.append(twin)
+        for a in pool:
+            for b in pool:
+                assert (a.base_digest() == b.base_digest()) == (
+                    base_bytes(a) == base_bytes(b)
+                )
+                assert (a.digest() == b.digest()) == (
+                    a.signature_bytes() == b.signature_bytes()
+                )
+
+    @pytest.mark.parametrize("wide,narrow", [(256, 0), (-1, 255)])
+    def test_values_that_share_a_low_byte_differ(self, wide, narrow):
+        """256 and -1 hash as int64, 0 and 255 as one byte each: same
+        low byte, different digests, on every array."""
+        for name in ("tp", "dp", "tp_dim"):
+            values = {"tp": [1, 2], "dp": [2, 1], "tp_dim": [0, 0]}
+            values[name] = [values[name][0], wide]
+            a = raw_stage(0, 2, recompute=[False, False], **values)
+            values[name] = [values[name][0], narrow]
+            b = raw_stage(0, 2, recompute=[False, False], **values)
+            assert a.base_digest() != b.base_digest()
+            assert a.digest() != b.digest()
+
+    @pytest.mark.parametrize("num_ops", [1, 7, 8, 9, 16, 17])
+    def test_last_recompute_flag_counts(self, num_ops):
+        """Stages that differ only in their last recompute flag share a
+        base digest and differ in digest, whether that flag sits in a
+        full or a padded byte."""
+        a = StageConfig.uniform(0, num_ops, 4, tp=2)
+        b = a.clone()
+        b.recompute[-1] = True
+        assert a.base_digest() == b.base_digest()
+        assert a.digest() != b.digest()
+        # One more op packs into the same bytes when the flags are all
+        # off; the header's length still tells the stages apart.
+        longer = StageConfig.uniform(0, num_ops + 1, 4, tp=2)
+        assert longer.digest() != a.digest()

@@ -230,6 +230,41 @@ class TestRecomputeDeltaCosting:
         )
         assert len(model._base_cache) == 1
 
+    def test_activation_bytes_read_the_base_lru(self, monkeypatch):
+        """``stage_activation_bytes`` hands out the base LRU's read-only
+        vector on a hit and gathers after eviction, bit-identical to a
+        model without stage caches either way, and leaves the LRU's key
+        order and op count alone."""
+        monkeypatch.setattr(model_module, "STAGE_BASE_CACHE_SIZE", 2)
+        monkeypatch.setattr(model_module, "STAGE_BASE_CACHE_OPS", 1)
+        graph = build_synthetic(24, seed=1)
+        cluster = paper_cluster(8)
+        database = SimulatedProfiler(cluster, seed=0).profile(graph)
+        model = PerfModel(graph, cluster, database)
+        gather = PerfModel(graph, cluster, database, stage_cache_size=0)
+        config = balanced_config(graph, cluster, 3)
+        mbs = config.microbatch_size
+        model.estimate(config)
+        cache = model._base_cache
+        keys, held_ops = list(cache), model._base_cache_ops
+        # Two-entry floor: stage 0's base was evicted.
+        assert keys == [
+            (stage.base_digest(), mbs) for stage in config.stages[1:]
+        ]
+        for stage in config.stages:
+            activation = model.stage_activation_bytes(stage, mbs)
+            want = gather.stage_activation_bytes(stage, mbs)
+            assert activation.dtype == want.dtype
+            assert activation.tobytes() == want.tobytes()
+            assert list(cache) == keys
+            assert model._base_cache_ops == held_ops
+        hit = model.stage_activation_bytes(config.stages[1], mbs)
+        assert hit is cache[keys[0]][2]
+        assert not hit.flags.writeable
+        with pytest.raises(ValueError):
+            hit[0] = 0.0
+        assert not cache[keys[0]][1].flags.writeable
+
     def test_fresh_estimates_bypass_the_base_cache(self):
         graph = build_synthetic(16, seed=4)
         cluster = paper_cluster(4)

@@ -7,7 +7,11 @@ and the microbatch size — and requires the exact diagnostics, in the
 exact order, that a frozen verbatim copy of the per-stage checker it
 replaced reports.
 
-The second half pins the search's verdict memo: along chains of
+The frozen copy is also the independent oracle of the clean-stage
+proof (``config_rules._is_clean``): a stage the proof accepts must get
+no per-op diagnostic from it.
+
+The last part pins the search's verdict memo: along chains of
 primitive-like edits, ``is_valid`` with one verdict set per chain must
 agree with a full ``analyze_structure`` at every step.
 """
@@ -17,6 +21,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -228,6 +233,11 @@ def _corrupt(config, corruptions):
             stage.num_devices = value
         elif kind == "mbs":
             config.microbatch_size = value
+        elif kind == "degrees":
+            stage.tp[:], stage.dp[:] = value
+        elif kind == "uniform":
+            stage.num_devices, tp = value
+            stage.tp[:], stage.dp[:] = tp, stage.num_devices // tp
         elif len(stage.tp):
             op, degree = value
             getattr(stage, kind)[op % len(stage.tp)] = degree
@@ -266,6 +276,136 @@ def test_empty_span_next_to_a_bad_stage():
     assert [d.location for d in actual if d.code.startswith("ACE12")] == [
         "stage 2", "stage 2", "stage 3", "stage 3",
     ]
+
+
+# ----------------------------------------------------------------------
+# clean-stage proof
+# ----------------------------------------------------------------------
+#: Huge degrees whose product with 4 wraps around int64 to 8.
+_WRAPPING = [2**62 + 2, -(2**62) + 2]
+
+_PROOF_DEGREES = [-4, -1, 0, 1, 2, 3, 4, 6, 8, 16, 32] + _WRAPPING
+
+_PROOF_CORRUPTIONS = st.one_of(
+    _CORRUPTIONS,
+    st.tuples(st.just("devices"), st.integers(0, 7),
+              st.sampled_from([0, 3, 16])),
+    st.tuples(st.just("degrees"), st.integers(0, 7),
+              st.tuples(st.sampled_from(_PROOF_DEGREES),
+                        st.sampled_from(_PROOF_DEGREES))),
+    st.tuples(st.just("tp"), st.integers(0, 7),
+              st.tuples(st.integers(0, 99), st.sampled_from(_PROOF_DEGREES))),
+    st.tuples(st.just("dp"), st.integers(0, 7),
+              st.tuples(st.integers(0, 99), st.sampled_from(_PROOF_DEGREES))),
+    # Products that match a device count that is not a power of two
+    # or exceeds the cluster.
+    st.tuples(st.just("uniform"), st.integers(0, 7),
+              st.tuples(st.sampled_from([0, 3, 6, 8, 16]),
+                        st.sampled_from([1, 2, 3, 4, 8, 16]))),
+    st.tuples(st.just("mbs"), st.just(0), st.sampled_from([1, 3, 6, 12])),
+)
+
+_OP_CODES = ("ACE12", "ACE13", "ACE141")
+
+
+def _proven_clean(config, graph, cluster) -> list:
+    """Indices of the stages the clean-stage proof accepts."""
+    return [
+        i for i, stage in enumerate(config.stages)
+        if config_rules._is_clean(
+            stage, config.microbatch_size, graph.arrays.num_options,
+            cluster.num_gpus,
+        )
+    ]
+
+
+def _legacy_op_locations(config, graph, cluster) -> set:
+    """Stages the frozen checker reports any per-op diagnostic for."""
+    with np.errstate(divide="ignore"):  # dp == 0 in mbs % dp
+        diagnostics = legacy_analyze_structure(config, graph, cluster)
+    return {d.location for d in diagnostics if d.code.startswith(_OP_CODES)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    num_stages=st.sampled_from([1, 2, 4, 8]),
+    mbs=st.sampled_from([1, 2, 4, 8]),
+    corruptions=st.lists(_PROOF_CORRUPTIONS, min_size=0, max_size=6),
+)
+def test_clean_stage_proof_is_sound(num_stages, mbs, corruptions):
+    """Zero, negative, non-power-of-two and huge degrees, tp above the
+    stage's devices, odd microbatches and device counts of 0, 3 or 16:
+    the frozen checker reports no per-op diagnostic (ACE12x, ACE13x,
+    ACE141) for any stage the proof accepts."""
+    graph, cluster = _problem()
+    config = _corrupt(
+        balanced_config(graph, cluster, num_stages, microbatch_size=mbs),
+        corruptions,
+    )
+    flagged = _legacy_op_locations(config, graph, cluster)
+    for i in _proven_clean(config, graph, cluster):
+        assert _stage_loc(i) not in flagged
+
+
+def test_clean_stage_proof_accepts_clean_configs():
+    """Without corruption, every stage the frozen checker passes is
+    proven clean, so valid candidates skip the flag rows."""
+    graph, cluster = _problem()
+    accepted = 0
+    for num_stages in (1, 2, 4, 8):
+        for mbs in (1, 2, 4, 8):
+            config = balanced_config(
+                graph, cluster, num_stages, microbatch_size=mbs
+            )
+            flagged = _legacy_op_locations(config, graph, cluster)
+            clean = [
+                i for i in range(num_stages) if _stage_loc(i) not in flagged
+            ]
+            assert _proven_clean(config, graph, cluster) == clean
+            accepted += len(clean)
+    assert accepted
+
+
+def test_clean_stage_proof_rejects_an_empty_stage():
+    graph, cluster = _problem()
+    config = balanced_config(graph, cluster, 4)
+    config.stages[1] = _empty_like(config.stages[1])
+    assert 1 not in _proven_clean(config, graph, cluster)
+    assert analyze_structure(config, graph, cluster) == (
+        legacy_analyze_structure(config, graph, cluster)
+    )
+
+
+@pytest.mark.parametrize("devices,tp", [(3, 3), (6, 3), (16, 16)])
+def test_clean_stage_proof_checks_the_device_count(devices, tp):
+    """``tp * dp`` matches a device count that is not a power of two,
+    or exceeds the 8-GPU cluster: the proof rejects the stage, and the
+    frozen checker flags its degrees."""
+    graph, cluster = _problem()
+    config = _corrupt(
+        balanced_config(graph, cluster, 2, microbatch_size=8),
+        [("uniform", 0, (devices, tp))],
+    )
+    assert _proven_clean(config, graph, cluster) == [1]
+    assert _stage_loc(0) in _legacy_op_locations(config, graph, cluster)
+
+
+@pytest.mark.parametrize("tp,dp", [
+    (_WRAPPING[0], 4), (4, _WRAPPING[1]), (_WRAPPING[1], 4),
+])
+def test_clean_stage_proof_is_not_fooled_by_overflow(tp, dp):
+    """Degrees whose ``tp * dp`` wraps around int64 to 8, the stage's
+    device count: the bounds on tp and dp reject the stage first."""
+    graph, cluster = _problem()
+    config = balanced_config(graph, cluster, 1)
+    stage = config.stages[0]
+    assert stage.num_devices == 8
+    stage.tp[0], stage.dp[0] = tp, dp
+    assert (stage.tp * stage.dp)[0] == 8
+    assert _proven_clean(config, graph, cluster) == []
+    actual = analyze_structure(config, graph, cluster)
+    assert actual == legacy_analyze_structure(config, graph, cluster)
+    assert actual
 
 
 # ----------------------------------------------------------------------
