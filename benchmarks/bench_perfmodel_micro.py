@@ -12,6 +12,12 @@ work:
   (Exp#3's 1,000-layer claim), plus the microseconds a fresh one-stage
   config pays outside the estimator: its base digest (``identity_us``)
   and its structure check (``check_us``).  Recorded only, with no gate.
+* **recompute probes** — microseconds per recompute probe that misses
+  the whole-config cache, which is all a failed probe costs: building
+  the variant and estimating it (``mutated_copy`` + ``estimate``) vs
+  ``PerfModel.recompute_peak``, which prices only the probed stage's
+  Eq. 1, on a gpt3-350m 8-stage stage and gpt-1000l 2- and 8-stage
+  stages.  Recorded only, with no gate.
 * **telemetry off vs on** — the same warm path with the bus inactive
   (no sinks: the production search default) vs actively emitting
   per-estimate events into a ring buffer.  The inactive path is the
@@ -29,6 +35,8 @@ import json
 import os
 import time
 import timeit
+
+import numpy as np
 
 from repro.cluster import paper_cluster
 from repro.core import search_all_stage_counts
@@ -198,6 +206,70 @@ def test_depth_slope():
     print_table(["model", "ops", "cold us/est", "warm us/est",
                  "identity us", "check us"], rows)
     _merge_json({"depth": results})
+
+
+#: Recompute probes per timing run (distinct masks, so every one misses
+#: the whole-config cache), and timing runs per path (best kept).
+NUM_PROBES = 200
+PROBE_REPEATS = 5
+
+
+def _probe_us(graph, cluster, database, stages, stage_index=0):
+    """Best-of microseconds per config-cache-missing probe of one stage,
+    building and estimating each variant vs ``recompute_peak``.  Each
+    run starts from a fresh model primed with the parent's estimate, so
+    the stage's base sits in the base LRU as it does after the search
+    estimates a parent."""
+    config = balanced_config(graph, cluster, stages)
+    rng = np.random.default_rng(0)
+    num_ops = config.stages[stage_index].num_ops
+    masks = [rng.random(num_ops) < 0.5 for _ in range(NUM_PROBES)]
+
+    def built(model, report):
+        for mask in masks:
+            variant = config.with_recompute(stage_index, mask)
+            model.estimate(variant).peak_memories[stage_index]
+
+    def probe(model, report):
+        for mask in masks:
+            model.recompute_peak(config, report, stage_index, mask)
+
+    best = {}
+    for _ in range(PROBE_REPEATS):
+        for name, run in (("built_us", built), ("probe_us", probe)):
+            model = PerfModel(graph, cluster, database)
+            report = model.estimate(config)
+            seconds = _timed(lambda _: run(model, report), masks)[1]
+            best[name] = min(best.get(name, seconds), seconds)
+    return {
+        "stages": stages,
+        "stage_index": stage_index,
+        "num_ops": num_ops,
+        "probes": NUM_PROBES,
+        **{name: s / NUM_PROBES * 1e6 for name, s in best.items()},
+    }
+
+
+def test_recompute_probe():
+    """Microseconds per probe that misses the config cache: building
+    and estimating the variant vs pricing its stage's Eq. 1 (no
+    gate)."""
+    print_header("Recompute probe: built config vs Eq. 1 probe")
+    rows, results = [], []
+    for model_name, stage_counts in (("gpt3-350m", (8,)),
+                                     ("gpt-1000l", (2, 8))):
+        graph, cluster, database, _ = _setup(model_name)
+        for stages in stage_counts:
+            out = {"model": model_name,
+                   **_probe_us(graph, cluster, database, stages)}
+            results.append(out)
+            rows.append([
+                model_name, stages, out["num_ops"],
+                f"{out['built_us']:.0f}", f"{out['probe_us']:.0f}",
+            ])
+    print_table(["model", "stages", "stage ops", "built us", "probe us"],
+                rows)
+    _merge_json({"probe": results})
 
 
 def test_telemetry_overhead():

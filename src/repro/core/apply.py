@@ -405,9 +405,7 @@ def apply_inc_rc(ctx: ApplyContext) -> List[ParallelConfig]:
         candidates.append(fitted)
     stage = ctx.config.stages[stage_index]
     if not np.all(stage.recompute):
-        everything = ctx.config.mutated_copy([stage_index])
-        everything.stages[stage_index].recompute[:] = True
-        candidates.append(everything)
+        candidates.append(ctx.config.with_recompute(stage_index, True))
         half = ctx.config.mutated_copy([stage_index])
         target = half.stages[stage_index]
         act = ctx.perf_model.stage_activation_bytes(
@@ -430,9 +428,7 @@ def apply_dec_rc(ctx: ApplyContext) -> List[ParallelConfig]:
         candidates.append(relaxed)
     stage = ctx.config.stages[stage_index]
     if np.any(stage.recompute):
-        nothing = ctx.config.mutated_copy([stage_index])
-        nothing.stages[stage_index].recompute[:] = False
-        candidates.append(nothing)
+        candidates.append(ctx.config.with_recompute(stage_index, False))
     return _finalize(ctx, candidates)
 
 

@@ -19,14 +19,6 @@ from ..parallel.config import ParallelConfig
 from ..perfmodel.model import PerfModel
 
 
-def _stage_fits(
-    perf_model: PerfModel, config: ParallelConfig, stage_index: int
-) -> bool:
-    # Reads only Eq. 1, so the estimate's Eq. 2 assembly never runs.
-    report = perf_model.estimate(config)
-    return report.peak_memories[stage_index] <= report.memory_limit
-
-
 def greedy_recompute(
     perf_model: PerfModel,
     config: ParallelConfig,
@@ -37,9 +29,12 @@ def greedy_recompute(
     Ops are recomputed largest-activation-first (§4.1).  The count is
     seeded analytically from the memory overflow and each op's
     activation savings, then verified (and grown if short) against the
-    performance model — one or two estimates instead of a full scan.
-    Returns ``None`` when even full recomputation cannot fit, or when
-    the stage already fits without changes.
+    performance model — one or two probes instead of a full scan.
+    Each probe prices only the stage's Eq. 1 under a candidate mask
+    (:meth:`PerfModel.recompute_peak`); only the fitting one is built.
+    Returns ``None`` when no probed count fits, or when the stage
+    already fits without changes.  The probes step by an eighth of the
+    candidates and may step past full recomputation without trying it.
     """
     report = perf_model.estimate(config)
     overflow = report.peak_memories[stage_index] - report.memory_limit
@@ -53,18 +48,15 @@ def greedy_recompute(
     order = candidates[np.argsort(act[candidates])[::-1]]
     savings = np.cumsum(act[order]) * max(1, report.in_flight(stage_index))
 
-    def with_prefix(k: int) -> ParallelConfig:
-        new = config.mutated_copy([stage_index])
-        new.stages[stage_index].recompute[order[:k]] = True
-        return new
-
     total = len(order)
     k = int(np.searchsorted(savings, overflow)) + 1
     step = max(1, total // 8)
     while k <= total:
-        candidate = with_prefix(min(k, total))
-        if _stage_fits(perf_model, candidate, stage_index):
-            return candidate
+        mask = stage.recompute.copy()
+        mask[order[:min(k, total)]] = True
+        peak = perf_model.recompute_peak(config, report, stage_index, mask)
+        if peak <= report.memory_limit:
+            return config.with_recompute(stage_index, mask)
         k += step
     return None
 
@@ -79,8 +71,10 @@ def greedy_unrecompute(
     Recomputed ops are released in ascending activation order (big
     activations are the riskiest to re-materialize).  The release count
     is seeded from the stage's memory slack and trimmed against the
-    performance model.  Returns ``None`` when nothing can change (no
-    recomputed ops, or the stage is already over budget).
+    performance model, probing each count's Eq. 1 peak
+    (:meth:`PerfModel.recompute_peak`) and building only the one that
+    fits.  Returns ``None`` when nothing can change (no recomputed ops,
+    the stage is already over budget, or no probed count fits).
     """
     stage = config.stages[stage_index]
     recomputed = np.where(stage.recompute)[0]
@@ -94,17 +88,14 @@ def greedy_unrecompute(
     order = recomputed[np.argsort(act[recomputed])]
     growth = np.cumsum(act[order]) * max(1, report.in_flight(stage_index))
 
-    def with_prefix(k: int) -> ParallelConfig:
-        new = config.mutated_copy([stage_index])
-        new.stages[stage_index].recompute[order[:k]] = False
-        return new
-
     k = int(np.searchsorted(growth, slack, side="right"))
     step = max(1, len(order) // 8)
     while k >= 1:
-        candidate = with_prefix(k)
-        if _stage_fits(perf_model, candidate, stage_index):
-            return candidate
+        mask = stage.recompute.copy()
+        mask[order[:k]] = False
+        peak = perf_model.recompute_peak(config, report, stage_index, mask)
+        if peak <= report.memory_limit:
+            return config.with_recompute(stage_index, mask)
         k -= step
     return None
 

@@ -136,7 +136,7 @@ def _tune_partition_dims(
         return config, best_objective
     kinds = arrays.kind_code[sl]  # numbered in sorted kind-name order
     best = config
-    for kind in np.unique(kinds[flippable]):
+    for kind in np.flatnonzero(np.bincount(kinds[flippable])):
         mask = flippable & (kinds == kind)
         for new_dim in (1, 0):
             candidate = config.mutated_copy([stage_index])

@@ -104,6 +104,12 @@ class ParallelConfig:
             microbatch_size=self.microbatch_size,
         )
 
+    def with_recompute(self, stage_index: int, recompute) -> "ParallelConfig":
+        """:meth:`mutated_copy` with one stage's recompute flags set."""
+        new = self.mutated_copy([stage_index])
+        new.stages[stage_index].recompute[:] = recompute
+        return new
+
     def signature(self) -> str:
         """Stable hex hash of the configuration's full serialization.
 
@@ -138,13 +144,9 @@ class ParallelConfig:
         needs to be unique.
         """
         if not self._cache_key:
-            parts = [
-                int(self.microbatch_size).to_bytes(8, "little", signed=True)
-            ]
-            parts += [stage.digest() for stage in self.stages]
-            self._cache_key = hashlib.blake2b(
-                b"".join(parts), digest_size=16
-            ).digest()
+            self._cache_key = config_key(
+                self.microbatch_size, [stage.digest() for stage in self.stages]
+            )
         return self._cache_key
 
     # ------------------------------------------------------------------
@@ -192,6 +194,13 @@ class ParallelConfig:
         return tuple(
             (s.start, s.end, s.num_devices) for s in self.stages
         ) + (self.microbatch_size,)
+
+
+def config_key(microbatch_size: int, digests: List[bytes]) -> bytes:
+    """:meth:`ParallelConfig.cache_key` of a config with this microbatch
+    size and these stage digests, in stage order."""
+    mbs = int(microbatch_size).to_bytes(8, "little", signed=True)
+    return hashlib.blake2b(mbs + b"".join(digests), digest_size=16).digest()
 
 
 def changed_stages(

@@ -22,6 +22,14 @@ def is_power_of_two(value: int) -> bool:
     return value >= 1 and (value & (value - 1)) == 0
 
 
+def stage_digest(base_digest: bytes, recompute: np.ndarray) -> bytes:
+    """:meth:`StageConfig.digest` of a stage with this base digest and
+    these recompute flags."""
+    digest = hashlib.blake2b(base_digest, digest_size=16)
+    digest.update(np.packbits(recompute))
+    return digest.digest()
+
+
 @dataclass
 class StageConfig:
     """Configuration of one pipeline stage.
@@ -196,9 +204,7 @@ class StageConfig:
         flags, one bit each (cached; the header fixes the op count, so
         the last byte's padding bits are unambiguous)."""
         if self._digest is None:
-            digest = hashlib.blake2b(self.base_digest(), digest_size=16)
-            digest.update(np.packbits(self.recompute))
-            self._digest = digest.digest()
+            self._digest = stage_digest(self.base_digest(), self.recompute)
         return self._digest
 
     def base_digest(self) -> bytes:

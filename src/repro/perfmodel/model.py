@@ -22,14 +22,16 @@ Estimation is structured in two layers:
 2. A cheap assembly step combines the cached stage costs with the
    stage-count-dependent parts: pipeline p2p boundary transfers, 1F1B
    in-flight counts, the allocator view of peak memory, and the Eq. 2
-   warmup/steady/cooldown totals.  An estimate applies Eq. 1 at
-   once and defers Eq. 2 until its ``iteration_time`` or ``stages`` is
-   read, so a recompute probe that only asks "does stage i fit?" never
-   pays for it.
+   warmup/steady/cooldown totals.  An estimate applies Eq. 1 at once
+   and defers Eq. 2 until its ``iteration_time`` or ``stages`` is read.
 
 Whole-config estimates are additionally memoized by configuration
 identity (``ParallelConfig.cache_key``) in a second LRU, whose miss
 counter (``num_estimates``) is Exp#4's "explored configurations" metric.
+A recompute probe (:meth:`PerfModel.recompute_peak`) asks only "does
+stage i fit with these flags?": it keys the variant without building
+it, and a miss prices that stage's Eq. 1 alone and leaves an Eq. 1-only
+entry in that LRU, counted as the estimate it stands for.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ import numpy as np
 
 from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
-from ..parallel.config import ParallelConfig
-from ..parallel.stage import StageConfig
+from ..parallel.config import ParallelConfig, config_key
+from ..parallel.stage import StageConfig, stage_digest
 from ..profiling.database import ProfileDatabase, ProfiledGraph
 from ..telemetry import DEBUG, CounterGroup, get_bus
 from ..telemetry.events import PERFMODEL_ESTIMATE, PERFMODEL_FIRST_FEASIBLE
@@ -65,6 +67,15 @@ STAGE_BASE_CACHE_OPS = 65_536
 _SUMMED = ("fwd_time", "bwd_time", "tp_fwd_comm_time", "tp_bwd_comm_time",
            "weight_bytes", "optimizer_bytes")
 _WEIGHT, _ACTIVATION, _RECOMPUTE, _TRANSIENT, _RESHARD = 4, 6, 7, 8, 9
+
+
+def _kept_activation(rc: np.ndarray, act_bytes: np.ndarray) -> float:
+    """Eq. 1's activation bytes under flags ``rc``, some set:
+    ``activation_kept_mask`` within one stage, where a recomputed op
+    whose predecessor also recomputes keeps nothing."""
+    kept = np.ones(len(rc))
+    kept[1:] -= rc[1:] & rc[:-1]
+    return float((act_bytes * kept).sum())
 
 
 def _log2_int(values: np.ndarray) -> np.ndarray:
@@ -217,7 +228,8 @@ class PerfModel:
             else reserve_safety_factor
         )
         self._elem = graph.elem_bytes
-        self._cache: "OrderedDict[str, PerfReport]" = OrderedDict()
+        # Reports, or the peaks list of a probe's Eq. 1-only entry.
+        self._cache: "OrderedDict[bytes, PerfReport | list]" = OrderedDict()
         self._cache_size = cache_size
         self._stage_cache: "OrderedDict[Tuple[bytes, int], StageCost]" = (
             OrderedDict()
@@ -307,23 +319,14 @@ class PerfModel:
         if cached is not None:
             self._cache.move_to_end(key)
             self._c_config_hits.value += 1
+            if isinstance(cached, list):  # a probe's Eq. 1-only entry
+                cached = self._cache[key] = self._estimate_uncached(config)
             return cached
         report = self._estimate_uncached(config)
-        if len(self._cache) >= self._cache_size:
-            self._cache.popitem(last=False)
-        self._cache[key] = report
-        self._c_estimates.value += 1
-        bus = get_bus()
-        if self.first_feasible_estimate is None and not report.is_oom:
-            self.first_feasible_estimate = self._c_estimates.value
-            bus.emit(
-                PERFMODEL_FIRST_FEASIBLE,
-                source="perfmodel",
-                level=DEBUG,
-                estimates=self.first_feasible_estimate,
-            )
+        self._record_miss(key, report, report.is_oom)
         # Reading iteration_time resolves a deferred Eq. 2, so the event
         # is built only when some sink keeps it.
+        bus = get_bus()
         if bus.wants(PERFMODEL_ESTIMATE, DEBUG):
             bus.emit(
                 PERFMODEL_ESTIMATE,
@@ -333,6 +336,61 @@ class PerfModel:
                 iteration_time=report.iteration_time,
             )
         return report
+
+    def recompute_peak(
+        self, config: ParallelConfig, report: PerfReport, stage_index: int,
+        recompute: np.ndarray,
+    ) -> float:
+        """Eq. 1 peak of stage ``stage_index`` with recompute flags
+        ``recompute``, given ``report = estimate(config)``, without
+        building that variant.  It is keyed and counted as
+        :meth:`estimate` of the variant would be; a miss prices only the
+        stage's kept activation and stores the peaks as an Eq. 1-only
+        entry, which a later :meth:`estimate` replaces with a report.
+        When a sink keeps ``perfmodel.estimate`` DEBUG events (their
+        payload reads the iteration time), it estimates the variant."""
+        if get_bus().wants(PERFMODEL_ESTIMATE, DEBUG):
+            variant = config.with_recompute(stage_index, recompute)
+            return self.estimate(variant).peak_memories[stage_index]
+        stage, mbs = config.stages[stage_index], config.microbatch_size
+        digests = [s.digest() for s in config.stages]
+        digests[stage_index] = stage_digest(stage.base_digest(), recompute)
+        key = config_key(mbs, digests)
+        cached = self._cache.get(key)
+        if cached is not None:
+            self._cache.move_to_end(key)
+            self._c_config_hits.value += 1
+            return getattr(cached, "peak_memories", cached)[stage_index]
+        base = self._stage_base(stage, mbs, self._stage_cache_size <= 0)
+        fields, _, act_bytes, activation = base
+        if recompute.any():
+            activation = _kept_activation(recompute, act_bytes)
+        peaks = report.peak_memories
+        peaks[stage_index] = peak = (  # _assemble's operand order
+            fields["weight_bytes"] + fields["optimizer_bytes"]
+            + activation * report.in_flight(stage_index)
+            + fields["reserved_bytes"]
+        )
+        limits = report.stage_limits or [self.memory_limit] * len(peaks)
+        oom = any(p > cap for p, cap in zip(peaks, limits))
+        self._record_miss(key, peaks, oom)
+        return peak
+
+    def _record_miss(self, key: bytes, entry, oom: bool) -> None:
+        """Insert a config-LRU miss, evicting the oldest entry when full,
+        and count it; the first feasible one is recorded."""
+        if len(self._cache) >= self._cache_size:
+            self._cache.popitem(last=False)
+        self._cache[key] = entry
+        self._c_estimates.value += 1
+        if self.first_feasible_estimate is None and not oom:
+            self.first_feasible_estimate = self._c_estimates.value
+            get_bus().emit(
+                PERFMODEL_FIRST_FEASIBLE,
+                source="perfmodel",
+                level=DEBUG,
+                estimates=self.first_feasible_estimate,
+            )
 
     def estimate_batch(
         self, configs: Sequence[ParallelConfig]
@@ -448,43 +506,43 @@ class PerfModel:
     def _cost_stage_uncached(
         self, stage: StageConfig, mbs: int, fresh: bool = False
     ) -> StageCost:
-        """A stage's recompute-free base (LRU-cached unless ``fresh``)
-        plus its two recompute terms, which apply the flags to per-op
-        base vectors with the same values and reductions as costing
-        from scratch — bit-identical either way.  A stage that
-        recomputes nothing keeps every activation, so its terms are the
-        base's activation total and zero seconds."""
-        if fresh:
-            base = self._cost_stage_base(stage, mbs)
-        else:
-            cache = self._base_cache
-            key = (stage.base_digest(), mbs)
-            base = cache.pop(key, None)
-            if base is None:
-                base = self._cost_stage_base(stage, mbs)
-                self._base_cache_ops += stage.num_ops
-            cache[key] = base  # (re)insert as the most recent
-            while (
-                len(cache) > STAGE_BASE_CACHE_SIZE
-                and self._base_cache_ops > STAGE_BASE_CACHE_OPS
-            ):
-                _, (_, _, act_bytes, _) = cache.popitem(last=False)
-                self._base_cache_ops -= len(act_bytes)
-        fields, rc_time, act_bytes, act_total = base
+        """A stage's recompute-free base plus its two recompute terms, which
+        apply the flags to per-op base vectors with the same values and
+        reductions as costing from scratch — bit-identical either way.  A
+        stage that recomputes nothing keeps every activation: its terms are
+        the base's activation total and zero seconds."""
+        fields, rc_time, act_bytes, act_total = self._stage_base(
+            stage, mbs, fresh
+        )
         rc = stage.recompute
         if not rc.any():
             return StageCost(
                 recompute_time=0.0, activation_bytes=act_total, **fields
             )
-        # ``activation_kept_mask`` within one stage: a recomputed op
-        # whose predecessor also recomputes keeps nothing.
-        kept = np.ones(len(rc))
-        kept[1:] -= rc[1:] & rc[:-1]
         return StageCost(
             recompute_time=float(np.where(rc, rc_time, 0.0).sum()),
-            activation_bytes=float((act_bytes * kept).sum()),
+            activation_bytes=_kept_activation(rc, act_bytes),
             **fields,
         )
+
+    def _stage_base(self, stage: StageConfig, mbs: int, fresh: bool):
+        """:meth:`_cost_stage_base`, through the base LRU unless fresh."""
+        if fresh:
+            return self._cost_stage_base(stage, mbs)
+        cache = self._base_cache
+        key = (stage.base_digest(), mbs)
+        base = cache.pop(key, None)
+        if base is None:
+            base = self._cost_stage_base(stage, mbs)
+            self._base_cache_ops += stage.num_ops
+        cache[key] = base  # (re)insert as the most recent
+        while (
+            len(cache) > STAGE_BASE_CACHE_SIZE
+            and self._base_cache_ops > STAGE_BASE_CACHE_OPS
+        ):
+            _, (_, _, act_bytes, _) = cache.popitem(last=False)
+            self._base_cache_ops -= len(act_bytes)
+        return base
 
     def _class_table(self, mbs: int) -> np.ndarray:
         """The read-only ``[column, class·T·D·O]`` table at ``mbs``, each

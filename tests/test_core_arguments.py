@@ -9,7 +9,7 @@ from repro.core import (
     op_move_counts,
     tune_recompute,
 )
-from repro.parallel import balanced_config, is_valid
+from repro.parallel import balanced_config
 from repro.perfmodel import PerfModel
 from repro.profiling import SimulatedProfiler
 
@@ -83,6 +83,36 @@ class TestGreedyRecompute:
         pm = PerfModel(graph, cluster, db)
         config = balanced_config(graph, cluster, 2, microbatch_size=32)
         assert greedy_recompute(pm, config, 0) is None
+
+
+    @staticmethod
+    def _fits_only_fully_recomputed():
+        """A one-stage config over its 24 MB budget whose fully
+        recomputed stage fits, while the probe ladder (an eighth of its
+        36 ops per step) steps from below full recomputation to past
+        it."""
+        graph = make_activation_heavy_gpt(num_layers=4)
+        cluster = make_tight_cluster(num_gpus=4, memory_mb=24)
+        db = SimulatedProfiler(cluster, seed=0).profile(graph)
+        pm = PerfModel(graph, cluster, db)
+        config = balanced_config(graph, cluster, 1, microbatch_size=16)
+        return pm, config
+
+    def test_full_recomputation_example_holds(self):
+        pm, config = self._fits_only_fully_recomputed()
+        report = pm.estimate(config)
+        assert report.peak_memories[0] > report.memory_limit
+        full = pm.estimate(config.with_recompute(0, True))
+        assert full.peak_memories[0] <= report.memory_limit
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the probe ladder can step past full recomputation "
+        "without trying it",
+    )
+    def test_tries_full_recomputation_before_giving_up(self):
+        pm, config = self._fits_only_fully_recomputed()
+        assert greedy_recompute(pm, config, 0) is not None
 
 
 class TestGreedyUnrecompute:

@@ -1,7 +1,10 @@
 """Tests for op-level fine-tuning (§4.2)."""
 
-import numpy as np
-import pytest
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from repro.core import finetune
 from repro.core.finetune import _split_points
@@ -64,3 +67,40 @@ class TestFinetune:
             max_split_points=4,
         )
         validate_config(tuned, tiny_graph, small_cluster)
+
+
+#: Runs the partition-dimension pass on a one-stage tp=4 gpt-4l config
+#: in a fresh interpreter and prints whether ``numpy.ma`` got imported.
+PARTITION_PASS = textwrap.dedent("""
+    import sys
+    from repro.cluster import paper_cluster
+    from repro.core.finetune import _tune_partition_dims
+    from repro.ir.models import build_model
+    from repro.parallel import balanced_config
+    from repro.perfmodel import build_perf_model
+
+    graph = build_model("gpt-4l")
+    cluster = paper_cluster(4)
+    model = build_perf_model(graph, cluster)
+    config = balanced_config(graph, cluster, 1, tp=4)
+    assert (graph.arrays.num_options > 1).any()
+    objective = model.objective(config)
+    assert "numpy.ma" not in sys.modules
+    before = model.num_estimates
+    _tune_partition_dims(config, objective, 0, graph, cluster, model, None)
+    assert model.num_estimates > before  # the pass flipped some kind
+    print("numpy.ma" in sys.modules)
+""")
+
+
+def test_partition_pass_stays_out_of_numpy_ma():
+    """The kind loop takes its distinct kinds without ``np.unique``,
+    whose 1-D path imports ``numpy.ma`` on first use in a process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", PARTITION_PASS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import paper_cluster
+from repro.cluster import ClusterSpec, DeviceSpec, mixed_cluster, paper_cluster
 from repro.core import (
     AcesoSearch,
     AcesoSearchOptions,
@@ -25,6 +25,7 @@ from repro.core import (
     apply_primitive,
     rank_bottlenecks,
     search_all_stage_counts,
+    tune_recompute,
 )
 from repro.ir.models import build_model
 from repro.ir.models.synthetic import build_synthetic
@@ -33,6 +34,7 @@ from repro.perfmodel import PerfModel
 from repro.perfmodel import model as model_module
 from repro.perfmodel.memory import activation_kept_mask
 from repro.profiling import SimulatedProfiler
+from repro.telemetry import RingBufferSink, TelemetryBus, using_bus
 
 from conftest import make_tiny_gpt
 
@@ -533,6 +535,146 @@ class TestRecomputeTermsOracle:
                 cost = model._cost_stage_uncached(stage, mbs, fresh=fresh)
                 assert cost.activation_bytes == want_activation
                 assert cost.recompute_time == want_recompute
+
+
+class CheckedModel(PerfModel):
+    """A model whose every returned estimate is checked against costing
+    every stage from scratch (which moves no counter)."""
+
+    def estimate(self, config):
+        report = super().estimate(config)
+        assert_reports_identical(report, self.estimate_fresh(config))
+        return report
+
+
+class BuildingModel(PerfModel):
+    """Answers every recompute probe by building the variant and
+    estimating it."""
+
+    def recompute_peak(self, config, report, stage_index, recompute):
+        variant = config.with_recompute(stage_index, recompute)
+        return self.estimate(variant).peak_memories[stage_index]
+
+
+@functools.lru_cache(maxsize=None)
+def probe_setup(seed, hetero, scale):
+    """A 40-op synthetic graph on 4 GPUs with 10 MB devices, or on two
+    2-GPU nodes with 8 MB and slower 12 MB devices, so recompute
+    probes land on both sides of a stage's budget.  Every op's element
+    counts are multiplied by ``scale``: whole byte counts add up alike
+    in any order, so only fractional ones show Eq. 1's operand order."""
+    graph = build_synthetic(40, seed=seed)
+    ops = [
+        dataclasses.replace(
+            op, params=op.params * scale, out_numel=op.out_numel * scale,
+            saved_numel=op.saved_numel * scale,
+        )
+        for op in graph.ops
+    ]
+    graph = dataclasses.replace(graph, ops=ops)
+    mb = 2 ** 20
+    if hetero:
+        cluster = mixed_cluster([
+            DeviceSpec(name="small", memory_bytes=8 * mb),
+            DeviceSpec(name="slow", memory_bytes=12 * mb, efficiency=0.3),
+        ], gpus_per_node=2)
+    else:
+        cluster = ClusterSpec(
+            num_nodes=1, gpus_per_node=4,
+            device=DeviceSpec(name="tight", memory_bytes=10 * mb),
+        )
+    return graph, cluster, SimulatedProfiler(cluster, seed=seed).profile(graph)
+
+
+class TestRecomputeProbe:
+    """``recompute_peak`` prices one stage's Eq. 1 instead of building
+    and estimating the variant; nothing observable may tell the two
+    apart."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2),
+        hetero=st.booleans(),
+        stages=st.sampled_from([1, 2, 4]),
+        mbs=st.sampled_from([1, 4, 16]),
+        cache_size=st.sampled_from([2, 500_000]),
+        stage_cache_size=st.sampled_from([0, 200_000]),
+        scale=st.sampled_from([1, 1.1]),
+        debug=st.booleans(),
+        data=st.data(),
+    )
+    def test_probe_matches_building_and_estimating(
+        self, seed, hetero, stages, mbs, cache_size, stage_cache_size,
+        scale, debug, data,
+    ):
+        """Interleaved probes, estimates of probed variants, walks onto
+        them and ``tune_recompute`` calls: each probe's key is the
+        built variant's ``cache_key()`` and its peak is the built
+        variant's estimated peak, bit for bit; every estimate equals
+        costing from scratch; and estimate counts, config hits and
+        ``first_feasible_estimate`` match a model that builds and
+        estimates every probe, with or without an LRU that evicts, a
+        stage cache, or a DEBUG sink."""
+        graph, cluster, database = probe_setup(seed, hetero, scale)
+        model = CheckedModel(
+            graph, cluster, database,
+            cache_size=cache_size, stage_cache_size=stage_cache_size,
+        )
+        reference = BuildingModel(
+            graph, cluster, database, cache_size=cache_size
+        )
+        config = balanced_config(graph, cluster, stages, microbatch_size=mbs)
+        bus = TelemetryBus()
+        if debug:
+            bus.add_sink(RingBufferSink())
+        probed = []
+        with using_bus(bus):
+            for _ in range(data.draw(st.integers(1, 12), label="steps")):
+                report = model.estimate(config)
+                reference_report = reference.estimate(config)
+                index = data.draw(st.integers(0, stages - 1), label="stage")
+                action = data.draw(st.sampled_from(
+                    ["probe", "probe", "estimate", "walk", "tune"]
+                ), label="action")
+                if action == "tune":
+                    tuned = tune_recompute(model, config, [index])
+                    want = tune_recompute(reference, config, [index])
+                    assert tuned.cache_key() == want.cache_key()
+                    config = tuned
+                elif action != "probe" and probed:
+                    variant = data.draw(st.sampled_from(probed), label="v")
+                    model.estimate(variant)
+                    reference.estimate(variant)
+                    if action == "walk":
+                        config = variant
+                else:
+                    n = config.stages[index].num_ops
+                    mask = config.stages[index].recompute.copy()
+                    flips = data.draw(st.lists(
+                        st.integers(0, n - 1), max_size=3
+                    ), label="flips")
+                    mask[flips] = ~mask[flips]
+                    if data.draw(st.booleans(), label="uniform"):
+                        mask[:] = data.draw(st.booleans(), label="all")
+                    peak = model.recompute_peak(config, report, index, mask)
+                    variant = config.with_recompute(index, mask)
+                    assert next(reversed(model._cache)) == variant.cache_key()
+                    # The reference estimates the built variant.
+                    assert peak == reference.recompute_peak(
+                        config, reference_report, index, mask
+                    )
+                    fresh = reference.estimate_fresh(variant)
+                    assert peak == fresh.peak_memories[index]
+                    probed.append(variant)
+                assert model.num_estimates == reference.num_estimates
+                assert (
+                    model.counters["config_hits"].value
+                    == reference.counters["config_hits"].value
+                )
+                assert (
+                    model.first_feasible_estimate
+                    == reference.first_feasible_estimate
+                )
 
 
 class TestLRUEviction:
