@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-``repro-search`` runs the Aceso search on one model/cluster setting;
+``repro-search`` plans one request with the function behind ``/plan``
+(:func:`~repro.service.planner.plan_request`) and measures the plan;
 ``repro-compare`` runs all three systems and prints a comparison table;
 ``repro-replan`` simulates a device failure and measures warm vs. cold
 time-to-new-plan; ``repro-trace`` inspects the telemetry run logs the
@@ -23,7 +24,7 @@ from .analysis.compare import compare_systems
 from .analysis.metrics import tflops_per_gpu
 from .cluster.topology import paper_cluster
 from .core.search import SearchFailedError, search_all_stage_counts
-from .core.searcher import StrategyError, available_strategies
+from .core.searcher import available_strategies
 from .ir.models.registry import available_models, build_model
 from .perfmodel.model import build_perf_model
 from .runtime.executor import Executor
@@ -256,61 +257,63 @@ def search_main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.resume and not args.checkpoint:
         parser.error("--resume requires --checkpoint")
-    if args.worker_memory_mb is not None and args.worker_memory_mb <= 0:
-        parser.error("--worker-memory-mb must be positive")
-    try:
-        strategy_kwargs = _parse_strategy_args(args.strategy_arg)
-    except ValueError as exc:
-        parser.error(str(exc))
-    # The run seed also seeds the strategy unless pinned explicitly,
-    # mirroring the planner daemon's convention.
-    strategy_kwargs.setdefault("seed", args.seed)
-
+    # The flags with no request field; zero retries means "no retries".
+    for flag, value, zero_ok in (
+        ("--workers", args.workers, False),
+        ("--max-retries", args.max_retries, True),
+        ("--timeout-per-count", args.timeout_per_count, False),
+        ("--worker-memory-mb", args.worker_memory_mb, False),
+    ):
+        if value is not None and (value < 0 or value == 0 and not zero_ok):
+            parser.error(
+                f"{flag} must be {'non-negative' if zero_ok else 'positive'}"
+            )
     from .core.budget import Deadline
     from .core.checkpoint import CheckpointError
+    from .lint.diagnostics import ERROR
+    from .lint.requests import analyze_plan_request
+    from .service import PlanRequest, plan_request
 
-    deadline = (
-        Deadline(args.deadline) if args.deadline is not None else None
-    )
+    try:
+        request = PlanRequest(
+            model=args.model, gpus=args.gpus, seed=args.seed,
+            stage_counts=args.stage_counts, iterations=args.iterations,
+            deadline_seconds=args.deadline, strategy=args.strategy,
+            strategy_kwargs=_parse_strategy_args(args.strategy_arg),
+        )
+    except ValueError as exc:  # ProtocolError, or a bad --strategy-arg
+        parser.error(str(exc))
 
-    graph = build_model(args.model)
-    cluster = paper_cluster(args.gpus)
-    perf_model = build_perf_model(graph, cluster, seed=args.seed)
+    deadline = Deadline(args.deadline) if args.deadline else None
+    # The daemon's admission lint: a request it would reject (ACE2xx)
+    # exits 2 here instead of crashing or planning the infeasible.
+    invalid = [
+        d for d in analyze_plan_request(request) if d.severity == ERROR
+    ]
+    for diagnostic in invalid:
+        print(f"repro-search: {diagnostic.render()}", file=sys.stderr)
+    if invalid:
+        return 2
     with _telemetry(args):
         try:
-            multi = search_all_stage_counts(
-                graph,
-                cluster,
-                perf_model,
-                stage_counts=args.stage_counts,
-                strategy=args.strategy,
-                strategy_kwargs=strategy_kwargs,
-                budget_per_count={"max_iterations": args.iterations},
-                workers=args.workers,
-                timeout_per_count=args.timeout_per_count,
-                max_retries=args.max_retries,
+            outcome = plan_request(
+                request,
+                deadline=deadline,
                 checkpoint_path=args.checkpoint,
                 resume=args.resume,
-                deadline=deadline,
+                search_workers=args.workers,
+                timeout_per_count=args.timeout_per_count,
                 worker_memory_mb=args.worker_memory_mb,
+                max_retries=args.max_retries,
             )
-        except StrategyError as exc:
-            for diagnostic in exc.diagnostics:
-                print(
-                    f"repro-search: {diagnostic.render()}",
-                    file=sys.stderr,
-                )
-            return 2
-        except CheckpointError as exc:
+        except (CheckpointError, SearchFailedError) as exc:
             print(f"repro-search: {exc}", file=sys.stderr)
             return 1
-        try:
-            best = multi.best
-        except SearchFailedError as exc:
-            print(f"repro-search: {exc}", file=sys.stderr)
-            return 1
-        executor = Executor(graph, cluster, seed=args.seed)
-        run = executor.run(best.best_config)
+        multi = outcome.search
+        best = multi.best
+        graph = build_model(args.model)
+        cluster = paper_cluster(args.gpus)
+        run = Executor(graph, cluster, seed=args.seed).run(best.best_config)
     throughput = run.throughput(graph.global_batch_size)
     payload = {
         "model": args.model,
@@ -327,15 +330,7 @@ def search_main(argv: Optional[List[str]] = None) -> int:
         "pool_tasks": multi.pool_tasks,
         "estimates": multi.num_estimates,
         "partial": multi.partial,
-        "failures": [
-            {
-                "num_stages": f.num_stages,
-                "error": f.error,
-                "attempts": f.attempts,
-                "kind": f.kind,
-            }
-            for f in multi.failures
-        ],
+        "failures": outcome.failures,
         "config": best.best_config.describe(),
     }
     if args.output:

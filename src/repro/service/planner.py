@@ -1,30 +1,31 @@
-"""The daemon's default planner: one request → one search → one plan.
+"""One request → one search → one plan, for both ways in.
 
-This is the only module in the service package that knows what a plan
-*is*; everything else (admission, breaker, cache, daemon, HTTP) treats
-planning as an opaque callable, which is also how tests swap in
-deterministic fakes.  The contract:
+:func:`plan_request` is the only place a :class:`PlanRequest` becomes a
+search: ``repro-search`` builds a request from its flags, and the
+daemon behind ``/plan`` plans each admitted request with it.  The rest
+of the service package treats planning as an opaque callable, which is
+also how tests swap in deterministic fakes:
 
 ``planner(request, deadline=None, checkpoint_path=None) -> PlanOutcome``
 
-raising on failure.  The default implementation runs the crash-safe
-stage-count driver with the request's budget, threading the request
-deadline through so a timed-out search still returns its best-so-far
-plan (``PlanOutcome.partial``), and resumes from ``checkpoint_path``
-when one exists — which is exactly how a drained daemon's re-admitted
-requests pick up where the SIGTERM left them.
+raising on failure.  The deadline cuts the search anytime (a timed-out
+search still returns its best-so-far plan, ``PlanOutcome.partial``),
+and an existing ``checkpoint_path`` is resumed unless ``resume=False``
+— which is how a drained daemon's re-admitted requests pick up where
+the SIGTERM left them.  The other keywords carry the CLI flags with no
+request field.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from ..cluster.topology import paper_cluster
 from ..core.budget import Deadline
-from ..core.search import search_all_stage_counts
+from ..core.search import MultiStageSearchResult, search_all_stage_counts
 from ..ir.models.registry import build_model
 from ..parallel.serialization import config_to_dict
 from ..perfmodel.model import build_perf_model
@@ -33,13 +34,15 @@ from .protocol import PlanRequest
 
 @dataclass
 class PlanOutcome:
-    """What a planner hands back to the daemon."""
+    """What a planner hands back to its caller."""
 
     plan: dict
     objective: float
     partial: bool = False
     num_estimates: int = 0
     failures: list = field(default_factory=list)
+    #: The driver result behind the plan (``None`` from fake planners).
+    search: Optional[MultiStageSearchResult] = None
 
 
 def plan_digest(plan: Optional[dict]) -> Optional[str]:
@@ -62,9 +65,11 @@ def plan_request(
     *,
     deadline: Optional[Deadline] = None,
     checkpoint_path=None,
+    resume: bool = True,
     search_workers: int = 1,
     timeout_per_count: Optional[float] = None,
     worker_memory_mb: Optional[float] = None,
+    max_retries: int = 1,
 ) -> PlanOutcome:
     """Search a plan for ``request``; raises ``SearchFailedError`` when
     nothing at all survived (the daemon maps that to a failed response
@@ -90,7 +95,8 @@ def plan_request(
         worker_memory_mb=worker_memory_mb,
         deadline=deadline,
         checkpoint_path=checkpoint_path,
-        resume=checkpoint_path is not None,
+        resume=resume,
+        max_retries=max_retries,
     )
     best = multi.best  # raises SearchFailedError when empty
     return PlanOutcome(
@@ -98,13 +104,6 @@ def plan_request(
         objective=best.best_objective,
         partial=multi.partial,
         num_estimates=multi.num_estimates,
-        failures=[
-            {
-                "num_stages": f.num_stages,
-                "error": f.error,
-                "attempts": f.attempts,
-                "kind": f.kind,
-            }
-            for f in multi.failures
-        ],
+        failures=[asdict(f) for f in multi.failures],
+        search=multi,
     )

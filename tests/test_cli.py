@@ -7,6 +7,15 @@ import pytest
 from repro.cli import compare_main, search_main
 
 
+def _exit_code(argv):
+    """``search_main``'s exit code, whether returned or raised by
+    argparse."""
+    try:
+        return search_main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 class TestSearchMain:
     def test_text_output(self, capsys):
         code = search_main(
@@ -52,9 +61,26 @@ class TestSearchMain:
         assert payload["search_seconds_wall"] > 0
         assert payload["throughput_samples_per_s"] > 0
 
-    def test_bad_model_raises(self):
-        with pytest.raises(KeyError):
-            search_main(["--model", "bogus-1b", "--iterations", "1"])
+    def test_bad_model_exits_2(self, capsys):
+        code = _exit_code(["--model", "bogus-1b", "--iterations", "1"])
+        assert code == 2
+        assert "ACE204" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "nope"],
+        ["--model", "gpt-2l", "--stage-counts"],
+        ["--model", "gpt-2l", "--gpus", "0"],
+        ["--model", "gpt-2l", "--deadline", "-1"],
+        ["--model", "gpt-2l", "--iterations", "0"],
+        ["--model", "gpt-2l", "--workers", "0"],
+        # Cannot fit one GPU under any plan: the daemon's ACE202.
+        ["--model", "gpt3-13b", "--gpus", "1"],
+    ])
+    def test_bad_input_exits_2_with_a_message(self, argv, capsys):
+        assert _exit_code(["--iterations", "1"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "repro-search" in captured.err
 
 
 class TestEstimateMain:

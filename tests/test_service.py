@@ -8,7 +8,9 @@ process, including the SIGTERM drain/resume contract.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
+import io
 import json
 import os
 import signal
@@ -847,6 +849,73 @@ class TestRealPlannerEndToEnd:
             assert response.status in TERMINAL_STATUSES
             if response.ok:
                 assert response.plan is not None
+        finally:
+            daemon.drain(timeout=10)
+
+    def test_cli_and_daemon_give_the_same_plan(self, tmp_path):
+        """The two ways in (``repro-search`` and the daemon's ``/plan``
+        path) answer one request with one plan."""
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        from repro.cli import search_main
+        from repro.service import plan_digest, plan_request
+
+        estimates = {}
+
+        def planner(request, **kwargs):
+            outcome = plan_request(request, **kwargs)
+            estimates[request.fingerprint()] = outcome.num_estimates
+            return outcome
+
+        daemon = PlannerDaemon(
+            planner=planner, admission_lint=True, workers=1
+        ).start()
+        plan_file = tmp_path / "plan.json"
+
+        @st.composite
+        def requests(draw):
+            gpus = draw(st.sampled_from([1, 2, 4, 8]))
+            counts = [c for c in (1, 2, 4, 8) if c <= gpus]
+            return PlanRequest(
+                model=f"gpt-{draw(st.integers(2, 6))}l",
+                gpus=gpus,
+                stage_counts=draw(st.none() | st.lists(
+                    st.sampled_from(counts), min_size=1,
+                    max_size=len(counts), unique=True,
+                ).map(tuple)),
+                iterations=draw(st.integers(1, 2)),
+                seed=draw(st.integers(0, 2 ** 16)),
+                strategy=draw(st.sampled_from(["greedy", "mcmc"])),
+            )
+
+        @settings(max_examples=20, deadline=None, database=None)
+        @given(request=requests())
+        def check(request):
+            argv = [
+                "--model", request.model, "--gpus", str(request.gpus),
+                "--iterations", str(request.iterations),
+                "--seed", str(request.seed),
+                "--strategy", request.strategy,
+                "--output", str(plan_file), "--json", "--quiet",
+            ]
+            if request.stage_counts is not None:
+                argv += ["--stage-counts", *map(str, request.stage_counts)]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = search_main(argv)
+            response = daemon.submit(request, timeout=120)
+            assert response.status == STATUS_SERVED
+            assert code == 0
+            assert plan_digest(json.loads(plan_file.read_text())) == (
+                plan_digest(response.plan)
+            )
+            payload = json.loads(out.getvalue())
+            assert payload["estimates"] == estimates[request.fingerprint()]
+            assert payload["failures"] == response.failures
+
+        try:
+            check()
         finally:
             daemon.drain(timeout=10)
 
