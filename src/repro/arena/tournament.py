@@ -485,22 +485,9 @@ def _run_entries_in_pool(
             finished = []
             for index, (worker, kill_at) in active.items():
                 entry = entries[index]
-                message = None
-                if worker.conn.poll(0):
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                if message is None and not worker.alive():
-                    if worker.conn.poll(0.05):
-                        try:
-                            message = worker.conn.recv()
-                        except (EOFError, OSError):
-                            message = None
+                message = pool.poll(worker)
                 if message is not None:
                     finished.append(index)
-                    worker.busy = False
-                    worker.tasks_done += 1
                     status, value, worker_events = message
                     pool.forward(worker_events, arena_entry=entry.name)
                     if status == "ok":

@@ -216,8 +216,8 @@ def search_main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="kill and retry any stage-count worker that exceeds this "
-        "wall-clock limit (multiprocess mode only)",
+        help="search each stage count in a worker process, killed and "
+        "retried past this wall-clock limit",
     )
     parser.add_argument(
         "--max-retries",

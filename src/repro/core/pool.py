@@ -1,4 +1,5 @@
-"""Persistent fork-shared worker pool for the stage-count driver.
+"""The stage-count driver's runners: a fork-shared worker pool and an
+in-process slot.
 
 The original driver forked one fresh process per (stage count, attempt)
 and shipped the whole problem — op graph, cluster spec, and profile
@@ -20,6 +21,9 @@ individual process with a private duplex pipe, so the scheduler in
 worker without disturbing the others — none of the fate-sharing of a
 ``ProcessPoolExecutor``, where a single dead process poisons the whole
 executor.
+
+Runs that need no isolation use :class:`InProcessRunner` instead: the
+same scheduler, one slot, no process at all.
 """
 
 from __future__ import annotations
@@ -136,6 +140,16 @@ def _pool_worker_main(
         pass
 
 
+def _recv(conn, timeout: float):
+    """The next message on ``conn`` within ``timeout`` seconds, else None."""
+    if conn.poll(timeout):
+        try:
+            return conn.recv()
+        except (EOFError, OSError):
+            pass
+    return None
+
+
 @dataclass
 class PoolWorker:
     """One live pool process and its task pipe."""
@@ -165,7 +179,8 @@ class WorkerPool:
       allowed, or ``None`` when saturated.
     * :meth:`send` dispatches a task to a worker, with the bus's sink
       filters attached so the worker captures only what the bus keeps;
-      :meth:`forward` re-emits the events a task brought back.
+      :meth:`poll` returns its reply once there is one, and
+      :meth:`forward` re-emits the events the task brought back.
     * :meth:`discard` removes one worker (optionally killing it) —
       used for crashes and timeouts; the next :meth:`acquire` forks a
       replacement.
@@ -196,6 +211,7 @@ class WorkerPool:
         self._bus = bus if bus is not None else get_bus()
         self._workers: List[PoolWorker] = []
         self.num_forks = 0
+        self.num_tasks = 0
 
     def __len__(self) -> int:
         return len(self._workers)
@@ -259,6 +275,23 @@ class WorkerPool:
         """
         worker.conn.send((task, self._bus.filters))
         worker.busy = True
+        self.num_tasks += 1
+
+    def poll(self, worker: PoolWorker):
+        """``worker``'s ``(status, value, events)`` reply, or None while
+        its task runs (or once it has died without replying).
+
+        A worker that exited between the poll and now has its pipe
+        drained once more before the caller declares a crash.  A reply
+        frees the worker for its next task.
+        """
+        message = _recv(worker.conn, 0)
+        if message is None and not worker.alive():
+            message = _recv(worker.conn, 0.05)
+        if message is not None:
+            worker.busy = False
+            worker.tasks_done += 1
+        return message
 
     def forward(self, events, **attribution) -> None:
         """Re-emit a task's captured ``events`` stamped with
@@ -306,3 +339,39 @@ class WorkerPool:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+
+
+class InProcessRunner:
+    """One slot that runs a task in this process when it is sent.
+
+    :class:`WorkerPool`'s interface over ``run_task(task)``, for runs
+    that need no isolation: nothing forks, nothing is pickled, and the
+    task's events go straight to the caller's bus.  The slot is the
+    runner itself; it has no process (``pid`` is None) and never dies.
+    """
+
+    pid = None
+    num_forks = num_tasks = 0
+
+    def __init__(self, run_task: Callable) -> None:
+        self._run_task = run_task
+        self._reply = None
+
+    def acquire(self) -> Optional["InProcessRunner"]:
+        return self if self._reply is None else None
+
+    def send(self, slot: "InProcessRunner", task) -> None:
+        try:
+            self._reply = ("ok", self._run_task(task), [])
+        except Exception as exc:  # noqa: BLE001 - report, like a worker
+            self._reply = ("error", f"{type(exc).__name__}: {exc}", [])
+
+    def poll(self, slot: "InProcessRunner"):
+        reply, self._reply = self._reply, None
+        return reply
+
+    def forward(self, events, **attribution) -> None:
+        """Nothing to re-emit: the task emitted on the caller's bus."""
+
+    def shutdown(self) -> None:
+        """Nothing to drain."""

@@ -11,16 +11,16 @@ configurations under different pipeline stage numbers": independent
 searches per stage count whose *parallel* cost is the slowest single
 search (reported alongside the serial total).
 
-The multiprocess driver is crash-safe and self-healing: stage counts
-are dispatched onto a persistent :class:`~repro.core.pool.WorkerPool`
-whose processes load the problem once (inherited at fork) and serve
-many tasks, each under an optional per-count timeout.  Failed or hung
-counts are retried with exponential backoff on individually
-restartable workers, surviving results are always returned (failures
-become structured :class:`SearchFailure` records instead of
-exceptions), and — with a checkpoint path — completed stage counts
-persist to JSON so an interrupted search resumes without repeating
-work.
+One scheduler drives the stage counts, on one of two runners: a
+persistent :class:`~repro.core.pool.WorkerPool` whose processes load
+the problem once (inherited at fork) and serve many tasks, each under
+an optional per-count timeout, or an in-process slot that searches on
+the caller's own model.  Failed or hung counts are retried with
+exponential backoff (on individually restartable pool workers),
+surviving results are always returned (failures become structured
+:class:`SearchFailure` records instead of exceptions), and — with a
+checkpoint path — completed stage counts persist to JSON so an
+interrupted search resumes without repeating work.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .budget import Deadline, SearchBudget
 from .finetune import finetune
 from .multihop import MultiHopSearcher
 from .pool import PoolWorker, WorkerPool, _apply_worker_memory_limit  # noqa: F401 - re-export
-from .pool import usable_cores
+from .pool import InProcessRunner, usable_cores
 from .searcher import (
     SearchContext,
     Searcher,
@@ -335,7 +335,7 @@ class MultiStageSearchResult:
     that survived are still reported.  ``pool_forks`` / ``pool_tasks``
     record the persistent pool's process churn: tasks exceeding forks
     is worker reuse, forks exceeding the worker cap means crashed or
-    reaped workers were replaced (both zero on the serial path).
+    reaped workers were replaced (both zero on the in-process runner).
     """
 
     runs: List[StageCountResult] = field(default_factory=list)
@@ -380,8 +380,8 @@ class MultiStageSearchResult:
         """Total estimates consumed across all per-count runs.
 
         Each run reports its own delta (see :class:`SearchResult`), so
-        the sum is directly comparable between the serial path (shared
-        model) and the multiprocess path (fresh model per worker).
+        the sum is directly comparable between the in-process runner
+        (shared model) and the pool (fresh model per worker).
         """
         return sum(run.result.num_estimates for run in self.runs)
 
@@ -422,6 +422,21 @@ def default_stage_counts(graph: OpGraph, cluster: ClusterSpec) -> List[int]:
     return counts
 
 
+def _search_count(
+    graph: OpGraph, cluster: ClusterSpec, perf_model: PerfModel,
+    count: int, strategy: str, options, budget_kwargs: dict,
+    deadline: Optional[Deadline],
+) -> StageCountResult:
+    """Search one stage count: balanced init, the strategy's searcher,
+    then ``run`` under the budget and deadline."""
+    init = balanced_config(graph, cluster, count)
+    search = get_searcher_class(strategy)(
+        graph, cluster, perf_model, options=options
+    )
+    result = search.run(init, SearchBudget(**budget_kwargs), deadline=deadline)
+    return StageCountResult(num_stages=count, result=result)
+
+
 def _stage_count_worker(payload: tuple) -> StageCountResult:
     """Search one stage count in a fresh process.
 
@@ -433,16 +448,11 @@ def _stage_count_worker(payload: tuple) -> StageCountResult:
     (graph, cluster, database, count, options, budget_kwargs,
      model_kwargs, deadline_seconds, strategy) = payload
     perf_model = PerfModel(graph, cluster, database, **model_kwargs)
-    init = balanced_config(graph, cluster, count)
-    searcher_cls = get_searcher_class(strategy)
-    search = searcher_cls(graph, cluster, perf_model, options=options)
     deadline = (
         None if deadline_seconds is None else Deadline(deadline_seconds)
     )
-    result = search.run(
-        init, SearchBudget(**budget_kwargs), deadline=deadline
-    )
-    return StageCountResult(num_stages=count, result=result)
+    return _search_count(graph, cluster, perf_model, count, strategy,
+                         options, budget_kwargs, deadline)
 
 
 def _payload_from_task(shared: tuple, task: Tuple[int, Optional[float]]):
@@ -476,72 +486,74 @@ def _failure_kind_from_error(error: str) -> str:
 def _run_counts_in_pool(
     counts: Sequence[int],
     task_for,
-    worker_fn,
-    payload_builder,
+    runner,
     *,
-    max_workers: int,
     timeout_per_count: Optional[float],
     max_retries: int,
     retry_backoff: float,
     jitter_seed: int = 0,
     deadline: Optional[Deadline] = None,
-    worker_memory_mb: Optional[float] = None,
     bus=None,
     call: object,
 ):
-    """Self-healing scheduler over a persistent worker pool.
+    """The one stage-count scheduler, over either runner.
 
-    Stage counts are dispatched to long-lived :class:`WorkerPool`
-    processes that load the problem state once (inherited read-only at
-    fork under the POSIX default) and then receive only a tiny
-    ``(count, deadline_seconds)`` tuple per task — no per-task pickling
-    of the graph or profile database.  Unlike a
-    ``ProcessPoolExecutor`` — where one dead worker breaks the pool and
-    takes every pending future with it — each pool worker owns a
-    private pipe, so a worker that crashes or blows its per-count
-    deadline is discarded *individually* and lazily replaced; tasks
-    that raise cleanly keep their worker alive for reuse.  A failed
-    count is retried with jittered exponential backoff
-    (:func:`retry_delay`) up to ``max_retries`` extra attempts; the
-    other counts never notice.  Returns ``(results, failures, stats)``
-    — the first two keyed by stage count, ``stats`` a dict with the
-    pool's process ``forks`` and dispatched ``tasks`` counts (tasks
-    exceeding forks is the pool's reuse at work).
+    ``runner`` (a :class:`WorkerPool` or an :class:`InProcessRunner`)
+    only runs tasks; the scheduler owns retries, timeouts, deadline
+    shedding and every ``driver.*`` event.  Each task is
+    ``task_for(count)``, a tiny ``(count, deadline_seconds)`` tuple, so
+    pool workers, which load the problem state once (inherited
+    read-only at fork), never unpickle the graph or profile database
+    per task.  Unlike a ``ProcessPoolExecutor`` — where one dead worker
+    breaks the pool and takes every pending future with it — each pool
+    worker owns a private pipe, so a worker that crashes or blows its
+    per-count timeout is discarded *individually* and lazily replaced;
+    tasks that raise cleanly keep their worker alive for reuse.  A
+    failed count is retried with jittered exponential backoff
+    (:func:`retry_delay`) up to ``max_retries`` extra attempts while
+    other counts search.  Returns ``(results, failures)``, both keyed
+    by stage count.
 
-    A request ``deadline`` turns the scheduler anytime: workers search
+    A request ``deadline`` turns the scheduler anytime: counts search
     cooperatively against the remaining time, queued counts are shed as
     ``kind="deadline"`` failures once it expires, and a watchdog reaps
     any worker still running a task ``DEADLINE_KILL_GRACE`` seconds
     past it — workers are only ever forked on first dispatch, so an
-    already-expired deadline forks nothing.  ``worker_memory_mb``
-    applies an ``RLIMIT_AS`` cap inside each pool worker so a runaway
-    count surfaces as ``kind="oom"``.
+    already-expired deadline forks nothing.
 
-    Worker lifecycle (dispatch / retry / timeout / crash / completion)
-    is published on the telemetry ``bus`` with the same event
-    vocabulary as the old process-per-count scheduler
-    (``driver.worker.spawn`` now marks a task dispatch, carrying the
-    pool worker's pid), plus ``driver.pool.worker_start`` /
-    ``driver.pool.worker_exit`` for actual process churn.  Completed
-    and finally-failed counts carry their payload objects in private
-    ``_result`` / ``_failure`` attrs for in-process subscribers
-    (checkpointing), plus the caller's ``call`` token as ``_call``, and
-    each worker's captured events (only those the bus's sinks keep) are
-    re-emitted with ``num_stages``/``attempt`` attribution.
+    Task lifecycle (dispatch / retry / timeout / crash / completion)
+    is published on the telemetry ``bus``.  ``driver.worker.spawn``
+    marks a dispatch to a pool worker, carrying its pid (the in-process
+    slot has no process: no ``driver.worker.spawn``/``error``), and the
+    pool adds ``driver.pool.worker_start`` / ``worker_exit`` for
+    process churn.  Completed and finally-failed counts carry their
+    payload objects in private ``_result`` / ``_failure`` attrs for
+    in-process subscribers (checkpointing), plus the caller's ``call``
+    token as ``_call``, and each pool worker's captured events (only
+    those the bus's sinks keep) are re-emitted with
+    ``num_stages``/``attempt`` attribution.
     """
     bus = bus if bus is not None else get_bus()
     queue = deque((count, 0, 0.0) for count in counts)  # (count, attempt, not_before)
     active: dict = {}
     results: dict = {}
     failures: dict = {}
-    dispatched = 0
-    pool = WorkerPool(
-        worker_fn,
-        payload_builder,
-        max_workers=max_workers,
-        memory_limit_mb=worker_memory_mb,
-        bus=bus,
-    )
+
+    def fail(count: int, attempts: int, error: str, kind: str) -> None:
+        failures[count] = SearchFailure(
+            num_stages=count, error=error, attempts=attempts, kind=kind
+        )
+        bus.emit(
+            DRIVER_COUNT_FAILED,
+            source="driver",
+            level=WARNING,
+            num_stages=count,
+            attempts=attempts,
+            error=error,
+            failure_kind=kind,
+            _failure=failures[count],
+            _call=call,
+        )
 
     def register_failure(
         count: int, attempt: int, error: str, kind: str = "error"
@@ -560,45 +572,7 @@ def _run_counts_in_pool(
                 error=error,
             )
         else:
-            failures[count] = SearchFailure(
-                num_stages=count,
-                error=error,
-                attempts=attempt + 1,
-                kind=kind,
-            )
-            bus.emit(
-                DRIVER_COUNT_FAILED,
-                source="driver",
-                level=WARNING,
-                num_stages=count,
-                attempts=attempt + 1,
-                error=error,
-                failure_kind=kind,
-                _failure=failures[count],
-                _call=call,
-            )
-
-    def shed_queued_past_deadline() -> None:
-        while queue:
-            count, attempt, _ = queue.popleft()
-            failures[count] = SearchFailure(
-                num_stages=count,
-                error="deadline expired before this stage count was "
-                "searched",
-                attempts=attempt,
-                kind="deadline",
-            )
-            bus.emit(
-                DRIVER_COUNT_FAILED,
-                source="driver",
-                level=WARNING,
-                num_stages=count,
-                attempts=attempt,
-                error=failures[count].error,
-                failure_kind="deadline",
-                _failure=failures[count],
-                _call=call,
-            )
+            fail(count, attempt + 1, error, kind)
 
     try:
         while queue or active:
@@ -608,81 +582,62 @@ def _run_counts_in_pool(
                 # and give in-flight tasks one grace window to return
                 # their best-so-far partial results before the watchdog
                 # reaps their workers.
-                shed_queued_past_deadline()
+                while queue:
+                    count, attempt, _ = queue.popleft()
+                    fail(count, attempt, "deadline expired before this "
+                         "stage count was searched", "deadline")
                 reap_at = now + DEADLINE_KILL_GRACE
                 for task in active.values():
                     if task.kill_at is None or task.kill_at > reap_at:
                         task.kill_at = reap_at
             # Dispatch whatever fits, skipping retries still in backoff.
-            # Workers fork lazily inside pool.acquire(), so a queue that
+            # Pool workers fork lazily in acquire(), so a queue that
             # drains without dispatching (expired deadline) forks none.
             for _ in range(len(queue)):
                 count, attempt, not_before = queue[0]
                 if not_before > now:
                     queue.rotate(-1)
                     continue
-                worker = pool.acquire()
+                worker = runner.acquire()
                 if worker is None:
-                    break  # every worker busy and the pool is at cap
+                    break  # every slot busy and the pool is at cap
                 queue.popleft()
                 try:
-                    pool.send(worker, task_for(count))
+                    runner.send(worker, task_for(count))
                 except (BrokenPipeError, OSError):
                     # The idle worker died between tasks; replace it and
                     # re-dispatch the task, which never started.
-                    pool.discard(worker)
+                    runner.discard(worker)
                     queue.appendleft((count, attempt, not_before))
                     continue
-                dispatched += 1
-                bus.emit(
-                    DRIVER_WORKER_SPAWN,
-                    source="driver",
-                    num_stages=count,
-                    attempt=attempt,
-                    worker_pid=worker.pid,
-                )
+                if worker.pid is not None:
+                    bus.emit(
+                        DRIVER_WORKER_SPAWN,
+                        source="driver",
+                        num_stages=count,
+                        attempt=attempt,
+                        worker_pid=worker.pid,
+                    )
                 kill_at = (
-                    now + timeout_per_count
-                    if timeout_per_count is not None
-                    else None
+                    None if timeout_per_count is None
+                    else now + timeout_per_count
                 )
-                if deadline is not None:
-                    left = deadline.remaining()
-                    if left is not None:
-                        reap_at = now + left + DEADLINE_KILL_GRACE
-                        kill_at = (
-                            reap_at if kill_at is None
-                            else min(kill_at, reap_at)
-                        )
-                active[count] = _ActiveTask(
-                    worker=worker,
-                    kill_at=kill_at,
-                    attempt=attempt,
-                )
+                left = deadline.remaining() if deadline is not None else None
+                if left is not None:
+                    reap_at = now + left + DEADLINE_KILL_GRACE
+                    kill_at = (
+                        reap_at if kill_at is None else min(kill_at, reap_at)
+                    )
+                active[count] = _ActiveTask(worker, kill_at, attempt)
 
             finished = []
             for count, task in active.items():
                 worker = task.worker
-                message = None
-                if worker.conn.poll(0):
-                    try:
-                        message = worker.conn.recv()
-                    except (EOFError, OSError):
-                        message = None
-                if message is None and not worker.alive():
-                    # The process exited between our poll and now —
-                    # drain the pipe once more before declaring a crash.
-                    if worker.conn.poll(0.05):
-                        try:
-                            message = worker.conn.recv()
-                        except (EOFError, OSError):
-                            message = None
+                message = runner.poll(worker)
                 if message is not None:
                     finished.append(count)
-                    worker.busy = False
-                    worker.tasks_done += 1
                     status, value, worker_events = message
-                    pool.forward(
+                    runner.forward(
                         worker_events, num_stages=count, attempt=task.attempt
                     )
                     if status == "ok":
@@ -696,14 +651,15 @@ def _run_counts_in_pool(
                             _call=call,
                         )
                     else:
-                        bus.emit(
-                            DRIVER_WORKER_ERROR,
-                            source="driver",
-                            level=WARNING,
-                            num_stages=count,
-                            attempt=task.attempt,
-                            error=value,
-                        )
+                        if worker.pid is not None:
+                            bus.emit(
+                                DRIVER_WORKER_ERROR,
+                                source="driver",
+                                level=WARNING,
+                                num_stages=count,
+                                attempt=task.attempt,
+                                error=value,
+                            )
                         register_failure(
                             count,
                             task.attempt,
@@ -712,7 +668,7 @@ def _run_counts_in_pool(
                         )
                 elif not worker.alive():
                     finished.append(count)
-                    pool.discard(worker)
+                    runner.discard(worker)
                     exitcode = worker.process.exitcode
                     bus.emit(
                         DRIVER_WORKER_CRASH,
@@ -733,7 +689,7 @@ def _run_counts_in_pool(
                     task.kill_at is not None
                     and time.monotonic() >= task.kill_at
                 ):
-                    pool.discard(worker, kill=True)
+                    runner.discard(worker, kill=True)
                     finished.append(count)
                     past_deadline = (
                         deadline is not None and deadline.expired()
@@ -747,28 +703,30 @@ def _run_counts_in_pool(
                         timeout=timeout_per_count,
                         past_deadline=past_deadline,
                     )
-                    if past_deadline:
-                        register_failure(
-                            count,
-                            task.attempt,
-                            "worker reaped past the request deadline",
-                            kind="deadline",
-                        )
-                    else:
-                        register_failure(
-                            count,
-                            task.attempt,
-                            f"timed out after {timeout_per_count:.1f}s",
-                            kind="timeout",
-                        )
+                    register_failure(
+                        count,
+                        task.attempt,
+                        "worker reaped past the request deadline"
+                        if past_deadline
+                        else f"timed out after {timeout_per_count:.1f}s",
+                        kind="deadline" if past_deadline else "timeout",
+                    )
             for count in finished:
                 active.pop(count)
             if active and not finished:
                 time.sleep(0.005)
+            elif queue and not active:
+                # Every queued count waits out a retry backoff: sleep
+                # until the first is due (or the deadline, if sooner).
+                wake = min(not_before for _, _, not_before in queue)
+                left = deadline.remaining() if deadline is not None else None
+                if left is not None:
+                    wake = min(wake, time.monotonic() + left)
+                time.sleep(max(0.0, wake - time.monotonic()))
     finally:
-        pool.shutdown()
+        runner.shutdown()
 
-    return results, failures, {"forks": pool.num_forks, "tasks": dispatched}
+    return results, failures
 
 
 def search_all_stage_counts(
@@ -802,20 +760,24 @@ def search_all_stage_counts(
     ``budget_per_count`` holds :class:`SearchBudget` keyword arguments
     applied to each stage count's search (default: 60 iterations); its
     keys are validated up front so a typo fails before any worker
-    forks.  With ``workers > 1`` stage counts are dispatched onto a
-    persistent pool of up to ``workers`` processes that load the
-    problem state once and are reused across tasks; the pool never
+    forks.  One scheduler (:func:`_run_counts_in_pool`) searches the
+    counts on one of two runners.  A run that needs worker processes
+    for isolation (a per-count timeout, a memory cap, or a custom
+    ``_worker_fn``) always gets a persistent pool of up to ``workers``
+    processes that load the problem state once and are reused across
+    tasks, even for a single count.  Otherwise the pool never
     outnumbers the usable cores (:func:`usable_cores`), where extra
-    processes only time-slice, so a 1-core box searches serially unless
-    the run needs worker processes for isolation (a per-count timeout,
-    a memory cap, or a custom ``_worker_fn``).  Each task runs under
+    processes only time-slice, and it runs only with more than one
+    worker and more than one count left to search; else the counts
+    search one by one in this process, on the caller's ``perf_model``
+    and ``deadline``, forking nothing.  Each task runs under
     ``timeout_per_count`` seconds (``None`` = no limit); a count that
     raises, crashes its worker, or hangs is retried up to
     ``max_retries`` more times with jittered exponential backoff
     (:func:`retry_delay`, seeded from ``options.seed``), after which it
     becomes a :class:`SearchFailure` record while the surviving counts
     still return.  Results merge in stage-count order, so the outcome
-    is deterministic and identical to the serial path.
+    is deterministic and the same on either runner.
 
     ``deadline`` makes the whole driver anytime: each per-count search
     stops cooperatively at the cutoff and returns its best-so-far plan
@@ -832,8 +794,6 @@ def search_all_stage_counts(
     checkpoint's completed counts are restored instead of re-searched
     (failed counts are retried), and a corrupt checkpoint file is
     quarantined to ``<path>.corrupt`` and the search starts fresh.
-    Serial runs (``workers == 1``) checkpoint too but cannot enforce
-    timeouts or memory caps.
     """
     from .checkpoint import SearchCheckpoint
 
@@ -871,7 +831,6 @@ def search_all_stage_counts(
     workers = min(workers, len(counts))
     if not isolated:
         workers = min(workers, usable_cores())
-    worker_fn = _worker_fn or _stage_count_worker
     jitter_seed = options.seed if options is not None else 0
 
     context = {
@@ -911,9 +870,9 @@ def search_all_stage_counts(
 
     # Checkpoint recording subscribes to the driver's lifecycle events
     # instead of threading ad-hoc callbacks through the scheduler: the
-    # serial loop and the multiprocess scheduler publish the same
-    # ``driver.count.completed`` / ``driver.count.failed`` events, and
-    # this sink (whose presence activates the bus) persists them.
+    # scheduler publishes ``driver.count.completed`` /
+    # ``driver.count.failed`` on either runner, and this sink (whose
+    # presence activates the bus) persists them.
     # Concurrent calls share the process bus: count events carry this
     # call's private ``_call`` token and the sink records only its own.
     bus = get_bus()
@@ -956,127 +915,45 @@ def search_all_stage_counts(
 
     results: dict = {run.num_stages: run for run in restored}
     failures: dict = {}
+    if isolated or (workers > 1 and len(todo) > 1):
+        # The heavy problem state crosses into pool workers exactly
+        # once (inherited at fork, or shipped per worker under spawn);
+        # each dispatched task is only (count, remaining).
+        shared = (graph, cluster, perf_model.database, options,
+                  budget_kwargs, perf_model.build_kwargs, strategy)
+        runner = WorkerPool(
+            _worker_fn or _stage_count_worker,
+            functools.partial(_payload_from_task, shared),
+            max_workers=max(1, min(workers, len(todo))),
+            memory_limit_mb=worker_memory_mb,
+            bus=bus,
+        )
+    else:
+        runner = InProcessRunner(lambda task: _search_count(
+            graph, cluster, perf_model, task[0], strategy, options,
+            budget_kwargs, deadline,
+        ))
+
+    def task_for(count: int) -> Tuple[int, Optional[float]]:
+        remaining = deadline.remaining() if deadline is not None else None
+        return (count, remaining)
+
     try:
-        if workers <= 1 or len(todo) <= 1:
-            for count in todo:
-                if deadline is not None and deadline.expired():
-                    failures[count] = SearchFailure(
-                        num_stages=count,
-                        error="deadline expired before this stage count "
-                        "was searched",
-                        attempts=0,
-                        kind="deadline",
-                    )
-                    bus.emit(
-                        DRIVER_COUNT_FAILED,
-                        source="driver",
-                        level=WARNING,
-                        num_stages=count,
-                        attempts=0,
-                        error=failures[count].error,
-                        failure_kind="deadline",
-                        _failure=failures[count],
-                        _call=call,
-                    )
-                    continue
-                attempt = 0
-                while True:
-                    try:
-                        init = balanced_config(graph, cluster, count)
-                        search = get_searcher_class(strategy)(
-                            graph, cluster, perf_model, options=options
-                        )
-                        result = search.run(
-                            init,
-                            SearchBudget(**budget_kwargs),
-                            deadline=deadline,
-                        )
-                    except Exception as exc:  # noqa: BLE001 - degrade, record
-                        error = f"{type(exc).__name__}: {exc}"
-                        out_of_time = (
-                            deadline is not None and deadline.expired()
-                        )
-                        if attempt < max_retries and not out_of_time:
-                            delay = retry_delay(
-                                retry_backoff, count, attempt, jitter_seed
-                            )
-                            bus.emit(
-                                DRIVER_WORKER_RETRY,
-                                source="driver",
-                                level=WARNING,
-                                num_stages=count,
-                                attempt=attempt,
-                                delay=delay,
-                                error=error,
-                            )
-                            time.sleep(delay)
-                            attempt += 1
-                            continue
-                        failures[count] = SearchFailure(
-                            num_stages=count,
-                            error=error,
-                            attempts=attempt + 1,
-                            kind=_failure_kind_from_error(error),
-                        )
-                        bus.emit(
-                            DRIVER_COUNT_FAILED,
-                            source="driver",
-                            level=WARNING,
-                            num_stages=count,
-                            attempts=attempt + 1,
-                            error=error,
-                            failure_kind=failures[count].kind,
-                            _failure=failures[count],
-                            _call=call,
-                        )
-                        break
-                    run = StageCountResult(num_stages=count, result=result)
-                    results[count] = run
-                    bus.emit(
-                        DRIVER_COUNT_COMPLETED,
-                        source="driver",
-                        num_stages=count,
-                        attempt=attempt,
-                        _result=run,
-                        _call=call,
-                    )
-                    break
-        elif todo:
-            model_kwargs = {
-                "cache_size": perf_model._cache_size,
-                "stage_cache_size": perf_model._stage_cache_size,
-                "reserve_safety_factor": perf_model.reserve_safety_factor,
-            }
-            # The heavy problem state crosses into pool workers exactly
-            # once (inherited at fork, or shipped per worker under
-            # spawn); each dispatched task is only (count, remaining).
-            shared = (graph, cluster, perf_model.database, options,
-                      budget_kwargs, model_kwargs, strategy)
-
-            def task_for(count: int) -> Tuple[int, Optional[float]]:
-                remaining = (
-                    deadline.remaining() if deadline is not None else None
-                )
-                return (count, remaining)
-
-            fresh, failures, pool_stats = _run_counts_in_pool(
-                todo,
-                task_for,
-                worker_fn,
-                functools.partial(_payload_from_task, shared),
-                max_workers=min(workers, len(todo)),
-                timeout_per_count=timeout_per_count,
-                max_retries=max_retries,
-                retry_backoff=retry_backoff,
-                jitter_seed=jitter_seed,
-                deadline=deadline,
-                worker_memory_mb=worker_memory_mb,
-                bus=bus,
-                call=call,
-            )
-            results.update(fresh)
-            outcome.pool_forks = pool_stats["forks"]
-            outcome.pool_tasks = pool_stats["tasks"]
+        fresh, failures = _run_counts_in_pool(
+            todo,
+            task_for,
+            runner,
+            timeout_per_count=timeout_per_count,
+            max_retries=max_retries,
+            retry_backoff=retry_backoff,
+            jitter_seed=jitter_seed,
+            deadline=deadline,
+            bus=bus,
+            call=call,
+        )
+        results.update(fresh)
+        outcome.pool_forks = runner.num_forks
+        outcome.pool_tasks = runner.num_tasks
     finally:
         if checkpoint_sink is not None:
             bus.remove_sink(checkpoint_sink)

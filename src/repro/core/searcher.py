@@ -19,8 +19,9 @@ the second half:
 * the strategy registry — ``register_searcher`` /
   ``get_searcher_class`` / ``available_strategies`` — plus
   ``build_options``, which turns a ``strategy_kwargs`` dict into the
-  strategy's options dataclass and rejects unknown keys with a typed
-  ``ACE213`` diagnostic (unknown strategy names get ``ACE212``).
+  strategy's options dataclass and rejects unknown or mistyped keys
+  with a typed ``ACE213`` diagnostic (unknown strategy names get
+  ``ACE212``).
 
 Estimate-order discipline: the context never calls the performance
 model except where the pre-refactor code did (the initial objective in
@@ -32,6 +33,7 @@ the observable result; strategies own every other model call.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import fields as dataclass_fields
 from typing import ClassVar, Dict, List, Optional, Tuple, Type
 
@@ -371,8 +373,9 @@ def strategy_option_names(name: str) -> Tuple[str, ...]:
 def build_options(name: str, kwargs: Optional[dict] = None):
     """Build a strategy's options from a ``strategy_kwargs`` dict.
 
-    Unknown keys raise a :class:`StrategyError` carrying one
-    ``ACE213`` diagnostic per offending key — never silently dropped.
+    Unknown keys, and values whose type does not fit the options
+    field, raise a :class:`StrategyError` carrying one ``ACE213``
+    diagnostic per offending key — never silently dropped.
     """
     cls = get_searcher_class(name)
     kwargs = dict(kwargs or {})
@@ -395,7 +398,43 @@ def build_options(name: str, kwargs: Optional[dict] = None):
         )
     if cls.options_class is None:
         return None
+    hints = typing.get_type_hints(cls.options_class)
+    mistyped = sorted(
+        key for key, value in kwargs.items()
+        if not _fits(value, hints[key])
+    )
+    if mistyped:
+        raise StrategyError(
+            f"mistyped {name} strategy argument(s): {', '.join(mistyped)}",
+            diagnostics=[
+                _strategy_diagnostic(
+                    "ACE213",
+                    f"{name} strategy argument {key!r} must be "
+                    f"{_type_name(hints[key])}, got {kwargs[key]!r}",
+                    strategy=name,
+                    argument=key,
+                )
+                for key in mistyped
+            ],
+        )
     return cls.options_class(**kwargs)
+
+
+def _fits(value, hint) -> bool:
+    """Whether ``value`` fits an options field annotated ``hint``: an
+    int fits a float field, a bool fits no int or float field."""
+    if typing.get_origin(hint) is typing.Union:
+        return any(_fits(value, arg) for arg in typing.get_args(hint))
+    hint = typing.get_origin(hint) or hint
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _type_name(hint) -> str:
+    if isinstance(hint, type):
+        return hint.__name__
+    return str(hint).replace("typing.", "")
 
 
 def make_searcher(

@@ -57,7 +57,7 @@ CODES: Dict[str, str] = {
     "ACE210": "unknown resource-adjustment primitive",
     "ACE211": "primitive has no registered applier",
     "ACE212": "unknown search strategy",
-    "ACE213": "unknown search-strategy or budget keyword argument",
+    "ACE213": "unknown or mistyped search-strategy or budget keyword",
     "ACE220": "surviving devices exceed the usable power-of-two snap",
     "ACE221": "no devices survive the fault plan",
     # -- ACE3xx: on-disk artifacts ------------------------------------

@@ -52,9 +52,8 @@ def analyze_plan_request(request) -> List[Diagnostic]:
     except StrategyError as exc:
         out.extend(exc.diagnostics)
     except (TypeError, ValueError) as exc:
-        # Known keys with unbuildable values (e.g. a string where the
-        # options dataclass wants a float) still must not reach a
-        # worker fork.
+        # An options class whose constructor rejects a well-typed
+        # value still must not reach a worker fork.
         out.append(Diagnostic(
             "ACE213",
             f"invalid strategy_kwargs for {request.strategy!r}: {exc}",

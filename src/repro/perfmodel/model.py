@@ -294,6 +294,16 @@ class PerfModel:
     # public API
     # ------------------------------------------------------------------
     @property
+    def build_kwargs(self) -> dict:
+        """Keyword arguments that rebuild this model's settings (for a
+        pool worker's fresh model of the same problem)."""
+        return {
+            "cache_size": self._cache_size,
+            "stage_cache_size": self._stage_cache_size,
+            "reserve_safety_factor": self.reserve_safety_factor,
+        }
+
+    @property
     def num_estimates(self) -> int:
         """Unique configurations costed (config-cache misses)."""
         return self._c_estimates.value

@@ -75,6 +75,9 @@ class TestSearchMain:
         ["--model", "gpt-2l", "--workers", "0"],
         # Cannot fit one GPU under any plan: the daemon's ACE202.
         ["--model", "gpt3-13b", "--gpus", "1"],
+        # A known strategy argument of the wrong type: ACE213.
+        ["--model", "gpt-2l", "--strategy", "mcmc",
+         "--strategy-arg", "cooling=abc"],
     ])
     def test_bad_input_exits_2_with_a_message(self, argv, capsys):
         assert _exit_code(["--iterations", "1"] + argv) == 2

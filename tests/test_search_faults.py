@@ -307,6 +307,78 @@ class TestCrashSafeDriver:
         assert result.failures[0].num_stages == 1
         assert "timed out" in result.failures[0].error
 
+    @pytest.mark.parametrize("workers, counts, resume", [
+        (2, [1], False),
+        (1, [1, 2], False),
+        (2, [1, 2], True),
+    ])
+    def test_isolated_run_always_gets_a_worker_process(
+        self, tiny_graph, small_cluster, tiny_database, tmp_path,
+        workers, counts, resume,
+    ):
+        """A per-count timeout holds for a single count, for
+        ``workers=1`` and for a resume with one count left."""
+        path = tmp_path / "search.ckpt.json"
+        hung = counts[-1]
+
+        def hangs(payload):
+            if payload[3] == hung:
+                time.sleep(60)
+            return _stage_count_worker(payload)
+
+        def search(worker_fn, **kwargs):
+            return search_all_stage_counts(
+                tiny_graph,
+                small_cluster,
+                fresh_model(tiny_graph, small_cluster, tiny_database),
+                stage_counts=counts,
+                budget_per_count=BUDGET,
+                workers=workers,
+                max_retries=0,
+                _worker_fn=worker_fn,
+                **kwargs,
+            )
+
+        if resume:
+            def raises(payload):
+                if payload[3] == hung:
+                    raise RuntimeError("injected fault")
+                return _stage_count_worker(payload)
+
+            search(raises, checkpoint_path=path)
+            kwargs = {"checkpoint_path": path, "resume": True}
+        else:
+            kwargs = {}
+        started = time.monotonic()
+        result = search(hangs, timeout_per_count=1.0, **kwargs)
+        assert time.monotonic() - started < 30
+        assert [run.num_stages for run in result.runs] == counts[:-1]
+        assert [(f.num_stages, f.kind) for f in result.failures] == [
+            (hung, "timeout")
+        ]
+        assert result.pool_forks >= 1
+
+    def test_retry_backoff_sleeps_instead_of_spinning(
+        self, tiny_graph, small_cluster, tiny_database
+    ):
+        def always_raises(payload):
+            raise RuntimeError("nothing works")
+
+        wall, cpu = time.monotonic(), time.process_time()
+        result = search_all_stage_counts(
+            tiny_graph,
+            small_cluster,
+            fresh_model(tiny_graph, small_cluster, tiny_database),
+            budget_per_count=BUDGET,
+            workers=2,
+            max_retries=2,
+            retry_backoff=0.3,
+            _worker_fn=always_raises,
+        )
+        wall, cpu = time.monotonic() - wall, time.process_time() - cpu
+        assert [f.attempts for f in result.failures] == [3, 3, 3]
+        assert cpu < wall / 2, (cpu, wall)
+
     def test_killed_worker_is_recorded_with_exit_code(
         self, tiny_graph, small_cluster, tiny_database
     ):

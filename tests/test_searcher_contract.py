@@ -409,6 +409,20 @@ class TestStrategyRegistry:
                 "bogus", "also_bogus",
             }
 
+    def test_mistyped_strategy_kwarg_is_typed_ace213(self):
+        with pytest.raises(StrategyError, match="cooling") as caught:
+            build_options("mcmc", {"cooling": "abc", "top_k": True})
+        assert [
+            (d.code, d.attrs["argument"]) for d in caught.value.diagnostics
+        ] == [("ACE213", "cooling"), ("ACE213", "top_k")]
+        # An int fits a float field; None fits an Optional one.
+        assert build_options("mcmc", {"cooling": 1}).cooling == 1
+        assert build_options("bandit", {"warm_start": None}) is not None
+        for bad in ({"attach_recompute": 1}, {"seed": 2.0},
+                    {"warm_start": "x"}):
+            with pytest.raises(StrategyError):
+                build_options("bandit", bad)
+
     def test_budget_kwargs_error_is_typed_ace213(self):
         with pytest.raises(BudgetKwargsError, match="max_iteration"):
             SearchBudget.validate_kwargs({"max_iteration": 5})
