@@ -400,7 +400,9 @@ def apply_inc_rc(ctx: ApplyContext) -> List[ParallelConfig]:
 
     stage_index = ctx.stage_index
     candidates = []
-    fitted = greedy_recompute(ctx.perf_model, ctx.config, stage_index)
+    fitted = greedy_recompute(
+        ctx.perf_model, ctx.config, stage_index, ctx.report
+    )
     if fitted is not None:
         candidates.append(fitted)
     stage = ctx.config.stages[stage_index]
@@ -423,7 +425,9 @@ def apply_dec_rc(ctx: ApplyContext) -> List[ParallelConfig]:
 
     stage_index = ctx.stage_index
     candidates = []
-    relaxed = greedy_unrecompute(ctx.perf_model, ctx.config, stage_index)
+    relaxed = greedy_unrecompute(
+        ctx.perf_model, ctx.config, stage_index, ctx.report
+    )
     if relaxed is not None:
         candidates.append(relaxed)
     stage = ctx.config.stages[stage_index]

@@ -17,27 +17,34 @@ import numpy as np
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..perfmodel.model import PerfModel
+from ..perfmodel.report import PerfReport
+
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def greedy_recompute(
     perf_model: PerfModel,
     config: ParallelConfig,
     stage_index: int,
+    report: PerfReport,
 ) -> Optional[ParallelConfig]:
     """Enable recomputation on a stage until it fits in memory.
 
     Ops are recomputed largest-activation-first (§4.1).  The count is
-    seeded analytically from the memory overflow and each op's
+    seeded analytically from the overflow past the stage's own limit in
+    ``report`` (the caller's ``estimate(config)``) and each op's
     activation savings, then verified (and grown if short) against the
     performance model — one or two probes instead of a full scan.
     Each probe prices only the stage's Eq. 1 under a candidate mask
     (:meth:`PerfModel.recompute_peak`); only the fitting one is built.
-    Returns ``None`` when no probed count fits, or when the stage
-    already fits without changes.  The probes step by an eighth of the
-    candidates and may step past full recomputation without trying it.
+    Returns ``None`` when no probed count fits, when the stage already
+    fits without changes, or, before sorting, when even recomputing
+    every candidate cannot cover the overflow (:func:`_cannot_cover`).
+    The probes step by an eighth of the candidates and may step past
+    full recomputation without trying it.
     """
-    report = perf_model.estimate(config)
-    overflow = report.peak_memories[stage_index] - report.memory_limit
+    limit = report.stage_limit(stage_index)
+    overflow = report.peak_memories[stage_index] - limit
     if overflow <= 0:
         return None
     stage = config.stages[stage_index]
@@ -45,8 +52,12 @@ def greedy_recompute(
     candidates = np.where(~stage.recompute)[0]
     if candidates.size == 0:
         return None
-    order = candidates[np.argsort(act[candidates])[::-1]]
-    savings = np.cumsum(act[order]) * max(1, report.in_flight(stage_index))
+    sizes = act[candidates]
+    in_flight = max(1, report.in_flight(stage_index))
+    if _cannot_cover(sizes, in_flight, overflow):
+        return None
+    order = candidates[np.argsort(sizes)[::-1]]
+    savings = np.cumsum(act[order]) * in_flight
 
     total = len(order)
     k = int(np.searchsorted(savings, overflow)) + 1
@@ -55,22 +66,36 @@ def greedy_recompute(
         mask = stage.recompute.copy()
         mask[order[:min(k, total)]] = True
         peak = perf_model.recompute_peak(config, report, stage_index, mask)
-        if peak <= report.memory_limit:
+        if peak <= limit:
             return config.with_recompute(stage_index, mask)
         k += step
     return None
+
+
+def _cannot_cover(sizes: np.ndarray, in_flight: int, overflow: float) -> bool:
+    """Whether recomputing all of ``sizes`` (activation bytes, >= 0)
+    provably saves less than ``overflow``, so that the sorted
+    ``cumsum(...)[-1] * in_flight`` is below it too.  Any summation order
+    of n non-negative terms is within (n-1)u / (1-(n-1)u) of the exact
+    sum (u = 2**-53; Higham, *Accuracy and Stability*, §4.2): widening
+    the pairwise ``sum`` by 2n * eps = 4nu covers both sums' error and
+    the three products' roundings for n below 2**40."""
+    widen = 1.0 + 2 * sizes.size * _EPS
+    return bool(float(sizes.sum()) * in_flight * widen < overflow)
 
 
 def greedy_unrecompute(
     perf_model: PerfModel,
     config: ParallelConfig,
     stage_index: int,
+    report: PerfReport,
 ) -> Optional[ParallelConfig]:
     """Disable recomputation where memory slack allows.
 
     Recomputed ops are released in ascending activation order (big
     activations are the riskiest to re-materialize).  The release count
-    is seeded from the stage's memory slack and trimmed against the
+    is seeded from the slack under the stage's own limit in ``report``
+    (the caller's ``estimate(config)``) and trimmed against the
     performance model, probing each count's Eq. 1 peak
     (:meth:`PerfModel.recompute_peak`) and building only the one that
     fits.  Returns ``None`` when nothing can change (no recomputed ops,
@@ -80,8 +105,8 @@ def greedy_unrecompute(
     recomputed = np.where(stage.recompute)[0]
     if recomputed.size == 0:
         return None
-    report = perf_model.estimate(config)
-    slack = report.memory_limit - report.peak_memories[stage_index]
+    limit = report.stage_limit(stage_index)
+    slack = limit - report.peak_memories[stage_index]
     if slack < 0:
         return None
     act = perf_model.stage_activation_bytes(stage, config.microbatch_size)
@@ -94,7 +119,7 @@ def greedy_unrecompute(
         mask = stage.recompute.copy()
         mask[order[:k]] = False
         peak = perf_model.recompute_peak(config, report, stage_index, mask)
-        if peak <= report.memory_limit:
+        if peak <= limit:
             return config.with_recompute(stage_index, mask)
         k -= step
     return None
@@ -108,20 +133,30 @@ def tune_recompute(
     """Re-fit recomputation after another primitive changed memory.
 
     This is §4.3's "attaching inc/dec-rc to all other primitives":
-    stages pushed over the memory limit gain recomputation; stages with
-    new slack shed it.
+    stages pushed over their memory limit gain recomputation; stages
+    with new slack shed it.  The current config is estimated once, and
+    again only after a stage's flags change; the greedy functions read
+    that report.  Each stage calls only the one that can change it: an
+    over-budget stage :func:`greedy_recompute`, a fitting stage that
+    recomputes something :func:`greedy_unrecompute`, and a fitting
+    stage that recomputes nothing neither.
     """
-    current = config
+    current, report = config, None
     for stage_index in stage_indices:
         if not 0 <= stage_index < current.num_stages:
             continue
-        tightened = greedy_recompute(perf_model, current, stage_index)
-        if tightened is not None:
-            current = tightened
+        if report is None:
+            report = perf_model.estimate(current)
+        args = (perf_model, current, stage_index, report)
+        limit = report.stage_limit(stage_index)
+        if report.peak_memories[stage_index] > limit:
+            tuned = greedy_recompute(*args)
+        elif np.count_nonzero(current.stages[stage_index].recompute):
+            tuned = greedy_unrecompute(*args)
+        else:
             continue
-        relaxed = greedy_unrecompute(perf_model, current, stage_index)
-        if relaxed is not None:
-            current = relaxed
+        if tuned is not None:
+            current, report = tuned, None
     return current
 
 

@@ -225,7 +225,8 @@ def _is_clean(stage, mbs, num_options, num_gpus) -> bool:
 def analyze_memory(
     config, graph, cluster, *, perf_model=None, seed: int = 0
 ) -> List[Diagnostic]:
-    """Static Eq. 1 feasibility: which stages would OOM, and by how much.
+    """Static Eq. 1 feasibility: which stages would OOM, and by how much,
+    each against its own device limit on a heterogeneous cluster.
 
     Requires a structurally valid config (run :func:`analyze_structure`
     first); builds a performance model when none is supplied.
@@ -235,9 +236,9 @@ def analyze_memory(
 
         perf_model = build_perf_model(graph, cluster, seed=seed)
     report = perf_model.estimate(config)
-    limit = report.memory_limit
     out: List[Diagnostic] = []
     for i, peak in enumerate(report.peak_memories):
+        limit = report.stage_limit(i)
         if peak > limit:
             overage = peak - limit
             out.append(Diagnostic(

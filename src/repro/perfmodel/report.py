@@ -251,17 +251,18 @@ class PerfReport:
             )
         return any(m > self.memory_limit for m in self.peak_memories)
 
+    def stage_limit(self, stage: int) -> float:
+        """Device memory limit of one stage: its own on a heterogeneous
+        cluster, else ``memory_limit``."""
+        if self.stage_limits is not None:
+            return self.stage_limits[stage]
+        return self.memory_limit
+
     @property
     def oom_stages(self) -> List[int]:
-        peaks = self.peak_memories
-        limits = (
-            self.stage_limits
-            if self.stage_limits is not None
-            else [self.memory_limit] * len(peaks)
-        )
         return [
-            i for i, (m, limit) in enumerate(zip(peaks, limits))
-            if m > limit
+            i for i, m in enumerate(self.peak_memories)
+            if m > self.stage_limit(i)
         ]
 
     @property

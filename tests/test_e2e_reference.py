@@ -6,14 +6,17 @@ checks a plan's digest and objective; these tests also pin the estimate
 count, which is Exp#4's "explored configurations" metric and what every
 estimate-budgeted search spends.  The gpt3-350m request runs once
 serially and once on a 2-process worker pool, the two paths the
-benchmark times; the 8,004-op gpt-1000l request runs serially.  They
-read the reference and never rewrite it.
+benchmark times; the 8,004-op gpt-1000l request runs serially.  The
+21 serve-mixed fingerprints replay serially against their entries the
+same way.  They read the reference and never rewrite it.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import pytest
 
 from repro.service import PlanRequest, plan_digest, plan_request
 from repro.telemetry import CallbackSink, TelemetryBus, using_bus
@@ -27,12 +30,25 @@ REFERENCE = (
 
 def _check_against_reference(model="gpt3-350m", estimates=16394, **kwargs):
     expected = json.loads(REFERENCE.read_text())["search"][model]
+    assert expected["estimates"] == estimates
+    _replay(expected, **kwargs)
+
+
+def _replay(expected: dict, **kwargs) -> None:
     request = PlanRequest.from_json(expected["request"])
     outcome = plan_request(request, **kwargs)
     assert plan_digest(outcome.plan) == expected["digest"]
     assert outcome.objective == expected["objective"]
-    assert outcome.num_estimates == expected["estimates"] == estimates
+    assert outcome.num_estimates == expected["estimates"]
     assert not outcome.partial and not outcome.failures
+
+
+SERVE = json.loads(REFERENCE.read_text())["serve"]
+
+
+@pytest.mark.parametrize("fingerprint", sorted(SERVE))
+def test_serve_request_matches_the_e2e_reference(fingerprint):
+    _replay(SERVE[fingerprint])
 
 
 def test_gpt3_350m_request_matches_the_e2e_reference():

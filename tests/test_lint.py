@@ -184,6 +184,26 @@ class TestAnalyzeMemory:
                 == diag.attrs["limit_bytes"] + diag.attrs["overage_bytes"]
             )
 
+    def test_each_stage_is_held_to_its_own_limit(self):
+        """On a mixed cluster stage 1 runs on 4 GiB devices: 5.57 GiB
+        is under the 40 GiB reference A100 but over its own limit."""
+        from repro.cluster import DeviceSpec, a100, mixed_cluster
+        from repro.ir.models.registry import build_model
+
+        cluster = mixed_cluster(
+            [a100(), DeviceSpec(name="small", memory_bytes=4 * 2**30)],
+            gpus_per_node=2,
+            reference=a100(),
+        )
+        graph = build_model("gpt3-350m", batch_size=64)
+        config = balanced_config(graph, cluster, 2)
+        diagnostics = analyze_memory(config, graph, cluster)
+        assert [(d.code, d.location) for d in diagnostics] == [
+            ("ACE201", "stage 1")
+        ]
+        assert diagnostics[0].attrs["limit_bytes"] == 4 * 2**30
+        assert "device capacity 4.00 GiB" in diagnostics[0].message
+
     def test_analyze_config_runs_memory_only_when_structure_clean(
         self, graph, cluster
     ):
