@@ -33,64 +33,33 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.analysis` — metrics + cross-system comparison
 """
 
-from .analysis import ComparisonResult, compare_systems, tflops_per_gpu
-from .cluster import ClusterSpec, DeviceSpec, paper_cluster, single_node
-from .core import (
-    AcesoSearch,
-    AcesoSearchOptions,
-    SearchBudget,
-    SearchFailedError,
-    SearchResult,
-    search_all_stage_counts,
-)
-from .faults import FaultPlan, elastic_replan, random_fault_plan, shrink_cluster
-from .ir import OpGraph, OpSpec
-from .ir.models import available_models, build_model
-from .parallel import (
-    ConfigError,
-    ParallelConfig,
-    StageConfig,
-    balanced_config,
-    validate_config,
-)
-from .perfmodel import PerfModel, PerfReport, build_perf_model
-from .profiling import ProfileDatabase, SimulatedProfiler
-from .runtime import ExecutionResult, Executor
+from .exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AcesoSearch",
-    "AcesoSearchOptions",
-    "ClusterSpec",
-    "ComparisonResult",
-    "ConfigError",
-    "DeviceSpec",
-    "ExecutionResult",
-    "Executor",
-    "FaultPlan",
-    "OpGraph",
-    "OpSpec",
-    "ParallelConfig",
-    "PerfModel",
-    "PerfReport",
-    "ProfileDatabase",
-    "SearchBudget",
-    "SearchFailedError",
-    "SearchResult",
-    "SimulatedProfiler",
-    "StageConfig",
-    "available_models",
-    "balanced_config",
-    "build_model",
-    "build_perf_model",
-    "compare_systems",
-    "elastic_replan",
-    "paper_cluster",
-    "random_fault_plan",
-    "search_all_stage_counts",
-    "shrink_cluster",
-    "single_node",
-    "tflops_per_gpu",
-    "validate_config",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "analysis.compare": ("ComparisonResult", "compare_systems"),
+    "analysis.metrics": ("tflops_per_gpu",),
+    "cluster.device": ("DeviceSpec",),
+    "cluster.topology": ("ClusterSpec", "paper_cluster", "single_node"),
+    "core.budget": ("SearchBudget",),
+    "core.search": (
+        "AcesoSearch", "AcesoSearchOptions", "SearchFailedError",
+        "SearchResult", "search_all_stage_counts",
+    ),
+    "faults.inject": ("shrink_cluster",),
+    "faults.plan": ("FaultPlan", "random_fault_plan"),
+    "faults.replan": ("elastic_replan",),
+    "ir.graph": ("OpGraph",),
+    "ir.models.registry": ("available_models", "build_model"),
+    "ir.ops": ("OpSpec",),
+    "parallel.config": ("ParallelConfig",),
+    "parallel.initializer": ("balanced_config",),
+    "parallel.stage": ("StageConfig",),
+    "parallel.validation": ("ConfigError", "validate_config"),
+    "perfmodel.model": ("PerfModel", "build_perf_model"),
+    "perfmodel.report": ("PerfReport",),
+    "profiling.database": ("ProfileDatabase",),
+    "profiling.profiler": ("SimulatedProfiler",),
+    "runtime.executor": ("ExecutionResult", "Executor"),
+})

@@ -1,31 +1,15 @@
 """Evaluation metrics and cross-system comparison harness."""
 
-from .ascii_plots import ascii_bar_chart, ascii_line_plot, downsample
-from .compare import (
-    ComparisonResult,
-    SystemOutcome,
-    compare_systems,
-    evaluate_config,
-)
-from .metrics import (
-    geometric_mean,
-    mean_abs_pct_error,
-    normalize,
-    speedup,
-    tflops_per_gpu,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "ComparisonResult",
-    "ascii_bar_chart",
-    "ascii_line_plot",
-    "downsample",
-    "SystemOutcome",
-    "compare_systems",
-    "evaluate_config",
-    "geometric_mean",
-    "mean_abs_pct_error",
-    "normalize",
-    "speedup",
-    "tflops_per_gpu",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "ascii_plots": ("ascii_bar_chart", "ascii_line_plot", "downsample"),
+    "compare": (
+        "ComparisonResult", "SystemOutcome", "compare_systems",
+        "evaluate_config",
+    ),
+    "metrics": (
+        "geometric_mean", "mean_abs_pct_error", "normalize", "speedup",
+        "tflops_per_gpu",
+    ),
+})

@@ -1,19 +1,10 @@
 """Tournament harness racing search strategies under equal budgets."""
 
-from .tournament import (
-    ENTRY_KILL_GRACE,
-    TOURNAMENT_FORMAT_VERSION,
-    ArenaEntry,
-    EntryOutcome,
-    TournamentResult,
-    run_tournament,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "ENTRY_KILL_GRACE",
-    "TOURNAMENT_FORMAT_VERSION",
-    "ArenaEntry",
-    "EntryOutcome",
-    "TournamentResult",
-    "run_tournament",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "tournament": (
+        "ArenaEntry", "ENTRY_KILL_GRACE", "EntryOutcome",
+        "TOURNAMENT_FORMAT_VERSION", "TournamentResult", "run_tournament",
+    ),
+})

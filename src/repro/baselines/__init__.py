@@ -1,33 +1,15 @@
 """Baseline systems: Megatron-LM grid, Alpa-style solver, DP, random."""
 
-from .alpa import (
-    AlpaCompilationError,
-    AlpaOptions,
-    AlpaResult,
-    alpa_search,
-)
-from .dp_solver import DPSolverOptions, DPSolverResult, dp_solve
-from .megatron import (
-    GridSearchResult,
-    MegatronPlan,
-    enumerate_plans,
-    megatron_grid_search,
-    plan_to_config,
-)
-from .random_search import random_search
+from ..exports import lazy_exports
 
-__all__ = [
-    "AlpaCompilationError",
-    "AlpaOptions",
-    "AlpaResult",
-    "DPSolverOptions",
-    "DPSolverResult",
-    "GridSearchResult",
-    "MegatronPlan",
-    "alpa_search",
-    "dp_solve",
-    "enumerate_plans",
-    "megatron_grid_search",
-    "plan_to_config",
-    "random_search",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "alpa": (
+        "AlpaCompilationError", "AlpaOptions", "AlpaResult", "alpa_search",
+    ),
+    "dp_solver": ("DPSolverOptions", "DPSolverResult", "dp_solve"),
+    "megatron": (
+        "GridSearchResult", "MegatronPlan", "enumerate_plans",
+        "megatron_grid_search", "plan_to_config",
+    ),
+    "random_search": ("random_search",),
+})

@@ -20,14 +20,11 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence
 
-from .analysis.compare import compare_systems
-from .analysis.metrics import tflops_per_gpu
 from .cluster.topology import paper_cluster
 from .core.search import SearchFailedError, search_all_stage_counts
 from .core.searcher import available_strategies
 from .ir.models.registry import available_models, build_model
 from .perfmodel.model import build_perf_model
-from .runtime.executor import Executor
 from .telemetry import (
     LEVELS_BY_NAME,
     ConsoleSink,
@@ -146,10 +143,10 @@ def _parse_strategy_args(pairs: Optional[Sequence[str]]) -> dict:
 def _add_strategy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strategy",
-        choices=available_strategies(),
         default="greedy",
-        help="search strategy (default greedy — the paper's iterative "
-        "bottleneck alleviation)",
+        help=f"search strategy: {', '.join(available_strategies())} "
+        "(default greedy — the paper's iterative bottleneck "
+        "alleviation); an unknown name fails with an ACE212 diagnostic",
     )
     parser.add_argument(
         "--strategy-arg",
@@ -268,10 +265,12 @@ def search_main(argv: Optional[List[str]] = None) -> int:
             parser.error(
                 f"{flag} must be {'non-negative' if zero_ok else 'positive'}"
             )
+    from .analysis.metrics import tflops_per_gpu
     from .core.budget import Deadline
     from .core.checkpoint import CheckpointError
     from .lint.diagnostics import ERROR
     from .lint.requests import analyze_plan_request
+    from .runtime.executor import Executor
     from .service import PlanRequest, plan_request
 
     try:
@@ -374,6 +373,8 @@ def compare_main(argv: Optional[List[str]] = None) -> int:
     _add_common(parser)
     args = parser.parse_args(argv)
 
+    from .analysis.compare import compare_systems
+
     with _telemetry(args):
         result = compare_systems(
             args.model,
@@ -442,6 +443,7 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
     from .lint.diagnostics import ArtifactError
     from .parallel.serialization import load_config
     from .parallel.validation import validate_config
+    from .runtime.executor import Executor
 
     graph = build_model(args.model)
     cluster = paper_cluster(args.gpus)
@@ -779,6 +781,7 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
         elastic_replan,
         shrink_cluster,
     )
+    from .runtime.executor import Executor
 
     if args.churn_timeline:
         from .elastic import ChurnTimeline

@@ -1,28 +1,12 @@
 """Hardware substrate: devices, topology, collective cost models."""
 
-from .collectives import CollectiveCostModel
-from .device import GB, DeviceSpec, a100, v100
-from .topology import (
-    DEFAULT_IB,
-    DEFAULT_NVLINK,
-    ClusterSpec,
-    LinkSpec,
-    mixed_cluster,
-    paper_cluster,
-    single_node,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "DEFAULT_IB",
-    "DEFAULT_NVLINK",
-    "GB",
-    "ClusterSpec",
-    "CollectiveCostModel",
-    "DeviceSpec",
-    "LinkSpec",
-    "a100",
-    "mixed_cluster",
-    "paper_cluster",
-    "single_node",
-    "v100",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "collectives": ("CollectiveCostModel",),
+    "device": ("DeviceSpec", "GB", "a100", "v100"),
+    "topology": (
+        "ClusterSpec", "DEFAULT_IB", "DEFAULT_NVLINK", "LinkSpec",
+        "mixed_cluster", "paper_cluster", "single_node",
+    ),
+})

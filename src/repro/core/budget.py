@@ -20,6 +20,8 @@ import inspect
 import time
 from typing import Callable, Optional
 
+from ..lint.diagnostics import Diagnostic
+
 
 class Deadline:
     """Cooperative wall-clock cutoff, optionally cancellable.
@@ -106,10 +108,6 @@ class SearchBudget:
         }
         unknown = sorted(set(kwargs) - allowed)
         if unknown:
-            # Imported lazily: repro.lint pulls in artifact checkers
-            # that import repro.core, so a module-level import cycles.
-            from ..lint.diagnostics import Diagnostic
-
             valid = ", ".join(sorted(allowed))
             raise BudgetKwargsError(
                 f"unknown SearchBudget argument(s): {', '.join(unknown)}; "

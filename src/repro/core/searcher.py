@@ -33,12 +33,14 @@ the observable result; strategies own every other model call.
 
 from __future__ import annotations
 
+import importlib
 import typing
 from dataclasses import fields as dataclass_fields
-from typing import ClassVar, Dict, List, Optional, Tuple, Type
+from typing import ClassVar, Dict, List, Optional, Tuple, Type, Union
 
 from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
+from ..lint.diagnostics import Diagnostic
 from ..parallel.config import ParallelConfig
 from ..perfmodel.model import PerfModel
 from ..telemetry import Event, get_bus
@@ -68,11 +70,6 @@ class StrategyError(ValueError):
 
 
 def _strategy_diagnostic(code: str, message: str, hint: str = "", **attrs):
-    # Imported lazily: ``repro.lint`` imports artifact checkers that
-    # reach back into ``repro.core``, so a module-level import here
-    # would cycle during package init.
-    from ..lint.diagnostics import Diagnostic
-
     return Diagnostic(code=code, message=message, hint=hint, attrs=attrs)
 
 
@@ -319,7 +316,14 @@ class Searcher:
 # ----------------------------------------------------------------------
 # strategy registry
 # ----------------------------------------------------------------------
-_SEARCHERS: Dict[str, Type[Searcher]] = {}
+#: Strategy name -> class.  A built-in strategy starts as its module's
+#: path and becomes its class when that module is first imported (its
+#: ``@register_searcher`` runs), so listing strategies imports none.
+_SEARCHERS: Dict[str, Union[str, Type[Searcher]]] = {
+    "bandit": f"{__package__}.bandit",
+    "greedy": f"{__package__}.search",
+    "mcmc": f"{__package__}.mcmc",
+}
 
 
 def register_searcher(cls: Type[Searcher]) -> Type[Searcher]:
@@ -345,9 +349,11 @@ def available_strategies() -> List[str]:
 
 def get_searcher_class(name: str) -> Type[Searcher]:
     """Resolve a strategy name, raising a typed ``ACE212`` error."""
-    try:
-        return _SEARCHERS[name]
-    except KeyError:
+    entry = _SEARCHERS.get(name)
+    if isinstance(entry, str):
+        importlib.import_module(entry)
+        entry = _SEARCHERS[name]
+    if entry is None:
         known = ", ".join(available_strategies())
         raise StrategyError(
             f"unknown search strategy {name!r}; available: {known}",
@@ -359,7 +365,8 @@ def get_searcher_class(name: str) -> Type[Searcher]:
                     strategy=name,
                 )
             ],
-        ) from None
+        )
+    return entry
 
 
 def strategy_option_names(name: str) -> Tuple[str, ...]:

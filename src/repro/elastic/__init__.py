@@ -8,28 +8,14 @@ per event batch whether the estimated throughput loss justifies a
 bounded warm re-search, and always holding a servable plan.
 """
 
-from .controller import (
-    ControllerPolicy,
-    ControllerRun,
-    Decision,
-    ElasticController,
-)
-from .timeline import (
-    CHURN_FORMAT_VERSION,
-    EVENT_KINDS,
-    ChurnEvent,
-    ChurnTimeline,
-    random_churn_timeline,
-)
+from ..exports import lazy_exports
 
-__all__ = [
-    "CHURN_FORMAT_VERSION",
-    "EVENT_KINDS",
-    "ChurnEvent",
-    "ChurnTimeline",
-    "ControllerPolicy",
-    "ControllerRun",
-    "Decision",
-    "ElasticController",
-    "random_churn_timeline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "controller": (
+        "ControllerPolicy", "ControllerRun", "Decision", "ElasticController",
+    ),
+    "timeline": (
+        "CHURN_FORMAT_VERSION", "ChurnEvent", "ChurnTimeline", "EVENT_KINDS",
+        "random_churn_timeline",
+    ),
+})

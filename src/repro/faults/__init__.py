@@ -8,42 +8,17 @@ reconfiguration" argument by warm-starting a new search from the
 surviving top-k plans after device loss.
 """
 
-from .inject import (
-    NoSurvivorsError,
-    adapt_config,
-    degrade_cluster,
-    memory_safe_variant,
-    shrink_cluster,
-    shrink_cluster_checked,
-)
-from .plan import (
-    FAULT_FORMAT_VERSION,
-    LINK_SCOPES,
-    DeviceFailure,
-    FaultPlan,
-    LinkDegradation,
-    StragglerSlowdown,
-    TransientOOM,
-    random_fault_plan,
-)
-from .replan import ReplanComparison, ReplanOutcome, elastic_replan
+from ..exports import lazy_exports
 
-__all__ = [
-    "FAULT_FORMAT_VERSION",
-    "LINK_SCOPES",
-    "DeviceFailure",
-    "FaultPlan",
-    "LinkDegradation",
-    "NoSurvivorsError",
-    "ReplanComparison",
-    "ReplanOutcome",
-    "StragglerSlowdown",
-    "TransientOOM",
-    "adapt_config",
-    "degrade_cluster",
-    "elastic_replan",
-    "memory_safe_variant",
-    "random_fault_plan",
-    "shrink_cluster",
-    "shrink_cluster_checked",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "inject": (
+        "NoSurvivorsError", "adapt_config", "degrade_cluster",
+        "memory_safe_variant", "shrink_cluster", "shrink_cluster_checked",
+    ),
+    "plan": (
+        "DeviceFailure", "FAULT_FORMAT_VERSION", "FaultPlan", "LINK_SCOPES",
+        "LinkDegradation", "StragglerSlowdown", "TransientOOM",
+        "random_fault_plan",
+    ),
+    "replan": ("ReplanComparison", "ReplanOutcome", "elastic_replan"),
+})

@@ -1,31 +1,17 @@
 """Benchmark model builders (GPT-3, T5, Wide-ResNet)."""
 
-from .gpt3 import GPT3_SIZES, GPTSpec, build_gpt, build_gpt3, build_gpt3_layers
-from .registry import available_models, build_model
-from .synthetic import build_synthetic
-from .t5 import T5_SIZES, T5Spec, build_t5, build_t5_from_spec
-from .wide_resnet import (
-    WRN_SIZES,
-    WideResNetSpec,
-    build_wide_resnet,
-    build_wide_resnet_from_spec,
-)
+from ...exports import lazy_exports
 
-__all__ = [
-    "GPT3_SIZES",
-    "GPTSpec",
-    "T5_SIZES",
-    "T5Spec",
-    "WRN_SIZES",
-    "WideResNetSpec",
-    "available_models",
-    "build_synthetic",
-    "build_gpt",
-    "build_gpt3",
-    "build_gpt3_layers",
-    "build_model",
-    "build_t5",
-    "build_t5_from_spec",
-    "build_wide_resnet",
-    "build_wide_resnet_from_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "gpt3": (
+        "GPT3_SIZES", "GPTSpec", "build_gpt", "build_gpt3",
+        "build_gpt3_layers",
+    ),
+    "registry": ("available_models", "build_model"),
+    "synthetic": ("build_synthetic",),
+    "t5": ("T5Spec", "T5_SIZES", "build_t5", "build_t5_from_spec"),
+    "wide_resnet": (
+        "WRN_SIZES", "WideResNetSpec", "build_wide_resnet",
+        "build_wide_resnet_from_spec",
+    ),
+})

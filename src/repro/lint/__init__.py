@@ -23,69 +23,28 @@ adds SARIF export (:mod:`repro.lint.sarif`) and new-findings-only
 gating against a committed baseline (:mod:`repro.lint.baseline`).
 """
 
-from .diagnostics import (
-    CODES,
-    ERROR,
-    WARNING,
-    Diagnostic,
-    max_severity,
-    sort_key,
-    sorted_diagnostics,
-)
-from .config_rules import (
-    analyze_config,
-    analyze_memory,
-    analyze_primitives,
-    analyze_structure,
-)
-from .requests import analyze_request
-from .artifacts import (
-    lint_artifact_path,
-    lint_checkpoint_file,
-    lint_churn_timeline_file,
-    lint_fleet_state_file,
-    lint_journal_file,
-    lint_plan_cache_file,
-    lint_plan_file,
-    lint_run_log_file,
-)
-from .codebase import analyze_source, analyze_tree
-from .flow_rules import (
-    analyze_flow_paths,
-    analyze_flow_source,
-    analyze_flow_tree,
-)
-from .baseline import apply_baseline, load_baseline, write_baseline
-from .sarif import to_sarif
+from ..exports import lazy_exports
 
-__all__ = [
-    "CODES",
-    "ERROR",
-    "WARNING",
-    "Diagnostic",
-    "max_severity",
-    "analyze_config",
-    "analyze_memory",
-    "analyze_primitives",
-    "analyze_structure",
-    "analyze_request",
-    "lint_artifact_path",
-    "lint_checkpoint_file",
-    "lint_churn_timeline_file",
-    "lint_fleet_state_file",
-    "lint_journal_file",
-    "lint_plan_cache_file",
-    "lint_plan_file",
-    "lint_run_log_file",
-    "analyze_source",
-    "analyze_tree",
-    "analyze_flow_paths",
-    "analyze_flow_source",
-    "analyze_flow_tree",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
-    "to_sarif",
-    "sort_key",
-    "sorted_diagnostics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "artifacts": (
+        "lint_artifact_path", "lint_checkpoint_file",
+        "lint_churn_timeline_file", "lint_fleet_state_file",
+        "lint_journal_file", "lint_plan_cache_file", "lint_plan_file",
+        "lint_run_log_file",
+    ),
+    "baseline": ("apply_baseline", "load_baseline", "write_baseline"),
+    "codebase": ("analyze_source", "analyze_tree"),
+    "config_rules": (
+        "analyze_config", "analyze_memory", "analyze_primitives",
+        "analyze_structure",
+    ),
+    "diagnostics": (
+        "CODES", "Diagnostic", "ERROR", "WARNING", "max_severity", "sort_key",
+        "sorted_diagnostics",
+    ),
+    "flow_rules": (
+        "analyze_flow_paths", "analyze_flow_source", "analyze_flow_tree",
+    ),
+    "requests": ("analyze_request",),
+    "sarif": ("to_sarif",),
+})

@@ -1,51 +1,20 @@
 """Parallel-configuration representation, validation, initialization."""
 
-from .config import ParallelConfig, changed_stages
-from .initializer import (
-    balanced_config,
-    imbalanced_gpu_config,
-    imbalanced_op_config,
-    minimum_microbatch_size,
-    split_devices,
-    split_ops_balanced,
-)
-from .serialization import (
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
-from .space import (
-    config_space_table,
-    dp_tp_choices,
-    log10_configs_2mech,
-    log10_configs_3mech,
-    log10_configs_4mech,
-)
-from .stage import StageConfig, is_power_of_two
-from .validation import ConfigError, is_valid, validate_config
+from ..exports import lazy_exports
 
-__all__ = [
-    "ConfigError",
-    "config_from_dict",
-    "config_to_dict",
-    "load_config",
-    "save_config",
-    "ParallelConfig",
-    "StageConfig",
-    "balanced_config",
-    "changed_stages",
-    "config_space_table",
-    "dp_tp_choices",
-    "imbalanced_gpu_config",
-    "imbalanced_op_config",
-    "is_power_of_two",
-    "is_valid",
-    "log10_configs_2mech",
-    "log10_configs_3mech",
-    "log10_configs_4mech",
-    "minimum_microbatch_size",
-    "split_devices",
-    "split_ops_balanced",
-    "validate_config",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "config": ("ParallelConfig", "changed_stages"),
+    "initializer": (
+        "balanced_config", "imbalanced_gpu_config", "imbalanced_op_config",
+        "minimum_microbatch_size", "split_devices", "split_ops_balanced",
+    ),
+    "serialization": (
+        "config_from_dict", "config_to_dict", "load_config", "save_config",
+    ),
+    "space": (
+        "config_space_table", "dp_tp_choices", "log10_configs_2mech",
+        "log10_configs_3mech", "log10_configs_4mech",
+    ),
+    "stage": ("StageConfig", "is_power_of_two"),
+    "validation": ("ConfigError", "is_valid", "validate_config"),
+})

@@ -1,28 +1,13 @@
 """Profiling-based performance model (§3.3 of the paper)."""
 
-from .memory import (
-    activation_kept_mask,
-    allocator_reserve,
-    in_flight_counts,
-    stage_allocator_reserve,
-    stage_peak_memory,
-)
-from .model import PerfModel, build_perf_model
-from .report import RESOURCES, PerfReport, StageCost, StageReport
-from .timing import iteration_time_1f1b, stage_totals
+from ..exports import lazy_exports
 
-__all__ = [
-    "PerfModel",
-    "PerfReport",
-    "RESOURCES",
-    "StageCost",
-    "StageReport",
-    "activation_kept_mask",
-    "allocator_reserve",
-    "build_perf_model",
-    "in_flight_counts",
-    "iteration_time_1f1b",
-    "stage_allocator_reserve",
-    "stage_peak_memory",
-    "stage_totals",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "memory": (
+        "activation_kept_mask", "allocator_reserve", "in_flight_counts",
+        "stage_allocator_reserve", "stage_peak_memory",
+    ),
+    "model": ("PerfModel", "build_perf_model"),
+    "report": ("PerfReport", "RESOURCES", "StageCost", "StageReport"),
+    "timing": ("iteration_time_1f1b", "stage_totals"),
+})

@@ -1,45 +1,16 @@
 """Profiling substrate: cost functions, database, simulated profiler."""
 
-from .cost import (
-    BWD_BYTES_RATIO,
-    TP_EFFICIENCY_PENALTY,
-    effective_tp,
-    op_bwd_time,
-    op_fwd_bytes,
-    op_fwd_time,
-    op_saved_bytes,
-    op_signature,
-    op_weight_bytes,
-    option_bias,
-    tp_efficiency,
-)
-from .database import (
-    CollectiveProfile,
-    OpProfile,
-    ProfileDatabase,
-    ProfiledGraph,
-    tp_level_index,
-    tp_levels,
-)
-from .profiler import SimulatedProfiler
+from ..exports import lazy_exports
 
-__all__ = [
-    "BWD_BYTES_RATIO",
-    "CollectiveProfile",
-    "OpProfile",
-    "ProfileDatabase",
-    "ProfiledGraph",
-    "SimulatedProfiler",
-    "TP_EFFICIENCY_PENALTY",
-    "effective_tp",
-    "op_bwd_time",
-    "op_fwd_bytes",
-    "op_fwd_time",
-    "op_saved_bytes",
-    "op_signature",
-    "op_weight_bytes",
-    "option_bias",
-    "tp_efficiency",
-    "tp_level_index",
-    "tp_levels",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cost": (
+        "BWD_BYTES_RATIO", "TP_EFFICIENCY_PENALTY", "effective_tp",
+        "op_bwd_time", "op_fwd_bytes", "op_fwd_time", "op_saved_bytes",
+        "op_signature", "op_weight_bytes", "option_bias", "tp_efficiency",
+    ),
+    "database": (
+        "CollectiveProfile", "OpProfile", "ProfileDatabase", "ProfiledGraph",
+        "tp_level_index", "tp_levels",
+    ),
+    "profiler": ("SimulatedProfiler",),
+})

@@ -1,45 +1,16 @@
 """Ground-truth runtime: 1F1B schedule, event simulator, executor."""
 
-from .allocator import BLOCK_BYTES, CachingAllocator, replay_transients
-from .memory_trace import (
-    StageMemoryTimeline,
-    all_stage_timelines,
-    stage_memory_timeline,
-)
-from .executor import FRAMEWORK_OVERHEAD, ExecutionResult, Executor
-from .schedule import (
-    BACKWARD,
-    FORWARD,
-    GPIPE,
-    ONE_F_ONE_B,
-    SCHEDULE_STYLES,
-    Task,
-    full_schedule,
-    max_in_flight,
-    stage_schedule,
-)
-from .simulator import SimulationResult, TaskRecord, simulate_pipeline
+from ..exports import lazy_exports
 
-__all__ = [
-    "BACKWARD",
-    "StageMemoryTimeline",
-    "all_stage_timelines",
-    "stage_memory_timeline",
-    "BLOCK_BYTES",
-    "CachingAllocator",
-    "ExecutionResult",
-    "Executor",
-    "FORWARD",
-    "GPIPE",
-    "ONE_F_ONE_B",
-    "SCHEDULE_STYLES",
-    "FRAMEWORK_OVERHEAD",
-    "SimulationResult",
-    "Task",
-    "TaskRecord",
-    "full_schedule",
-    "max_in_flight",
-    "replay_transients",
-    "simulate_pipeline",
-    "stage_schedule",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "allocator": ("BLOCK_BYTES", "CachingAllocator", "replay_transients"),
+    "executor": ("ExecutionResult", "Executor", "FRAMEWORK_OVERHEAD"),
+    "memory_trace": (
+        "StageMemoryTimeline", "all_stage_timelines", "stage_memory_timeline",
+    ),
+    "schedule": (
+        "BACKWARD", "FORWARD", "GPIPE", "ONE_F_ONE_B", "SCHEDULE_STYLES",
+        "Task", "full_schedule", "max_in_flight", "stage_schedule",
+    ),
+    "simulator": ("SimulationResult", "TaskRecord", "simulate_pipeline"),
+})

@@ -27,77 +27,27 @@ composition:
   proves the fleet loses nothing.
 """
 
-from .admission import AdmissionController, QueueFullError
-from .breaker import BreakerOpenError, CircuitBreaker
-from .cache import PlanCache
-from .chaos import (
-    ChaosEvent,
-    ChaosReport,
-    InProcessReplica,
-    run_chaos,
-    seeded_schedule,
-    synthetic_planner,
-)
-from .daemon import PlannerDaemon, Ticket, TicketTimeout
-from .fleet import (
-    FleetConfig,
-    FleetHTTPServer,
-    FleetRouter,
-    HTTPReplicaClient,
-    LocalReplicaClient,
-    ReplicaError,
-    serve_fleet,
-)
-from .httpd import PlannerHTTPServer, serve
-from .planner import PlanOutcome, plan_digest, plan_request
-from .protocol import (
-    PROTOCOL_VERSION,
-    STATUS_FAILED,
-    STATUS_PARTIAL,
-    STATUS_REJECTED,
-    STATUS_SERVED,
-    TERMINAL_STATUSES,
-    PlanRequest,
-    PlanResponse,
-    ProtocolError,
-)
-from .ring import HashRing
+from ..exports import lazy_exports
 
-__all__ = [
-    "AdmissionController",
-    "BreakerOpenError",
-    "ChaosEvent",
-    "ChaosReport",
-    "CircuitBreaker",
-    "FleetConfig",
-    "FleetHTTPServer",
-    "FleetRouter",
-    "HTTPReplicaClient",
-    "HashRing",
-    "InProcessReplica",
-    "LocalReplicaClient",
-    "PROTOCOL_VERSION",
-    "PlanCache",
-    "PlanOutcome",
-    "PlanRequest",
-    "PlanResponse",
-    "PlannerDaemon",
-    "PlannerHTTPServer",
-    "ProtocolError",
-    "QueueFullError",
-    "ReplicaError",
-    "STATUS_FAILED",
-    "STATUS_PARTIAL",
-    "STATUS_REJECTED",
-    "STATUS_SERVED",
-    "TERMINAL_STATUSES",
-    "Ticket",
-    "TicketTimeout",
-    "plan_digest",
-    "plan_request",
-    "run_chaos",
-    "seeded_schedule",
-    "serve",
-    "serve_fleet",
-    "synthetic_planner",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "admission": ("AdmissionController", "QueueFullError"),
+    "breaker": ("BreakerOpenError", "CircuitBreaker"),
+    "cache": ("PlanCache",),
+    "chaos": (
+        "ChaosEvent", "ChaosReport", "InProcessReplica", "run_chaos",
+        "seeded_schedule", "synthetic_planner",
+    ),
+    "daemon": ("PlannerDaemon", "Ticket", "TicketTimeout"),
+    "fleet": (
+        "FleetConfig", "FleetHTTPServer", "FleetRouter", "HTTPReplicaClient",
+        "LocalReplicaClient", "ReplicaError", "serve_fleet",
+    ),
+    "httpd": ("PlannerHTTPServer", "serve"),
+    "planner": ("PlanOutcome", "plan_digest", "plan_request"),
+    "protocol": (
+        "PROTOCOL_VERSION", "PlanRequest", "PlanResponse", "ProtocolError",
+        "STATUS_FAILED", "STATUS_PARTIAL", "STATUS_REJECTED", "STATUS_SERVED",
+        "TERMINAL_STATUSES",
+    ),
+    "ring": ("HashRing",),
+})

@@ -15,73 +15,22 @@ answer is one check, so telemetry-off code paths stay at full speed
 (guarded by ``benchmarks/bench_perfmodel_micro.py``).
 """
 
-from .bus import (
-    COUNTER,
-    DEBUG,
-    ERROR,
-    EVENT,
-    INFO,
-    KEEP_ALL,
-    LEVELS_BY_NAME,
-    LEVEL_NAMES,
-    SPAN_BEGIN,
-    SPAN_END,
-    WARNING,
-    Counter,
-    CounterGroup,
-    Event,
-    SinkFilter,
-    Span,
-    TelemetryBus,
-    get_bus,
-    set_bus,
-    using_bus,
-)
-from .chrome import (
-    chrome_trace_from_events,
-    chrome_trace_from_tasks,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .sinks import (
-    CallbackSink,
-    ConsoleSink,
-    JsonlSink,
-    RingBufferSink,
-    validate_run_log,
-)
-from .summary import render_summary, summarize_events
+from ..exports import lazy_exports
 
-__all__ = [
-    "COUNTER",
-    "CallbackSink",
-    "ConsoleSink",
-    "Counter",
-    "CounterGroup",
-    "DEBUG",
-    "ERROR",
-    "EVENT",
-    "Event",
-    "INFO",
-    "JsonlSink",
-    "KEEP_ALL",
-    "LEVELS_BY_NAME",
-    "LEVEL_NAMES",
-    "RingBufferSink",
-    "SPAN_BEGIN",
-    "SPAN_END",
-    "SinkFilter",
-    "Span",
-    "TelemetryBus",
-    "WARNING",
-    "chrome_trace_from_events",
-    "chrome_trace_from_tasks",
-    "get_bus",
-    "render_summary",
-    "set_bus",
-    "summarize_events",
-    "using_bus",
-    "validate_chrome_trace",
-    "validate_run_log",
-    "write_chrome_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "bus": (
+        "COUNTER", "Counter", "CounterGroup", "DEBUG", "ERROR", "EVENT",
+        "Event", "INFO", "KEEP_ALL", "LEVELS_BY_NAME", "LEVEL_NAMES",
+        "SPAN_BEGIN", "SPAN_END", "SinkFilter", "Span", "TelemetryBus",
+        "WARNING", "get_bus", "set_bus", "using_bus",
+    ),
+    "chrome": (
+        "chrome_trace_from_events", "chrome_trace_from_tasks",
+        "validate_chrome_trace", "write_chrome_trace",
+    ),
+    "sinks": (
+        "CallbackSink", "ConsoleSink", "JsonlSink", "RingBufferSink",
+        "validate_run_log",
+    ),
+    "summary": ("render_summary", "summarize_events"),
+})
