@@ -109,10 +109,6 @@ class ClusterSpec:
             return self.device
         return self.node_devices[node]
 
-    def device_for(self, device_id: int) -> DeviceSpec:
-        """The device spec of one GPU."""
-        return self.node_device(self.node_of(device_id))
-
     def span_compute_scale(
         self, first_device: int, num_devices: int, precision: str
     ) -> float:
@@ -169,13 +165,6 @@ class ClusterSpec:
                 last_device // self.gpus_per_node + 1,
             )
         ))
-
-    @property
-    def min_memory_bytes(self) -> float:
-        """Smallest per-device memory anywhere in the cluster."""
-        if self.node_devices is None:
-            return float(self.device.memory_bytes)
-        return float(min(spec.memory_bytes for spec in self.node_devices))
 
     def node_of(self, device_id: int) -> int:
         """Node index hosting ``device_id``."""

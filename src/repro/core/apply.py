@@ -20,7 +20,7 @@ from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..parallel.stage import StageConfig
-from ..parallel.validation import Verdicts, is_valid
+from ..parallel.validation import is_valid
 from ..perfmodel.model import PerfModel
 from ..perfmodel.report import PerfReport
 from .arguments import op_move_counts, tune_recompute
@@ -33,9 +33,6 @@ class ApplyContext:
 
     ``attach_recompute`` enables §4.3's "attach inc/dec-rc to every
     primitive" combination; the ablation benches turn it off.
-    ``verified`` is the search's structure-verdict set (see
-    :func:`repro.parallel.validation.is_valid`); ``None`` checks every
-    stage of every candidate.
     """
 
     graph: OpGraph
@@ -45,7 +42,6 @@ class ApplyContext:
     report: PerfReport
     bottleneck: Bottleneck
     attach_recompute: bool = True
-    verified: Optional[Verdicts] = None
 
     @property
     def stage_index(self) -> int:
@@ -361,7 +357,7 @@ def apply_inc_dp(ctx: ApplyContext) -> List[ParallelConfig]:
         _swap_within_stage(ctx, ctx.stage_index, toward="dp"),
         _grow_devices(ctx, grow_mechanism="dp"),
     ]
-    return _finalize(ctx, [c for c in candidates if c is not None])
+    return _finalize(ctx, candidates)
 
 
 def apply_inc_tp(ctx: ApplyContext) -> List[ParallelConfig]:
@@ -370,7 +366,7 @@ def apply_inc_tp(ctx: ApplyContext) -> List[ParallelConfig]:
         _swap_within_stage(ctx, ctx.stage_index, toward="tp"),
         _grow_devices(ctx, grow_mechanism="tp"),
     ]
-    return _finalize(ctx, [c for c in candidates if c is not None])
+    return _finalize(ctx, candidates)
 
 
 def apply_dec_dp(ctx: ApplyContext) -> List[ParallelConfig]:
@@ -379,7 +375,7 @@ def apply_dec_dp(ctx: ApplyContext) -> List[ParallelConfig]:
         _swap_within_stage(ctx, ctx.stage_index, toward="tp"),
         _shrink_devices(ctx, shrink_mechanism="dp"),
     ]
-    return _finalize(ctx, [c for c in candidates if c is not None])
+    return _finalize(ctx, candidates)
 
 
 def apply_dec_tp(ctx: ApplyContext) -> List[ParallelConfig]:
@@ -388,7 +384,7 @@ def apply_dec_tp(ctx: ApplyContext) -> List[ParallelConfig]:
         _swap_within_stage(ctx, ctx.stage_index, toward="dp"),
         _shrink_devices(ctx, shrink_mechanism="tp"),
     ]
-    return _finalize(ctx, [c for c in candidates if c is not None])
+    return _finalize(ctx, candidates)
 
 
 # ----------------------------------------------------------------------
@@ -466,8 +462,8 @@ def register_applier(
     """Attach the candidate generator of an extension primitive.
 
     The applier receives an :class:`ApplyContext` and returns candidate
-    configurations; they are validated and deduplicated by the caller
-    exactly like built-in primitives' candidates.
+    configurations; :func:`apply_primitive` drops the invalid ones and
+    dedupes the rest like built-in primitives' candidates.
     """
     if name in _APPLIERS:
         raise ValueError(f"cannot override built-in applier {name!r}")
@@ -487,30 +483,36 @@ def has_applier(name: str) -> bool:
 
 
 def apply_primitive(name: str, ctx: ApplyContext) -> List[ParallelConfig]:
-    """Generate valid successor configurations for one primitive."""
-    applier = _APPLIERS.get(name) or _EXTENSION_APPLIERS.get(name)
+    """Generate valid successor configurations for one primitive.
+
+    Built-in appliers emit only valid configurations (a property in
+    ``tests/test_valid_by_construction.py``); an extension applier's
+    candidates are checked here, one ``is_valid`` each.
+    """
+    applier = _APPLIERS.get(name)
+    if applier is not None:
+        return applier(ctx)
+    applier = _EXTENSION_APPLIERS.get(name)
     if applier is None:
         raise KeyError(f"unknown primitive {name!r}")
-    candidates = applier(ctx)
-    if name in _EXTENSION_APPLIERS:
-        # Extension candidates go through the same validity gate.
-        return _finalize(ctx, list(candidates))
-    return candidates
+    return _finalize(ctx, [
+        candidate for candidate in applier(ctx)
+        if candidate is None or is_valid(candidate, ctx.graph, ctx.cluster)
+    ])
 
 
 def _finalize(
     ctx: ApplyContext, candidates: List[ParallelConfig]
 ) -> List[ParallelConfig]:
-    """Validate and locally dedupe candidate configurations."""
+    """Locally dedupe candidate configurations, dropping ``None`` and
+    the parent."""
     seen = {ctx.config.cache_key()}
     result = []
     for candidate in candidates:
         if candidate is None:
             continue
         key = candidate.cache_key()
-        if key in seen:
-            continue
-        seen.add(key)
-        if is_valid(candidate, ctx.graph, ctx.cluster, ctx.verified):
+        if key not in seen:
+            seen.add(key)
             result.append(candidate)
     return result

@@ -20,10 +20,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
-from ..parallel.validation import Verdicts, is_valid
 from ..perfmodel.model import PerfModel
 from .arguments import tune_recompute
 
@@ -31,18 +29,12 @@ from .arguments import tune_recompute
 def finetune(
     config: ParallelConfig,
     graph: OpGraph,
-    cluster: ClusterSpec,
     perf_model: PerfModel,
     *,
     max_split_points: int = 8,
     stages: Optional[List[int]] = None,
-    verified: Optional[Verdicts] = None,
 ) -> ParallelConfig:
-    """Run both fine-tuning passes; returns the best config found.
-
-    ``verified`` is the search's structure-verdict set (see
-    :func:`repro.parallel.validation.is_valid`).
-    """
+    """Run both fine-tuning passes; returns the best config found."""
     best = config
     best_objective = perf_model.objective(config)
     target_stages = (
@@ -50,12 +42,10 @@ def finetune(
     )
     for stage_index in target_stages:
         best, best_objective = _tune_suffix_parallel(
-            best, best_objective, stage_index, graph, cluster, perf_model,
-            max_split_points, verified,
+            best, best_objective, stage_index, perf_model, max_split_points
         )
         best, best_objective = _tune_partition_dims(
-            best, best_objective, stage_index, graph, cluster, perf_model,
-            verified,
+            best, best_objective, stage_index, graph, perf_model
         )
     return best
 
@@ -74,11 +64,8 @@ def _tune_suffix_parallel(
     config: ParallelConfig,
     best_objective: float,
     stage_index: int,
-    graph: OpGraph,
-    cluster: ClusterSpec,
     perf_model: PerfModel,
     max_split_points: int,
-    verified: Optional[Verdicts],
 ):
     """Try doubling/halving tp for each sampled suffix of the stage."""
     stage = config.stages[stage_index]
@@ -107,8 +94,6 @@ def _tune_suffix_parallel(
                 dp_view = target.dp[suffix]
                 dp_view[movable] = dp_new
                 tp_view[movable] //= 2
-            if not is_valid(candidate, graph, cluster, verified):
-                continue
             candidate = tune_recompute(perf_model, candidate, [stage_index])
             objective = perf_model.objective(candidate)
             if objective < best_objective:
@@ -121,9 +106,7 @@ def _tune_partition_dims(
     best_objective: float,
     stage_index: int,
     graph: OpGraph,
-    cluster: ClusterSpec,
     perf_model: PerfModel,
-    verified: Optional[Verdicts],
 ):
     """Flip partition dimension per op kind within the stage."""
     stage = config.stages[stage_index]
@@ -144,8 +127,6 @@ def _tune_partition_dims(
             if np.all(target.tp_dim[mask] == new_dim):
                 continue
             target.tp_dim[mask] = new_dim
-            if not is_valid(candidate, graph, cluster, verified):
-                continue
             objective = perf_model.objective(candidate)
             if objective < best_objective:
                 best, best_objective = candidate, objective

@@ -18,7 +18,6 @@ import numpy as np
 from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig, changed_stages
-from ..parallel.validation import Verdicts
 from ..perfmodel.model import PerfModel
 from .apply import ApplyContext
 from .bottleneck import Bottleneck, rank_bottlenecks
@@ -57,8 +56,6 @@ class MultiHopSearcher:
             into (backtracking breadth).
         max_nodes: hop-node budget of a single :meth:`search` call —
             bounds the worst-case (no improvement found) tree walk.
-        verified: the search's structure-verdict set, handed to every
-            :class:`ApplyContext`.
     """
 
     def __init__(
@@ -73,7 +70,6 @@ class MultiHopSearcher:
         beam_width: int = 2,
         max_nodes: int = 60,
         attach_recompute: bool = True,
-        verified: Optional[Verdicts] = None,
     ) -> None:
         if max_hops < 1:
             raise ValueError("max_hops must be >= 1")
@@ -88,7 +84,6 @@ class MultiHopSearcher:
         self.beam_width = beam_width
         self.max_nodes = max_nodes
         self.attach_recompute = attach_recompute
-        self.verified = verified
         self._nodes_left = max_nodes
 
     def search(
@@ -150,7 +145,6 @@ class MultiHopSearcher:
             report=report,
             bottleneck=bottleneck,
             attach_recompute=self.attach_recompute,
-            verified=self.verified,
         )
         for group in candidate_groups(ctx, rng=self.rng):
             fresh = []

@@ -38,7 +38,6 @@ from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..parallel.initializer import balanced_config
-from ..parallel.validation import Verdicts
 from ..perfmodel.model import PerfModel
 from ..perfmodel.report import PerfReport
 from ..telemetry import WARNING, CallbackSink, Event, get_bus
@@ -177,9 +176,6 @@ class AcesoSearch(Searcher):
             if opts.use_heuristic2
             else np.random.default_rng(opts.seed)
         )
-        # Structure verdicts of every stage this search has validated,
-        # shared by the multi-hop candidates and fine-tuning.
-        verified: Verdicts = set()
         searcher = MultiHopSearcher(
             self.graph,
             self.cluster,
@@ -190,7 +186,6 @@ class AcesoSearch(Searcher):
             beam_width=opts.beam_width,
             max_nodes=opts.max_nodes_per_iteration,
             attach_recompute=opts.attach_recompute,
-            verified=verified,
         )
 
         config = init_config
@@ -237,11 +232,9 @@ class AcesoSearch(Searcher):
                     new_config = finetune(
                         new_config,
                         self.graph,
-                        self.cluster,
                         self.perf_model,
                         max_split_points=opts.finetune_split_points,
                         stages=scope,
-                        verified=verified,
                     )
                 if ctx.deadline_expired():
                     # Same prefix rule for a deadline hit in finetune.

@@ -4,10 +4,9 @@
 ``validate_config`` raise-on-first checker: same invariants (§3.1 and
 §5.1 of the paper), same check order, byte-identical message text —
 ``validate_config`` now wraps this analyzer's first error, so the two
-can never drift.  Its optional ``stages`` argument limits the per-op
-checks (ACE120–131, ACE141) to a subset of stage indices; the
-whole-config checks (spans, devices, ACE140) always run.  The search's
-memoized ``is_valid`` passes the stages it has not verified before.
+can never drift.  It checks configurations at the edges (lint, plan
+loading, baselines, extension appliers); the search's own candidates
+are valid by construction and never pass through it.
 ``analyze_memory`` is the static Eq. 1 feasibility
 pass: it prices every stage with the performance model and reports
 which stages would OOM and by how much.  ``analyze_primitives`` is the
@@ -17,7 +16,7 @@ a resolvable partner spec before the search may expand it.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -31,29 +30,18 @@ def _stage_loc(i: int) -> str:
 # ----------------------------------------------------------------------
 # structural invariants (ACE1xx)
 # ----------------------------------------------------------------------
-def analyze_structure(
-    config, graph, cluster, stages: Optional[Sequence[int]] = None
-) -> List[Diagnostic]:
+def analyze_structure(config, graph, cluster) -> List[Diagnostic]:
     """Collect every violated structural invariant of ``config``.
 
     Diagnostics appear in the exact order the legacy raise-on-first
     checker tested them (spans, devices, parallel degrees, tp_dims,
     microbatch), so ``diagnostics[0]`` is always the violation
     ``validate_config`` historically raised.
-
-    ``stages`` (ascending stage indices) limits the per-op checks to
-    those stages; ``None`` checks every stage.  A stage's per-op
-    diagnostics depend only on its header, its tp/dp/tp_dim arrays and
-    the microbatch size, so a caller may skip stages it has already
-    seen pass at the same microbatch size.
     """
     out: List[Diagnostic] = []
     _check_spans(config, graph, out)
     _check_devices(config, cluster, out)
-    _check_ops(
-        config, graph, cluster, out,
-        range(len(config.stages)) if stages is None else stages,
-    )
+    _check_ops(config, graph, cluster, out)
     return out
 
 
@@ -122,17 +110,12 @@ _OP_CHECKS = (
 )
 
 
-def _check_ops(
-    config, graph, cluster, out: List[Diagnostic], indices: Sequence[int]
-) -> None:
-    """Every per-op check over the ``indices`` stages' ops at once: a
-    stage fails a check when its segment of that check's flag row has
-    a set flag."""
+def _check_ops(config, graph, cluster, out: List[Diagnostic]) -> None:
+    """Every per-op check over all stages' ops at once: a stage fails a
+    check when its segment of that check's flag row has a set flag."""
     mbs = config.microbatch_size
-    stages = [config.stages[i] for i in indices]
-    hits = None
-    if stages:
-        hits = _op_check_hits(stages, mbs, graph, cluster)
+    stages = config.stages
+    hits = _op_check_hits(stages, mbs, graph, cluster) if stages else None
 
     def report(lo: int, hi: int) -> None:
         if hits is None:
@@ -143,10 +126,8 @@ def _check_ops(
             code, message, hint = _OP_CHECKS[lo + int(row)]
             out.append(Diagnostic(
                 code,
-                message.format(
-                    i=indices[i], n=stages[i].num_devices, mbs=mbs
-                ),
-                location=_stage_loc(indices[i]),
+                message.format(i=i, n=stages[i].num_devices, mbs=mbs),
+                location=_stage_loc(i),
                 hint=hint,
             ))
 
@@ -165,8 +146,6 @@ def _op_check_hits(stages, mbs, graph, cluster) -> Optional[np.ndarray]:
     """``[check, stage]`` verdicts of ``_OP_CHECKS`` over ``stages``,
     or ``None`` when no op fails any check."""
     num_options = graph.arrays.num_options
-    if all(_is_clean(s, mbs, num_options, cluster.num_gpus) for s in stages):
-        return None
     lengths = [len(stage.tp) for stage in stages]
     limits = [num_options[s.start:s.end] for s in stages]
     # A broken span can slice the wrong number of limits; the span
@@ -198,25 +177,6 @@ def _op_check_hits(stages, mbs, graph, cluster) -> Optional[np.ndarray]:
     hits = before[:, bounds[1:]] > before[:, bounds[:-1]]
     hits[7] &= checkable
     return hits
-
-
-def _is_clean(stage, mbs, num_options, num_gpus) -> bool:
-    """Whether a few reductions prove that no ``_OP_CHECKS`` flag fires
-    on ``stage``.  With n a power of two, positive degrees with
-    ``tp * dp == n`` are powers of two, and a dp no larger than the
-    lowest set bit of ``mbs`` divides it.  Bounding tp and dp by n
-    first keeps ``tp * dp`` from overflowing int64 (n < 2**31)."""
-    n = stage.num_devices
-    tp, dp, tp_dim = stage.tp, stage.dp, stage.tp_dim
-    limit = num_options[stage.start:stage.end]
-    return bool(
-        1 <= n <= num_gpus and not n & (n - 1)
-        and len(tp) and limit.shape == tp_dim.shape
-        and 1 <= tp.min() and tp.max() <= n
-        and 1 <= dp.min() and dp.max() <= min(n, mbs & -mbs)
-        and (tp * dp == n).all()
-        and 0 <= tp_dim.min() and (tp_dim < limit).all()
-    )
 
 
 # ----------------------------------------------------------------------

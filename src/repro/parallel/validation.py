@@ -1,35 +1,25 @@
 """Structural validation of parallel configurations.
 
-The search only ever constructs valid configurations, but primitives
-are easier to write (and test) against a single authoritative checker.
-The invariants themselves now live in the collect-all analyzer
+The invariants live in the collect-all analyzer
 :func:`repro.lint.config_rules.analyze_structure`; ``validate_config``
 is a thin raise-on-first wrapper that surfaces the analyzer's first
 diagnostic as a :class:`ConfigError` with the historical message text.
 
-``validate_config`` and ``is_valid`` optionally take a verdict set that
-memoizes the per-op checks across calls.  It is keyed by
-``(stage.base_digest(), microbatch_size)``, which covers everything
-those checks read (the stage's span, device count and tp/dp/tp_dim
-arrays), and only the stages missing from it are passed as
-``analyze_structure``'s ``stages`` subset.  The whole-config checks run
-on every call.  A skipped stage is one that passed the per-op checks at
-this microbatch size, so it would report nothing: the first violation,
-and its message, are the same as a full check's.  Without a set (lint,
-the CLI, every caller outside the search) every stage is checked.
+The search does not call it per candidate: its built-in primitives,
+multi-hop and fine-tuning build only valid configurations, which
+``tests/test_valid_by_construction.py`` checks as a property.  It runs
+at the edges instead: on a plan ``repro-estimate`` loads (after the
+loader's ACE30x schema checks), on a fault-adapted plan, on the
+baselines' plans and on every candidate of an extension applier
+(:func:`repro.core.apply.apply_primitive`), which the property does
+not cover.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
-
 from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from .config import ParallelConfig
-
-#: Structure verdicts: ``(stage.base_digest(), microbatch_size)`` of
-#: stages that passed the per-op checks against one graph and cluster.
-Verdicts = Set[Tuple[bytes, int]]
 
 
 class ConfigError(ValueError):
@@ -37,10 +27,7 @@ class ConfigError(ValueError):
 
 
 def validate_config(
-    config: ParallelConfig,
-    graph: OpGraph,
-    cluster: ClusterSpec,
-    verified: Optional[Verdicts] = None,
+    config: ParallelConfig, graph: OpGraph, cluster: ClusterSpec
 ) -> None:
     """Check every invariant of ``config`` against model and hardware.
 
@@ -57,35 +44,20 @@ def validate_config(
 
     Raises :class:`ConfigError` with the first violation, in the same
     order (and with the same message) the historical checker used.
-
-    ``verified`` is a verdict set shared by calls against one graph and
-    cluster: its stages skip the per-op checks, and every stage of a
-    config found valid joins it.
     """
     from ..lint.config_rules import analyze_structure
 
-    if verified is None:
-        diagnostics = analyze_structure(config, graph, cluster)
-    else:
-        mbs = config.microbatch_size
-        keys = [(stage.base_digest(), mbs) for stage in config.stages]
-        fresh = [i for i, key in enumerate(keys) if key not in verified]
-        diagnostics = analyze_structure(config, graph, cluster, fresh)
-        if not diagnostics:
-            verified.update(keys[i] for i in fresh)
+    diagnostics = analyze_structure(config, graph, cluster)
     if diagnostics:
         raise ConfigError(diagnostics[0].message)
 
 
 def is_valid(
-    config: ParallelConfig,
-    graph: OpGraph,
-    cluster: ClusterSpec,
-    verified: Optional[Verdicts] = None,
+    config: ParallelConfig, graph: OpGraph, cluster: ClusterSpec
 ) -> bool:
     """Boolean wrapper around :func:`validate_config`."""
     try:
-        validate_config(config, graph, cluster, verified)
+        validate_config(config, graph, cluster)
     except ConfigError:
         return False
     return True

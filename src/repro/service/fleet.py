@@ -57,7 +57,6 @@ from ..telemetry.events import (
     FLEET_REQUEST_FAILOVER,
     FLEET_REQUEST_HEDGED,
     FLEET_REQUEST_ROUTED,
-    FLEET_RING_REBUILT,
     FLEET_START,
     FLEET_STOP,
     SERVICE_HTTP_LISTEN,
@@ -341,41 +340,6 @@ class FleetRouter:
                 state.client.close()
         self.save_state()
         get_bus().emit(FLEET_STOP, source="fleet", **dict(self.counters))
-
-    # -- membership ----------------------------------------------------
-    def add_replica(self, name: str, client: object) -> None:
-        with self._lock:
-            if name in self._replicas:
-                raise ValueError(f"duplicate replica {name!r}")
-            self._replicas[name] = _ReplicaState(client=client)
-        self.ring.add(name)
-        get_bus().emit(
-            FLEET_RING_REBUILT,
-            source="fleet",
-            replicas=sorted(self._replicas),
-            joined=name,
-        )
-        self.save_state()
-
-    def remove_replica(self, name: str, *, close: bool = True) -> None:
-        with self._lock:
-            state = self._replicas.pop(name)
-        self.ring.remove(name)
-        if close:
-            state.client.close()
-        get_bus().emit(
-            FLEET_RING_REBUILT,
-            source="fleet",
-            replicas=sorted(self._replicas),
-            left=name,
-        )
-        self.save_state()
-
-    def replace_client(self, name: str, client: object) -> None:
-        """Swap the transport for ``name`` (a restarted replica) without
-        disturbing ring assignment or health history."""
-        with self._lock:
-            self._replicas[name].client = client
 
     # -- request path --------------------------------------------------
     def submit(self, request: PlanRequest) -> PlanResponse:

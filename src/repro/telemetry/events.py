@@ -182,7 +182,3 @@ def is_registered(name: str) -> bool:
     """Whether ``name`` is a registered telemetry event name."""
     return name in EVENT_NAMES
 
-
-def names_with_prefix(prefix: str) -> FrozenSet[str]:
-    """All registered event names under ``prefix``."""
-    return frozenset(n for n in EVENT_NAMES if n.startswith(prefix))

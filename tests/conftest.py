@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cluster import paper_cluster
 from repro.ir.models.gpt3 import GPTSpec, build_gpt
@@ -10,6 +11,13 @@ from repro.parallel import balanced_config
 from repro.perfmodel import PerfModel
 from repro.profiling import SimulatedProfiler
 from repro.runtime import Executor
+
+
+#: ``--hypothesis-profile deep``: ten times hypothesis' default example
+#: budget, for a deeper search on one module at a time (CI runs
+#: ``tests/test_valid_by_construction.py`` under it); tier-1 keeps the
+#: default profile.
+settings.register_profile("deep", max_examples=1000)
 
 
 def make_tight_cluster(num_gpus: int = 4, memory_mb: float = 64):

@@ -26,7 +26,7 @@ class TestFinetune:
     def test_never_worse(self, tiny_graph, small_cluster, tiny_perf_model):
         config = balanced_config(tiny_graph, small_cluster, 2)
         tuned = finetune(
-            config, tiny_graph, small_cluster, tiny_perf_model
+            config, tiny_graph, tiny_perf_model
         )
         assert (
             tiny_perf_model.objective(tuned)
@@ -38,7 +38,7 @@ class TestFinetune:
                                     tiny_perf_model):
         config = balanced_config(tiny_graph, small_cluster, 2)
         tuned = finetune(
-            config, tiny_graph, small_cluster, tiny_perf_model, stages=[0]
+            config, tiny_graph, tiny_perf_model, stages=[0]
         )
         validate_config(tuned, tiny_graph, small_cluster)
 
@@ -49,7 +49,7 @@ class TestFinetune:
         and not worse."""
         config = balanced_config(tiny_graph, small_cluster, 1, tp=4)
         tuned = finetune(
-            config, tiny_graph, small_cluster, tiny_perf_model
+            config, tiny_graph, tiny_perf_model
         )
         validate_config(tuned, tiny_graph, small_cluster)
         assert (
@@ -63,7 +63,7 @@ class TestFinetune:
         config = balanced_config(tiny_graph, small_cluster, 2,
                                  microbatch_size=4)
         tuned = finetune(
-            config, tiny_graph, small_cluster, tiny_perf_model,
+            config, tiny_graph, tiny_perf_model,
             max_split_points=4,
         )
         validate_config(tuned, tiny_graph, small_cluster)
@@ -87,7 +87,7 @@ PARTITION_PASS = textwrap.dedent("""
     objective = model.objective(config)
     assert "numpy.ma" not in sys.modules
     before = model.num_estimates
-    _tune_partition_dims(config, objective, 0, graph, cluster, model, None)
+    _tune_partition_dims(config, objective, 0, graph, model)
     assert model.num_estimates > before  # the pass flipped some kind
     print("numpy.ma" in sys.modules)
 """)

@@ -84,6 +84,28 @@ class TestRegistry:
         assert len(candidates) == 1
         assert candidates[0].microbatch_size == 4 * ctx.config.microbatch_size
 
+    def test_apply_extension_drops_invalid_candidates(self, spec, ctx):
+        """Only built-in appliers are valid by construction: an
+        extension's candidates each pass one ``is_valid`` gate."""
+        def mixed(ctx):
+            bad_tp = ctx.config.mutated_copy([0])
+            bad_tp.stages[0].tp[0] = 3  # not a power of two
+            bad_mbs = ctx.config.clone()
+            bad_mbs.microbatch_size = ctx.graph.global_batch_size + 1
+            valid = quadruple_mbs(ctx)
+            return [bad_tp, None, bad_mbs] + valid
+
+        register_primitive(spec)
+        register_applier(spec.name, mixed)
+        try:
+            candidates = apply_primitive(spec.name, ctx)
+        finally:
+            unregister_applier(spec.name)
+            unregister_primitive(spec.name)
+        assert [c.cache_key() for c in candidates] == [
+            c.cache_key() for c in quadruple_mbs(ctx)
+        ]
+
     def test_candidate_groups_pick_up_extension(self, registered, ctx):
         groups = candidate_groups(ctx)
         assert any(g.primitive == "swap-mbs-x4" for g in groups)

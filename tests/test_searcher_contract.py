@@ -580,7 +580,6 @@ def frozen_greedy_run(searcher, init_config, budget, *, deadline=None):
                 new_config = finetune(
                     new_config,
                     searcher.graph,
-                    searcher.cluster,
                     perf_model,
                     max_split_points=opts.finetune_split_points,
                     stages=scope,
