@@ -14,10 +14,11 @@ work:
   and its structure check (``check_us``).  Recorded only, with no gate.
 * **recompute probes** — microseconds per recompute probe that misses
   the whole-config cache, which is all a failed probe costs: building
-  the variant and estimating it (``mutated_copy`` + ``estimate``) vs
-  ``PerfModel.recompute_peak``, which prices only the probed stage's
-  Eq. 1, on a gpt3-350m 8-stage stage and gpt-1000l 2- and 8-stage
-  stages.  Recorded only, with no gate.
+  the variant and estimating it (``with_recompute`` + ``estimate``) vs
+  calling a ``PerfModel.recompute_probe`` set up beforehand, which
+  prices only the probed stage's Eq. 1, plus the microseconds of one
+  probe setup, on a gpt3-350m 8-stage stage and gpt-1000l 2- and
+  8-stage stages.  Recorded only, with no gate.
 * **telemetry off vs on** — the same warm path with the bus inactive
   (no sinks: the production search default) vs actively emitting
   per-estimate events into a ring buffer.  The inactive path is the
@@ -215,31 +216,46 @@ PROBE_REPEATS = 5
 
 
 def _probe_us(graph, cluster, database, stages, stage_index=0):
-    """Best-of microseconds per config-cache-missing probe of one stage,
-    building and estimating each variant vs ``recompute_peak``.  Each
-    run starts from a fresh model primed with the parent's estimate, so
-    the stage's base sits in the base LRU as it does after the search
-    estimates a parent."""
+    """Best-of microseconds per config-cache-missing probe of one stage:
+    building and estimating each variant (``built_us``) vs calling a
+    ``PerfModel.recompute_probe`` already set up (``probe_us``), plus
+    the microseconds of one setup (``setup_us``), which a greedy call
+    pays once for all its probes.  Each run starts from a fresh model
+    primed with the parent's estimate, so the stage's base sits in the
+    base LRU as it does after the search estimates a parent."""
     config = balanced_config(graph, cluster, stages)
     rng = np.random.default_rng(0)
     num_ops = config.stages[stage_index].num_ops
     masks = [rng.random(num_ops) < 0.5 for _ in range(NUM_PROBES)]
 
-    def built(model, report):
-        for mask in masks:
-            variant = config.with_recompute(stage_index, mask)
-            model.estimate(variant).peak_memories[stage_index]
+    def built(model, eq1):
+        def run(_):
+            for mask in masks:
+                variant = config.with_recompute(stage_index, mask)
+                model.estimate(variant).peak_memories[stage_index]
+        return run
 
-    def probe(model, report):
-        for mask in masks:
-            model.recompute_peak(config, report, stage_index, mask)
+    def probe(model, eq1):
+        probe = model.recompute_probe(config, stage_index, eq1)
+
+        def run(_):
+            for mask in masks:
+                probe(mask)
+        return run
+
+    def setup(model, eq1):
+        def run(_):
+            for _ in masks:
+                model.recompute_probe(config, stage_index, eq1)
+        return run
 
     best = {}
     for _ in range(PROBE_REPEATS):
-        for name, run in (("built_us", built), ("probe_us", probe)):
+        for name, make in (("built_us", built), ("probe_us", probe),
+                           ("setup_us", setup)):
             model = PerfModel(graph, cluster, database)
-            report = model.estimate(config)
-            seconds = _timed(lambda _: run(model, report), masks)[1]
+            eq1 = model.estimate(config).eq1()
+            seconds = _timed(make(model, eq1), masks)[1]
             best[name] = min(best.get(name, seconds), seconds)
     return {
         "stages": stages,
@@ -252,8 +268,8 @@ def _probe_us(graph, cluster, database, stages, stage_index=0):
 
 def test_recompute_probe():
     """Microseconds per probe that misses the config cache: building
-    and estimating the variant vs pricing its stage's Eq. 1 (no
-    gate)."""
+    and estimating the variant vs pricing its stage's Eq. 1 with a
+    probe already set up, and per probe setup (no gate)."""
     print_header("Recompute probe: built config vs Eq. 1 probe")
     rows, results = [], []
     for model_name, stage_counts in (("gpt3-350m", (8,)),
@@ -266,9 +282,10 @@ def test_recompute_probe():
             rows.append([
                 model_name, stages, out["num_ops"],
                 f"{out['built_us']:.0f}", f"{out['probe_us']:.0f}",
+                f"{out['setup_us']:.1f}",
             ])
-    print_table(["model", "stages", "stage ops", "built us", "probe us"],
-                rows)
+    print_table(["model", "stages", "stage ops", "built us", "probe us",
+                 "setup us"], rows)
     _merge_json({"probe": results})
 
 

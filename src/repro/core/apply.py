@@ -397,21 +397,20 @@ def apply_inc_rc(ctx: ApplyContext) -> List[ParallelConfig]:
     stage_index = ctx.stage_index
     candidates = []
     fitted = greedy_recompute(
-        ctx.perf_model, ctx.config, stage_index, ctx.report
+        ctx.perf_model, ctx.config, stage_index, ctx.report.eq1()
     )
     if fitted is not None:
         candidates.append(fitted)
     stage = ctx.config.stages[stage_index]
     if not np.all(stage.recompute):
         candidates.append(ctx.config.with_recompute(stage_index, True))
-        half = ctx.config.mutated_copy([stage_index])
-        target = half.stages[stage_index]
         act = ctx.perf_model.stage_activation_bytes(
             stage, ctx.config.microbatch_size
         )
         order = np.argsort(act)[::-1]
-        target.recompute[order[: max(1, stage.num_ops // 2)]] = True
-        candidates.append(half)
+        half = stage.recompute.copy()
+        half[order[: max(1, stage.num_ops // 2)]] = True
+        candidates.append(ctx.config.with_recompute(stage_index, half))
     return _finalize(ctx, candidates)
 
 
@@ -422,7 +421,7 @@ def apply_dec_rc(ctx: ApplyContext) -> List[ParallelConfig]:
     stage_index = ctx.stage_index
     candidates = []
     relaxed = greedy_unrecompute(
-        ctx.perf_model, ctx.config, stage_index, ctx.report
+        ctx.perf_model, ctx.config, stage_index, ctx.report.eq1()
     )
     if relaxed is not None:
         candidates.append(relaxed)

@@ -17,7 +17,7 @@ import numpy as np
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..perfmodel.model import PerfModel
-from ..perfmodel.report import PerfReport
+from ..perfmodel.report import Eq1View
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -26,25 +26,25 @@ def greedy_recompute(
     perf_model: PerfModel,
     config: ParallelConfig,
     stage_index: int,
-    report: PerfReport,
+    eq1: Eq1View,
 ) -> Optional[ParallelConfig]:
     """Enable recomputation on a stage until it fits in memory.
 
     Ops are recomputed largest-activation-first (§4.1).  The count is
     seeded analytically from the overflow past the stage's own limit in
-    ``report`` (the caller's ``estimate(config)``) and each op's
-    activation savings, then verified (and grown if short) against the
-    performance model — one or two probes instead of a full scan.
-    Each probe prices only the stage's Eq. 1 under a candidate mask
-    (:meth:`PerfModel.recompute_peak`); only the fitting one is built.
+    ``eq1`` (``config``'s Eq. 1 view) and each op's activation savings,
+    then verified (and grown if short) against the performance model —
+    one or two probes of one :meth:`PerfModel.recompute_probe` instead
+    of a full scan.  Only the fitting mask is built, and its peak
+    replaces the stage's in ``eq1``, which so becomes the result's view.
     Returns ``None`` when no probed count fits, when the stage already
     fits without changes, or, before sorting, when even recomputing
     every candidate cannot cover the overflow (:func:`_cannot_cover`).
     The probes step by an eighth of the candidates and may step past
     full recomputation without trying it.
     """
-    limit = report.stage_limit(stage_index)
-    overflow = report.peak_memories[stage_index] - limit
+    limit = eq1.limits[stage_index]
+    overflow = eq1.peaks[stage_index] - limit
     if overflow <= 0:
         return None
     stage = config.stages[stage_index]
@@ -53,7 +53,7 @@ def greedy_recompute(
     if candidates.size == 0:
         return None
     sizes = act[candidates]
-    in_flight = max(1, report.in_flight(stage_index))
+    in_flight = max(1, eq1.in_flight[stage_index])
     if _cannot_cover(sizes, in_flight, overflow):
         return None
     order = candidates[np.argsort(sizes)[::-1]]
@@ -62,11 +62,13 @@ def greedy_recompute(
     total = len(order)
     k = int(np.searchsorted(savings, overflow)) + 1
     step = max(1, total // 8)
+    probe = perf_model.recompute_probe(config, stage_index, eq1)
     while k <= total:
         mask = stage.recompute.copy()
         mask[order[:min(k, total)]] = True
-        peak = perf_model.recompute_peak(config, report, stage_index, mask)
+        peak = probe(mask)
         if peak <= limit:
+            eq1.peaks[stage_index] = peak
             return config.with_recompute(stage_index, mask)
         k += step
     return None
@@ -88,38 +90,40 @@ def greedy_unrecompute(
     perf_model: PerfModel,
     config: ParallelConfig,
     stage_index: int,
-    report: PerfReport,
+    eq1: Eq1View,
 ) -> Optional[ParallelConfig]:
     """Disable recomputation where memory slack allows.
 
     Recomputed ops are released in ascending activation order (big
     activations are the riskiest to re-materialize).  The release count
-    is seeded from the slack under the stage's own limit in ``report``
-    (the caller's ``estimate(config)``) and trimmed against the
-    performance model, probing each count's Eq. 1 peak
-    (:meth:`PerfModel.recompute_peak`) and building only the one that
-    fits.  Returns ``None`` when nothing can change (no recomputed ops,
-    the stage is already over budget, or no probed count fits).
+    is seeded from the slack under the stage's own limit in ``eq1``
+    (``config``'s Eq. 1 view) and trimmed against one
+    :meth:`PerfModel.recompute_probe`; only the count that fits is
+    built, and ``eq1`` is updated as in :func:`greedy_recompute`.
+    Returns ``None`` when nothing can change (no recomputed ops, the
+    stage is already over budget, or no probed count fits).
     """
     stage = config.stages[stage_index]
     recomputed = np.where(stage.recompute)[0]
     if recomputed.size == 0:
         return None
-    limit = report.stage_limit(stage_index)
-    slack = limit - report.peak_memories[stage_index]
+    limit = eq1.limits[stage_index]
+    slack = limit - eq1.peaks[stage_index]
     if slack < 0:
         return None
     act = perf_model.stage_activation_bytes(stage, config.microbatch_size)
     order = recomputed[np.argsort(act[recomputed])]
-    growth = np.cumsum(act[order]) * max(1, report.in_flight(stage_index))
+    growth = np.cumsum(act[order]) * max(1, eq1.in_flight[stage_index])
 
     k = int(np.searchsorted(growth, slack, side="right"))
     step = max(1, len(order) // 8)
+    probe = perf_model.recompute_probe(config, stage_index, eq1)
     while k >= 1:
         mask = stage.recompute.copy()
         mask[order[:k]] = False
-        peak = perf_model.recompute_peak(config, report, stage_index, mask)
+        peak = probe(mask)
         if peak <= limit:
+            eq1.peaks[stage_index] = peak
             return config.with_recompute(stage_index, mask)
         k -= step
     return None
@@ -134,29 +138,30 @@ def tune_recompute(
 
     This is §4.3's "attaching inc/dec-rc to all other primitives":
     stages pushed over their memory limit gain recomputation; stages
-    with new slack shed it.  The current config is estimated once, and
-    again only after a stage's flags change; the greedy functions read
-    that report.  Each stage calls only the one that can change it: an
-    over-budget stage :func:`greedy_recompute`, a fitting stage that
-    recomputes something :func:`greedy_unrecompute`, and a fitting
-    stage that recomputes nothing neither.
+    with new slack shed it.  The config is estimated once; a
+    recompute-only edit changes only its stage's Eq. 1 peak, which the
+    greedy functions update in the carried
+    :class:`~repro.perfmodel.report.Eq1View`.  Each stage calls only
+    the one that can change it: an over-budget stage
+    :func:`greedy_recompute`, a fitting stage that recomputes something
+    :func:`greedy_unrecompute`, and a fitting stage that recomputes
+    nothing neither.
     """
-    current, report = config, None
+    current, eq1 = config, None
     for stage_index in stage_indices:
         if not 0 <= stage_index < current.num_stages:
             continue
-        if report is None:
-            report = perf_model.estimate(current)
-        args = (perf_model, current, stage_index, report)
-        limit = report.stage_limit(stage_index)
-        if report.peak_memories[stage_index] > limit:
+        if eq1 is None:
+            eq1 = perf_model.estimate(current).eq1()
+        args = (perf_model, current, stage_index, eq1)
+        if eq1.peaks[stage_index] > eq1.limits[stage_index]:
             tuned = greedy_recompute(*args)
         elif np.count_nonzero(current.stages[stage_index].recompute):
             tuned = greedy_unrecompute(*args)
         else:
             continue
         if tuned is not None:
-            current, report = tuned, None
+            current = tuned
     return current
 
 

@@ -34,7 +34,7 @@ from ..telemetry.events import (
     SEARCH_STRATEGY_STATS,
 )
 from .apply import ApplyContext, apply_primitive, has_applier
-from .bottleneck import Bottleneck, rank_bottlenecks
+from .bottleneck import Bottleneck, identify_bottleneck
 from .budget import Deadline, SearchBudget
 from .primitives import eligible_primitives
 from .searcher import SearchContext, Searcher, register_searcher
@@ -205,7 +205,7 @@ class BanditSearcher(Searcher):
                 break
             ctx.iteration += 1
             report = self.perf_model.estimate(current)
-            bottleneck = rank_bottlenecks(report)[0]
+            bottleneck = identify_bottleneck(report)
             kind = bottleneck_kind(bottleneck)
             arms = _arms_for(bottleneck)
             if not arms:

@@ -42,19 +42,23 @@ def rank_bottlenecks(report: PerfReport) -> List[Bottleneck]:
     The first element is *the* bottleneck; the rest are the secondary
     bottlenecks explored when multi-hop search fails on it.
     """
-    if report.is_oom:
-        order = np.argsort(report.peak_memories)[::-1]
-    else:
-        order = np.argsort(report.stage_times())[::-1]
     return [
         _bottleneck_for_stage(report, int(stage))
-        for stage in order
+        for stage in _order(report)
     ]
 
 
 def identify_bottleneck(report: PerfReport) -> Bottleneck:
-    """The single top-priority bottleneck."""
-    return rank_bottlenecks(report)[0]
+    """The single top-priority bottleneck: ``rank_bottlenecks(report)[0]``,
+    without building the others."""
+    return _bottleneck_for_stage(report, int(_order(report)[0]))
+
+
+def _order(report: PerfReport) -> np.ndarray:
+    """Stage indices from most to least bottleneck-y."""
+    if report.is_oom:
+        return np.argsort(report.peak_memories)[::-1]
+    return np.argsort(report.stage_times())[::-1]
 
 
 def _bottleneck_for_stage(report: PerfReport, stage: int) -> Bottleneck:

@@ -20,7 +20,7 @@ from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig, changed_stages
 from ..perfmodel.model import PerfModel
 from .apply import ApplyContext
-from .bottleneck import Bottleneck, rank_bottlenecks
+from .bottleneck import Bottleneck, identify_bottleneck
 from .dedup import UnexploredPool, VisitedSet
 from .ranking import candidate_groups
 
@@ -136,7 +136,7 @@ class MultiHopSearcher:
         if forced_bottleneck is not None:
             bottleneck = forced_bottleneck
         else:
-            bottleneck = rank_bottlenecks(report)[0]
+            bottleneck = identify_bottleneck(report)
         ctx = ApplyContext(
             graph=self.graph,
             cluster=self.cluster,

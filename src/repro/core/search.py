@@ -53,7 +53,7 @@ from ..telemetry.events import (
     DRIVER_WORKER_SPAWN,
     DRIVER_WORKER_TIMEOUT,
 )
-from .bottleneck import rank_bottlenecks
+from .bottleneck import identify_bottleneck, rank_bottlenecks
 from .budget import Deadline, SearchBudget
 from .finetune import finetune
 from .multihop import MultiHopSearcher
@@ -227,7 +227,7 @@ class AcesoSearch(Searcher):
                         and result.dirty_stages is not None
                     ):
                         new_report = self.perf_model.estimate(new_config)
-                        hot = rank_bottlenecks(new_report)[0].stage
+                        hot = identify_bottleneck(new_report).stage
                         scope = sorted(set(result.dirty_stages) | {hot})
                     new_config = finetune(
                         new_config,

@@ -216,13 +216,9 @@ def memory_safe_variant(config: ParallelConfig) -> ParallelConfig:
     one's memory, while its safe variant is nearly always feasible and
     keeps the searched structure as a starting point.
     """
-    stages = []
-    for stage in config.stages:
-        clone = stage.clone()
-        clone.recompute[:] = True
-        stages.append(clone)
     return ParallelConfig(
-        stages=stages, microbatch_size=config.microbatch_size
+        stages=[stage.with_recompute(True) for stage in config.stages],
+        microbatch_size=config.microbatch_size,
     )
 
 

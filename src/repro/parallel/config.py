@@ -105,10 +105,13 @@ class ParallelConfig:
         )
 
     def with_recompute(self, stage_index: int, recompute) -> "ParallelConfig":
-        """:meth:`mutated_copy` with one stage's recompute flags set."""
-        new = self.mutated_copy([stage_index])
-        new.stages[stage_index].recompute[:] = recompute
-        return new
+        """:meth:`StageConfig.with_recompute` of one stage; the other
+        stages are shared as in :meth:`mutated_copy`."""
+        stages = list(self.stages)
+        stages[stage_index] = stages[stage_index].with_recompute(recompute)
+        return ParallelConfig(
+            stages=stages, microbatch_size=self.microbatch_size
+        )
 
     def signature(self) -> str:
         """Stable hex hash of the configuration's full serialization.

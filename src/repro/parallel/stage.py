@@ -55,16 +55,11 @@ class StageConfig:
     # once it has been costed/hashed; the mutation helpers that are
     # allowed to edit arrays in place reset these (see
     # ``_invalidate_signature``), and ``clone()`` never copies them.
-    # ``_base_src`` is the stage a clone was copied from, kept until the
-    # clone's first :meth:`base_digest` (see there).  None of the three
-    # is pickled.
+    # Neither is pickled.
     _base_digest: Optional[bytes] = field(
         default=None, repr=False, compare=False
     )
     _digest: Optional[bytes] = field(
-        default=None, repr=False, compare=False
-    )
-    _base_src: Optional["StageConfig"] = field(
         default=None, repr=False, compare=False
     )
 
@@ -116,21 +111,20 @@ class StageConfig:
         return range(self.start, self.end)
 
     def __getstate__(self) -> dict:
-        """Pickle without identity caches or the clone link: a stage
+        """Pickle without identity caches, and with writable copies of
+        arrays shared read-only (see :meth:`with_recompute`): a stage
         sent through a worker-pool pipe re-hashes on first use and
-        never drags its source stage along."""
+        shares nothing with the stages sent beside it."""
         state = self.__dict__.copy()
-        state.update(_base_digest=None, _digest=None, _base_src=None)
+        state.update(_base_digest=None, _digest=None)
+        for name in ("tp", "dp", "tp_dim"):
+            if not state[name].flags.writeable:
+                state[name] = state[name].copy()
         return state
 
     def clone(self) -> "StageConfig":
-        """Deep copy (arrays copied so mutations stay local).
-
-        The copy remembers this stage when its base digest is already
-        computed, so a copy whose edits leave tp/dp/tp_dim alone reuses
-        it instead of re-hashing them.
-        """
-        stage = StageConfig(
+        """Deep copy (arrays copied so mutations stay local)."""
+        return StageConfig(
             start=self.start,
             end=self.end,
             num_devices=self.num_devices,
@@ -139,8 +133,23 @@ class StageConfig:
             tp_dim=self.tp_dim.copy(),
             recompute=self.recompute.copy(),
         )
-        if self._base_digest is not None:
-            stage._base_src = self
+
+    def with_recompute(self, recompute) -> "StageConfig":
+        """This stage with recompute flags ``recompute``: a bool array
+        the new stage takes over (the caller writes it no more), or one
+        flag for every op.  The new stage shares this stage's tp, dp and
+        tp_dim arrays and base digest, and the shared arrays become
+        read-only: a write through either stage raises instead of
+        leaving the other with a stale digest (:meth:`clone` copies)."""
+        if np.ndim(recompute) == 0:
+            recompute = np.full(self.num_ops, recompute, dtype=bool)
+        for values in (self.tp, self.dp, self.tp_dim):
+            values.flags.writeable = False
+        stage = StageConfig(
+            self.start, self.end, self.num_devices,
+            self.tp, self.dp, self.tp_dim, recompute,
+        )
+        stage._base_digest = self.base_digest()
         return stage
 
     def slice_arrays(self, lo: int, hi: int) -> "StageConfig":
@@ -214,48 +223,15 @@ class StageConfig:
         [0, 255] and as int64 otherwise; the header fixes the op count,
         so the payload's length (3 or 24 bytes per op) tells the two
         encodings apart.
-
-        A clone first compares itself with the stage it was copied from
-        (see :meth:`clone`): when the header and the tp/dp/tp_dim arrays
-        are exactly equal it takes that stage's digest, otherwise it
-        hashes them.  Either way the link is dropped.
         """
         if self._base_digest is None:
-            src, self._base_src = self._base_src, None
-            if (
-                src is not None
-                and src._base_digest is not None
-                and self._same_base(src)
-            ):
-                self._base_digest = src._base_digest
-            else:
-                digest = hashlib.sha256(self._header_bytes())
-                tp, dp, tp_dim = self.tp, self.dp, self.tp_dim
-                # Nonzero for any value outside [0, 255], negatives too.
-                wide = np.count_nonzero((tp | dp | tp_dim) >> 8)
-                for values in (tp, dp, tp_dim):
-                    digest.update(
-                        values.tobytes() if wide else values.astype(np.uint8)
-                    )
-                self._base_digest = digest.digest()[:16]
-        return self._base_digest
-
-    def _same_base(self, other: "StageConfig") -> bool:
-        """Whether ``other`` hashes to the same base digest as this.
-
-        Equal headers, dtypes and bytes are exactly equal digests.
-        Comparing bytes costs a tenth of ``np.array_equal`` on short
-        stages; at 8,004 ops both cost about 7 us per array.
-        """
-        return (
-            (self.start, self.end, self.num_devices)
-            == (other.start, other.end, other.num_devices)
-            and all(
-                a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                for a, b in (
-                    (self.tp, other.tp),
-                    (self.dp, other.dp),
-                    (self.tp_dim, other.tp_dim),
+            digest = hashlib.sha256(self._header_bytes())
+            tp, dp, tp_dim = self.tp, self.dp, self.tp_dim
+            # Nonzero for any value outside [0, 255], negatives too.
+            wide = np.count_nonzero((tp | dp | tp_dim) >> 8)
+            for values in (tp, dp, tp_dim):
+                digest.update(
+                    values.tobytes() if wide else values.astype(np.uint8)
                 )
-            )
-        )
+            self._base_digest = digest.digest()[:16]
+        return self._base_digest

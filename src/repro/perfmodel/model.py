@@ -28,16 +28,17 @@ Estimation is structured in two layers:
 Whole-config estimates are additionally memoized by configuration
 identity (``ParallelConfig.cache_key``) in a second LRU, whose miss
 counter (``num_estimates``) is Exp#4's "explored configurations" metric.
-A recompute probe (:meth:`PerfModel.recompute_peak`) asks only "does
-stage i fit with these flags?": it keys the variant without building
-it, and a miss prices that stage's Eq. 1 alone and leaves an Eq. 1-only
-entry in that LRU, counted as the estimate it stands for.
+A recompute probe (:meth:`PerfModel.recompute_probe`) asks only "does
+stage i fit with these flags?": set up once per greedy call, it keys
+each variant without building it, and a miss prices that stage's Eq. 1
+alone and leaves an Eq. 1-only entry in that LRU, counted as the
+estimate it stands for.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +50,9 @@ from ..profiling.database import ProfileDatabase, ProfiledGraph
 from ..telemetry import DEBUG, CounterGroup, get_bus
 from ..telemetry.events import PERFMODEL_ESTIMATE, PERFMODEL_FIRST_FEASIBLE
 from .memory import stage_allocator_reserve
-from .report import LazyStages, PerfReport, StageCost, lazy_perf_report
+from .report import (
+    Eq1View, LazyStages, PerfReport, StageCost, lazy_perf_report,
+)
 
 #: Bounds of the recompute-free stage-base LRU.  Each entry holds two
 #: per-op vectors, so the LRU is bounded by the ops it holds: it evicts
@@ -347,44 +350,64 @@ class PerfModel:
             )
         return report
 
-    def recompute_peak(
-        self, config: ParallelConfig, report: PerfReport, stage_index: int,
-        recompute: np.ndarray,
-    ) -> float:
-        """Eq. 1 peak of stage ``stage_index`` with recompute flags
-        ``recompute``, given ``report = estimate(config)``, without
-        building that variant.  It is keyed and counted as
-        :meth:`estimate` of the variant would be; a miss prices only the
-        stage's kept activation and stores the peaks as an Eq. 1-only
-        entry, which a later :meth:`estimate` replaces with a report.
-        When a sink keeps ``perfmodel.estimate`` DEBUG events (their
-        payload reads the iteration time), it estimates the variant."""
+    def recompute_probe(
+        self, config: ParallelConfig, stage_index: int, eq1: Eq1View
+    ) -> Callable[[np.ndarray], float]:
+        """A probe of stage ``stage_index`` of ``config``, whose Eq. 1
+        view is ``eq1``: called with recompute flags, it returns the
+        stage's Eq. 1 peak under them without building that variant.
+        The setup holds the digests and Eq. 1 terms the probes share,
+        and the first miss looks up the stage's recompute-free base.
+        A probe is keyed and counted as :meth:`estimate` of the variant
+        would be; a miss prices only the stage's kept activation and
+        stores the peaks as an Eq. 1-only entry, which a later
+        :meth:`estimate` replaces with a report.  With a sink that keeps
+        ``perfmodel.estimate`` DEBUG events (their payload reads the
+        iteration time), it builds and estimates each variant."""
         if get_bus().wants(PERFMODEL_ESTIMATE, DEBUG):
-            variant = config.with_recompute(stage_index, recompute)
-            return self.estimate(variant).peak_memories[stage_index]
+            def built(recompute: np.ndarray) -> float:
+                variant = config.with_recompute(stage_index, recompute)
+                return self.estimate(variant).peak_memories[stage_index]
+            return built
         stage, mbs = config.stages[stage_index], config.microbatch_size
         digests = [s.digest() for s in config.stages]
-        digests[stage_index] = stage_digest(stage.base_digest(), recompute)
-        key = config_key(mbs, digests)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._cache.move_to_end(key)
-            self._c_config_hits.value += 1
-            return getattr(cached, "peak_memories", cached)[stage_index]
-        base = self._stage_base(stage, mbs, self._stage_cache_size <= 0)
-        fields, _, act_bytes, activation = base
-        if recompute.any():
-            activation = _kept_activation(recompute, act_bytes)
-        peaks = report.peak_memories
-        peaks[stage_index] = peak = (  # _assemble's operand order
-            fields["weight_bytes"] + fields["optimizer_bytes"]
-            + activation * report.in_flight(stage_index)
-            + fields["reserved_bytes"]
+        base_digest = stage.base_digest()
+        in_flight, limit = eq1.in_flight[stage_index], eq1.limits[stage_index]
+        others_oom = any(
+            peak > cap
+            for i, (peak, cap) in enumerate(zip(eq1.peaks, eq1.limits))
+            if i != stage_index
         )
-        limits = report.stage_limits or [self.memory_limit] * len(peaks)
-        oom = any(p > cap for p, cap in zip(peaks, limits))
-        self._record_miss(key, peaks, oom)
-        return peak
+        cache, base = self._cache, None
+
+        def probe(recompute: np.ndarray) -> float:
+            nonlocal base
+            digests[stage_index] = stage_digest(base_digest, recompute)
+            key = config_key(mbs, digests)
+            cached = cache.get(key)
+            if cached is not None:
+                cache.move_to_end(key)
+                self._c_config_hits.value += 1
+                return getattr(cached, "peak_memories", cached)[stage_index]
+            if base is None:  # at the first miss: all-hit setups need none
+                fields, _, act_bytes, activation = self._stage_base(
+                    stage, mbs, self._stage_cache_size <= 0
+                )
+                base = (
+                    fields["weight_bytes"] + fields["optimizer_bytes"],
+                    fields["reserved_bytes"], act_bytes, activation,
+                )
+            fixed, reserved, act_bytes, activation = base
+            if recompute.any():
+                activation = _kept_activation(recompute, act_bytes)
+            # _assemble's operand order.
+            peak = fixed + activation * in_flight + reserved
+            peaks = list(eq1.peaks)
+            peaks[stage_index] = peak
+            self._record_miss(key, peaks, others_oom or peak > limit)
+            return peak
+
+        return probe
 
     def _record_miss(self, key: bytes, entry, oom: bool) -> None:
         """Insert a config-LRU miss, evicting the oldest entry when full,

@@ -10,7 +10,7 @@ cacheable by configuration signature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 #: Resource names used by bottleneck analysis (Table 1 columns).
 RESOURCES = ("compute", "communication", "memory")
@@ -165,6 +165,15 @@ class LazyStages:
         return tuple(reports)
 
 
+class Eq1View(NamedTuple):
+    """A config's per-stage Eq. 1 peaks, 1F1B in-flight counts and
+    memory limits, which recompute tuning carries across its edits."""
+
+    peaks: List[float]
+    in_flight: Sequence[int]
+    limits: Sequence[float]
+
+
 @dataclass(frozen=True)
 class PerfReport:
     """Predicted performance of a full configuration.
@@ -237,6 +246,13 @@ class PerfReport:
         if payload is not None:
             return payload.peaks()
         return [s.peak_memory for s in self.stages]
+
+    def eq1(self) -> Eq1View:
+        """This report's :class:`Eq1View`, with its own ``peaks`` list."""
+        peaks = self.peak_memories
+        in_flight = [self.in_flight(i) for i in range(len(peaks))]
+        limits = self.stage_limits or [self.memory_limit] * len(peaks)
+        return Eq1View(peaks, in_flight, limits)
 
     @property
     def is_oom(self) -> bool:

@@ -62,7 +62,9 @@ class TestGreedyRecompute:
         graph, cluster, perf_model, config = tight_setup
         report = perf_model.estimate(config)
         oom_stage = report.oom_stages[0]
-        fixed = greedy_recompute(perf_model, config, oom_stage, report)
+        fixed = greedy_recompute(
+            perf_model, config, oom_stage, report.eq1()
+        )
         assert fixed is not None
         new_report = perf_model.estimate(fixed)
         assert (
@@ -74,14 +76,16 @@ class TestGreedyRecompute:
         graph, cluster, perf_model, config = tight_setup
         report = perf_model.estimate(config)
         oom_stage = report.oom_stages[0]
-        fixed = greedy_recompute(perf_model, config, oom_stage, report)
+        fixed = greedy_recompute(
+            perf_model, config, oom_stage, report.eq1()
+        )
         stage = fixed.stages[oom_stage]
         assert 0 < stage.recompute.sum() <= stage.num_ops
 
     def test_noop_when_already_fits(self, tiny_perf_model, tiny_config):
         report = tiny_perf_model.estimate(tiny_config)
         assert greedy_recompute(
-            tiny_perf_model, tiny_config, 0, report
+            tiny_perf_model, tiny_config, 0, report.eq1()
         ) is None
 
     @staticmethod
@@ -96,7 +100,8 @@ class TestGreedyRecompute:
 
     def test_returns_none_when_hopeless(self):
         pm, config = self._hopeless()
-        assert greedy_recompute(pm, config, 0, pm.estimate(config)) is None
+        eq1 = pm.estimate(config).eq1()
+        assert greedy_recompute(pm, config, 0, eq1) is None
 
 
     @staticmethod
@@ -127,7 +132,7 @@ class TestGreedyRecompute:
     def test_tries_full_recomputation_before_giving_up(self):
         pm, config = self._fits_only_fully_recomputed()
         report = pm.estimate(config)
-        assert greedy_recompute(pm, config, 0, report) is not None
+        assert greedy_recompute(pm, config, 0, report.eq1()) is not None
 
 
 class TestRecomputeEarlyExit:
@@ -176,16 +181,15 @@ class TestRecomputeEarlyExit:
             raise AssertionError("sorted a stage that cannot fit")
 
         monkeypatch.setattr(np, "argsort", no_sort)
-        assert greedy_recompute(pm, config, 0, report) is None
+        assert greedy_recompute(pm, config, 0, report.eq1()) is None
 
 
 class TestGreedyUnrecompute:
     def test_releases_when_slack(self, tiny_perf_model, tiny_config):
         config = tiny_config.clone()
         config.stages[0].recompute[:] = True
-        relaxed = greedy_unrecompute(
-            tiny_perf_model, config, 0, tiny_perf_model.estimate(config)
-        )
+        eq1 = tiny_perf_model.estimate(config).eq1()
+        relaxed = greedy_unrecompute(tiny_perf_model, config, 0, eq1)
         assert relaxed is not None
         assert relaxed.stages[0].recompute.sum() < config.stages[0].num_ops
         report = tiny_perf_model.estimate(relaxed)
@@ -194,15 +198,14 @@ class TestGreedyUnrecompute:
     def test_noop_without_recompute(self, tiny_perf_model, tiny_config):
         report = tiny_perf_model.estimate(tiny_config)
         assert greedy_unrecompute(
-            tiny_perf_model, tiny_config, 0, report
+            tiny_perf_model, tiny_config, 0, report.eq1()
         ) is None
 
     def test_improves_objective(self, tiny_perf_model, tiny_config):
         config = tiny_config.clone()
         config.stages[0].recompute[:] = True
-        relaxed = greedy_unrecompute(
-            tiny_perf_model, config, 0, tiny_perf_model.estimate(config)
-        )
+        eq1 = tiny_perf_model.estimate(config).eq1()
+        relaxed = greedy_unrecompute(tiny_perf_model, config, 0, eq1)
         assert (
             tiny_perf_model.objective(relaxed)
             < tiny_perf_model.objective(config)
@@ -270,7 +273,7 @@ class TestMixedMemoryCluster:
 
     def test_greedy_recompute_fits_the_stage_limit(self, setup):
         perf_model, config, report = setup
-        fixed = greedy_recompute(perf_model, config, 1, report)
+        fixed = greedy_recompute(perf_model, config, 1, report.eq1())
         assert fixed is not None and fixed.stages[1].recompute.any()
         peak = perf_model.estimate(fixed).peak_memories[1]
         assert peak <= report.stage_limit(1)
@@ -286,7 +289,7 @@ class TestMixedMemoryCluster:
         full = config.with_recompute(1, True)
         report = perf_model.estimate(full)
         assert not report.is_oom
-        relaxed = greedy_unrecompute(perf_model, full, 1, report)
+        relaxed = greedy_unrecompute(perf_model, full, 1, report.eq1())
         assert relaxed is not None
         assert 0 < relaxed.stages[1].recompute.sum() < full.stages[1].num_ops
         assert not perf_model.estimate(relaxed).is_oom

@@ -1,6 +1,8 @@
 """Tests for Heuristic-1 bottleneck identification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import identify_bottleneck, rank_bottlenecks
 from repro.parallel import balanced_config
@@ -25,12 +27,13 @@ def _stage(fwd=1.0, bwd=2.0, weights=1e9, act=1e8, in_flight=1,
     )
 
 
-def _report(stages, limit=32e9, num_microbatches=4):
+def _report(stages, limit=32e9, num_microbatches=4, stage_limits=None):
     return PerfReport(
         stages=tuple(stages),
         num_microbatches=num_microbatches,
         iteration_time=1.0,
         memory_limit=limit,
+        stage_limits=stage_limits,
     )
 
 
@@ -74,3 +77,34 @@ class TestHeuristic1:
         assert len(ranked) == 4
         times = report.stage_times()
         assert times[ranked[0].stage] == max(times)
+
+
+class TestIdentifyBottleneck:
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_is_the_first_ranked_bottleneck(self, data):
+        """``identify_bottleneck`` builds only the top stage's bottleneck,
+        and it is ``rank_bottlenecks``'s first, ties included: values
+        come from a few levels, so stage times and peaks often tie, some
+        stages are OOM, and mixed clusters give per-stage limits."""
+        num_stages = data.draw(st.integers(1, 8), label="stages")
+        levels = st.sampled_from([1.0, 2.0, 3.0])
+        stages = [
+            _stage(
+                fwd=data.draw(levels), bwd=data.draw(levels),
+                weights=data.draw(levels) * 1e9,
+                act=data.draw(levels) * 1e8,
+                in_flight=data.draw(st.integers(1, 2)),
+                dp_sync=data.draw(st.sampled_from([0.0, 1.0])),
+            )
+            for _ in range(num_stages)
+        ]
+        caps = st.sampled_from([1.5e9, 2.5e9, 4e9])
+        stage_limits = data.draw(st.one_of(
+            st.none(), st.tuples(*[caps] * num_stages)
+        ), label="stage_limits")
+        report = _report(
+            stages, limit=data.draw(caps, label="limit"),
+            stage_limits=stage_limits,
+        )
+        assert identify_bottleneck(report) == rank_bottlenecks(report)[0]

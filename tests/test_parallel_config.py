@@ -1,5 +1,6 @@
 """Tests for repro.parallel.config."""
 
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -175,8 +176,8 @@ def config_from_bounds(bounds, tps, mbs):
 
 class TestPickleHygiene:
     def test_chained_clones_pickle_like_a_fresh_stage(self):
-        """Neither digests nor the clone link ride along in a pickle, so
-        nothing a search chain built crosses the worker-pool pipe."""
+        """No digest rides along in a pickle, so nothing a search chain
+        built crosses the worker-pool pipe."""
         rng = np.random.default_rng(0)
         fresh = StageConfig.uniform(0, 16, 4, tp=2)
         stage = fresh.clone()
@@ -190,19 +191,45 @@ class TestPickleHygiene:
             stage.digest()
         assert len(pickle.dumps(stage)) == len(pickle.dumps(fresh))
         restored = pickle.loads(pickle.dumps(stage.clone()))
-        assert restored._base_src is None
         assert restored._digest is None and restored._base_digest is None
         assert restored.digest() == stage.digest()
 
-    def test_config_pickle_carries_no_clone_link(self):
+    def test_shared_pair_unpickles_writable_and_unshared(self):
+        """A config and its ``with_recompute`` child share stage 0's
+        tp/dp/tp_dim read-only; sent together through a pool pipe they
+        arrive with private writable arrays and the same digests."""
         config = two_stage_config()
-        config.cache_key()
-        child = config.mutated_copy([0])
-        child.stages[0].recompute[1] = True
-        assert child.stages[0]._base_src is config.stages[0]
-        restored = pickle.loads(pickle.dumps(child))
-        assert all(s._base_src is None for s in restored.stages)
-        assert restored.cache_key() == child.cache_key()
+        child = config.with_recompute(0, np.array([1, 0, 1, 1], bool))
+        assert child.stages[0].tp is config.stages[0].tp
+        assert child.stages[1] is config.stages[1]
+        keys = (config.cache_key(), child.cache_key())
+        send, receive = multiprocessing.Pipe()
+        with send, receive:
+            send.send((config, child))
+            parent_copy, child_copy = receive.recv()
+        assert (parent_copy.cache_key(), child_copy.cache_key()) == keys
+        ours, theirs = parent_copy.stages[0], child_copy.stages[0]
+        for name in ("tp", "dp", "tp_dim", "recompute"):
+            assert getattr(ours, name).flags.writeable
+            assert getattr(theirs, name).flags.writeable
+            assert not np.shares_memory(
+                getattr(ours, name), getattr(theirs, name)
+            )
+        theirs.tp[0] = 1
+        assert ours.tp[0] == 2
+        assert not config.stages[0].tp.flags.writeable
+
+    def test_copies_of_a_shared_config_are_writable(self):
+        config = two_stage_config()
+        child = config.with_recompute(0, True)
+        for either in (config, child):
+            for copy in (either.clone(), either.mutated_copy([0])):
+                stage = copy.stages[0]
+                assert stage.tp.flags.writeable
+                stage.tp[0] = 1
+                assert copy.cache_key() != either.cache_key()
+        assert np.all(config.stages[0].tp == 2)
+        assert np.all(child.stages[0].tp == 2)
 
 
 class TestViews:

@@ -103,16 +103,72 @@ def assert_hashes_like_rebuilt(stage):
     assert stage.digest() == fresh.digest()
 
 
+def writable(stage):
+    """Whether each of the stage's four arrays accepts writes."""
+    return [
+        getattr(stage, name).flags.writeable
+        for name in ("tp", "dp", "tp_dim", "recompute")
+    ]
+
+
+def assert_base_arrays_read_only(stage):
+    for name in ("tp", "dp", "tp_dim"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(stage, name)[0] = 1
+
+
 class TestDigestInheritance:
-    def test_recompute_only_clone_reuses_the_base_digest(self):
+    """A recompute-only edit (``with_recompute``) shares the stage's
+    tp/dp/tp_dim arrays and base digest; every other edit goes through a
+    writable ``clone()`` and re-hashes."""
+
+    def test_with_recompute_reuses_the_base_digest(self):
         stage = StageConfig.uniform(0, 6, 4, tp=2)
         base = stage.base_digest()
-        copy = stage.clone()
-        copy.recompute[2:5] = True
-        assert copy.base_digest() is base
-        assert copy.digest() != stage.digest()
-        assert copy._base_src is None
-        assert_hashes_like_rebuilt(copy)
+        mask = np.zeros(6, dtype=bool)
+        mask[2:5] = True
+        shared = stage.with_recompute(mask)
+        assert shared.base_digest() is base
+        assert shared.recompute is mask
+        assert all(
+            getattr(shared, name) is getattr(stage, name)
+            for name in ("tp", "dp", "tp_dim")
+        )
+        assert shared.digest() != stage.digest()
+        assert_hashes_like_rebuilt(shared)
+        assert_hashes_like_rebuilt(stage.with_recompute(True))
+
+    def test_with_recompute_hashes_an_unhashed_parent_once(self):
+        stage = StageConfig.uniform(0, 6, 4, tp=2)
+        shared = stage.with_recompute(False)
+        assert shared._base_digest is stage._base_digest is not None
+        assert shared.digest() == stage.digest()
+        assert_hashes_like_rebuilt(shared)
+
+    def test_shared_arrays_are_read_only_in_both_stages(self):
+        stage = StageConfig.uniform(0, 6, 4, tp=2)
+        shared = stage.with_recompute(True)
+        assert writable(stage) == writable(shared) == [
+            False, False, False, True
+        ]
+        for either in (stage, shared):
+            assert_base_arrays_read_only(either)
+            with pytest.raises(ValueError, match="read-only"):
+                either.set_uniform_parallel(1)
+            assert_hashes_like_rebuilt(either)
+        assert np.all(stage.tp == 2) and not stage.recompute.any()
+
+    def test_copies_of_shared_stages_are_writable(self):
+        stage = StageConfig.uniform(0, 6, 4, tp=2)
+        shared = stage.with_recompute(True)
+        for either in (stage, shared):
+            for copy in (either.clone(), either.with_devices(8),
+                         either.slice_arrays(1, 4)):
+                assert all(writable(copy))
+                copy.tp[0] = 1
+                copy.dp[0] = copy.num_devices
+                assert_hashes_like_rebuilt(copy)
+        assert np.all(stage.tp == 2) and np.all(shared.tp == 2)
 
     def test_edited_clone_rehashes(self):
         stage = StageConfig.uniform(0, 6, 4, tp=2)
@@ -121,10 +177,6 @@ class TestDigestInheritance:
         copy.tp_dim[0] = 1
         assert copy.base_digest() != stage.base_digest()
         assert_hashes_like_rebuilt(copy)
-
-    def test_clone_of_unhashed_stage_keeps_no_link(self):
-        stage = StageConfig.uniform(0, 6, 4)
-        assert stage.clone()._base_src is None
 
     def test_source_reset_after_clone_is_not_trusted(self):
         stage = StageConfig.uniform(0, 6, 4, tp=2)
@@ -145,9 +197,11 @@ class TestDigestInheritance:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_clone_edit_chains_hash_like_fresh_stages(self, data):
-        """Random chains of clones and in-place edits: after every step
-        each live stage hashes exactly like one rebuilt from its arrays,
-        and digests agree with ``signature_bytes`` equality."""
+        """Random chains of clones, recompute-only shares and in-place
+        edits: after every step each live stage hashes exactly like one
+        rebuilt from its arrays, an in-place edit of a stage whose
+        arrays are shared raises and changes nothing, and digests agree
+        with ``signature_bytes`` equality."""
         num_ops = data.draw(st.integers(1, 10), label="num_ops")
         devices = data.draw(st.sampled_from([1, 2, 4, 8]), label="devices")
         pool = [StageConfig.uniform(0, num_ops, devices)]
@@ -162,11 +216,20 @@ class TestDigestInheritance:
             lo = data.draw(st.integers(0, stage.num_ops - 1))
             return lo, data.draw(st.integers(lo + 1, stage.num_ops))
 
+        def set_uniform(stage):
+            if stage.tp.flags.writeable:
+                stage.set_uniform_parallel(draw_tp(stage))
+                return
+            before = stage.signature_bytes()
+            with pytest.raises(ValueError, match="read-only"):
+                stage.set_uniform_parallel(draw_tp(stage))
+            assert stage.signature_bytes() == before
+
         for _ in range(data.draw(st.integers(1, 20), label="steps")):
             src = pool[data.draw(st.integers(0, len(pool) - 1))]
             kind = data.draw(st.sampled_from([
                 "tp", "tp_dim", "recompute", "rewrite", "uniform",
-                "devices", "slice", "reset_source",
+                "devices", "slice", "reset_source", "share",
             ]))
             stage = src.clone()
             lo, hi = draw_span(stage)
@@ -183,15 +246,19 @@ class TestDigestInheritance:
                 stage.recompute[lo:hi] = src.recompute[lo:hi]
             elif kind == "uniform":  # in place, on a hashed stage
                 stage = src
-                stage.set_uniform_parallel(draw_tp(stage))
+                set_uniform(stage)
             elif kind == "devices":
                 stage = src.with_devices(
                     data.draw(st.sampled_from([1, 2, 4, 8]))
                 )
             elif kind == "slice":
                 stage = src.slice_arrays(lo, hi)
+            elif kind == "share":
+                mask = src.recompute.copy()
+                mask[lo:hi] = data.draw(st.booleans())
+                stage = src.with_recompute(mask)
             else:  # the source moves on before the clone hashes
-                src.set_uniform_parallel(draw_tp(src))
+                set_uniform(src)
                 if data.draw(st.booleans()):
                     src.digest()
             if stage is not src:

@@ -8,8 +8,10 @@ and the search must reach the same outcome with stage caching on, off,
 or fanned out over worker processes.
 """
 
+import contextlib
 import dataclasses
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,10 +25,12 @@ from repro.core import (
     ApplyContext,
     SearchBudget,
     apply_primitive,
+    identify_bottleneck,
     rank_bottlenecks,
     search_all_stage_counts,
     tune_recompute,
 )
+from repro.core import arguments as arguments_module
 from repro.ir.models import build_model
 from repro.ir.models.synthetic import build_synthetic
 from repro.parallel import StageConfig, balanced_config, changed_stages
@@ -551,9 +555,34 @@ class BuildingModel(PerfModel):
     """Answers every recompute probe by building the variant and
     estimating it."""
 
-    def recompute_peak(self, config, report, stage_index, recompute):
-        variant = config.with_recompute(stage_index, recompute)
-        return self.estimate(variant).peak_memories[stage_index]
+    def recompute_probe(self, config, stage_index, eq1):
+        def peak(recompute):
+            variant = config.with_recompute(stage_index, recompute)
+            return self.estimate(variant).peak_memories[stage_index]
+
+        return peak
+
+
+def assert_eq1_matches(eq1, report):
+    """An Eq. 1 view equals ``report``'s, bit for bit."""
+    want = report.eq1()
+    assert list(eq1.peaks) == list(want.peaks)
+    assert list(eq1.in_flight) == list(want.in_flight)
+    assert list(eq1.limits) == list(want.limits)
+
+
+def carried_view_checked(greedy):
+    """``greedy`` that checks, after each call, that the Eq. 1 view it
+    carries is the tuned (or untouched) config's, costed from scratch."""
+
+    @functools.wraps(greedy)
+    def run(perf_model, config, stage_index, eq1):
+        tuned = greedy(perf_model, config, stage_index, eq1)
+        current = config if tuned is None else tuned
+        assert_eq1_matches(eq1, perf_model.estimate_fresh(current))
+        return tuned
+
+    return run
 
 
 @functools.lru_cache(maxsize=None)
@@ -587,11 +616,12 @@ def probe_setup(seed, hetero, scale):
 
 
 class TestRecomputeProbe:
-    """``recompute_peak`` prices one stage's Eq. 1 instead of building
-    and estimating the variant; nothing observable may tell the two
-    apart."""
+    """A recompute probe prices one stage's Eq. 1 instead of building
+    and estimating the variant, and ``tune_recompute`` carries an Eq. 1
+    view instead of re-estimating; nothing observable may tell either
+    apart from building and estimating."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(deadline=None)
     @given(
         seed=st.integers(0, 2),
         hetero=st.booleans(),
@@ -607,14 +637,16 @@ class TestRecomputeProbe:
         self, seed, hetero, stages, mbs, cache_size, stage_cache_size,
         scale, debug, data,
     ):
-        """Interleaved probes, estimates of probed variants, walks onto
-        them and ``tune_recompute`` calls: each probe's key is the
-        built variant's ``cache_key()`` and its peak is the built
-        variant's estimated peak, bit for bit; every estimate equals
-        costing from scratch; and estimate counts, config hits and
-        ``first_feasible_estimate`` match a model that builds and
-        estimates every probe, with or without an LRU that evicts, a
-        stage cache, or a DEBUG sink."""
+        """Interleaved probes (several per setup), estimates of probed
+        variants, walks onto them, primitives (which move tp and dp) and
+        ``tune_recompute`` calls over several stages: each probe's key
+        is the built variant's ``cache_key()`` and its peak is the built
+        variant's estimated peak, bit for bit; after every tuned stage
+        the carried Eq. 1 view equals the tuned config's, costed from
+        scratch; every estimate equals costing from scratch; and
+        estimate counts, config hits and ``first_feasible_estimate``
+        match a model that builds and estimates every probe, with or
+        without an LRU that evicts, a stage cache, or a DEBUG sink."""
         graph, cluster, database = probe_setup(seed, hetero, scale)
         model = CheckedModel(
             graph, cluster, database,
@@ -628,19 +660,78 @@ class TestRecomputeProbe:
         if debug:
             bus.add_sink(RingBufferSink())
         probed = []
-        with using_bus(bus):
+
+        def check_probes(config, index):
+            """Several probes of one setup, each against the built
+            variant's key, estimated peak and peak from scratch."""
+            probe = model.recompute_probe(
+                config, index, model.estimate(config).eq1()
+            )
+            reference_probe = reference.recompute_probe(
+                config, index, reference.estimate(config).eq1()
+            )
+            n = config.stages[index].num_ops
+            for _ in range(data.draw(st.integers(1, 3), label="k")):
+                mask = config.stages[index].recompute.copy()
+                flips = data.draw(st.lists(
+                    st.integers(0, n - 1), max_size=3
+                ), label="flips")
+                mask[flips] = ~mask[flips]
+                if data.draw(st.booleans(), label="uniform"):
+                    mask[:] = data.draw(st.booleans(), label="all")
+                peak = probe(mask)
+                variant = config.with_recompute(index, mask.copy())
+                assert next(reversed(model._cache)) == variant.cache_key()
+                # The reference estimates the built variant.
+                assert peak == reference_probe(mask.copy())
+                fresh = reference.estimate_fresh(variant)
+                assert peak == fresh.peak_memories[index]
+                probed.append(variant)
+
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(using_bus(bus))
+            for name in ("greedy_recompute", "greedy_unrecompute"):
+                stack.enter_context(mock.patch.object(
+                    arguments_module, name,
+                    carried_view_checked(getattr(arguments_module, name)),
+                ))
             for _ in range(data.draw(st.integers(1, 12), label="steps")):
                 report = model.estimate(config)
                 reference_report = reference.estimate(config)
                 index = data.draw(st.integers(0, stages - 1), label="stage")
                 action = data.draw(st.sampled_from(
-                    ["probe", "probe", "estimate", "walk", "tune"]
+                    ["probe", "probe", "estimate", "walk", "tune",
+                     "primitive"]
                 ), label="action")
                 if action == "tune":
-                    tuned = tune_recompute(model, config, [index])
-                    want = tune_recompute(reference, config, [index])
+                    indices = data.draw(st.lists(
+                        st.integers(-1, stages), min_size=1, max_size=4
+                    ), label="indices")
+                    tuned = tune_recompute(model, config, indices)
+                    want = tune_recompute(reference, config, indices)
                     assert tuned.cache_key() == want.cache_key()
                     config = tuned
+                elif action == "primitive":
+                    name = data.draw(st.sampled_from(PRIMITIVES), label="p")
+                    got, want = (
+                        apply_primitive(name, ApplyContext(
+                            graph=graph, cluster=cluster, perf_model=m,
+                            config=config, report=r,
+                            bottleneck=identify_bottleneck(r),
+                        ))
+                        for m, r in ((model, report),
+                                     (reference, reference_report))
+                    )
+                    assert [c.cache_key() for c in got] == [
+                        c.cache_key() for c in want
+                    ]
+                    if got:
+                        config = got[data.draw(
+                            st.integers(0, len(got) - 1), label="pick"
+                        )]
+                        # A new tp or dp must not reuse a stale base.
+                        for i in range(config.num_stages):
+                            check_probes(config, i)
                 elif action != "probe" and probed:
                     variant = data.draw(st.sampled_from(probed), label="v")
                     model.estimate(variant)
@@ -648,24 +739,7 @@ class TestRecomputeProbe:
                     if action == "walk":
                         config = variant
                 else:
-                    n = config.stages[index].num_ops
-                    mask = config.stages[index].recompute.copy()
-                    flips = data.draw(st.lists(
-                        st.integers(0, n - 1), max_size=3
-                    ), label="flips")
-                    mask[flips] = ~mask[flips]
-                    if data.draw(st.booleans(), label="uniform"):
-                        mask[:] = data.draw(st.booleans(), label="all")
-                    peak = model.recompute_peak(config, report, index, mask)
-                    variant = config.with_recompute(index, mask)
-                    assert next(reversed(model._cache)) == variant.cache_key()
-                    # The reference estimates the built variant.
-                    assert peak == reference.recompute_peak(
-                        config, reference_report, index, mask
-                    )
-                    fresh = reference.estimate_fresh(variant)
-                    assert peak == fresh.peak_memories[index]
-                    probed.append(variant)
+                    check_probes(config, index)
                 assert model.num_estimates == reference.num_estimates
                 assert (
                     model.counters["config_hits"].value
