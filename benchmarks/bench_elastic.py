@@ -69,7 +69,7 @@ def _oracle_throughput(graph, controller, timeline, decisions):
     from repro.elastic.controller import _MembershipState
     from repro.perfmodel import PerfModel
 
-    state = _MembershipState()
+    state = _MembershipState(controller.cluster.gpus_per_node)
     event_iter = iter(timeline.events)
     consumed = []
     throughputs = []

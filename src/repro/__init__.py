@@ -29,7 +29,7 @@ Package map (see DESIGN.md for the full inventory):
 - :mod:`repro.baselines` — Megatron-LM grid / Alpa-style / DP / random
 - :mod:`repro.runtime` — ground-truth 1F1B executor
 - :mod:`repro.numrt` — numpy training runtime (semantics checks)
-- :mod:`repro.faults` — deterministic fault injection + elastic replan
+- :mod:`repro.faults` — deterministic fault injection
 - :mod:`repro.analysis` — metrics + cross-system comparison
 """
 
@@ -48,8 +48,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "SearchResult", "search_all_stage_counts",
     ),
     "faults.inject": ("shrink_cluster",),
-    "faults.plan": ("FaultPlan", "random_fault_plan"),
-    "faults.replan": ("elastic_replan",),
+    "faults.plan": ("FaultPlan",),
     "ir.graph": ("OpGraph",),
     "ir.models.registry": ("available_models", "build_model"),
     "ir.ops": ("OpSpec",),

@@ -427,9 +427,9 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--fault-plan",
         default=None,
-        metavar="FAULTS.json",
-        help="inject deployment faults from a FaultPlan JSON file "
-        "(see repro.faults.FaultPlan.save)",
+        metavar="FILE.churn.json",
+        help="inject the deployment faults of a churn timeline "
+        "(see repro-elastic gen)",
     )
     parser.add_argument(
         "--chrome-trace",
@@ -458,17 +458,19 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
     validate_config(config, graph, cluster)
     fault_plan = None
     if args.fault_plan:
-        from .faults import FaultPlan
+        from .elastic.timeline import ChurnTimeline
+        from .faults.plan import FaultPlan
 
         try:
-            fault_plan = FaultPlan.load(args.fault_plan)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            timeline = ChurnTimeline.load(args.fault_plan)
+        except ArtifactError as exc:
             print(
                 f"repro-estimate: cannot load fault plan "
                 f"{args.fault_plan}: {exc}",
                 file=sys.stderr,
             )
             return 1
+        fault_plan = FaultPlan.from_timeline(timeline, cluster)
     with _telemetry(args):
         perf_model = build_perf_model(graph, cluster, seed=args.seed)
         report = perf_model.estimate(config)
@@ -538,7 +540,7 @@ def estimate_main(argv: Optional[List[str]] = None) -> int:
         elif run.degraded:
             lines.append(
                 "FAULT: iteration completed under degraded "
-                "conditions (stragglers/links/allocator stalls)"
+                "conditions (stragglers/links)"
             )
     if args.chrome_trace:
         lines.append(
@@ -775,17 +777,14 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from .faults import (
-        DeviceFailure,
-        FaultPlan,
-        elastic_replan,
-        shrink_cluster,
+    from .elastic import (
+        ChurnEvent,
+        ChurnTimeline,
+        ControllerPolicy,
+        ElasticController,
     )
-    from .runtime.executor import Executor
 
     if args.churn_timeline:
-        from .elastic import ChurnTimeline
-
         try:
             timeline = ChurnTimeline.load(args.churn_timeline)
         except ValueError as exc:
@@ -809,37 +808,76 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
             f"--fail-device {args.fail_device} is outside the "
             f"{args.gpus}-GPU cluster"
         )
+    import time
+
+    from .faults import FaultPlan, shrink_cluster_checked
+    from .runtime.executor import Executor
+    from .telemetry import CallbackSink
+    from .telemetry.events import PERFMODEL_FIRST_FEASIBLE
+
     graph = build_model(args.model)
     cluster = paper_cluster(args.gpus)
     perf_model = build_perf_model(graph, cluster, seed=args.seed)
     budget = {"max_iterations": args.iterations}
-    with _telemetry(args):
+    timeline = ChurnTimeline(seed=args.seed, events=(
+        ChurnEvent(args.fail_time, "device_fail", device_id=args.fail_device),
+    ))
+    with _telemetry(args) as bus:
         initial = search_all_stage_counts(
             graph, cluster, perf_model, budget_per_count=budget
         )
-        best = initial.best
-
-        plan = FaultPlan(
-            seed=args.seed,
-            device_failures=(
-                DeviceFailure(
-                    device_id=args.fail_device, time=args.fail_time
-                ),
-            ),
-        )
         run = Executor(graph, cluster, seed=args.seed).run(
-            best.best_config, fault_plan=plan
+            initial.best.best_config,
+            fault_plan=FaultPlan.from_timeline(timeline, cluster),
         )
-        survivors = initial.top_configs(args.top_k)
-        shrunk = shrink_cluster(cluster, plan.failed_devices())
-        comparison = elastic_replan(
-            graph,
-            shrunk,
-            survivors,
-            seed=args.seed,
-            budget_per_count=budget,
-        )
+        # Warm: the controller's replan from the adapted survivors.  Its
+        # fresh model reports its first feasible estimate on the bus.
+        warm_feasible_at = []
+        with bus.sink(CallbackSink(
+            lambda event: warm_feasible_at.append(event.attrs["estimates"]),
+            names=[PERFMODEL_FIRST_FEASIBLE],
+        )):
+            (warm,) = ElasticController(
+                graph,
+                cluster,
+                seed=args.seed,
+                policy=ControllerPolicy(
+                    replan_iterations=args.iterations, measure=False
+                ),
+                initial_survivors=initial.top_configs(args.top_k),
+            ).run(timeline).decisions
+        # Cold: the full stage-count driver on the surviving cluster.
+        started = time.monotonic()
+        shrunk = shrink_cluster_checked(cluster, [args.fail_device])[0]
+        cold_model = build_perf_model(graph, shrunk, seed=args.seed)
+        cold = search_all_stage_counts(
+            graph, shrunk, cold_model, budget_per_count=budget
+        ).best
+        cold_seconds = time.monotonic() - started
 
+    strategies = {
+        "warm": {
+            "best_objective": warm.objective_after,
+            "feasible": warm.feasible,
+            "num_estimates": warm.num_estimates,
+            "estimates_to_feasible": (
+                warm_feasible_at[0] if warm_feasible_at else None
+            ),
+            "wall_seconds": warm.replan_seconds,
+        },
+        "cold": {
+            "best_objective": cold.best_objective,
+            "feasible": cold.is_feasible,
+            "num_estimates": cold_model.num_estimates,
+            "estimates_to_feasible": cold_model.first_feasible_estimate,
+            "wall_seconds": cold_seconds,
+        },
+    }
+    savings = (
+        1.0 - warm.num_estimates / cold_model.num_estimates
+        if cold_model.num_estimates > 0
+        else 0.0
+    )
     payload = {
         "model": args.model,
         "gpus": args.gpus,
@@ -848,17 +886,8 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
         "failure_time": run.failure_time,
         "tasks_completed": run.tasks_completed,
         "tasks_total": run.tasks_total,
-        "strategies": {
-            outcome.strategy: {
-                "best_objective": outcome.best_objective,
-                "feasible": outcome.feasible,
-                "num_estimates": outcome.num_estimates,
-                "estimates_to_feasible": outcome.estimates_to_feasible,
-                "wall_seconds": outcome.wall_seconds,
-            }
-            for outcome in (comparison.warm, comparison.cold)
-        },
-        "estimate_savings": comparison.estimate_savings,
+        "strategies": strategies,
+        "estimate_savings": savings,
     }
     if run.completed:
         # The measured iteration finished before the failure hit; the
@@ -871,20 +900,16 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
             f"device {args.fail_device} lost at t={run.failure_time:.3f}s "
             f"({run.tasks_completed}/{run.tasks_total} tasks done)"
         )
-    rows = []
-    for outcome in (comparison.warm, comparison.cold):
-        to_feasible = (
-            str(outcome.estimates_to_feasible)
-            if outcome.estimates_to_feasible is not None
-            else "-"
-        )
-        rows.append([
-            outcome.strategy,
-            f"{outcome.best_objective:.6f}",
-            str(outcome.num_estimates),
-            to_feasible,
-            f"{outcome.wall_seconds:.2f}s",
-        ])
+    rows = [
+        [
+            name,
+            f"{outcome['best_objective']:.6f}",
+            str(outcome["num_estimates"]),
+            str(outcome["estimates_to_feasible"] or "-"),
+            f"{outcome['wall_seconds']:.2f}s",
+        ]
+        for name, outcome in strategies.items()
+    ]
     lines = [
         f"{args.model}: {interruption}; "
         f"cluster {cluster.num_gpus} -> {shrunk.num_gpus} GPUs",
@@ -895,8 +920,7 @@ def replan_main(argv: Optional[List[str]] = None) -> int:
         [8, 12, 10, 12, 8],
     ))
     lines.append(
-        f"warm start avoided {comparison.estimate_savings:.0%} of the "
-        "cold-restart estimates"
+        f"warm start avoided {savings:.0%} of the cold-restart estimates"
     )
     _emit_output(args, payload, lines)
     return 0

@@ -16,6 +16,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "timeline": (
         "CHURN_FORMAT_VERSION", "ChurnEvent", "ChurnTimeline", "EVENT_KINDS",
-        "random_churn_timeline",
+        "LINK_SCOPES", "random_churn_timeline",
     ),
 })

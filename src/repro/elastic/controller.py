@@ -5,7 +5,7 @@
 whole way through.  Per debounced event batch it
 
 1. folds the events into its membership state (preempted nodes,
-   straggling devices, degraded link scopes),
+   failed devices, straggling devices, degraded link scopes),
 2. derives the *planner view* — the surviving cluster snapped to the
    power-of-two invariants, links degraded, and stragglers folded into
    per-node device specs so the heterogeneous performance model prices
@@ -201,9 +201,15 @@ class ControllerRun:
 
 @dataclass
 class _MembershipState:
-    """Mutable view of what the timeline has done to the cluster."""
+    """Mutable view of what the timeline has done to the cluster.
 
+    ``gpus_per_node`` maps a rejoining node back to its devices, so a
+    ``node_join`` also restores devices that failed on their own.
+    """
+
+    gpus_per_node: int
     preempted: set = field(default_factory=set)
+    failed: set = field(default_factory=set)
     stragglers: Dict[int, float] = field(default_factory=dict)
     link_factors: Dict[str, float] = field(default_factory=dict)
 
@@ -212,6 +218,10 @@ class _MembershipState:
             self.preempted.add(event.node_id)
         elif event.kind == "node_join":
             self.preempted.discard(event.node_id)
+            first = event.node_id * self.gpus_per_node
+            self.failed -= set(range(first, first + self.gpus_per_node))
+        elif event.kind == "device_fail":
+            self.failed.add(event.device_id)
         elif event.kind == "straggler_on":
             self.stragglers[event.device_id] = event.factor
         elif event.kind == "straggler_off":
@@ -275,7 +285,7 @@ class ElasticController:
             for node in state.preempted
             if node < base.num_nodes
             for d in range(node * gpn, (node + 1) * gpn)
-        }
+        } | {d for d in state.failed if d < base.num_gpus}
         effective, _ = shrink_cluster_checked(base, sorted(failed))
         kept = _surviving_nodes(base, failed, effective.num_nodes)
 
@@ -290,7 +300,6 @@ class ElasticController:
                 remapped[kept.index(node) * new_gpn + offset] = factor
 
         fault_view = FaultPlan(
-            seed=self.seed,
             stragglers=tuple(
                 StragglerSlowdown(device, factor)
                 for device, factor in sorted(remapped.items())
@@ -301,12 +310,7 @@ class ElasticController:
             ),
         )
 
-        planner = degrade_cluster(
-            effective,
-            FaultPlan(
-                link_degradations=fault_view.link_degradations
-            ),
-        )
+        planner = degrade_cluster(effective, **state.link_factors)
         if remapped:
             # Fold stragglers into per-node device specs: the hetero
             # performance model then prices the slow node and the
@@ -368,12 +372,12 @@ class ElasticController:
     def _initial_plan(
         self,
     ) -> Tuple[ParallelConfig, float, List[Tuple[float, ParallelConfig]]]:
-        model = self._model_for(self.cluster)
         if self._initial_survivors:
             best_obj, best = min(
                 self._initial_survivors, key=lambda pair: pair[0]
             )
             return best, best_obj, list(self._initial_survivors)
+        model = self._model_for(self.cluster)
         options = AcesoSearchOptions(
             seed=self.seed, top_k=self.policy.top_k
         )
@@ -437,18 +441,15 @@ class ElasticController:
         best_candidate_obj = float("inf")
         feasible_candidate: Optional[ParallelConfig] = None
         feasible_candidate_obj = float("inf")
-        if candidates:
-            reports = model.estimate_batch(candidates)
-            for candidate, report in zip(candidates, reports):
-                objective = model.objective_from_report(report)
-                if objective < best_candidate_obj:
-                    best_candidate = candidate
-                    best_candidate_obj = objective
-                if not report.is_oom and (
-                    objective < feasible_candidate_obj
-                ):
-                    feasible_candidate = candidate
-                    feasible_candidate_obj = objective
+        for candidate in candidates:
+            report = model.estimate(candidate)
+            objective = model.objective_from_report(report)
+            if objective < best_candidate_obj:
+                best_candidate = candidate
+                best_candidate_obj = objective
+            if not report.is_oom and objective < feasible_candidate_obj:
+                feasible_candidate = candidate
+                feasible_candidate_obj = objective
 
         init = best_candidate or balanced_config(
             self.graph, view.planner, min(2, view.planner.num_gpus)
@@ -589,7 +590,7 @@ class ElasticController:
                 num_events=len(timeline.events),
                 horizon=timeline.horizon,
             )
-        state = _MembershipState()
+        state = _MembershipState(self.cluster.gpus_per_node)
         current, current_obj, survivors = self._initial_plan()
         initial_signature = current.signature()
         initial_objective = current_obj

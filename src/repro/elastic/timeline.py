@@ -2,8 +2,10 @@
 
 A :class:`ChurnTimeline` is the elastic controller's input: a time-
 ordered sequence of membership events — node preemption and rejoin,
-straggler onset and recovery, link degradation and repair — plus the
-seed every downstream consumer derives determinism from.  Timelines
+device failure, straggler onset and recovery, link degradation and
+repair — plus the seed every downstream consumer derives determinism
+from.  It is the only persisted fault artifact: the executor's
+in-memory :class:`~repro.faults.plan.FaultPlan` is derived from it.  Timelines
 round-trip through JSON (``save``/``load``) so a run can be replayed
 bit-exactly from a file, and :func:`random_churn_timeline` samples
 plausible SWARM-style churn from a seed alone.
@@ -22,15 +24,17 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..faults.plan import LINK_SCOPES
-
 #: Format marker so future layout changes stay loadable.
 CHURN_FORMAT_VERSION = 1
+
+#: Link scopes a link event may target.
+LINK_SCOPES = ("intra", "inter")
 
 #: Event kinds a timeline may contain, with their required payload.
 EVENT_KINDS = (
     "node_preempt",    # node_id
     "node_join",       # node_id
+    "device_fail",     # device_id
     "straggler_on",    # device_id, factor (>= 1)
     "straggler_off",   # device_id
     "link_degrade",    # scope, factor in (0, 1)
@@ -38,7 +42,7 @@ EVENT_KINDS = (
 )
 
 _NODE_KINDS = frozenset(("node_preempt", "node_join"))
-_DEVICE_KINDS = frozenset(("straggler_on", "straggler_off"))
+_DEVICE_KINDS = frozenset(("device_fail", "straggler_on", "straggler_off"))
 _LINK_KINDS = frozenset(("link_degrade", "link_repair"))
 
 

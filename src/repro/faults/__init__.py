@@ -1,11 +1,10 @@
-"""Fault layer: deterministic injection, degraded execution, re-planning.
+"""Fault layer: deterministic injection and degraded execution.
 
-``FaultPlan`` describes deployment faults (device failure, stragglers,
-link degradation, transient allocator OOM); the runtime executor
-consumes it to produce degraded ground-truth measurements; and
-``elastic_replan`` quantifies the paper's "cheap search enables fast
-reconfiguration" argument by warm-starting a new search from the
-surviving top-k plans after device loss.
+``FaultPlan`` is the executor's in-memory view of deployment faults
+(device failure, stragglers, link degradation), derived from a churn
+timeline; the runtime executor consumes it to produce degraded
+ground-truth measurements, and ``inject`` shrinks and degrades clusters
+and adapts plans onto them for the elastic controller.
 """
 
 from ..exports import lazy_exports
@@ -16,9 +15,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "memory_safe_variant", "shrink_cluster", "shrink_cluster_checked",
     ),
     "plan": (
-        "DeviceFailure", "FAULT_FORMAT_VERSION", "FaultPlan", "LINK_SCOPES",
-        "LinkDegradation", "StragglerSlowdown", "TransientOOM",
-        "random_fault_plan",
+        "DeviceFailure", "FaultPlan", "LinkDegradation", "StragglerSlowdown",
     ),
-    "replan": ("ReplanComparison", "ReplanOutcome", "elastic_replan"),
 })

@@ -1,8 +1,8 @@
-"""Interpret a :class:`FaultPlan` against cluster and configuration.
+"""Translate faults into the cluster and configuration they leave.
 
 Three translations live here:
 
-* ``degrade_cluster`` — apply link-bandwidth degradations, producing the
+* ``degrade_cluster`` — apply link-bandwidth factors, producing the
   hardware the executor *actually* runs on;
 * ``shrink_cluster`` — the surviving cluster after device failures
   (snapped to the largest power-of-two allocation the planner's
@@ -31,7 +31,6 @@ from ..telemetry.events import (
     FAULTS_CLUSTER_SHRUNK,
     FAULTS_LINK_DEGRADATION,
 )
-from .plan import FaultPlan
 
 
 def _degrade_link(link: LinkSpec, factor: float) -> LinkSpec:
@@ -42,10 +41,11 @@ def _degrade_link(link: LinkSpec, factor: float) -> LinkSpec:
     )
 
 
-def degrade_cluster(cluster: ClusterSpec, plan: FaultPlan) -> ClusterSpec:
-    """Cluster with the plan's link degradations applied."""
-    intra = plan.bandwidth_factor("intra")
-    inter = plan.bandwidth_factor("inter")
+def degrade_cluster(
+    cluster: ClusterSpec, intra: float = 1.0, inter: float = 1.0
+) -> ClusterSpec:
+    """Cluster whose intra-/inter-node links keep only the given
+    fractions of their bandwidth (``cluster`` itself when both are 1)."""
     if intra >= 1.0 and inter >= 1.0:
         return cluster
     bus = get_bus()

@@ -1,12 +1,12 @@
-"""Deterministic fault plans for the ground-truth runtime.
+"""The executor's in-memory view of deployment faults.
 
 Real V100/IB clusters fail in structured ways the analytic planner never
-sees: a GPU drops mid-iteration, one device runs hot and slow, an
-oversubscribed IB link delivers a fraction of its nominal bandwidth, and
-the caching allocator occasionally stalls a task on a cudaMalloc retry.
-A :class:`FaultPlan` names those events explicitly, is seeded so every
-injection is reproducible bit-for-bit, and round-trips through JSON so
-a plan can be shipped to ``repro-estimate --fault-plan``.
+sees: a GPU drops mid-iteration, one device runs hot and slow, and an
+oversubscribed IB link delivers a fraction of its nominal bandwidth.
+A :class:`FaultPlan` names those faults for one measured iteration.  It
+is never persisted: the fault artifact is a
+:class:`~repro.elastic.timeline.ChurnTimeline`, and
+:meth:`FaultPlan.from_timeline` derives the view from one.
 
 The plan is pure data; :mod:`repro.faults.inject` and
 :class:`repro.runtime.executor.Executor` interpret it.
@@ -14,19 +14,11 @@ The plan is pure data; :mod:`repro.faults.inject` and
 
 from __future__ import annotations
 
-import json
-import zlib
-from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
-import numpy as np
-
-#: Format marker so future layout changes stay loadable.
-FAULT_FORMAT_VERSION = 1
-
-#: Link scopes a degradation may target.
-LINK_SCOPES = ("intra", "inter")
+from ..cluster.topology import ClusterSpec
+from ..elastic.timeline import LINK_SCOPES, ChurnTimeline
 
 
 @dataclass(frozen=True)
@@ -75,52 +67,60 @@ class LinkDegradation:
 
 
 @dataclass(frozen=True)
-class TransientOOM:
-    """Allocator pressure on one stage.
-
-    Each (microbatch, direction) task of ``stage`` independently stalls
-    with ``probability`` for ``stall_seconds`` — the observable cost of
-    a cache-flush-and-retry inside a framework allocator.
-    """
-
-    stage: int
-    probability: float
-    stall_seconds: float
-
-    def __post_init__(self) -> None:
-        if self.stage < 0:
-            raise ValueError("stage must be non-negative")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        if self.stall_seconds < 0:
-            raise ValueError("stall_seconds must be non-negative")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
-    """A seeded, deterministic set of deployment faults.
+    """A deterministic set of deployment faults.
 
     An empty plan (the default) injects nothing, so fault-aware code
     paths can treat ``FaultPlan()`` and ``None`` identically.
     """
 
-    seed: int = 0
     device_failures: Tuple[DeviceFailure, ...] = ()
     stragglers: Tuple[StragglerSlowdown, ...] = ()
     link_degradations: Tuple[LinkDegradation, ...] = ()
-    transient_ooms: Tuple[TransientOOM, ...] = ()
 
-    def __post_init__(self) -> None:
-        # Accept lists from callers / JSON and freeze them.
-        for name in (
-            "device_failures",
-            "stragglers",
-            "link_degradations",
-            "transient_ooms",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, name, tuple(value))
+    @classmethod
+    def from_timeline(
+        cls, timeline: ChurnTimeline, cluster: ClusterSpec
+    ) -> "FaultPlan":
+        """The faults ``timeline`` inflicts on ``cluster``.
+
+        A ``device_fail`` is a :class:`DeviceFailure` at its time, and a
+        ``node_preempt`` is one per device of that node.  Stragglers and
+        link degradations fold to their end state, so a recovered
+        straggler or a repaired link leaves nothing behind.
+        """
+        gpn = cluster.gpus_per_node
+        failures = []
+        stragglers: Dict[int, float] = {}
+        links: Dict[str, float] = {}
+        for event in timeline.events:
+            if event.kind == "device_fail":
+                failures.append(DeviceFailure(event.device_id, event.time))
+            elif event.kind == "node_preempt":
+                first = event.node_id * gpn
+                failures.extend(
+                    DeviceFailure(device, event.time)
+                    for device in range(first, first + gpn)
+                )
+            elif event.kind == "straggler_on":
+                stragglers[event.device_id] = event.factor
+            elif event.kind == "straggler_off":
+                stragglers.pop(event.device_id, None)
+            elif event.kind == "link_degrade":
+                links[event.scope] = event.factor
+            elif event.kind == "link_repair":
+                links.pop(event.scope, None)
+        return cls(
+            device_failures=tuple(failures),
+            stragglers=tuple(
+                StragglerSlowdown(device, factor)
+                for device, factor in sorted(stragglers.items())
+            ),
+            link_degradations=tuple(
+                LinkDegradation(scope, factor)
+                for scope, factor in sorted(links.items())
+            ),
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -131,7 +131,6 @@ class FaultPlan:
             self.device_failures
             or self.stragglers
             or self.link_degradations
-            or self.transient_ooms
         )
 
     def first_failure(self, num_devices: int):
@@ -142,9 +141,6 @@ class FaultPlan:
             f for f in self.device_failures if f.device_id < num_devices
         ]
         return min(hits, key=lambda f: (f.time, f.device_id)) if hits else None
-
-    def failed_devices(self) -> Tuple[int, ...]:
-        return tuple(sorted({f.device_id for f in self.device_failures}))
 
     def straggler_factor(self, device_id: int) -> float:
         """Compound slowdown for one device (1.0 when healthy)."""
@@ -163,118 +159,3 @@ class FaultPlan:
             if degradation.scope == scope:
                 factor *= degradation.factor
         return factor
-
-    def rng_for(self, key: str) -> np.random.Generator:
-        """Seeded generator bound to this plan and a caller key.
-
-        The same ``(seed, key)`` pair always yields the same stream, so
-        stochastic faults (transient OOM) replay identically for one
-        configuration while staying independent across configurations.
-        """
-        return np.random.default_rng(
-            (self.seed, zlib.crc32(key.encode("utf-8")))
-        )
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FAULT_FORMAT_VERSION,
-            "seed": self.seed,
-            "device_failures": [asdict(f) for f in self.device_failures],
-            "stragglers": [asdict(s) for s in self.stragglers],
-            "link_degradations": [
-                asdict(d) for d in self.link_degradations
-            ],
-            "transient_ooms": [asdict(t) for t in self.transient_ooms],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        version = data.get("format_version")
-        if version != FAULT_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported fault plan format version: {version!r} "
-                f"(expected {FAULT_FORMAT_VERSION})"
-            )
-        return cls(
-            seed=int(data.get("seed", 0)),
-            device_failures=tuple(
-                DeviceFailure(**f) for f in data.get("device_failures", [])
-            ),
-            stragglers=tuple(
-                StragglerSlowdown(**s) for s in data.get("stragglers", [])
-            ),
-            link_degradations=tuple(
-                LinkDegradation(**d)
-                for d in data.get("link_degradations", [])
-            ),
-            transient_ooms=tuple(
-                TransientOOM(**t) for t in data.get("transient_ooms", [])
-            ),
-        )
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "FaultPlan":
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-
-def random_fault_plan(
-    num_devices: int,
-    *,
-    seed: int = 0,
-    failure_rate: float = 0.1,
-    straggler_rate: float = 0.2,
-    max_straggler_factor: float = 2.0,
-    link_degradation_rate: float = 0.3,
-    oom_rate: float = 0.1,
-    horizon_seconds: float = 1.0,
-) -> FaultPlan:
-    """Sample a plausible fault plan for a cluster of ``num_devices``.
-
-    Every rate is an independent Bernoulli per candidate (device or
-    link class); the draw is fully determined by ``seed``.
-    """
-    if num_devices < 1:
-        raise ValueError("num_devices must be positive")
-    rng = np.random.default_rng(seed)
-    failures = tuple(
-        DeviceFailure(
-            device_id=d, time=float(rng.uniform(0.0, horizon_seconds))
-        )
-        for d in range(num_devices)
-        if rng.random() < failure_rate
-    )
-    stragglers = tuple(
-        StragglerSlowdown(
-            device_id=d,
-            factor=float(rng.uniform(1.1, max_straggler_factor)),
-        )
-        for d in range(num_devices)
-        if rng.random() < straggler_rate
-    )
-    degradations = tuple(
-        LinkDegradation(scope=scope, factor=float(rng.uniform(0.3, 0.9)))
-        for scope in LINK_SCOPES
-        if rng.random() < link_degradation_rate
-    )
-    ooms = tuple(
-        TransientOOM(
-            stage=s,
-            probability=float(rng.uniform(0.02, 0.2)),
-            stall_seconds=float(rng.uniform(0.001, 0.01)),
-        )
-        for s in range(4)
-        if rng.random() < oom_rate
-    )
-    return FaultPlan(
-        seed=seed,
-        device_failures=failures,
-        stragglers=stragglers,
-        link_degradations=degradations,
-        transient_ooms=ooms,
-    )

@@ -27,7 +27,6 @@ from ..telemetry import DEBUG, WARNING, get_bus
 from ..telemetry.events import (
     FAULTS_DEVICE_FAILURE,
     FAULTS_STRAGGLER,
-    FAULTS_TRANSIENT_OOM,
     RUNTIME_RUN,
     RUNTIME_TASK,
 )
@@ -56,7 +55,7 @@ class ExecutionResult:
     flips to False when a :class:`~repro.faults.FaultPlan` device
     failure halts the iteration (``failure_time`` / ``failed_device``
     then say when and where), and ``degraded`` marks measurements taken
-    under stragglers, link degradation, or allocator stalls.
+    under stragglers or link degradation.
     """
 
     iteration_time: float
@@ -128,8 +127,8 @@ class Executor:
         ``fault_plan`` (a :class:`repro.faults.FaultPlan`) injects
         deterministic deployment faults: straggler devices slow their
         stage, link degradations stretch every transfer priced on the
-        affected link class, transient allocator OOMs stall individual
-        tasks, and a device failure halts the iteration mid-flight.
+        affected link class, and a device failure halts the iteration
+        mid-flight.
 
         ``record_trace`` keeps the per-task 1F1B timeline on the
         result (and emits it as ``runtime.task`` telemetry events);
@@ -150,7 +149,11 @@ class Executor:
         if plan is not None:
             from ..faults.inject import degrade_cluster
 
-            faulty_cluster = degrade_cluster(cluster, plan)
+            faulty_cluster = degrade_cluster(
+                cluster,
+                plan.bandwidth_factor("intra"),
+                plan.bandwidth_factor("inter"),
+            )
             if faulty_cluster is not cluster:
                 collectives = CollectiveCostModel(faulty_cluster)
                 degraded = True
@@ -282,23 +285,6 @@ class Executor:
                                 stage=stage,
                                 factor=float(factor),
                             )
-            oom_hit = self._apply_transient_ooms(
-                config, plan, fwd_matrix, bwd_matrix
-            )
-            degraded |= oom_hit
-            if oom_hit and bus.active:
-                bus.emit(
-                    FAULTS_TRANSIENT_OOM,
-                    source="faults",
-                    level=WARNING,
-                    stages=sorted(
-                        {
-                            spec.stage
-                            for spec in plan.transient_ooms
-                            if spec.stage < config.num_stages
-                        }
-                    ),
-                )
             failure = plan.first_failure(config.total_devices)
             if failure is not None:
                 halt_at = failure.time
@@ -391,29 +377,6 @@ class Executor:
                 for device in range(first, first + stage.num_devices)
             )
         return factors if factors.max() > 1.0 else None
-
-    def _apply_transient_ooms(
-        self,
-        config: ParallelConfig,
-        plan,
-        fwd_matrix: np.ndarray,
-        bwd_matrix: np.ndarray,
-    ) -> bool:
-        """Add seeded allocator-retry stalls in place; True if any hit."""
-        if not plan.transient_ooms:
-            return False
-        oom_rng = plan.rng_for(config.signature())
-        hit = False
-        for spec in plan.transient_ooms:
-            if spec.stage >= config.num_stages:
-                continue
-            num_mb = fwd_matrix.shape[1]
-            fwd_stall = oom_rng.random(num_mb) < spec.probability
-            bwd_stall = oom_rng.random(num_mb) < spec.probability
-            fwd_matrix[spec.stage] += fwd_stall * spec.stall_seconds
-            bwd_matrix[spec.stage] += bwd_stall * spec.stall_seconds
-            hit = hit or bool(fwd_stall.any() or bwd_stall.any())
-        return hit
 
     # ------------------------------------------------------------------
     def _measure_memory(

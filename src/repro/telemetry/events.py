@@ -62,7 +62,6 @@ RUNTIME_TASK = "runtime.task"
 FAULTS_DEVICE_FAILURE = "faults.device_failure"
 FAULTS_STRAGGLER = "faults.straggler"
 FAULTS_LINK_DEGRADATION = "faults.link_degradation"
-FAULTS_TRANSIENT_OOM = "faults.transient_oom"
 FAULTS_CLUSTER_SHRUNK = "faults.cluster_shrunk"
 
 # -- checkpointing ----------------------------------------------------

@@ -28,7 +28,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import SearchCheckpoint, search_all_stage_counts
-from repro.elastic import ChurnTimeline, random_churn_timeline
+from repro.elastic import ChurnEvent, ChurnTimeline, random_churn_timeline
 from repro.lint.artifacts import (
     check_checkpoint,
     check_churn_timeline,
@@ -153,6 +153,10 @@ def seeds(tiny_graph, small_cluster, tiny_perf_model, tmp_path_factory):
         "churn": [
             random_churn_timeline(4, 2, seed=seed, num_events=6).to_dict()
             for seed in range(3)
+        ] + [
+            ChurnTimeline(events=(
+                ChurnEvent(0.5, "device_fail", device_id=5),
+            )).to_dict(),
         ],
         "run_log": [
             Event(

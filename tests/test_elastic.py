@@ -68,6 +68,8 @@ class TestChurnTimeline:
             ChurnEvent(1.0, "link_degrade", factor=0.5)
         with pytest.raises(ValueError, match="factor in"):
             ChurnEvent(1.0, "link_degrade", scope="intra", factor=1.5)
+        with pytest.raises(ValueError, match="device_id"):
+            ChurnEvent(1.0, "device_fail")
         with pytest.raises(ValueError, match="kind"):
             ChurnEvent(1.0, "meteor_strike")
         with pytest.raises(ValueError, match="non-negative"):
@@ -177,26 +179,86 @@ def test_random_churn_timeline_round_trips(seed, num_events, nodes):
     ),
     intra=st.one_of(
         st.none(),
-        st.floats(min_value=0.1, max_value=1.0, allow_nan=False),
+        st.floats(min_value=0.1, max_value=0.99, allow_nan=False),
     ),
 )
-def test_fault_plan_json_round_trips(seed, failures, stragglers, intra):
-    links = (
-        (LinkDegradation("intra", intra),) if intra is not None else ()
+def test_fault_plan_json_round_trips(
+    seed, failures, stragglers, intra, cluster42
+):
+    """A fault set written as a churn timeline reads back, through the
+    JSON artifact, as exactly the executor view it describes."""
+    failures = sorted(failures, key=lambda pair: pair[1])
+    events = [
+        ChurnEvent(0.0, "straggler_on", device_id=d, factor=f)
+        for d, f in stragglers
+    ]
+    if intra is not None:
+        events.append(
+            ChurnEvent(0.0, "link_degrade", scope="intra", factor=intra)
+        )
+    events += [
+        ChurnEvent(t, "device_fail", device_id=d) for d, t in failures
+    ]
+    timeline = ChurnTimeline(seed=seed, events=tuple(events))
+    rebuilt = ChurnTimeline.from_dict(
+        json.loads(json.dumps(timeline.to_dict()))
     )
-    plan = FaultPlan(
-        seed=seed,
+    assert FaultPlan.from_timeline(rebuilt, cluster42) == FaultPlan(
         device_failures=tuple(
             DeviceFailure(device_id=d, time=t) for d, t in failures
         ),
         stragglers=tuple(
             StragglerSlowdown(device_id=d, factor=f)
-            for d, f in stragglers
+            for d, f in sorted(stragglers)
         ),
-        link_degradations=links,
+        link_degradations=(
+            (LinkDegradation("intra", intra),) if intra is not None else ()
+        ),
     )
-    rebuilt = FaultPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
-    assert rebuilt == plan
+
+
+class TestFaultPlanFromTimeline:
+    def test_node_preempt_fails_every_device_of_the_node(self, cluster42):
+        timeline = ChurnTimeline(events=(
+            ChurnEvent(2.0, "node_preempt", node_id=1),
+            ChurnEvent(3.0, "device_fail", device_id=6),
+        ))
+        plan = FaultPlan.from_timeline(timeline, cluster42)
+        assert plan.device_failures == (
+            DeviceFailure(2, 2.0),
+            DeviceFailure(3, 2.0),
+            DeviceFailure(6, 3.0),
+        )
+        assert plan.first_failure(8) == DeviceFailure(2, 2.0)
+
+    def test_straggler_off_leaves_no_straggler(self, cluster42):
+        timeline = ChurnTimeline(events=(
+            ChurnEvent(1.0, "straggler_on", device_id=0, factor=2.0),
+            ChurnEvent(2.0, "straggler_on", device_id=3, factor=1.5),
+            ChurnEvent(4.0, "straggler_off", device_id=0),
+        ))
+        plan = FaultPlan.from_timeline(timeline, cluster42)
+        assert plan.stragglers == (StragglerSlowdown(3, 1.5),)
+        assert plan.straggler_factor(0) == 1.0
+        assert plan.straggler_factor(3) == 1.5
+
+    def test_link_repair_restores_bandwidth(self, cluster42):
+        timeline = ChurnTimeline(events=(
+            ChurnEvent(1.0, "link_degrade", scope="intra", factor=0.5),
+            ChurnEvent(2.0, "link_degrade", scope="inter", factor=0.4),
+            ChurnEvent(3.0, "link_repair", scope="intra"),
+        ))
+        plan = FaultPlan.from_timeline(timeline, cluster42)
+        assert plan.link_degradations == (LinkDegradation("inter", 0.4),)
+        assert plan.bandwidth_factor("intra") == 1.0
+        assert plan.bandwidth_factor("inter") == 0.4
+
+    def test_recovered_timeline_is_an_empty_plan(self, cluster42):
+        timeline = ChurnTimeline(events=(
+            ChurnEvent(1.0, "straggler_on", device_id=1, factor=3.0),
+            ChurnEvent(2.0, "straggler_off", device_id=1),
+        ))
+        assert FaultPlan.from_timeline(timeline, cluster42).is_empty
 
 
 # ======================================================================
@@ -368,19 +430,19 @@ class TestShrinkDiagnostics:
 
 
 class TestStackedFaults:
-    def stacked_plan(self):
-        return FaultPlan(
-            seed=3,
-            device_failures=(DeviceFailure(device_id=5, time=0.001),),
-            stragglers=(StragglerSlowdown(device_id=1, factor=2.5),),
-            link_degradations=(
-                LinkDegradation("intra", 0.5),
-                LinkDegradation("inter", 0.4),
-            ),
-        )
+    def stacked_timeline(self):
+        return ChurnTimeline(seed=3, events=(
+            ChurnEvent(0.0, "straggler_on", device_id=1, factor=2.5),
+            ChurnEvent(0.0, "link_degrade", scope="intra", factor=0.5),
+            ChurnEvent(0.0, "link_degrade", scope="inter", factor=0.4),
+            ChurnEvent(0.001, "device_fail", device_id=5),
+        ))
+
+    def stacked_plan(self, cluster):
+        return FaultPlan.from_timeline(self.stacked_timeline(), cluster)
 
     def test_executor_runs_all_faults_at_once(self, graph, cluster42):
-        plan = self.stacked_plan()
+        plan = self.stacked_plan(cluster42)
         config = balanced_config(graph, cluster42, 2)
         clean = Executor(graph, cluster42, seed=0, noise=0.0).run(config)
         hit = Executor(graph, cluster42, seed=0, noise=0.0).run(
@@ -393,15 +455,21 @@ class TestStackedFaults:
         assert clean.completed
 
     def test_degrade_then_shrink_then_adapt(self, graph, cluster42):
-        plan = self.stacked_plan()
-        degraded = degrade_cluster(cluster42, plan)
+        plan = self.stacked_plan(cluster42)
+        degraded = degrade_cluster(
+            cluster42,
+            plan.bandwidth_factor("intra"),
+            plan.bandwidth_factor("inter"),
+        )
         assert degraded.intra_node.bandwidth == pytest.approx(
             cluster42.intra_node.bandwidth * 0.5
         )
         assert degraded.inter_node.bandwidth == pytest.approx(
             cluster42.inter_node.bandwidth * 0.4
         )
-        shrunk = shrink_cluster(degraded, plan.failed_devices())
+        shrunk = shrink_cluster(
+            degraded, [f.device_id for f in plan.device_failures]
+        )
         assert shrunk.num_gpus == 4
         # The degraded links carry over to the surviving cluster.
         assert shrunk.intra_node.bandwidth == degraded.intra_node.bandwidth
@@ -413,11 +481,18 @@ class TestStackedFaults:
         result = Executor(graph, shrunk, seed=0, noise=0.0).run(adapted)
         assert result.completed and not result.oom
 
-    def test_stacked_plan_round_trips(self, tmp_path):
-        plan = self.stacked_plan()
-        path = tmp_path / "stacked.fault.json"
-        plan.save(path)
-        assert FaultPlan.load(path) == plan
+    def test_stacked_plan_round_trips(self, tmp_path, cluster42):
+        path = tmp_path / "stacked.churn.json"
+        self.stacked_timeline().save(path)
+        loaded = FaultPlan.from_timeline(ChurnTimeline.load(path), cluster42)
+        assert loaded == FaultPlan(
+            device_failures=(DeviceFailure(device_id=5, time=0.001),),
+            stragglers=(StragglerSlowdown(device_id=1, factor=2.5),),
+            link_degradations=(
+                LinkDegradation("inter", 0.4),
+                LinkDegradation("intra", 0.5),
+            ),
+        )
 
 
 # ======================================================================
@@ -453,6 +528,26 @@ class TestElasticController:
         assert decision.cluster_gpus == 4
         assert run.final_feasible
         assert run.final_config.total_devices == 4
+
+    def test_device_failure_shrinks_and_a_node_join_restores_it(
+        self, graph, cluster42
+    ):
+        timeline = ChurnTimeline(seed=0, events=(
+            ChurnEvent(5.0, "device_fail", device_id=5),
+            ChurnEvent(20.0, "node_join", node_id=2),
+        ))
+        run = ElasticController(
+            graph, cluster42, seed=0, policy=quick_policy()
+        ).run(timeline)
+        failed, rejoined = run.decisions
+        # 7 healthy devices snap to the 4 of two whole nodes.
+        assert (failed.action, failed.reason) == ("replan", "shape_mismatch")
+        assert failed.cluster_gpus == 4
+        assert (rejoined.action, rejoined.reason) == (
+            "replan", "shape_mismatch",
+        )
+        assert rejoined.cluster_gpus == 8
+        assert run.final_feasible
 
     def test_hysteresis_cooldown_blocks_back_to_back_replans(
         self, graph, cluster42
@@ -545,7 +640,7 @@ class TestElasticController:
         controller = ElasticController(
             graph, cluster42, seed=0, policy=quick_policy()
         )
-        state = _MembershipState()
+        state = _MembershipState(cluster42.gpus_per_node)
         state.apply(ChurnEvent(1.0, "straggler_on", device_id=2, factor=2.0))
         state.apply(
             ChurnEvent(2.0, "link_degrade", scope="intra", factor=0.5)
@@ -815,6 +910,97 @@ class TestElasticCLI:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["decisions"]
+
+    @pytest.fixture(scope="class")
+    def plan_path(self, tmp_path_factory):
+        from repro.cluster import paper_cluster
+        from repro.ir.models import build_model
+        from repro.parallel.serialization import save_config
+
+        path = tmp_path_factory.mktemp("estimate") / "plan.json"
+        save_config(
+            balanced_config(build_model("gpt-2l"), paper_cluster(4), 2),
+            path,
+        )
+        return path
+
+    def estimate(self, plan_path, fault_path, capsys):
+        from repro.cli import estimate_main
+
+        rc = estimate_main([
+            "--model", "gpt-2l", "--gpus", "4", str(plan_path),
+            "--fault-plan", str(fault_path), "--quiet", "--json",
+        ])
+        return rc, capsys.readouterr()
+
+    def test_estimate_device_fail_timeline_halts(
+        self, tmp_path, plan_path, capsys
+    ):
+        path = tmp_path / "fail.churn.json"
+        ChurnTimeline(events=(
+            ChurnEvent(0.0, "device_fail", device_id=1),
+        )).save(path)
+        rc, out = self.estimate(plan_path, path, capsys)
+        assert rc == 1
+        payload = json.loads(out.out)
+        assert payload["completed"] is False
+        assert payload["failed_device"] == 1
+        assert payload["fault_plan"] == str(path)
+
+    def test_estimate_straggler_timeline_is_degraded(
+        self, tmp_path, plan_path, capsys
+    ):
+        path = tmp_path / "slow.churn.json"
+        ChurnTimeline(events=(
+            ChurnEvent(0.0, "straggler_on", device_id=0, factor=2.0),
+        )).save(path)
+        rc, out = self.estimate(plan_path, path, capsys)
+        assert rc == 0
+        payload = json.loads(out.out)
+        assert payload["completed"] is True
+        assert payload["degraded"] is True
+
+    def test_estimate_rejects_an_old_fault_plan_file(
+        self, tmp_path, plan_path, capsys
+    ):
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "seed": 0,
+            "device_failures": [{"device_id": 1, "time": 0.5}],
+            "stragglers": [],
+            "link_degradations": [],
+            "transient_ooms": [],
+        }))
+        rc, out = self.estimate(plan_path, path, capsys)
+        assert rc == 1
+        assert "cannot load fault plan" in out.err
+        assert "ACE35" in out.err
+        assert "Traceback" not in out.err
+
+    def test_replan_single_failure_mode(self, capsys):
+        from repro.cli import replan_main
+
+        assert replan_main([
+            "--model", "gpt-4l", "--gpus", "8", "--iterations", "2",
+            "--quiet", "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "model", "gpus", "surviving_gpus", "failed_device",
+            "failure_time", "tasks_completed", "tasks_total",
+            "strategies", "estimate_savings",
+        }
+        warm, cold = payload["strategies"]["warm"], payload["strategies"]["cold"]
+        for outcome in (warm, cold):
+            assert set(outcome) == {
+                "best_objective", "feasible", "num_estimates",
+                "estimates_to_feasible", "wall_seconds",
+            }
+        assert warm["feasible"]
+        assert warm["num_estimates"] < cold["num_estimates"]
+        assert payload["surviving_gpus"] == 4
+        assert payload["estimate_savings"] > 0
 
     def test_replan_rejects_missing_timeline(self, tmp_path):
         from repro.cli import replan_main

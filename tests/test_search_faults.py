@@ -21,23 +21,29 @@ from repro.core import (
 from repro.core.checkpoint import _result_to_dict
 from repro.core.pool import WorkerPool, usable_cores
 from repro.core.search import _failure_kind_from_error, _stage_count_worker
+from repro.elastic import (
+    ChurnEvent,
+    ChurnTimeline,
+    ControllerPolicy,
+    ElasticController,
+)
 from repro.faults import (
     DeviceFailure,
     FaultPlan,
     LinkDegradation,
     StragglerSlowdown,
-    TransientOOM,
     adapt_config,
     degrade_cluster,
-    elastic_replan,
-    random_fault_plan,
     shrink_cluster,
 )
 from repro.perfmodel import PerfModel
 from repro.profiling import SimulatedProfiler
 from repro.runtime.simulator import simulate_pipeline
-from repro.telemetry import CallbackSink, get_bus
-from repro.telemetry.events import DRIVER_COUNT_COMPLETED
+from repro.telemetry import CallbackSink, TelemetryBus, get_bus, using_bus
+from repro.telemetry.events import (
+    DRIVER_COUNT_COMPLETED,
+    PERFMODEL_FIRST_FEASIBLE,
+)
 
 from conftest import make_tiny_gpt
 
@@ -83,41 +89,18 @@ class TestFaultPlan:
         assert plan.bandwidth_factor("inter") == pytest.approx(0.25)
         assert plan.bandwidth_factor("intra") == 1.0
 
-    def test_json_round_trip(self, tmp_path):
-        plan = random_fault_plan(8, seed=3, failure_rate=0.5)
-        path = tmp_path / "faults.json"
-        plan.save(path)
-        assert FaultPlan.load(path) == plan
-
-    def test_rejects_unknown_format_version(self):
-        with pytest.raises(ValueError, match="format version"):
-            FaultPlan.from_dict({"format_version": 99})
-
-    def test_rng_is_reproducible_per_key(self):
-        plan = FaultPlan(seed=11)
-        a = plan.rng_for("key").random(4)
-        b = plan.rng_for("key").random(4)
-        c = plan.rng_for("other").random(4)
-        assert (a == b).all()
-        assert (a != c).any()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             StragglerSlowdown(device_id=0, factor=0.5)
         with pytest.raises(ValueError):
             LinkDegradation(scope="bogus", factor=0.5)
         with pytest.raises(ValueError):
-            TransientOOM(stage=0, probability=1.5, stall_seconds=0.0)
+            DeviceFailure(device_id=0, time=-1.0)
 
 
 class TestInjection:
     def test_degrade_cluster_scales_bandwidth(self, small_cluster):
-        plan = FaultPlan(
-            link_degradations=(
-                LinkDegradation(scope="intra", factor=0.5),
-            )
-        )
-        degraded = degrade_cluster(small_cluster, plan)
+        degraded = degrade_cluster(small_cluster, intra=0.5)
         assert degraded.intra_node.bandwidth == pytest.approx(
             small_cluster.intra_node.bandwidth * 0.5
         )
@@ -126,7 +109,7 @@ class TestInjection:
         )
         # No degradation -> identical object, so the executor can skip
         # rebuilding its collective model.
-        assert degrade_cluster(small_cluster, FaultPlan()) is small_cluster
+        assert degrade_cluster(small_cluster) is small_cluster
 
     def test_shrink_snaps_to_power_of_two(self, small_cluster):
         shrunk = shrink_cluster(small_cluster, [1])
@@ -191,11 +174,8 @@ class TestExecutorFaults:
         self, tiny_executor, tiny_config
     ):
         plan = FaultPlan(
-            seed=5,
             stragglers=(StragglerSlowdown(device_id=0, factor=1.7),),
-            transient_ooms=(
-                TransientOOM(stage=0, probability=0.5, stall_seconds=0.01),
-            ),
+            link_degradations=(LinkDegradation(scope="intra", factor=0.5),),
         )
         first = tiny_executor.run(tiny_config, fault_plan=plan)
         second = tiny_executor.run(tiny_config, fault_plan=plan)
@@ -1036,6 +1016,13 @@ class TestMemoryGuard:
 
 
 class TestElasticReplan:
+    """Device loss -> warm replan through the elastic controller."""
+
+    def device_loss(self, device):
+        return ChurnTimeline(seed=0, events=(
+            ChurnEvent(1.0, "device_fail", device_id=device),
+        ))
+
     def test_warm_start_beats_cold_restart(
         self, tiny_graph, small_cluster, tiny_database
     ):
@@ -1045,33 +1032,58 @@ class TestElasticReplan:
             fresh_model(tiny_graph, small_cluster, tiny_database),
             budget_per_count=BUDGET,
         )
+        bus = TelemetryBus()
+        warm_feasible_at = []
+        bus.add_sink(CallbackSink(
+            lambda event: warm_feasible_at.append(event.attrs["estimates"]),
+            names=[PERFMODEL_FIRST_FEASIBLE],
+        ))
+        with using_bus(bus):
+            (warm,) = ElasticController(
+                tiny_graph,
+                small_cluster,
+                policy=ControllerPolicy(
+                    replan_iterations=BUDGET["max_iterations"],
+                    measure=False,
+                ),
+                initial_survivors=initial.top_configs(5),
+            ).run(self.device_loss(3)).decisions
         shrunk = shrink_cluster(small_cluster, [3])
-        database = SimulatedProfiler(shrunk, seed=0).profile(tiny_graph)
-        comparison = elastic_replan(
+        cold_model = fresh_model(
             tiny_graph,
             shrunk,
-            initial.top_configs(5),
-            database=database,
-            budget_per_count=BUDGET,
+            SimulatedProfiler(shrunk, seed=0).profile(tiny_graph),
         )
-        warm, cold = comparison.warm, comparison.cold
-        assert warm.feasible and cold.feasible
-        assert warm.num_estimates < cold.num_estimates
-        assert warm.estimates_to_feasible <= cold.estimates_to_feasible
-        assert comparison.estimate_savings > 0
+        cold = search_all_stage_counts(
+            tiny_graph, shrunk, cold_model, budget_per_count=BUDGET
+        ).best
+        assert warm.action == "replan" and warm.cluster_gpus == 2
+        assert warm.feasible and cold.is_feasible
+        assert warm.num_estimates < cold_model.num_estimates
+        assert warm_feasible_at[0] <= cold_model.first_feasible_estimate
         # Warm start must not end worse than the cold restart's plan.
-        assert warm.best_objective <= cold.best_objective * 1.05
+        assert warm.objective_after <= cold.best_objective * 1.05
 
     def test_replan_falls_back_without_adaptable_survivors(
-        self, tiny_graph, small_cluster, tiny_database
+        self, tiny_graph, small_cluster
     ):
-        shrunk = shrink_cluster(small_cluster, [3])
-        database = SimulatedProfiler(shrunk, seed=0).profile(tiny_graph)
-        comparison = elastic_replan(
+        from repro.parallel import balanced_config
+
+        # Four one-device stages cannot shrink onto two devices.
+        deep = balanced_config(tiny_graph, small_cluster, 4)
+        assert adapt_config(
+            deep, tiny_graph, shrink_cluster(small_cluster, [3])
+        ) is None
+        (decision,) = ElasticController(
             tiny_graph,
-            shrunk,
-            [],  # nobody survived
-            database=database,
-            budget_per_count=BUDGET,
-        )
-        assert comparison.warm.feasible
+            small_cluster,
+            policy=ControllerPolicy(
+                replan_iterations=BUDGET["max_iterations"], measure=False
+            ),
+            initial_survivors=[(1.0, deep)],
+        ).run(self.device_loss(3)).decisions
+        # A balanced start, not a fallback rung, reaches the plan.
+        assert decision.action == "replan"
+        assert decision.fallback_rung is None
+        assert decision.feasible
+        assert decision.cluster_gpus == 2
