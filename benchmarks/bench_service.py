@@ -31,7 +31,7 @@ from repro.service import (
     STATUS_SERVED,
     FleetConfig,
     FleetRouter,
-    LocalReplicaClient,
+    InProcessReplica,
     PlanRequest,
     PlannerDaemon,
     synthetic_planner,
@@ -112,13 +112,11 @@ def test_service_latency_and_fleet_overhead():
         single.drain(timeout=10)
 
     replicas = {
-        f"r{i}": LocalReplicaClient(
-            PlannerDaemon(
-                planner=synthetic_planner(SEARCH_SECONDS),
-                workers=2,
-                queue_limit=64,
-            ).start()
-        )
+        f"r{i}": InProcessReplica(
+            f"r{i}",
+            planner=synthetic_planner(SEARCH_SECONDS),
+            daemon_kwargs={"workers": 2, "queue_limit": 64},
+        ).start()
         for i in range(FLEET_REPLICAS)
     }
     router = FleetRouter(
@@ -136,7 +134,7 @@ def test_service_latency_and_fleet_overhead():
             [r.fingerprint() for r in requests]
         )
     finally:
-        router.stop(close_replicas=True)
+        router.stop()
 
     cells = {
         "single_cold": _cell(cold_lat, cold_s),

@@ -1,13 +1,14 @@
 #!/usr/bin/env python
 """CI smoke test for the planner service (`repro-serve`).
 
-Boots the daemon as a real subprocess, fires concurrent plan requests
-at it — including one guaranteed worker crash (nonexistent model) and
-one sub-second deadline — and asserts that every request gets a
-well-formed terminal response (served / partial / rejected / failed),
-that nothing hangs, that an already-served ``/plan`` repeated on one
+Boots the service (a fleet of one replica) as a real subprocess, fires
+concurrent plan requests at it — including one guaranteed worker crash
+(nonexistent model) and one sub-second deadline — and asserts that
+every request gets a well-formed terminal response (served / partial /
+rejected / failed), that nothing hangs, that ``/healthz`` lists exactly
+one replica, that an already-served ``/plan`` repeated on one
 keep-alive connection answers in well under the ~40 ms a Nagle plus
-delayed-ACK stall would cost, and that the daemon drains cleanly on
+delayed-ACK stall would cost, and that the service drains cleanly on
 SIGTERM leaving a schema-valid run log behind for the build artifact.
 
 Run from the repository root: ``PYTHONPATH=src python scripts/service_smoke.py``
@@ -189,6 +190,11 @@ def main():
     print(f"healthz: {health['status']}")
     if health["status"] not in ("healthy", "degraded"):
         problems.append(f"bad healthz status: {health['status']!r}")
+    if list(health.get("replicas", {})) != ["replica-0"]:
+        problems.append(
+            f"healthz lists replicas {sorted(health.get('replicas', {}))}, "
+            "expected exactly replica-0"
+        )
 
     try:
         repeats = keep_alive_repeats(port, REQUESTS[0])

@@ -1152,45 +1152,60 @@ def trace_main(argv: Optional[List[str]] = None) -> int:
     return 0
 
 
-def serve_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of ``repro-serve``: the resilient planner daemon.
+def _serve(
+    argv: Optional[List[str]], *, prog: str, replicas: int, port: int
+) -> int:
+    """The one launcher behind ``repro-serve`` and ``repro-fleet``: boot
+    N in-process planner replicas, shard them behind a
+    :class:`FleetRouter`, and serve the JSON plan protocol on one port
+    until SIGTERM/SIGINT.
 
-    Serves the JSON plan protocol over HTTP until SIGTERM/SIGINT, then
-    drains gracefully: sheds the queue with ``retry_after``, cancels
-    in-flight deadlines so searches checkpoint at the next iteration
-    boundary, and exits — a restarted daemon re-admits the journaled
+    Then every replica drains for at most ``--drain-timeout`` seconds:
+    it sheds its queue with ``retry_after`` and cancels in-flight
+    deadlines, so searches checkpoint at the next iteration boundary.
+    A restart on the same ``--state-dir`` (``replica-<i>/`` per
+    replica, plus ``fleet.fleet.json``) re-admits the journaled
     requests and resumes their completed stage counts.
     """
     parser = argparse.ArgumentParser(
-        prog="repro-serve",
+        prog=prog,
         description="Anytime planner service: admission-controlled, "
-        "self-healing daemon over the Aceso search",
+        "self-healing planner replicas over the Aceso search, sharded "
+        "by consistent hashing with failover and hedged requests",
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
         "--port",
         type=int,
-        default=8347,
-        help="TCP port (0 picks a free one; default 8347)",
+        default=port,
+        help=f"TCP port (0 picks a free one; default {port})",
+    )
+    parser.add_argument(
+        "--replicas",
+        type=int,
+        default=replicas,
+        help=f"planner replicas behind the router (default {replicas})",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=2,
-        help="planner worker threads (default 2)",
+        help="planner worker threads per replica (default 2)",
     )
     parser.add_argument(
         "--queue-limit",
         type=int,
         default=8,
-        help="max queued requests before 429 rejection (default 8)",
+        help="per-replica queued requests before 429 rejection "
+        "(default 8)",
     )
     parser.add_argument(
         "--state-dir",
         default=None,
         metavar="DIR",
-        help="persist plans, checkpoints, and the request journal here "
-        "(enables crash/drain recovery)",
+        help="persist plans, checkpoints, and request journals here, "
+        "one replica-<i>/ directory per replica (enables crash/drain "
+        "recovery)",
     )
     parser.add_argument(
         "--breaker-threshold",
@@ -1232,153 +1247,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         type=float,
         default=30.0,
         metavar="SECONDS",
-        help="max wait for in-flight searches to checkpoint on "
-        "SIGTERM (default 30)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="run N planner replicas behind a fleet router instead of "
-        "one daemon (default 1)",
-    )
-    _add_telemetry_flags(parser)
-    args = parser.parse_args(argv)
-    if args.worker_memory_mb is not None and args.worker_memory_mb <= 0:
-        parser.error("--worker-memory-mb must be positive")
-    if args.replicas < 1:
-        parser.error("--replicas must be >= 1")
-    if args.replicas > 1:
-        return _run_fleet(args, prog="repro-serve")
-
-    import signal
-    import threading
-
-    from .service import PlannerDaemon, serve
-
-    with _telemetry(args):
-        daemon = PlannerDaemon(
-            workers=args.workers,
-            queue_limit=args.queue_limit,
-            breaker_threshold=args.breaker_threshold,
-            breaker_reset_seconds=args.breaker_reset,
-            state_dir=args.state_dir,
-            search_workers=args.search_workers,
-            timeout_per_count=args.timeout_per_count,
-            worker_memory_mb=args.worker_memory_mb,
-        ).start()
-        server = serve(daemon, host=args.host, port=args.port)
-
-        def _handle_signal(signum, _frame):
-            # serve_forever runs in this (main) thread; shutdown() must
-            # come from another one or it deadlocks on its own loop.
-            threading.Thread(
-                target=server.shutdown, daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, _handle_signal)
-        signal.signal(signal.SIGINT, _handle_signal)
-        host, port = server.server_address[:2]
-        print(
-            f"repro-serve: listening on http://{host}:{port}",
-            flush=True,
-        )
-        try:
-            server.serve_forever(poll_interval=0.2)
-        finally:
-            daemon.drain(timeout=args.drain_timeout)
-            server.server_close()
-    return 0
-
-
-def _run_fleet(args, *, prog: str) -> int:
-    """Shared launcher behind ``repro-fleet`` and
-    ``repro-serve --replicas N``: boot N in-process planner replicas,
-    shard them behind a :class:`FleetRouter`, serve the same JSON
-    protocol on one port."""
-    import signal
-    import threading
-    from pathlib import Path
-
-    from .service import FleetConfig, FleetRouter, InProcessReplica, \
-        serve_fleet
-
-    state_root = Path(args.state_dir) if args.state_dir else None
-    config = FleetConfig(
-        vnodes=getattr(args, "vnodes", 128),
-        retries=getattr(args, "retries", 1),
-        hedge_factor=getattr(args, "hedge_factor", 1.5),
-        seed=getattr(args, "seed", 0),
-    )
-    with _telemetry(args):
-        replicas = {}
-        for index in range(args.replicas):
-            name = f"replica-{index}"
-            replicas[name] = InProcessReplica(
-                name,
-                state_dir=state_root / name if state_root else None,
-                daemon_kwargs={
-                    "workers": args.workers,
-                    "queue_limit": args.queue_limit,
-                    "breaker_threshold": args.breaker_threshold,
-                    "breaker_reset_seconds": args.breaker_reset,
-                    "search_workers": args.search_workers,
-                    "timeout_per_count": args.timeout_per_count,
-                    "worker_memory_mb": args.worker_memory_mb,
-                },
-            ).start()
-        router = FleetRouter(
-            replicas,
-            config=config,
-            state_path=(
-                state_root / "fleet.fleet.json" if state_root else None
-            ),
-        ).start()
-        server = serve_fleet(router, host=args.host, port=args.port)
-
-        def _handle_signal(signum, _frame):
-            threading.Thread(
-                target=server.shutdown, daemon=True
-            ).start()
-
-        signal.signal(signal.SIGTERM, _handle_signal)
-        signal.signal(signal.SIGINT, _handle_signal)
-        host, port = server.server_address[:2]
-        print(
-            f"{prog}: fleet of {args.replicas} replicas listening on "
-            f"http://{host}:{port}",
-            flush=True,
-        )
-        try:
-            server.serve_forever(poll_interval=0.2)
-        finally:
-            router.stop(close_replicas=True)
-            server.server_close()
-    return 0
-
-
-def fleet_main(argv: Optional[List[str]] = None) -> int:
-    """Entry point of ``repro-fleet``: N planner replicas behind a
-    consistent-hash router with failover, hedging, coalescing, and
-    graceful degradation — one port, same JSON protocol as
-    ``repro-serve``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-fleet",
-        description="Resilient planner fleet: consistent-hash sharding "
-        "across N planner replicas with failover and hedged requests",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port",
-        type=int,
-        default=8348,
-        help="TCP port (0 picks a free one; default 8348)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=2,
-        help="planner replicas behind the router (default 2)",
+        help="max wait for each replica's in-flight searches to "
+        "checkpoint on SIGTERM (default 30)",
     )
     parser.add_argument(
         "--vnodes",
@@ -1405,49 +1275,86 @@ def fleet_main(argv: Optional[List[str]] = None) -> int:
         default=0,
         help="seed for the deterministic retry jitter (default 0)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=2,
-        help="planner worker threads per replica (default 2)",
-    )
-    parser.add_argument(
-        "--queue-limit", type=int, default=8,
-        help="per-replica queued requests before 429 (default 8)",
-    )
-    parser.add_argument(
-        "--state-dir",
-        default=None,
-        metavar="DIR",
-        help="root directory for per-replica state and the fleet "
-        "state artifact",
-    )
-    parser.add_argument(
-        "--breaker-threshold", type=int, default=3,
-        help="consecutive failures before a config's breaker opens",
-    )
-    parser.add_argument(
-        "--breaker-reset", type=float, default=30.0, metavar="SECONDS",
-        help="open-breaker cool-down before a half-open probe",
-    )
-    parser.add_argument(
-        "--search-workers", type=int, default=1,
-        help="stage-count subprocesses per request (default 1)",
-    )
-    parser.add_argument(
-        "--timeout-per-count", type=float, default=None,
-        metavar="SECONDS",
-        help="kill and retry any stage-count worker exceeding this",
-    )
-    parser.add_argument(
-        "--worker-memory-mb", type=float, default=None, metavar="MB",
-        help="address-space cap per stage-count worker",
-    )
     _add_telemetry_flags(parser)
     args = parser.parse_args(argv)
     if args.replicas < 1:
         parser.error("--replicas must be >= 1")
     if args.worker_memory_mb is not None and args.worker_memory_mb <= 0:
         parser.error("--worker-memory-mb must be positive")
-    return _run_fleet(args, prog="repro-fleet")
+
+    import signal
+    import threading
+    from pathlib import Path
+
+    from .service.fleet import FleetConfig, FleetRouter, InProcessReplica
+    from .service.httpd import serve
+
+    state_root = Path(args.state_dir) if args.state_dir else None
+    config = FleetConfig(
+        vnodes=args.vnodes,
+        retries=args.retries,
+        hedge_factor=args.hedge_factor,
+        seed=args.seed,
+    )
+    with _telemetry(args):
+        fleet = {}
+        for index in range(args.replicas):
+            name = f"replica-{index}"
+            fleet[name] = InProcessReplica(
+                name,
+                state_dir=state_root / name if state_root else None,
+                daemon_kwargs={
+                    "workers": args.workers,
+                    "queue_limit": args.queue_limit,
+                    "breaker_threshold": args.breaker_threshold,
+                    "breaker_reset_seconds": args.breaker_reset,
+                    "search_workers": args.search_workers,
+                    "timeout_per_count": args.timeout_per_count,
+                    "worker_memory_mb": args.worker_memory_mb,
+                },
+            ).start()
+        router = FleetRouter(
+            fleet,
+            config=config,
+            state_path=(
+                state_root / "fleet.fleet.json" if state_root else None
+            ),
+        ).start()
+        server = serve(router, host=args.host, port=args.port)
+
+        def _handle_signal(signum, _frame):
+            # serve_forever runs in this (main) thread; shutdown() must
+            # come from another one or it deadlocks on its own loop.
+            threading.Thread(
+                target=server.shutdown, daemon=True
+            ).start()
+
+        signal.signal(signal.SIGTERM, _handle_signal)
+        signal.signal(signal.SIGINT, _handle_signal)
+        host, bound = server.server_address[:2]
+        print(
+            f"{prog}: {args.replicas} replica(s) listening on "
+            f"http://{host}:{bound}",
+            flush=True,
+        )
+        try:
+            server.serve_forever(poll_interval=0.2)
+        finally:
+            router.stop(drain_timeout=args.drain_timeout)
+            server.server_close()
+    return 0
+
+
+def serve_main(argv: Optional[List[str]] = None) -> int:
+    """Entry point of ``repro-serve``: the planner service, a fleet of
+    one replica on port 8347 by default (``--replicas N`` for more)."""
+    return _serve(argv, prog="repro-serve", replicas=1, port=8347)
+
+
+def fleet_main(argv: Optional[List[str]] = None) -> int:
+    """Entry point of ``repro-fleet``: the same service with two
+    replicas on port 8348 by default."""
+    return _serve(argv, prog="repro-fleet", replicas=2, port=8348)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,8 +1,7 @@
-"""Resilient planner service: anytime search behind an
-admission-controlled, self-healing daemon — and a fleet of them.
+"""Resilient planner service: anytime search behind admission-controlled,
+self-healing daemons, served as a fleet of one or more.
 
-Every piece is usable as a library on its own — the daemon is just the
-composition:
+Every piece is usable as a library on its own:
 
 - :class:`~repro.service.protocol.PlanRequest` /
   :class:`~repro.service.protocol.PlanResponse` — the JSON wire
@@ -15,14 +14,15 @@ composition:
   write-through persistence and explicit invalidation;
 - :func:`~repro.service.planner.plan_request` — one request through
   the crash-safe, deadline-aware stage-count search;
-- :class:`~repro.service.daemon.PlannerDaemon` — the composition, with
-  watchdog, request journal, coalescing, and SIGTERM drain;
-- :func:`~repro.service.httpd.serve` — the stdlib HTTP front-end
-  (``repro-serve``);
+- :class:`~repro.service.daemon.PlannerDaemon` — one replica: the
+  composition, with watchdog, request journal, coalescing, and drain;
 - :class:`~repro.service.ring.HashRing` /
-  :class:`~repro.service.fleet.FleetRouter` — consistent-hash sharding
-  across replicas with failover, hedging, and graceful degradation
-  (``repro-fleet``);
+  :class:`~repro.service.fleet.FleetRouter` /
+  :class:`~repro.service.fleet.InProcessReplica` — N ≥ 1 in-process
+  replicas sharded by consistent hashing, with failover, hedging, and
+  graceful degradation;
+- :func:`~repro.service.httpd.serve` — the stdlib HTTP front-end over
+  a router (``repro-serve`` is a fleet of one, ``repro-fleet`` of N);
 - :mod:`~repro.service.chaos` — the seeded kill/restart harness that
   proves the fleet loses nothing.
 """
@@ -34,15 +34,14 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "breaker": ("BreakerOpenError", "CircuitBreaker"),
     "cache": ("PlanCache",),
     "chaos": (
-        "ChaosEvent", "ChaosReport", "InProcessReplica", "run_chaos",
-        "seeded_schedule", "synthetic_planner",
+        "ChaosEvent", "ChaosReport", "run_chaos", "seeded_schedule",
+        "synthetic_planner",
     ),
     "daemon": ("PlannerDaemon", "Ticket", "TicketTimeout"),
     "fleet": (
-        "FleetConfig", "FleetHTTPServer", "FleetRouter", "HTTPReplicaClient",
-        "LocalReplicaClient", "ReplicaError", "serve_fleet",
+        "FleetConfig", "FleetRouter", "InProcessReplica", "ReplicaError",
     ),
-    "httpd": ("PlannerHTTPServer", "serve"),
+    "httpd": ("serve",),
     "planner": ("PlanOutcome", "plan_digest", "plan_request"),
     "protocol": (
         "PROTOCOL_VERSION", "PlanRequest", "PlanResponse", "ProtocolError",

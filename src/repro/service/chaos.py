@@ -8,15 +8,12 @@ cheap enough for CI:
   replica *by request index*, not wall-clock — replaying the same
   event list over the same request list injects the same faults at the
   same points regardless of machine speed;
-* :class:`InProcessReplica` hosts one :class:`PlannerDaemon` behind the
-  :class:`LocalReplicaClient` transport; ``kill`` flips the killed
-  flag (every subsequent call is a transport error, exactly what a
-  crashed process looks like to the router) and drains the daemon,
-  ``restart`` boots a fresh daemon on the same state directory so the
-  journal re-admission and warm disk cache paths are exercised too;
 * :func:`run_chaos` drives a request list through a
-  :class:`FleetRouter` over N such replicas while applying the event
-  schedule, then replays every unique request against a fresh
+  :class:`FleetRouter` over N
+  :class:`~repro.service.fleet.InProcessReplica` replicas while
+  applying the event schedule (``kill`` makes every call a transport
+  error, ``restart`` boots a fresh daemon on the same state
+  directory), then replays every unique request against a fresh
   single-daemon **oracle** and checks that each non-degraded fleet
   answer's plan digest is bit-identical to the oracle's.
 
@@ -36,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import FLEET_CHAOS_KILL, FLEET_CHAOS_RESTART
 from .daemon import PlannerDaemon
-from .fleet import FleetConfig, FleetRouter, LocalReplicaClient, ReplicaError
+from .fleet import FleetConfig, FleetRouter, InProcessReplica
 from .planner import PlanOutcome, plan_digest
 from .protocol import (
     STATUS_REJECTED,
@@ -153,86 +150,6 @@ def synthetic_planner(
         )
 
     return planner
-
-
-class InProcessReplica:
-    """One named replica: a daemon + local transport, kill/restartable.
-
-    Implements the replica-client protocol itself (delegating to the
-    live :class:`LocalReplicaClient`), so the router keeps one stable
-    client object across restarts.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        state_dir: Optional[Path] = None,
-        planner: Optional[Callable] = None,
-        daemon_kwargs: Optional[dict] = None,
-    ) -> None:
-        self.name = name
-        self.state_dir = Path(state_dir) if state_dir else None
-        self._planner = planner
-        self._daemon_kwargs = dict(daemon_kwargs or {})
-        self._client: Optional[LocalReplicaClient] = None
-
-    # -- lifecycle -----------------------------------------------------
-    def start(self) -> "InProcessReplica":
-        daemon = PlannerDaemon(
-            planner=self._planner,
-            state_dir=self.state_dir,
-            **self._daemon_kwargs,
-        ).start()
-        self._client = LocalReplicaClient(daemon)
-        return self
-
-    def kill(self) -> None:
-        """Crash: every subsequent call is a transport error."""
-        client = self._client
-        if client is None:
-            return
-        client.killed = True
-        # Quick drain so worker threads stop; journals stay on disk for
-        # the restarted daemon to re-admit.
-        client.daemon.drain(timeout=1.0)
-
-    def restart(self) -> None:
-        """Boot a fresh daemon on the same state directory (journal
-        re-admission + warm disk cache) and rejoin the fleet."""
-        self._client = None
-        self.start()
-
-    @property
-    def alive(self) -> bool:
-        return self._client is not None and not self._client.killed
-
-    def _live(self) -> LocalReplicaClient:
-        if self._client is None:
-            raise ReplicaError(f"replica {self.name} is not running")
-        return self._client
-
-    # -- replica-client protocol ---------------------------------------
-    def plan(self, payload: dict, timeout: float) -> PlanResponse:
-        return self._live().plan(payload, timeout)
-
-    def health(self) -> dict:
-        return self._live().health()
-
-    def ready(self) -> bool:
-        return self._live().ready()
-
-    def invalidate(self, *, gpus: Optional[int] = None) -> dict:
-        return self._live().invalidate(gpus=gpus)
-
-    def churn(self, event: dict) -> dict:
-        return self._live().churn(event)
-
-    def close(self) -> None:
-        client = self._client
-        self._client = None
-        if client is not None:
-            client.close()
 
 
 @dataclass
@@ -356,7 +273,7 @@ def run_chaos(
             except Exception:  # noqa: BLE001 - a lost request is data
                 responses.append(None)
     finally:
-        router.stop(close_replicas=True)
+        router.stop()
     # -- oracle comparison --------------------------------------------
     oracle_dir = state_root / "oracle" if state_root else None
     oracle = PlannerDaemon(

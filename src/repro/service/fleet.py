@@ -1,8 +1,11 @@
 """Planner fleet: shard, fail over, hedge, degrade — never lose a request.
 
-``FleetRouter`` fronts N planner replicas (:class:`PlannerDaemon`
-instances, in-process or remote over HTTP) and owns the resilience
-policy the single daemon cannot provide for itself:
+``FleetRouter`` fronts N ≥ 1 in-process planner replicas
+(:class:`InProcessReplica`, one :class:`PlannerDaemon` each) and owns
+the resilience policy the single daemon cannot provide for itself.
+Every ``repro-serve`` and ``repro-fleet`` run is such a fleet — one
+replica by default for ``repro-serve`` — behind the one HTTP front in
+:mod:`~repro.service.httpd`:
 
 * **sharding** — request fingerprints are consistent-hashed onto
   replicas (:class:`~repro.service.ring.HashRing`), so each replica's
@@ -24,7 +27,10 @@ policy the single daemon cannot provide for itself:
 * **shared cache tier** — fresh full plans are written through to a
   router-level :class:`PlanCache`, and ``/invalidate`` / ``/churn``
   fan out to every replica, demoting the shared entries to the stale
-  tier first.
+  tier first;
+* **health** — a poller keeps each replica's own ``health()`` report
+  (queue, breakers, cache), and the fleet reports ``degraded`` while
+  any replica is down or degraded itself.
 
 Every decision is a ``fleet.*`` telemetry event; the router also
 persists its membership + health view as a ``*.fleet.json`` artifact
@@ -33,18 +39,15 @@ persists its membership + health view as a ``*.fleet.json`` artifact
 
 from __future__ import annotations
 
-import json
 import queue
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
-from dataclasses import dataclass, field
-from http.server import ThreadingHTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..ioutil import write_json_atomic
 from ..telemetry import WARNING, get_bus
@@ -59,18 +62,10 @@ from ..telemetry.events import (
     FLEET_REQUEST_ROUTED,
     FLEET_START,
     FLEET_STOP,
-    SERVICE_HTTP_LISTEN,
 )
 from .cache import PlanCache
 from .daemon import PlannerDaemon
-from .httpd import JSONHandler
-from .protocol import (
-    STATUS_REJECTED,
-    STATUS_SERVED,
-    PlanRequest,
-    PlanResponse,
-    ProtocolError,
-)
+from .protocol import STATUS_REJECTED, STATUS_SERVED, PlanRequest, PlanResponse
 from .ring import HashRing
 
 #: Format marker for ``*.fleet.json`` state artifacts.
@@ -135,23 +130,7 @@ class FleetConfig:
             raise ValueError(problems[0])
 
     def to_json(self) -> dict:
-        return {
-            "vnodes": self.vnodes,
-            "retries": self.retries,
-            "backoff_base": self.backoff_base,
-            "backoff_cap": self.backoff_cap,
-            "request_timeout": self.request_timeout,
-            "hedge_factor": self.hedge_factor,
-            "hedge_min_seconds": self.hedge_min_seconds,
-            "load_weight": self.load_weight,
-            "degraded_deadline_seconds": self.degraded_deadline_seconds,
-            "health_interval": self.health_interval,
-            "down_after": self.down_after,
-            "cache_entries": self.cache_entries,
-            "stale_entries": self.stale_entries,
-            "retry_after_seconds": self.retry_after_seconds,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "FleetConfig":
@@ -162,111 +141,86 @@ class FleetConfig:
 
 
 # ----------------------------------------------------------------------
-# replica transports
+# replicas
 # ----------------------------------------------------------------------
-class LocalReplicaClient:
-    """In-process replica: wraps a :class:`PlannerDaemon` directly.
+class InProcessReplica:
+    """One named replica: a :class:`PlannerDaemon` called in-process.
 
-    ``killed`` simulates a crashed process — every call raises
-    :class:`ReplicaError` until the flag clears — which is how the
-    chaos harness injects deterministic transport failures.
+    ``kill`` simulates a crashed process: ``killed`` is set and every
+    later call raises :class:`ReplicaError` (exactly what a crash looks
+    like to the router) until ``restart`` boots a fresh daemon on the
+    same state directory, so journal re-admission and the warm disk
+    cache are exercised too.  The router keeps this one object across
+    restarts.
     """
 
-    def __init__(self, daemon: PlannerDaemon) -> None:
-        self.daemon = daemon
+    def __init__(
+        self,
+        name: str,
+        *,
+        state_dir: Optional[Path] = None,
+        planner: Optional[Callable] = None,
+        daemon_kwargs: Optional[dict] = None,
+    ) -> None:
+        self.name = name
+        self.state_dir = Path(state_dir) if state_dir else None
+        self._planner = planner
+        self._daemon_kwargs = dict(daemon_kwargs or {})
+        self.daemon: Optional[PlannerDaemon] = None
         self.killed = False
 
-    def _check(self) -> None:
-        if self.killed:
-            raise ReplicaError("replica killed")
+    # -- lifecycle -----------------------------------------------------
+    def start(self) -> "InProcessReplica":
+        self.daemon = PlannerDaemon(
+            planner=self._planner,
+            state_dir=self.state_dir,
+            **self._daemon_kwargs,
+        ).start()
+        self.killed = False
+        return self
 
+    def kill(self) -> None:
+        """Crash: every subsequent call is a transport error."""
+        if self.daemon is None:
+            return
+        self.killed = True
+        # Quick drain so worker threads stop; journals stay on disk for
+        # the restarted daemon to re-admit.
+        self.daemon.drain(timeout=1.0)
+
+    def restart(self) -> None:
+        """Boot a fresh daemon on the same state directory (journal
+        re-admission + warm disk cache) and rejoin the fleet."""
+        self.start()
+
+    def close(self, drain_timeout: Optional[float] = 5.0) -> None:
+        """Drain the live daemon for at most ``drain_timeout`` seconds."""
+        daemon, self.daemon = self.daemon, None
+        if daemon is not None and not self.killed:
+            daemon.drain(timeout=drain_timeout)
+
+    def _live(self) -> PlannerDaemon:
+        if self.killed:
+            raise ReplicaError(f"replica {self.name} killed")
+        if self.daemon is None:
+            raise ReplicaError(f"replica {self.name} is not running")
+        return self.daemon
+
+    # -- replica protocol (what the router calls) ----------------------
     def plan(self, payload: dict, timeout: float) -> PlanResponse:
-        self._check()
-        request = PlanRequest.from_json(payload)
-        response = self.daemon.submit(request, timeout=timeout)
-        self._check()  # killed mid-flight: the answer is lost
+        response = self._live().submit(PlanRequest.from_json(payload), timeout)
+        if self.killed:  # killed mid-flight: the answer is lost
+            raise ReplicaError(f"replica {self.name} killed")
         return response
 
     def health(self) -> dict:
-        self._check()
-        return self.daemon.health()
-
-    def ready(self) -> bool:
-        self._check()
-        return self.daemon.ready
+        return self._live().health()
 
     def invalidate(self, *, gpus: Optional[int] = None) -> dict:
-        self._check()
-        return {"dropped": self.daemon.invalidate_plans(gpus=gpus)}
+        return {"dropped": self._live().invalidate_plans(gpus=gpus)}
 
-    def churn(self, event: dict) -> dict:
-        self._check()
-        return self.daemon.apply_churn(event)
-
-    def close(self) -> None:
-        if not self.killed:
-            self.daemon.stop()
-
-
-class HTTPReplicaClient:
-    """Remote replica reached over the daemon's HTTP front-end."""
-
-    def __init__(self, base_url: str) -> None:
-        self.base_url = base_url.rstrip("/")
-
-    def _call(
-        self, method: str, path: str,
-        body: Optional[dict], timeout: float,
-    ) -> dict:
-        data = (
-            json.dumps(body).encode("utf-8") if body is not None else None
-        )
-        req = urllib.request.Request(
-            self.base_url + path,
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(req, timeout=timeout) as raw:
-                return json.loads(raw.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            # The daemon answered: 4xx/5xx bodies are protocol-level
-            # responses (rejected/failed), not transport failures.
-            try:
-                return json.loads(exc.read().decode("utf-8"))
-            except (OSError, ValueError) as parse_exc:
-                raise ReplicaError(
-                    f"HTTP {exc.code} with unparseable body"
-                ) from parse_exc
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            raise ReplicaError(f"{type(exc).__name__}: {exc}") from exc
-
-    def plan(self, payload: dict, timeout: float) -> PlanResponse:
-        data = self._call("POST", "/plan", payload, timeout)
-        try:
-            return PlanResponse.from_json(data)
-        except ProtocolError as exc:
-            raise ReplicaError(f"malformed response: {exc}") from exc
-
-    def health(self) -> dict:
-        return self._call("GET", "/healthz", None, 5.0)
-
-    def ready(self) -> bool:
-        try:
-            return bool(self._call("GET", "/readyz", None, 5.0)["ready"])
-        except (ReplicaError, KeyError):
-            return False
-
-    def invalidate(self, *, gpus: Optional[int] = None) -> dict:
-        body = {} if gpus is None else {"gpus": gpus}
-        return self._call("POST", "/invalidate", body, 10.0)
-
-    def churn(self, event: dict) -> dict:
-        return self._call("POST", "/churn", event, 10.0)
-
-    def close(self) -> None:
-        pass
+    def churn(self, event) -> dict:
+        return self._live().apply_churn(event)
 
 
 @dataclass
@@ -276,7 +230,8 @@ class _ReplicaState:
     client: object
     healthy: bool = True
     consecutive_failures: int = 0
-    queue_depth: int = 0
+    #: The replica's own last polled ``health()`` report.
+    health: dict = field(default_factory=dict)
     latencies: deque = field(default_factory=lambda: deque(maxlen=64))
 
 
@@ -323,6 +278,7 @@ class FleetRouter:
             vnodes=self.config.vnodes,
         )
         self._stop.clear()
+        self._poll()
         self._poller = threading.Thread(
             target=self._poll_loop, name="fleet-health", daemon=True
         )
@@ -330,14 +286,20 @@ class FleetRouter:
         self.save_state()
         return self
 
-    def stop(self, *, close_replicas: bool = True) -> None:
+    def stop(self, *, drain_timeout: Optional[float] = 5.0) -> None:
+        """Stop polling and drain every replica at once, each for at
+        most ``drain_timeout`` seconds."""
         self._stop.set()
         if self._poller is not None:
             self._poller.join(timeout=2.0)
             self._poller = None
-        if close_replicas:
-            for state in self._replicas.values():
-                state.client.close()
+        with ThreadPoolExecutor(max_workers=len(self._replicas)) as pool:
+            closing = [
+                pool.submit(state.client.close, drain_timeout)
+                for state in self._replicas.values()
+            ]
+            for future in closing:
+                future.result()
         self.save_state()
         get_bus().emit(FLEET_STOP, source="fleet", **dict(self.counters))
 
@@ -557,15 +519,13 @@ class FleetRouter:
     def _call(
         self, name: str, payload: dict, *, timeout: float
     ) -> PlanResponse:
-        with self._lock:
-            client = self._replicas[name].client
+        state = self._replicas[name]
         started = time.monotonic()
-        response = client.plan(payload, timeout)
+        response = state.client.plan(payload, timeout)
         elapsed = time.monotonic() - started
         with self._lock:
-            state = self._replicas[name]
             state.latencies.append(elapsed)
-        self._mark(name, healthy=True)
+        self._note_success(name)
         response.replica = name
         return response
 
@@ -655,15 +615,16 @@ class FleetRouter:
         """Seconds to wait on ``name`` before racing its backup, from
         its own observed p99 scaled by its polled queue depth —
         ``None`` (never hedge) until enough latency history exists."""
+        state = self._replicas[name]
         with self._lock:
-            state = self._replicas.get(name)
-            if state is None or len(state.latencies) < 8:
+            if len(state.latencies) < 8:
                 return None
             ordered = sorted(state.latencies)
             p99 = ordered[min(
                 len(ordered) - 1, int(0.99 * (len(ordered) - 1))
             )]
-            load = 1.0 + state.queue_depth * self.config.load_weight
+            queue_depth = state.health.get("queue_depth", 0)
+            load = 1.0 + queue_depth * self.config.load_weight
         return max(
             self.config.hedge_min_seconds,
             p99 * self.config.hedge_factor * load,
@@ -683,10 +644,8 @@ class FleetRouter:
             [n for n in ladder if n not in healthy]
 
     def _note_failure(self, name: str) -> None:
+        state = self._replicas[name]
         with self._lock:
-            state = self._replicas.get(name)
-            if state is None:
-                return
             state.consecutive_failures += 1
             flip = (
                 state.healthy
@@ -703,14 +662,9 @@ class FleetRouter:
             )
             self.save_state()
 
-    def _mark(self, name: str, *, healthy: bool) -> None:
-        if not healthy:
-            self._note_failure(name)
-            return
+    def _note_success(self, name: str) -> None:
+        state = self._replicas[name]
         with self._lock:
-            state = self._replicas.get(name)
-            if state is None:
-                return
             flip = not state.healthy
             state.healthy = True
             state.consecutive_failures = 0
@@ -720,26 +674,19 @@ class FleetRouter:
 
     def _poll_loop(self) -> None:
         while not self._stop.wait(self.config.health_interval):
+            self._poll()
+
+    def _poll(self) -> None:
+        """One health round: keep each replica's own report."""
+        for name, state in self._replicas.items():
+            try:
+                health = state.client.health()
+            except ReplicaError:
+                self._note_failure(name)
+                continue
             with self._lock:
-                names = list(self._replicas)
-            for name in names:
-                with self._lock:
-                    state = self._replicas.get(name)
-                    client = state.client if state else None
-                if client is None:
-                    continue
-                try:
-                    health = client.health()
-                except ReplicaError:
-                    self._note_failure(name)
-                    continue
-                with self._lock:
-                    state = self._replicas.get(name)
-                    if state is not None:
-                        state.queue_depth = int(
-                            health.get("queue_depth", 0)
-                        )
-                self._mark(name, healthy=True)
+                state.health = health
+            self._note_success(name)
 
     # -- shared cache tier ---------------------------------------------
     def _demote_to_stale(self) -> int:
@@ -761,7 +708,7 @@ class FleetRouter:
             dropped = self.cache.invalidate(
                 lambda _fp, entry: entry.get("gpus") == gpus
             )
-        per_replica = self._fanout("invalidate", {"gpus": gpus})
+        per_replica = self._fanout("invalidate", gpus)
         return {
             "dropped": dropped,
             "demoted": demoted,
@@ -769,7 +716,12 @@ class FleetRouter:
         }
 
     def churn(self, event: dict) -> dict:
-        """Fold one churn event into the whole fleet."""
+        """Fold one churn event into the whole fleet.  A malformed event
+        raises :class:`~repro.lint.diagnostics.ArtifactError` before any
+        tier is touched."""
+        from ..elastic.timeline import ChurnEvent
+
+        event = ChurnEvent.from_dict(event)
         demoted = self._demote_to_stale()
         dropped = self.cache.invalidate()
         per_replica = self._fanout("churn", event)
@@ -779,15 +731,12 @@ class FleetRouter:
             "replicas": per_replica,
         }
 
-    def _fanout(self, op: str, body: dict) -> dict:
-        with self._lock:
-            targets = list(self._replicas.items())
+    def _fanout(self, op: str, body) -> dict:
         outcomes = {}
-        for name, state in targets:
+        for name, state in self._replicas.items():
             try:
                 if op == "invalidate":
-                    gpus = body.get("gpus")
-                    outcomes[name] = state.client.invalidate(gpus=gpus)
+                    outcomes[name] = state.client.invalidate(gpus=body)
                 else:
                     outcomes[name] = state.client.churn(body)
             except ReplicaError as exc:
@@ -806,21 +755,29 @@ class FleetRouter:
 
     # -- introspection / persistence -----------------------------------
     def fleet_health(self) -> dict:
+        """``/healthz``: ``down`` with no replica up, ``degraded`` while
+        any replica is down or reports itself degraded (open breaker,
+        saturated queue, draining), else ``healthy``."""
         with self._lock:
             replicas = {
                 name: {
                     "healthy": state.healthy,
                     "consecutive_failures": state.consecutive_failures,
-                    "queue_depth": state.queue_depth,
+                    "queue_depth": state.health.get("queue_depth", 0),
                     "observed_calls": len(state.latencies),
+                    "health": state.health,
                 }
                 for name, state in self._replicas.items()
             }
             counters = dict(self.counters)
         healthy = sum(1 for r in replicas.values() if r["healthy"])
+        degraded = healthy < len(replicas) or any(
+            r["health"].get("status") == "degraded"
+            for r in replicas.values()
+        )
         return {
-            "status": "healthy" if healthy == len(replicas)
-            else ("degraded" if healthy else "down"),
+            "status": "down" if not healthy
+            else ("degraded" if degraded else "healthy"),
             "replicas": replicas,
             "counters": counters,
             "cache": self.cache.stats(),
@@ -838,11 +795,7 @@ class FleetRouter:
             return None
         with self._lock:
             replicas = [
-                {
-                    "name": name,
-                    "healthy": state.healthy,
-                    "address": getattr(state.client, "base_url", None),
-                }
+                {"name": name, "healthy": state.healthy}
                 for name, state in sorted(self._replicas.items())
             ]
         return write_json_atomic(self.state_path, {
@@ -850,59 +803,3 @@ class FleetRouter:
             "fleet": self.config.to_json(),
             "replicas": replicas,
         })
-
-
-# ----------------------------------------------------------------------
-# HTTP front-end
-# ----------------------------------------------------------------------
-class FleetHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to a :class:`FleetRouter`."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-    request_queue_size = 64
-
-    def __init__(self, address, router: FleetRouter) -> None:
-        super().__init__(address, _FleetHandler)
-        self.fleet_router = router
-
-
-class _FleetHandler(JSONHandler):
-    telemetry_source = "fleet"
-
-    @property
-    def _router(self) -> FleetRouter:
-        return self.server.fleet_router  # type: ignore[attr-defined]
-
-    def _health(self) -> dict:
-        return self._router.fleet_health()
-
-    def _ready(self) -> bool:
-        return self._router.ready
-
-    def _submit(self, request: PlanRequest):
-        return self._router.submit(request)
-
-    def _invalidate(self, gpus: Optional[int]) -> dict:
-        return self._router.invalidate(gpus=gpus)
-
-    def _churn(self, body: dict) -> dict:
-        return self._router.churn(body)
-
-
-def serve_fleet(
-    router: FleetRouter,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8348,
-) -> FleetHTTPServer:
-    """Bind (without blocking) and return the server; the caller runs
-    ``serve_forever`` and owns shutdown ordering."""
-    server = FleetHTTPServer((host, port), router)
-    get_bus().emit(
-        SERVICE_HTTP_LISTEN,
-        source="fleet",
-        host=host,
-        port=server.server_address[1],
-    )
-    return server

@@ -1,40 +1,43 @@
-"""HTTP front-end for the planner daemon and fleet router (stdlib only).
+"""HTTP front-end of the planner fleet (stdlib only).
 
-A thin :mod:`http.server` layer over :class:`PlannerDaemon` (and, via
-the same :class:`JSONHandler`, the fleet router) — all policy
-(admission, breaker, cache, deadlines) lives behind it; this module
-only maps the JSON protocol onto status codes:
+A thin :mod:`http.server` layer over one
+:class:`~repro.service.fleet.FleetRouter` — ``repro-serve`` is a fleet
+of one replica, ``repro-fleet`` of N.  All policy (admission, breaker,
+cache, deadlines, failover) lives behind the router; this module only
+maps the JSON protocol onto status codes:
 
 ==========================  =====================================
 ``POST /plan``              200 served/partial, 400 bad request,
                             429 rejected (+ ``Retry-After``),
                             500 failed
 ``GET /healthz``            always 200; body carries
-                            healthy/degraded detail
-``GET /readyz``             200 ready / 503 draining or stopped
-``POST /invalidate``        200, body ``{"dropped": N}``
-``POST /churn``             200, body ``{"kind", "dropped"}``;
-                            400 invalid event
+                            healthy/degraded/down and each
+                            replica's own queue, breaker and
+                            cache state
+``GET /readyz``             200 ready / 503 no replica up
+``POST /invalidate``        200, body ``{"dropped", "demoted",
+                            "replicas": {name: {"dropped"}}}``
+``POST /churn``             200, body ``{"dropped", "demoted",
+                            "replicas": {name: {"kind",
+                            "dropped"}}}``; 400 invalid event
 ==========================  =====================================
 
 ``ThreadingHTTPServer`` gives one thread per connection, so a slow
-search never blocks ``/healthz`` — the daemon's own worker pool and
+search never blocks ``/healthz`` — each replica's worker pool and
 admission queue bound the actual planning concurrency.  Connections are
-HTTP/1.1 keep-alive with ``TCP_NODELAY`` set (``JSONHandler``, shared
-with the fleet front): the handler writes headers and body separately,
-and without it Nagle holds the body until the client's delayed ACK,
-about 40 ms per request.
+HTTP/1.1 keep-alive with ``TCP_NODELAY`` set: the handler writes
+headers and body separately, and without it Nagle holds the body until
+the client's delayed ACK, about 40 ms per request.
 """
 
 from __future__ import annotations
 
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..telemetry import get_bus
 from ..telemetry.events import SERVICE_HTTP_ACCESS, SERVICE_HTTP_LISTEN
-from .daemon import PlannerDaemon
 from .protocol import (
     STATUS_REJECTED,
     STATUS_SERVED,
@@ -42,6 +45,9 @@ from .protocol import (
     ProtocolError,
     PlanRequest,
 )
+
+if TYPE_CHECKING:
+    from .fleet import FleetRouter
 
 _STATUS_CODES = {
     STATUS_SERVED: 200,
@@ -61,8 +67,8 @@ def response_status_code(response) -> int:
     return code
 
 
-class PlannerHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to a :class:`PlannerDaemon`."""
+class PlanHTTPServer(ThreadingHTTPServer):
+    """HTTP server bound to a :class:`FleetRouter`."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -71,33 +77,32 @@ class PlannerHTTPServer(ThreadingHTTPServer):
     # clamps this to somaxconn.
     request_queue_size = 64
 
-    def __init__(self, address, daemon: PlannerDaemon) -> None:
-        super().__init__(address, _Handler)
-        self.planner_daemon = daemon
+    def __init__(self, address, router: "FleetRouter") -> None:
+        super().__init__(address, JSONHandler)
+        self.router = router
 
 
 class JSONHandler(BaseHTTPRequestHandler):
-    """The JSON-over-HTTP front shared by the daemon and the fleet
-    router: the route table above, telemetry access log and typed
-    bodies.  Subclasses bind the routes to their backend through the
-    ``_health`` / ``_ready`` / ``_submit`` / ``_invalidate`` /
-    ``_churn`` hooks."""
+    """The route table above, a telemetry access log and typed bodies,
+    each route one call on the server's router."""
 
     protocol_version = "HTTP/1.1"
     #: ``TCP_NODELAY`` on every keep-alive connection (module docstring).
     disable_nagle_algorithm = True
-    #: Telemetry source tag for access-log events.
-    telemetry_source = "service"
+
+    @property
+    def _router(self) -> "FleetRouter":
+        return self.server.router  # type: ignore[attr-defined]
 
     def log_message(self, fmt: str, *args) -> None:
         # Route access logs onto the telemetry bus instead of stderr so
-        # the daemon run log is the single source of truth; format
-        # nothing when no sink keeps the event.
+        # the run log is the single source of truth; format nothing
+        # when no sink keeps the event.
         bus = get_bus()
         if bus.wants(SERVICE_HTTP_ACCESS):
             bus.emit(
                 SERVICE_HTTP_ACCESS,
-                source=self.telemetry_source,
+                source="service",
                 client=self.address_string(),
                 line=fmt % args,
             )
@@ -126,9 +131,9 @@ class JSONHandler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         if self.path == "/healthz":
-            self._send_json(200, self._health())
+            self._send_json(200, self._router.fleet_health())
         elif self.path == "/readyz":
-            ready = self._ready()
+            ready = self._router.ready
             self._send_json(200 if ready else 503, {"ready": ready})
         else:
             self._send_json(404, {"error": f"no such path: {self.path}"})
@@ -149,7 +154,7 @@ class JSONHandler(BaseHTTPRequestHandler):
         except (ProtocolError, ValueError) as exc:
             self._send_json(400, {"error": str(exc)})
             return
-        response = self._submit(request)
+        response = self._router.submit(request)
         self._send_json(
             response_status_code(response),
             response.to_json(),
@@ -166,49 +171,28 @@ class JSONHandler(BaseHTTPRequestHandler):
         if gpus is not None and not isinstance(gpus, int):
             self._send_json(400, {"error": "gpus must be an integer"})
             return
-        self._send_json(200, self._invalidate(gpus))
+        self._send_json(200, self._router.invalidate(gpus=gpus))
 
     def _handle_churn(self) -> None:
         """One churn event (``ChurnEvent`` JSON): stale plans drop,
         service keeps answering ``/plan`` against the new conditions."""
         try:
-            result = self._churn(self._read_body())
+            result = self._router.churn(self._read_body())
         except ValueError as exc:  # ProtocolError, ArtifactError
             self._send_json(400, {"error": str(exc)})
             return
         self._send_json(200, result)
 
 
-class _Handler(JSONHandler):
-    @property
-    def _daemon(self) -> PlannerDaemon:
-        return self.server.planner_daemon  # type: ignore[attr-defined]
-
-    def _health(self) -> dict:
-        return self._daemon.health()
-
-    def _ready(self) -> bool:
-        return self._daemon.ready
-
-    def _submit(self, request: PlanRequest):
-        return self._daemon.submit(request)
-
-    def _invalidate(self, gpus: Optional[int]) -> dict:
-        return {"dropped": self._daemon.invalidate_plans(gpus=gpus)}
-
-    def _churn(self, body: dict) -> dict:
-        return self._daemon.apply_churn(body)
-
-
 def serve(
-    daemon: PlannerDaemon,
+    router: "FleetRouter",
     *,
     host: str = "127.0.0.1",
     port: int = 8347,
-) -> PlannerHTTPServer:
+) -> PlanHTTPServer:
     """Bind (without blocking) and return the server; the caller runs
     ``serve_forever`` and owns shutdown ordering."""
-    server = PlannerHTTPServer((host, port), daemon)
+    server = PlanHTTPServer((host, port), router)
     get_bus().emit(
         SERVICE_HTTP_LISTEN,
         source="service",

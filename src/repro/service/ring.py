@@ -79,15 +79,8 @@ class HashRing:
         self._points = [point for point, _ in kept]
         self._owners = [owner for _, owner in kept]
 
-    @property
-    def nodes(self) -> frozenset:
-        return frozenset(self._nodes)
-
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def __contains__(self, node: str) -> bool:
-        return node in self._nodes
 
     # -- lookup --------------------------------------------------------
     def node_for(self, key: str) -> str:

@@ -764,24 +764,10 @@ class TestChurnLint:
 class TestChurnServing:
     @pytest.fixture()
     def server(self, tmp_path):
-        from repro.service import PlannerDaemon, serve
-        from test_service import quick_planner
+        from test_service import fleet_of_one, quick_planner
 
-        daemon = PlannerDaemon(
-            planner=quick_planner, workers=2, queue_limit=8,
-            state_dir=tmp_path,
-        ).start()
-        http_server = serve(daemon, host="127.0.0.1", port=0)
-        thread = threading.Thread(
-            target=http_server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        thread.start()
-        yield http_server, daemon
-        http_server.shutdown()
-        daemon.drain(timeout=5)
-        http_server.server_close()
+        with fleet_of_one(tmp_path, quick_planner) as (http_server, replica):
+            yield http_server, replica.daemon
 
     def post(self, server, path, payload):
         port = server.server_address[1]
@@ -816,7 +802,9 @@ class TestChurnServing:
             {"time": 1.0, "kind": "node_preempt", "node_id": 0},
         )
         assert code == 200
-        assert body == {"kind": "node_preempt", "dropped": 1}
+        assert body["replicas"]["replica-0"] == {
+            "kind": "node_preempt", "dropped": 1,
+        }
         assert len(daemon.cache) == 0
 
     def test_invalid_churn_event_is_a_client_error(self, server):
@@ -826,6 +814,22 @@ class TestChurnServing:
         )
         assert code == 400
         assert "error" in body
+
+    def test_invalid_churn_event_leaves_every_cache_alone(self, server):
+        http_server, daemon = server
+        request = {"model": "m", "gpus": 4}
+        code, first = self.post(http_server, "/plan", request)
+        assert code == 200 and not first["cached"]
+        code, _ = self.post(
+            http_server, "/churn", {"time": 1.0, "kind": "meteor_strike"}
+        )
+        assert code == 400
+        assert len(daemon.cache) == 1
+        code, again = self.post(http_server, "/plan", request)
+        assert code == 200
+        assert again["cached"] and again["plan"] == first["plan"]
+        # Answered by the router's shared tier, not the replica's.
+        assert again["replica"] is None
 
     def test_requests_survive_concurrent_churn(self, server):
         """The chaos assertion: every /plan in flight during a churn

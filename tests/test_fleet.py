@@ -38,7 +38,7 @@ from repro.service import (
     FleetRouter,
     HashRing,
     InProcessReplica,
-    LocalReplicaClient,
+    PlanOutcome,
     PlanRequest,
     PlanResponse,
     PlannerDaemon,
@@ -46,7 +46,7 @@ from repro.service import (
     plan_digest,
     run_chaos,
     seeded_schedule,
-    serve_fleet,
+    serve,
     synthetic_planner,
 )
 from repro.telemetry import CallbackSink, TelemetryBus, using_bus
@@ -274,7 +274,7 @@ class ScriptedClient:
     def churn(self, event):
         return {"dropped": 0}
 
-    def close(self):
+    def close(self, drain_timeout=None):
         pass
 
 
@@ -302,15 +302,15 @@ def _fleet_config(**overrides):
 # ----------------------------------------------------------------------
 class TestFleetRouter:
     def _local_fleet(self, tmp_path, n=2, delay=0.0, **config):
-        replicas = {}
-        for i in range(n):
-            daemon = PlannerDaemon(
-                planner=synthetic_planner(delay),
-                workers=2,
-                queue_limit=8,
+        replicas = {
+            f"r{i}": InProcessReplica(
+                f"r{i}",
                 state_dir=tmp_path / f"r{i}",
+                planner=synthetic_planner(delay),
+                daemon_kwargs={"workers": 2, "queue_limit": 8},
             ).start()
-            replicas[f"r{i}"] = LocalReplicaClient(daemon)
+            for i in range(n)
+        }
         router = FleetRouter(
             replicas,
             config=_fleet_config(**config),
@@ -494,6 +494,99 @@ class TestFleetRouter:
             assert router.ready
         finally:
             router.stop()
+
+    def test_fleet_health_folds_in_replica_health(self):
+        """A replica that is up but reports itself degraded (open
+        breaker, saturated queue) degrades the fleet; its own report
+        and queue depth come from the poll."""
+
+        class Degraded(ScriptedClient):
+            def health(self):
+                return {"status": "degraded", "queue_depth": 3}
+
+        router = FleetRouter(
+            {"a": ScriptedClient(None), "b": Degraded(None)},
+            config=_fleet_config(),
+        ).start()
+        try:
+            health = router.fleet_health()
+            assert health["status"] == "degraded"
+            assert health["replicas"]["b"]["healthy"]
+            assert health["replicas"]["b"]["queue_depth"] == 3
+            assert health["replicas"]["b"]["health"]["status"] == (
+                "degraded"
+            )
+            assert health["replicas"]["a"]["queue_depth"] == 0
+        finally:
+            router.stop()
+
+    def test_stop_drains_every_replica_and_keeps_journals(
+        self, tmp_path, bus_events, monkeypatch
+    ):
+        """``stop(drain_timeout=…)`` reaches each replica's drain while
+        each holds one blocked search: every replica drains, and every
+        interrupted request stays journaled for a restart."""
+        started = threading.Semaphore(0)
+
+        def blocked_planner(request, *, deadline=None,
+                            checkpoint_path=None):
+            started.release()
+            while not deadline.cancelled:
+                time.sleep(0.005)
+            return PlanOutcome(plan={"cut": True}, objective=1.0,
+                               partial=True)
+
+        timeouts = []
+        real_drain = PlannerDaemon.drain
+
+        def recording_drain(daemon, timeout=30.0):
+            timeouts.append(timeout)
+            return real_drain(daemon, timeout)
+
+        monkeypatch.setattr(PlannerDaemon, "drain", recording_drain)
+        replicas = {
+            name: InProcessReplica(
+                name,
+                state_dir=tmp_path / name,
+                planner=blocked_planner,
+                daemon_kwargs={"workers": 1, "queue_limit": 4},
+            ).start()
+            for name in ("r0", "r1")
+        }
+        router = FleetRouter(
+            dict(replicas), config=_fleet_config()
+        ).start()
+        owned = {}
+        index = 0
+        while len(owned) < len(replicas):
+            request = _request(model=f"m{index}")
+            owned.setdefault(
+                router.ring.node_for(request.fingerprint()), request
+            )
+            index += 1
+        answers = []
+        clients = [
+            threading.Thread(
+                target=lambda r=request: answers.append(router.submit(r))
+            )
+            for request in owned.values()
+        ]
+        for client in clients:
+            client.start()
+        for _ in clients:
+            assert started.acquire(timeout=10)
+        router.stop(drain_timeout=7.5)
+        for client in clients:
+            client.join(timeout=10)
+        assert timeouts == [7.5, 7.5]
+        ends = [e for e in bus_events if e.name == "service.drain.end"]
+        assert [e.attrs["in_flight_interrupted"] for e in ends] == [1, 1]
+        assert sorted(a.status for a in answers) == [
+            STATUS_PARTIAL, STATUS_PARTIAL,
+        ]
+        for name, request in owned.items():
+            journal = tmp_path / name / f"{request.fingerprint()}.request.json"
+            assert journal.exists(), name
 
     def test_emits_routed_and_completed(self, tmp_path, bus_events):
         router, _ = self._local_fleet(tmp_path, n=2)
@@ -723,7 +816,7 @@ class TestFleetLint:
 class TestFleetHTTP:
     @pytest.fixture()
     def fleet(self, tmp_path):
-        """A 2-replica fleet behind a live ``FleetHTTPServer``; yields
+        """A 2-replica fleet behind a live HTTP front; yields
         ``(server, replica names)``."""
         replicas = {
             f"r{i}": InProcessReplica(
@@ -737,7 +830,7 @@ class TestFleetHTTP:
         router = FleetRouter(
             dict(replicas), config=_fleet_config()
         ).start()
-        server = serve_fleet(router, host="127.0.0.1", port=0)
+        server = serve(router, host="127.0.0.1", port=0)
         thread = threading.Thread(
             target=server.serve_forever, daemon=True
         )

@@ -45,13 +45,21 @@ CLI = """
 import repro.cli
 """
 
+SERVING_FRONT = """
+import repro.service.fleet
+import repro.service.httpd
+from repro.service import InProcessReplica
+"""
 
-def _loaded(code: str) -> list:
-    """The ``repro`` modules a fresh interpreter holds after ``code``."""
-    probe = code + textwrap.dedent("""
+
+def _loaded(code: str, also=()) -> list:
+    """The ``repro`` modules, and those of ``also`` that are loaded, a
+    fresh interpreter holds after ``code``."""
+    probe = code + textwrap.dedent(f"""
         import json, sys
         print(json.dumps(sorted(
-            m for m in sys.modules if m == "repro" or m.startswith("repro.")
+            m for m in sys.modules
+            if m == "repro" or m.startswith("repro.") or m in {tuple(also)!r}
         )))
     """)
     result = subprocess.run(
@@ -86,4 +94,12 @@ def test_cli_import_skips_subsystems_no_boot_runs():
     assert not offenders, (
         f"{len(loaded)} repro modules loaded; not needed to boot: "
         f"{offenders}"
+    )
+
+
+def test_serving_front_skips_the_chaos_harness_and_urllib():
+    loaded = _loaded(SERVING_FRONT, also=("urllib.request",))
+    offenders = _offenders(loaded, ("repro.service.chaos", "urllib.request"))
+    assert not offenders, (
+        f"{len(loaded)} modules loaded; not needed to serve: {offenders}"
     )

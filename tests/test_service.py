@@ -33,6 +33,9 @@ from repro.service import (
     AdmissionController,
     BreakerOpenError,
     CircuitBreaker,
+    FleetConfig,
+    FleetRouter,
+    InProcessReplica,
     PlanCache,
     PlanOutcome,
     PlanRequest,
@@ -67,6 +70,33 @@ def cache_entry(objective=1.0):
                     "dp": [2], "tp_dim": [0], "recompute": [False]}],
     }
     return {"plan": plan, "objective": objective, "model": "m", "gpus": 4}
+
+
+@contextlib.contextmanager
+def fleet_of_one(state_dir, planner, config=None, **daemon_kwargs):
+    """What ``repro-serve`` runs: one replica behind the router and its
+    HTTP front; yields ``(http_server, replica)``."""
+    daemon_kwargs = {"workers": 2, "queue_limit": 8, **daemon_kwargs}
+    replica = InProcessReplica(
+        "replica-0",
+        state_dir=state_dir / "replica-0",
+        planner=planner,
+        daemon_kwargs=daemon_kwargs,
+    ).start()
+    router = FleetRouter({"replica-0": replica}, config=config).start()
+    http_server = serve(router, host="127.0.0.1", port=0)
+    thread = threading.Thread(
+        target=http_server.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
+    thread.start()
+    try:
+        yield http_server, replica
+    finally:
+        http_server.shutdown()
+        router.stop()
+        http_server.server_close()
 
 
 @pytest.fixture()
@@ -689,21 +719,10 @@ class TestCoalescing:
 class TestHTTP:
     @pytest.fixture()
     def server(self, tmp_path):
-        daemon = PlannerDaemon(
-            planner=quick_planner, workers=2, queue_limit=4,
-            state_dir=tmp_path,
-        ).start()
-        http_server = serve(daemon, host="127.0.0.1", port=0)
-        thread = threading.Thread(
-            target=http_server.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        thread.start()
-        yield http_server
-        http_server.shutdown()
-        daemon.drain(timeout=5)
-        http_server.server_close()
+        with fleet_of_one(
+            tmp_path, quick_planner, queue_limit=4
+        ) as (http_server, _):
+            yield http_server
 
     def post(self, server, path, payload):
         port = server.server_address[1]
@@ -737,8 +756,43 @@ class TestHTTP:
         code, health = self.get(server, "/healthz")
         assert code == 200
         assert health["status"] == "healthy"
+        assert list(health["replicas"]) == ["replica-0"]
+        assert health["replicas"]["replica-0"]["health"]["status"] == (
+            "healthy"
+        )
         code, readiness = self.get(server, "/readyz")
         assert code == 200 and readiness["ready"]
+
+    def test_open_breaker_degrades_healthz(self, tmp_path):
+        """A fleet of one reports its replica's own health: an open
+        breaker makes ``/healthz`` say ``degraded``."""
+
+        def broken_planner(request, *, deadline=None,
+                           checkpoint_path=None):
+            raise RuntimeError("boom")
+
+        with fleet_of_one(
+            tmp_path, broken_planner,
+            config=FleetConfig(health_interval=0.02), breaker_threshold=1,
+        ) as (server, replica):
+            code, body = self.post(
+                server, "/plan", PlanRequest(model="m", gpus=4).to_json()
+            )
+            assert code == 500 and body["status"] == STATUS_FAILED
+            assert replica.daemon.breaker.any_open
+            deadline = time.monotonic() + 10
+            while True:
+                code, health = self.get(server, "/healthz")
+                if health["status"] != "healthy" or \
+                        time.monotonic() > deadline:
+                    break
+                time.sleep(0.02)
+            assert code == 200
+            assert health["status"] == "degraded"
+            assert health["replicas"]["replica-0"]["healthy"]
+            own = health["replicas"]["replica-0"]["health"]
+            assert own["status"] == "degraded"
+            assert set(own) >= {"queue", "breakers", "cache"}
 
     def test_bad_requests_get_400(self, server):
         code, body = self.post(server, "/plan", {"bogus": True})
@@ -970,8 +1024,10 @@ class TestSigtermDrain:
         fingerprint = PlanRequest(**{
             **self.REQUEST, "stage_counts": (1, 2, 4),
         }).fingerprint()
-        checkpoint = state_dir / f"{fingerprint}.ckpt.json"
-        plan_file = state_dir / f"{fingerprint}.plan.json"
+        # repro-serve is a fleet of one: its daemon owns replica-0/.
+        replica_dir = state_dir / "replica-0"
+        checkpoint = replica_dir / f"{fingerprint}.ckpt.json"
+        plan_file = replica_dir / f"{fingerprint}.plan.json"
         responses = []
 
         def client():
@@ -1013,7 +1069,7 @@ class TestSigtermDrain:
         if interrupted:
             assert checkpoint.exists()
             assert (
-                state_dir / f"{fingerprint}.request.json"
+                replica_dir / f"{fingerprint}.request.json"
             ).exists()
 
         # Restart: the journaled request is re-admitted and resumed
