@@ -10,11 +10,13 @@ lane, then asserts that
   lane's deterministic digest match the committed reference
   (``scripts/arena_smoke_reference.json``) — regenerate the reference
   (delete the file and rerun) only with an intentional search change;
-* the run log left behind is schema-valid and contains the full
+* each run log left behind is schema-valid and contains the full
   ``arena.*`` lifecycle.
 
-Artifacts land in ``smoke-arena/`` (run log + tournament JSON report)
-for the build upload.
+It races twice, with the lanes in this process and then on a
+two-process worker pool, and both races must match the one reference.
+Artifacts land in ``smoke-arena/`` (a run log and a tournament JSON
+report per race, the pool's suffixed ``-pool``) for the build upload.
 
 Run from the repository root:
 ``PYTHONPATH=src python scripts/arena_smoke.py``
@@ -35,6 +37,10 @@ SEED = 0
 MAX_ESTIMATES = 400
 DEADLINE_SECONDS = 10.0
 
+#: ``(workers, artifact suffix)``: lanes in this process, then on a
+#: two-process worker pool; both must match the one reference.
+RUNNERS = ((1, ""), (2, "-pool"))
+
 #: Wall-clock fields are excluded from the digest by construction.
 DETERMINISTIC_FIELDS = (
     "strategy", "seed", "best_objective", "feasible", "converged",
@@ -52,10 +58,9 @@ def digest(outcome_json):
     ).hexdigest()[:16]
 
 
-def main():
-    os.makedirs(SMOKE_DIR, exist_ok=True)
-    sys.path.insert(0, os.path.join(os.getcwd(), "src"))
-
+def race(workers, run_log, report_path, reference):
+    """Race every strategy on one runner; returns the problems found
+    and the tournament's fingerprint."""
     from repro.arena import ArenaEntry, run_tournament
     from repro.cluster import paper_cluster
     from repro.ir.models import build_model
@@ -67,8 +72,6 @@ def main():
         validate_run_log,
     )
 
-    run_log = os.path.join(SMOKE_DIR, "arena-events.jsonl")
-    report_path = os.path.join(SMOKE_DIR, "arena-report.json")
     if os.path.exists(run_log):
         os.remove(run_log)
 
@@ -91,12 +94,14 @@ def main():
                 stage_count=STAGE_COUNT,
                 budget_per_entry={"max_estimates": MAX_ESTIMATES},
                 deadline_seconds=DEADLINE_SECONDS,
+                workers=workers,
                 label=f"smoke/{MODEL}/gpus={GPUS}",
             )
     finally:
         sink.close()
     result.write_json(report_path)
 
+    print(f"-- workers={workers}")
     problems = []
     for outcome in result.outcomes:
         line = (
@@ -112,6 +117,7 @@ def main():
         elif not outcome.feasible:
             problems.append(f"{outcome.strategy}#{outcome.seed} found no feasible plan")
 
+    fingerprint = None
     winner = result.winner
     if winner is None:
         problems.append("tournament produced no winner")
@@ -126,23 +132,16 @@ def main():
               f"({winner.best_objective:.6f}), "
               f"digests: {fingerprint['winner_digest']} / "
               f"greedy {fingerprint['greedy_digest']}")
-        if os.path.exists(REFERENCE):
-            with open(REFERENCE) as handle:
-                committed = json.load(handle)
-            if committed != fingerprint:
-                problems.append(
-                    f"tournament drifted from the committed reference "
-                    f"{REFERENCE}: expected {committed}, got "
-                    f"{fingerprint} — regenerate (delete the file and "
-                    f"rerun) only with an intentional search change"
-                )
-            else:
-                print(f"(matches committed {REFERENCE})")
-        else:
-            with open(REFERENCE, "w") as handle:
-                json.dump(fingerprint, handle, indent=2)
-                handle.write("\n")
-            print(f"(reference written to {REFERENCE} — commit it)")
+        if reference is not None and reference != fingerprint:
+            problems.append(
+                f"workers={workers}: tournament drifted from the "
+                f"committed reference {REFERENCE}: expected "
+                f"{reference}, got {fingerprint} — regenerate (delete "
+                f"the file and rerun) only with an intentional search "
+                f"change"
+            )
+        elif reference is not None:
+            print(f"(matches committed {REFERENCE})")
 
     events = validate_run_log(run_log)
     names = [event.name for event in events]
@@ -156,6 +155,34 @@ def main():
                 f"{len(entries)} entries"
             )
     print(f"report -> {report_path}")
+    return problems, fingerprint
+
+
+def main():
+    os.makedirs(SMOKE_DIR, exist_ok=True)
+    sys.path.insert(0, os.path.join(os.getcwd(), "src"))
+
+    reference = None
+    if os.path.exists(REFERENCE):
+        with open(REFERENCE) as handle:
+            reference = json.load(handle)
+    problems = []
+    for workers, suffix in RUNNERS:
+        found, fingerprint = race(
+            workers,
+            os.path.join(SMOKE_DIR, f"arena-events{suffix}.jsonl"),
+            os.path.join(SMOKE_DIR, f"arena-report{suffix}.json"),
+            reference,
+        )
+        problems.extend(found)
+        if reference is None and fingerprint is not None:
+            # The first run writes the reference; the second is checked
+            # against it.
+            reference = fingerprint
+            with open(REFERENCE, "w") as handle:
+                json.dump(fingerprint, handle, indent=2)
+                handle.write("\n")
+            print(f"(reference written to {REFERENCE} — commit it)")
 
     if problems:
         print("\nFAILURES:")

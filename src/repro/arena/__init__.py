@@ -4,7 +4,7 @@ from ..exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "tournament": (
-        "ArenaEntry", "ENTRY_KILL_GRACE", "EntryOutcome",
-        "TOURNAMENT_FORMAT_VERSION", "TournamentResult", "run_tournament",
+        "ArenaEntry", "EntryOutcome", "TOURNAMENT_FORMAT_VERSION",
+        "TournamentResult", "run_tournament",
     ),
 })

@@ -11,26 +11,28 @@ strategy inherits another's warm cache), under the same
 best, and a deterministic quality-vs-cost curve (best objective by
 iteration index) — serialized as ``BENCH_strategies.json``.
 
-Entries run serially by default; with ``workers > 1`` they are
-dispatched onto the crash-safe :class:`~repro.core.pool.WorkerPool`
-(an entry that crashes its worker becomes a failure record, the rest
-still report).  Lifecycle is published as ``arena.*`` telemetry
-events, and each worker's captured ``search.strategy.*`` stream is
-re-emitted with entry attribution so one run log holds the whole
-tournament.
+Each lane is one task of the stage-count driver's scheduler
+(:func:`repro.core.search._run_counts_in_pool`): one ``_search_count``
+call on a fresh model, in this process by default or, with
+``workers > 1`` and more than one lane, on the crash-safe
+:class:`~repro.core.pool.WorkerPool`
+(a lane that crashes or overruns its worker becomes a failure record,
+the rest still report).  Lifecycle is published as ``arena.*``
+telemetry events; the scheduler's ``driver.worker.*`` events and each
+worker's captured ``search.*`` stream carry the lane's
+``arena_entry``, so one run log holds the whole tournament.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..cluster.topology import ClusterSpec
 from ..ioutil import write_json_atomic
 from ..ir.graph import OpGraph
-from ..parallel.initializer import balanced_config
-from ..perfmodel.model import PerfModel
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
     ARENA_BEGIN,
@@ -39,16 +41,20 @@ from ..telemetry.events import (
     ARENA_ENTRY_END,
     ARENA_ENTRY_FAILED,
 )
-from ..core.budget import Deadline, SearchBudget
-from ..core.pool import WorkerPool
-from ..core.search import SearchResult
-from ..core.searcher import build_options, make_searcher
+from ..core.budget import SearchBudget
+from ..core.pool import InProcessRunner, WorkerPool
+from ..core.search import (
+    DEADLINE_KILL_GRACE,
+    SearchResult,
+    StageCountResult,
+    _payload_from_task,
+    _run_counts_in_pool,
+    _stage_count_worker,
+)
+from ..core.searcher import build_options
 
 #: Format marker for ``BENCH_strategies.json``.
 TOURNAMENT_FORMAT_VERSION = 1
-
-#: Seconds past the per-entry deadline before a pool worker is reaped.
-ENTRY_KILL_GRACE = 1.0
 
 
 @dataclass(frozen=True)
@@ -239,50 +245,6 @@ def _outcome_from_result(
     )
 
 
-def _run_entry(
-    graph: OpGraph,
-    cluster: ClusterSpec,
-    perf_model: PerfModel,
-    entry: ArenaEntry,
-    stage_count: int,
-    budget_kwargs: dict,
-    deadline_seconds: Optional[float],
-) -> EntryOutcome:
-    searcher = make_searcher(
-        entry.strategy, graph, cluster, perf_model, options=entry.options()
-    )
-    init = balanced_config(graph, cluster, stage_count)
-    deadline = (
-        None if deadline_seconds is None else Deadline(deadline_seconds)
-    )
-    result = searcher.run(
-        init, SearchBudget(**budget_kwargs), deadline=deadline
-    )
-    return _outcome_from_result(entry, result)
-
-
-def _entry_worker(payload: tuple) -> EntryOutcome:
-    """Run one lane in a pool worker (module-level so it pickles)."""
-    (graph, cluster, database, entry_json, stage_count, budget_kwargs,
-     model_kwargs, deadline_seconds) = payload
-    entry = ArenaEntry.from_json(entry_json)
-    perf_model = PerfModel(graph, cluster, database, **model_kwargs)
-    return _run_entry(
-        graph, cluster, perf_model, entry, stage_count, budget_kwargs,
-        deadline_seconds,
-    )
-
-
-def _entry_payload_from_task(
-    shared: tuple, task: Tuple[dict, Optional[float]]
-):
-    (graph, cluster, database, stage_count, budget_kwargs,
-     model_kwargs) = shared
-    entry_json, deadline_seconds = task
-    return (graph, cluster, database, entry_json, stage_count,
-            budget_kwargs, model_kwargs, deadline_seconds)
-
-
 def run_tournament(
     graph: OpGraph,
     cluster: ClusterSpec,
@@ -305,11 +267,13 @@ def run_tournament(
     Strategy names and kwargs are validated up front — a typo fails
     with a typed ``ACE212``/``ACE213`` error before any search or fork.
 
-    ``workers > 1`` dispatches lanes onto a :class:`WorkerPool`; a lane
-    whose worker crashes or overruns ``deadline_seconds`` by
-    :data:`ENTRY_KILL_GRACE` becomes a failure outcome (no retries —
-    a tournament rematch is a rerun, not a retry).  Results are merged
-    in entry order either way, so the report is deterministic.
+    Lanes run on the stage-count driver's scheduler: in this process
+    when ``workers <= 1`` or there is one lane, else on a
+    :class:`WorkerPool`, where a lane whose worker crashes or overruns
+    ``deadline_seconds`` by ``DEADLINE_KILL_GRACE`` becomes a failure
+    outcome (no retries — a tournament rematch is a rerun, not a
+    retry).  Results are merged in entry order either way, so the
+    report is deterministic.
     """
     if not entries:
         raise ValueError("no arena entries to race")
@@ -320,8 +284,12 @@ def run_tournament(
     budget_kwargs = SearchBudget.validate_kwargs(
         dict(budget_per_entry or {"max_iterations": 30})
     )
-    for entry in entries:
-        entry.options()  # typed ACE212/ACE213 error before any work
+    # Every lane searches the same stage count with its own strategy
+    # and options (a typed ACE212/ACE213 error here, before any work).
+    lanes = {
+        index: (stage_count, entry.strategy, entry.options())
+        for index, entry in enumerate(entries)
+    }
 
     bus = get_bus()
     bus.emit(
@@ -337,54 +305,75 @@ def run_tournament(
     started = time.perf_counter()
     outcomes: List[Optional[EntryOutcome]] = [None] * len(entries)
 
-    if workers <= 1 or len(entries) <= 1:
-        for index, entry in enumerate(entries):
-            bus.emit(
-                ARENA_ENTRY_BEGIN,
-                source="arena",
-                entry=entry.name,
-                strategy=entry.strategy,
-                seed=entry.seed,
-            )
-            perf_model = PerfModel(
-                graph, cluster, database, **(model_kwargs or {})
-            )
-            try:
-                outcome = _run_entry(
-                    graph, cluster, perf_model, entry, stage_count,
-                    budget_kwargs, deadline_seconds,
-                )
-            except Exception as exc:  # noqa: BLE001 - lane fails, race continues
-                outcome = EntryOutcome(
-                    strategy=entry.strategy,
-                    seed=entry.seed,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                bus.emit(
-                    ARENA_ENTRY_FAILED,
-                    source="arena",
-                    level=WARNING,
-                    entry=entry.name,
-                    error=outcome.error,
-                )
-            else:
-                bus.emit(
-                    ARENA_ENTRY_END,
-                    source="arena",
-                    entry=entry.name,
-                    best_objective=outcome.best_objective,
-                    feasible=outcome.feasible,
-                    partial=outcome.partial,
-                    num_estimates=outcome.num_estimates,
-                    estimates_to_best=outcome.estimates_to_best,
-                )
-            outcomes[index] = outcome
-    else:
-        outcomes = _run_entries_in_pool(
-            graph, cluster, database, entries, stage_count,
-            budget_kwargs, model_kwargs or {}, deadline_seconds,
-            min(workers, len(entries)), bus,
+    def begin(index: int, attempt: int, worker_pid: Optional[int]) -> None:
+        entry = entries[index]
+        pid = {} if worker_pid is None else {"worker_pid": worker_pid}
+        bus.emit(
+            ARENA_ENTRY_BEGIN,
+            source="arena",
+            entry=entry.name,
+            strategy=entry.strategy,
+            seed=entry.seed,
+            **pid,
         )
+
+    def end(index: int, attempt: int, run: StageCountResult) -> None:
+        outcome = outcomes[index] = _outcome_from_result(
+            entries[index], run.result
+        )
+        bus.emit(
+            ARENA_ENTRY_END,
+            source="arena",
+            entry=entries[index].name,
+            best_objective=outcome.best_objective,
+            feasible=outcome.feasible,
+            partial=outcome.partial,
+            num_estimates=outcome.num_estimates,
+            estimates_to_best=outcome.estimates_to_best,
+        )
+
+    def fail(index: int, attempts: int, error: str, kind: str) -> None:
+        entry = entries[index]
+        outcomes[index] = EntryOutcome(
+            strategy=entry.strategy, seed=entry.seed, error=error
+        )
+        bus.emit(
+            ARENA_ENTRY_FAILED,
+            source="arena",
+            level=WARNING,
+            entry=entry.name,
+            error=error,
+        )
+
+    # Each lane searches on a fresh model built from the shared database.
+    build = functools.partial(_payload_from_task, (
+        graph, cluster, database, budget_kwargs, model_kwargs or {}, lanes,
+    ))
+    if workers <= 1 or len(entries) <= 1:
+        runner = InProcessRunner(
+            lambda task: _stage_count_worker(build(task))
+        )
+    else:
+        runner = WorkerPool(
+            _stage_count_worker,
+            build,
+            max_workers=min(workers, len(entries)),
+            bus=bus,
+        )
+    _run_counts_in_pool(
+        range(len(entries)),
+        lambda index: (index, deadline_seconds),
+        runner,
+        attribution=lambda index: {"arena_entry": entries[index].name},
+        on_start=begin,
+        on_done=end,
+        on_fail=fail,
+        timeout_per_count=(
+            None if deadline_seconds is None
+            else deadline_seconds + DEADLINE_KILL_GRACE
+        ),
+        bus=bus,
+    )
 
     result = TournamentResult(
         label=label,
@@ -407,122 +396,3 @@ def run_tournament(
         wall_seconds=result.wall_seconds,
     )
     return result
-
-
-def _run_entries_in_pool(
-    graph,
-    cluster,
-    database,
-    entries: Sequence[ArenaEntry],
-    stage_count: int,
-    budget_kwargs: dict,
-    model_kwargs: dict,
-    deadline_seconds: Optional[float],
-    max_workers: int,
-    bus,
-) -> List[Optional[EntryOutcome]]:
-    """Dispatch lanes onto a :class:`WorkerPool`, no retries.
-
-    The heavy problem state crosses into workers once (fork-inherited);
-    each dispatched task is just ``(entry_json, deadline_seconds)``.
-    """
-    import functools
-
-    shared = (graph, cluster, database, stage_count, budget_kwargs,
-              model_kwargs)
-    pool = WorkerPool(
-        _entry_worker,
-        functools.partial(_entry_payload_from_task, shared),
-        max_workers=max_workers,
-        bus=bus,
-    )
-    pending = list(range(len(entries)))
-    active: dict = {}
-    outcomes: List[Optional[EntryOutcome]] = [None] * len(entries)
-
-    def fail(index: int, error: str) -> None:
-        entry = entries[index]
-        outcomes[index] = EntryOutcome(
-            strategy=entry.strategy, seed=entry.seed, error=error
-        )
-        bus.emit(
-            ARENA_ENTRY_FAILED,
-            source="arena",
-            level=WARNING,
-            entry=entry.name,
-            error=error,
-        )
-
-    try:
-        while pending or active:
-            while pending:
-                worker = pool.acquire()
-                if worker is None:
-                    break
-                index = pending[0]
-                entry = entries[index]
-                try:
-                    pool.send(worker, (entry.to_json(), deadline_seconds))
-                except (BrokenPipeError, OSError):
-                    pool.discard(worker)
-                    continue
-                pending.pop(0)
-                bus.emit(
-                    ARENA_ENTRY_BEGIN,
-                    source="arena",
-                    entry=entry.name,
-                    strategy=entry.strategy,
-                    seed=entry.seed,
-                    worker_pid=worker.pid,
-                )
-                kill_at = (
-                    time.monotonic() + deadline_seconds + ENTRY_KILL_GRACE
-                    if deadline_seconds is not None
-                    else None
-                )
-                active[index] = (worker, kill_at)
-
-            finished = []
-            for index, (worker, kill_at) in active.items():
-                entry = entries[index]
-                message = pool.poll(worker)
-                if message is not None:
-                    finished.append(index)
-                    status, value, worker_events = message
-                    pool.forward(worker_events, arena_entry=entry.name)
-                    if status == "ok":
-                        outcomes[index] = value
-                        bus.emit(
-                            ARENA_ENTRY_END,
-                            source="arena",
-                            entry=entry.name,
-                            best_objective=value.best_objective,
-                            feasible=value.feasible,
-                            partial=value.partial,
-                            num_estimates=value.num_estimates,
-                            estimates_to_best=value.estimates_to_best,
-                        )
-                    else:
-                        fail(index, value)
-                elif not worker.alive():
-                    finished.append(index)
-                    pool.discard(worker)
-                    fail(
-                        index,
-                        "worker process died with exit code "
-                        f"{worker.process.exitcode}",
-                    )
-                elif kill_at is not None and time.monotonic() >= kill_at:
-                    finished.append(index)
-                    pool.discard(worker, kill=True)
-                    fail(
-                        index,
-                        "worker reaped past the per-entry deadline",
-                    )
-            for index in finished:
-                active.pop(index)
-            if active and not finished:
-                time.sleep(0.005)
-    finally:
-        pool.shutdown()
-    return outcomes

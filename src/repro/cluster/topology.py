@@ -99,16 +99,6 @@ class ClusterSpec:
             spec != self.device for spec in self.node_devices
         )
 
-    def node_device(self, node: int) -> DeviceSpec:
-        """The device spec hosted by ``node``."""
-        if not 0 <= node < self.num_nodes:
-            raise IndexError(
-                f"node {node} out of range [0, {self.num_nodes})"
-            )
-        if self.node_devices is None:
-            return self.device
-        return self.node_devices[node]
-
     def span_compute_scale(
         self, first_device: int, num_devices: int, precision: str
     ) -> float:

@@ -1,5 +1,10 @@
-"""The stage-count driver's runners: a fork-shared worker pool and an
+"""The search scheduler's runners: a fork-shared worker pool and an
 in-process slot.
+
+One scheduler (:func:`repro.core.search._run_counts_in_pool`) runs
+search tasks on these runners for two callers: the stage-count driver
+(one task per pipeline stage count) and the strategy arena (one task
+per lane).
 
 The original driver forked one fresh process per (stage count, attempt)
 and shipped the whole problem — op graph, cluster spec, and profile
@@ -23,7 +28,9 @@ worker without disturbing the others — none of the fate-sharing of a
 executor.
 
 Runs that need no isolation use :class:`InProcessRunner` instead: the
-same scheduler, one slot, no process at all.
+same scheduler, one slot, no process at all.  Either runner only runs
+tasks; the scheduler owns failure policy and reports each task's
+outcome to its caller.
 """
 
 from __future__ import annotations
@@ -342,12 +349,15 @@ class WorkerPool:
 
 
 class InProcessRunner:
-    """One slot that runs a task in this process when it is sent.
+    """One slot that runs a task in this process when it is polled.
 
     :class:`WorkerPool`'s interface over ``run_task(task)``, for runs
     that need no isolation: nothing forks, nothing is pickled, and the
-    task's events go straight to the caller's bus.  The slot is the
-    runner itself; it has no process (``pid`` is None) and never dies.
+    task's events go straight to the caller's bus.  :meth:`send` only
+    queues the task, so the scheduler reports its start before the
+    task's own events; :meth:`poll` runs it to completion.  The slot is
+    the runner itself; it has no process (``pid`` is None) and never
+    dies.
     """
 
     pid = None
@@ -355,20 +365,20 @@ class InProcessRunner:
 
     def __init__(self, run_task: Callable) -> None:
         self._run_task = run_task
-        self._reply = None
+        self._task = None
 
     def acquire(self) -> Optional["InProcessRunner"]:
-        return self if self._reply is None else None
+        return self if self._task is None else None
 
     def send(self, slot: "InProcessRunner", task) -> None:
-        try:
-            self._reply = ("ok", self._run_task(task), [])
-        except Exception as exc:  # noqa: BLE001 - report, like a worker
-            self._reply = ("error", f"{type(exc).__name__}: {exc}", [])
+        self._task = task
 
     def poll(self, slot: "InProcessRunner"):
-        reply, self._reply = self._reply, None
-        return reply
+        task, self._task = self._task, None
+        try:
+            return ("ok", self._run_task(task), [])
+        except Exception as exc:  # noqa: BLE001 - report, like a worker
+            return ("error", f"{type(exc).__name__}: {exc}", [])
 
     def forward(self, events, **attribution) -> None:
         """Nothing to re-emit: the task emitted on the caller's bus."""

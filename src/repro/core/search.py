@@ -11,16 +11,19 @@ configurations under different pipeline stage numbers": independent
 searches per stage count whose *parallel* cost is the slowest single
 search (reported alongside the serial total).
 
-One scheduler drives the stage counts, on one of two runners: a
-persistent :class:`~repro.core.pool.WorkerPool` whose processes load
-the problem once (inherited at fork) and serve many tasks, each under
-an optional per-count timeout, or an in-process slot that searches on
-the caller's own model.  Failed or hung counts are retried with
-exponential backoff (on individually restartable pool workers),
-surviving results are always returned (failures become structured
-:class:`SearchFailure` records instead of exceptions), and — with a
-checkpoint path — completed stage counts persist to JSON so an
-interrupted search resumes without repeating work.
+One scheduler, :func:`_run_counts_in_pool`, runs search tasks on one
+of two runners: a persistent :class:`~repro.core.pool.WorkerPool`
+whose processes load the problem once (inherited at fork) and serve
+many tasks, each under an optional timeout, or an in-process slot.  It
+has two callers, the stage-count driver here and the strategy arena
+(:mod:`repro.arena.tournament`), and hands each task's start, result
+and final failure straight back to its caller.  For the driver, failed
+or hung counts are retried with exponential backoff (on individually
+restartable pool workers), surviving results are always returned
+(failures become structured :class:`SearchFailure` records instead of
+exceptions), and — with a checkpoint path — completed stage counts
+persist to JSON so an interrupted search resumes without repeating
+work.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from ..parallel.config import ParallelConfig
 from ..parallel.initializer import balanced_config
 from ..perfmodel.model import PerfModel
 from ..perfmodel.report import PerfReport
-from ..telemetry import WARNING, CallbackSink, Event, get_bus
+from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
     DRIVER_BEGIN,
     DRIVER_COUNT_COMPLETED,
@@ -114,13 +117,7 @@ class SearchResult:
 
 @dataclass
 class AcesoSearchOptions:
-    """Tunable knobs of the search (paper defaults).
-
-    ``finetune_dirty_only`` scopes the op-level fine-tuning pass to the
-    stages the multi-hop result actually changed (plus its current top
-    bottleneck) instead of sweeping every stage — a one-stage edit on a
-    deep pipeline then re-costs a handful of stages, not all of them.
-    """
+    """Tunable knobs of the search (paper defaults)."""
 
     max_hops: int = 7
     max_bottlenecks: int = 3
@@ -132,7 +129,6 @@ class AcesoSearchOptions:
     beam_width: int = 2
     max_nodes_per_iteration: int = 60
     attach_recompute: bool = True
-    finetune_dirty_only: bool = True
 
 
 @register_searcher
@@ -221,11 +217,12 @@ class AcesoSearch(Searcher):
             if result is not None:
                 new_config = result.config
                 if opts.enable_finetune:
+                    # Fine-tune only the stages the multi-hop result
+                    # changed, plus its current top bottleneck: a
+                    # one-stage edit on a deep pipeline then re-costs a
+                    # handful of stages, not all of them.
                     scope = None
-                    if (
-                        opts.finetune_dirty_only
-                        and result.dirty_stages is not None
-                    ):
+                    if result.dirty_stages is not None:
                         new_report = self.perf_model.estimate(new_config)
                         hot = identify_bottleneck(new_report).stage
                         scope = sorted(set(result.dirty_stages) | {hot})
@@ -448,16 +445,18 @@ def _stage_count_worker(payload: tuple) -> StageCountResult:
                          options, budget_kwargs, deadline)
 
 
-def _payload_from_task(shared: tuple, task: Tuple[int, Optional[float]]):
+def _payload_from_task(shared: tuple, task: Tuple[object, Optional[float]]):
     """Rebuild a :func:`_stage_count_worker` payload inside a pool worker.
 
     ``shared`` is the per-pool problem state (inherited by fork or
-    shipped once per worker); ``task`` is the tiny per-dispatch tuple
-    ``(count, deadline_seconds)`` that actually crosses the pipe.
+    shipped once per worker), whose ``lanes`` map each task key to its
+    ``(stage count, strategy, options)``; ``task`` is the tiny
+    per-dispatch tuple ``(key, deadline_seconds)`` that actually
+    crosses the pipe.
     """
-    (graph, cluster, database, options, budget_kwargs,
-     model_kwargs, strategy) = shared
-    count, deadline_seconds = task
+    graph, cluster, database, budget_kwargs, model_kwargs, lanes = shared
+    key, deadline_seconds = task
+    count, strategy, options = lanes[key]
     return (graph, cluster, database, count, options, budget_kwargs,
             model_kwargs, deadline_seconds, strategy)
 
@@ -477,95 +476,79 @@ def _failure_kind_from_error(error: str) -> str:
 
 
 def _run_counts_in_pool(
-    counts: Sequence[int],
-    task_for,
+    keys: Sequence,
+    task_for: Callable,
     runner,
     *,
-    timeout_per_count: Optional[float],
-    max_retries: int,
-    retry_backoff: float,
+    attribution: Callable[[object], dict],
+    on_done: Callable,
+    on_fail: Callable,
+    on_start: Optional[Callable] = None,
+    timeout_per_count: Optional[float] = None,
+    max_retries: int = 0,
+    retry_backoff: float = 0.0,
     jitter_seed: int = 0,
     deadline: Optional[Deadline] = None,
     bus=None,
-    call: object,
-):
-    """The one stage-count scheduler, over either runner.
+) -> None:
+    """The one search scheduler, over either runner, for either caller.
 
     ``runner`` (a :class:`WorkerPool` or an :class:`InProcessRunner`)
     only runs tasks; the scheduler owns retries, timeouts, deadline
-    shedding and every ``driver.*`` event.  Each task is
-    ``task_for(count)``, a tiny ``(count, deadline_seconds)`` tuple, so
+    shedding and every ``driver.worker.*`` event.  Each of ``keys`` (a
+    stage count for the driver, a lane index for the arena) becomes the
+    task ``task_for(key)``, a tiny ``(key, deadline_seconds)`` tuple, so
     pool workers, which load the problem state once (inherited
     read-only at fork), never unpickle the graph or profile database
     per task.  Unlike a ``ProcessPoolExecutor`` — where one dead worker
     breaks the pool and takes every pending future with it — each pool
     worker owns a private pipe, so a worker that crashes or blows its
-    per-count timeout is discarded *individually* and lazily replaced;
+    per-task timeout is discarded *individually* and lazily replaced;
     tasks that raise cleanly keep their worker alive for reuse.  A
-    failed count is retried with jittered exponential backoff
+    failed task is retried with jittered exponential backoff
     (:func:`retry_delay`) up to ``max_retries`` extra attempts while
-    other counts search.  Returns ``(results, failures)``, both keyed
-    by stage count.
+    other tasks run.
 
-    A request ``deadline`` turns the scheduler anytime: counts search
-    cooperatively against the remaining time, queued counts are shed as
+    Outcomes go straight to the caller: ``on_start(key, attempt,
+    worker_pid)`` once a task is dispatched (before any of its events;
+    ``worker_pid`` is None in process), ``on_done(key, attempt,
+    value)`` when it returns, and ``on_fail(key, attempts, error,
+    kind)`` once it has failed for good, ``kind`` being a
+    :class:`SearchFailure` kind.
+
+    A request ``deadline`` turns the scheduler anytime: tasks search
+    cooperatively against the remaining time, queued tasks are shed as
     ``kind="deadline"`` failures once it expires, and a watchdog reaps
     any worker still running a task ``DEADLINE_KILL_GRACE`` seconds
     past it — workers are only ever forked on first dispatch, so an
     already-expired deadline forks nothing.
 
-    Task lifecycle (dispatch / retry / timeout / crash / completion)
-    is published on the telemetry ``bus``.  ``driver.worker.spawn``
-    marks a dispatch to a pool worker, carrying its pid (the in-process
-    slot has no process: no ``driver.worker.spawn``/``error``), and the
-    pool adds ``driver.pool.worker_start`` / ``worker_exit`` for
-    process churn.  Completed and finally-failed counts carry their
-    payload objects in private ``_result`` / ``_failure`` attrs for
-    in-process subscribers (checkpointing), plus the caller's ``call``
-    token as ``_call``, and each pool worker's captured events (only
-    those the bus's sinks keep) are re-emitted with
-    ``num_stages``/``attempt`` attribution.
+    Every ``driver.worker.*`` event carries ``attribution(key)`` and the
+    attempt.  ``driver.worker.spawn`` marks a dispatch to a pool worker,
+    carrying its pid (the in-process slot has no process: no
+    ``driver.worker.spawn``/``error``), and the pool adds
+    ``driver.pool.worker_start`` / ``worker_exit`` for process churn.
+    Each pool worker's captured events (only those the bus's sinks
+    keep) are re-emitted with the same attribution.
     """
     bus = bus if bus is not None else get_bus()
-    queue = deque((count, 0, 0.0) for count in counts)  # (count, attempt, not_before)
+    queue = deque((key, 0, 0.0) for key in keys)  # (key, attempt, not_before)
     active: dict = {}
-    results: dict = {}
-    failures: dict = {}
 
-    def fail(count: int, attempts: int, error: str, kind: str) -> None:
-        failures[count] = SearchFailure(
-            num_stages=count, error=error, attempts=attempts, kind=kind
-        )
-        bus.emit(
-            DRIVER_COUNT_FAILED,
-            source="driver",
-            level=WARNING,
-            num_stages=count,
-            attempts=attempts,
-            error=error,
-            failure_kind=kind,
-            _failure=failures[count],
-            _call=call,
-        )
+    def attrs(key, attempt: int) -> dict:
+        return {**attribution(key), "attempt": attempt}
 
     def register_failure(
-        count: int, attempt: int, error: str, kind: str = "error"
+        key, attempt: int, error: str, kind: str = "error"
     ) -> None:
         out_of_time = deadline is not None and deadline.expired()
         if attempt < max_retries and not out_of_time:
-            delay = retry_delay(retry_backoff, count, attempt, jitter_seed)
-            queue.append((count, attempt + 1, time.monotonic() + delay))
-            bus.emit(
-                DRIVER_WORKER_RETRY,
-                source="driver",
-                level=WARNING,
-                num_stages=count,
-                attempt=attempt,
-                delay=delay,
-                error=error,
-            )
+            delay = retry_delay(retry_backoff, key, attempt, jitter_seed)
+            queue.append((key, attempt + 1, time.monotonic() + delay))
+            bus.emit(DRIVER_WORKER_RETRY, source="driver", level=WARNING,
+                     **attrs(key, attempt), delay=delay, error=error)
         else:
-            fail(count, attempt + 1, error, kind)
+            on_fail(key, attempt + 1, error, kind)
 
     try:
         while queue or active:
@@ -576,9 +559,9 @@ def _run_counts_in_pool(
                 # their best-so-far partial results before the watchdog
                 # reaps their workers.
                 while queue:
-                    count, attempt, _ = queue.popleft()
-                    fail(count, attempt, "deadline expired before this "
-                         "stage count was searched", "deadline")
+                    key, attempt, _ = queue.popleft()
+                    on_fail(key, attempt, "deadline expired before this "
+                            "stage count was searched", "deadline")
                 reap_at = now + DEADLINE_KILL_GRACE
                 for task in active.values():
                     if task.kill_at is None or task.kill_at > reap_at:
@@ -587,7 +570,7 @@ def _run_counts_in_pool(
             # Pool workers fork lazily in acquire(), so a queue that
             # drains without dispatching (expired deadline) forks none.
             for _ in range(len(queue)):
-                count, attempt, not_before = queue[0]
+                key, attempt, not_before = queue[0]
                 if not_before > now:
                     queue.rotate(-1)
                     continue
@@ -596,21 +579,18 @@ def _run_counts_in_pool(
                     break  # every slot busy and the pool is at cap
                 queue.popleft()
                 try:
-                    runner.send(worker, task_for(count))
+                    runner.send(worker, task_for(key))
                 except (BrokenPipeError, OSError):
                     # The idle worker died between tasks; replace it and
                     # re-dispatch the task, which never started.
                     runner.discard(worker)
-                    queue.appendleft((count, attempt, not_before))
+                    queue.appendleft((key, attempt, not_before))
                     continue
                 if worker.pid is not None:
-                    bus.emit(
-                        DRIVER_WORKER_SPAWN,
-                        source="driver",
-                        num_stages=count,
-                        attempt=attempt,
-                        worker_pid=worker.pid,
-                    )
+                    bus.emit(DRIVER_WORKER_SPAWN, source="driver",
+                             **attrs(key, attempt), worker_pid=worker.pid)
+                if on_start is not None:
+                    on_start(key, attempt, worker.pid)
                 kill_at = (
                     None if timeout_per_count is None
                     else now + timeout_per_count
@@ -621,58 +601,38 @@ def _run_counts_in_pool(
                     kill_at = (
                         reap_at if kill_at is None else min(kill_at, reap_at)
                     )
-                active[count] = _ActiveTask(worker, kill_at, attempt)
+                active[key] = _ActiveTask(worker, kill_at, attempt)
 
             finished = []
-            for count, task in active.items():
+            for key, task in active.items():
                 worker = task.worker
                 message = runner.poll(worker)
                 if message is not None:
-                    finished.append(count)
+                    finished.append(key)
                     status, value, worker_events = message
-                    runner.forward(
-                        worker_events, num_stages=count, attempt=task.attempt
-                    )
+                    runner.forward(worker_events, **attrs(key, task.attempt))
                     if status == "ok":
-                        results[count] = value
-                        bus.emit(
-                            DRIVER_COUNT_COMPLETED,
-                            source="driver",
-                            num_stages=count,
-                            attempt=task.attempt,
-                            _result=value,
-                            _call=call,
-                        )
+                        on_done(key, task.attempt, value)
                     else:
                         if worker.pid is not None:
-                            bus.emit(
-                                DRIVER_WORKER_ERROR,
-                                source="driver",
-                                level=WARNING,
-                                num_stages=count,
-                                attempt=task.attempt,
-                                error=value,
-                            )
+                            bus.emit(DRIVER_WORKER_ERROR, source="driver",
+                                     level=WARNING,
+                                     **attrs(key, task.attempt), error=value)
                         register_failure(
-                            count,
+                            key,
                             task.attempt,
                             value,
                             kind=_failure_kind_from_error(value),
                         )
                 elif not worker.alive():
-                    finished.append(count)
+                    finished.append(key)
                     runner.discard(worker)
                     exitcode = worker.process.exitcode
-                    bus.emit(
-                        DRIVER_WORKER_CRASH,
-                        source="driver",
-                        level=WARNING,
-                        num_stages=count,
-                        attempt=task.attempt,
-                        exitcode=exitcode,
-                    )
+                    bus.emit(DRIVER_WORKER_CRASH, source="driver",
+                             level=WARNING, **attrs(key, task.attempt),
+                             exitcode=exitcode)
                     register_failure(
-                        count,
+                        key,
                         task.attempt,
                         "worker process died with exit code "
                         f"{exitcode}",
@@ -683,33 +643,28 @@ def _run_counts_in_pool(
                     and time.monotonic() >= task.kill_at
                 ):
                     runner.discard(worker, kill=True)
-                    finished.append(count)
+                    finished.append(key)
                     past_deadline = (
                         deadline is not None and deadline.expired()
                     )
-                    bus.emit(
-                        DRIVER_WORKER_TIMEOUT,
-                        source="driver",
-                        level=WARNING,
-                        num_stages=count,
-                        attempt=task.attempt,
-                        timeout=timeout_per_count,
-                        past_deadline=past_deadline,
-                    )
+                    bus.emit(DRIVER_WORKER_TIMEOUT, source="driver",
+                             level=WARNING, **attrs(key, task.attempt),
+                             timeout=timeout_per_count,
+                             past_deadline=past_deadline)
                     register_failure(
-                        count,
+                        key,
                         task.attempt,
                         "worker reaped past the request deadline"
                         if past_deadline
                         else f"timed out after {timeout_per_count:.1f}s",
                         kind="deadline" if past_deadline else "timeout",
                     )
-            for count in finished:
-                active.pop(count)
+            for key in finished:
+                active.pop(key)
             if active and not finished:
                 time.sleep(0.005)
             elif queue and not active:
-                # Every queued count waits out a retry backoff: sleep
+                # Every queued task waits out a retry backoff: sleep
                 # until the first is due (or the deadline, if sooner).
                 wake = min(not_before for _, _, not_before in queue)
                 left = deadline.remaining() if deadline is not None else None
@@ -718,8 +673,6 @@ def _run_counts_in_pool(
                 time.sleep(max(0.0, wake - time.monotonic()))
     finally:
         runner.shutdown()
-
-    return results, failures
 
 
 def search_all_stage_counts(
@@ -860,38 +813,7 @@ def search_all_stage_counts(
 
     started = time.perf_counter()
     outcome = MultiStageSearchResult(workers=workers)
-
-    # Checkpoint recording subscribes to the driver's lifecycle events
-    # instead of threading ad-hoc callbacks through the scheduler: the
-    # scheduler publishes ``driver.count.completed`` /
-    # ``driver.count.failed`` on either runner, and this sink (whose
-    # presence activates the bus) persists them.
-    # Concurrent calls share the process bus: count events carry this
-    # call's private ``_call`` token and the sink records only its own.
     bus = get_bus()
-    call = object()
-    checkpoint_sink = None
-    if checkpoint is not None:
-        snapshot = checkpoint
-
-        def record(event: Event) -> None:
-            if event.attrs.get("_call") is not call:
-                return
-            if event.name == DRIVER_COUNT_COMPLETED:
-                run = event.attrs["_result"]
-                if run.result.partial:
-                    # A deadline-cut plan is best-so-far, not the
-                    # budget's answer; resuming must re-search it.
-                    return
-                snapshot.record_run(run)
-            else:
-                snapshot.record_failure(event.attrs["_failure"])
-
-        checkpoint_sink = bus.add_sink(CallbackSink(
-            record,
-            names=(DRIVER_COUNT_COMPLETED, DRIVER_COUNT_FAILED),
-        ))
-
     bus.emit(
         DRIVER_BEGIN,
         source="driver",
@@ -908,12 +830,43 @@ def search_all_stage_counts(
 
     results: dict = {run.num_stages: run for run in restored}
     failures: dict = {}
+
+    def completed(count: int, attempt: int, run: StageCountResult) -> None:
+        results[count] = run
+        bus.emit(
+            DRIVER_COUNT_COMPLETED,
+            source="driver",
+            num_stages=count,
+            attempt=attempt,
+        )
+        # A deadline-cut plan is best-so-far, not the budget's answer;
+        # resuming must re-search it.
+        if checkpoint is not None and not run.result.partial:
+            checkpoint.record_run(run)
+
+    def failed(count: int, attempts: int, error: str, kind: str) -> None:
+        failure = failures[count] = SearchFailure(
+            num_stages=count, error=error, attempts=attempts, kind=kind
+        )
+        bus.emit(
+            DRIVER_COUNT_FAILED,
+            source="driver",
+            level=WARNING,
+            num_stages=count,
+            attempts=attempts,
+            error=error,
+            failure_kind=kind,
+        )
+        if checkpoint is not None:
+            checkpoint.record_failure(failure)
+
     if isolated or (workers > 1 and len(todo) > 1):
         # The heavy problem state crosses into pool workers exactly
         # once (inherited at fork, or shipped per worker under spawn);
         # each dispatched task is only (count, remaining).
-        shared = (graph, cluster, perf_model.database, options,
-                  budget_kwargs, perf_model.build_kwargs, strategy)
+        lanes = {count: (count, strategy, options) for count in todo}
+        shared = (graph, cluster, perf_model.database, budget_kwargs,
+                  perf_model.build_kwargs, lanes)
         runner = WorkerPool(
             _worker_fn or _stage_count_worker,
             functools.partial(_payload_from_task, shared),
@@ -931,25 +884,22 @@ def search_all_stage_counts(
         remaining = deadline.remaining() if deadline is not None else None
         return (count, remaining)
 
-    try:
-        fresh, failures = _run_counts_in_pool(
-            todo,
-            task_for,
-            runner,
-            timeout_per_count=timeout_per_count,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            jitter_seed=jitter_seed,
-            deadline=deadline,
-            bus=bus,
-            call=call,
-        )
-        results.update(fresh)
-        outcome.pool_forks = runner.num_forks
-        outcome.pool_tasks = runner.num_tasks
-    finally:
-        if checkpoint_sink is not None:
-            bus.remove_sink(checkpoint_sink)
+    _run_counts_in_pool(
+        todo,
+        task_for,
+        runner,
+        attribution=lambda count: {"num_stages": count},
+        on_done=completed,
+        on_fail=failed,
+        timeout_per_count=timeout_per_count,
+        max_retries=max_retries,
+        retry_backoff=retry_backoff,
+        jitter_seed=jitter_seed,
+        deadline=deadline,
+        bus=bus,
+    )
+    outcome.pool_forks = runner.num_forks
+    outcome.pool_tasks = runner.num_tasks
 
     # Deterministic merge in stage-count order, regardless of the order
     # workers finished (or which half came from a resumed checkpoint).

@@ -145,12 +145,6 @@ class ChurnTimeline:
         """Virtual time of the last event (0.0 when empty)."""
         return self.events[-1].time if self.events else 0.0
 
-    def rng_for(self, key: str) -> np.random.Generator:
-        """Seeded generator bound to this timeline and a caller key."""
-        return np.random.default_rng(
-            (self.seed, zlib.crc32(key.encode("utf-8")))
-        )
-
     # ------------------------------------------------------------------
     # serialization
     # ------------------------------------------------------------------

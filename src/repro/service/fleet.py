@@ -64,19 +64,23 @@ from ..telemetry.events import (
     FLEET_STOP,
 )
 from .cache import PlanCache
-from .daemon import PlannerDaemon
+from .daemon import WATCHDOG_GRACE, PlannerDaemon
 from .protocol import STATUS_REJECTED, STATUS_SERVED, PlanRequest, PlanResponse
 from .ring import HashRing
 
 #: Format marker for ``*.fleet.json`` state artifacts.
 FLEET_STATE_FORMAT_VERSION = 1
 
+#: Seconds one replica call waits past its request's deadline: longer
+#: than the daemon's watchdog grace, so a deadline-cut search answers
+#: with its plan before the router stops waiting for it.
+ATTEMPT_GRACE = WATCHDOG_GRACE + 1.0
+
 #: Bounds of the :class:`FleetConfig` knobs, declared once: the config
 #: raises on the first violation, ``repro-lint`` reports all (ACE403).
 FLEET_BOUNDS = {
     "vnodes": (">=", 1),
     "retries": (">=", 0),
-    "request_timeout": (">", 0),
     "hedge_factor": (">", 0),
     "down_after": (">=", 1),
 }
@@ -95,6 +99,12 @@ def fleet_config_problems(values: dict) -> List[str]:
     return problems
 
 
+def _attempt_bound(payload: dict) -> Optional[float]:
+    """Seconds to wait on one replica call for request ``payload``."""
+    deadline = payload.get("deadline_seconds")
+    return None if deadline is None else deadline + ATTEMPT_GRACE
+
+
 class ReplicaError(RuntimeError):
     """A replica failed at the transport level (no protocol answer)."""
 
@@ -108,8 +118,6 @@ class FleetConfig:
     retries: int = 1
     backoff_base: float = 0.02
     backoff_cap: float = 0.5
-    #: Per-attempt wall-clock bound on one replica call.
-    request_timeout: float = 60.0
     #: Hedge budget = p99 × factor × (1 + queue_depth × load_weight).
     hedge_factor: float = 1.5
     hedge_min_seconds: float = 0.05
@@ -207,7 +215,7 @@ class InProcessReplica:
         return self.daemon
 
     # -- replica protocol (what the router calls) ----------------------
-    def plan(self, payload: dict, timeout: float) -> PlanResponse:
+    def plan(self, payload: dict, timeout: Optional[float]) -> PlanResponse:
         response = self._live().submit(PlanRequest.from_json(payload), timeout)
         if self.killed:  # killed mid-flight: the answer is lost
             raise ReplicaError(f"replica {self.name} killed")
@@ -425,11 +433,7 @@ class FleetRouter:
                 self.config.degraded_deadline_seconds
             for name in ladder:
                 try:
-                    response = self._call(
-                        name, trimmed,
-                        timeout=self.config.degraded_deadline_seconds
-                        + self.config.request_timeout,
-                    )
+                    response = self._call(name, trimmed)
                 except ReplicaError:
                     continue
                 if response.ok and not self._is_backpressure(response):
@@ -509,19 +513,18 @@ class FleetRouter:
                     return self._race(
                         name, backup, payload, fingerprint, budget
                     )
-                return self._call(
-                    name, payload, timeout=self.config.request_timeout
-                )
+                return self._call(name, payload)
             except ReplicaError:
                 self._note_failure(name)
         return None
 
-    def _call(
-        self, name: str, payload: dict, *, timeout: float
-    ) -> PlanResponse:
+    def _call(self, name: str, payload: dict) -> PlanResponse:
+        """One replica call, waiting as long as the request allows: no
+        bound without a deadline, else the deadline plus
+        :data:`ATTEMPT_GRACE`."""
         state = self._replicas[name]
         started = time.monotonic()
-        response = state.client.plan(payload, timeout)
+        response = state.client.plan(payload, _attempt_bound(payload))
         elapsed = time.monotonic() - started
         with self._lock:
             state.latencies.append(elapsed)
@@ -545,9 +548,7 @@ class FleetRouter:
 
         def call(name: str) -> None:
             try:
-                results.put((name, self._call(
-                    name, payload, timeout=self.config.request_timeout
-                )))
+                results.put((name, self._call(name, payload)))
             except ReplicaError as exc:
                 self._note_failure(name)
                 results.put((name, exc))
@@ -574,11 +575,14 @@ class FleetRouter:
                 name=f"fleet-call-{backup}",
             ).start()
             pending = 2
-            deadline = time.monotonic() + self.config.request_timeout
+            bound = _attempt_bound(payload)
+            deadline = None if bound is None else time.monotonic() + bound
             first_error: Optional[ReplicaError] = None
             while pending:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+                remaining = (
+                    None if deadline is None else deadline - time.monotonic()
+                )
+                if remaining is not None and remaining <= 0:
                     break
                 try:
                     name, outcome = results.get(timeout=remaining)

@@ -66,9 +66,7 @@ class Event:
     """One telemetry record.
 
     ``ts`` is seconds since the emitting bus's epoch (monotonic within
-    one process).  ``attrs`` keys starting with ``_`` carry in-memory
-    payload objects for same-process subscribers and are dropped by
-    serializing sinks.
+    one process).
     """
 
     name: str
@@ -80,7 +78,7 @@ class Event:
     attrs: Mapping = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        """JSON-safe representation (private ``_`` attrs dropped)."""
+        """JSON-safe representation."""
         return {
             "name": self.name,
             "kind": self.kind,
@@ -89,9 +87,7 @@ class Event:
             "source": self.source,
             "level": self.level,
             "attrs": {
-                key: _json_safe(value)
-                for key, value in self.attrs.items()
-                if not key.startswith("_")
+                key: _json_safe(value) for key, value in self.attrs.items()
             },
         }
 

@@ -101,9 +101,7 @@ class ConsoleSink:
             return
         level = LEVEL_NAMES.get(event.level, str(event.level))
         attrs = " ".join(
-            f"{key}={value}"
-            for key, value in event.attrs.items()
-            if not key.startswith("_")
+            f"{key}={value}" for key, value in event.attrs.items()
         )
         prefix = f"[{event.ts:9.3f}s {level:<7}] {event.name}"
         print(f"{prefix} {attrs}".rstrip(), file=self.stream)
@@ -112,9 +110,9 @@ class ConsoleSink:
 class CallbackSink:
     """Invoke ``fn(event)`` for events whose name is in ``names``.
 
-    ``names=None`` subscribes to everything.  This is how in-process
-    consumers (e.g. checkpoint recording in the stage-count driver)
-    ride the bus instead of bespoke callback plumbing.
+    ``names=None`` subscribes to everything.  In-process consumers
+    (e.g. ``repro-replan`` reading the warm replan's first feasible
+    estimate) ride the bus this way.
     """
 
     def __init__(

@@ -1,7 +1,10 @@
 """The strategy arena: equal-budget tournaments over registered searchers."""
 
+import contextlib
 import dataclasses
 import json
+import os
+import time
 
 import pytest
 
@@ -21,6 +24,8 @@ from repro.telemetry.events import (
     ARENA_ENTRY_BEGIN,
     ARENA_ENTRY_END,
     ARENA_ENTRY_FAILED,
+    DRIVER_WORKER_PREFIX,
+    SEARCH_BEGIN,
     is_registered,
 )
 
@@ -194,6 +199,90 @@ class TestTournament:
         assert best.best_objective == min(
             o.best_objective for o in result.outcomes
         )
+
+
+@contextlib.contextmanager
+def stub_strategy(name, run):
+    """Register a strategy whose ``run`` calls ``run()`` instead."""
+
+    @dataclasses.dataclass
+    class StubOptions:
+        seed: int = 0
+
+    class StubSearcher(Searcher):
+        strategy = name
+        options_class = StubOptions
+
+        def run(self, init_config, budget, *, deadline=None):
+            return run()
+
+    register_searcher(StubSearcher)
+    try:
+        yield ArenaEntry(strategy=name)
+    finally:
+        unregister_searcher(name)
+
+
+def race_logged(graph, cluster, database, **kwargs):
+    """``race`` on a fresh bus; returns the result and every event."""
+    events = []
+    bus = TelemetryBus()
+    bus.add_sink(CallbackSink(events.append))
+    with using_bus(bus):
+        result = race(graph, cluster, database, **kwargs)
+    return result, events
+
+
+class TestLaneFailures:
+    def assert_only_lane_failed(self, result, events, lane):
+        """``lane`` alone failed, once; the other lanes reported."""
+        assert [o.failed for o in result.outcomes] == [True, False, False]
+        failed = [e for e in events if e.name == ARENA_ENTRY_FAILED]
+        assert [e.attrs["entry"] for e in failed] == [lane.name]
+        assert [e.name for e in events].count(ARENA_ENTRY_END) == 2
+        for event in events:
+            if event.name.startswith(DRIVER_WORKER_PREFIX):
+                assert "arena_entry" in event.attrs
+                assert "num_stages" not in event.attrs
+        return result.outcomes[0].error
+
+    def test_crashed_worker_fails_only_its_lane(
+        self, tiny_graph, small_cluster, tiny_database
+    ):
+        with stub_strategy("crash-test", lambda: os._exit(3)) as crash:
+            result, events = race_logged(
+                tiny_graph, small_cluster, tiny_database,
+                entries=[crash, *ENTRIES[:2]], workers=2,
+            )
+        error = self.assert_only_lane_failed(result, events, crash)
+        assert "exit code 3" in error
+        begins = [e for e in events if e.name == ARENA_ENTRY_BEGIN]
+        assert all("worker_pid" in e.attrs for e in begins)
+
+    def test_lane_past_its_deadline_is_reaped(
+        self, tiny_graph, small_cluster, tiny_database
+    ):
+        with stub_strategy("sleepy-test", lambda: time.sleep(60)) as sleepy:
+            result, events = race_logged(
+                tiny_graph, small_cluster, tiny_database,
+                entries=[sleepy, *ENTRIES[:2]], workers=2,
+                deadline_seconds=0.5,
+            )
+        error = self.assert_only_lane_failed(result, events, sleepy)
+        assert "timed out after 1.5s" in error
+
+    def test_serial_lane_begins_before_its_search(
+        self, tiny_graph, small_cluster, tiny_database
+    ):
+        _, events = race_logged(tiny_graph, small_cluster, tiny_database)
+        order = [
+            e.attrs.get("entry", e.name)
+            for e in events
+            if e.name in (ARENA_ENTRY_BEGIN, SEARCH_BEGIN)
+        ]
+        assert order == [
+            step for entry in ENTRIES for step in (entry.name, SEARCH_BEGIN)
+        ]
 
 
 class TestArenaEntry:

@@ -4,8 +4,7 @@ Each scenario runs :func:`search_all_stage_counts` on a tiny model twice:
 in this process (``workers=1``) and on the worker pool (``workers=2``
 with a generous per-count timeout, which keeps the pool even on a
 one-core box).  The ``driver.*`` events it publishes are compared with
-``fixtures/driver_events.json``, masking only wall times, pids and the
-private ``_result``/``_failure``/``_call`` payloads.
+``fixtures/driver_events.json``, masking only wall times and pids.
 
 Scenarios with a retry compare each stage count's own events in order,
 and the events that name no stage count in order: a retry waits out its
@@ -93,7 +92,6 @@ def _masked(event):
     attrs = {
         key: "<masked>" if key in _MASKED else value
         for key, value in event.attrs.items()
-        if not key.startswith("_")
     }
     return [event.name, attrs]
 

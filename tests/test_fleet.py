@@ -49,6 +49,7 @@ from repro.service import (
     serve,
     synthetic_planner,
 )
+from repro.service.daemon import WATCHDOG_GRACE
 from repro.telemetry import CallbackSink, TelemetryBus, using_bus
 
 
@@ -255,10 +256,12 @@ class ScriptedClient:
         #: ``behavior(payload) -> PlanResponse`` or raises ReplicaError.
         self.behavior = behavior
         self.calls = []
+        self.timeouts = []
         self.invalidations = 0
 
     def plan(self, payload, timeout):
         self.calls.append(dict(payload))
+        self.timeouts.append(timeout)
         return self.behavior(payload)
 
     def health(self):
@@ -408,6 +411,20 @@ class TestFleetRouter:
         assert response.status == STATUS_PARTIAL
         assert response.plan == {"cut": True}
         router.stop()
+
+    def test_attempt_waits_as_long_as_the_request_allows(self):
+        """No deadline, no bound; a deadline gets a bound that outlasts
+        the daemon's watchdog grace."""
+        client = ScriptedClient(lambda p: _served(p, tag="a"))
+        router = FleetRouter({"a": client}, config=_fleet_config())
+        try:
+            router.submit(_request())
+            router.submit(_request(model="gpt-2l", deadline_seconds=3.0))
+        finally:
+            router.stop()
+        unbounded, bounded = client.timeouts
+        assert unbounded is None
+        assert bounded > 3.0 + WATCHDOG_GRACE
 
     def test_degrades_to_stale_then_shed(self, tmp_path):
         router, replicas = self._local_fleet(tmp_path, n=2)
@@ -734,6 +751,14 @@ class TestFleetLint:
         write_json_atomic(path2, {"format_version": 1})
         codes = [d.code for d in lint_fleet_state_file(path2)]
         assert "ACE401" in codes
+
+    def test_state_with_retired_request_timeout_still_loads(self, tmp_path):
+        state = _fleet_state()
+        state["fleet"]["request_timeout"] = 60.0
+        path = tmp_path / "old.fleet.json"
+        write_json_atomic(path, state)
+        assert lint_fleet_state_file(path) == []
+        assert FleetConfig.from_json(state["fleet"]) == FleetConfig()
 
     def test_duplicate_replicas(self, tmp_path):
         path = tmp_path / "dup.fleet.json"

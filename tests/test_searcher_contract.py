@@ -5,11 +5,19 @@ performance model, anytime under a :class:`Deadline` (best-so-far,
 ``partial=True``, never raises), bit-exact through checkpoint/resume,
 and telemetry-well-formed (registered event names, complete
 ``search.iteration`` attrs, a trace reconstructible from the event
-stream).  The hypothesis property at the bottom pins the refactor
-itself: the extracted :class:`SearchContext` greedy path must be
-bit-identical — same plans, traces, and estimate counts — to a frozen
-copy of the pre-refactor monolithic ``AcesoSearch.run``.
+stream).  Two hypothesis properties at the bottom are the greedy
+search's behaviour oracles, and each catches what the other cannot:
+
+* the extracted :class:`SearchContext` greedy path must be
+  bit-identical — same plans, traces, and estimate counts — to a frozen
+  copy of the pre-refactor monolithic ``AcesoSearch.run``, which pins
+  the search loop itself;
+* over random ``ir.models.synthetic`` graphs, a search on the default
+  :class:`PerfModel` must equal one whose stage caches are off, which
+  pins the estimator's caches under a real search.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -34,10 +42,13 @@ from repro.core import (
     unregister_searcher,
     warm_start_from_events,
 )
+from repro.cluster import single_node
 from repro.core.budget import BudgetKwargsError, Deadline
 from repro.core.search import AcesoSearch, AcesoSearchOptions
+from repro.ir.models.synthetic import build_synthetic
 from repro.parallel import balanced_config
 from repro.perfmodel import PerfModel
+from repro.perfmodel.model import build_perf_model
 from repro.telemetry import CallbackSink, TelemetryBus, using_bus
 from repro.telemetry.events import (
     SEARCH_BEGIN,
@@ -570,10 +581,7 @@ def frozen_greedy_run(searcher, init_config, budget, *, deadline=None):
             new_config = result.config
             if opts.enable_finetune:
                 scope = None
-                if (
-                    opts.finetune_dirty_only
-                    and result.dirty_stages is not None
-                ):
+                if result.dirty_stages is not None:
                     new_report = perf_model.estimate(new_config)
                     hot = rank_bottlenecks(new_report)[0].stage
                     scope = sorted(set(result.dirty_stages) | {hot})
@@ -658,20 +666,18 @@ class TestGreedyBitIdentity:
         max_hops=st.integers(min_value=1, max_value=7),
         max_bottlenecks=st.integers(min_value=1, max_value=3),
         enable_finetune=st.booleans(),
-        finetune_dirty_only=st.booleans(),
         use_heuristic2=st.booleans(),
         seed=st.integers(min_value=0, max_value=3),
     )
     def test_refactored_greedy_matches_frozen_pre_refactor(
         self, tiny_graph, small_cluster, tiny_database,
         stage_count, iterations, max_hops, max_bottlenecks,
-        enable_finetune, finetune_dirty_only, use_heuristic2, seed,
+        enable_finetune, use_heuristic2, seed,
     ):
         options = AcesoSearchOptions(
             max_hops=max_hops,
             max_bottlenecks=max_bottlenecks,
             enable_finetune=enable_finetune,
-            finetune_dirty_only=finetune_dirty_only,
             use_heuristic2=use_heuristic2,
             seed=seed,
         )
@@ -704,3 +710,59 @@ class TestGreedyBitIdentity:
         assert (
             current_model.num_estimates == frozen_model.num_estimates
         )
+
+
+# ----------------------------------------------------------------------
+# the behaviour oracle: the stage-cached model vs the uncached one
+# ----------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def _synthetic_problem(num_ops, seed, gpus):
+    graph = build_synthetic(num_ops, seed=seed, batch_size=64)
+    cluster = single_node(gpus)
+    return graph, cluster, build_perf_model(graph, cluster).database
+
+
+class TestStageCacheOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        num_ops=st.sampled_from([16, 40, 96]),
+        graph_seed=st.integers(min_value=0, max_value=3),
+        gpus=st.sampled_from([2, 4, 8]),
+        stage_pick=st.integers(min_value=0, max_value=3),
+        iterations=st.integers(min_value=1, max_value=8),
+        max_hops=st.integers(min_value=1, max_value=7),
+        max_bottlenecks=st.integers(min_value=1, max_value=3),
+        enable_finetune=st.booleans(),
+        use_heuristic2=st.booleans(),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    def test_search_matches_the_uncached_model(
+        self, num_ops, graph_seed, gpus, stage_pick, iterations, max_hops,
+        max_bottlenecks, enable_finetune, use_heuristic2, seed,
+    ):
+        """A greedy search on the default model (stage, base and config
+        caches on) equals one whose stage caches are off: same best
+        plan, same trace, same estimate count."""
+        graph, cluster, database = _synthetic_problem(
+            num_ops, graph_seed, gpus
+        )
+        stage_counts = [c for c in (1, 2, 4, 8) if c <= gpus]
+        init = balanced_config(
+            graph, cluster, stage_counts[stage_pick % len(stage_counts)]
+        )
+        options = AcesoSearchOptions(
+            max_hops=max_hops,
+            max_bottlenecks=max_bottlenecks,
+            enable_finetune=enable_finetune,
+            use_heuristic2=use_heuristic2,
+            seed=seed,
+        )
+
+        def search(**model_kwargs):
+            model = PerfModel(graph, cluster, database, **model_kwargs)
+            result = AcesoSearch(
+                graph, cluster, model, options=options
+            ).run(init, SearchBudget(max_iterations=iterations))
+            return deterministic_fields(result), model.num_estimates
+
+        assert search() == search(stage_cache_size=0)

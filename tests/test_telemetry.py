@@ -86,12 +86,6 @@ class TestBus:
         with bus.span("unit.span") as span:
             span.set(ignored=True)  # must not raise
 
-    def test_private_attrs_dropped_from_json(self):
-        event = Event(name="x", attrs={"keep": 1, "_drop": object()})
-        data = event.to_json()
-        assert data["attrs"] == {"keep": 1}
-        assert Event.from_json(data).attrs == {"keep": 1}
-
     def test_with_attrs_merges(self):
         event = Event(name="x", attrs={"a": 1})
         stamped = event.with_attrs(b=2)
@@ -255,7 +249,7 @@ class TestRunLog:
         bus.add_sink(JsonlSink(path))
         bus.emit("alpha", source="tests", level=DEBUG, n=1)
         bus.emit("beta", source="tests", level=WARNING,
-                 nested={"k": [1, 2]}, _private=object())
+                 nested={"k": [1, 2]})
         bus.close()
         # validation accepts what the sink writes, event for event
         events = validate_run_log(path)
