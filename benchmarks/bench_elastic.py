@@ -66,10 +66,10 @@ def _oracle_throughput(graph, controller, timeline, decisions):
     full multi-stage-count driver on the same planner view and
     measures the winner on the same executor/fault view.
     """
-    from repro.elastic.controller import _MembershipState
+    from repro.faults import Membership
     from repro.perfmodel import PerfModel
 
-    state = _MembershipState(controller.cluster.gpus_per_node)
+    membership = Membership(controller.cluster)
     event_iter = iter(timeline.events)
     consumed = []
     throughputs = []
@@ -78,9 +78,9 @@ def _oracle_throughput(graph, controller, timeline, decisions):
             len(d.events) for d in decisions[: decision.index + 1]
         ):
             event = next(event_iter)
-            state.apply(event)
+            membership.apply(event)
             consumed.append(event)
-        view = controller._project(state)
+        view = membership.view()
         model = controller._model_for(view.planner)
         multi = search_all_stage_counts(
             graph,

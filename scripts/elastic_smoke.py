@@ -9,7 +9,10 @@ timeline against its ``/churn`` endpoint while concurrently firing
   may degrade answers, never drop them;
 * every churn event is acknowledged and invalidates the plan cache
   (``elastic.cache.invalidate`` appears in the run log);
-* after the last event the daemon still serves a feasible plan;
+* after the last event the daemon serves the plan for the cluster
+  the churn left: the same objective as a stage-count search on the
+  folded planner view (the timeline ends with a straggler, which the
+  nominal cluster would price at a lower objective);
 * the daemon drains cleanly, leaving a schema-valid run log and a
   Chrome trace behind for the build artifact.
 
@@ -55,6 +58,29 @@ def post(port, path, payload, timeout=180):
             return reply.status, json.loads(reply.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def folded_search(timeline, request):
+    """Best objective of a stage-count search on ``request``'s cluster
+    folded with every event of ``timeline``."""
+    from repro.cluster import paper_cluster
+    from repro.core import search_all_stage_counts
+    from repro.faults import Membership
+    from repro.ir.models import build_model
+    from repro.perfmodel import build_perf_model
+
+    graph = build_model(request["model"])
+    cluster = Membership.fold(
+        paper_cluster(request["gpus"]), timeline.events
+    ).view().planner
+    return search_all_stage_counts(
+        graph,
+        cluster,
+        build_perf_model(graph, cluster, seed=0),
+        stage_counts=request["stage_counts"],
+        budget_per_count={"max_iterations": request["iterations"]},
+        strategy_kwargs={"seed": 0},
+    ).best.best_objective
 
 
 def main():
@@ -145,18 +171,29 @@ def main():
             f"invalid churn event answered http {code}, expected 400"
         )
 
-    # After all churn: the daemon must still produce a feasible plan.
-    code, body = post(
-        port, "/plan",
-        {"model": "gpt-2l", "gpus": 4, "stage_counts": [1, 2],
-         "iterations": 3},
-    )
+    # After all churn: the daemon must serve the plan for the folded
+    # cluster, not the nominal one (both share a plan digest here, so
+    # compare objectives).
+    final = {"model": "gpt-2l", "gpus": 4, "stage_counts": [1, 2],
+             "iterations": 3}
+    code, body = post(port, "/plan", final)
     final_status = body.get("status")
     print(f"final plan after churn: http {code} -> {final_status}")
     if final_status not in ("served", "partial") or not body.get("plan"):
         problems.append(
             f"no feasible plan after churn: {final_status!r}"
         )
+    else:
+        oracle = folded_search(timeline, final)
+        print(
+            f"final objective {body['objective']:.5f}, search on the "
+            f"folded cluster {oracle:.5f}"
+        )
+        if body["objective"] != oracle:
+            problems.append(
+                f"final plan objective {body['objective']} is not the "
+                f"folded cluster's {oracle}: churn missed the plan"
+            )
 
     process.send_signal(signal.SIGTERM)
     try:

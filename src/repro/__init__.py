@@ -47,7 +47,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "AcesoSearch", "AcesoSearchOptions", "SearchFailedError",
         "SearchResult", "search_all_stage_counts",
     ),
-    "faults.inject": ("shrink_cluster",),
     "faults.plan": ("FaultPlan",),
     "ir.graph": ("OpGraph",),
     "ir.models.registry": ("available_models", "build_model"),

@@ -4,12 +4,13 @@
 (possibly heterogeneous) cluster and keeps a *servable plan* alive the
 whole way through.  Per debounced event batch it
 
-1. folds the events into its membership state (preempted nodes,
-   failed devices, straggling devices, degraded link scopes),
-2. derives the *planner view* — the surviving cluster snapped to the
-   power-of-two invariants, links degraded, and stragglers folded into
-   per-node device specs so the heterogeneous performance model prices
-   slow nodes honestly,
+1. folds the events into its :class:`~repro.faults.plan.Membership`
+   (preempted nodes, failed devices, straggling devices, degraded
+   link scopes),
+2. reads the fold's *planner view* — the surviving cluster snapped to
+   the power-of-two invariants, links degraded, and stragglers folded
+   into per-node device specs so the heterogeneous performance model
+   prices slow nodes honestly,
 3. decides whether to re-plan at all (hysteresis: forced when the
    current plan no longer fits the cluster shape; otherwise only when
    the estimated throughput loss crosses a threshold and a cooldown
@@ -32,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
@@ -40,13 +41,10 @@ from ..core.budget import Deadline, SearchBudget
 from ..core.search import AcesoSearch, AcesoSearchOptions
 from ..faults.inject import (
     NoSurvivorsError,
-    _surviving_nodes,
     adapt_config,
-    degrade_cluster,
     memory_safe_variant,
-    shrink_cluster_checked,
 )
-from ..faults.plan import FaultPlan, LinkDegradation, StragglerSlowdown
+from ..faults.plan import Membership, MembershipView
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..parallel.initializer import balanced_config
@@ -130,23 +128,7 @@ class Decision:
     replan_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "time": self.time,
-            "events": list(self.events),
-            "action": self.action,
-            "reason": self.reason,
-            "cluster_gpus": self.cluster_gpus,
-            "estimated_loss": self.estimated_loss,
-            "objective_before": self.objective_before,
-            "objective_after": self.objective_after,
-            "plan_signature": self.plan_signature,
-            "feasible": self.feasible,
-            "num_estimates": self.num_estimates,
-            "fallback_rung": self.fallback_rung,
-            "throughput": self.throughput,
-            "replan_seconds": self.replan_seconds,
-        }
+        return asdict(self)
 
     def replay_fingerprint(self) -> dict:
         """The decision minus wall-clock fields (bit-reproducible)."""
@@ -168,11 +150,7 @@ class ControllerRun:
 
     @property
     def num_replans(self) -> int:
-        return sum(
-            1
-            for d in self.decisions
-            if d.action in ("replan", "fallback")
-        )
+        return sum(d.action in ("replan", "fallback") for d in self.decisions)
 
     def to_dict(self) -> dict:
         return {
@@ -199,55 +177,6 @@ class ControllerRun:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class _MembershipState:
-    """Mutable view of what the timeline has done to the cluster.
-
-    ``gpus_per_node`` maps a rejoining node back to its devices, so a
-    ``node_join`` also restores devices that failed on their own.
-    """
-
-    gpus_per_node: int
-    preempted: set = field(default_factory=set)
-    failed: set = field(default_factory=set)
-    stragglers: Dict[int, float] = field(default_factory=dict)
-    link_factors: Dict[str, float] = field(default_factory=dict)
-
-    def apply(self, event: ChurnEvent) -> None:
-        if event.kind == "node_preempt":
-            self.preempted.add(event.node_id)
-        elif event.kind == "node_join":
-            self.preempted.discard(event.node_id)
-            first = event.node_id * self.gpus_per_node
-            self.failed -= set(range(first, first + self.gpus_per_node))
-        elif event.kind == "device_fail":
-            self.failed.add(event.device_id)
-        elif event.kind == "straggler_on":
-            self.stragglers[event.device_id] = event.factor
-        elif event.kind == "straggler_off":
-            self.stragglers.pop(event.device_id, None)
-        elif event.kind == "link_degrade":
-            self.link_factors[event.scope] = event.factor
-        elif event.kind == "link_repair":
-            self.link_factors.pop(event.scope, None)
-
-
-@dataclass
-class _ClusterView:
-    """The three coherent projections of the membership state.
-
-    ``executor_cluster`` keeps nominal links — the executor applies
-    ``fault_view``'s link degradations and stragglers itself — while
-    ``planner_cluster`` bakes both into the hardware description the
-    performance model prices, so neither path double-counts.
-    """
-
-    effective: ClusterSpec       # survivors, power-of-two snapped
-    planner: ClusterSpec         # + degraded links, stragglers folded
-    fault_view: FaultPlan        # stragglers/links in shrunk device ids
-    kept_nodes: Tuple[int, ...]  # base-cluster ids of surviving nodes
-
-
 class ElasticController:
     """Drive a plan through a churn timeline without ever dropping it."""
 
@@ -269,78 +198,6 @@ class ElasticController:
         self._models: Dict[tuple, PerfModel] = {}
         self._initial_survivors = (
             list(initial_survivors) if initial_survivors else None
-        )
-
-    # ------------------------------------------------------------------
-    # cluster projection
-    # ------------------------------------------------------------------
-    def _project(self, state: _MembershipState) -> _ClusterView:
-        base = self.cluster
-        gpn = base.gpus_per_node
-        # A timeline may reference nodes this cluster doesn't have
-        # (e.g. replayed against a smaller deployment); events about
-        # hardware that doesn't exist here are inert, not fatal.
-        failed = {
-            d
-            for node in state.preempted
-            if node < base.num_nodes
-            for d in range(node * gpn, (node + 1) * gpn)
-        } | {d for d in state.failed if d < base.num_gpus}
-        effective, _ = shrink_cluster_checked(base, sorted(failed))
-        kept = _surviving_nodes(base, failed, effective.num_nodes)
-
-        # Remap base-cluster device ids onto the shrunk cluster; a
-        # straggler on a dropped node (or beyond a collapsed node's
-        # snapped width) no longer exists.
-        new_gpn = effective.gpus_per_node
-        remapped: Dict[int, float] = {}
-        for device, factor in state.stragglers.items():
-            node, offset = device // gpn, device % gpn
-            if node in kept and offset < new_gpn:
-                remapped[kept.index(node) * new_gpn + offset] = factor
-
-        fault_view = FaultPlan(
-            stragglers=tuple(
-                StragglerSlowdown(device, factor)
-                for device, factor in sorted(remapped.items())
-            ),
-            link_degradations=tuple(
-                LinkDegradation(scope, factor)
-                for scope, factor in sorted(state.link_factors.items())
-            ),
-        )
-
-        planner = degrade_cluster(effective, **state.link_factors)
-        if remapped:
-            # Fold stragglers into per-node device specs: the hetero
-            # performance model then prices the slow node and the
-            # search migrates layers off it — the same mechanism that
-            # handles genuinely mixed hardware.
-            specs = list(
-                planner.node_devices
-                or (planner.device,) * planner.num_nodes
-            )
-            for position in range(planner.num_nodes):
-                span = range(
-                    position * new_gpn, (position + 1) * new_gpn
-                )
-                slow = max(
-                    (remapped[d] for d in span if d in remapped),
-                    default=1.0,
-                )
-                if slow > 1.0:
-                    spec = specs[position]
-                    specs[position] = replace(
-                        spec,
-                        name=f"{spec.name}~x{slow:.3f}",
-                        efficiency=spec.efficiency / slow,
-                    )
-            planner = replace(planner, node_devices=tuple(specs))
-        return _ClusterView(
-            effective=effective,
-            planner=planner,
-            fault_view=fault_view,
-            kept_nodes=kept,
         )
 
     def _model_for(self, planner: ClusterSpec) -> PerfModel:
@@ -377,25 +234,39 @@ class ElasticController:
                 self._initial_survivors, key=lambda pair: pair[0]
             )
             return best, best_obj, list(self._initial_survivors)
-        model = self._model_for(self.cluster)
-        options = AcesoSearchOptions(
-            seed=self.seed, top_k=self.policy.top_k
-        )
-        init = balanced_config(
-            self.graph, self.cluster, min(2, self.cluster.num_gpus)
-        )
-        result = AcesoSearch(
-            self.graph, self.cluster, model, options=options
-        ).run(
-            init,
-            SearchBudget(
-                max_iterations=self.policy.replan_iterations
-            ),
+        result = self._search(
+            self.cluster,
+            self._model_for(self.cluster),
+            self._balanced(self.cluster),
         )
         return (
             result.best_config,
             result.best_objective,
             list(result.top_configs),
+        )
+
+    def _balanced(self, cluster: ClusterSpec) -> ParallelConfig:
+        return balanced_config(self.graph, cluster, min(2, cluster.num_gpus))
+
+    def _search(
+        self,
+        cluster: ClusterSpec,
+        model: PerfModel,
+        init: ParallelConfig,
+        deadline: Optional[Deadline] = None,
+    ):
+        """One bounded warm search: the replan budget and seed."""
+        return AcesoSearch(
+            self.graph,
+            cluster,
+            model,
+            options=AcesoSearchOptions(
+                seed=self.seed, top_k=self.policy.top_k
+            ),
+        ).run(
+            init,
+            SearchBudget(max_iterations=self.policy.replan_iterations),
+            deadline=deadline,
         )
 
     def _warm_candidates(
@@ -420,23 +291,20 @@ class ElasticController:
 
     def _replan(
         self,
-        view: _ClusterView,
+        planner: ClusterSpec,
         model: PerfModel,
         survivors: List[Tuple[float, ParallelConfig]],
         current: ParallelConfig,
-    ) -> Tuple[ParallelConfig, float, bool, Optional[str], int]:
+    ) -> Tuple[ParallelConfig, float, bool, Optional[str]]:
         """Warm replan with a fallback ladder; never raises.
 
-        Returns ``(config, objective, feasible, fallback_rung,
-        estimates_spent)``.  ``fallback_rung`` is ``None`` when the
-        warm search itself produced a feasible plan.
+        Returns ``(config, objective, feasible, fallback_rung)``;
+        ``fallback_rung`` is ``None`` when the warm search itself
+        produced a feasible plan.
         """
         policy = self.policy
-        estimates_before = model.num_estimates
         bus = get_bus()
-        candidates = self._warm_candidates(
-            view.planner, survivors, current
-        )
+        candidates = self._warm_candidates(planner, survivors, current)
         best_candidate: Optional[ParallelConfig] = None
         best_candidate_obj = float("inf")
         feasible_candidate: Optional[ParallelConfig] = None
@@ -451,29 +319,12 @@ class ElasticController:
                 feasible_candidate = candidate
                 feasible_candidate_obj = objective
 
-        init = best_candidate or balanced_config(
-            self.graph, view.planner, min(2, view.planner.num_gpus)
-        )
-        deadline = (
-            Deadline(policy.deadline_seconds)
-            if policy.deadline_seconds is not None
-            else None
+        init = best_candidate or self._balanced(planner)
+        deadline = None if policy.deadline_seconds is None else Deadline(
+            policy.deadline_seconds
         )
         try:
-            result = AcesoSearch(
-                self.graph,
-                view.planner,
-                model,
-                options=AcesoSearchOptions(
-                    seed=self.seed, top_k=policy.top_k
-                ),
-            ).run(
-                init,
-                SearchBudget(
-                    max_iterations=policy.replan_iterations
-                ),
-                deadline=deadline,
-            )
+            result = self._search(planner, model, init, deadline)
         except Exception as error:  # ladder below, never crash
             if bus.active:
                 bus.emit(
@@ -485,31 +336,18 @@ class ElasticController:
                 )
             result = None
 
-        spent = model.num_estimates - estimates_before
         if result is not None and result.is_feasible:
             survivors[:] = list(result.top_configs)
-            return (
-                result.best_config,
-                result.best_objective,
-                True,
-                None,
-                spent,
-            )
+            return result.best_config, result.best_objective, True, None
 
         # Fallback ladder: cheapest servable answer wins.
         if feasible_candidate is not None:
             rung = "adapted_survivor"
-            chosen, objective = (
-                feasible_candidate,
-                feasible_candidate_obj,
-            )
+            chosen, objective = feasible_candidate, feasible_candidate_obj
             feasible = True
         elif result is not None:
             rung = "infeasible_search_best"
-            chosen, objective = (
-                result.best_config,
-                result.best_objective,
-            )
+            chosen, objective = result.best_config, result.best_objective
             feasible = False
         elif best_candidate is not None:
             rung = "infeasible_adapted"
@@ -517,9 +355,7 @@ class ElasticController:
             feasible = False
         else:
             rung = "balanced_restart"
-            chosen = balanced_config(
-                self.graph, view.planner, min(2, view.planner.num_gpus)
-            )
+            chosen = self._balanced(planner)
             report = model.estimate(chosen)
             objective = model.objective_from_report(report)
             feasible = not report.is_oom
@@ -532,7 +368,7 @@ class ElasticController:
                 feasible=feasible,
             )
         survivors[:] = [(objective, chosen)]
-        return chosen, objective, feasible, rung, spent
+        return chosen, objective, feasible, rung
 
     # ------------------------------------------------------------------
     # main loop
@@ -555,7 +391,7 @@ class ElasticController:
         return batches
 
     def _measure(
-        self, view: _ClusterView, config: ParallelConfig
+        self, view: MembershipView, config: ParallelConfig
     ) -> float:
         """Ground-truth throughput of ``config`` under the fault view
         (samples/s; 0.0 when the plan cannot run at all)."""
@@ -590,7 +426,7 @@ class ElasticController:
                 num_events=len(timeline.events),
                 horizon=timeline.horizon,
             )
-        state = _MembershipState(self.cluster.gpus_per_node)
+        membership = Membership(self.cluster)
         current, current_obj, survivors = self._initial_plan()
         initial_signature = current.signature()
         initial_objective = current_obj
@@ -603,7 +439,7 @@ class ElasticController:
         for index, batch in enumerate(self._batches(timeline)):
             now = batch[-1].time
             for event in batch:
-                state.apply(event)
+                membership.apply(event)
                 if bus.active:
                     # ``kind`` is TelemetryBus.emit's reserved
                     # event-kind parameter; rename the churn kind.
@@ -617,7 +453,7 @@ class ElasticController:
                     )
             started = _time.monotonic()
             try:
-                view = self._project(state)
+                view = membership.view()
             except NoSurvivorsError:
                 # Every node preempted: nothing servable.  Record the
                 # halt and keep going — a later join resumes service.
@@ -714,8 +550,8 @@ class ElasticController:
                         time=now,
                         gpus=view.effective.num_gpus,
                     )
-                current, current_obj, feasible, rung, _ = (
-                    self._replan(view, model, survivors, current)
+                current, current_obj, feasible, rung = self._replan(
+                    view.planner, model, survivors, current
                 )
                 adopted_obj = current_obj
                 last_replan_time = now
@@ -768,20 +604,7 @@ class ElasticController:
                     loss=loss,
                 )
 
-        if bus.active:
-            bus.emit(
-                ELASTIC_RUN_END,
-                source="elastic",
-                level=INFO,
-                decisions=len(decisions),
-                replans=sum(
-                    1
-                    for d in decisions
-                    if d.action in ("replan", "fallback")
-                ),
-                final_feasible=feasible,
-            )
-        return ControllerRun(
+        result = ControllerRun(
             seed=self.seed,
             decisions=decisions,
             initial_signature=initial_signature,
@@ -789,3 +612,13 @@ class ElasticController:
             final_config=current,
             final_feasible=feasible,
         )
+        if bus.active:
+            bus.emit(
+                ELASTIC_RUN_END,
+                source="elastic",
+                level=INFO,
+                decisions=len(decisions),
+                replans=result.num_replans,
+                final_feasible=feasible,
+            )
+        return result

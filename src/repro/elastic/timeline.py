@@ -137,10 +137,6 @@ class ChurnTimeline:
             raise ValueError("churn events must be time-ordered")
 
     @property
-    def is_empty(self) -> bool:
-        return not self.events
-
-    @property
     def horizon(self) -> float:
         """Virtual time of the last event (0.0 when empty)."""
         return self.events[-1].time if self.events else 0.0

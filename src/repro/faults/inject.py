@@ -4,7 +4,7 @@ Three translations live here:
 
 * ``degrade_cluster`` — apply link-bandwidth factors, producing the
   hardware the executor *actually* runs on;
-* ``shrink_cluster`` — the surviving cluster after device failures
+* ``shrink_cluster_checked`` — the surviving cluster after device failures
   (snapped to the largest power-of-two allocation the planner's
   power-of-two invariants can use);
 * ``adapt_config`` — rescale a searched plan onto a smaller surviving
@@ -66,13 +66,6 @@ def degrade_cluster(
     )
 
 
-def _largest_power_of_two_at_most(value: int) -> int:
-    power = 1
-    while power * 2 <= value:
-        power *= 2
-    return power
-
-
 class NoSurvivorsError(ValueError):
     """Every device failed; no usable cluster remains.
 
@@ -129,7 +122,7 @@ def shrink_cluster_checked(
         raise NoSurvivorsError(
             "no devices survive the fault plan", diagnostic
         )
-    size = _largest_power_of_two_at_most(survivors)
+    size = 1 << (survivors.bit_length() - 1)  # largest power of two <=
     diagnostics: List[Diagnostic] = []
     if size < survivors:
         diagnostics.append(Diagnostic(
@@ -146,45 +139,27 @@ def shrink_cluster_checked(
             hint="restore failed devices to a power-of-two total to "
             "reclaim the idle survivors",
         ))
-    hetero = cluster.node_devices is not None
-    if size <= cluster.gpus_per_node:
-        keep = _surviving_nodes(cluster, failed, 1) if hetero else ()
-        shrunk = replace(
-            cluster,
-            num_nodes=1,
-            gpus_per_node=size,
-            node_devices=(
-                (cluster.node_devices[keep[0]],) if hetero else None
-            ),
-        )
-    elif size % cluster.gpus_per_node:
+    gpn = cluster.gpus_per_node
+    if size <= gpn:
+        num_nodes, gpn = 1, size
+    else:
         # Power-of-two sizes above one node are multiples of a
         # power-of-two node width; a non-multiple means the original
         # width wasn't a power of two — fall back to one full node.
-        keep = _surviving_nodes(cluster, failed, 1) if hetero else ()
-        shrunk = replace(
-            cluster,
-            num_nodes=1,
-            node_devices=(
-                (cluster.node_devices[keep[0]],) if hetero else None
-            ),
-        )
-    else:
-        new_nodes = size // cluster.gpus_per_node
-        keep = (
-            _surviving_nodes(cluster, failed, new_nodes)
-            if hetero
-            else ()
-        )
-        shrunk = replace(
-            cluster,
-            num_nodes=new_nodes,
-            node_devices=(
-                tuple(cluster.node_devices[n] for n in keep)
-                if hetero
-                else None
-            ),
-        )
+        num_nodes = 1 if size % gpn else size // gpn
+    shrunk = replace(
+        cluster,
+        num_nodes=num_nodes,
+        gpus_per_node=gpn,
+        node_devices=(
+            tuple(
+                cluster.node_devices[n]
+                for n in _surviving_nodes(cluster, failed, num_nodes)
+            )
+            if cluster.node_devices is not None
+            else None
+        ),
+    )
     bus = get_bus()
     if bus.active:
         bus.emit(
@@ -197,13 +172,6 @@ def shrink_cluster_checked(
             dropped=survivors - size,
         )
     return shrunk, diagnostics
-
-
-def shrink_cluster(
-    cluster: ClusterSpec, failed_devices: Sequence[int]
-) -> ClusterSpec:
-    """:func:`shrink_cluster_checked` without the diagnostics."""
-    return shrink_cluster_checked(cluster, failed_devices)[0]
 
 
 def memory_safe_variant(config: ParallelConfig) -> ParallelConfig:
@@ -236,30 +204,16 @@ def adapt_config(
     recompute flags of the original plan and is fully validated before
     being returned.
     """
-    old_total = config.total_devices
-    new_total = cluster.num_gpus
-    if old_total == new_total:
-        adapted = config
-    elif old_total > new_total:
-        if old_total % new_total:
-            return None
-        ratio = old_total // new_total
-        if any(stage.num_devices < ratio for stage in config.stages):
+    old, new = config.total_devices, cluster.num_gpus
+    if max(old, new) % min(old, new):
+        return None
+    adapted = config
+    if old != new:
+        if any(stage.num_devices * new < old for stage in config.stages):
             return None  # a stage would drop below one device
         adapted = ParallelConfig(
             stages=[
-                stage.with_devices(stage.num_devices // ratio)
-                for stage in config.stages
-            ],
-            microbatch_size=config.microbatch_size,
-        )
-    else:
-        if new_total % old_total:
-            return None
-        ratio = new_total // old_total
-        adapted = ParallelConfig(
-            stages=[
-                stage.with_devices(stage.num_devices * ratio)
+                stage.with_devices(stage.num_devices * new // old)
                 for stage in config.stages
             ],
             microbatch_size=config.microbatch_size,

@@ -10,15 +10,23 @@ is never persisted: the fault artifact is a
 
 The plan is pure data; :mod:`repro.faults.inject` and
 :class:`repro.runtime.executor.Executor` interpret it.
+
+:class:`Membership` is the one reading of churn events: it folds them
+against a base cluster into the surviving cluster, the planner's view
+of it and this fault view, for the controller, service and lint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+import hashlib
+import json
+import math
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from ..cluster.topology import ClusterSpec
-from ..elastic.timeline import LINK_SCOPES, ChurnTimeline
+from ..elastic.timeline import LINK_SCOPES, ChurnEvent, ChurnTimeline
+from .inject import _surviving_nodes, degrade_cluster, shrink_cluster_checked
 
 
 @dataclass(frozen=True)
@@ -85,41 +93,17 @@ class FaultPlan:
         """The faults ``timeline`` inflicts on ``cluster``.
 
         A ``device_fail`` is a :class:`DeviceFailure` at its time, and a
-        ``node_preempt`` is one per device of that node.  Stragglers and
-        link degradations fold to their end state, so a recovered
-        straggler or a repaired link leaves nothing behind.
+        ``node_preempt`` is one per device of that node; a later
+        ``node_join`` keeps them, because the measured iteration has
+        already lost those devices.  Stragglers and link degradations
+        fold to their end state, so a recovered straggler or a repaired
+        link leaves nothing behind.
         """
-        gpn = cluster.gpus_per_node
-        failures = []
-        stragglers: Dict[int, float] = {}
-        links: Dict[str, float] = {}
-        for event in timeline.events:
-            if event.kind == "device_fail":
-                failures.append(DeviceFailure(event.device_id, event.time))
-            elif event.kind == "node_preempt":
-                first = event.node_id * gpn
-                failures.extend(
-                    DeviceFailure(device, event.time)
-                    for device in range(first, first + gpn)
-                )
-            elif event.kind == "straggler_on":
-                stragglers[event.device_id] = event.factor
-            elif event.kind == "straggler_off":
-                stragglers.pop(event.device_id, None)
-            elif event.kind == "link_degrade":
-                links[event.scope] = event.factor
-            elif event.kind == "link_repair":
-                links.pop(event.scope, None)
-        return cls(
-            device_failures=tuple(failures),
-            stragglers=tuple(
-                StragglerSlowdown(device, factor)
-                for device, factor in sorted(stragglers.items())
-            ),
-            link_degradations=tuple(
-                LinkDegradation(scope, factor)
-                for scope, factor in sorted(links.items())
-            ),
+        membership = Membership.fold(cluster, timeline.events)
+        return _fault_plan(
+            membership.stragglers,
+            membership.link_factors,
+            membership.failures,
         )
 
     # ------------------------------------------------------------------
@@ -144,18 +128,181 @@ class FaultPlan:
 
     def straggler_factor(self, device_id: int) -> float:
         """Compound slowdown for one device (1.0 when healthy)."""
-        factor = 1.0
-        for straggler in self.stragglers:
-            if straggler.device_id == device_id:
-                factor *= straggler.factor
-        return factor
+        return math.prod(
+            (s.factor for s in self.stragglers if s.device_id == device_id),
+            start=1.0,
+        )
 
     def bandwidth_factor(self, scope: str) -> float:
         """Remaining bandwidth fraction for a link scope."""
         if scope not in LINK_SCOPES:
             raise ValueError(f"unknown link scope {scope!r}")
-        factor = 1.0
-        for degradation in self.link_degradations:
-            if degradation.scope == scope:
-                factor *= degradation.factor
-        return factor
+        return math.prod(
+            (d.factor for d in self.link_degradations if d.scope == scope),
+            start=1.0,
+        )
+
+
+def _fault_plan(
+    stragglers: Dict[int, float],
+    link_factors: Dict[str, float],
+    failures: Iterable[Tuple[int, float]] = (),
+) -> FaultPlan:
+    return FaultPlan(
+        device_failures=tuple(
+            DeviceFailure(device, time) for device, time in failures
+        ),
+        stragglers=tuple(
+            StragglerSlowdown(device, factor)
+            for device, factor in sorted(stragglers.items())
+        ),
+        link_degradations=tuple(
+            LinkDegradation(scope, factor)
+            for scope, factor in sorted(link_factors.items())
+        ),
+    )
+
+
+class MembershipView(NamedTuple):
+    """The three coherent projections of a :class:`Membership`.
+
+    ``effective`` keeps nominal links — the executor applies
+    ``fault_view``'s link degradations and stragglers itself — while
+    ``planner`` bakes both into the hardware description the
+    performance model prices, so neither path double-counts.
+    """
+
+    effective: ClusterSpec  # survivors, power-of-two snapped
+    planner: ClusterSpec    # + degraded links, stragglers folded
+    fault_view: FaultPlan   # stragglers/links in shrunk device ids
+
+
+@dataclass
+class Membership:
+    """Churn events folded against a base ``cluster``.
+
+    Events about hardware the cluster lacks stay inert: they change
+    neither :meth:`view` nor :attr:`key`.  A ``node_join`` brings back
+    every device of the node, even those that failed on their own, but
+    never erases the append-only ``failures`` log of ``(device, time)``.
+    """
+
+    cluster: ClusterSpec
+    preempted: Set[int] = field(default_factory=set)
+    failed: Set[int] = field(default_factory=set)
+    stragglers: Dict[int, float] = field(default_factory=dict)
+    link_factors: Dict[str, float] = field(default_factory=dict)
+    failures: List[Tuple[int, float]] = field(default_factory=list)
+
+    @classmethod
+    def fold(
+        cls, cluster: ClusterSpec, events: Iterable[ChurnEvent] = ()
+    ) -> "Membership":
+        membership = cls(cluster)
+        for event in events:
+            membership.apply(event)
+        return membership
+
+    def apply(self, event: ChurnEvent) -> None:
+        gpn = self.cluster.gpus_per_node
+        if event.kind == "node_preempt":
+            self.preempted.add(event.node_id)
+            first = event.node_id * gpn
+            self.failures.extend(
+                (device, event.time) for device in range(first, first + gpn)
+            )
+        elif event.kind == "node_join":
+            self.preempted.discard(event.node_id)
+            first = event.node_id * gpn
+            self.failed -= set(range(first, first + gpn))
+        elif event.kind == "device_fail":
+            self.failed.add(event.device_id)
+            self.failures.append((event.device_id, event.time))
+        elif event.kind == "straggler_on":
+            self.stragglers[event.device_id] = event.factor
+        elif event.kind == "straggler_off":
+            self.stragglers.pop(event.device_id, None)
+        elif event.kind == "link_degrade":
+            self.link_factors[event.scope] = event.factor
+        elif event.kind == "link_repair":
+            self.link_factors.pop(event.scope, None)
+
+    def _lost_devices(self) -> Set[int]:
+        """Devices of ``cluster`` that are down right now."""
+        base = self.cluster
+        gpn = base.gpus_per_node
+        return {
+            d
+            for node in self.preempted
+            if node < base.num_nodes
+            for d in range(node * gpn, (node + 1) * gpn)
+        } | {d for d in self.failed if d < base.num_gpus}
+
+    @property
+    def key(self) -> str:
+        """Canonical digest of the folded state, ``""`` when nothing
+        in it touches ``cluster`` (the nominal fold)."""
+        stragglers = sorted(
+            (device, factor)
+            for device, factor in self.stragglers.items()
+            if device < self.cluster.num_gpus
+        )
+        lost = sorted(self._lost_devices())
+        if not (lost or stragglers or self.link_factors):
+            return ""
+        blob = json.dumps(
+            [lost, stragglers, sorted(self.link_factors.items())]
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+
+    def view(self) -> MembershipView:
+        """Project the fold onto ``cluster``; raises
+        :class:`~repro.faults.inject.NoSurvivorsError` (``ACE221``)
+        when no device survives."""
+        base = self.cluster
+        gpn = base.gpus_per_node
+        failed = self._lost_devices()
+        effective, _ = shrink_cluster_checked(base, sorted(failed))
+        kept = _surviving_nodes(base, failed, effective.num_nodes)
+
+        # Remap base-cluster device ids onto the shrunk cluster; a
+        # straggler on a dropped node (or beyond a collapsed node's
+        # snapped width) no longer exists.
+        new_gpn = effective.gpus_per_node
+        remapped: Dict[int, float] = {}
+        for device, factor in self.stragglers.items():
+            node, offset = device // gpn, device % gpn
+            if node in kept and offset < new_gpn:
+                remapped[kept.index(node) * new_gpn + offset] = factor
+
+        planner = degrade_cluster(effective, **self.link_factors)
+        if remapped:
+            # Fold stragglers into per-node device specs: the hetero
+            # performance model then prices the slow node and the
+            # search migrates layers off it — the same mechanism that
+            # handles genuinely mixed hardware.
+            specs = list(
+                planner.node_devices
+                or (planner.device,) * planner.num_nodes
+            )
+            for position in range(planner.num_nodes):
+                span = range(
+                    position * new_gpn, (position + 1) * new_gpn
+                )
+                slow = max(
+                    (remapped[d] for d in span if d in remapped),
+                    default=1.0,
+                )
+                if slow > 1.0:
+                    spec = specs[position]
+                    specs[position] = replace(
+                        spec,
+                        name=f"{spec.name}~x{slow:.3f}",
+                        efficiency=spec.efficiency / slow,
+                    )
+            planner = replace(planner, node_devices=tuple(specs))
+        return MembershipView(
+            effective=effective,
+            planner=planner,
+            fault_view=_fault_plan(remapped, self.link_factors),
+        )

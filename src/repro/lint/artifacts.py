@@ -636,17 +636,20 @@ def lint_churn_timeline_file(path: Union[str, Path]) -> List[Diagnostic]:
     out = out or check_churn_timeline(data, str(path))
     if errors_only(out):
         return out
+    from ..cluster.topology import ClusterSpec
+    from ..elastic.timeline import ChurnEvent
+    from ..faults.plan import Membership
+
     # With a recorded cluster size, count nodes exactly; otherwise fall
     # back to the nodes the timeline mentions (a timeline can't name
-    # the nodes it never touches).
+    # the nodes it never touches).  Only the fold's preempted nodes are
+    # read, and no cluster shape changes those.
     num_nodes = data.get("num_nodes")
     nodes_seen = {e["node_id"] for e in data["events"] if "node_id" in e}
-    preempted: set = set()
+    membership = Membership(ClusterSpec(num_nodes=1, gpus_per_node=1))
+    preempted = membership.preempted
     for event in data["events"]:
-        if event["kind"] == "node_preempt":
-            preempted.add(event["node_id"])
-        elif event["kind"] == "node_join":
-            preempted.discard(event["node_id"])
+        membership.apply(ChurnEvent(**event))
         if (
             len(preempted) >= num_nodes
             if num_nodes is not None

@@ -88,7 +88,10 @@ class PlanCache:
             )
             return dict(entry)
 
-    def put(self, fingerprint: str, entry: dict) -> None:
+    def put(
+        self, fingerprint: str, entry: dict, *, persist: bool = True
+    ) -> None:
+        """Store ``entry``, on disk too unless ``persist=False``."""
         stored = dict(entry)
         with self._lock:
             self._entries[fingerprint] = stored
@@ -101,7 +104,7 @@ class PlanCache:
         # the kernel fsyncs.  Concurrent puts of the same fingerprint
         # race benignly — os.replace is atomic, last writer wins, and
         # the in-memory entry is the authority on the next get().
-        if self.directory is not None:
+        if self.directory is not None and persist:
             write_json_atomic(
                 self.directory / f"{fingerprint}.plan.json", stored
             )

@@ -34,12 +34,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from ..cluster.topology import ClusterSpec, paper_cluster
 from ..core.budget import Deadline
 from ..ioutil import write_json_atomic
 from ..lint.diagnostics import ERROR as LINT_ERROR
-from ..lint.diagnostics import ArtifactError
+from ..lint.diagnostics import ArtifactError, Diagnostic
 from ..lint.requests import analyze_plan_request
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
@@ -95,6 +96,58 @@ class TicketTimeout:
         return False
 
 
+class ChurnFold:
+    """The churn events a server has accepted, folded against each
+    request's paper cluster (:class:`~repro.faults.plan.Membership`).
+
+    A nominal fold keys and plans a request exactly as if no churn had
+    happened; before the first event :mod:`repro.faults` stays unloaded.
+    """
+
+    def __init__(self) -> None:
+        self._events: list = []
+        self._folds: Dict[int, tuple] = {}  # gpus -> (key, planner, lost)
+        self._lock = threading.Lock()
+
+    def add(self, event) -> None:
+        with self._lock:
+            self._events.append(event)
+            self._folds.clear()
+
+    @property
+    def generation(self) -> int:
+        return len(self._events)
+
+    def fold(
+        self, fingerprint: str, gpus: int
+    ) -> Tuple[str, Optional[ClusterSpec], Optional[Diagnostic]]:
+        """``(key, planner, lost)``: the request's cache key (its
+        fingerprint, joined with the fold key unless nominal), the
+        planner view (``None`` when nominal or when no device survives)
+        and, in the latter case, the ``ACE221`` diagnostic."""
+        with self._lock:
+            if self._events and gpus not in self._folds:
+                self._folds[gpus] = self._fold(gpus)
+            key, planner, lost = self._folds.get(gpus, ("", None, None))
+        return (f"{fingerprint}:{key}" if key else fingerprint), planner, lost
+
+    def _fold(self, gpus: int) -> tuple:
+        from ..faults.inject import NoSurvivorsError
+        from ..faults.plan import Membership
+
+        try:
+            cluster = paper_cluster(gpus)
+        except ValueError:  # no such cluster: the admission lint says so
+            return "", None, None
+        membership = Membership.fold(cluster, self._events)
+        if not membership.key:
+            return "", None, None
+        try:
+            return membership.key, membership.view().planner, None
+        except NoSurvivorsError as exc:
+            return membership.key, None, exc.diagnostic
+
+
 @dataclass
 class Ticket:
     """One admitted request in flight through the daemon."""
@@ -102,6 +155,10 @@ class Ticket:
     request: PlanRequest
     request_id: int
     fingerprint: str
+    #: Cache and coalescing key, and the planner view (``None`` when
+    #: nominal), of the churn fold the ticket was admitted under.
+    key: str = ""
+    cluster: Optional[ClusterSpec] = None
     deadline: Optional[Deadline] = None
     submitted: float = 0.0
     response: Optional[PlanResponse] = None
@@ -176,10 +233,11 @@ class PlannerDaemon:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._in_flight: Dict[int, Ticket] = {}
-        #: fingerprint -> primary ticket whose search later same-
-        #: fingerprint submissions ride (request coalescing).
+        #: cache key -> primary ticket whose search later same-key
+        #: submissions ride (request coalescing).
         self._coalesce: Dict[str, Ticket] = {}
         self._coalesced_total = 0
+        self._churn = ChurnFold()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._watchdog: Optional[threading.Thread] = None
         self._stop = threading.Event()
@@ -373,7 +431,8 @@ class PlannerDaemon:
                 error="daemon is not accepting requests",
                 retry_after=1.0,
             ))
-        cached = self.cache.get(fingerprint)
+        key, cluster, lost = self._churn.fold(fingerprint, request.gpus)
+        cached = self.cache.get(key)
         if cached is not None:
             journal = self._journal_path(fingerprint)
             if journal is not None and journal.exists():
@@ -405,7 +464,7 @@ class PlannerDaemon:
         # instead of burning another search worker — one search, many
         # waiters, each fanned an identical (flagged) response.
         with self._lock:
-            primary = self._coalesce.get(fingerprint)
+            primary = self._coalesce.get(key)
             if primary is not None:
                 follower = Ticket(
                     request=request,
@@ -427,11 +486,14 @@ class PlannerDaemon:
         # Admission lint (Tier A): a request naming an unknown model, an
         # unbuildable cluster, or a model whose weight state cannot fit
         # the cluster under any plan is rejected with structured
-        # diagnostics instead of burning a search worker on it.
-        invalid = [
-            d for d in analyze_plan_request(request)
-            if d.severity == LINT_ERROR
-        ] if self._admission_lint else []
+        # diagnostics instead of burning a search worker on it — as is
+        # one whose cluster churn left without a device (ACE221).
+        invalid = [lost] if lost is not None else []
+        if self._admission_lint and not invalid:
+            invalid = [
+                d for d in analyze_plan_request(request)
+                if d.severity == LINT_ERROR
+            ]
         if invalid:
             bus.emit(
                 SERVICE_REQUEST_INVALID,
@@ -462,13 +524,15 @@ class PlannerDaemon:
             request=request,
             request_id=request_id,
             fingerprint=fingerprint,
+            key=key,
+            cluster=cluster,
             submitted=time.monotonic(),
         )
         # Register as the coalescing primary *before* enqueueing so a
-        # concurrent same-fingerprint submit can never slip between
-        # enqueue and registration and start a duplicate search.
+        # concurrent same-key submit can never slip between enqueue
+        # and registration and start a duplicate search.
         with self._lock:
-            self._coalesce[fingerprint] = ticket
+            self._coalesce[key] = ticket
         # Journal before enqueueing: a worker may pop and finish the
         # ticket (unlinking the journal) the instant it is queued.
         self._journal(ticket)
@@ -506,16 +570,19 @@ class PlannerDaemon:
         """Fold one churn event into the serving state.
 
         ``event`` is a :class:`~repro.elastic.timeline.ChurnEvent` or
-        its dict form.  Every kind stales cached plans (capacity events
-        change the feasible shapes, performance events change every
-        cached objective), so the whole cache is dropped; in-flight and
-        subsequent ``/plan`` requests keep being answered — fresh
-        searches simply see the new conditions.
+        its dict form.  Each later request plans on its cluster folded
+        with every accepted event, and keys the cache and coalescing
+        with that fold, so fresh searches simply see the new
+        conditions and a search admitted before the event never
+        answers a request admitted after it.  The cache is dropped
+        too; in-flight and subsequent ``/plan`` requests keep being
+        answered.
         """
         from ..elastic.timeline import ChurnEvent
 
         if isinstance(event, dict):
             event = ChurnEvent.from_dict(event)
+        self._churn.add(event)
         dropped = self.invalidate_plans()
         bus = get_bus()
         if bus.active:
@@ -535,9 +602,10 @@ class PlannerDaemon:
     # internals
     # ------------------------------------------------------------------
     def _default_planner(self, request, *, deadline=None,
-                         checkpoint_path=None):
+                         checkpoint_path=None, cluster=None):
         return plan_request(
             request,
+            cluster,
             deadline=deadline,
             checkpoint_path=checkpoint_path,
             search_workers=self._search_workers,
@@ -578,10 +646,12 @@ class PlannerDaemon:
             return None
         return self.state_dir / f"{fingerprint}.request.json"
 
-    def _checkpoint_path(self, fingerprint: str) -> Optional[Path]:
-        if self.state_dir is None:
+    def _checkpoint_path(self, ticket: Ticket) -> Optional[Path]:
+        # A checkpoint resumes a search after a restart, and a restarted
+        # daemon folds no churn: a churned search keeps none.
+        if self.state_dir is None or ticket.cluster is not None:
             return None
-        return self.state_dir / f"{fingerprint}.ckpt.json"
+        return self.state_dir / f"{ticket.fingerprint}.ckpt.json"
 
     def _journal(self, ticket: Ticket) -> None:
         path = self._journal_path(ticket.fingerprint)
@@ -639,8 +709,8 @@ class PlannerDaemon:
         # either rides this fan-out or finds no primary and queues its
         # own (cache-warm) search.
         with self._lock:
-            if self._coalesce.get(ticket.fingerprint) is ticket:
-                del self._coalesce[ticket.fingerprint]
+            if self._coalesce.get(ticket.key) is ticket:
+                del self._coalesce[ticket.key]
             waiters = list(ticket.waiters)
             ticket.waiters.clear()
         ticket.response = response
@@ -682,9 +752,9 @@ class PlannerDaemon:
         bus = get_bus()
         request = ticket.request
         started = time.monotonic()
-        # Another worker may have planned the same fingerprint while
-        # this ticket queued; a cache hit now skips the whole search.
-        cached = self.cache.get(ticket.fingerprint)
+        # Another worker may have planned the same key while this
+        # ticket queued; a cache hit now skips the whole search.
+        cached = self.cache.get(ticket.key)
         if cached is not None:
             self._finish(ticket, PlanResponse(
                 status=STATUS_SERVED,
@@ -706,11 +776,15 @@ class PlannerDaemon:
             fingerprint=ticket.fingerprint,
             model=request.model,
         )
+        checkpoint = self._checkpoint_path(ticket)
+        # Planners that never serve churn need not take ``cluster``.
+        churned = {"cluster": ticket.cluster} if ticket.cluster else {}
         try:
             outcome = self._planner(
                 request,
                 deadline=ticket.deadline,
-                checkpoint_path=self._checkpoint_path(ticket.fingerprint),
+                checkpoint_path=checkpoint,
+                **churned,
             )
         except Exception as exc:  # noqa: BLE001 - map to terminal response
             elapsed = time.monotonic() - started
@@ -761,8 +835,9 @@ class PlannerDaemon:
         if not partial:
             # Partial plans answer their own request but must not be
             # served to later callers as the full search's answer.
-            self.cache.put(ticket.fingerprint, entry)
-            checkpoint = self._checkpoint_path(ticket.fingerprint)
+            self.cache.put(
+                ticket.key, entry, persist=ticket.cluster is None
+            )
             if checkpoint is not None:
                 try:
                     checkpoint.unlink()

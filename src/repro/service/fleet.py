@@ -26,8 +26,11 @@ replica by default for ``repro-serve`` — behind the one HTTP front in
   (``rejected`` + ``retry_after``) only when it has nothing at all;
 * **shared cache tier** — fresh full plans are written through to a
   router-level :class:`PlanCache`, and ``/invalidate`` / ``/churn``
-  fan out to every replica, demoting the shared entries to the stale
-  tier first;
+  fan out to every replica.  ``/invalidate`` demotes the shared entries
+  to the stale tier first; ``/churn`` folds the event as each replica
+  does (:class:`~repro.service.daemon.ChurnFold`), and both tiers are
+  keyed by the same fold, so no tier answers from a cluster that is
+  gone;
 * **health** — a poller keeps each replica's own ``health()`` report
   (queue, breakers, cache), and the fleet reports ``degraded`` while
   any replica is down or degraded itself.
@@ -64,7 +67,7 @@ from ..telemetry.events import (
     FLEET_STOP,
 )
 from .cache import PlanCache
-from .daemon import WATCHDOG_GRACE, PlannerDaemon
+from .daemon import WATCHDOG_GRACE, ChurnFold, PlannerDaemon
 from .protocol import STATUS_REJECTED, STATUS_SERVED, PlanRequest, PlanResponse
 from .ring import HashRing
 
@@ -267,9 +270,10 @@ class FleetRouter:
             for name, client in replicas.items()
         }
         self.cache = PlanCache(self.config.cache_entries)
-        #: fingerprint -> demoted cache entry, served only as last
+        #: cache key -> demoted cache entry, served only as last
         #: resort with ``stale=True``.
         self._stale: "Dict[str, dict]" = {}
+        self._churn = ChurnFold()
         self._poller: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self.counters = {
@@ -344,7 +348,9 @@ class FleetRouter:
     def _route(
         self, request: PlanRequest, fingerprint: str, ladder: List[str]
     ) -> PlanResponse:
-        cached = self.cache.get(fingerprint)
+        generation = self._churn.generation
+        key = self._churn.fold(fingerprint, request.gpus)[0]
+        cached = self.cache.get(key)
         if cached is not None:
             return PlanResponse(
                 status=STATUS_SERVED,
@@ -362,7 +368,12 @@ class FleetRouter:
             backup = ladder[position + 1] if position + 1 < len(ladder) \
                 else None
             response = self._attempt(name, backup, payload, fingerprint)
-            if response is None:
+            reachable = reachable or response is not None
+            if response is None or self._is_backpressure(response):
+                # Down, or up but shedding: its ladder successor owns a
+                # different queue — try it before degrading.
+                shedding = {} if response is None else {"backpressure": True}
+                last_response = response or last_response
                 failovers += 1
                 with self._lock:
                     self.counters["failovers"] += 1
@@ -373,39 +384,25 @@ class FleetRouter:
                     fingerprint=fingerprint,
                     replica=name,
                     failovers=failovers,
-                )
-                continue
-            reachable = True
-            if self._is_backpressure(response):
-                # The replica is up but shedding; its ladder successor
-                # owns a different queue — try it before degrading.
-                last_response = response
-                failovers += 1
-                with self._lock:
-                    self.counters["failovers"] += 1
-                get_bus().emit(
-                    FLEET_REQUEST_FAILOVER,
-                    source="fleet",
-                    level=WARNING,
-                    fingerprint=fingerprint,
-                    replica=name,
-                    failovers=failovers,
-                    backpressure=True,
+                    **shedding,
                 )
                 continue
             response.failovers = failovers
             if response.ok and not response.stale and response.plan \
                     is not None and response.status == STATUS_SERVED:
-                self.cache.put(fingerprint, {
-                    "plan": response.plan,
-                    "objective": response.objective,
-                    "model": request.model,
-                    "gpus": request.gpus,
-                    "strategy": request.strategy,
-                })
+                with self._lock:
+                    # Churn mid-request may have planned past ``key``.
+                    if self._churn.generation == generation:
+                        self.cache.put(key, {
+                            "plan": response.plan,
+                            "objective": response.objective,
+                            "model": request.model,
+                            "gpus": request.gpus,
+                            "strategy": request.strategy,
+                        })
             return response
         return self._degrade(
-            request, fingerprint, ladder,
+            request, fingerprint, key, ladder,
             failovers=failovers,
             reachable=reachable,
             last_response=last_response,
@@ -415,6 +412,7 @@ class FleetRouter:
         self,
         request: PlanRequest,
         fingerprint: str,
+        key: str,
         ladder: List[str],
         *,
         failovers: int,
@@ -422,7 +420,6 @@ class FleetRouter:
         last_response: Optional[PlanResponse],
     ) -> PlanResponse:
         """The ladder is exhausted: partial > stale > shed."""
-        bus = get_bus()
         if reachable and request.deadline_seconds != \
                 self.config.degraded_deadline_seconds:
             # A replica is up but overloaded/slow: ask the owner for a
@@ -439,29 +436,11 @@ class FleetRouter:
                 if response.ok and not self._is_backpressure(response):
                     response.replica = name
                     response.failovers = failovers
-                    with self._lock:
-                        self.counters["degraded_partial"] += 1
-                    bus.emit(
-                        FLEET_REQUEST_DEGRADED,
-                        source="fleet",
-                        level=WARNING,
-                        fingerprint=fingerprint,
-                        mode="partial",
-                        replica=name,
-                    )
+                    self._note_degraded("degraded_partial", fingerprint, name)
                     return response
-        stale = self._stale.get(fingerprint)
+        stale = self._stale.get(key)
         if stale is not None:
-            with self._lock:
-                self.counters["degraded_stale"] += 1
-            bus.emit(
-                FLEET_REQUEST_DEGRADED,
-                source="fleet",
-                level=WARNING,
-                fingerprint=fingerprint,
-                mode="stale",
-                replica=None,
-            )
+            self._note_degraded("degraded_stale", fingerprint)
             return PlanResponse(
                 status=STATUS_SERVED,
                 request_id=0,
@@ -475,16 +454,7 @@ class FleetRouter:
         if last_response is not None:
             last_response.failovers = failovers
             return last_response
-        with self._lock:
-            self.counters["shed"] += 1
-        bus.emit(
-            FLEET_REQUEST_DEGRADED,
-            source="fleet",
-            level=WARNING,
-            fingerprint=fingerprint,
-            mode="shed",
-            replica=None,
-        )
+        self._note_degraded("shed", fingerprint)
         return PlanResponse(
             status=STATUS_REJECTED,
             request_id=0,
@@ -492,6 +462,20 @@ class FleetRouter:
             error="no replica could serve the request",
             retry_after=self.config.retry_after_seconds,
             failovers=failovers,
+        )
+
+    def _note_degraded(
+        self, counter: str, fingerprint: str, replica: Optional[str] = None
+    ) -> None:
+        with self._lock:
+            self.counters[counter] += 1
+        get_bus().emit(
+            FLEET_REQUEST_DEGRADED,
+            source="fleet",
+            level=WARNING,
+            fingerprint=fingerprint,
+            mode=counter.replace("degraded_", ""),
+            replica=replica,
         )
 
     # -- per-replica attempt (retries + hedging) -----------------------
@@ -693,19 +677,14 @@ class FleetRouter:
             self._note_success(name)
 
     # -- shared cache tier ---------------------------------------------
-    def _demote_to_stale(self) -> int:
-        """Move every shared-cache entry into the stale tier (bounded)."""
+    def invalidate(self, *, gpus: Optional[int] = None) -> dict:
+        """Drop shared-tier plans (demoting them to stale) and fan the
+        invalidation out to every replica."""
         snapshot = self.cache.snapshot()
         with self._lock:
             self._stale.update(snapshot)
             while len(self._stale) > self.config.stale_entries:
                 self._stale.pop(next(iter(self._stale)))
-        return len(snapshot)
-
-    def invalidate(self, *, gpus: Optional[int] = None) -> dict:
-        """Drop shared-tier plans (demoting them to stale) and fan the
-        invalidation out to every replica."""
-        demoted = self._demote_to_stale()
         if gpus is None:
             dropped = self.cache.invalidate()
         else:
@@ -715,25 +694,25 @@ class FleetRouter:
         per_replica = self._fanout("invalidate", gpus)
         return {
             "dropped": dropped,
-            "demoted": demoted,
+            "demoted": len(snapshot),
             "replicas": per_replica,
         }
 
     def churn(self, event: dict) -> dict:
         """Fold one churn event into the whole fleet.  A malformed event
         raises :class:`~repro.lint.diagnostics.ArtifactError` before any
-        tier is touched."""
+        tier is touched.  Nothing is demoted: the stale tier is keyed by
+        the fold too, so no old plan could be served from it."""
         from ..elastic.timeline import ChurnEvent
 
         event = ChurnEvent.from_dict(event)
-        demoted = self._demote_to_stale()
-        dropped = self.cache.invalidate()
+        # Replicas fold first: a write keyed under the old fold can only
+        # hold a newer plan, and the drop or ``_route``'s check skips it.
         per_replica = self._fanout("churn", event)
-        return {
-            "dropped": dropped,
-            "demoted": demoted,
-            "replicas": per_replica,
-        }
+        with self._lock:
+            self._churn.add(event)
+            dropped = self.cache.invalidate()
+        return {"dropped": dropped, "replicas": per_replica}
 
     def _fanout(self, op: str, body) -> dict:
         outcomes = {}

@@ -17,9 +17,9 @@ maps the JSON protocol onto status codes:
 ``GET /readyz``             200 ready / 503 no replica up
 ``POST /invalidate``        200, body ``{"dropped", "demoted",
                             "replicas": {name: {"dropped"}}}``
-``POST /churn``             200, body ``{"dropped", "demoted",
-                            "replicas": {name: {"kind",
-                            "dropped"}}}``; 400 invalid event
+``POST /churn``             200, body ``{"dropped", "replicas":
+                            {name: {"kind", "dropped"}}}``;
+                            400 invalid event
 ==========================  =====================================
 
 ``ThreadingHTTPServer`` gives one thread per connection, so a slow
@@ -60,9 +60,9 @@ def response_status_code(response) -> int:
     """HTTP code for a terminal :class:`PlanResponse`."""
     code = _STATUS_CODES.get(response.status, 500)
     if response.status == STATUS_REJECTED and response.diagnostics:
-        # Admission lint rejected the request as invalid: that is a
-        # client error (400), not back-pressure (429) — retrying the
-        # same payload can never succeed.
+        # A diagnostic (admission lint, or churn left no device)
+        # rejected the request: a client error (400), not back-pressure
+        # (429) — retrying the same payload cannot succeed as things are.
         code = 400
     return code
 
@@ -175,7 +175,7 @@ class JSONHandler(BaseHTTPRequestHandler):
 
     def _handle_churn(self) -> None:
         """One churn event (``ChurnEvent`` JSON): stale plans drop,
-        service keeps answering ``/plan`` against the new conditions."""
+        service keeps answering ``/plan`` on the folded cluster."""
         try:
             result = self._router.churn(self._read_body())
         except ValueError as exc:  # ProtocolError, ArtifactError

@@ -8,12 +8,15 @@ also how tests swap in deterministic fakes:
 
 ``planner(request, deadline=None, checkpoint_path=None) -> PlanOutcome``
 
-raising on failure.  The deadline cuts the search anytime (a timed-out
-search still returns its best-so-far plan, ``PlanOutcome.partial``),
-and an existing ``checkpoint_path`` is resumed unless ``resume=False``
-— which is how a drained daemon's re-admitted requests pick up where
-the SIGTERM left them.  The other keywords carry the CLI flags with no
-request field.
+raising on failure.  Under churn the daemon also passes ``cluster=``,
+the request's cluster folded with the churn so far
+(:class:`~repro.service.daemon.ChurnFold`); a planner that never serves
+churn may leave it out.  The deadline cuts the search anytime (a
+timed-out search still returns its best-so-far plan,
+``PlanOutcome.partial``), and an existing ``checkpoint_path`` is
+resumed unless ``resume=False`` — which is how a drained daemon's
+re-admitted requests pick up where the SIGTERM left them.  The other
+keywords carry the CLI flags with no request field.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-from ..cluster.topology import paper_cluster
+from ..cluster.topology import ClusterSpec, paper_cluster
 from ..core.budget import Deadline
 from ..core.search import MultiStageSearchResult, search_all_stage_counts
 from ..ir.models.registry import build_model
@@ -62,6 +65,7 @@ def plan_digest(plan: Optional[dict]) -> Optional[str]:
 
 def plan_request(
     request: PlanRequest,
+    cluster: Optional[ClusterSpec] = None,
     *,
     deadline: Optional[Deadline] = None,
     checkpoint_path=None,
@@ -71,11 +75,14 @@ def plan_request(
     worker_memory_mb: Optional[float] = None,
     max_retries: int = 1,
 ) -> PlanOutcome:
-    """Search a plan for ``request``; raises ``SearchFailedError`` when
+    """Search a plan for ``request`` on ``cluster`` — the planner view
+    its caller folded, or by default the nominal
+    ``paper_cluster(request.gpus)``.  Raises ``SearchFailedError`` when
     nothing at all survived (the daemon maps that to a failed response
     and a breaker failure)."""
     graph = build_model(request.model)
-    cluster = paper_cluster(request.gpus)
+    if cluster is None:
+        cluster = paper_cluster(request.gpus)
     perf_model = build_perf_model(graph, cluster, seed=request.seed)
     # The request seed also seeds the strategy (MCMC walk, bandit
     # tie-breaks) unless the client pinned one explicitly — the

@@ -26,11 +26,11 @@ from repro.faults import (
     DeviceFailure,
     FaultPlan,
     LinkDegradation,
+    Membership,
     NoSurvivorsError,
     StragglerSlowdown,
     adapt_config,
     degrade_cluster,
-    shrink_cluster,
     shrink_cluster_checked,
 )
 from repro.parallel import balanced_config
@@ -260,6 +260,21 @@ class TestFaultPlanFromTimeline:
         ))
         assert FaultPlan.from_timeline(timeline, cluster42).is_empty
 
+    def test_node_join_keeps_the_measured_failures(self, cluster42):
+        """A rejoined node is back for the next plan, but the measured
+        iteration already lost its devices: their failures stay."""
+        timeline = ChurnTimeline(events=(
+            ChurnEvent(1.0, "node_preempt", node_id=1),
+            ChurnEvent(2.0, "device_fail", device_id=0),
+            ChurnEvent(3.0, "node_join", node_id=1),
+        ))
+        plan = FaultPlan.from_timeline(timeline, cluster42)
+        assert plan.device_failures == (
+            DeviceFailure(2, 1.0),
+            DeviceFailure(3, 1.0),
+            DeviceFailure(0, 2.0),
+        )
+
 
 # ======================================================================
 # heterogeneous clusters
@@ -380,7 +395,7 @@ class TestHeterogeneousCluster:
     def test_mixed_cluster_survives_search_and_adaptation(self, graph):
         hetero = mixed_cluster([v100(), a100()], gpus_per_node=2)
         config = balanced_config(graph, hetero, 2)
-        shrunk = shrink_cluster(hetero, [2, 3])
+        shrunk = shrink_cluster_checked(hetero, [2, 3])[0]
         assert shrunk.num_gpus == 2
         adapted = adapt_config(config, graph, shrunk)
         assert adapted is not None
@@ -413,8 +428,6 @@ class TestShrinkDiagnostics:
         with pytest.raises(NoSurvivorsError) as excinfo:
             shrink_cluster_checked(cluster, range(4))
         assert excinfo.value.diagnostic.code == "ACE221"
-        with pytest.raises(NoSurvivorsError):
-            shrink_cluster(cluster, range(4))
 
     def test_hetero_shrink_keeps_healthiest_nodes(self):
         cluster = mixed_cluster(
@@ -467,9 +480,9 @@ class TestStackedFaults:
         assert degraded.inter_node.bandwidth == pytest.approx(
             cluster42.inter_node.bandwidth * 0.4
         )
-        shrunk = shrink_cluster(
+        shrunk = shrink_cluster_checked(
             degraded, [f.device_id for f in plan.device_failures]
-        )
+        )[0]
         assert shrunk.num_gpus == 4
         # The degraded links carry over to the surviving cluster.
         assert shrunk.intra_node.bandwidth == degraded.intra_node.bandwidth
@@ -514,6 +527,23 @@ class TestElasticController:
         ]
         # The record is JSON-clean end to end.
         json.dumps(first.to_dict())
+
+    def test_replay_digest_is_pinned(self):
+        """The run ``benchmarks/bench_elastic.py`` records: its digest
+        in ``BENCH_elastic.json`` must not move."""
+        from repro.ir.models import build_model
+
+        run = ElasticController(
+            build_model("gpt-4l"),
+            ClusterSpec(num_nodes=4, gpus_per_node=2),
+            seed=3,
+            policy=ControllerPolicy(replan_iterations=4),
+        ).run(random_churn_timeline(
+            4, 2, seed=3, num_events=8, horizon_seconds=60.0
+        ))
+        assert run.replay_digest() == (
+            "726e831585feddfd487e89d4fa40c8ecc43b426dd40f898c0079a9e8a315bb06"
+        )
 
     def test_forced_replan_on_preemption(self, graph, cluster42):
         timeline = ChurnTimeline(seed=0, events=(
@@ -634,18 +664,11 @@ class TestElasticController:
             for decision in run.decisions:
                 assert decision.plan_signature
 
-    def test_straggler_folds_into_planner_view(self, graph, cluster42):
-        from repro.elastic.controller import _MembershipState
-
-        controller = ElasticController(
-            graph, cluster42, seed=0, policy=quick_policy()
-        )
-        state = _MembershipState(cluster42.gpus_per_node)
-        state.apply(ChurnEvent(1.0, "straggler_on", device_id=2, factor=2.0))
-        state.apply(
-            ChurnEvent(2.0, "link_degrade", scope="intra", factor=0.5)
-        )
-        view = controller._project(state)
+    def test_straggler_folds_into_planner_view(self, cluster42):
+        view = Membership.fold(cluster42, (
+            ChurnEvent(1.0, "straggler_on", device_id=2, factor=2.0),
+            ChurnEvent(2.0, "link_degrade", scope="intra", factor=0.5),
+        )).view()
         # Planner view: node 1 is half-speed, links degraded.
         assert view.planner.is_heterogeneous
         assert view.planner.node_devices[1].efficiency == pytest.approx(
@@ -805,6 +828,8 @@ class TestChurnServing:
         assert body["replicas"]["replica-0"] == {
             "kind": "node_preempt", "dropped": 1,
         }
+        # Nothing is demoted: the stale tier is keyed by the fold.
+        assert "demoted" not in body
         assert len(daemon.cache) == 0
 
     def test_invalid_churn_event_is_a_client_error(self, server):
@@ -874,6 +899,207 @@ class TestChurnServing:
             assert result == {"kind": "link_degrade", "dropped": 0}
         finally:
             daemon.drain(timeout=5)
+
+
+class TestChurnReachesThePlan:
+    """Served plans are searched on the cluster the churn left."""
+
+    @staticmethod
+    def _fleet(tmp_path, planner=None, workers=1):
+        from repro.service import FleetRouter, InProcessReplica
+
+        replica = InProcessReplica(
+            "replica-0",
+            state_dir=tmp_path / "replica-0",
+            planner=planner,
+            daemon_kwargs={"workers": workers},
+        ).start()
+        return FleetRouter({"replica-0": replica}).start(), replica
+
+    @staticmethod
+    def _devices(plan):
+        return sum(stage["num_devices"] for stage in plan["stages"])
+
+    def test_preempt_and_join_on_two_nodes(self, tmp_path):
+        from repro.cluster import paper_cluster
+        from repro.core import search_all_stage_counts
+        from repro.ir.models import build_model
+        from repro.perfmodel import build_perf_model
+        from repro.service import PlanRequest, plan_digest
+
+        request = PlanRequest(model="gpt-4l", gpus=16, iterations=3)
+        router, replica = self._fleet(tmp_path)
+        try:
+            before = router.submit(request)
+            assert plan_digest(before.plan) == "a5fede2f0c49f2b5"
+            assert before.objective == pytest.approx(0.09686, abs=5e-6)
+            assert self._devices(before.plan) == 16
+
+            router.churn({"time": 1.0, "kind": "node_preempt", "node_id": 1})
+            shrunk = router.submit(request)
+            assert shrunk.status == "served" and not shrunk.cached
+            assert plan_digest(shrunk.plan) == "9c00962c76c7966f"
+            assert shrunk.objective == pytest.approx(0.17691, abs=5e-6)
+            assert self._devices(shrunk.plan) == 8
+            survivors = shrink_cluster_checked(
+                paper_cluster(16), range(8, 16)
+            )[0]
+            graph = build_model("gpt-4l")
+            oracle = search_all_stage_counts(
+                graph, survivors,
+                build_perf_model(graph, survivors, seed=request.seed),
+                budget_per_count={"max_iterations": 3},
+                strategy_kwargs={"seed": request.seed},
+            ).best
+            assert shrunk.objective == oracle.best_objective
+            # The churned plan never reaches the persisted cache: a
+            # restarted daemon folds no churn.
+            assert sorted(
+                p.name for p in (tmp_path / "replica-0").glob("*.plan.json")
+            ) == []
+
+            router.churn({"time": 2.0, "kind": "node_join", "node_id": 1})
+            again = router.submit(request)
+            assert plan_digest(again.plan) == "a5fede2f0c49f2b5"
+            # Journal and cache names are still the bare fingerprint.
+            assert again.fingerprint == request.fingerprint()
+            assert sorted(
+                p.name for p in (tmp_path / "replica-0").glob("*.plan.json")
+            ) == [f"{request.fingerprint()}.plan.json"]
+        finally:
+            router.stop()
+
+    def test_no_survivors_is_a_structured_rejection(self, tmp_path):
+        from repro.service import PlanRequest, plan_digest
+        from repro.telemetry import CallbackSink, TelemetryBus, using_bus
+
+        request = PlanRequest(model="gpt-4l", gpus=8, iterations=3)
+        events = []
+        bus = TelemetryBus()
+        bus.add_sink(CallbackSink(events.append))
+        router, replica = self._fleet(tmp_path)
+        try:
+            with using_bus(bus):
+                router.churn(
+                    {"time": 1.0, "kind": "node_preempt", "node_id": 0}
+                )
+                dark = router.submit(request)
+            assert dark.status == "rejected" and dark.plan is None
+            assert [d["code"] for d in dark.diagnostics] == ["ACE221"]
+            assert not any(
+                e.name == "service.request.started" for e in events
+            )
+            assert all(
+                b["state"] == "closed"
+                for b in replica.daemon.breaker.snapshot().values()
+            )
+
+            router.churn({"time": 2.0, "kind": "node_join", "node_id": 0})
+            back = router.submit(request)
+            assert back.status == "served"
+            assert plan_digest(back.plan) == "9c00962c76c7966f"
+        finally:
+            router.stop()
+
+    def test_fold_keeps_up_with_concurrent_events(self):
+        """Readers folding while events arrive never keep a fold that
+        misses an event: once the writer is done, every key matches a
+        fresh fold of all events."""
+        import sys
+
+        from repro.cluster import paper_cluster
+        from repro.service.daemon import ChurnFold
+
+        events = random_churn_timeline(
+            4, 2, seed=4, num_events=40, horizon_seconds=40.0
+        ).events
+        fold = ChurnFold()
+        done = threading.Event()
+
+        def reader(gpus):
+            while not done.is_set():
+                fold.fold("f" * 16, gpus)
+
+        def writer():
+            for event in events:
+                fold.add(event)
+            done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=reader, args=(gpus,))
+                for gpus in (4, 8, 16, 4, 8, 16)
+            ] + [threading.Thread(target=writer)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert fold.generation == len(events)
+        for gpus in (4, 8, 16):
+            key = Membership.fold(paper_cluster(gpus), events).key
+            expected = f"{'f' * 16}:{key}" if key else "f" * 16
+            assert fold.fold("f" * 16, gpus)[0] == expected
+
+    def test_no_stale_plan_crosses_a_churn_event(self, tmp_path):
+        """A search admitted before ``/churn`` answers only its own
+        fold: not from the daemon's cache, not by coalescing, not from
+        the router's shared or stale tier."""
+        from repro.service import PlanOutcome, PlanRequest
+
+        entered = threading.Semaphore(0)
+        release = threading.Event()
+        seen = []
+
+        def blocked_planner(request, *, deadline=None,
+                            checkpoint_path=None, cluster=None):
+            gpus = cluster.num_gpus if cluster else request.gpus
+            seen.append(gpus)
+            entered.release()
+            release.wait(timeout=30)
+            return PlanOutcome(plan={"gpus": gpus}, objective=float(gpus))
+
+        request = PlanRequest(model="m", gpus=8)
+        router, replica = self._fleet(tmp_path, blocked_planner, workers=2)
+        answers = {}
+
+        def ask(name):
+            answers[name] = router.submit(request)
+
+        try:
+            before = threading.Thread(target=ask, args=("before",))
+            before.start()
+            assert entered.acquire(timeout=10)
+            router.churn({"time": 1.0, "kind": "device_fail", "device_id": 7})
+            after = threading.Thread(target=ask, args=("after",))
+            after.start()
+            # Its own search, not a ride on the one admitted earlier.
+            assert entered.acquire(timeout=10)
+            release.set()
+            before.join(timeout=30)
+            after.join(timeout=30)
+            assert sorted(seen) == [4, 8]
+            assert answers["before"].plan == {"gpus": 8}
+            assert answers["after"].plan == {"gpus": 4}
+            assert not answers["after"].coalesced
+
+            daemon_hit = replica.daemon.submit(request)
+            assert daemon_hit.cached and daemon_hit.plan == {"gpus": 4}
+            shared_hit = router.submit(request)
+            assert shared_hit.cached and shared_hit.replica is None
+            assert shared_hit.plan == {"gpus": 4}
+            router.invalidate()
+            replica.kill()
+            stale = router.submit(request)
+            assert stale.stale and stale.plan == {"gpus": 4}
+        finally:
+            release.set()
+            router.stop()
 
 
 # ======================================================================

@@ -34,7 +34,7 @@ from repro.faults import (
     StragglerSlowdown,
     adapt_config,
     degrade_cluster,
-    shrink_cluster,
+    shrink_cluster_checked,
 )
 from repro.perfmodel import PerfModel
 from repro.profiling import SimulatedProfiler
@@ -112,16 +112,17 @@ class TestInjection:
         assert degrade_cluster(small_cluster) is small_cluster
 
     def test_shrink_snaps_to_power_of_two(self, small_cluster):
-        shrunk = shrink_cluster(small_cluster, [1])
+        shrunk = shrink_cluster_checked(small_cluster, [1])[0]
         assert shrunk.num_gpus == 2
-        assert shrink_cluster(small_cluster, [0, 1, 2]).num_gpus == 1
+        one_gpu = shrink_cluster_checked(small_cluster, [0, 1, 2])[0]
+        assert one_gpu.num_gpus == 1
         with pytest.raises(ValueError):
-            shrink_cluster(small_cluster, [0, 1, 2, 3])
+            shrink_cluster_checked(small_cluster, [0, 1, 2, 3])
 
     def test_adapt_config_shrinks_stagewise(
         self, tiny_graph, small_cluster, tiny_config
     ):
-        shrunk = shrink_cluster(small_cluster, [3])
+        shrunk = shrink_cluster_checked(small_cluster, [3])[0]
         adapted = adapt_config(tiny_config, tiny_graph, shrunk)
         assert adapted is not None
         assert adapted.total_devices == shrunk.num_gpus
@@ -134,7 +135,7 @@ class TestInjection:
         from repro.parallel import balanced_config
 
         config = balanced_config(tiny_graph, small_cluster, 4)
-        one_gpu = shrink_cluster(small_cluster, [1, 2, 3])
+        one_gpu = shrink_cluster_checked(small_cluster, [1, 2, 3])[0]
         # 4 stages cannot fit one device: each stage already has 1.
         assert adapt_config(config, tiny_graph, one_gpu) is None
 
@@ -1048,7 +1049,7 @@ class TestElasticReplan:
                 ),
                 initial_survivors=initial.top_configs(5),
             ).run(self.device_loss(3)).decisions
-        shrunk = shrink_cluster(small_cluster, [3])
+        shrunk = shrink_cluster_checked(small_cluster, [3])[0]
         cold_model = fresh_model(
             tiny_graph,
             shrunk,
@@ -1072,7 +1073,7 @@ class TestElasticReplan:
         # Four one-device stages cannot shrink onto two devices.
         deep = balanced_config(tiny_graph, small_cluster, 4)
         assert adapt_config(
-            deep, tiny_graph, shrink_cluster(small_cluster, [3])
+            deep, tiny_graph, shrink_cluster_checked(small_cluster, [3])[0]
         ) is None
         (decision,) = ElasticController(
             tiny_graph,
