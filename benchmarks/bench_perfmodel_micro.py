@@ -102,9 +102,8 @@ def _timed(run, variants):
 
 
 def _rate(model, variants):
-    # A scored candidate's cost: an estimate defers its Eq. 2 assembly
-    # until the objective reads ``iteration_time``, so timing unread
-    # estimates would skip work the search pays for.
+    # A scored candidate's cost as the search pays it: the estimate
+    # plus the objective's read of its verdict and iteration time.
     return _timed(lambda configs: [model.objective(c) for c in configs],
                   variants)
 

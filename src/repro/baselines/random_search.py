@@ -8,6 +8,7 @@ convergence trends (Fig. 12).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from ..cluster.topology import ClusterSpec
@@ -29,17 +30,8 @@ def random_search(
     options: Optional[AcesoSearchOptions] = None,
 ) -> SearchResult:
     """One random-order search run (seed selects the shuffle)."""
-    base = options or AcesoSearchOptions()
-    opts = AcesoSearchOptions(
-        max_hops=base.max_hops,
-        max_bottlenecks=base.max_bottlenecks,
-        top_k=base.top_k,
-        enable_finetune=base.enable_finetune,
-        use_heuristic2=False,
-        seed=seed,
-        finetune_split_points=base.finetune_split_points,
-        beam_width=base.beam_width,
-        max_nodes_per_iteration=base.max_nodes_per_iteration,
+    opts = replace(
+        options or AcesoSearchOptions(), use_heuristic2=False, seed=seed
     )
     search = AcesoSearch(graph, cluster, perf_model, options=opts)
     return search.run(init_config, budget)

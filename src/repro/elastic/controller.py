@@ -48,8 +48,7 @@ from ..faults.plan import Membership, MembershipView
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..parallel.initializer import balanced_config
-from ..perfmodel.model import PerfModel
-from ..profiling.profiler import SimulatedProfiler
+from ..perfmodel.model import PerfModel, build_perf_model
 from ..runtime.executor import Executor
 from ..telemetry import INFO, WARNING, get_bus
 from ..telemetry.events import (
@@ -216,10 +215,7 @@ class ElasticController:
         )
         model = self._models.get(key)
         if model is None:
-            database = SimulatedProfiler(
-                planner, seed=self.seed
-            ).profile(self.graph)
-            model = PerfModel(self.graph, planner, database)
+            model = build_perf_model(self.graph, planner, seed=self.seed)
             self._models[key] = model
         return model
 

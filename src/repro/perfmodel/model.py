@@ -22,8 +22,7 @@ Estimation is structured in two layers:
 2. A cheap assembly step combines the cached stage costs with the
    stage-count-dependent parts: pipeline p2p boundary transfers, 1F1B
    in-flight counts, the allocator view of peak memory, and the Eq. 2
-   warmup/steady/cooldown totals.  An estimate applies Eq. 1 at once
-   and defers Eq. 2 until its ``iteration_time`` or ``stages`` is read.
+   warmup/steady/cooldown totals, and returns the finished report.
 
 Whole-config estimates are additionally memoized by configuration
 identity (``ParallelConfig.cache_key``) in a second LRU, whose miss
@@ -50,9 +49,7 @@ from ..profiling.database import ProfileDatabase, ProfiledGraph
 from ..telemetry import DEBUG, CounterGroup, get_bus
 from ..telemetry.events import PERFMODEL_ESTIMATE, PERFMODEL_FIRST_FEASIBLE
 from .memory import stage_allocator_reserve
-from .report import (
-    Eq1View, LazyStages, PerfReport, StageCost, lazy_perf_report,
-)
+from .report import Eq1View, PerfReport, StageCost, StageReport
 
 #: Bounds of the recompute-free stage-base LRU.  Each entry holds two
 #: per-op vectors, so the LRU is bounded by the ops it holds: it evicts
@@ -89,92 +86,6 @@ def _log2_int(values: np.ndarray) -> np.ndarray:
     no float ``log2`` rounding hazard.
     """
     return np.frexp(values.astype(np.float64))[1] - 1
-
-
-class _DeferredEq2:
-    """Payload of a scalar estimate whose Eq. 2 assembly is pending.
-
-    Eq. 1 is applied eagerly: the in-flight counts, peak memories and
-    OOM verdict are what ``first_feasible_estimate`` and recompute
-    probes read, and they are cheap.  :meth:`resolve` runs the rest
-    (pipeline p2p, the Eq. 2 totals, the per-stage rows) on the first
-    read of ``iteration_time`` or ``stages``.  The payload holds the
-    stage costs, device counts and compute scales, never the config or
-    its stage arrays, and ``links`` is the model's shared p2p table
-    ``(latencies, inverse bandwidths, gpus per node, gpu count)``.
-    """
-
-    __slots__ = (
-        "costs", "devices", "scales", "num_mb", "links",
-        "in_flight", "peak_list", "oom",
-    )
-
-    def __init__(
-        self, costs, devices, scales, num_mb, links, in_flight, peaks, oom
-    ):
-        self.costs = costs
-        self.devices = devices
-        self.scales = scales
-        self.num_mb = num_mb
-        self.links = links
-        self.in_flight = in_flight
-        self.peak_list = peaks
-        self.oom = oom
-
-    def peaks(self) -> List[float]:
-        return list(self.peak_list)
-
-    def resolve(self) -> Tuple[LazyStages, float]:
-        """``(assembled payload, iteration_time)``, in Python floats.
-
-        Over a handful of stages plain Python floats beat numpy's
-        per-call overhead.  A stage's Eq. 2 pair time is its forward
-        half plus its backward half, and the iteration time is the
-        largest warmup prefix + ``num_mb`` pairs + dp sync over stages.
-        """
-        costs, devices, scales, num_mb = (
-            self.costs, self.devices, self.scales, self.num_mb
-        )
-        p2p_lat, p2p_ibw, gpn, num_gpus = self.links
-        last = len(costs) - 1
-        rows = []
-        prefix, iteration_time, p2p_in, end = 0.0, -np.inf, 0.0, 0
-        for i, cost in enumerate(costs):
-            # Pipeline p2p to the next stage over the boundary's link.
-            end += devices[i]
-            p2p_out = 0.0
-            if i < last and cost.egress_bytes > 0:
-                device = min(max(end - 1, 0), num_gpus - 2)
-                kind = int(device // gpn != (device + 1) // gpn)
-                p2p_out = p2p_lat[kind] + cost.egress_bytes * p2p_ibw[kind]
-            fwd, bwd, recompute = (
-                cost.fwd_time, cost.bwd_time, cost.recompute_time
-            )
-            if scales is not None and scales[i] != 1.0:
-                scale = scales[i]
-                fwd, bwd, recompute = (
-                    fwd * scale, bwd * scale, recompute * scale
-                )
-            rows += (
-                fwd, bwd, recompute,
-                cost.tp_fwd_comm_time + cost.tp_bwd_comm_time,
-                cost.reshard_time * 2.0, p2p_in + p2p_out,
-                cost.dp_sync_time, cost.weight_bytes, cost.optimizer_bytes,
-                cost.activation_bytes, cost.reserved_bytes,
-            )
-            # Eq. 2: warmup prefix + steady microbatches + dp sync.
-            pair = (
-                fwd + cost.tp_fwd_comm_time + cost.reshard_time + p2p_in
-            ) + (
-                bwd + recompute + cost.tp_bwd_comm_time
-                + cost.reshard_time + p2p_out
-            )
-            total = prefix + num_mb * pair + cost.dp_sync_time
-            iteration_time = max(iteration_time, total)
-            prefix += pair
-            p2p_in = p2p_out
-        payload = LazyStages(rows, self.in_flight, self.peak_list, self.oom)
-        return payload, iteration_time
 
 
 class PerfModel:
@@ -279,10 +190,6 @@ class PerfModel:
             if len(kind.inv_bandwidth) > 1 else 0.0
             for kind in p2p
         ]
-        self._links = (
-            self._p2p_lat, self._p2p_ibw,
-            cluster.gpus_per_node, cluster.num_gpus,
-        )
         # Table column parts (see _stage_codes) and tables, one per mbs.
         _, num_tp_levels, self._num_opts = self.profiled.fwd_fixed.shape
         self._num_dp_levels = cluster.num_gpus.bit_length()
@@ -337,8 +244,6 @@ class PerfModel:
             return cached
         report = self._estimate_uncached(config)
         self._record_miss(key, report, report.is_oom)
-        # Reading iteration_time resolves a deferred Eq. 2, so the event
-        # is built only when some sink keeps it.
         bus = get_bus()
         if bus.wants(PERFMODEL_ESTIMATE, DEBUG):
             bus.emit(
@@ -400,7 +305,7 @@ class PerfModel:
             fixed, reserved, act_bytes, activation = base
             if recompute.any():
                 activation = _kept_activation(recompute, act_bytes)
-            # _assemble's operand order.
+            # StageReport.peak_memory's operand order.
             peak = fixed + activation * in_flight + reserved
             peaks = list(eq1.peaks)
             peaks[stage_index] = peak
@@ -713,33 +618,63 @@ class PerfModel:
     def _assemble(
         self, config: ParallelConfig, costs: List[StageCost]
     ) -> PerfReport:
-        """A report with Eq. 1 applied and Eq. 2 deferred (see
-        :class:`_DeferredEq2`).  Peaks keep
-        :attr:`StageReport.peak_memory`'s operand association."""
+        """The finished report, in one pass over the stages: pipeline
+        p2p, the 1F1B in-flight counts (Eq. 1) and the Eq. 2 totals.
+
+        Over a handful of stages plain Python floats beat numpy's
+        per-call overhead.  A stage's Eq. 2 pair time is its forward
+        half plus its backward half, and the iteration time is the
+        largest warmup prefix + ``num_mb`` pairs + dp sync over stages.
+        """
         devices = [stage.num_devices for stage in config.stages]
-        num_stages = len(costs)
         num_mb = config.num_microbatches(self.graph.global_batch_size)
         scales = stage_limits = None
         factors = self._stage_factors(devices)
         if factors is not None:
             scales, stage_limits = factors
-        limits = stage_limits or [self.memory_limit] * num_stages
-        in_flight, peaks, oom = [], [], False
+        p2p_lat, p2p_ibw = self._p2p_lat, self._p2p_ibw
+        gpn, num_gpus = self.cluster.gpus_per_node, self.cluster.num_gpus
+        num_stages = len(costs)
+        stages = []
+        prefix, iteration_time, p2p_in, end = 0.0, -np.inf, 0.0, 0
         for i, cost in enumerate(costs):
-            infl = min(num_stages - i, num_mb)
-            peak = (
-                cost.weight_bytes + cost.optimizer_bytes
-                + cost.activation_bytes * infl + cost.reserved_bytes
+            # Pipeline p2p to the next stage over the boundary's link.
+            end += devices[i]
+            p2p_out = 0.0
+            if i < num_stages - 1 and cost.egress_bytes > 0:
+                device = min(max(end - 1, 0), num_gpus - 2)
+                kind = int(device // gpn != (device + 1) // gpn)
+                p2p_out = p2p_lat[kind] + cost.egress_bytes * p2p_ibw[kind]
+            fwd, bwd, recompute = (
+                cost.fwd_time, cost.bwd_time, cost.recompute_time
             )
-            in_flight.append(infl)
-            peaks.append(peak)
-            oom = oom or peak > limits[i]
-        payload = _DeferredEq2(
-            costs, devices, scales, num_mb, self._links,
-            in_flight, peaks, oom,
-        )
-        return lazy_perf_report(
-            payload, num_mb, self.memory_limit, stage_limits
+            if scales is not None and scales[i] != 1.0:
+                scale = scales[i]
+                fwd, bwd, recompute = (
+                    fwd * scale, bwd * scale, recompute * scale
+                )
+            stages.append(StageReport(
+                fwd, bwd, recompute,
+                cost.tp_fwd_comm_time + cost.tp_bwd_comm_time,
+                cost.reshard_time * 2.0, p2p_in + p2p_out,
+                cost.dp_sync_time, cost.weight_bytes, cost.optimizer_bytes,
+                cost.activation_bytes, min(num_stages - i, num_mb),
+                cost.reserved_bytes,
+            ))
+            # Eq. 2: warmup prefix + steady microbatches + dp sync.
+            pair = (
+                fwd + cost.tp_fwd_comm_time + cost.reshard_time + p2p_in
+            ) + (
+                bwd + recompute + cost.tp_bwd_comm_time
+                + cost.reshard_time + p2p_out
+            )
+            total = prefix + num_mb * pair + cost.dp_sync_time
+            iteration_time = max(iteration_time, total)
+            prefix += pair
+            p2p_in = p2p_out
+        return PerfReport(
+            tuple(stages), num_mb, iteration_time, self.memory_limit,
+            stage_limits,
         )
 
 

@@ -9,7 +9,8 @@ cacheable by configuration signature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import gt
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 #: Resource names used by bottleneck analysis (Table 1 columns).
@@ -50,12 +51,12 @@ class StageCost:
     egress_bytes: float
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(NamedTuple):
     """Predicted resource consumption of one pipeline stage.
 
     Times are seconds per *iteration* unless suffixed ``_mb`` (per
-    microbatch); memory is bytes per device.
+    microbatch); memory is bytes per device.  A named tuple, so the
+    estimator builds one positionally on every assembly.
     """
 
     fwd_time_mb: float
@@ -107,64 +108,6 @@ class StageReport:
         )
 
 
-#: Values per stage in :attr:`LazyStages.rows`: the float fields of
-#: :class:`StageReport` in declaration order, ``reserved_bytes`` last.
-STAGE_ROW_WIDTH = 11
-
-
-class LazyStages:
-    """Deferred per-stage report payload for assembled estimates.
-
-    Most estimated reports only ever answer "what is your objective?"
-    or "does stage i fit?" before the search discards them, so this
-    keeps one flat row of stage values, the (int) in-flight counts, the
-    peak memories (computed with :attr:`StageReport.peak_memory`'s
-    operand association) and the OOM verdict, and builds
-    ``StageReport`` objects on first access.
-
-    A fresh estimate's payload is the one before this: its Eq. 2
-    assembly is still pending (see ``repro.perfmodel.model``).  It has
-    the same ``in_flight``/``oom``/``peaks()`` surface plus a
-    ``resolve()`` returning ``(LazyStages, iteration_time)``.
-    """
-
-    __slots__ = ("rows", "in_flight", "peak_list", "oom")
-
-    def __init__(self, rows, in_flight, peaks, oom):
-        self.rows = rows
-        self.in_flight = in_flight
-        self.peak_list = peaks
-        self.oom = oom
-
-    def peaks(self) -> List[float]:
-        return list(self.peak_list)
-
-    def build(self) -> Tuple[StageReport, ...]:
-        new_stage = StageReport.__new__
-        rows = self.rows
-        starts = range(0, len(rows), STAGE_ROW_WIDTH)
-        reports = []
-        for k, infl in zip(starts, self.in_flight):
-            report = new_stage(StageReport)
-            fields = report.__dict__
-            (
-                fields["fwd_time_mb"],
-                fields["bwd_time_mb"],
-                fields["recompute_time_mb"],
-                fields["tp_comm_time_mb"],
-                fields["reshard_time_mb"],
-                fields["p2p_time_mb"],
-                fields["dp_sync_time"],
-                fields["weight_bytes"],
-                fields["optimizer_bytes"],
-                fields["activation_bytes_mb"],
-            ) = rows[k:k + 10]
-            fields["in_flight"] = infl
-            fields["reserved_bytes"] = rows[k + 10]
-            reports.append(report)
-        return tuple(reports)
-
-
 class Eq1View(NamedTuple):
     """A config's per-stage Eq. 1 peaks, 1F1B in-flight counts and
     memory limits, which recompute tuning carries across its edits."""
@@ -178,12 +121,9 @@ class Eq1View(NamedTuple):
 class PerfReport:
     """Predicted performance of a full configuration.
 
-    Instances built directly carry their ``stages`` tuple; the
-    estimator's instances defer both ``iteration_time`` and ``stages``
-    behind a pending-assembly payload (see :func:`lazy_perf_report`),
-    which runs the Eq. 2 assembly when either is first read and leaves
-    a :class:`LazyStages` that materializes ``stages`` on access.  Equality, hashing, pickling, and every property read
-    through the same field values either way.
+    Construction derives each stage's Eq. 1 peak
+    (:attr:`StageReport.peak_memory`) and the OOM verdict once, because
+    the search reads them on every candidate.
     """
 
     stages: Tuple[StageReport, ...]
@@ -194,78 +134,33 @@ class PerfReport:
     #: capacity over each stage's occupied devices); ``None`` on a
     #: homogeneous cluster, where ``memory_limit`` bounds every stage.
     stage_limits: Optional[Tuple[float, ...]] = None
+    _peaks: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    #: Whether any stage exceeds its device memory limit.
+    is_oom: bool = field(init=False, repr=False, compare=False)
 
-    def __getattr__(self, name: str):
-        # Only ever reached when normal lookup fails, i.e. for the
-        # not-yet-assembled ``iteration_time`` or the not-yet-built
-        # ``stages`` of a lazy instance.
-        fields = self.__dict__
-        payload = fields.get("_lazy")
-        if payload is None or name not in ("stages", "iteration_time"):
-            raise AttributeError(name)
-        if "iteration_time" not in fields:
-            payload, fields["iteration_time"] = payload.resolve()
-            fields["_lazy"] = payload
-            if name == "iteration_time":
-                return fields["iteration_time"]
-        del fields["_lazy"]
-        stages = fields["stages"] = payload.build()
-        return stages
-
-    def __getstate__(self) -> dict:
-        # Canonical field order regardless of lazy/eager construction
-        # history, so identical reports pickle to identical bytes.
-        return {
-            "stages": self.stages,
-            "num_microbatches": self.num_microbatches,
-            "iteration_time": self.iteration_time,
-            "memory_limit": self.memory_limit,
-            "stage_limits": self.stage_limits,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
+    def __post_init__(self) -> None:
+        peaks = tuple([s.peak_memory for s in self.stages])
+        limits = self.stage_limits or (self.memory_limit,) * len(peaks)
+        object.__setattr__(self, "_peaks", peaks)
+        object.__setattr__(self, "is_oom", any(map(gt, peaks, limits)))
 
     @property
     def num_stages(self) -> int:
-        payload = self.__dict__.get("_lazy")
-        if payload is not None:
-            return len(payload.in_flight)
         return len(self.stages)
 
     def in_flight(self, stage: int) -> int:
         """1F1B in-flight microbatches of one stage (Eq. 1)."""
-        payload = self.__dict__.get("_lazy")
-        if payload is not None:
-            return payload.in_flight[stage]
         return self.stages[stage].in_flight
 
     @property
     def peak_memories(self) -> List[float]:
-        payload = self.__dict__.get("_lazy")
-        if payload is not None:
-            return payload.peaks()
-        return [s.peak_memory for s in self.stages]
+        return list(self._peaks)
 
     def eq1(self) -> Eq1View:
         """This report's :class:`Eq1View`, with its own ``peaks`` list."""
-        peaks = self.peak_memories
-        in_flight = [self.in_flight(i) for i in range(len(peaks))]
-        limits = self.stage_limits or [self.memory_limit] * len(peaks)
-        return Eq1View(peaks, in_flight, limits)
-
-    @property
-    def is_oom(self) -> bool:
-        """Whether any stage exceeds its device memory limit."""
-        payload = self.__dict__.get("_lazy")
-        if payload is not None:
-            return payload.oom
-        if self.stage_limits is not None:
-            return any(
-                m > limit
-                for m, limit in zip(self.peak_memories, self.stage_limits)
-            )
-        return any(m > self.memory_limit for m in self.peak_memories)
+        in_flight = [s.in_flight for s in self.stages]
+        limits = self.stage_limits or [self.memory_limit] * len(in_flight)
+        return Eq1View(self.peak_memories, in_flight, limits)
 
     def stage_limit(self, stage: int) -> float:
         """Device memory limit of one stage: its own on a heterogeneous
@@ -277,13 +172,12 @@ class PerfReport:
     @property
     def oom_stages(self) -> List[int]:
         return [
-            i for i, m in enumerate(self.peak_memories)
-            if m > self.stage_limit(i)
+            i for i, m in enumerate(self._peaks) if m > self.stage_limit(i)
         ]
 
     @property
     def max_memory(self) -> float:
-        return max(self.peak_memories)
+        return max(self._peaks)
 
     def stage_times(self) -> List[float]:
         """Per-stage busy time per iteration (bottleneck metric)."""
@@ -320,24 +214,3 @@ class PerfReport:
             for name in RESOURCES
         }
 
-
-def lazy_perf_report(
-    payload,
-    num_microbatches: int,
-    memory_limit: float,
-    stage_limits: Optional[Tuple[float, ...]] = None,
-) -> PerfReport:
-    """Construct a :class:`PerfReport` whose Eq. 2 assembly is pending.
-
-    Bypasses the dataclass ``__init__`` so the ``iteration_time`` and
-    ``stages`` slots stay unset until one is first read (at which point
-    ``__getattr__`` resolves ``payload``, a pending-assembly payload
-    with the :class:`LazyStages` surface plus ``resolve()``).
-    """
-    report = PerfReport.__new__(PerfReport)
-    fields = report.__dict__
-    fields["_lazy"] = payload
-    fields["num_microbatches"] = num_microbatches
-    fields["memory_limit"] = memory_limit
-    fields["stage_limits"] = stage_limits
-    return report

@@ -15,8 +15,12 @@ from repro.baselines import (
     plan_to_config,
     random_search,
 )
+from repro.cluster import paper_cluster
 from repro.core import SearchBudget
+from repro.core.search import AcesoSearch, AcesoSearchOptions
+from repro.ir.models import build_model
 from repro.parallel import balanced_config, validate_config
+from repro.perfmodel import build_perf_model
 
 from conftest import make_tiny_gpt
 
@@ -206,3 +210,27 @@ class TestRandomSearch:
         # Different shuffles should at least both terminate; traces may
         # legitimately coincide on tiny models, so only check liveness.
         assert all(r.trace.num_iterations >= 1 for r in runs)
+
+    def test_honours_every_option(self):
+        """Only ``use_heuristic2`` and ``seed`` are overridden: with
+        recompute attachment off, it is the direct search with the same
+        options, in best plan and estimate count."""
+        graph, cluster = build_model("gpt-8l"), paper_cluster(8)
+        init = balanced_config(graph, cluster, 2)
+        budget = SearchBudget(max_iterations=6)
+        model = build_perf_model(graph, cluster)
+        result = random_search(
+            graph, cluster, model, init, budget, seed=1,
+            options=AcesoSearchOptions(attach_recompute=False),
+        )
+        direct_model = build_perf_model(graph, cluster)
+        direct = AcesoSearch(
+            graph, cluster, direct_model, options=AcesoSearchOptions(
+                attach_recompute=False, use_heuristic2=False, seed=1
+            ),
+        ).run(init, budget)
+        assert result.best_config.signature() == (
+            direct.best_config.signature()
+        )
+        assert result.best_objective == direct.best_objective
+        assert model.num_estimates == direct_model.num_estimates

@@ -1,5 +1,6 @@
 """Tests for ranking, multi-hop, dedup, budget, trace, and the search."""
 
+import pickle
 import time
 
 import numpy as np
@@ -20,6 +21,9 @@ from repro.core import (
     search_all_stage_counts,
 )
 from repro.parallel import balanced_config
+from repro.perfmodel import PerfModel
+from repro.telemetry import RingBufferSink, TelemetryBus, using_bus
+from repro.telemetry.events import DRIVER_POOL_WORKER_START
 
 
 @pytest.fixture()
@@ -265,6 +269,40 @@ class TestStageCountDriver:
         top = multi.top_configs(5)
         assert len(top) >= 1
         assert [o for o, _ in top] == sorted(o for o, _ in top)
+
+    def test_pool_reports_equal_serial_ones(
+        self, tiny_graph, small_cluster, tiny_database
+    ):
+        """A pooled search's best report crosses the worker pipe by
+        pickle; it arrives equal to the serial run's, field for field
+        and in pickle bytes.  The per-count timeout puts the counts on
+        worker processes even on a one-core box."""
+        runs, started = {}, {}
+        for workers, timeout in ((1, None), (2, 600.0)):
+            bus = TelemetryBus()
+            sink = bus.add_sink(RingBufferSink())
+            with using_bus(bus):
+                multi = search_all_stage_counts(
+                    tiny_graph, small_cluster,
+                    PerfModel(tiny_graph, small_cluster, tiny_database),
+                    budget_per_count={"max_iterations": 3},
+                    workers=workers, timeout_per_count=timeout,
+                )
+            runs[workers] = {
+                run.num_stages: run.result.best_report for run in multi.runs
+            }
+            started[workers] = sum(
+                e.name == DRIVER_POOL_WORKER_START for e in sink.events
+            )
+        assert started == {1: 0, 2: 2}
+        assert set(runs[1]) == set(runs[2]) == {1, 2, 4}
+        for count, serial in runs[1].items():
+            pooled = runs[2][count]
+            assert pooled == serial
+            assert pooled.iteration_time == serial.iteration_time
+            assert pooled.peak_memories == serial.peak_memories
+            assert pooled.is_oom == serial.is_oom
+            assert pickle.dumps(pooled) == pickle.dumps(serial)
 
     def test_empty_counts_raise(self, tiny_graph, small_cluster,
                                 tiny_perf_model):

@@ -55,11 +55,9 @@ def assert_reports_identical(a, b):
     assert a.memory_limit == b.memory_limit
     assert len(a.stages) == len(b.stages)
     for sa, sb in zip(a.stages, b.stages):
-        for f in dataclasses.fields(sa):
-            va, vb = getattr(sa, f.name), getattr(sb, f.name)
-            assert va == vb, (
-                f"stage field {f.name}: {va!r} != {vb!r}"
-            )
+        for name in sa._fields:
+            va, vb = getattr(sa, name), getattr(sb, name)
+            assert va == vb, f"stage field {name}: {va!r} != {vb!r}"
 
 
 def random_walk(model, graph, cluster, config, rng, steps=12):

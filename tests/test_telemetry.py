@@ -495,8 +495,7 @@ class TestPerfModelTelemetry:
         self, tiny_graph, small_cluster, tiny_database, monkeypatch
     ):
         """A warning-level console keeps no DEBUG estimate event, so a
-        scalar miss never reads iteration_time and Eq. 2 stays
-        deferred."""
+        scalar miss builds and emits none."""
         import io
 
         perf_model = fresh_model(tiny_graph, small_cluster, tiny_database)
@@ -513,13 +512,12 @@ class TestPerfModelTelemetry:
             ),
         )
         with using_bus(bus):
-            report = perf_model.estimate(config)
+            perf_model.estimate(config)
             perf_model.estimate_batch(
                 [balanced_config(tiny_graph, small_cluster, 4)]
             )
             perf_model.emit_counters()
         assert perf_model.num_estimates == 2
-        assert "iteration_time" not in report.__dict__
         assert built == [] and stream.getvalue() == ""
 
 
