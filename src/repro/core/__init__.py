@@ -3,10 +3,7 @@
 from ..exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "apply": (
-        "ApplyContext", "apply_primitive", "has_applier", "move_ops",
-        "register_applier", "unregister_applier",
-    ),
+    "apply": ("ApplyContext", "apply_primitive", "move_ops"),
     "arguments": (
         "greedy_recompute", "greedy_unrecompute", "op_move_counts",
         "tune_recompute",
@@ -24,8 +21,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "multihop": ("MultiHopResult", "MultiHopSearcher"),
     "primitives": (
         "Granularity", "PRIMITIVES_BY_NAME", "PRIMITIVE_TABLE",
-        "PrimitiveSpec", "Trend", "all_primitives", "eligible_primitives",
-        "get_primitive", "register_primitive", "unregister_primitive",
+        "PrimitiveSpec", "Trend", "all_primitives", "eligibility_walk",
+        "eligible_primitives", "get_primitive", "register_primitive",
+        "unregister_primitive",
     ),
     "ranking": ("CandidateGroup", "candidate_groups"),
     "search": (
@@ -36,8 +34,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "searcher": (
         "SearchContext", "Searcher", "StrategyError", "available_strategies",
-        "build_options", "get_searcher_class", "make_searcher",
-        "register_searcher", "strategy_option_names", "unregister_searcher",
+        "build_options", "get_searcher_class", "register_searcher",
+        "strategy_option_names", "unregister_searcher",
     ),
     "trace": ("IterationRecord", "SearchTrace"),
 })

@@ -12,7 +12,7 @@ the idlest stage are not adjacent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from ..perfmodel.model import PerfModel
 from ..perfmodel.report import PerfReport
 from .arguments import op_move_counts, tune_recompute
 from .bottleneck import Bottleneck
+from .primitives import Applier, extension_applier
 
 
 @dataclass
@@ -434,7 +435,9 @@ def apply_dec_rc(ctx: ApplyContext) -> List[ParallelConfig]:
 # ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
-_APPLIERS: Dict[str, Callable[[ApplyContext], List[ParallelConfig]]] = {
+#: Built-in Table 1 appliers; extension primitives carry their own
+#: (:func:`repro.core.primitives.register_primitive`).
+_APPLIERS: Dict[str, Applier] = {
     "inc-op#": apply_inc_op,
     "dec-op#": apply_dec_op,
     "inc-mbs": apply_inc_mbs,
@@ -448,39 +451,6 @@ _APPLIERS: Dict[str, Callable[[ApplyContext], List[ParallelConfig]]] = {
 }
 
 
-#: Appliers for extension primitives (see primitives.register_primitive).
-_EXTENSION_APPLIERS: Dict[
-    str, Callable[[ApplyContext], List[ParallelConfig]]
-] = {}
-
-
-def register_applier(
-    name: str,
-    applier: Callable[[ApplyContext], List[ParallelConfig]],
-) -> None:
-    """Attach the candidate generator of an extension primitive.
-
-    The applier receives an :class:`ApplyContext` and returns candidate
-    configurations; :func:`apply_primitive` drops the invalid ones and
-    dedupes the rest like built-in primitives' candidates.
-    """
-    if name in _APPLIERS:
-        raise ValueError(f"cannot override built-in applier {name!r}")
-    _EXTENSION_APPLIERS[name] = applier
-
-
-def unregister_applier(name: str) -> None:
-    """Remove an extension applier (built-ins cannot be removed)."""
-    if name in _APPLIERS:
-        raise ValueError(f"cannot unregister built-in applier {name!r}")
-    _EXTENSION_APPLIERS.pop(name, None)
-
-
-def has_applier(name: str) -> bool:
-    """Whether a candidate generator exists for ``name``."""
-    return name in _APPLIERS or name in _EXTENSION_APPLIERS
-
-
 def apply_primitive(name: str, ctx: ApplyContext) -> List[ParallelConfig]:
     """Generate valid successor configurations for one primitive.
 
@@ -491,11 +461,8 @@ def apply_primitive(name: str, ctx: ApplyContext) -> List[ParallelConfig]:
     applier = _APPLIERS.get(name)
     if applier is not None:
         return applier(ctx)
-    applier = _EXTENSION_APPLIERS.get(name)
-    if applier is None:
-        raise KeyError(f"unknown primitive {name!r}")
     return _finalize(ctx, [
-        candidate for candidate in applier(ctx)
+        candidate for candidate in extension_applier(name)(ctx)
         if candidate is None or is_valid(candidate, ctx.graph, ctx.cluster)
     ])
 

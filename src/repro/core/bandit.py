@@ -33,10 +33,10 @@ from ..telemetry.events import (
     SEARCH_STRATEGY_ARM,
     SEARCH_STRATEGY_STATS,
 )
-from .apply import ApplyContext, apply_primitive, has_applier
+from .apply import ApplyContext, apply_primitive
 from .bottleneck import Bottleneck, identify_bottleneck
 from .budget import Deadline, SearchBudget
-from .primitives import eligible_primitives
+from .primitives import eligibility_walk
 from .searcher import SearchContext, Searcher, register_searcher
 
 _TINY = 1e-12
@@ -49,24 +49,17 @@ def bottleneck_kind(bottleneck: Bottleneck) -> str:
 
 
 def _arms_for(bottleneck: Bottleneck) -> List[str]:
-    """The kind's arm set: applier-backed primitives, name-sorted.
+    """The kind's arm set: the primary resource's primitives (else
+    every resource's), name-sorted.
 
     Sorted (not priority-ordered) so the arm list — and therefore the
     UCB tie-break — is identical however the bottleneck's secondary
     resources happen to be ordered.
     """
-    names = {
-        spec.name
-        for spec in eligible_primitives(bottleneck.primary_resource)
-        if has_applier(spec.name)
-    }
+    walk = eligibility_walk([bottleneck.primary_resource])
+    names = [name for _, name in walk]
     if not names:
-        for resource in bottleneck.resources:
-            names.update(
-                spec.name
-                for spec in eligible_primitives(resource)
-                if has_applier(spec.name)
-            )
+        names = [name for _, name in eligibility_walk(bottleneck.resources)]
     return sorted(names)
 
 

@@ -36,10 +36,10 @@ from ..telemetry.events import (
     SEARCH_STRATEGY_PROPOSAL,
     SEARCH_STRATEGY_STATS,
 )
-from .apply import ApplyContext, apply_primitive, has_applier
+from .apply import ApplyContext, apply_primitive
 from .bottleneck import Bottleneck, rank_bottlenecks
 from .budget import Deadline, SearchBudget
-from .primitives import eligible_primitives
+from .primitives import eligibility_walk
 from .searcher import SearchContext, Searcher, register_searcher
 
 #: Relative-objective floor so the acceptance denominator never hits 0.
@@ -69,23 +69,9 @@ class MCMCOptions:
 
 
 def _proposal_primitives(bottleneck: Bottleneck) -> List[str]:
-    """Applier-backed primitive names for a bottleneck, priority order.
-
-    Mirrors :func:`repro.core.ranking.candidate_groups`'s eligibility
-    walk (each primitive once, under its highest-priority resource) but
-    returns just the names — the walk picks one at random instead of
-    scoring every group.
-    """
-    names: List[str] = []
-    seen = set()
-    for resource in bottleneck.resources:
-        for spec in eligible_primitives(resource):
-            if spec.name in seen:
-                continue
-            seen.add(spec.name)
-            if has_applier(spec.name):
-                names.append(spec.name)
-    return names
+    """The primitive names a proposal draws from, in Heuristic-2
+    order (the walk picks one at random instead of scoring them)."""
+    return [name for _, name in eligibility_walk(bottleneck.resources)]
 
 
 @register_searcher

@@ -11,7 +11,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
+
+from ..perfmodel.report import RESOURCES
+
+if TYPE_CHECKING:
+    from ..parallel.config import ParallelConfig
+    from .apply import ApplyContext
+
+#: Turns a primitive into candidate configurations for one context.
+Applier = Callable[["ApplyContext"], List["ParallelConfig"]]
 
 
 class Trend(enum.Enum):
@@ -54,10 +65,9 @@ class PrimitiveSpec:
 
     def trend_for(self, resource: str) -> Trend:
         """Trend of ``resource`` ("compute"/"communication"/"memory")."""
-        try:
-            return getattr(self, resource)
-        except AttributeError:
-            raise KeyError(f"unknown resource {resource!r}") from None
+        if resource not in RESOURCES:
+            raise KeyError(f"unknown resource {resource!r}")
+        return getattr(self, resource)
 
     def decreases(self, resource: str) -> bool:
         return self.trend_for(resource) is Trend.DOWN
@@ -87,26 +97,30 @@ PRIMITIVES_BY_NAME: Dict[str, PrimitiveSpec] = {
     spec.name: spec for spec in PRIMITIVE_TABLE
 }
 
-#: Extension primitives registered at runtime (§3.2.1: "Aceso can be
-#: extended with new primitives for future research").
-_EXTENSIONS: Dict[str, PrimitiveSpec] = {}
+#: Extension primitives registered at runtime with their appliers
+#: (§3.2.1: "Aceso can be extended with new primitives for future
+#: research").
+_EXTENSIONS: Dict[str, Tuple[PrimitiveSpec, Applier]] = {}
 
 
-def register_primitive(spec: PrimitiveSpec) -> None:
+def register_primitive(spec: PrimitiveSpec, applier: Applier) -> None:
     """Add a new reconfiguration primitive to the search's table.
 
     The spec's resource trends drive eligibility exactly like the
-    built-in rows; an applier must also be registered through
-    :func:`repro.core.apply.register_applier` before the search can
-    expand it.  Names must be unique across built-ins and extensions.
+    built-in rows; ``applier`` receives an
+    :class:`~repro.core.apply.ApplyContext` and returns candidate
+    configurations, which :func:`repro.core.apply.apply_primitive`
+    checks with one ``is_valid`` each and dedupes.  Names must be
+    unique across built-ins and extensions.
     """
     if spec.name in PRIMITIVES_BY_NAME or spec.name in _EXTENSIONS:
         raise ValueError(f"primitive {spec.name!r} already registered")
-    _EXTENSIONS[spec.name] = spec
+    _EXTENSIONS[spec.name] = (spec, applier)
 
 
 def unregister_primitive(name: str) -> None:
-    """Remove an extension primitive (built-ins cannot be removed)."""
+    """Remove an extension primitive and its applier (built-ins cannot
+    be removed)."""
     if name in PRIMITIVES_BY_NAME:
         raise ValueError(f"cannot unregister built-in primitive {name!r}")
     _EXTENSIONS.pop(name, None)
@@ -114,18 +128,29 @@ def unregister_primitive(name: str) -> None:
 
 def all_primitives() -> List[PrimitiveSpec]:
     """Built-in table rows followed by registered extensions."""
-    return list(PRIMITIVE_TABLE) + list(_EXTENSIONS.values())
+    return list(PRIMITIVE_TABLE) + [spec for spec, _ in _EXTENSIONS.values()]
 
 
 def get_primitive(name: str) -> PrimitiveSpec:
     """Look up a primitive row by name (built-in or extension)."""
-    spec = PRIMITIVES_BY_NAME.get(name) or _EXTENSIONS.get(name)
-    if spec is None:
+    if name in PRIMITIVES_BY_NAME:
+        return PRIMITIVES_BY_NAME[name]
+    return _extension(name)[0]
+
+
+def extension_applier(name: str) -> Applier:
+    """The applier registered with extension primitive ``name``."""
+    return _extension(name)[1]
+
+
+def _extension(name: str) -> Tuple[PrimitiveSpec, Applier]:
+    entry = _EXTENSIONS.get(name)
+    if entry is None:
         raise KeyError(
             f"unknown primitive {name!r}; known: "
             f"{sorted(PRIMITIVES_BY_NAME) + sorted(_EXTENSIONS)}"
         )
-    return spec
+    return entry
 
 
 def eligible_primitives(resource: str) -> List[PrimitiveSpec]:
@@ -135,3 +160,33 @@ def eligible_primitives(resource: str) -> List[PrimitiveSpec]:
     ['dec-op#', 'dec-mbs', 'inc-dp', 'inc-tp', 'inc-rc']
     """
     return [spec for spec in all_primitives() if spec.decreases(resource)]
+
+
+def eligibility_walk(
+    resources: Iterable[str],
+    rng=None,
+) -> Iterator[Tuple[str, str]]:
+    """Heuristic-2's ``(resource, primitive name)`` walk (§3.2.2).
+
+    Yields the primitives that decrease each of ``resources`` in turn,
+    each primitive once, under the first resource that selects it.
+    Passing a numpy ``rng`` shuffles the resource order up front and
+    each resource's primitives only when the walk reaches it (the
+    Exp#5 ablation), so a caller's own draws between steps interleave
+    with the walk's shuffles.
+
+    >>> [name for _, name in eligibility_walk(["memory", "compute"])]
+    ['dec-op#', 'dec-mbs', 'inc-dp', 'inc-tp', 'inc-rc', 'inc-mbs', 'dec-rc']
+    """
+    resources = list(resources)
+    if rng is not None:
+        rng.shuffle(resources)
+    seen = set()
+    for resource in resources:
+        specs = eligible_primitives(resource)
+        if rng is not None:
+            rng.shuffle(specs)
+        for spec in specs:
+            if spec.name not in seen:
+                seen.add(spec.name)
+                yield resource, spec.name

@@ -19,8 +19,8 @@ from typing import List, Optional
 import numpy as np
 
 from ..parallel.config import ParallelConfig
-from .apply import ApplyContext, apply_primitive, has_applier
-from .primitives import eligible_primitives
+from .apply import ApplyContext, apply_primitive
+from .primitives import eligibility_walk
 
 
 @dataclass
@@ -44,35 +44,21 @@ def candidate_groups(
     the highest-priority resource that selected it.
     """
     groups: List[CandidateGroup] = []
-    seen_primitives = set()
-    resources = list(ctx.bottleneck.resources)
-    if rng is not None:
-        rng.shuffle(resources)
-    for resource in resources:
-        specs = eligible_primitives(resource)
-        if rng is not None:
-            specs = list(specs)
-            rng.shuffle(specs)
-        for spec in specs:
-            if spec.name in seen_primitives:
-                continue
-            seen_primitives.add(spec.name)
-            if not has_applier(spec.name):
-                continue  # extension spec without a registered applier
-            candidates = apply_primitive(spec.name, ctx)
-            if not candidates:
-                continue
-            objectives = ctx.perf_model.objective_batch(candidates)
-            if rng is None:
-                order = np.argsort(objectives)
-            else:
-                order = rng.permutation(len(candidates))
-            groups.append(
-                CandidateGroup(
-                    primitive=spec.name,
-                    resource=resource,
-                    candidates=[candidates[i] for i in order],
-                    objectives=[objectives[i] for i in order],
-                )
+    for resource, name in eligibility_walk(ctx.bottleneck.resources, rng):
+        candidates = apply_primitive(name, ctx)
+        if not candidates:
+            continue
+        objectives = ctx.perf_model.objective_batch(candidates)
+        if rng is None:
+            order = np.argsort(objectives)
+        else:
+            order = rng.permutation(len(candidates))
+        groups.append(
+            CandidateGroup(
+                primitive=name,
+                resource=resource,
+                candidates=[candidates[i] for i in order],
+                objectives=[objectives[i] for i in order],
             )
+        )
     return groups

@@ -442,27 +442,3 @@ def _type_name(hint) -> str:
     if isinstance(hint, type):
         return hint.__name__
     return str(hint).replace("typing.", "")
-
-
-def make_searcher(
-    name: str,
-    graph: OpGraph,
-    cluster: ClusterSpec,
-    perf_model: PerfModel,
-    *,
-    options=None,
-    strategy_kwargs: Optional[dict] = None,
-) -> Searcher:
-    """Instantiate a registered strategy.
-
-    ``options`` (a ready-made options object) and ``strategy_kwargs``
-    (a JSON-shaped dict, validated) are mutually exclusive.
-    """
-    cls = get_searcher_class(name)
-    if options is not None and strategy_kwargs:
-        raise ValueError(
-            "pass either options or strategy_kwargs, not both"
-        )
-    if options is None:
-        options = build_options(name, strategy_kwargs)
-    return cls(graph, cluster, perf_model, options=options)

@@ -35,8 +35,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "baseline": ("apply_baseline", "load_baseline", "write_baseline"),
     "codebase": ("analyze_source", "analyze_tree"),
     "config_rules": (
-        "analyze_config", "analyze_memory", "analyze_primitives",
-        "analyze_structure",
+        "analyze_config", "analyze_memory", "analyze_structure",
     ),
     "diagnostics": (
         "CODES", "Diagnostic", "ERROR", "WARNING", "max_severity", "sort_key",

@@ -9,14 +9,12 @@ loading, baselines, extension appliers); the search's own candidates
 are valid by construction and never pass through it.
 ``analyze_memory`` is the static Eq. 1 feasibility
 pass: it prices every stage with the performance model and reports
-which stages would OOM and by how much.  ``analyze_primitives`` is the
-Table 1 preflight: every registered primitive must have an applier and
-a resolvable partner spec before the search may expand it.
+which stages would OOM and by how much.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -251,72 +249,6 @@ def analyze_weight_state(graph, cluster) -> List[Diagnostic]:
             "num_gpus": cluster.num_gpus,
         },
     )]
-
-
-# ----------------------------------------------------------------------
-# primitive legality preflight (ACE21x)
-# ----------------------------------------------------------------------
-def _partner_names(partner: str) -> List[str]:
-    """Expand a Table 1 partner spec into primitive names.
-
-    ``"dec-dp/tp"`` means "dec-dp or dec-tp on the partner stage".
-    """
-    if "/" not in partner:
-        return [partner]
-    prefix, _, alternatives = partner.partition("-")
-    return [f"{prefix}-{alt}" for alt in alternatives.split("/")]
-
-
-def analyze_primitives(
-    names: Optional[Iterable[str]] = None,
-) -> List[Diagnostic]:
-    """Preflight the primitive table (or an explicit name list).
-
-    Every primitive the search may expand must exist in Table 1
-    (``ACE210``) and have a registered applier (``ACE211``); partner
-    specs must expand to known primitives (``ACE210``).
-    """
-    from ..core.apply import has_applier
-    from ..core.primitives import PRIMITIVES_BY_NAME, _EXTENSIONS, all_primitives
-
-    known = set(PRIMITIVES_BY_NAME) | set(_EXTENSIONS)
-    out: List[Diagnostic] = []
-    if names is not None:
-        for name in names:
-            if name not in known:
-                out.append(Diagnostic(
-                    "ACE210",
-                    f"unknown primitive {name!r}",
-                    location=name,
-                    hint=f"known primitives: {sorted(known)}",
-                ))
-            elif not has_applier(name):
-                out.append(Diagnostic(
-                    "ACE211",
-                    f"primitive {name!r} has no registered applier",
-                    location=name,
-                    hint="register one with repro.core.apply.register_applier",
-                ))
-        return out
-
-    for spec in all_primitives():
-        if not has_applier(spec.name):
-            out.append(Diagnostic(
-                "ACE211",
-                f"primitive {spec.name!r} has no registered applier",
-                location=spec.name,
-                hint="register one with repro.core.apply.register_applier",
-            ))
-        if spec.partner:
-            for partner in _partner_names(spec.partner):
-                if partner not in known:
-                    out.append(Diagnostic(
-                        "ACE210",
-                        f"primitive {spec.name!r} names unknown partner "
-                        f"{partner!r}",
-                        location=spec.name,
-                    ))
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -54,6 +54,8 @@ CODES: Dict[str, str] = {
     "ACE202": "model weight+optimizer state cannot fit the cluster",
     "ACE203": "requested cluster size is not constructible",
     "ACE204": "requested model is not in the registry",
+    # ACE210/ACE211 are retired: a primitive registers with its
+    # applier, so nothing emits them.
     "ACE210": "unknown resource-adjustment primitive",
     "ACE211": "primitive has no registered applier",
     "ACE212": "unknown search strategy",

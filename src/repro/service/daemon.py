@@ -526,6 +526,9 @@ class PlannerDaemon:
             fingerprint=fingerprint,
             key=key,
             cluster=cluster,
+            # The search's clock starts at admission, like the
+            # watchdog's and the router's: queue wait spends it.
+            deadline=Deadline(request.deadline_seconds),
             submitted=time.monotonic(),
         )
         # Register as the coalescing primary *before* enqueueing so a
@@ -765,8 +768,13 @@ class PlannerDaemon:
                 cached=True,
             ))
             return
+        if ticket.deadline.expired():
+            # Queue wait spent the whole budget; the search would shed
+            # every stage count.  The caller's deadline failed, not the
+            # config, so the breaker hears nothing of it.
+            self._fail(ticket, "deadline expired while queued", 0.0)
+            return
         key = self._breaker_key(request)
-        ticket.deadline = Deadline(request.deadline_seconds)
         with self._lock:
             self._in_flight[ticket.request_id] = ticket
         bus.emit(
@@ -787,34 +795,14 @@ class PlannerDaemon:
                 **churned,
             )
         except Exception as exc:  # noqa: BLE001 - map to terminal response
-            elapsed = time.monotonic() - started
             error = f"{type(exc).__name__}: {exc}"
-            if not self._draining:
-                # A drain-cancelled search is not the config's fault;
-                # don't poison the breaker with it.
+            if not (self._draining or ticket.deadline.expired()):
+                # A drain-cancelled or deadline-cut search is not the
+                # config's fault; don't poison the breaker with it.
                 self.breaker.record_failure(
                     key, error, model=request.model, gpus=request.gpus
                 )
-            bus.emit(
-                SERVICE_REQUEST_FAILED,
-                source="service",
-                level=WARNING,
-                request_id=ticket.request_id,
-                fingerprint=ticket.fingerprint,
-                error=error,
-                elapsed=elapsed,
-            )
-            self._finish(
-                ticket,
-                PlanResponse(
-                    status=STATUS_FAILED,
-                    request_id=ticket.request_id,
-                    fingerprint=ticket.fingerprint,
-                    error=error,
-                    elapsed_seconds=elapsed,
-                ),
-                keep_journal=self._draining,
-            )
+            self._fail(ticket, error, time.monotonic() - started)
             return
         finally:
             with self._lock:
@@ -867,6 +855,20 @@ class PlannerDaemon:
             ),
             keep_journal=partial and self._draining,
         )
+
+    def _fail(self, ticket: Ticket, error: str, elapsed: float) -> None:
+        get_bus().emit(
+            SERVICE_REQUEST_FAILED, source="service", level=WARNING,
+            request_id=ticket.request_id, fingerprint=ticket.fingerprint,
+            error=error, elapsed=elapsed,
+        )
+        self._finish(ticket, PlanResponse(
+            status=STATUS_FAILED,
+            request_id=ticket.request_id,
+            fingerprint=ticket.fingerprint,
+            error=error,
+            elapsed_seconds=elapsed,
+        ), keep_journal=self._draining)
 
     def _watchdog_loop(self) -> None:
         """Reap requests stuck past their deadline.

@@ -1,10 +1,13 @@
 """Tests for the Table 1 primitive definitions."""
 
+import numpy as np
 import pytest
 
 from repro.core import (
     PRIMITIVE_TABLE,
+    PRIMITIVES_BY_NAME,
     Trend,
+    eligibility_walk,
     eligible_primitives,
     get_primitive,
 )
@@ -49,6 +52,16 @@ class TestTable:
         assert get_primitive("inc-rc").partner is None
         assert get_primitive("inc-mbs").partner is None
 
+    def test_partner_specs_name_known_primitives(self):
+        """Every partner spec, ``"dec-dp/tp"`` read as "dec-dp or
+        dec-tp", names a Table 1 primitive."""
+        for spec in PRIMITIVE_TABLE:
+            if spec.partner is None:
+                continue
+            prefix, _, alternatives = spec.partner.partition("-")
+            for alternative in alternatives.split("/"):
+                assert f"{prefix}-{alternative}" in PRIMITIVES_BY_NAME
+
 
 class TestEligibility:
     def test_memory_relievers(self):
@@ -70,6 +83,41 @@ class TestEligibility:
         with pytest.raises(KeyError):
             PRIMITIVE_TABLE[0].trend_for("power")
 
+    @pytest.mark.parametrize("field", ["name", "granularity", "partner"])
+    def test_non_resource_field_raises(self, field):
+        with pytest.raises(KeyError):
+            PRIMITIVE_TABLE[0].trend_for(field)
+        with pytest.raises(KeyError):
+            eligible_primitives(field)
+
     def test_get_primitive_unknown(self):
         with pytest.raises(KeyError):
             get_primitive("inc-zz")
+
+
+class TestEligibilityWalk:
+    def test_each_primitive_once_under_first_resource(self):
+        walk = list(eligibility_walk(["memory", "compute"]))
+        names = [name for _, name in walk]
+        assert len(names) == len(set(names))
+        memory = [p.name for p in eligible_primitives("memory")]
+        assert walk[: len(memory)] == [("memory", n) for n in memory]
+        assert {n for r, n in walk if r == "compute"} == {
+            p.name for p in eligible_primitives("compute")
+        } - set(memory)
+
+    def test_shuffles_lazily(self):
+        """With ``rng`` the walk draws each resource's shuffle only when
+        it reaches that resource, so a caller's draws interleave."""
+        resources = ["compute", "memory", "communication"]
+        rng = np.random.default_rng(7)
+        walk = eligibility_walk(resources, rng)
+        first = next(walk)
+        state = rng.bit_generator.state
+        replay = np.random.default_rng(7)
+        order = list(resources)
+        replay.shuffle(order)
+        specs = eligible_primitives(order[0])
+        replay.shuffle(specs)
+        assert first == (order[0], specs[0].name)
+        assert replay.bit_generator.state == state

@@ -1,6 +1,5 @@
 """Tests for the primitive extension registry (§3.2.1's extensibility)."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -13,13 +12,13 @@ from repro.core import (
     candidate_groups,
     eligible_primitives,
     get_primitive,
-    has_applier,
     identify_bottleneck,
-    register_applier,
     register_primitive,
-    unregister_applier,
     unregister_primitive,
 )
+from repro.core.bandit import _arms_for
+from repro.core.bottleneck import Bottleneck
+from repro.core.mcmc import _proposal_primitives
 from repro.parallel import balanced_config
 
 
@@ -62,10 +61,8 @@ def quadruple_mbs(ctx):
 
 @pytest.fixture()
 def registered(spec):
-    register_primitive(spec)
-    register_applier(spec.name, quadruple_mbs)
+    register_primitive(spec, quadruple_mbs)
     yield spec
-    unregister_applier(spec.name)
     unregister_primitive(spec.name)
 
 
@@ -73,7 +70,6 @@ class TestRegistry:
     def test_registered_visible(self, registered):
         assert get_primitive("swap-mbs-x4") is registered
         assert registered in all_primitives()
-        assert has_applier("swap-mbs-x4")
 
     def test_eligibility_includes_extension(self, registered):
         names = [p.name for p in eligible_primitives("compute")]
@@ -95,12 +91,10 @@ class TestRegistry:
             valid = quadruple_mbs(ctx)
             return [bad_tp, None, bad_mbs] + valid
 
-        register_primitive(spec)
-        register_applier(spec.name, mixed)
+        register_primitive(spec, mixed)
         try:
             candidates = apply_primitive(spec.name, ctx)
         finally:
-            unregister_applier(spec.name)
             unregister_primitive(spec.name)
         assert [c.cache_key() for c in candidates] == [
             c.cache_key() for c in quadruple_mbs(ctx)
@@ -110,34 +104,32 @@ class TestRegistry:
         groups = candidate_groups(ctx)
         assert any(g.primitive == "swap-mbs-x4" for g in groups)
 
-    def test_spec_without_applier_skipped(self, spec, ctx):
-        register_primitive(spec)
-        try:
-            # No applier registered: ranking must skip, not crash.
-            groups = candidate_groups(ctx)
-            assert all(g.primitive != spec.name for g in groups)
-            with pytest.raises(KeyError):
-                apply_primitive(spec.name, ctx)
-        finally:
-            unregister_primitive(spec.name)
+    def test_mcmc_proposals_pick_up_extension(self, registered):
+        bottleneck = Bottleneck(
+            0, ("communication", "compute", "memory"), is_oom=False
+        )
+        assert "swap-mbs-x4" in _proposal_primitives(bottleneck)
+
+    def test_bandit_arms_pick_up_extension(self, registered):
+        bottleneck = Bottleneck(
+            0, ("compute", "memory", "communication"), is_oom=False
+        )
+        arms = _arms_for(bottleneck)
+        assert "swap-mbs-x4" in arms
+        assert arms == sorted(arms)
 
     def test_duplicate_name_rejected(self, registered, spec):
         with pytest.raises(ValueError):
-            register_primitive(spec)
+            register_primitive(spec, quadruple_mbs)
         with pytest.raises(ValueError):
-            register_primitive(get_primitive("inc-tp"))
+            register_primitive(get_primitive("inc-tp"), quadruple_mbs)
 
     def test_builtin_protected(self):
         with pytest.raises(ValueError):
             unregister_primitive("inc-tp")
-        with pytest.raises(ValueError):
-            register_applier("inc-tp", lambda ctx: [])
-        with pytest.raises(ValueError):
-            unregister_applier("inc-tp")
 
     def test_unregister_is_idempotent(self, spec):
         unregister_primitive(spec.name)  # not registered: no error
-        unregister_applier(spec.name)
 
     def test_cleanup_after_fixture(self):
         assert len(all_primitives()) == 10

@@ -12,7 +12,6 @@ from repro.lint import (
     Diagnostic,
     analyze_config,
     analyze_memory,
-    analyze_primitives,
     analyze_request,
     analyze_source,
     analyze_structure,
@@ -219,15 +218,6 @@ class TestAnalyzeMemory:
         assert [d.code for d in diagnostics] == ["ACE202"]
         roomy = paper_cluster(4)
         assert analyze_weight_state(graph, roomy) == []
-
-
-class TestAnalyzePrimitives:
-    def test_registered_table_clean(self):
-        assert analyze_primitives() == []
-
-    def test_unknown_name(self):
-        diagnostics = analyze_primitives(["inc-tp", "no-such-prim"])
-        assert [d.code for d in diagnostics] == ["ACE210"]
 
 
 class TestAnalyzeRequest:

@@ -35,7 +35,6 @@ from repro.core import (
     available_strategies,
     build_options,
     get_searcher_class,
-    make_searcher,
     register_searcher,
     search_all_stage_counts,
     strategy_option_names,
@@ -114,8 +113,9 @@ def run_strategy(
     budget=None, deadline=None,
 ):
     model = fresh_model(graph, cluster, database)
-    searcher = make_searcher(
-        strategy, graph, cluster, model, strategy_kwargs={"seed": seed}
+    searcher = get_searcher_class(strategy)(
+        graph, cluster, model,
+        options=build_options(strategy, {"seed": seed}),
     )
     init = balanced_config(graph, cluster, stage_count)
     return searcher.run(
@@ -446,8 +446,10 @@ class TestStrategyRegistry:
         self, tiny_graph, small_cluster, tiny_perf_model
     ):
         with pytest.raises(ValueError, match="not both"):
-            make_searcher(
-                "mcmc", tiny_graph, small_cluster, tiny_perf_model,
+            search_all_stage_counts(
+                tiny_graph, small_cluster, tiny_perf_model,
+                stage_counts=[1],
+                strategy="mcmc",
                 options=MCMCOptions(),
                 strategy_kwargs={"seed": 1},
             )

@@ -460,6 +460,82 @@ class TestDaemon:
         assert response.status == STATUS_PARTIAL
         assert "service.watchdog.reap" in [e.name for e in bus_events]
 
+    def test_deadline_starts_at_admission(self):
+        """A queued request's search gets a deadline its queue wait has
+        already spent: the clock starts at admission, not at dequeue."""
+        busy, release = threading.Event(), threading.Event()
+        remaining = []
+
+        def gated_planner(request, *, deadline=None,
+                          checkpoint_path=None):
+            if request.model == "first":
+                busy.set()
+                release.wait(timeout=10)
+            else:
+                remaining.append(deadline.remaining())
+            return ok_outcome(request)
+
+        daemon = self.make(planner=gated_planner, workers=1)
+        first = daemon.submit_nowait(PlanRequest(model="first"))
+        assert busy.wait(timeout=10)
+        queued = daemon.submit_nowait(
+            PlanRequest(model="second", deadline_seconds=30.0)
+        )
+        time.sleep(0.3)
+        release.set()
+        assert first.wait(timeout=10).status == STATUS_SERVED
+        assert queued.wait(timeout=10).status == STATUS_SERVED
+        assert remaining[0] <= 30.0 - 0.3
+
+    def test_deadline_spent_in_queue_fails_without_breaker(self):
+        """A deadline that runs out while its ticket queues answers
+        ``failed`` without a search, and never opens the breaker: the
+        caller's deadline failed, not the config."""
+        busy, release = threading.Event(), threading.Event()
+        searched = []
+
+        def gated_planner(request, *, deadline=None,
+                          checkpoint_path=None):
+            if request.model.startswith("first"):
+                busy.set()
+                release.wait(timeout=10)
+            else:
+                searched.append(request.model)
+            return ok_outcome(request)
+
+        daemon = self.make(
+            planner=gated_planner, workers=1, breaker_threshold=2
+        )
+        queued = PlanRequest(model="second", deadline_seconds=0.2)
+        for i in range(3):
+            busy.clear()
+            release.clear()
+            first = daemon.submit_nowait(PlanRequest(model=f"first{i}"))
+            assert busy.wait(timeout=10)
+            ticket = daemon.submit_nowait(queued)
+            time.sleep(0.5)
+            release.set()
+            assert first.wait(timeout=10).status == STATUS_SERVED
+            response = ticket.wait(timeout=10)
+            assert response.status == STATUS_FAILED
+            assert "expired while queued" in response.error
+        assert searched == []
+        assert daemon.breaker.state(daemon._breaker_key(queued)) == "closed"
+
+    def test_deadline_cut_failures_spare_the_breaker(self):
+        def slow_planner(request, *, deadline=None,
+                         checkpoint_path=None):
+            while not deadline.expired():
+                time.sleep(0.01)
+            raise RuntimeError("no stage count finished")
+
+        daemon = self.make(planner=slow_planner, breaker_threshold=2)
+        request = PlanRequest(model="m", deadline_seconds=0.05)
+        for _ in range(3):
+            response = daemon.submit(request, timeout=10)
+            assert response.status == STATUS_FAILED
+        assert daemon.breaker.state(daemon._breaker_key(request)) == "closed"
+
     def test_journal_readmits_after_restart(self, tmp_path, bus_events):
         request = PlanRequest(model="m", gpus=4)
         journal = tmp_path / f"{request.fingerprint()}.request.json"
