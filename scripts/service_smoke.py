@@ -5,7 +5,9 @@ Boots the service (a fleet of one replica) as a real subprocess, fires
 concurrent plan requests at it — including one guaranteed worker crash
 (nonexistent model) and one sub-second deadline — and asserts that
 every request gets a well-formed terminal response (served / partial /
-rejected / failed), that nothing hangs, that ``/healthz`` lists exactly
+rejected / failed), that nothing hangs, that the deadline request
+answers ``partial`` or ``failed`` within its deadline plus the router's
+``ATTEMPT_GRACE``, that ``/healthz`` lists exactly
 one replica, that an already-served ``/plan`` repeated on one
 keep-alive connection answers in well under the ~40 ms a Nagle plus
 delayed-ACK stall would cost, and that the service drains cleanly on
@@ -25,6 +27,8 @@ import threading
 import time
 import urllib.error
 import urllib.request
+
+from repro.service.fleet import ATTEMPT_GRACE
 
 TERMINAL = {"served", "partial", "rejected", "failed"}
 SMOKE_DIR = "smoke-service"
@@ -116,7 +120,9 @@ def main():
     results = [None] * len(REQUESTS)
 
     def client(index):
-        results[index] = post_plan(port, REQUESTS[index])
+        start = time.monotonic()
+        code, body = post_plan(port, REQUESTS[index])
+        results[index] = (code, body, time.monotonic() - start)
 
     threads = [
         threading.Thread(target=client, args=(i,))
@@ -137,9 +143,9 @@ def main():
         if result is None:
             problems.append(f"request {index} hung or errored")
             continue
-        code, body = result
+        code, body, seconds = result
         status = body.get("status")
-        print(f"request {index}: http {code} -> {status}")
+        print(f"request {index}: http {code} -> {status} in {seconds:.2f}s")
         if status not in TERMINAL:
             problems.append(
                 f"request {index}: non-terminal status {status!r}"
@@ -158,7 +164,7 @@ def main():
                 "or diagnostics"
             )
     if results[2] is not None:
-        crash_code, crash_body = results[2]
+        crash_code, crash_body, _ = results[2]
         crash_status = crash_body.get("status")
         if crash_status != "rejected":
             problems.append(
@@ -178,6 +184,23 @@ def main():
                     f"unknown-model rejection got http {crash_code}, "
                     "expected 400"
                 )
+
+    if results[3] is not None:
+        # The request clock: admission starts the deadline, the search
+        # answers anytime, and the router waits at most ATTEMPT_GRACE
+        # past it.
+        _, deadline_body, seconds = results[3]
+        bound = REQUESTS[3]["deadline_seconds"] + ATTEMPT_GRACE
+        if deadline_body.get("status") not in ("partial", "failed"):
+            problems.append(
+                f"deadline request answered {deadline_body.get('status')!r},"
+                " expected partial or failed"
+            )
+        if seconds > bound:
+            problems.append(
+                f"deadline request answered in {seconds:.2f}s, "
+                f"past its {bound:.1f}s bound"
+            )
 
     code, health = (
         None,

@@ -27,8 +27,8 @@ class Deadline:
     """Cooperative wall-clock cutoff, optionally cancellable.
 
     ``seconds=None`` never expires on its own but can still be
-    :meth:`cancel`-ed (the planner daemon's drain and watchdog use this
-    to stop in-flight searches at the next iteration boundary).  The
+    :meth:`cancel`-ed (the planner daemon's drain uses this to stop
+    in-flight searches at the next iteration boundary).  The
     ``clock`` is injectable so tests can trip a deadline at an exact,
     deterministic point in the search.
     """
@@ -51,10 +51,6 @@ class Deadline:
     def cancel(self) -> None:
         """Expire the deadline immediately (thread-safe: one bool write)."""
         self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
 
     def expired(self) -> bool:
         if self._cancelled:

@@ -72,7 +72,7 @@ from .searcher import (
 from .trace import SearchTrace
 
 #: Extra seconds a worker subprocess gets past the request deadline to
-#: ship its best-so-far partial result home before the watchdog reaps it.
+#: ship its best-so-far partial result home before the scheduler reaps it.
 DEADLINE_KILL_GRACE = 1.0
 
 
@@ -518,7 +518,7 @@ def _run_counts_in_pool(
 
     A request ``deadline`` turns the scheduler anytime: tasks search
     cooperatively against the remaining time, queued tasks are shed as
-    ``kind="deadline"`` failures once it expires, and a watchdog reaps
+    ``kind="deadline"`` failures once it expires, and the scheduler reaps
     any worker still running a task ``DEADLINE_KILL_GRACE`` seconds
     past it — workers are only ever forked on first dispatch, so an
     already-expired deadline forks nothing.
@@ -556,8 +556,8 @@ def _run_counts_in_pool(
             if deadline is not None and deadline.expired():
                 # Anytime contract: stop dispatching, shed the backlog,
                 # and give in-flight tasks one grace window to return
-                # their best-so-far partial results before the watchdog
-                # reaps their workers.
+                # their best-so-far partial results before the
+                # scheduler reaps their workers.
                 while queue:
                     key, attempt, _ = queue.popleft()
                     on_fail(key, attempt, "deadline expired before this "

@@ -24,8 +24,6 @@ Every decision is recorded as a JSON-able :class:`Decision` and
 emitted as ``elastic.*`` telemetry.  All control inputs are virtual
 (timeline time, iteration budgets): a run is bit-reproducible from
 ``(seed, timeline)``, which ``ControllerRun.replay_digest`` asserts.
-An optional wall-clock :class:`~repro.core.budget.Deadline` can bound
-replan latency for live deployments at the cost of that guarantee.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..cluster.topology import ClusterSpec
-from ..core.budget import Deadline, SearchBudget
+from ..core.budget import SearchBudget
 from ..core.search import AcesoSearch, AcesoSearchOptions
 from ..faults.inject import (
     NoSurvivorsError,
@@ -71,11 +69,6 @@ class ControllerPolicy:
     ``loss_threshold`` / ``cooldown_seconds`` / ``debounce_seconds``
     operate on *virtual* (timeline) time and model-estimated loss, so
     they never make decisions depend on the wall clock.
-
-    ``deadline_seconds``, when set, bounds each replan's wall-clock
-    latency via an anytime :class:`Deadline` — useful live, but a
-    tripped deadline makes the run depend on machine speed, so replay
-    tests leave it ``None``.
     """
 
     #: Re-plan when the current plan's estimated throughput fell by at
@@ -89,8 +82,6 @@ class ControllerPolicy:
     top_k: int = 5
     #: Search iterations per replan (the warm budget).
     replan_iterations: int = 6
-    #: Optional wall-clock bound per replan (anytime search).
-    deadline_seconds: Optional[float] = None
     #: Measure adopted plans on the runtime executor (ground truth
     #: throughput per decision; skip for planner-only runs).
     measure: bool = True
@@ -249,7 +240,6 @@ class ElasticController:
         cluster: ClusterSpec,
         model: PerfModel,
         init: ParallelConfig,
-        deadline: Optional[Deadline] = None,
     ):
         """One bounded warm search: the replan budget and seed."""
         return AcesoSearch(
@@ -262,7 +252,6 @@ class ElasticController:
         ).run(
             init,
             SearchBudget(max_iterations=self.policy.replan_iterations),
-            deadline=deadline,
         )
 
     def _warm_candidates(
@@ -298,7 +287,6 @@ class ElasticController:
         ``fallback_rung`` is ``None`` when the warm search itself
         produced a feasible plan.
         """
-        policy = self.policy
         bus = get_bus()
         candidates = self._warm_candidates(planner, survivors, current)
         best_candidate: Optional[ParallelConfig] = None
@@ -316,11 +304,8 @@ class ElasticController:
                 feasible_candidate_obj = objective
 
         init = best_candidate or self._balanced(planner)
-        deadline = None if policy.deadline_seconds is None else Deadline(
-            policy.deadline_seconds
-        )
         try:
-            result = self._search(planner, model, init, deadline)
+            result = self._search(planner, model, init)
         except Exception as error:  # ladder below, never crash
             if bus.active:
                 bus.emit(

@@ -15,7 +15,7 @@ Every piece is usable as a library on its own:
 - :func:`~repro.service.planner.plan_request` — one request through
   the crash-safe, deadline-aware stage-count search;
 - :class:`~repro.service.daemon.PlannerDaemon` — one replica: the
-  composition, with watchdog, request journal, coalescing, and drain;
+  composition, with request journal, coalescing, and drain;
 - :class:`~repro.service.ring.HashRing` /
   :class:`~repro.service.fleet.FleetRouter` /
   :class:`~repro.service.fleet.InProcessReplica` — N ≥ 1 in-process

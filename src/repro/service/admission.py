@@ -26,6 +26,9 @@ from ..telemetry.events import (
     SERVICE_ADMISSION_REJECTED,
 )
 
+#: Service-time EMA seed: ``retry_after`` before any request finished.
+INITIAL_SERVICE_SECONDS = 1.0
+
 
 class QueueFullError(RuntimeError):
     """The admission queue is at capacity; retry after ``retry_after``."""
@@ -47,7 +50,6 @@ class AdmissionController:
         max_pending: int,
         *,
         workers: int = 1,
-        initial_service_seconds: float = 1.0,
     ) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
@@ -60,7 +62,7 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
-        self._service_ema = initial_service_seconds
+        self._service_ema = INITIAL_SERVICE_SECONDS
         self.admitted = 0
         self.rejected = 0
 

@@ -116,18 +116,14 @@ def synthetic_planner(
     ) -> PlanOutcome:
         if delay_seconds:
             time.sleep(delay_seconds)
-        if deadline is not None:
-            remaining = deadline.remaining()
-            if deadline.cancelled or (
-                remaining is not None and remaining <= 0
-            ):
-                # Anytime contract: out of time still yields a plan,
-                # flagged partial.
-                return PlanOutcome(
-                    plan={"model": request.model, "cut": True},
-                    objective=1.0,
-                    partial=True,
-                )
+        if deadline is not None and deadline.expired():
+            # Anytime contract: out of time still yields a plan, flagged
+            # partial.
+            return PlanOutcome(
+                plan={"model": request.model, "cut": True},
+                objective=1.0,
+                partial=True,
+            )
         rng = random.Random(
             f"{request.model}:{request.gpus}:{request.seed}"
         )

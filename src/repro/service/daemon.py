@@ -10,10 +10,8 @@ request flows through:
 3. **anytime search** — the planner runs under the request's
    cooperative :class:`~repro.core.budget.Deadline`; running out of
    time yields the best-so-far plan flagged ``partial``, never an
-   exception;
-4. **watchdog** — a background thread cancels the deadline of any
-   request stuck past its cutoff, which makes the stage-count driver
-   reap its subprocess workers.
+   exception; the stage-count driver reaps any subprocess worker
+   still running ``DEADLINE_KILL_GRACE`` past the deadline.
 
 Lifecycle: :meth:`drain` (wired to SIGTERM by ``repro-serve``) stops
 admission, rejects the queued backlog with ``retry_after``, cancels
@@ -57,7 +55,6 @@ from ..telemetry.events import (
     SERVICE_REQUEST_REJECTED,
     SERVICE_REQUEST_STARTED,
     SERVICE_START,
-    SERVICE_WATCHDOG_REAP,
 )
 from .admission import AdmissionController, QueueFullError
 from .breaker import BreakerOpenError, CircuitBreaker
@@ -71,11 +68,6 @@ from .protocol import (
     PlanRequest,
     PlanResponse,
 )
-
-#: Seconds past an expired deadline before the watchdog cancels it
-#: (cooperative searches normally stop themselves well before this).
-WATCHDOG_GRACE = 2.0
-
 
 @dataclass(frozen=True)
 class TicketTimeout:
@@ -160,7 +152,6 @@ class Ticket:
     key: str = ""
     cluster: Optional[ClusterSpec] = None
     deadline: Optional[Deadline] = None
-    submitted: float = 0.0
     response: Optional[PlanResponse] = None
     done: threading.Event = field(default_factory=threading.Event)
     #: Same-fingerprint tickets sharing this ticket's in-flight search;
@@ -197,8 +188,6 @@ class PlannerDaemon:
         breaker_reset_seconds: float = 30.0,
         cache_entries: int = 128,
         state_dir: Optional[Path] = None,
-        watchdog_interval: float = 0.25,
-        watchdog_grace: float = WATCHDOG_GRACE,
         search_workers: int = 1,
         timeout_per_count: Optional[float] = None,
         worker_memory_mb: Optional[float] = None,
@@ -228,8 +217,6 @@ class PlannerDaemon:
             reset_seconds=breaker_reset_seconds,
         )
         self.cache = PlanCache(cache_entries, directory=self.state_dir)
-        self._watchdog_interval = watchdog_interval
-        self._watchdog_grace = watchdog_grace
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._in_flight: Dict[int, Ticket] = {}
@@ -239,7 +226,6 @@ class PlannerDaemon:
         self._coalesced_total = 0
         self._churn = ChurnFold()
         self._executor: Optional[ThreadPoolExecutor] = None
-        self._watchdog: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._started = False
         self._draining = False
@@ -261,11 +247,6 @@ class PlannerDaemon:
         )
         for _ in range(self.workers):
             self._executor.submit(self._worker_loop)
-        self._watchdog = threading.Thread(
-            target=self._watchdog_loop, name="planner-watchdog",
-            daemon=True,
-        )
-        self._watchdog.start()
         get_bus().emit(
             SERVICE_START,
             source="service",
@@ -367,8 +348,6 @@ class PlannerDaemon:
         self._stop.set()
         if self._executor is not None:
             self._executor.shutdown(wait=True)
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=2.0)
         self._started = False
         summary = {
             "queued_shed": len(shed),
@@ -462,15 +441,20 @@ class PlannerDaemon:
         # Request coalescing: a second request for a fingerprint whose
         # search is already queued or running attaches to that ticket
         # instead of burning another search worker — one search, many
-        # waiters, each fanned an identical (flagged) response.
+        # waiters, each fanned an identical (flagged) response.  A
+        # request without a deadline never rides a deadlined primary,
+        # whose answer may be a deadline's: it queues its own search
+        # and becomes the key's primary instead.
         with self._lock:
             primary = self._coalesce.get(key)
-            if primary is not None:
+            if primary is not None and (
+                request.deadline_seconds is not None
+                or primary.request.deadline_seconds is None
+            ):
                 follower = Ticket(
                     request=request,
                     request_id=request_id,
                     fingerprint=fingerprint,
-                    submitted=time.monotonic(),
                     coalesced=True,
                 )
                 primary.waiters.append(follower)
@@ -526,10 +510,9 @@ class PlannerDaemon:
             fingerprint=fingerprint,
             key=key,
             cluster=cluster,
-            # The search's clock starts at admission, like the
-            # watchdog's and the router's: queue wait spends it.
+            # The search's clock starts at admission, like the router's
+            # attempt bound: queue wait spends it.
             deadline=Deadline(request.deadline_seconds),
-            submitted=time.monotonic(),
         )
         # Register as the coalescing primary *before* enqueueing so a
         # concurrent same-key submit can never slip between enqueue
@@ -869,39 +852,3 @@ class PlannerDaemon:
             error=error,
             elapsed_seconds=elapsed,
         ), keep_journal=self._draining)
-
-    def _watchdog_loop(self) -> None:
-        """Reap requests stuck past their deadline.
-
-        The search honours its deadline cooperatively; if a request is
-        still in flight ``watchdog_grace`` seconds past the cutoff,
-        something is wedged (a hung subprocess, a stuck estimate) —
-        cancelling the deadline forces the stage-count driver to
-        terminate its workers and return what it has.
-        """
-        while not self._stop.wait(self._watchdog_interval):
-            with self._lock:
-                tickets = list(self._in_flight.values())
-            for ticket in tickets:
-                deadline = ticket.deadline
-                if deadline is None or deadline.cancelled:
-                    continue
-                remaining = deadline.remaining()
-                if remaining is None or remaining > 0:
-                    continue
-                if deadline.seconds is None:
-                    continue
-                overdue = (
-                    time.monotonic()
-                    - (ticket.submitted + deadline.seconds)
-                )
-                if overdue >= self._watchdog_grace:
-                    get_bus().emit(
-                        SERVICE_WATCHDOG_REAP,
-                        source="service",
-                        level=WARNING,
-                        request_id=ticket.request_id,
-                        fingerprint=ticket.fingerprint,
-                        overdue=overdue,
-                    )
-                    deadline.cancel()

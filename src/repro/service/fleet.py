@@ -48,10 +48,11 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..core.search import DEADLINE_KILL_GRACE
 from ..ioutil import write_json_atomic
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
@@ -67,7 +68,7 @@ from ..telemetry.events import (
     FLEET_STOP,
 )
 from .cache import PlanCache
-from .daemon import WATCHDOG_GRACE, ChurnFold, PlannerDaemon
+from .daemon import ChurnFold, PlannerDaemon
 from .protocol import STATUS_REJECTED, STATUS_SERVED, PlanRequest, PlanResponse
 from .ring import HashRing
 
@@ -75,9 +76,10 @@ from .ring import HashRing
 FLEET_STATE_FORMAT_VERSION = 1
 
 #: Seconds one replica call waits past its request's deadline: longer
-#: than the daemon's watchdog grace, so a deadline-cut search answers
-#: with its plan before the router stops waiting for it.
-ATTEMPT_GRACE = WATCHDOG_GRACE + 1.0
+#: than the stage-count scheduler's reap of a worker past the deadline,
+#: so a deadline-cut search answers with its plan before the router
+#: stops waiting for it.
+ATTEMPT_GRACE = DEADLINE_KILL_GRACE + 2.0
 
 #: Bounds of the :class:`FleetConfig` knobs, declared once: the config
 #: raises on the first violation, ``repro-lint`` reports all (ACE403).
@@ -102,9 +104,9 @@ def fleet_config_problems(values: dict) -> List[str]:
     return problems
 
 
-def _attempt_bound(payload: dict) -> Optional[float]:
-    """Seconds to wait on one replica call for request ``payload``."""
-    deadline = payload.get("deadline_seconds")
+def _attempt_bound(request: PlanRequest) -> Optional[float]:
+    """Seconds to wait on one replica call for ``request``."""
+    deadline = request.deadline_seconds
     return None if deadline is None else deadline + ATTEMPT_GRACE
 
 
@@ -218,8 +220,10 @@ class InProcessReplica:
         return self.daemon
 
     # -- replica protocol (what the router calls) ----------------------
-    def plan(self, payload: dict, timeout: Optional[float]) -> PlanResponse:
-        response = self._live().submit(PlanRequest.from_json(payload), timeout)
+    def plan(
+        self, request: PlanRequest, timeout: Optional[float]
+    ) -> PlanResponse:
+        response = self._live().submit(request, timeout)
         if self.killed:  # killed mid-flight: the answer is lost
             raise ReplicaError(f"replica {self.name} killed")
         return response
@@ -360,14 +364,13 @@ class FleetRouter:
                 objective=cached.get("objective"),
                 cached=True,
             )
-        payload = request.to_json()
         failovers = 0
         reachable = False
         last_response: Optional[PlanResponse] = None
         for position, name in enumerate(ladder):
             backup = ladder[position + 1] if position + 1 < len(ladder) \
                 else None
-            response = self._attempt(name, backup, payload, fingerprint)
+            response = self._attempt(name, backup, request, fingerprint)
             reachable = reachable or response is not None
             if response is None or self._is_backpressure(response):
                 # Down, or up but shedding: its ladder successor owns a
@@ -425,9 +428,10 @@ class FleetRouter:
             # A replica is up but overloaded/slow: ask the owner for a
             # deadline-trimmed anytime answer — a flagged partial plan
             # beats shedding.
-            trimmed = dict(request.to_json())
-            trimmed["deadline_seconds"] = \
-                self.config.degraded_deadline_seconds
+            trimmed = replace(
+                request,
+                deadline_seconds=self.config.degraded_deadline_seconds,
+            )
             for name in ladder:
                 try:
                     response = self._call(name, trimmed)
@@ -483,7 +487,7 @@ class FleetRouter:
         self,
         name: str,
         backup: Optional[str],
-        payload: dict,
+        request: PlanRequest,
         fingerprint: str,
     ) -> Optional[PlanResponse]:
         """Call ``name`` with bounded retries; ``None`` after the last
@@ -495,20 +499,20 @@ class FleetRouter:
                 budget = self._hedge_budget(name)
                 if backup is not None and budget is not None:
                     return self._race(
-                        name, backup, payload, fingerprint, budget
+                        name, backup, request, fingerprint, budget
                     )
-                return self._call(name, payload)
+                return self._call(name, request)
             except ReplicaError:
                 self._note_failure(name)
         return None
 
-    def _call(self, name: str, payload: dict) -> PlanResponse:
+    def _call(self, name: str, request: PlanRequest) -> PlanResponse:
         """One replica call, waiting as long as the request allows: no
         bound without a deadline, else the deadline plus
         :data:`ATTEMPT_GRACE`."""
         state = self._replicas[name]
         started = time.monotonic()
-        response = state.client.plan(payload, _attempt_bound(payload))
+        response = state.client.plan(request, _attempt_bound(request))
         elapsed = time.monotonic() - started
         with self._lock:
             state.latencies.append(elapsed)
@@ -520,7 +524,7 @@ class FleetRouter:
         self,
         primary: str,
         backup: str,
-        payload: dict,
+        request: PlanRequest,
         fingerprint: str,
         budget: float,
     ) -> PlanResponse:
@@ -532,7 +536,7 @@ class FleetRouter:
 
         def call(name: str) -> None:
             try:
-                results.put((name, self._call(name, payload)))
+                results.put((name, self._call(name, request)))
             except ReplicaError as exc:
                 self._note_failure(name)
                 results.put((name, exc))
@@ -559,7 +563,7 @@ class FleetRouter:
                 name=f"fleet-call-{backup}",
             ).start()
             pending = 2
-            bound = _attempt_bound(payload)
+            bound = _attempt_bound(request)
             deadline = None if bound is None else time.monotonic() + bound
             first_error: Optional[ReplicaError] = None
             while pending:

@@ -9,9 +9,10 @@ exactly one terminal response:
   tells the client when to come back) or the circuit breaker is open
 - ``failed``   — the search itself failed; ``error`` says why
 
-Everything round-trips through plain JSON dicts so the HTTP layer, the
-in-process daemon API, and the on-disk request journal (used by the
-SIGTERM drain/re-admit cycle) all speak the same records.
+Everything round-trips through plain JSON dicts so the HTTP layer and
+the on-disk request journal (used by the SIGTERM drain/re-admit cycle)
+speak the same records; in process, the router and the daemon pass the
+parsed objects.
 
 The *fingerprint* is the plan cache key: a digest over exactly the
 fields that determine the resulting plan (model, cluster size, stage

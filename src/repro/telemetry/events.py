@@ -116,7 +116,6 @@ SERVICE_BREAKER_PROBE = "service.breaker.probe"
 SERVICE_CACHE_HIT = "service.cache.hit"
 SERVICE_CACHE_MISS = "service.cache.miss"
 SERVICE_CACHE_INVALIDATE = "service.cache.invalidate"
-SERVICE_WATCHDOG_REAP = "service.watchdog.reap"
 SERVICE_HTTP_LISTEN = "service.http.listen"
 SERVICE_HTTP_ACCESS = "service.http.access"
 

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.search import DEADLINE_KILL_GRACE
 from repro.ioutil import write_json_atomic
 from repro.lint.artifacts import (
     lint_artifact_path,
@@ -49,7 +50,6 @@ from repro.service import (
     serve,
     synthetic_planner,
 )
-from repro.service.daemon import WATCHDOG_GRACE
 from repro.telemetry import CallbackSink, TelemetryBus, using_bus
 
 
@@ -253,16 +253,14 @@ class ScriptedClient:
     """A replica client whose behavior is scripted per call."""
 
     def __init__(self, behavior):
-        #: ``behavior(payload) -> PlanResponse`` or raises ReplicaError.
+        #: ``behavior(request) -> PlanResponse`` or raises ReplicaError.
         self.behavior = behavior
-        self.calls = []
         self.timeouts = []
         self.invalidations = 0
 
-    def plan(self, payload, timeout):
-        self.calls.append(dict(payload))
+    def plan(self, request, timeout):
         self.timeouts.append(timeout)
-        return self.behavior(payload)
+        return self.behavior(request)
 
     def health(self):
         return {"queue_depth": 0}
@@ -281,12 +279,11 @@ class ScriptedClient:
         pass
 
 
-def _served(payload, *, tag):
-    fingerprint = PlanRequest.from_json(payload).fingerprint()
+def _served(request, *, tag):
     return PlanResponse(
         status=STATUS_SERVED,
         request_id=1,
-        fingerprint=fingerprint,
+        fingerprint=request.fingerprint(),
         plan={"tag": tag},
         objective=1.0,
     )
@@ -352,12 +349,11 @@ class TestFleetRouter:
             router.stop()
 
     def test_backpressure_fails_over(self):
-        def overloaded(payload):
-            fingerprint = PlanRequest.from_json(payload).fingerprint()
+        def overloaded(request):
             return PlanResponse(
                 status=STATUS_REJECTED,
                 request_id=1,
-                fingerprint=fingerprint,
+                fingerprint=request.fingerprint(),
                 retry_after=0.5,
             )
 
@@ -385,9 +381,9 @@ class TestFleetRouter:
             "degraded_deadline_seconds"
         ].default
 
-        def overloaded(payload):
-            fingerprint = PlanRequest.from_json(payload).fingerprint()
-            if payload.get("deadline_seconds") == trimmed:
+        def overloaded(request):
+            fingerprint = request.fingerprint()
+            if request.deadline_seconds == trimmed:
                 return PlanResponse(
                     status=STATUS_PARTIAL,
                     request_id=1,
@@ -414,7 +410,7 @@ class TestFleetRouter:
 
     def test_attempt_waits_as_long_as_the_request_allows(self):
         """No deadline, no bound; a deadline gets a bound that outlasts
-        the daemon's watchdog grace."""
+        the scheduler's reap of a worker past the deadline."""
         client = ScriptedClient(lambda p: _served(p, tag="a"))
         router = FleetRouter({"a": client}, config=_fleet_config())
         try:
@@ -424,7 +420,7 @@ class TestFleetRouter:
             router.stop()
         unbounded, bounded = client.timeouts
         assert unbounded is None
-        assert bounded > 3.0 + WATCHDOG_GRACE
+        assert bounded > 3.0 + DEADLINE_KILL_GRACE
 
     def test_degrades_to_stale_then_shed(self, tmp_path):
         router, replicas = self._local_fleet(tmp_path, n=2)
@@ -451,12 +447,12 @@ class TestFleetRouter:
             router.stop()
 
     def test_hedged_request_wins_on_slow_owner(self):
-        def slow(payload):
+        def slow(request):
             time.sleep(0.4)
-            return _served(payload, tag="slow")
+            return _served(request, tag="slow")
 
-        def fast(payload):
-            return _served(payload, tag="fast")
+        def fast(request):
+            return _served(request, tag="fast")
 
         request = _request()
         fingerprint = request.fingerprint()
@@ -548,7 +544,7 @@ class TestFleetRouter:
         def blocked_planner(request, *, deadline=None,
                             checkpoint_path=None):
             started.release()
-            while not deadline.cancelled:
+            while not deadline.expired():
                 time.sleep(0.005)
             return PlanOutcome(plan={"cut": True}, objective=1.0,
                                partial=True)
@@ -700,13 +696,13 @@ class TestChaos:
             daemon_kwargs={"workers": 1, "queue_limit": 4},
         ).start()
         request = _request()
-        response = replica.plan(request.to_json(), 10.0)
+        response = replica.plan(request, 10.0)
         assert response.status == STATUS_SERVED
         replica.kill()
         with pytest.raises(ReplicaError):
-            replica.plan(request.to_json(), 10.0)
+            replica.plan(request, 10.0)
         replica.restart()
-        warm = replica.plan(request.to_json(), 10.0)
+        warm = replica.plan(request, 10.0)
         # The restarted daemon preloaded its disk cache.
         assert warm.cached
         assert plan_digest(warm.plan) == plan_digest(response.plan)

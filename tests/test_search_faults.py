@@ -20,7 +20,11 @@ from repro.core import (
 )
 from repro.core.checkpoint import _result_to_dict
 from repro.core.pool import WorkerPool, usable_cores
-from repro.core.search import _failure_kind_from_error, _stage_count_worker
+from repro.core.search import (
+    DEADLINE_KILL_GRACE,
+    _failure_kind_from_error,
+    _stage_count_worker,
+)
 from repro.elastic import (
     ChurnEvent,
     ChurnTimeline,
@@ -934,6 +938,36 @@ class TestDeadline:
             assert {f.kind for f in result.failures} == {"deadline"}
             with pytest.raises(SearchFailedError):
                 result.best
+
+    def test_scheduler_reaps_a_stuck_worker_past_the_deadline(
+        self, tiny_graph, small_cluster, tiny_database
+    ):
+        """A pool search stuck past the request deadline is bounded by
+        the scheduler alone: its worker is reaped ``DEADLINE_KILL_GRACE``
+        later and recorded as a deadline failure."""
+        def hangs_on_one(payload):
+            if payload[3] == 1:
+                time.sleep(60)
+            return _stage_count_worker(payload)
+
+        started = time.monotonic()
+        result = search_all_stage_counts(
+            tiny_graph,
+            small_cluster,
+            fresh_model(tiny_graph, small_cluster, tiny_database),
+            stage_counts=[1, 2],
+            budget_per_count=BUDGET,
+            workers=2,
+            max_retries=0,
+            deadline=Deadline(0.5),
+            _worker_fn=hangs_on_one,
+        )
+        assert time.monotonic() - started < 0.5 + DEADLINE_KILL_GRACE + 1.0
+        assert [run.num_stages for run in result.runs] == [2]
+        assert len(result.failures) == 1
+        failure = result.failures[0]
+        assert (failure.num_stages, failure.kind) == (1, "deadline")
+        assert "reaped past the request deadline" in failure.error
 
     def test_generous_deadline_changes_nothing(
         self, tiny_graph, small_cluster, tiny_database

@@ -439,27 +439,6 @@ class TestDaemon:
             assert response is not None
             assert response.status == STATUS_SERVED
 
-    def test_watchdog_reaps_hung_requests(self, bus_events):
-        def hung_planner(request, *, deadline=None,
-                         checkpoint_path=None):
-            # Ignores the deadline (a wedged search); only the
-            # watchdog's cancel gets it unstuck.
-            while not (deadline and deadline.cancelled):
-                time.sleep(0.02)
-            return ok_outcome(request, partial=True)
-
-        daemon = self.make(
-            planner=hung_planner,
-            workers=1,
-            watchdog_interval=0.05,
-            watchdog_grace=0.1,
-        )
-        response = daemon.submit(
-            PlanRequest(model="m", deadline_seconds=0.2), timeout=10
-        )
-        assert response.status == STATUS_PARTIAL
-        assert "service.watchdog.reap" in [e.name for e in bus_events]
-
     def test_deadline_starts_at_admission(self):
         """A queued request's search gets a deadline its queue wait has
         already spent: the clock starts at admission, not at dequeue."""
@@ -586,7 +565,7 @@ class TestDaemon:
             # Runs until the drain cancels its deadline (a cooperative
             # search stopping at an iteration boundary).
             started = time.monotonic()
-            while not (deadline and deadline.cancelled):
+            while not (deadline and deadline.expired()):
                 if time.monotonic() - started > 10:
                     raise RuntimeError("drain never cancelled")
                 time.sleep(0.01)
@@ -758,6 +737,40 @@ class TestCoalescing:
         gate.set()
         assert one.wait(timeout=10).status == STATUS_SERVED
         assert two.wait(timeout=10).status == STATUS_SERVED
+
+    def test_deadline_less_request_does_not_ride_a_deadlined_primary(
+        self, bus_events
+    ):
+        """A deadline-less request queued behind a same-key deadlined
+        one searches on its own: the deadline's failure is not its."""
+        gate = threading.Event()
+        calls = []
+
+        def gated_planner(request, *, deadline=None,
+                          checkpoint_path=None):
+            calls.append(request.model)
+            if request.model == "blocker":
+                gate.wait(timeout=10)
+            return ok_outcome(request)
+
+        daemon = self.make(planner=gated_planner, workers=1)
+        blocker = daemon.submit_nowait(PlanRequest(model="blocker"))
+        deadlined = daemon.submit_nowait(
+            PlanRequest(model="m", gpus=4, deadline_seconds=0.2)
+        )
+        patient = daemon.submit_nowait(PlanRequest(model="m", gpus=4))
+        assert not patient.coalesced
+        time.sleep(0.5)  # both queue past the first one's deadline
+        gate.set()
+        assert blocker.wait(timeout=10).status == STATUS_SERVED
+        failed = deadlined.wait(timeout=10)
+        assert failed.status == STATUS_FAILED
+        assert "deadline expired while queued" in failed.error
+        served = patient.wait(timeout=10)
+        assert served.status == STATUS_SERVED
+        assert not served.coalesced and not served.cached
+        assert calls == ["blocker", "m"]
+        assert "coalesce.attach" not in [e.name for e in bus_events]
 
     def test_wait_timeout_is_typed(self):
         gate = threading.Event()
