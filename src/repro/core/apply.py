@@ -12,7 +12,8 @@ the idlest stage are not adjacent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import List, Optional
 
 import numpy as np
 
@@ -21,11 +22,11 @@ from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..parallel.stage import StageConfig
 from ..parallel.validation import is_valid
-from ..perfmodel.model import PerfModel
+from ..perfmodel.model import PerfModel, StageLRU
 from ..perfmodel.report import PerfReport
 from .arguments import op_move_counts, tune_recompute
 from .bottleneck import Bottleneck
-from .primitives import Applier, extension_applier
+from .primitives import APPLIERS, PRIMITIVES_BY_NAME, primitive_applier
 
 
 @dataclass
@@ -72,7 +73,9 @@ def move_ops(
     moves ``count`` ops out of ``src`` and into ``dst`` while the
     intermediate stages trade an equal number through.  Ops that change
     stage adopt the parallel settings of a native op of their new stage
-    and drop their recompute flag (re-fitted later).
+    and drop their recompute flag (re-fitted later).  A re-spanned
+    stage comes from the graph's relay table, keyed by its source
+    stage's digest and new span, when an earlier relay built it.
 
     Returns ``None`` when any stage would become empty.
     """
@@ -89,7 +92,9 @@ def move_ops(
     for i in range(num_stages):
         if bounds[i + 1] - bounds[i] < 1:
             return None
-    num_options = graph.arrays.num_options
+    relays = graph.relay_stages
+    if relays is None:
+        relays = graph.relay_stages = StageLRU(attrgetter("num_ops"))
     stages: List[StageConfig] = []
     for i, old in enumerate(config.stages):
         lo, hi = bounds[i], bounds[i + 1]
@@ -97,37 +102,41 @@ def move_ops(
             # Span untouched by the relay: share the stage object so
             # its cached digest (and stage-level cost) stays valid.
             stages.append(old)
-            continue
-        # Native ops keep their settings: local slice [k0, k1) of the
-        # old stage.  Both boundaries shift the same way, so ops enter
-        # at the front or at the back, never at both.
-        k0 = max(lo, old.start) - old.start
-        k1 = min(hi, old.end) - old.start
-        if k1 <= k0:
-            return None
-        # Entering ops adopt the anchor's tp/dp, the first partition
-        # option and no recompute.
-        front, back = old.start - lo, hi - old.end
-        anchor = k0 if lo > old.start else k1 - 1
-        seg_tp = _relay_segment(old.tp, k0, k1, front, back, old.tp[anchor])
-        seg_dp = _relay_segment(old.dp, k0, k1, front, back, old.dp[anchor])
-        seg_dim = _relay_segment(old.tp_dim, k0, k1, front, back, 0)
-        seg_rc = _relay_segment(old.recompute, k0, k1, front, back, False)
-        # Clamp partition-option indices for ops new to this setting.
-        seg_dim = np.minimum(seg_dim, num_options[lo:hi] - 1)
-        stages.append(
-            StageConfig(
-                start=lo,
-                end=hi,
-                num_devices=old.num_devices,
-                tp=seg_tp,
-                dp=seg_dp,
-                tp_dim=seg_dim,
-                recompute=seg_rc,
-            )
-        )
+        elif min(hi, old.end) <= max(lo, old.start):
+            return None  # no native op would stay
+        else:
+            stages.append(relays.fetch(
+                (old.digest(), lo, hi),
+                lambda: _respan(old, lo, hi, graph.arrays.num_options),
+            ))
     return ParallelConfig(
         stages=stages, microbatch_size=config.microbatch_size
+    )
+
+
+def _respan(old: StageConfig, lo: int, hi: int, num_options) -> StageConfig:
+    """``old`` re-spanned to ``[lo, hi)``, which keeps some of its ops,
+    with read-only arrays, since the relay table shares it.
+
+    Native ops keep their settings: local slice [k0, k1) of the old
+    stage.  Both boundaries shift the same way, so ops enter at the
+    front or at the back, never at both.  Entering ops adopt the
+    anchor's tp/dp, the first partition option and no recompute.
+    """
+    k0 = max(lo, old.start) - old.start
+    k1 = min(hi, old.end) - old.start
+    front, back = old.start - lo, hi - old.end
+    anchor = k0 if lo > old.start else k1 - 1
+    seg_tp = _relay_segment(old.tp, k0, k1, front, back, old.tp[anchor])
+    seg_dp = _relay_segment(old.dp, k0, k1, front, back, old.dp[anchor])
+    seg_dim = _relay_segment(old.tp_dim, k0, k1, front, back, 0)
+    seg_rc = _relay_segment(old.recompute, k0, k1, front, back, False)
+    # Clamp partition-option indices for ops new to this setting.
+    seg_dim = np.minimum(seg_dim, num_options[lo:hi] - 1)
+    for values in (seg_tp, seg_dp, seg_dim, seg_rc):
+        values.flags.writeable = False
+    return StageConfig(
+        lo, hi, old.num_devices, seg_tp, seg_dp, seg_dim, seg_rc
     )
 
 
@@ -435,9 +444,7 @@ def apply_dec_rc(ctx: ApplyContext) -> List[ParallelConfig]:
 # ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
-#: Built-in Table 1 appliers; extension primitives carry their own
-#: (:func:`repro.core.primitives.register_primitive`).
-_APPLIERS: Dict[str, Applier] = {
+APPLIERS.update({
     "inc-op#": apply_inc_op,
     "dec-op#": apply_dec_op,
     "inc-mbs": apply_inc_mbs,
@@ -448,7 +455,7 @@ _APPLIERS: Dict[str, Applier] = {
     "dec-tp": apply_dec_tp,
     "inc-rc": apply_inc_rc,
     "dec-rc": apply_dec_rc,
-}
+})
 
 
 def apply_primitive(name: str, ctx: ApplyContext) -> List[ParallelConfig]:
@@ -458,11 +465,11 @@ def apply_primitive(name: str, ctx: ApplyContext) -> List[ParallelConfig]:
     ``tests/test_valid_by_construction.py``); an extension applier's
     candidates are checked here, one ``is_valid`` each.
     """
-    applier = _APPLIERS.get(name)
-    if applier is not None:
-        return applier(ctx)
+    candidates = primitive_applier(name)(ctx)
+    if name in PRIMITIVES_BY_NAME:
+        return candidates
     return _finalize(ctx, [
-        candidate for candidate in extension_applier(name)(ctx)
+        candidate for candidate in candidates
         if candidate is None or is_valid(candidate, ctx.graph, ctx.cluster)
     ])
 

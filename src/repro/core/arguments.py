@@ -116,6 +116,8 @@ def greedy_unrecompute(
     growth = np.cumsum(act[order]) * max(1, eq1.in_flight[stage_index])
 
     k = int(np.searchsorted(growth, slack, side="right"))
+    if k < 1:
+        return None
     step = max(1, len(order) // 8)
     probe = perf_model.recompute_probe(config, stage_index, eq1)
     while k >= 1:
@@ -138,21 +140,21 @@ def tune_recompute(
 
     This is §4.3's "attaching inc/dec-rc to all other primitives":
     stages pushed over their memory limit gain recomputation; stages
-    with new slack shed it.  The config is estimated once; a
-    recompute-only edit changes only its stage's Eq. 1 peak, which the
-    greedy functions update in the carried
-    :class:`~repro.perfmodel.report.Eq1View`.  Each stage calls only
-    the one that can change it: an over-budget stage
-    :func:`greedy_recompute`, a fitting stage that recomputes something
-    :func:`greedy_unrecompute`, and a fitting stage that recomputes
-    nothing neither.
+    with new slack shed it.  The config's Eq. 1 view is read once
+    (:meth:`PerfModel.eq1`, never a report); a recompute-only edit
+    changes only its stage's Eq. 1 peak, which the greedy functions
+    update in the carried :class:`~repro.perfmodel.report.Eq1View`.
+    Each stage calls only the one that can change it: an over-budget
+    stage :func:`greedy_recompute`, a fitting stage that recomputes
+    something :func:`greedy_unrecompute`, and a fitting stage that
+    recomputes nothing neither.
     """
     current, eq1 = config, None
     for stage_index in stage_indices:
         if not 0 <= stage_index < current.num_stages:
             continue
         if eq1 is None:
-            eq1 = perf_model.estimate(current).eq1()
+            eq1 = perf_model.eq1(current)
         args = (perf_model, current, stage_index, eq1)
         if eq1.peaks[stage_index] > eq1.limits[stage_index]:
             tuned = greedy_recompute(*args)

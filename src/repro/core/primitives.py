@@ -97,10 +97,13 @@ PRIMITIVES_BY_NAME: Dict[str, PrimitiveSpec] = {
     spec.name: spec for spec in PRIMITIVE_TABLE
 }
 
-#: Extension primitives registered at runtime with their appliers
-#: (§3.2.1: "Aceso can be extended with new primitives for future
-#: research").
-_EXTENSIONS: Dict[str, Tuple[PrimitiveSpec, Applier]] = {}
+#: Extension rows registered at runtime (§3.2.1: "Aceso can be
+#: extended with new primitives for future research").
+_EXTENSIONS: Dict[str, PrimitiveSpec] = {}
+
+#: Every primitive's applier by name: an extension's registers with its
+#: row, the built-in rows' when :mod:`repro.core.apply` loads.
+APPLIERS: Dict[str, Applier] = {}
 
 
 def register_primitive(spec: PrimitiveSpec, applier: Applier) -> None:
@@ -115,7 +118,8 @@ def register_primitive(spec: PrimitiveSpec, applier: Applier) -> None:
     """
     if spec.name in PRIMITIVES_BY_NAME or spec.name in _EXTENSIONS:
         raise ValueError(f"primitive {spec.name!r} already registered")
-    _EXTENSIONS[spec.name] = (spec, applier)
+    _EXTENSIONS[spec.name] = spec
+    APPLIERS[spec.name] = applier
 
 
 def unregister_primitive(name: str) -> None:
@@ -123,34 +127,30 @@ def unregister_primitive(name: str) -> None:
     be removed)."""
     if name in PRIMITIVES_BY_NAME:
         raise ValueError(f"cannot unregister built-in primitive {name!r}")
-    _EXTENSIONS.pop(name, None)
+    if _EXTENSIONS.pop(name, None) is not None:
+        del APPLIERS[name]
 
 
 def all_primitives() -> List[PrimitiveSpec]:
     """Built-in table rows followed by registered extensions."""
-    return list(PRIMITIVE_TABLE) + [spec for spec, _ in _EXTENSIONS.values()]
+    return list(PRIMITIVE_TABLE) + list(_EXTENSIONS.values())
 
 
 def get_primitive(name: str) -> PrimitiveSpec:
     """Look up a primitive row by name (built-in or extension)."""
-    if name in PRIMITIVES_BY_NAME:
-        return PRIMITIVES_BY_NAME[name]
-    return _extension(name)[0]
-
-
-def extension_applier(name: str) -> Applier:
-    """The applier registered with extension primitive ``name``."""
-    return _extension(name)[1]
-
-
-def _extension(name: str) -> Tuple[PrimitiveSpec, Applier]:
-    entry = _EXTENSIONS.get(name)
-    if entry is None:
+    spec = PRIMITIVES_BY_NAME.get(name) or _EXTENSIONS.get(name)
+    if spec is None:
         raise KeyError(
             f"unknown primitive {name!r}; known: "
             f"{sorted(PRIMITIVES_BY_NAME) + sorted(_EXTENSIONS)}"
         )
-    return entry
+    return spec
+
+
+def primitive_applier(name: str) -> Applier:
+    """The applier of primitive ``name`` (built-in or extension)."""
+    get_primitive(name)  # a KeyError naming the known primitives
+    return APPLIERS[name]
 
 
 def eligible_primitives(resource: str) -> List[PrimitiveSpec]:

@@ -48,6 +48,11 @@ class OpGraph:
             raise ValueError("global_batch_size must be positive")
         dtype_bytes(self.precision)  # validate
         self._arrays: "GraphArrays" = None  # type: ignore[assignment]
+        # move_ops' relay table (repro.core.apply), never pickled.
+        self.relay_stages = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "relay_stages": None}
 
     def __len__(self) -> int:
         return len(self.ops)

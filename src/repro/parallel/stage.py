@@ -112,12 +112,12 @@ class StageConfig:
 
     def __getstate__(self) -> dict:
         """Pickle without identity caches, and with writable copies of
-        arrays shared read-only (see :meth:`with_recompute`): a stage
-        sent through a worker-pool pipe re-hashes on first use and
+        read-only arrays (:meth:`with_recompute`, relayed stages): a
+        stage sent through a worker-pool pipe re-hashes on first use and
         shares nothing with the stages sent beside it."""
         state = self.__dict__.copy()
         state.update(_base_digest=None, _digest=None)
-        for name in ("tp", "dp", "tp_dim"):
+        for name in ("tp", "dp", "tp_dim", "recompute"):
             if not state[name].flags.writeable:
                 state[name] = state[name].copy()
         return state

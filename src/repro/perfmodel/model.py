@@ -31,7 +31,8 @@ A recompute probe (:meth:`PerfModel.recompute_probe`) asks only "does
 stage i fit with these flags?": set up once per greedy call, it keys
 each variant without building it, and a miss prices that stage's Eq. 1
 alone and leaves an Eq. 1-only entry in that LRU, counted as the
-estimate it stands for.
+estimate it stands for; so does a miss of :meth:`PerfModel.eq1`, the
+whole-config view recompute tuning reads, for every stage.
 """
 
 from __future__ import annotations
@@ -51,15 +52,39 @@ from ..telemetry.events import PERFMODEL_ESTIMATE, PERFMODEL_FIRST_FEASIBLE
 from .memory import stage_allocator_reserve
 from .report import Eq1View, PerfReport, StageCost, StageReport
 
-#: Bounds of the recompute-free stage-base LRU.  Each entry holds two
-#: per-op vectors, so the LRU is bounded by the ops it holds: it evicts
-#: only while it holds more than ``STAGE_BASE_CACHE_SIZE`` entries
-#: *and* more than ``STAGE_BASE_CACHE_OPS`` ops (1 MiB of float64
-#: vectors).  On gpt3-350m, 99.6% of base reuses fall within 65,536 ops
-#: but only 85% within 32 entries; on gpt-1000l the entry floor keeps
-#: 98% of reuses, where 65,536 ops would keep 96%.
+#: Bounds of the recompute-free stage-base LRU and of move_ops' relay
+#: table (:class:`StageLRU`).  Each entry holds per-op vectors, so an
+#: LRU is bounded by the ops it holds: it evicts only while it holds
+#: more than ``STAGE_BASE_CACHE_SIZE`` entries *and* more than
+#: ``STAGE_BASE_CACHE_OPS`` ops (1 MiB of float64 base vectors).  On
+#: gpt3-350m, 99.6% of base reuses fall within 65,536 ops but only 85%
+#: within 32 entries; on gpt-1000l the entry floor keeps 98% of reuses,
+#: where 65,536 ops would keep 96%.
 STAGE_BASE_CACHE_SIZE = 32
 STAGE_BASE_CACHE_OPS = 65_536
+
+
+class StageLRU(OrderedDict):
+    """Per-stage entries, least recent first, covering ``ops`` ops as
+    ``num_ops(entry)`` counts them: evicts only while over both
+    ``STAGE_BASE_CACHE_SIZE`` entries and ``STAGE_BASE_CACHE_OPS`` ops."""
+
+    def __init__(self, num_ops: Callable[[object], int]) -> None:
+        super().__init__()
+        self.num_ops, self.ops = num_ops, 0
+
+    def fetch(self, key, build: Callable[[], object]):
+        """The entry at ``key``, built on a miss, as the most recent."""
+        entry = self.pop(key, None)
+        if entry is None:
+            entry = build()
+            self.ops += self.num_ops(entry)
+        self[key] = entry
+        max_entries, max_ops = STAGE_BASE_CACHE_SIZE, STAGE_BASE_CACHE_OPS
+        while len(self) > max_entries and self.ops > max_ops:
+            self.ops -= self.num_ops(self.popitem(last=False)[1])
+        return entry
+
 
 #: Class-setting table rows (:meth:`PerfModel._class_table`): these
 #: StageCost fields, then activation bytes (also summed), recompute
@@ -73,9 +98,9 @@ def _kept_activation(rc: np.ndarray, act_bytes: np.ndarray) -> float:
     """Eq. 1's activation bytes under flags ``rc``, some set:
     ``activation_kept_mask`` within one stage, where a recomputed op
     whose predecessor also recomputes keeps nothing."""
-    kept = np.ones(len(rc))
-    kept[1:] -= rc[1:] & rc[:-1]
-    return float((act_bytes * kept).sum())
+    kept = act_bytes.copy()
+    kept[1:][rc[1:] & rc[:-1]] = 0.0
+    return float(kept.sum())
 
 
 def _log2_int(values: np.ndarray) -> np.ndarray:
@@ -149,10 +174,7 @@ class PerfModel:
             OrderedDict()
         )
         self._stage_cache_size = stage_cache_size
-        self._base_cache: "OrderedDict[Tuple[bytes, int], tuple]" = (
-            OrderedDict()
-        )
-        self._base_cache_ops = 0
+        self._base_cache = StageLRU(lambda base: len(base[2]))
         # Telemetry counters replace the former bare-int attributes;
         # the individual Counter objects are hoisted to slots-backed
         # locals because ``inc`` sits on the estimator hot path.
@@ -255,20 +277,53 @@ class PerfModel:
             )
         return report
 
+    def eq1(self, config: ParallelConfig) -> Eq1View:
+        """``estimate(config).eq1()``, from either kind of entry.  A miss
+        (with no DEBUG sink, as for a probe) prices only each stage's
+        Eq. 1 and stores it as the Eq. 1-only entry an estimate counts."""
+        key = config.cache_key()
+        peaks = self._cache.get(key)
+        if peaks is not None:
+            self._cache.move_to_end(key)
+            self._c_config_hits.value += 1
+            if not isinstance(peaks, list):
+                return peaks.eq1()
+        elif get_bus().wants(PERFMODEL_ESTIMATE, DEBUG):
+            return self.estimate(config).eq1()
+        n, mbs = config.num_stages, config.microbatch_size
+        num_mb = config.num_microbatches(self.graph.global_batch_size)
+        in_flight = [min(n - i, num_mb) for i in range(n)]
+        factors = self._stage_factors([s.num_devices for s in config.stages])
+        limits = factors[1] if factors else [self.memory_limit] * n
+        if peaks is None:
+            peaks = []
+            for s, k in zip(config.stages, in_flight):
+                # A cached cost (peeked: no reorder, no count) holds the
+                # base's Eq. 1 terms; same operand order either way.
+                cost = self._stage_cache.get((s.digest(), mbs))
+                peaks.append(
+                    self._eq1_peak(s, mbs, s.recompute, k) if cost is None
+                    else cost.weight_bytes + cost.optimizer_bytes
+                    + cost.activation_bytes * k + cost.reserved_bytes
+                )
+            oom = any(peak > cap for peak, cap in zip(peaks, limits))
+            self._record_miss(key, peaks, oom)
+        return Eq1View(list(peaks), in_flight, limits)
+
     def recompute_probe(
         self, config: ParallelConfig, stage_index: int, eq1: Eq1View
     ) -> Callable[[np.ndarray], float]:
         """A probe of stage ``stage_index`` of ``config``, whose Eq. 1
         view is ``eq1``: called with recompute flags, it returns the
         stage's Eq. 1 peak under them without building that variant.
-        The setup holds the digests and Eq. 1 terms the probes share,
-        and the first miss looks up the stage's recompute-free base.
+        The setup holds the digests and Eq. 1 terms the probes share.
         A probe is keyed and counted as :meth:`estimate` of the variant
-        would be; a miss prices only the stage's kept activation and
-        stores the peaks as an Eq. 1-only entry, which a later
-        :meth:`estimate` replaces with a report.  With a sink that keeps
-        ``perfmodel.estimate`` DEBUG events (their payload reads the
-        iteration time), it builds and estimates each variant."""
+        would be; a miss prices only the stage's Eq. 1 from its
+        recompute-free base (:meth:`_eq1_peak`) and stores the peaks as
+        an Eq. 1-only entry, which a later :meth:`estimate` replaces
+        with a report.  With a sink that keeps ``perfmodel.estimate``
+        DEBUG events (their payload reads the iteration time), it
+        builds and estimates each variant."""
         if get_bus().wants(PERFMODEL_ESTIMATE, DEBUG):
             def built(recompute: np.ndarray) -> float:
                 variant = config.with_recompute(stage_index, recompute)
@@ -283,10 +338,9 @@ class PerfModel:
             for i, (peak, cap) in enumerate(zip(eq1.peaks, eq1.limits))
             if i != stage_index
         )
-        cache, base = self._cache, None
+        cache = self._cache
 
         def probe(recompute: np.ndarray) -> float:
-            nonlocal base
             digests[stage_index] = stage_digest(base_digest, recompute)
             key = config_key(mbs, digests)
             cached = cache.get(key)
@@ -294,19 +348,7 @@ class PerfModel:
                 cache.move_to_end(key)
                 self._c_config_hits.value += 1
                 return getattr(cached, "peak_memories", cached)[stage_index]
-            if base is None:  # at the first miss: all-hit setups need none
-                fields, _, act_bytes, activation = self._stage_base(
-                    stage, mbs, self._stage_cache_size <= 0
-                )
-                base = (
-                    fields["weight_bytes"] + fields["optimizer_bytes"],
-                    fields["reserved_bytes"], act_bytes, activation,
-                )
-            fixed, reserved, act_bytes, activation = base
-            if recompute.any():
-                activation = _kept_activation(recompute, act_bytes)
-            # StageReport.peak_memory's operand order.
-            peak = fixed + activation * in_flight + reserved
+            peak = self._eq1_peak(stage, mbs, recompute, in_flight)
             peaks = list(eq1.peaks)
             peaks[stage_index] = peak
             self._record_miss(key, peaks, others_oom or peak > limit)
@@ -467,20 +509,23 @@ class PerfModel:
         """:meth:`_cost_stage_base`, through the base LRU unless fresh."""
         if fresh:
             return self._cost_stage_base(stage, mbs)
-        cache = self._base_cache
-        key = (stage.base_digest(), mbs)
-        base = cache.pop(key, None)
-        if base is None:
-            base = self._cost_stage_base(stage, mbs)
-            self._base_cache_ops += stage.num_ops
-        cache[key] = base  # (re)insert as the most recent
-        while (
-            len(cache) > STAGE_BASE_CACHE_SIZE
-            and self._base_cache_ops > STAGE_BASE_CACHE_OPS
-        ):
-            _, (_, _, act_bytes, _) = cache.popitem(last=False)
-            self._base_cache_ops -= len(act_bytes)
-        return base
+        return self._base_cache.fetch(
+            (stage.base_digest(), mbs),
+            lambda: self._cost_stage_base(stage, mbs),
+        )
+
+    def _eq1_peak(self, stage, mbs, recompute, in_flight) -> float:
+        """Eq. 1 peak of ``stage`` under flags ``recompute`` from its base,
+        in :attr:`StageReport.peak_memory`'s operand order."""
+        fields, _, act_bytes, activation = self._stage_base(
+            stage, mbs, self._stage_cache_size <= 0
+        )
+        if recompute.any():
+            activation = _kept_activation(recompute, act_bytes)
+        return (
+            fields["weight_bytes"] + fields["optimizer_bytes"]
+            + activation * in_flight + fields["reserved_bytes"]
+        )
 
     def _class_table(self, mbs: int) -> np.ndarray:
         """The read-only ``[column, class·T·D·O]`` table at ``mbs``, each

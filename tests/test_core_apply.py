@@ -1,12 +1,16 @@
 """Tests for primitive application."""
 
 import functools
+import operator
+import pickle
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import paper_cluster
 from repro.core import (
     ApplyContext,
     apply_primitive,
@@ -20,6 +24,8 @@ from repro.parallel import (
     is_valid,
     validate_config,
 )
+from repro.core import apply as apply_module
+from repro.perfmodel import model as perfmodel_module
 
 from conftest import make_tiny_gpt
 
@@ -205,6 +211,97 @@ def test_relay_rule_on_non_uniform_stages(case):
             np.testing.assert_array_equal(got, want)
         assert new.tp.dtype == new.dp.dtype == new.tp_dim.dtype == np.int64
         assert new.recompute.dtype == bool
+
+
+def _relay_setup(num_stages=4):
+    """A fresh graph (so an empty relay table) and a balanced config."""
+    graph = make_tiny_gpt()
+    return graph, balanced_config(graph, paper_cluster(4), num_stages)
+
+
+class TestRelayTable:
+    """``move_ops`` reuses a re-spanned stage it already built, keyed by
+    the source stage's digest and the new span."""
+
+    def test_same_relay_returns_the_identical_stage(self):
+        graph, config = _relay_setup()
+        first = move_ops(config, graph, 0, 3, 2)
+        again = move_ops(config, graph, 0, 3, 2)
+        # A content-equal source in new objects hits the table too.
+        cloned = config.mutated_copy(range(config.num_stages))
+        for moved in (again, move_ops(cloned, graph, 0, 3, 2)):
+            assert all(a is b for a, b in zip(moved.stages, first.stages))
+        # Another span is another stage.
+        other = move_ops(config, graph, 0, 3, 1)
+        assert not any(a is b for a, b in zip(other.stages, first.stages))
+
+    def test_reused_stage_arrays_are_read_only(self):
+        graph, config = _relay_setup()
+        moved = move_ops(config, graph, 0, 1, 2)
+        for name in ("tp", "dp", "tp_dim", "recompute"):
+            with pytest.raises(ValueError):
+                getattr(moved.stages[0], name)[0] = 1
+        # A mutated copy clones the stage it may write.
+        copy = moved.mutated_copy([0])
+        copy.stages[0].tp[0] = 2
+        assert moved.stages[0].tp[0] == 1
+
+    @pytest.mark.parametrize("max_ops", [1, 10**6])
+    def test_table_stays_within_its_bounds(self, monkeypatch, max_ops):
+        """It evicts oldest first, and only while it holds more than
+        ``STAGE_BASE_CACHE_SIZE`` entries *and* more than
+        ``STAGE_BASE_CACHE_OPS`` ops."""
+        monkeypatch.setattr(perfmodel_module, "STAGE_BASE_CACHE_SIZE", 2)
+        monkeypatch.setattr(perfmodel_module, "STAGE_BASE_CACHE_OPS", max_ops)
+        built = []
+        respan = apply_module._respan
+        monkeypatch.setattr(
+            apply_module, "_respan",
+            lambda *args: built.append(respan(*args)) or built[-1],
+        )
+        graph, config = _relay_setup()
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            src, dst = rng.choice(config.num_stages, size=2, replace=False)
+            moved = move_ops(config, graph, int(src), int(dst), 1)
+            if moved is None:
+                continue
+            table = graph.relay_stages
+            held = list(table.values())
+            assert table.ops == sum(stage.num_ops for stage in held)
+            assert len(held) == (2 if max_ops == 1 else len(built))
+            # The last relay's stages are the most recent entries.
+            fresh = [s for s, old in zip(moved.stages, config.stages)
+                     if s is not old]
+            tail = min(len(held), len(fresh))
+            assert all(map(operator.is_, held[-tail:], fresh[-tail:]))
+            config = moved
+        assert len(built) > 2
+
+    @pytest.mark.parametrize(
+        "dumps", [pickle.dumps, ForkingPickler.dumps,
+                  functools.partial(pickle.dumps, protocol=5)],
+    )
+    def test_pickled_reused_stage_arrives_writable_and_unshared(self, dumps):
+        """A worker-pool pickle copies every read-only array, so a
+        reused stage and a recompute variant sharing its tp, dp and
+        tp_dim arrive with writable arrays that share no memory."""
+        graph, config = _relay_setup()
+        moved = move_ops(config, graph, 0, 1, 2)
+        variant = moved.with_recompute(0, True)
+        again = move_ops(config, graph, 0, 1, 2)
+        assert again.stages[0] is moved.stages[0]
+        configs = pickle.loads(dumps([moved, variant, again]))
+        sent = [c.stages[0] for c in configs]
+        for stage in sent:
+            for name in ("tp", "dp", "tp_dim", "recompute"):
+                assert getattr(stage, name).flags.writeable
+        for name in ("tp", "dp", "tp_dim"):
+            assert not np.shares_memory(
+                getattr(sent[0], name), getattr(sent[1], name)
+            )
+        assert sent[0].digest() == moved.stages[0].digest()
+        assert pickle.loads(dumps(graph)).relay_stages is None
 
 
 class TestAppliers:

@@ -18,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import apply
 from repro.service import PlanRequest, plan_digest, plan_request
+from repro.service import planner
 from repro.telemetry import CallbackSink, TelemetryBus, using_bus
 from repro.telemetry.events import DRIVER_POOL_WORKER_START
 
@@ -51,8 +53,26 @@ def test_serve_request_matches_the_e2e_reference(fingerprint):
     _replay(SERVE[fingerprint])
 
 
-def test_gpt3_350m_request_matches_the_e2e_reference():
+def test_gpt3_350m_request_matches_the_e2e_reference(monkeypatch):
+    # The counted cut of candidate pricing: recompute tuning reads an
+    # Eq. 1-only view (7,561 stage-cache misses before it), and move_ops
+    # reuses the re-spanned stages it already built (8,241 before).
+    models, built = [], []
+    build_perf_model, respan = planner.build_perf_model, apply._respan
+
+    def counted_model(*args, **kwargs):
+        models.append(build_perf_model(*args, **kwargs))
+        return models[-1]
+
+    def counted_respan(*args):
+        built.append(None)
+        return respan(*args)
+
+    monkeypatch.setattr(planner, "build_perf_model", counted_model)
+    monkeypatch.setattr(apply, "_respan", counted_respan)
     _check_against_reference(search_workers=1)
+    assert [model.num_stage_costs for model in models] == [5655]
+    assert len(built) == 4151
 
 
 def test_gpt_1000l_request_matches_the_e2e_reference():

@@ -39,6 +39,7 @@ from repro.perfmodel import model as model_module
 from repro.perfmodel.memory import activation_kept_mask
 from repro.profiling import SimulatedProfiler
 from repro.telemetry import RingBufferSink, TelemetryBus, using_bus
+from repro.telemetry.events import PERFMODEL_ESTIMATE
 
 from conftest import make_tiny_gpt
 
@@ -195,7 +196,7 @@ class TestRecomputeDeltaCosting:
             cache = model._base_cache
             evicted |= {digest for digest, _ in held_before - set(cache)}
             held_ops = sum(len(act) for _, _, act, _ in cache.values())
-            assert model._base_cache_ops == held_ops
+            assert model._base_cache.ops == held_ops
             assert held_ops <= base_cache_ops or len(cache) <= 1
         # Recompute-only misses reused a base; a base is re-costed only
         # after the LRU evicted it.
@@ -250,7 +251,7 @@ class TestRecomputeDeltaCosting:
         mbs = config.microbatch_size
         model.estimate(config)
         cache = model._base_cache
-        keys, held_ops = list(cache), model._base_cache_ops
+        keys, held_ops = list(cache), model._base_cache.ops
         # Two-entry floor: stage 0's base was evicted.
         assert keys == [
             (stage.base_digest(), mbs) for stage in config.stages[1:]
@@ -261,7 +262,7 @@ class TestRecomputeDeltaCosting:
             assert activation.dtype == want.dtype
             assert activation.tobytes() == want.tobytes()
             assert list(cache) == keys
-            assert model._base_cache_ops == held_ops
+            assert model._base_cache.ops == held_ops
         hit = model.stage_activation_bytes(config.stages[1], mbs)
         assert hit is cache[keys[0]][2]
         assert not hit.flags.writeable
@@ -490,7 +491,7 @@ class TestClassSettingTables:
             for vec in (rc_time, act_bytes):
                 assert vec.base is None
                 assert len(vec) == num_ops[key]
-        assert model._base_cache_ops == sum(
+        assert model._base_cache.ops == sum(
             len(act_bytes) for _, _, act_bytes, _ in cache.values()
         )
 
@@ -548,10 +549,15 @@ class CheckedModel(PerfModel):
         assert_reports_identical(report, self.estimate_fresh(config))
         return report
 
+    def eq1(self, config):
+        view = super().eq1(config)
+        assert view == self.estimate_fresh(config).eq1()
+        return view
+
 
 class BuildingModel(PerfModel):
-    """Answers every recompute probe by building the variant and
-    estimating it."""
+    """Answers every recompute probe and Eq. 1 view by building the
+    config and estimating it."""
 
     def recompute_probe(self, config, stage_index, eq1):
         def peak(recompute):
@@ -559,6 +565,9 @@ class BuildingModel(PerfModel):
             return self.estimate(variant).peak_memories[stage_index]
 
         return peak
+
+    def eq1(self, config):
+        return self.estimate(config).eq1()
 
 
 def assert_eq1_matches(eq1, report):
@@ -739,6 +748,103 @@ class TestRecomputeProbe:
                 else:
                     check_probes(config, index)
                 assert model.num_estimates == reference.num_estimates
+                assert (
+                    model.counters["config_hits"].value
+                    == reference.counters["config_hits"].value
+                )
+                assert (
+                    model.first_feasible_estimate
+                    == reference.first_feasible_estimate
+                )
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2),
+        hetero=st.booleans(),
+        stages=st.sampled_from([1, 2, 4]),
+        mbs=st.sampled_from([1, 4, 16]),
+        cache_size=st.sampled_from([2, 500_000]),
+        stage_cache_size=st.sampled_from([0, 200_000]),
+        debug=st.booleans(),
+        data=st.data(),
+    )
+    def test_eq1_view_matches_estimating(
+        self, seed, hetero, stages, mbs, cache_size, stage_cache_size,
+        debug, data,
+    ):
+        """``PerfModel.eq1`` calls interleaved with probes, estimates,
+        primitives and ``tune_recompute``, on configs the LRU holds as a
+        report, as an Eq. 1-only entry or not at all: every view equals
+        ``estimate_fresh(config).eq1()`` bit for bit (CheckedModel), and
+        estimate counts, config hits and ``first_feasible_estimate``
+        match a model that estimates every config, with or without an
+        LRU that evicts, a stage cache, or a DEBUG sink, which gets one
+        ``perfmodel.estimate`` event per miss."""
+        graph, cluster, database = probe_setup(seed, hetero, 1.1)
+        model = CheckedModel(
+            graph, cluster, database,
+            cache_size=cache_size, stage_cache_size=stage_cache_size,
+        )
+        reference = BuildingModel(
+            graph, cluster, database, cache_size=cache_size
+        )
+        seen = [balanced_config(graph, cluster, stages, microbatch_size=mbs)]
+        bus, sink = TelemetryBus(), RingBufferSink()
+        if debug:
+            bus.add_sink(sink)
+        with using_bus(bus):
+            for _ in range(data.draw(st.integers(1, 16), label="steps")):
+                config = data.draw(st.sampled_from(seen), label="config")
+                index = data.draw(st.integers(0, stages - 1), label="stage")
+                action = data.draw(st.sampled_from(
+                    ["eq1", "eq1", "probe", "estimate", "tune", "primitive"]
+                ), label="action")
+                if action == "eq1":
+                    assert model.eq1(config) == reference.eq1(config)
+                elif action == "probe":
+                    mask = config.stages[index].recompute.copy()
+                    flips = data.draw(st.lists(
+                        st.integers(0, mask.size - 1), max_size=3
+                    ), label="flips")
+                    mask[flips] = ~mask[flips]
+                    peak = model.recompute_probe(
+                        config, index, model.eq1(config)
+                    )(mask)
+                    assert peak == reference.recompute_probe(
+                        config, index, reference.eq1(config)
+                    )(mask.copy())
+                    seen.append(config.with_recompute(index, mask))
+                elif action == "estimate":
+                    model.estimate(config)
+                    reference.estimate(config)
+                elif action == "tune":
+                    indices = data.draw(st.lists(
+                        st.integers(0, stages - 1), min_size=1, max_size=4
+                    ), label="indices")
+                    tuned = tune_recompute(model, config, indices)
+                    want = tune_recompute(reference, config, indices)
+                    assert tuned.cache_key() == want.cache_key()
+                    seen.append(tuned)
+                else:
+                    name = data.draw(st.sampled_from(PRIMITIVES), label="p")
+                    got, want = (
+                        apply_primitive(name, ApplyContext(
+                            graph=graph, cluster=cluster, perf_model=m,
+                            config=config, report=r,
+                            bottleneck=identify_bottleneck(r),
+                        ))
+                        for m, r in ((model, model.estimate(config)),
+                                     (reference, reference.estimate(config)))
+                    )
+                    assert [c.cache_key() for c in got] == [
+                        c.cache_key() for c in want
+                    ]
+                    seen.extend(got)
+                assert model.num_estimates == reference.num_estimates
+                # With a DEBUG sink, each model's every miss estimates.
+                assert sum(
+                    event.name == PERFMODEL_ESTIMATE for event in sink.events
+                ) == (2 * model.num_estimates if debug else 0)
                 assert (
                     model.counters["config_hits"].value
                     == reference.counters["config_hits"].value

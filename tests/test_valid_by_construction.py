@@ -1,8 +1,9 @@
 """The search's candidate generators emit only valid configurations.
 
 The search builds every candidate through the Table 1 appliers
-(``core.apply._APPLIERS``), multi-hop chains of them and the two
-fine-tune passes, and prices candidates without a structure check.
+(``core.primitives.primitive_applier`` of each ``PRIMITIVE_TABLE``
+row), multi-hop chains of them and the two fine-tune passes, and
+prices candidates without a structure check.
 These properties are what lets it skip the check: over random
 ``ir.models.synthetic`` graphs, on single-node clusters of 2, 4 and 8
 GPUs and on a mixed-memory cluster whose small devices force OOM
@@ -27,11 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import DeviceSpec, mixed_cluster, single_node, v100
-from repro.core.apply import _APPLIERS, ApplyContext, move_ops
+from repro.core.apply import ApplyContext, move_ops
 from repro.core.bottleneck import rank_bottlenecks
 from repro.core.dedup import UnexploredPool, VisitedSet
 from repro.core.finetune import finetune
 from repro.core.multihop import MultiHopSearcher
+from repro.core.primitives import PRIMITIVE_TABLE, primitive_applier
 from repro.ir.models.synthetic import build_synthetic
 from repro.lint.config_rules import analyze_structure
 from repro.parallel import balanced_config, imbalanced_gpu_config
@@ -137,8 +139,9 @@ def test_builtin_appliers_emit_valid_candidates(start, attach_recompute):
             bottleneck=bottleneck,
             attach_recompute=attach_recompute,
         )
-        for name, applier in _APPLIERS.items():
-            for candidate in applier(ctx):
+        for spec in PRIMITIVE_TABLE:
+            name = spec.name
+            for candidate in primitive_applier(name)(ctx):
                 _assert_valid(
                     candidate, graph, cluster,
                     f"{name} on stage {bottleneck.stage}",
