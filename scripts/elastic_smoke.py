@@ -1,20 +1,23 @@
 #!/usr/bin/env python
 """CI smoke test for elastic serving under churn.
 
-Boots the planner daemon as a real subprocess, replays a seeded churn
-timeline against its ``/churn`` endpoint while concurrently firing
-``/plan`` requests, and asserts that
+Boots ``repro-serve`` (a fleet of one replica) as a real subprocess,
+replays a seeded churn timeline against its ``/churn`` endpoint while
+concurrently firing ``/plan`` requests, and asserts that
 
 * every in-flight request gets a well-formed terminal response — churn
   may degrade answers, never drop them;
-* every churn event is acknowledged and invalidates the plan cache
-  (``elastic.cache.invalidate`` appears in the run log);
+* every churn event is acknowledged by the router, which folds it into
+  the membership it stamps on later requests and drops its shared plan
+  tier (``elastic.cache.invalidate`` appears in the run log);
 * after the last event the daemon serves the plan for the cluster
   the churn left: the same objective as a stage-count search on the
   folded planner view (the timeline ends with a straggler, which the
   nominal cluster would price at a lower objective);
 * the daemon drains cleanly, leaving a schema-valid run log and a
-  Chrome trace behind for the build artifact.
+  Chrome trace behind for the build artifact, and a state directory
+  whose churned plan-cache entries and journals CI lints like nominal
+  ones.
 
 Run from the repository root:
 ``PYTHONPATH=src python scripts/elastic_smoke.py``

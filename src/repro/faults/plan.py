@@ -18,11 +18,9 @@ of it and this fault view, for the controller, service and lint.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..cluster.topology import ClusterSpec
 from ..elastic.timeline import LINK_SCOPES, ChurnEvent, ChurnTimeline
@@ -182,7 +180,7 @@ class Membership:
     """Churn events folded against a base ``cluster``.
 
     Events about hardware the cluster lacks stay inert: they change
-    neither :meth:`view` nor :attr:`key`.  A ``node_join`` brings back
+    neither :meth:`view` nor :attr:`state`.  A ``node_join`` brings back
     every device of the node, even those that failed on their own, but
     never erases the append-only ``failures`` log of ``(device, time)``.
     """
@@ -238,22 +236,39 @@ class Membership:
             for d in range(node * gpn, (node + 1) * gpn)
         } | {d for d in self.failed if d < base.num_gpus}
 
+    @classmethod
+    def from_state(
+        cls, cluster: ClusterSpec, state: Optional[dict]
+    ) -> "Membership":
+        """A fold of ``cluster`` with this :attr:`state` (``None`` is
+        the nominal fold), hence the same :meth:`view`."""
+        if not state:
+            return cls(cluster)
+        return cls(
+            cluster,
+            failed=set(state["lost"]),
+            stragglers=dict(state["stragglers"]),
+            link_factors=dict(state["links"]),
+        )
+
     @property
-    def key(self) -> str:
-        """Canonical digest of the folded state, ``""`` when nothing
-        in it touches ``cluster`` (the nominal fold)."""
+    def state(self) -> Optional[dict]:
+        """The folded state as canonical JSON values — the lost devices,
+        ``[device, factor]`` stragglers and link factors — or ``None``
+        when nothing in it touches ``cluster`` (the nominal fold)."""
         stragglers = sorted(
-            (device, factor)
+            [device, factor]
             for device, factor in self.stragglers.items()
             if device < self.cluster.num_gpus
         )
         lost = sorted(self._lost_devices())
         if not (lost or stragglers or self.link_factors):
-            return ""
-        blob = json.dumps(
-            [lost, stragglers, sorted(self.link_factors.items())]
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+            return None
+        return {
+            "lost": lost,
+            "stragglers": stragglers,
+            "links": dict(sorted(self.link_factors.items())),
+        }
 
     def view(self) -> MembershipView:
         """Project the fold onto ``cluster``; raises

@@ -386,6 +386,31 @@ lint_checkpoint_file = _file_linter(check_checkpoint, "ACE320")
 # ----------------------------------------------------------------------
 # journaled requests (ACE33x)
 # ----------------------------------------------------------------------
+def _is_membership(value) -> bool:
+    """A ``Membership.state``: non-negative ``lost`` devices,
+    ``[device, factor >= 1]`` ``stragglers`` and ``links`` factors in
+    (0, 1] by scope."""
+    from ..elastic.timeline import LINK_SCOPES
+
+    def straggler(entry) -> bool:
+        return (
+            LIST.ok(entry) and len(entry) == 2
+            and NON_NEGATIVE_INT.ok(entry[0])
+            and _is((int, float), 1)(entry[1])
+        )
+
+    def link(scope, factor) -> bool:
+        return scope in LINK_SCOPES and NUMBER.ok(factor) and 0 < factor <= 1
+
+    return (
+        OBJECT.ok(value) and set(value) == {"lost", "stragglers", "links"}
+        and _list_of(NON_NEGATIVE_INT.ok)(value["lost"])
+        and _list_of(straggler)(value["stragglers"])
+        and OBJECT.ok(value["links"])
+        and all(link(*item) for item in value["links"].items())
+    )
+
+
 #: Value types of one ``PlanRequest`` payload; the ranges are the
 #: request's own invariants.
 _REQUEST_FIELDS = {
@@ -399,6 +424,11 @@ _REQUEST_FIELDS = {
     "priority": Field(False, INT),
     "strategy": Field(False, STRING),
     "strategy_kwargs": Field(False, _nullable(OBJECT)),
+    "membership": Field(False, _nullable(Check(
+        _is_membership,
+        "a membership state {lost: [device >= 0], stragglers: "
+        "[[device >= 0, factor >= 1]], links: {scope: factor in (0, 1]}}",
+    ))),
 }
 
 

@@ -1,7 +1,9 @@
 """Plan cache: repeat queries are O(1), invalidation is explicit.
 
 Completed plans are keyed by the request fingerprint (canonical
-model × cluster × budget digest, see ``protocol.PlanRequest``).  Only
+model × cluster × budget digest, see ``protocol.PlanRequest``); a
+churned request's fingerprint names its membership, so its plan is
+cached and persisted under its own address like any other.  Only
 *complete* plans are cached — a deadline-cut partial plan answers its
 own request but must not masquerade as the full search's answer for
 the next caller.
@@ -19,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from ..ioutil import write_json_atomic
 from ..lint.diagnostics import ArtifactError
@@ -88,10 +90,7 @@ class PlanCache:
             )
             return dict(entry)
 
-    def put(
-        self, fingerprint: str, entry: dict, *, persist: bool = True
-    ) -> None:
-        """Store ``entry``, on disk too unless ``persist=False``."""
+    def put(self, fingerprint: str, entry: dict) -> None:
         stored = dict(entry)
         with self._lock:
             self._entries[fingerprint] = stored
@@ -104,7 +103,7 @@ class PlanCache:
         # the kernel fsyncs.  Concurrent puts of the same fingerprint
         # race benignly — os.replace is atomic, last writer wins, and
         # the in-memory entry is the authority on the next get().
-        if self.directory is not None and persist:
+        if self.directory is not None:
             write_json_atomic(
                 self.directory / f"{fingerprint}.plan.json", stored
             )
@@ -119,23 +118,18 @@ class PlanCache:
         with self._lock:
             return {fp: dict(entry) for fp, entry in self._entries.items()}
 
-    def invalidate(
-        self, predicate: Optional[Callable[[str, dict], bool]] = None
-    ) -> int:
-        """Drop entries matching ``predicate`` (all, if ``None``).
+    def invalidate(self, *, gpus: Optional[int] = None) -> int:
+        """Drop every entry, or those planned for a ``gpus``-sized
+        cluster, because a fault plan or cluster change arrived.
 
         Returns the number of entries dropped and emits one
         ``service.cache.invalidate`` event with the count and reach.
         """
         with self._lock:
-            if predicate is None:
-                doomed = list(self._entries)
-            else:
-                doomed = [
-                    fp
-                    for fp, entry in self._entries.items()
-                    if predicate(fp, entry)
-                ]
+            doomed = [
+                fp for fp, entry in self._entries.items()
+                if gpus is None or entry.get("gpus") == gpus
+            ]
             for fingerprint in doomed:
                 del self._entries[fingerprint]
                 self._unlink(fingerprint)

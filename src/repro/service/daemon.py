@@ -13,6 +13,10 @@ request flows through:
    exception; the stage-count driver reaps any subprocess worker
    still running ``DEADLINE_KILL_GRACE`` past the deadline.
 
+A request's churn ``membership``, stamped by the fleet router and part
+of its fingerprint, names the cluster it plans on: the daemon keeps no
+churn state.
+
 Lifecycle: :meth:`drain` (wired to SIGTERM by ``repro-serve``) stops
 admission, rejects the queued backlog with ``retry_after``, cancels
 in-flight deadlines so searches stop at the next iteration boundary,
@@ -32,7 +36,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..cluster.topology import ClusterSpec, paper_cluster
 from ..core.budget import Deadline
@@ -44,7 +48,6 @@ from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
     COALESCE_ATTACH,
     COALESCE_FANOUT,
-    ELASTIC_CACHE_INVALIDATE,
     SERVICE_DRAIN_BEGIN,
     SERVICE_DRAIN_END,
     SERVICE_REQUEST_COMPLETED,
@@ -67,6 +70,7 @@ from .protocol import (
     STATUS_SERVED,
     PlanRequest,
     PlanResponse,
+    digest,
 )
 
 @dataclass(frozen=True)
@@ -88,58 +92,6 @@ class TicketTimeout:
         return False
 
 
-class ChurnFold:
-    """The churn events a server has accepted, folded against each
-    request's paper cluster (:class:`~repro.faults.plan.Membership`).
-
-    A nominal fold keys and plans a request exactly as if no churn had
-    happened; before the first event :mod:`repro.faults` stays unloaded.
-    """
-
-    def __init__(self) -> None:
-        self._events: list = []
-        self._folds: Dict[int, tuple] = {}  # gpus -> (key, planner, lost)
-        self._lock = threading.Lock()
-
-    def add(self, event) -> None:
-        with self._lock:
-            self._events.append(event)
-            self._folds.clear()
-
-    @property
-    def generation(self) -> int:
-        return len(self._events)
-
-    def fold(
-        self, fingerprint: str, gpus: int
-    ) -> Tuple[str, Optional[ClusterSpec], Optional[Diagnostic]]:
-        """``(key, planner, lost)``: the request's cache key (its
-        fingerprint, joined with the fold key unless nominal), the
-        planner view (``None`` when nominal or when no device survives)
-        and, in the latter case, the ``ACE221`` diagnostic."""
-        with self._lock:
-            if self._events and gpus not in self._folds:
-                self._folds[gpus] = self._fold(gpus)
-            key, planner, lost = self._folds.get(gpus, ("", None, None))
-        return (f"{fingerprint}:{key}" if key else fingerprint), planner, lost
-
-    def _fold(self, gpus: int) -> tuple:
-        from ..faults.inject import NoSurvivorsError
-        from ..faults.plan import Membership
-
-        try:
-            cluster = paper_cluster(gpus)
-        except ValueError:  # no such cluster: the admission lint says so
-            return "", None, None
-        membership = Membership.fold(cluster, self._events)
-        if not membership.key:
-            return "", None, None
-        try:
-            return membership.key, membership.view().planner, None
-        except NoSurvivorsError as exc:
-            return membership.key, None, exc.diagnostic
-
-
 @dataclass
 class Ticket:
     """One admitted request in flight through the daemon."""
@@ -147,9 +99,8 @@ class Ticket:
     request: PlanRequest
     request_id: int
     fingerprint: str
-    #: Cache and coalescing key, and the planner view (``None`` when
-    #: nominal), of the churn fold the ticket was admitted under.
-    key: str = ""
+    #: The planner view of the request's churn membership (``None``
+    #: when nominal).
     cluster: Optional[ClusterSpec] = None
     deadline: Optional[Deadline] = None
     response: Optional[PlanResponse] = None
@@ -220,11 +171,10 @@ class PlannerDaemon:
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._in_flight: Dict[int, Ticket] = {}
-        #: cache key -> primary ticket whose search later same-key
-        #: submissions ride (request coalescing).
+        #: fingerprint -> primary ticket whose search later
+        #: same-fingerprint submissions ride (request coalescing).
         self._coalesce: Dict[str, Ticket] = {}
         self._coalesced_total = 0
-        self._churn = ChurnFold()
         self._executor: Optional[ThreadPoolExecutor] = None
         self._stop = threading.Event()
         self._started = False
@@ -410,8 +360,7 @@ class PlannerDaemon:
                 error="daemon is not accepting requests",
                 retry_after=1.0,
             ))
-        key, cluster, lost = self._churn.fold(fingerprint, request.gpus)
-        cached = self.cache.get(key)
+        cached = self.cache.get(fingerprint)
         if cached is not None:
             journal = self._journal_path(fingerprint)
             if journal is not None and journal.exists():
@@ -444,9 +393,9 @@ class PlannerDaemon:
         # waiters, each fanned an identical (flagged) response.  A
         # request without a deadline never rides a deadlined primary,
         # whose answer may be a deadline's: it queues its own search
-        # and becomes the key's primary instead.
+        # and becomes the fingerprint's primary instead.
         with self._lock:
-            primary = self._coalesce.get(key)
+            primary = self._coalesce.get(fingerprint)
             if primary is not None and (
                 request.deadline_seconds is not None
                 or primary.request.deadline_seconds is None
@@ -471,13 +420,25 @@ class PlannerDaemon:
         # unbuildable cluster, or a model whose weight state cannot fit
         # the cluster under any plan is rejected with structured
         # diagnostics instead of burning a search worker on it — as is
-        # one whose cluster churn left without a device (ACE221).
-        invalid = [lost] if lost is not None else []
-        if self._admission_lint and not invalid:
+        # one whose churn membership leaves no device (ACE221).
+        invalid: List[Diagnostic] = []
+        if self._admission_lint:
             invalid = [
                 d for d in analyze_plan_request(request)
                 if d.severity == LINT_ERROR
             ]
+        cluster = None
+        if request.membership and not invalid:
+            from ..faults.inject import NoSurvivorsError
+            from ..faults.plan import Membership
+
+            membership = Membership.from_state(
+                paper_cluster(request.gpus), request.membership
+            )
+            try:
+                cluster = membership.view().planner
+            except NoSurvivorsError as exc:
+                invalid = [exc.diagnostic]
         if invalid:
             bus.emit(
                 SERVICE_REQUEST_INVALID,
@@ -508,17 +469,16 @@ class PlannerDaemon:
             request=request,
             request_id=request_id,
             fingerprint=fingerprint,
-            key=key,
             cluster=cluster,
             # The search's clock starts at admission, like the router's
             # attempt bound: queue wait spends it.
             deadline=Deadline(request.deadline_seconds),
         )
         # Register as the coalescing primary *before* enqueueing so a
-        # concurrent same-key submit can never slip between enqueue
-        # and registration and start a duplicate search.
+        # concurrent same-fingerprint submit can never slip between
+        # enqueue and registration and start a duplicate search.
         with self._lock:
-            self._coalesce[key] = ticket
+            self._coalesce[fingerprint] = ticket
         # Journal before enqueueing: a worker may pop and finish the
         # ticket (unlinking the journal) the instant it is queued.
         self._journal(ticket)
@@ -543,47 +503,6 @@ class PlannerDaemon:
             return ticket.response
         return ticket
 
-    def invalidate_plans(self, *, gpus: Optional[int] = None) -> int:
-        """Drop cached plans — all, or those for a ``gpus``-sized
-        cluster — because a fault plan or cluster change arrived."""
-        if gpus is None:
-            return self.cache.invalidate()
-        return self.cache.invalidate(
-            lambda _fp, entry: entry.get("gpus") == gpus
-        )
-
-    def apply_churn(self, event) -> dict:
-        """Fold one churn event into the serving state.
-
-        ``event`` is a :class:`~repro.elastic.timeline.ChurnEvent` or
-        its dict form.  Each later request plans on its cluster folded
-        with every accepted event, and keys the cache and coalescing
-        with that fold, so fresh searches simply see the new
-        conditions and a search admitted before the event never
-        answers a request admitted after it.  The cache is dropped
-        too; in-flight and subsequent ``/plan`` requests keep being
-        answered.
-        """
-        from ..elastic.timeline import ChurnEvent
-
-        if isinstance(event, dict):
-            event = ChurnEvent.from_dict(event)
-        self._churn.add(event)
-        dropped = self.invalidate_plans()
-        bus = get_bus()
-        if bus.active:
-            bus.emit(
-                ELASTIC_CACHE_INVALIDATE,
-                source="service",
-                level=WARNING,
-                # ``kind`` is TelemetryBus.emit's reserved event-kind
-                # parameter; the churn kind travels under its own name.
-                churn_kind=event.kind,
-                time=event.time,
-                dropped=dropped,
-            )
-        return {"kind": event.kind, "dropped": dropped}
-
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
@@ -606,7 +525,11 @@ class PlannerDaemon:
             if request.stage_counts is not None
             else "auto"
         )
-        return f"{request.model}/gpus={request.gpus}/counts={counts}"
+        key = f"{request.model}/gpus={request.gpus}/counts={counts}"
+        if request.membership:
+            # Churned failures must not open the nominal config's breaker.
+            key += f"/membership={digest(request.membership)}"
+        return key
 
     def _count(self, response: PlanResponse) -> PlanResponse:
         key = response.status
@@ -633,9 +556,7 @@ class PlannerDaemon:
         return self.state_dir / f"{fingerprint}.request.json"
 
     def _checkpoint_path(self, ticket: Ticket) -> Optional[Path]:
-        # A checkpoint resumes a search after a restart, and a restarted
-        # daemon folds no churn: a churned search keeps none.
-        if self.state_dir is None or ticket.cluster is not None:
+        if self.state_dir is None:
             return None
         return self.state_dir / f"{ticket.fingerprint}.ckpt.json"
 
@@ -695,8 +616,8 @@ class PlannerDaemon:
         # either rides this fan-out or finds no primary and queues its
         # own (cache-warm) search.
         with self._lock:
-            if self._coalesce.get(ticket.key) is ticket:
-                del self._coalesce[ticket.key]
+            if self._coalesce.get(ticket.fingerprint) is ticket:
+                del self._coalesce[ticket.fingerprint]
             waiters = list(ticket.waiters)
             ticket.waiters.clear()
         ticket.response = response
@@ -738,9 +659,9 @@ class PlannerDaemon:
         bus = get_bus()
         request = ticket.request
         started = time.monotonic()
-        # Another worker may have planned the same key while this
-        # ticket queued; a cache hit now skips the whole search.
-        cached = self.cache.get(ticket.key)
+        # Another worker may have planned the same fingerprint while
+        # this ticket queued; a cache hit now skips the whole search.
+        cached = self.cache.get(ticket.fingerprint)
         if cached is not None:
             self._finish(ticket, PlanResponse(
                 status=STATUS_SERVED,
@@ -806,9 +727,7 @@ class PlannerDaemon:
         if not partial:
             # Partial plans answer their own request but must not be
             # served to later callers as the full search's answer.
-            self.cache.put(
-                ticket.key, entry, persist=ticket.cluster is None
-            )
+            self.cache.put(ticket.fingerprint, entry)
             if checkpoint is not None:
                 try:
                     checkpoint.unlink()

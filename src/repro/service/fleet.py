@@ -25,12 +25,13 @@ replica by default for ``repro-serve`` — behind the one HTTP front in
   stale-but-flagged plan from its demotion tier, and sheds
   (``rejected`` + ``retry_after``) only when it has nothing at all;
 * **shared cache tier** — fresh full plans are written through to a
-  router-level :class:`PlanCache`, and ``/invalidate`` / ``/churn``
-  fan out to every replica.  ``/invalidate`` demotes the shared entries
-  to the stale tier first; ``/churn`` folds the event as each replica
-  does (:class:`~repro.service.daemon.ChurnFold`), and both tiers are
-  keyed by the same fold, so no tier answers from a cluster that is
-  gone;
+  router-level :class:`PlanCache`; ``/invalidate`` demotes the shared
+  entries to the stale tier and fans out to every replica;
+* **churn** — the router keeps the fleet's one :class:`ChurnFold` of
+  the ``/churn`` events and stamps every request with its membership,
+  which enters the fingerprint: every tier and replica caches, routes,
+  journals and plans a churned request under its own address, and a
+  restarted replica plans it on the cluster the churn left;
 * **health** — a poller keeps each replica's own ``health()`` report
   (queue, breakers, cache), and the fleet reports ``degraded`` while
   any replica is down or degraded itself.
@@ -56,6 +57,7 @@ from ..core.search import DEADLINE_KILL_GRACE
 from ..ioutil import write_json_atomic
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
+    ELASTIC_CACHE_INVALIDATE,
     FLEET_FANOUT,
     FLEET_REPLICA_DOWN,
     FLEET_REPLICA_UP,
@@ -68,7 +70,7 @@ from ..telemetry.events import (
     FLEET_STOP,
 )
 from .cache import PlanCache
-from .daemon import ChurnFold, PlannerDaemon
+from .daemon import PlannerDaemon
 from .protocol import STATUS_REJECTED, STATUS_SERVED, PlanRequest, PlanResponse
 from .ring import HashRing
 
@@ -232,10 +234,43 @@ class InProcessReplica:
         return self._live().health()
 
     def invalidate(self, *, gpus: Optional[int] = None) -> dict:
-        return {"dropped": self._live().invalidate_plans(gpus=gpus)}
+        return {"dropped": self._live().cache.invalidate(gpus=gpus)}
 
-    def churn(self, event) -> dict:
-        return self._live().apply_churn(event)
+
+class ChurnFold:
+    """The churn events the fleet has accepted, folded against each
+    request's paper cluster (:class:`~repro.faults.plan.Membership`).
+
+    Before the first event every request is nominal and
+    :mod:`repro.faults` stays unloaded.
+    """
+
+    def __init__(self) -> None:
+        self._events: list = []
+        self._states: Dict[int, Optional[dict]] = {}  # gpus -> state
+        self._lock = threading.Lock()
+
+    def add(self, event) -> None:
+        with self._lock:
+            self._events.append(event)
+            self._states.clear()
+
+    def state(self, gpus: int) -> Optional[dict]:
+        """The :attr:`~repro.faults.plan.Membership.state` of the
+        ``gpus`` paper cluster folded with every accepted event."""
+        with self._lock:
+            if self._events and gpus not in self._states:
+                self._states[gpus] = self._fold(gpus)
+            return self._states.get(gpus)
+
+    def _fold(self, gpus: int) -> Optional[dict]:
+        from ..cluster.topology import paper_cluster
+        from ..faults.plan import Membership
+
+        try:
+            return Membership.fold(paper_cluster(gpus), self._events).state
+        except ValueError:  # no such cluster: the admission lint says so
+            return None
 
 
 @dataclass
@@ -274,7 +309,7 @@ class FleetRouter:
             for name, client in replicas.items()
         }
         self.cache = PlanCache(self.config.cache_entries)
-        #: cache key -> demoted cache entry, served only as last
+        #: fingerprint -> demoted cache entry, served only as last
         #: resort with ``stale=True``.
         self._stale: "Dict[str, dict]" = {}
         self._churn = ChurnFold()
@@ -322,6 +357,10 @@ class FleetRouter:
     # -- request path --------------------------------------------------
     def submit(self, request: PlanRequest) -> PlanResponse:
         bus = get_bus()
+        membership = self._churn.state(request.gpus)
+        if membership != request.membership:
+            # The fleet's fold, not the client, says what is left.
+            request = replace(request, membership=membership)
         fingerprint = request.fingerprint()
         ladder = self._ladder(fingerprint)
         with self._lock:
@@ -352,9 +391,7 @@ class FleetRouter:
     def _route(
         self, request: PlanRequest, fingerprint: str, ladder: List[str]
     ) -> PlanResponse:
-        generation = self._churn.generation
-        key = self._churn.fold(fingerprint, request.gpus)[0]
-        cached = self.cache.get(key)
+        cached = self.cache.get(fingerprint)
         if cached is not None:
             return PlanResponse(
                 status=STATUS_SERVED,
@@ -393,19 +430,16 @@ class FleetRouter:
             response.failovers = failovers
             if response.ok and not response.stale and response.plan \
                     is not None and response.status == STATUS_SERVED:
-                with self._lock:
-                    # Churn mid-request may have planned past ``key``.
-                    if self._churn.generation == generation:
-                        self.cache.put(key, {
-                            "plan": response.plan,
-                            "objective": response.objective,
-                            "model": request.model,
-                            "gpus": request.gpus,
-                            "strategy": request.strategy,
-                        })
+                self.cache.put(fingerprint, {
+                    "plan": response.plan,
+                    "objective": response.objective,
+                    "model": request.model,
+                    "gpus": request.gpus,
+                    "strategy": request.strategy,
+                })
             return response
         return self._degrade(
-            request, fingerprint, key, ladder,
+            request, fingerprint, ladder,
             failovers=failovers,
             reachable=reachable,
             last_response=last_response,
@@ -415,7 +449,6 @@ class FleetRouter:
         self,
         request: PlanRequest,
         fingerprint: str,
-        key: str,
         ladder: List[str],
         *,
         failovers: int,
@@ -442,7 +475,7 @@ class FleetRouter:
                     response.failovers = failovers
                     self._note_degraded("degraded_partial", fingerprint, name)
                     return response
-        stale = self._stale.get(key)
+        stale = self._stale.get(fingerprint)
         if stale is not None:
             self._note_degraded("degraded_stale", fingerprint)
             return PlanResponse(
@@ -689,56 +722,51 @@ class FleetRouter:
             self._stale.update(snapshot)
             while len(self._stale) > self.config.stale_entries:
                 self._stale.pop(next(iter(self._stale)))
-        if gpus is None:
-            dropped = self.cache.invalidate()
-        else:
-            dropped = self.cache.invalidate(
-                lambda _fp, entry: entry.get("gpus") == gpus
-            )
-        per_replica = self._fanout("invalidate", gpus)
-        return {
-            "dropped": dropped,
-            "demoted": len(snapshot),
-            "replicas": per_replica,
-        }
-
-    def churn(self, event: dict) -> dict:
-        """Fold one churn event into the whole fleet.  A malformed event
-        raises :class:`~repro.lint.diagnostics.ArtifactError` before any
-        tier is touched.  Nothing is demoted: the stale tier is keyed by
-        the fold too, so no old plan could be served from it."""
-        from ..elastic.timeline import ChurnEvent
-
-        event = ChurnEvent.from_dict(event)
-        # Replicas fold first: a write keyed under the old fold can only
-        # hold a newer plan, and the drop or ``_route``'s check skips it.
-        per_replica = self._fanout("churn", event)
-        with self._lock:
-            self._churn.add(event)
-            dropped = self.cache.invalidate()
-        return {"dropped": dropped, "replicas": per_replica}
-
-    def _fanout(self, op: str, body) -> dict:
+        dropped = self.cache.invalidate(gpus=gpus)
         outcomes = {}
         for name, state in self._replicas.items():
             try:
-                if op == "invalidate":
-                    outcomes[name] = state.client.invalidate(gpus=body)
-                else:
-                    outcomes[name] = state.client.churn(body)
+                outcomes[name] = state.client.invalidate(gpus=gpus)
             except ReplicaError as exc:
                 self._note_failure(name)
                 outcomes[name] = {"error": str(exc)}
         get_bus().emit(
             FLEET_FANOUT,
             source="fleet",
-            op=op,
+            op="invalidate",
             replicas=sorted(outcomes),
             errors=sorted(
                 n for n, o in outcomes.items() if "error" in o
             ),
         )
-        return outcomes
+        return {
+            "dropped": dropped,
+            "demoted": len(snapshot),
+            "replicas": outcomes,
+        }
+
+    def churn(self, event) -> dict:
+        """Fold one :class:`~repro.elastic.timeline.ChurnEvent` (or its
+        dict form, which raises ``ArtifactError`` when malformed, before
+        anything changes) and drop the shared tier.  Nothing is demoted:
+        later requests carry the new membership in their fingerprints."""
+        from ..elastic.timeline import ChurnEvent
+
+        if isinstance(event, dict):
+            event = ChurnEvent.from_dict(event)
+        self._churn.add(event)
+        dropped = self.cache.invalidate()
+        get_bus().emit(
+            ELASTIC_CACHE_INVALIDATE,
+            source="fleet",
+            level=WARNING,
+            # ``kind`` is TelemetryBus.emit's reserved event-kind
+            # parameter; the churn kind travels under its own name.
+            churn_kind=event.kind,
+            time=event.time,
+            dropped=dropped,
+        )
+        return {"kind": event.kind, "dropped": dropped}
 
     # -- introspection / persistence -----------------------------------
     def fleet_health(self) -> dict:

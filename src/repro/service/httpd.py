@@ -17,9 +17,10 @@ maps the JSON protocol onto status codes:
 ``GET /readyz``             200 ready / 503 no replica up
 ``POST /invalidate``        200, body ``{"dropped", "demoted",
                             "replicas": {name: {"dropped"}}}``
-``POST /churn``             200, body ``{"dropped", "replicas":
-                            {name: {"kind", "dropped"}}}``;
-                            400 invalid event
+``POST /churn``             200, body ``{"kind", "dropped"}``
+                            (the router's fold takes the event;
+                            later requests carry it); 400
+                            invalid event
 ==========================  =====================================
 
 ``ThreadingHTTPServer`` gives one thread per connection, so a slow
@@ -174,8 +175,8 @@ class JSONHandler(BaseHTTPRequestHandler):
         self._send_json(200, self._router.invalidate(gpus=gpus))
 
     def _handle_churn(self) -> None:
-        """One churn event (``ChurnEvent`` JSON): stale plans drop,
-        service keeps answering ``/plan`` on the folded cluster."""
+        """One churn event (``ChurnEvent`` JSON): the router folds it,
+        and later ``/plan`` requests plan on the folded cluster."""
         try:
             result = self._router.churn(self._read_body())
         except ValueError as exc:  # ProtocolError, ArtifactError

@@ -8,10 +8,10 @@ also how tests swap in deterministic fakes:
 
 ``planner(request, deadline=None, checkpoint_path=None) -> PlanOutcome``
 
-raising on failure.  Under churn the daemon also passes ``cluster=``,
-the request's cluster folded with the churn so far
-(:class:`~repro.service.daemon.ChurnFold`); a planner that never serves
-churn may leave it out.  The deadline cuts the search anytime (a
+raising on failure.  For a request with a churn ``membership`` the
+daemon also passes ``cluster=``, the membership's planner view of the
+request's cluster; a planner that never serves churn may leave it
+out.  The deadline cuts the search anytime (a
 timed-out search still returns its best-so-far plan,
 ``PlanOutcome.partial``), and an existing ``checkpoint_path`` is
 resumed unless ``resume=False`` — which is how a drained daemon's
@@ -21,8 +21,6 @@ keywords carry the CLI flags with no request field.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -32,7 +30,7 @@ from ..core.search import MultiStageSearchResult, search_all_stage_counts
 from ..ir.models.registry import build_model
 from ..parallel.serialization import config_to_dict
 from ..perfmodel.model import build_perf_model
-from .protocol import PlanRequest
+from .protocol import PlanRequest, digest
 
 
 @dataclass
@@ -55,12 +53,7 @@ def plan_digest(plan: Optional[dict]) -> Optional[str]:
     oracle with this: two searches are bit-identical exactly when their
     digests match, regardless of dict ordering.
     """
-    if plan is None:
-        return None
-    digest = hashlib.sha256(
-        json.dumps(plan, sort_keys=True).encode("utf-8")
-    )
-    return digest.hexdigest()[:16]
+    return None if plan is None else digest(plan)
 
 
 def plan_request(

@@ -16,7 +16,8 @@ parsed objects.
 
 The *fingerprint* is the plan cache key: a digest over exactly the
 fields that determine the resulting plan (model, cluster size, stage
-counts, budget, seed).  Deadline and priority are deliberately
+counts, budget, seed, and the churn membership the fleet stamped on
+the request).  Deadline and priority are deliberately
 excluded — they shape *when* and *whether* a search runs, never what
 plan it finds — so an impatient request can be answered from a patient
 request's cached plan.
@@ -46,13 +47,21 @@ class ProtocolError(ValueError):
     """A request/response payload is malformed."""
 
 
+def digest(value) -> str:
+    """The first 16 hex digits of the sha256 of canonical JSON."""
+    blob = json.dumps(value, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class PlanRequest:
     """One plan query.
 
     ``deadline_seconds`` bounds the search wall-clock (anytime: a plan
     is returned either way); ``priority`` orders the admission queue
-    (higher first, FIFO within a priority).
+    (higher first, FIFO within a priority).  The fleet router stamps
+    ``membership``, its churn fold of the ``gpus`` cluster
+    (``Membership.state``, ``None`` when nominal).
     """
 
     model: str
@@ -64,6 +73,7 @@ class PlanRequest:
     priority: int = 0
     strategy: str = "greedy"
     strategy_kwargs: Optional[dict] = None
+    membership: Optional[dict] = None
 
     def __post_init__(self) -> None:
         if not self.model or not isinstance(self.model, str):
@@ -91,9 +101,10 @@ class PlanRequest:
 
         Stage counts are sorted and deduplicated first, so query-order
         quirks don't defeat the cache.  The strategy participates only
-        when it isn't the default greedy search (and its kwargs only
-        when non-empty), so every fingerprint minted before strategies
-        existed still addresses the same cached plan.
+        when it isn't the default greedy search (and its kwargs and the
+        membership only when non-empty), so every fingerprint minted
+        before strategies or churn existed still addresses the same
+        cached plan.
         """
         canonical = {
             "model": self.model,
@@ -113,10 +124,9 @@ class PlanRequest:
                 key: self.strategy_kwargs[key]
                 for key in sorted(self.strategy_kwargs)
             }
-        digest = hashlib.sha256(
-            json.dumps(canonical, sort_keys=True).encode()
-        )
-        return digest.hexdigest()[:16]
+        if self.membership:
+            canonical["membership"] = self.membership
+        return digest(canonical)
 
     def to_json(self) -> dict:
         return {
@@ -138,6 +148,7 @@ class PlanRequest:
                 if self.strategy_kwargs is not None
                 else None
             ),
+            "membership": self.membership,
         }
 
     @classmethod

@@ -50,6 +50,13 @@ from repro.telemetry import Event, validate_run_log
 #: Cache entries are keyed by the fingerprint of the request they answer.
 CACHE_FINGERPRINT = PlanRequest(model="gpt-2l", gpus=4).fingerprint()
 
+#: A churned request's membership, as the fleet's fold stamps it.
+_MEMBERSHIP = {
+    "lost": [8, 9, 10, 11, 12, 13, 14, 15],
+    "stragglers": [[2, 1.5]],
+    "links": {"inter": 0.5},
+}
+
 
 def _load_cache_entry(path: Path) -> None:
     """The daemon's cache preload, as a loader that raises on a skip."""
@@ -149,6 +156,8 @@ def seeds(tiny_graph, small_cluster, tiny_perf_model, tmp_path_factory):
                 deadline_seconds=2.5, priority=1, strategy="mcmc",
                 strategy_kwargs={"seed": 3},
             ).to_json(),
+            PlanRequest(model="gpt-4l", gpus=16, membership=_MEMBERSHIP)
+            .to_json(),
         ],
         "churn": [
             random_churn_timeline(4, 2, seed=seed, num_events=6).to_dict()
@@ -333,3 +342,46 @@ def test_former_gap_is_rejected_by_loader_and_lint(
         ]
     if spec.lint is not None:
         assert errors_only(spec.lint(path)) == errors
+
+
+#: Memberships outside the fold's ranges; each is one ACE330.
+BAD_MEMBERSHIPS = [
+    [1],
+    {"lost": []},
+    dict(_MEMBERSHIP, extra=[]),
+    dict(_MEMBERSHIP, lost=[-1]),
+    dict(_MEMBERSHIP, lost=["8"]),
+    dict(_MEMBERSHIP, lost=[True]),
+    dict(_MEMBERSHIP, stragglers=[[2, 0.5]]),
+    dict(_MEMBERSHIP, stragglers=[[-1, 1.5]]),
+    dict(_MEMBERSHIP, stragglers=[[2]]),
+    dict(_MEMBERSHIP, stragglers=[[2, "1.5"]]),
+    dict(_MEMBERSHIP, stragglers={"2": 1.5}),
+    dict(_MEMBERSHIP, links={"rack": 0.5}),
+    dict(_MEMBERSHIP, links={"inter": 0.0}),
+    dict(_MEMBERSHIP, links={"inter": 1.5}),
+    dict(_MEMBERSHIP, links=[["inter", 0.5]]),
+]
+
+
+@pytest.mark.parametrize("membership", BAD_MEMBERSHIPS)
+def test_malformed_membership_is_ace330(membership, tmp_path):
+    from repro.lint.artifacts import check_request_fields
+    from repro.service import ProtocolError
+
+    payload = dict(
+        PlanRequest(model="gpt-4l", gpus=16).to_json(),
+        membership=membership,
+    )
+    problems = check_request_fields(payload, "request")
+    assert [d.code for d in problems] == ["ACE330"]
+    assert "'membership'" in problems[0].message
+    with pytest.raises(ProtocolError):
+        PlanRequest.from_json(payload)
+    path = tmp_path / f"{CACHE_FINGERPRINT}.request.json"
+    path.write_text(json.dumps(payload))
+    assert [d.code for d in errors_only(lint_journal_file(path))] == [
+        "ACE330"
+    ]
+    with pytest.raises(ArtifactError):
+        _load_journal(path)

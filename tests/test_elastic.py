@@ -825,12 +825,14 @@ class TestChurnServing:
             {"time": 1.0, "kind": "node_preempt", "node_id": 0},
         )
         assert code == 200
-        assert body["replicas"]["replica-0"] == {
-            "kind": "node_preempt", "dropped": 1,
-        }
-        # Nothing is demoted: the stale tier is keyed by the fold.
-        assert "demoted" not in body
-        assert len(daemon.cache) == 0
+        # The router's shared tier drops, and nothing is demoted.
+        assert body == {"kind": "node_preempt", "dropped": 1}
+        # The replica keeps the plan under its nominal fingerprint, which
+        # no request names while node 0 is out: none is left to plan on.
+        assert len(daemon.cache) == 1
+        code, body = self.post(http_server, "/plan", request)
+        assert code == 400
+        assert [d["code"] for d in body["diagnostics"]] == ["ACE221"]
 
     def test_invalid_churn_event_is_a_client_error(self, server):
         http_server, _ = server
@@ -888,17 +890,17 @@ class TestChurnServing:
             assert body.get("status") in ("served", "partial")
             assert body.get("plan")
 
-    def test_apply_churn_accepts_event_objects(self):
-        from repro.service import PlannerDaemon
+    def test_router_churn_accepts_event_objects(self):
+        from repro.service import FleetRouter
 
-        daemon = PlannerDaemon(workers=1)
-        try:
-            result = daemon.apply_churn(
-                ChurnEvent(1.0, "link_degrade", scope="intra", factor=0.5)
-            )
-            assert result == {"kind": "link_degrade", "dropped": 0}
-        finally:
-            daemon.drain(timeout=5)
+        router = FleetRouter({"replica-0": None})
+        result = router.churn(
+            ChurnEvent(1.0, "link_degrade", scope="intra", factor=0.5)
+        )
+        assert result == {"kind": "link_degrade", "dropped": 0}
+        assert router._churn.state(8) == {
+            "lost": [], "stragglers": [], "links": {"intra": 0.5},
+        }
 
 
 class TestChurnReachesThePlan:
@@ -952,20 +954,26 @@ class TestChurnReachesThePlan:
                 strategy_kwargs={"seed": request.seed},
             ).best
             assert shrunk.objective == oracle.best_objective
-            # The churned plan never reaches the persisted cache: a
-            # restarted daemon folds no churn.
+            # The churned plan persists under its own fingerprint, which
+            # names the membership it was planned on.
+            persisted = sorted(
+                [f"{request.fingerprint()}.plan.json",
+                 f"{shrunk.fingerprint}.plan.json"]
+            )
+            assert shrunk.fingerprint != request.fingerprint()
             assert sorted(
                 p.name for p in (tmp_path / "replica-0").glob("*.plan.json")
-            ) == []
+            ) == persisted
 
             router.churn({"time": 2.0, "kind": "node_join", "node_id": 1})
             again = router.submit(request)
             assert plan_digest(again.plan) == "a5fede2f0c49f2b5"
-            # Journal and cache names are still the bare fingerprint.
+            # Nominal again: the bare fingerprint, whose plan is cached.
             assert again.fingerprint == request.fingerprint()
+            assert again.cached
             assert sorted(
                 p.name for p in (tmp_path / "replica-0").glob("*.plan.json")
-            ) == [f"{request.fingerprint()}.plan.json"]
+            ) == persisted
         finally:
             router.stop()
 
@@ -1003,12 +1011,12 @@ class TestChurnReachesThePlan:
 
     def test_fold_keeps_up_with_concurrent_events(self):
         """Readers folding while events arrive never keep a fold that
-        misses an event: once the writer is done, every key matches a
+        misses an event: once the writer is done, every state matches a
         fresh fold of all events."""
         import sys
 
         from repro.cluster import paper_cluster
-        from repro.service.daemon import ChurnFold
+        from repro.service.fleet import ChurnFold
 
         events = random_churn_timeline(
             4, 2, seed=4, num_events=40, horizon_seconds=40.0
@@ -1018,7 +1026,7 @@ class TestChurnReachesThePlan:
 
         def reader(gpus):
             while not done.is_set():
-                fold.fold("f" * 16, gpus)
+                fold.state(gpus)
 
         def writer():
             for event in events:
@@ -1040,16 +1048,17 @@ class TestChurnReachesThePlan:
         finally:
             done.set()
             sys.setswitchinterval(interval)
-        assert fold.generation == len(events)
         for gpus in (4, 8, 16):
-            key = Membership.fold(paper_cluster(gpus), events).key
-            expected = f"{'f' * 16}:{key}" if key else "f" * 16
-            assert fold.fold("f" * 16, gpus)[0] == expected
+            state = Membership.fold(paper_cluster(gpus), events).state
+            assert fold.state(gpus) == state
 
     def test_no_stale_plan_crosses_a_churn_event(self, tmp_path):
         """A search admitted before ``/churn`` answers only its own
         fold: not from the daemon's cache, not by coalescing, not from
         the router's shared or stale tier."""
+        from dataclasses import replace
+
+        from repro.cluster import paper_cluster
         from repro.service import PlanOutcome, PlanRequest
 
         entered = threading.Semaphore(0)
@@ -1075,7 +1084,8 @@ class TestChurnReachesThePlan:
             before = threading.Thread(target=ask, args=("before",))
             before.start()
             assert entered.acquire(timeout=10)
-            router.churn({"time": 1.0, "kind": "device_fail", "device_id": 7})
+            event = {"time": 1.0, "kind": "device_fail", "device_id": 7}
+            router.churn(event)
             after = threading.Thread(target=ask, args=("after",))
             after.start()
             # Its own search, not a ride on the one admitted earlier.
@@ -1088,7 +1098,12 @@ class TestChurnReachesThePlan:
             assert answers["after"].plan == {"gpus": 4}
             assert not answers["after"].coalesced
 
-            daemon_hit = replica.daemon.submit(request)
+            # The request as the router stamped it.
+            stamped = replace(request, membership=Membership.fold(
+                paper_cluster(8), [ChurnEvent.from_dict(event)]
+            ).state)
+            assert answers["after"].fingerprint == stamped.fingerprint()
+            daemon_hit = replica.daemon.submit(stamped)
             assert daemon_hit.cached and daemon_hit.plan == {"gpus": 4}
             shared_hit = router.submit(request)
             assert shared_hit.cached and shared_hit.replica is None
@@ -1100,6 +1115,167 @@ class TestChurnReachesThePlan:
         finally:
             release.set()
             router.stop()
+
+
+    def test_restarted_replica_plans_on_the_fold(self, tmp_path):
+        """A restarted replica keeps no churn and needs none: the request
+        carries the fleet's membership, so after ``node_preempt`` of
+        node 1 every answer stays on node 0's 8 devices."""
+        from dataclasses import replace
+
+        from repro.service import PlanRequest, plan_digest
+
+        request = PlanRequest(model="gpt-4l", gpus=16, iterations=3)
+        router, replica = self._fleet(tmp_path)
+        try:
+            assert plan_digest(router.submit(request).plan) == \
+                "a5fede2f0c49f2b5"
+            router.churn({"time": 1.0, "kind": "node_preempt", "node_id": 1})
+            shrunk = router.submit(request)
+            assert plan_digest(shrunk.plan) == "9c00962c76c7966f"
+            replica.kill()
+            replica.restart()
+            router.invalidate()
+            after = router.submit(request)
+            assert after.status == "served" and not after.cached
+            assert plan_digest(after.plan) == "9c00962c76c7966f"
+            assert self._devices(after.plan) == 8
+            again = router.submit(request)
+            assert again.cached and again.plan == after.plan
+            # Planned on what the fold stamped: node 1's devices are lost.
+            assert after.fingerprint == replace(request, membership={
+                "lost": list(range(8, 16)), "stragglers": [], "links": {},
+            }).fingerprint()
+        finally:
+            router.stop()
+
+    def test_churned_request_survives_a_replica_restart(self, tmp_path):
+        """A churned request a crash sheds from the queue keeps its
+        journal, and the restarted replica plans it on its membership."""
+        from repro.service import PlanOutcome, PlanRequest
+
+        blocking = threading.Event()
+        seen = []
+
+        def planner(request, *, deadline=None, checkpoint_path=None,
+                    cluster=None):
+            gpus = cluster.num_gpus if cluster else request.gpus
+            seen.append((request.model, gpus))
+            if request.model == "blocker":
+                blocking.set()
+                while not deadline.expired():  # until the crash drains it
+                    time.sleep(0.01)
+            return PlanOutcome(plan={"gpus": gpus}, objective=float(gpus))
+
+        request = PlanRequest(model="m", gpus=8)
+        state = tmp_path / "replica-0"
+        router, replica = self._fleet(tmp_path, planner, workers=1)
+        answers = []
+        try:
+            blocker = threading.Thread(
+                target=router.submit,
+                args=(PlanRequest(model="blocker", gpus=8),),
+            )
+            blocker.start()
+            assert blocking.wait(timeout=10)
+            router.churn({"time": 1.0, "kind": "device_fail", "device_id": 7})
+            asker = threading.Thread(
+                target=lambda: answers.append(router.submit(request))
+            )
+            asker.start()
+            waited = time.monotonic()
+            while len(list(state.glob("*.request.json"))) < 2:
+                assert time.monotonic() - waited < 10, "never queued"
+                time.sleep(0.01)
+            replica.kill()
+            blocker.join(timeout=30)
+            asker.join(timeout=30)
+            assert not (blocker.is_alive() or asker.is_alive())
+            assert answers[0].status == "rejected"
+            journals = [p.name for p in state.glob("*.request.json")]
+            assert journals == [f"{answers[0].fingerprint}.request.json"]
+
+            replica.restart()
+            waited = time.monotonic()
+            while list(state.glob("*.request.json")):
+                assert time.monotonic() - waited < 10, "never re-admitted"
+                time.sleep(0.01)
+            assert [s for s in seen if s[0] == "m"] == [("m", 4)]
+            served = router.submit(request)
+            assert served.cached and served.plan == {"gpus": 4}
+            assert served.fingerprint == answers[0].fingerprint
+            assert served.fingerprint != request.fingerprint()
+        finally:
+            router.stop()
+
+    def test_churned_failures_leave_the_nominal_breaker_closed(
+        self, tmp_path
+    ):
+        from repro.service import PlanOutcome, PlanRequest
+
+        def planner(request, *, deadline=None, checkpoint_path=None,
+                    cluster=None):
+            if cluster is not None:
+                raise RuntimeError("no plan on the churned cluster")
+            return PlanOutcome(plan={"gpus": request.gpus}, objective=1.0)
+
+        request = PlanRequest(model="m", gpus=8)
+        router, replica = self._fleet(tmp_path, planner)
+        try:
+            fail = {"time": 1.0, "kind": "device_fail", "device_id": 7}
+            router.churn(fail)
+            for _ in range(3):
+                assert router.submit(request).status == "failed"
+            router.churn({"time": 2.0, "kind": "node_join", "node_id": 0})
+            nominal = router.submit(request)
+            assert nominal.status == "served", nominal.error
+            # The churned membership's own breaker is the one open.
+            router.churn(dict(fail, time=3.0))
+            opened = router.submit(request)
+            assert opened.status == "rejected"
+            assert "circuit breaker open" in opened.error
+            assert "/membership=" in opened.error
+        finally:
+            router.stop()
+
+    @pytest.mark.parametrize("gpus", [4, 8, 16])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_from_state_round_trips_the_fold(self, seed, gpus, tmp_path):
+        """``Membership.from_state`` rebuilds a fold with the same state
+        and planner view, and the state survives JSON, so a journaled
+        churned request keeps its fingerprint (ACE331)."""
+        from dataclasses import replace
+
+        from repro.cluster import paper_cluster
+        from repro.lint.artifacts import lint_journal_file
+        from repro.service import PlanRequest
+
+        cluster = paper_cluster(gpus)
+        events = random_churn_timeline(
+            2, 8, seed=seed, num_events=10
+        ).events
+        for end in range(len(events) + 1):
+            fold = Membership.fold(cluster, events[:end])
+            rebuilt = Membership.from_state(cluster, fold.state)
+            assert rebuilt.state == fold.state
+            try:
+                view = fold.view().planner
+            except NoSurvivorsError:
+                with pytest.raises(NoSurvivorsError):
+                    rebuilt.view()
+            else:
+                assert rebuilt.view().planner == view
+        request = replace(
+            PlanRequest(model="gpt-4l", gpus=gpus), membership=fold.state
+        )
+        loaded = PlanRequest.from_json(
+            json.loads(json.dumps(request.to_json()))
+        )
+        assert loaded == request
+        assert loaded.fingerprint() == request.fingerprint()
+        path = tmp_path / f"{request.fingerprint()}.request.json"
+        path.write_text(json.dumps(request.to_json()))
+        assert lint_journal_file(path) == []
 
 
 # ======================================================================

@@ -272,9 +272,6 @@ class ScriptedClient:
         self.invalidations += 1
         return {"dropped": 0}
 
-    def churn(self, event):
-        return {"dropped": 0}
-
     def close(self, drain_timeout=None):
         pass
 
@@ -421,6 +418,30 @@ class TestFleetRouter:
         unbounded, bounded = client.timeouts
         assert unbounded is None
         assert bounded > 3.0 + DEADLINE_KILL_GRACE
+
+    def test_fleet_fold_replaces_the_client_membership(self):
+        """A request reaches a replica with the fleet's membership, not
+        the one its client sent: none before any churn, then the fold."""
+        seen = []
+
+        def record(request):
+            seen.append(request.membership)
+            return _served(request, tag="a")
+
+        forged = {"lost": [0, 1, 2, 3], "stragglers": [], "links": {}}
+        router = FleetRouter(
+            {"a": ScriptedClient(record)}, config=_fleet_config()
+        )
+        try:
+            nominal = router.submit(_request(membership=forged))
+            assert nominal.fingerprint == _request().fingerprint()
+            router.churn({"time": 1.0, "kind": "device_fail", "device_id": 1})
+            router.submit(_request(membership=forged))
+        finally:
+            router.stop()
+        assert seen == [
+            None, {"lost": [1], "stragglers": [], "links": {}},
+        ]
 
     def test_degrades_to_stale_then_shed(self, tmp_path):
         router, replicas = self._local_fleet(tmp_path, n=2)

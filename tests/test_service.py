@@ -313,9 +313,7 @@ class TestPlanCache:
         cache = PlanCache(directory=tmp_path)
         cache.put("a", {"plan": 1, "gpus": 4})
         cache.put("b", {"plan": 2, "gpus": 8})
-        dropped = cache.invalidate(
-            lambda fp, entry: entry.get("gpus") == 4
-        )
+        dropped = cache.invalidate(gpus=4)
         assert dropped == 1
         assert cache.get("a") is None
         assert cache.get("b") is not None
