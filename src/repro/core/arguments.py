@@ -204,16 +204,15 @@ def _flops_balance_count(
     from_front: bool,
 ) -> Optional[int]:
     arrays = graph.arrays
-    weights = arrays.flops + arrays.bwd_flops
     stage = config.stages[stage_index]
-    neighbor = config.stages[neighbor_index]
-    own = float(weights[stage.start:stage.end].sum())
-    other = float(weights[neighbor.start:neighbor.end].sum())
-    gap = (own - other) / 2.0
+    own, other = (
+        arrays.flops[s.start:s.end] + arrays.bwd_flops[s.start:s.end]
+        for s in (stage, config.stages[neighbor_index])
+    )
+    gap = (float(own.sum()) - float(other.sum())) / 2.0
     if gap <= 0:
         return None
-    sl = weights[stage.start:stage.end]
-    moved = sl if from_front else sl[::-1]
+    moved = own if from_front else own[::-1]
     cumulative = np.cumsum(moved)
     k = int(np.searchsorted(cumulative, gap)) + 1
     if k >= stage.num_ops:

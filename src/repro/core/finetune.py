@@ -67,33 +67,27 @@ def _tune_suffix_parallel(
     perf_model: PerfModel,
     max_split_points: int,
 ):
-    """Try doubling/halving tp for each sampled suffix of the stage."""
+    """Try doubling/halving tp for each sampled suffix of the stage; a
+    step no op can take, or that breaks dp divisibility, clones nothing."""
     stage = config.stages[stage_index]
     best = config
     for split in _split_points(stage.num_ops, max_split_points):
+        suffix = slice(split, stage.num_ops)
+        tp, dp = stage.tp[suffix], stage.dp[suffix]
         for toward_tp in (True, False):
+            movable = (dp if toward_tp else tp) >= 2
+            if not np.any(movable):
+                continue
+            if toward_tp:
+                tp_new, dp_new = tp[movable] * 2, dp[movable] // 2
+            else:
+                tp_new, dp_new = tp[movable] // 2, dp[movable] * 2
+                if np.any(config.microbatch_size % dp_new):
+                    continue
             candidate = config.mutated_copy([stage_index])
             target = candidate.stages[stage_index]
-            suffix = slice(split, target.num_ops)
-            if toward_tp:
-                movable = target.dp[suffix] >= 2
-                if not np.any(movable):
-                    continue
-                tp_view = target.tp[suffix]
-                dp_view = target.dp[suffix]
-                tp_view[movable] *= 2
-                dp_view[movable] //= 2
-            else:
-                movable = target.tp[suffix] >= 2
-                if not np.any(movable):
-                    continue
-                dp_new = target.dp[suffix][movable] * 2
-                if np.any(candidate.microbatch_size % dp_new):
-                    continue
-                tp_view = target.tp[suffix]
-                dp_view = target.dp[suffix]
-                dp_view[movable] = dp_new
-                tp_view[movable] //= 2
+            target.tp[suffix][movable] = tp_new
+            target.dp[suffix][movable] = dp_new
             candidate = tune_recompute(perf_model, candidate, [stage_index])
             objective = perf_model.objective(candidate)
             if objective < best_objective:
@@ -122,11 +116,10 @@ def _tune_partition_dims(
     for kind in np.flatnonzero(np.bincount(kinds[flippable])):
         mask = flippable & (kinds == kind)
         for new_dim in (1, 0):
-            candidate = config.mutated_copy([stage_index])
-            target = candidate.stages[stage_index]
-            if np.all(target.tp_dim[mask] == new_dim):
+            if np.all(stage.tp_dim[mask] == new_dim):
                 continue
-            target.tp_dim[mask] = new_dim
+            candidate = config.mutated_copy([stage_index])
+            candidate.stages[stage_index].tp_dim[mask] = new_dim
             objective = perf_model.objective(candidate)
             if objective < best_objective:
                 best, best_objective = candidate, objective

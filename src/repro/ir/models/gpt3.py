@@ -15,6 +15,7 @@ from typing import Dict, List, Tuple
 from ..graph import OpGraph
 from ..ops import (
     OpSpec,
+    append_layers,
     attention_core_op,
     elementwise_op,
     embedding_op,
@@ -91,10 +92,9 @@ def build_gpt(
         embedding_op("embedding", spec.vocab_size, spec.hidden, spec.seq_len)
     ]
     layer_spans: List[Tuple[int, int]] = []
-    for i in range(spec.num_layers):
-        start = len(ops)
-        ops.extend(decoder_layer_ops(spec, i))
-        layer_spans.append((start, len(ops)))
+    append_layers(
+        ops, layer_spans, decoder_layer_ops(spec, 0), "layer", spec.num_layers
+    )
     ops.append(layernorm_op("final_ln", spec.seq_len, spec.hidden))
     ops.append(
         lm_head_op("lm_head", spec.vocab_size, spec.hidden, spec.seq_len)

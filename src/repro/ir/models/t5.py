@@ -14,6 +14,7 @@ from typing import Dict, List, Tuple
 from ..graph import OpGraph
 from ..ops import (
     OpSpec,
+    append_layers,
     attention_core_op,
     elementwise_op,
     embedding_op,
@@ -131,19 +132,17 @@ def build_t5_from_spec(
                      spec.enc_seq_len)
     ]
     layer_spans: List[Tuple[int, int]] = []
-    for i in range(spec.enc_layers):
-        start = len(ops)
-        ops.extend(encoder_layer_ops(spec, i))
-        layer_spans.append((start, len(ops)))
+    append_layers(
+        ops, layer_spans, encoder_layer_ops(spec, 0), "enc", spec.enc_layers
+    )
     ops.append(layernorm_op("enc_final_ln", spec.enc_seq_len, spec.hidden))
     ops.append(
         embedding_op("dec_embedding", spec.vocab_size, spec.hidden,
                      spec.dec_seq_len)
     )
-    for i in range(spec.dec_layers):
-        start = len(ops)
-        ops.extend(decoder_layer_ops(spec, i))
-        layer_spans.append((start, len(ops)))
+    append_layers(
+        ops, layer_spans, decoder_layer_ops(spec, 0), "dec", spec.dec_layers
+    )
     ops.append(layernorm_op("dec_final_ln", spec.dec_seq_len, spec.hidden))
     ops.append(
         lm_head_op("lm_head", spec.vocab_size, spec.hidden, spec.dec_seq_len)

@@ -18,7 +18,7 @@ configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 #: Backward FLOPs are roughly 2x forward for matmul-dominated ops (one
 #: matmul for the input gradient, one for the weight gradient).
@@ -78,6 +78,13 @@ class OpSpec:
         if self.max_tp < 1:
             raise ValueError(f"op {self.name!r} has max_tp < 1")
 
+    def renamed(self, name: str) -> "OpSpec":
+        """This op under ``name``, sharing every other field; it skips
+        ``__init__``, whose checks do not depend on the name."""
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, name=name)
+        return copy
+
     @property
     def bwd_flops(self) -> float:
         """Backward FLOPs per sample."""
@@ -101,6 +108,24 @@ class OpSpec:
     @property
     def num_partition_options(self) -> int:
         return len(self.partition_options)
+
+
+def append_layers(
+    ops: List[OpSpec], layer_spans: List[Tuple[int, int]],
+    first: Sequence[OpSpec], tag: str, count: int,
+) -> None:
+    """Append ``count`` layers to ``ops`` and their spans to ``layer_spans``:
+    ``first`` (layer 0, op names starting ``f"{tag}0"``), then copies of
+    it :meth:`OpSpec.renamed` to ``f"{tag}{i}"``, so a deep model builds
+    one layer and every layer shares its partition options."""
+    cut = len(f"{tag}0")
+    for i in range(count):
+        start = len(ops)
+        ops.extend(
+            first if i == 0
+            else [op.renamed(f"{tag}{i}{op.name[cut:]}") for op in first]
+        )
+        layer_spans.append((start, len(ops)))
 
 
 def matmul_op(

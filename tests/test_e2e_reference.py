@@ -14,11 +14,16 @@ same way.  They read the reference and never rewrite it.
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro.core import apply
+from repro.ir.ops import OpSpec
+from repro.parallel.config import ParallelConfig
+from repro.perfmodel.model import PerfModel
 from repro.service import PlanRequest, plan_digest, plan_request
 from repro.service import planner
 from repro.telemetry import CallbackSink, TelemetryBus, using_bus
@@ -75,8 +80,34 @@ def test_gpt3_350m_request_matches_the_e2e_reference(monkeypatch):
     assert len(built) == 4151
 
 
-def test_gpt_1000l_request_matches_the_e2e_reference():
+def test_gpt_1000l_request_matches_the_e2e_reference(monkeypatch):
+    # Depth is paid once: the graph builds one decoder layer and renames
+    # it for the rest, and fine-tune clones a stage only for a candidate
+    # it prices.
+    built, clones, priced = [], Counter(), Counter()
+    post_init = OpSpec.__post_init__
+    mutated_copy, objective = ParallelConfig.mutated_copy, PerfModel.objective
+
+    def counted_post_init(self):
+        built.append(None)
+        post_init(self)
+
+    def counted_copy(self, *args):
+        clones[sys._getframe(1).f_code.co_name] += 1
+        return mutated_copy(self, *args)
+
+    def counted_objective(self, *args):
+        priced[sys._getframe(1).f_code.co_name] += 1
+        return objective(self, *args)
+
+    monkeypatch.setattr(OpSpec, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ParallelConfig, "mutated_copy", counted_copy)
+    monkeypatch.setattr(PerfModel, "objective", counted_objective)
     _check_against_reference("gpt-1000l", 2564, search_workers=1)
+    assert len(built) == 12
+    tuned = {"_tune_suffix_parallel": 536, "_tune_partition_dims": 51}
+    assert {name: clones[name] for name in tuned} == tuned
+    assert {name: priced[name] for name in tuned} == tuned
 
 
 def test_gpt3_350m_pool_request_matches_the_e2e_reference():

@@ -1,7 +1,12 @@
 """Tests for the GPT-3 / T5 / Wide-ResNet builders and registry."""
 
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 
+from repro.ir.graph import GraphArrays
 from repro.ir.models import (
     GPT3_SIZES,
     T5_SIZES,
@@ -13,7 +18,10 @@ from repro.ir.models import (
     build_t5,
     build_wide_resnet,
 )
+from repro.ir.models import gpt3, t5
 from repro.ir.models.gpt3 import GPTSpec
+from repro.ir.models.t5 import T5Spec
+from repro.ir.ops import embedding_op, layernorm_op, lm_head_op, loss_op
 
 
 class TestGPT3:
@@ -125,3 +133,85 @@ class TestRegistry:
             build_model("resnet-50")
         with pytest.raises(KeyError):
             build_model("nonsense")
+
+
+def _append_layer(ops, spans, layer):
+    spans.append((len(ops), len(ops) + len(layer)))
+    ops.extend(layer)
+
+
+def _gpt_layer_by_layer(spec):
+    s, h, v = spec.seq_len, spec.hidden, spec.vocab_size
+    ops, spans = [embedding_op("embedding", v, h, s)], []
+    for i in range(spec.num_layers):
+        _append_layer(ops, spans, gpt3.decoder_layer_ops(spec, i))
+    ops += [layernorm_op("final_ln", s, h), lm_head_op("lm_head", v, h, s),
+            loss_op("loss", s * v)]
+    return ops, spans
+
+
+def _t5_layer_by_layer(spec):
+    h, v = spec.hidden, spec.vocab_size
+    enc, dec = spec.enc_seq_len, spec.dec_seq_len
+    ops, spans = [embedding_op("enc_embedding", v, h, enc)], []
+    for i in range(spec.enc_layers):
+        _append_layer(ops, spans, t5.encoder_layer_ops(spec, i))
+    ops += [layernorm_op("enc_final_ln", enc, h),
+            embedding_op("dec_embedding", v, h, dec)]
+    for i in range(spec.dec_layers):
+        _append_layer(ops, spans, t5.decoder_layer_ops(spec, i))
+    ops += [layernorm_op("dec_final_ln", dec, h),
+            lm_head_op("lm_head", v, h, dec), loss_op("loss", dec * v)]
+    return ops, spans
+
+
+LAYERED_MODELS = (
+    [(f"gpt3-{size}", _gpt_layer_by_layer, GPTSpec(*shape))
+     for size, shape in GPT3_SIZES.items()]
+    + [(f"gpt-{n}l", _gpt_layer_by_layer, GPTSpec(n, 1024, 16, seq_len=1024))
+       for n in (1, 2, 24, 1000)]
+    + [(f"t5-{size}", _t5_layer_by_layer, T5Spec(*shape))
+       for size, shape in T5_SIZES.items()]
+)
+
+
+class TestRepeatedLayers:
+    """A builder renames one built layer for the rest; the graph must
+    equal one built layer by layer."""
+
+    @pytest.mark.parametrize(
+        "name,reference,spec", LAYERED_MODELS,
+        ids=[case[0] for case in LAYERED_MODELS],
+    )
+    def test_graph_equals_one_built_layer_by_layer(
+        self, name, reference, spec
+    ):
+        graph = build_model(name)
+        ops, spans = reference(spec)
+        assert [op.name for op in graph.ops] == [op.name for op in ops]
+        assert graph.ops == ops
+        assert [hash(op) for op in graph.ops] == [hash(op) for op in ops]
+        assert graph.layer_spans == spans
+        fresh = GraphArrays(ops)
+        for slot in GraphArrays.__slots__:
+            got, want = getattr(graph.arrays, slot), getattr(fresh, slot)
+            if slot == "class_ops":
+                assert got == want
+            else:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), slot
+
+    def test_renamed_equals_a_fresh_op_and_pickles(self):
+        ops = build_model("gpt-1l").ops + list(
+            build_model("t5-770m").arrays.class_ops
+        )
+        for op in ops:
+            name = op.name
+            copy = op.renamed("other")
+            fresh = dataclasses.replace(op, name="other")
+            assert type(copy) is type(op)
+            assert copy == fresh and hash(copy) == hash(fresh)
+            assert op.name == name
+            assert pickle.loads(pickle.dumps(copy)) == fresh
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                copy.name = name
