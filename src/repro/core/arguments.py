@@ -66,10 +66,10 @@ def greedy_recompute(
     while k <= total:
         mask = stage.recompute.copy()
         mask[order[:min(k, total)]] = True
-        peak = probe(mask)
+        peak, digest = probe(mask)
         if peak <= limit:
             eq1.peaks[stage_index] = peak
-            return config.with_recompute(stage_index, mask)
+            return config.with_recompute(stage_index, mask, digest)
         k += step
     return None
 
@@ -123,10 +123,10 @@ def greedy_unrecompute(
     while k >= 1:
         mask = stage.recompute.copy()
         mask[order[:k]] = False
-        peak = probe(mask)
+        peak, digest = probe(mask)
         if peak <= limit:
             eq1.peaks[stage_index] = peak
-            return config.with_recompute(stage_index, mask)
+            return config.with_recompute(stage_index, mask, digest)
         k -= step
     return None
 

@@ -104,11 +104,15 @@ class ParallelConfig:
             microbatch_size=self.microbatch_size,
         )
 
-    def with_recompute(self, stage_index: int, recompute) -> "ParallelConfig":
+    def with_recompute(
+        self, stage_index: int, recompute, digest=None
+    ) -> "ParallelConfig":
         """:meth:`StageConfig.with_recompute` of one stage; the other
         stages are shared as in :meth:`mutated_copy`."""
         stages = list(self.stages)
-        stages[stage_index] = stages[stage_index].with_recompute(recompute)
+        stages[stage_index] = stages[stage_index].with_recompute(
+            recompute, digest
+        )
         return ParallelConfig(
             stages=stages, microbatch_size=self.microbatch_size
         )

@@ -134,13 +134,15 @@ class StageConfig:
             recompute=self.recompute.copy(),
         )
 
-    def with_recompute(self, recompute) -> "StageConfig":
+    def with_recompute(self, recompute, digest=None) -> "StageConfig":
         """This stage with recompute flags ``recompute``: a bool array
         the new stage takes over (the caller writes it no more), or one
         flag for every op.  The new stage shares this stage's tp, dp and
         tp_dim arrays and base digest, and the shared arrays become
         read-only: a write through either stage raises instead of
-        leaving the other with a stale digest (:meth:`clone` copies)."""
+        leaving the other with a stale digest (:meth:`clone` copies).
+        ``digest``, when given, is the new stage's :meth:`digest`
+        (``stage_digest`` of the base digest and ``recompute``)."""
         if np.ndim(recompute) == 0:
             recompute = np.full(self.num_ops, recompute, dtype=bool)
         for values in (self.tp, self.dp, self.tp_dim):
@@ -149,7 +151,7 @@ class StageConfig:
             self.start, self.end, self.num_devices,
             self.tp, self.dp, self.tp_dim, recompute,
         )
-        stage._base_digest = self.base_digest()
+        stage._base_digest, stage._digest = self.base_digest(), digest
         return stage
 
     def slice_arrays(self, lo: int, hi: int) -> "StageConfig":

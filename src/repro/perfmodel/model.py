@@ -18,7 +18,8 @@ Estimation is structured in two layers:
    chain.  A miss whose stage differs from a recent one only in its
    recompute flags reuses that stage's recompute-free base (a small
    LRU keyed by ``stage.base_digest()``) and pays two masked sums, or
-   none when the stage recomputes nothing.
+   none when the stage recomputes nothing; a deep stage's base gathers
+   its time terms only when a full costing reads them.
 2. A cheap assembly step combines the cached stage costs with the
    stage-count-dependent parts: pipeline p2p boundary transfers, 1F1B
    in-flight counts, the allocator view of peak memory, and the Eq. 2
@@ -32,12 +33,14 @@ stage i fit with these flags?": set up once per greedy call, it keys
 each variant without building it, and a miss prices that stage's Eq. 1
 alone and leaves an Eq. 1-only entry in that LRU, counted as the
 estimate it stands for; so does a miss of :meth:`PerfModel.eq1`, the
-whole-config view recompute tuning reads, for every stage.
+whole-config view recompute tuning reads, for every stage, and so
+:meth:`PerfModel.objective` scores an OOM config, with no report.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import gt
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +66,10 @@ from .report import Eq1View, PerfReport, StageCost, StageReport
 STAGE_BASE_CACHE_SIZE = 32
 STAGE_BASE_CACHE_OPS = 65_536
 
+#: A stage base of fewer ops is gathered whole, its time part with its
+#: Eq. 1 part: there a second gather costs more than unread time rows.
+SPLIT_BASE_OPS = 512
+
 
 class StageLRU(OrderedDict):
     """Per-stage entries, least recent first, covering ``ops`` ops as
@@ -86,12 +93,25 @@ class StageLRU(OrderedDict):
         return entry
 
 
-#: Class-setting table rows (:meth:`PerfModel._class_table`): these
-#: StageCost fields, then activation bytes (also summed), recompute
-#: seconds, transient bytes and one-way reshard seconds.
-_SUMMED = ("fwd_time", "bwd_time", "tp_fwd_comm_time", "tp_bwd_comm_time",
-           "weight_bytes", "optimizer_bytes")
-_WEIGHT, _ACTIVATION, _RECOMPUTE, _TRANSIENT, _RESHARD = 4, 6, 7, 8, 9
+#: Class-setting table rows (:meth:`PerfModel._class_table`).  A base's
+#: Eq. 1 part reads transient bytes, then activation bytes and these
+#: (summed).  Its time part reads from ``_TIME`` on: weight bytes (for dp
+#: sync), these (summed) and, last, one-way reshard seconds.
+_EQ1_SUMMED = ("optimizer_bytes", "weight_bytes")
+_TIME_SUMMED = ("fwd_time", "bwd_time", "tp_fwd_comm_time", "tp_bwd_comm_time")
+_TRANSIENT, _ACTIVATION, _TIME = 0, 1, 3
+
+
+class StageBase:
+    """A base-LRU entry: a stage's recompute-free Eq. 1 part (``eq1``
+    fields, per-op activation bytes, their sum) and, once a full costing
+    needs it, its time part (``time`` fields, per-op recompute seconds)."""
+
+    __slots__ = ("eq1", "act_bytes", "act_total", "time", "rc_time")
+
+    def __init__(self, eq1: dict, act_bytes: np.ndarray, act_total: float):
+        self.eq1, self.act_bytes, self.act_total = eq1, act_bytes, act_total
+        self.time = self.rc_time = None
 
 
 def _kept_activation(rc: np.ndarray, act_bytes: np.ndarray) -> float:
@@ -140,15 +160,14 @@ class PerfModel:
     ) -> None:
         from .memory import RESERVE_SAFETY_FACTOR
 
-        self.graph = graph
-        self.cluster = cluster
-        self.database = database
+        self.graph, self.cluster, self.database = graph, cluster, database
         self.profiled = ProfiledGraph(graph, database)
         self.memory_limit = float(cluster.device.memory_bytes)
         # Heterogeneous clusters: per-node compute scale relative to
         # the reference device the database was profiled on, and
         # per-node memory capacity.  ``None`` keeps the homogeneous
         # fast path bit-identical to the pre-hetero model.
+        self._node_scale = self._node_mem = None
         if cluster.is_heterogeneous:
             reference = cluster.device.sustained_flops(graph.precision)
             self._node_scale = np.array([
@@ -158,14 +177,9 @@ class PerfModel:
             self._node_mem = np.array([
                 float(spec.memory_bytes) for spec in cluster.node_devices
             ])
-        else:
-            self._node_scale = None
-            self._node_mem = None
-        self.reserve_safety_factor = (
-            RESERVE_SAFETY_FACTOR
-            if reserve_safety_factor is None
-            else reserve_safety_factor
-        )
+        if reserve_safety_factor is None:
+            reserve_safety_factor = RESERVE_SAFETY_FACTOR
+        self.reserve_safety_factor = reserve_safety_factor
         self._elem = graph.elem_bytes
         # Reports, or the peaks list of a probe's Eq. 1-only entry.
         self._cache: "OrderedDict[bytes, PerfReport | list]" = OrderedDict()
@@ -174,10 +188,9 @@ class PerfModel:
             OrderedDict()
         )
         self._stage_cache_size = stage_cache_size
-        self._base_cache = StageLRU(lambda base: len(base[2]))
-        # Telemetry counters replace the former bare-int attributes;
-        # the individual Counter objects are hoisted to slots-backed
-        # locals because ``inc`` sits on the estimator hot path.
+        self._base_cache = StageLRU(lambda base: len(base.act_bytes))
+        # The Counter objects are hoisted to slots-backed attributes,
+        # because counting sits on the estimator hot path.
         self.counters = CounterGroup(
             "perfmodel",
             ("estimates", "config_hits", "stage_costs", "stage_hits"),
@@ -191,12 +204,9 @@ class PerfModel:
         # re-planning experiment.
         self.first_feasible_estimate: Optional[int] = None
 
-        ar = database.collective("allreduce")
-        ag = database.collective("allgather")
-        self._ar_lat = ar.latency
-        self._ar_ibw = ar.inv_bandwidth
-        self._ag_lat = ag.latency
-        self._ag_ibw = ag.inv_bandwidth
+        ar, ag = map(database.collective, ("allreduce", "allgather"))
+        self._ar_lat, self._ar_ibw = ar.latency, ar.inv_bandwidth
+        self._ag_lat, self._ag_ibw = ag.latency, ag.inv_bandwidth
         p2p = [database.collective(n) for n in ("p2p_intra", "p2p_inter")]
         # Pipeline p2p always moves data between exactly two ranks, so
         # only the group-size-2 coefficients are ever used; hoist them
@@ -293,8 +303,7 @@ class PerfModel:
         n, mbs = config.num_stages, config.microbatch_size
         num_mb = config.num_microbatches(self.graph.global_batch_size)
         in_flight = [min(n - i, num_mb) for i in range(n)]
-        factors = self._stage_factors([s.num_devices for s in config.stages])
-        limits = factors[1] if factors else [self.memory_limit] * n
+        limits = self._stage_limits(config)
         if peaks is None:
             peaks = []
             for s, k in zip(config.stages, in_flight):
@@ -302,32 +311,37 @@ class PerfModel:
                 # base's Eq. 1 terms; same operand order either way.
                 cost = self._stage_cache.get((s.digest(), mbs))
                 peaks.append(
-                    self._eq1_peak(s, mbs, s.recompute, k) if cost is None
+                    self._eq1_peak(self._stage_base(s, mbs), s.recompute, k)
+                    if cost is None
                     else cost.weight_bytes + cost.optimizer_bytes
                     + cost.activation_bytes * k + cost.reserved_bytes
                 )
-            oom = any(peak > cap for peak, cap in zip(peaks, limits))
-            self._record_miss(key, peaks, oom)
+            self._record_miss(key, peaks, any(map(gt, peaks, limits)))
         return Eq1View(list(peaks), in_flight, limits)
+
+    def _stage_limits(self, config: ParallelConfig) -> Sequence[float]:
+        """Each stage's memory limit, as :meth:`_assemble` derives it."""
+        if self._node_scale is None:
+            return [self.memory_limit] * config.num_stages
+        return self._stage_factors([s.num_devices for s in config.stages])[1]
 
     def recompute_probe(
         self, config: ParallelConfig, stage_index: int, eq1: Eq1View
-    ) -> Callable[[np.ndarray], float]:
+    ) -> Callable[[np.ndarray], Tuple[float, bytes]]:
         """A probe of stage ``stage_index`` of ``config``, whose Eq. 1
         view is ``eq1``: called with recompute flags, it returns the
-        stage's Eq. 1 peak under them without building that variant.
-        The setup holds the digests and Eq. 1 terms the probes share.
-        A probe is keyed and counted as :meth:`estimate` of the variant
-        would be; a miss prices only the stage's Eq. 1 from its
-        recompute-free base (:meth:`_eq1_peak`) and stores the peaks as
-        an Eq. 1-only entry, which a later :meth:`estimate` replaces
-        with a report.  With a sink that keeps ``perfmodel.estimate``
-        DEBUG events (their payload reads the iteration time), it
-        builds and estimates each variant."""
+        stage's Eq. 1 peak and digest under them without building that
+        variant, keyed and counted as :meth:`estimate` of the variant
+        would be.  A miss prices only the stage's Eq. 1 (:meth:`_eq1_peak`
+        of the base the setup's first miss looks up) and stores the peaks
+        as an Eq. 1-only entry, which a later :meth:`estimate` replaces.
+        With a sink that keeps ``perfmodel.estimate`` DEBUG events (their
+        payload reads the iteration time), it estimates each variant."""
         if get_bus().wants(PERFMODEL_ESTIMATE, DEBUG):
-            def built(recompute: np.ndarray) -> float:
+            def built(recompute: np.ndarray) -> Tuple[float, bytes]:
                 variant = config.with_recompute(stage_index, recompute)
-                return self.estimate(variant).peak_memories[stage_index]
+                peak = self.estimate(variant).peak_memories[stage_index]
+                return peak, variant.stages[stage_index].digest()
             return built
         stage, mbs = config.stages[stage_index], config.microbatch_size
         digests = [s.digest() for s in config.stages]
@@ -338,21 +352,24 @@ class PerfModel:
             for i, (peak, cap) in enumerate(zip(eq1.peaks, eq1.limits))
             if i != stage_index
         )
-        cache = self._cache
+        cache, base = self._cache, None
 
-        def probe(recompute: np.ndarray) -> float:
-            digests[stage_index] = stage_digest(base_digest, recompute)
+        def probe(recompute: np.ndarray) -> Tuple[float, bytes]:
+            nonlocal base
+            digest = digests[stage_index] = stage_digest(base_digest, recompute)
             key = config_key(mbs, digests)
-            cached = cache.get(key)
-            if cached is not None:
+            hit = cache.get(key)
+            if hit is not None:
                 cache.move_to_end(key)
                 self._c_config_hits.value += 1
-                return getattr(cached, "peak_memories", cached)[stage_index]
-            peak = self._eq1_peak(stage, mbs, recompute, in_flight)
+                return getattr(hit, "peak_memories", hit)[stage_index], digest
+            if base is None:
+                base = self._stage_base(stage, mbs)
+            peak = self._eq1_peak(base, recompute, in_flight)
             peaks = list(eq1.peaks)
             peaks[stage_index] = peak
             self._record_miss(key, peaks, others_oom or peak > limit)
-            return peak
+            return peak, digest
 
         return probe
 
@@ -418,9 +435,25 @@ class PerfModel:
         configurations score a large penalty plus their relative memory
         overflow, so the search still measures *progress* toward
         feasibility (the paper's "an infeasible configuration becomes
-        feasible" notion of better).
-        """
-        return self.objective_from_report(self.estimate(config))
+        feasible" notion of better).  That score reads only Eq. 1, so an
+        Eq. 1-only entry or a miss (priced as by :meth:`eq1`) gets a
+        report only if it fits."""
+        key = config.cache_key()
+        entry = self._cache.get(key)
+        if entry is None:
+            if get_bus().wants(PERFMODEL_ESTIMATE, DEBUG):
+                return self.objective_from_report(self.estimate(config))
+            peaks, _, limits = self.eq1(config)
+        else:
+            self._cache.move_to_end(key)
+            self._c_config_hits.value += 1
+            if not isinstance(entry, list):
+                return self.objective_from_report(entry)
+            peaks, limits = entry, self._stage_limits(config)
+        if any(map(gt, peaks, limits)):
+            return self._oom_score(peaks, limits)
+        report = self._cache[key] = self._estimate_uncached(config)
+        return report.iteration_time
 
     def objective_from_report(self, report: PerfReport) -> float:
         """The :meth:`objective` scoring rule for an existing report.
@@ -430,16 +463,15 @@ class PerfModel:
         """
         if not report.is_oom:
             return report.iteration_time
-        limits = report.stage_limits
-        if limits is None:
-            overflow = sum(
-                max(0.0, m - report.memory_limit)
-                for m in report.peak_memories
-            )
-            return self.OOM_PENALTY * (1.0 + overflow / report.memory_limit)
+        peaks, _, limits = report.eq1()
+        return self._oom_score(peaks, limits)
+
+    def _oom_score(self, peaks, limits: Sequence[float]) -> float:
+        """An OOM config's objective: the penalty plus the summed
+        overflow of each stage past its limit, relative to the smallest
+        limit (every stage's, on a homogeneous cluster)."""
         overflow = sum(
-            max(0.0, m - limit)
-            for m, limit in zip(report.peak_memories, limits)
+            max(0.0, m - limit) for m, limit in zip(peaks, limits)
         )
         return self.OOM_PENALTY * (1.0 + overflow / min(limits))
 
@@ -479,56 +511,58 @@ class PerfModel:
         gathered from the table's activation row."""
         base = self._base_cache.get((stage.base_digest(), mbs))
         if base is not None:
-            return base[2]
+            return base.act_bytes
         codes, _, _ = self._stage_codes(stage)
         return self._class_table(mbs)[_ACTIVATION].take(codes)
 
     def _cost_stage_uncached(
         self, stage: StageConfig, mbs: int, fresh: bool = False
     ) -> StageCost:
-        """A stage's recompute-free base plus its two recompute terms, which
-        apply the flags to per-op base vectors with the same values and
-        reductions as costing from scratch — bit-identical either way.  A
-        stage that recomputes nothing keeps every activation: its terms are
-        the base's activation total and zero seconds."""
-        fields, rc_time, act_bytes, act_total = self._stage_base(
-            stage, mbs, fresh
-        )
+        """A stage's recompute-free base, both parts, plus its two recompute
+        terms, which apply the flags to per-op base vectors with the same
+        values and reductions as costing from scratch — bit-identical
+        either way.  A stage that recomputes nothing keeps every
+        activation: its terms are the base's activation total and zero."""
+        base = self._stage_base(stage, mbs, fresh)
+        if base.time is None:
+            base.time, base.rc_time = self._cost_stage_time(stage, mbs)
         rc = stage.recompute
         if not rc.any():
             return StageCost(
-                recompute_time=0.0, activation_bytes=act_total, **fields
+                recompute_time=0.0, activation_bytes=base.act_total,
+                **base.eq1, **base.time,
             )
         return StageCost(
-            recompute_time=float(np.where(rc, rc_time, 0.0).sum()),
-            activation_bytes=_kept_activation(rc, act_bytes),
-            **fields,
+            recompute_time=float(np.where(rc, base.rc_time, 0.0).sum()),
+            activation_bytes=_kept_activation(rc, base.act_bytes),
+            **base.eq1, **base.time,
         )
 
-    def _stage_base(self, stage: StageConfig, mbs: int, fresh: bool):
-        """:meth:`_cost_stage_base`, through the base LRU unless fresh."""
-        if fresh:
+    def _stage_base(self, stage: StageConfig, mbs: int, fresh=False):
+        """:meth:`_cost_stage_base`, through the base LRU unless fresh or
+        stage caching is off."""
+        if fresh or self._stage_cache_size <= 0:
             return self._cost_stage_base(stage, mbs)
         return self._base_cache.fetch(
             (stage.base_digest(), mbs),
             lambda: self._cost_stage_base(stage, mbs),
         )
 
-    def _eq1_peak(self, stage, mbs, recompute, in_flight) -> float:
-        """Eq. 1 peak of ``stage`` under flags ``recompute`` from its base,
-        in :attr:`StageReport.peak_memory`'s operand order."""
-        fields, _, act_bytes, activation = self._stage_base(
-            stage, mbs, self._stage_cache_size <= 0
-        )
+    @staticmethod
+    def _eq1_peak(base: StageBase, recompute, in_flight) -> float:
+        """Eq. 1 peak of a stage with base ``base`` under flags
+        ``recompute``, in :attr:`StageReport.peak_memory`'s operand order."""
+        activation = base.act_total
         if recompute.any():
-            activation = _kept_activation(recompute, act_bytes)
+            activation = _kept_activation(recompute, base.act_bytes)
+        eq1 = base.eq1
         return (
-            fields["weight_bytes"] + fields["optimizer_bytes"]
-            + activation * in_flight + fields["reserved_bytes"]
+            eq1["weight_bytes"] + eq1["optimizer_bytes"]
+            + activation * in_flight + eq1["reserved_bytes"]
         )
 
     def _class_table(self, mbs: int) -> np.ndarray:
-        """The read-only ``[column, class·T·D·O]`` table at ``mbs``, each
+        """The read-only ``[row, class·T·D·O]`` table at ``mbs``, each
         entry computed from its class's first op in the per-op operand
         order, so it equals costing that op directly, bit for bit.
         Levels no valid stage reaches clip to the collectives' last."""
@@ -557,20 +591,18 @@ class PerfModel:
             return np.where((etp > 1) & (nbytes > 0), comm, 0.0)
 
         fwd = per_class(pg.fwd_fixed) + samples * per_class(pg.fwd_slope)
-        tp_fwd_comm = tp_comm(ga.fwd_comm_numel)
         saved = per_class(ga.saved_numel)
         opt_bytes = float(self.graph.optimizer_bytes_per_param)
         resh_bytes = per_class(ga.out_numel) * samples * elem
         columns = (
+            (saved + per_class(ga.out_numel)) * samples / etp * elem,
+            saved * samples / etp * elem,
+            per_class(ga.params) * opt_bytes / etp,
+            per_class(ga.params * elem) / etp,
             fwd,
             per_class(pg.bwd_fixed) + samples * per_class(pg.bwd_slope),
-            tp_fwd_comm,
+            tp_comm(ga.fwd_comm_numel),
             tp_comm(ga.bwd_comm_numel),
-            per_class(ga.params * elem) / etp,
-            per_class(ga.params) * opt_bytes / etp,
-            saved * samples / etp * elem,
-            fwd + tp_fwd_comm,  # recomputation repeats the forward
-            (saved + per_class(ga.out_numel)) * samples / etp * elem,
             self._ag_lat[ag_lv] + resh_bytes * self._ag_ibw[ag_lv],
         )
         table = self._tables[mbs] = np.stack(
@@ -589,43 +621,65 @@ class PerfModel:
         )
         return codes, setting, dp_lv
 
-    def _cost_stage_base(self, stage: StageConfig, mbs: int) -> tuple:
-        """``(StageCost fields the recompute flags cannot change,
-        per-op recompute seconds, per-op saved-activation bytes, their
-        sum)``: one gather of the stage's table columns and one row sum.
-        Each row is contiguous, so numpy sums it pairwise exactly as a
-        1-D ``sum`` of the per-op vector would."""
+    def _cost_stage_base(self, stage: StageConfig, mbs: int) -> StageBase:
+        """The stage's base, its time part included under
+        ``SPLIT_BASE_OPS`` ops: one gather of the rows its parts read and
+        one row sum per part.  Each row is contiguous, so numpy sums it
+        pairwise exactly as a 1-D ``sum`` of the per-op vector would."""
         codes, setting, dp_lv = self._stage_codes(stage)
-        cols = self._class_table(mbs).take(codes, axis=1)
-        *summed, act_total = cols[:len(_SUMMED) + 1].sum(axis=1).tolist()
-        # One-way reshard; assembly charges it once forward, once back.
-        change = setting[:-1] != setting[1:]
-        reshard = float(np.where(change, cols[_RESHARD, :-1], 0.0).sum())
-        # One dp allreduce per distinct dp degree in the stage (ops
-        # sharing a degree share a process group), bucketed by level.
-        counts = np.bincount(dp_lv)
-        sums = np.bincount(dp_lv, weights=cols[_WEIGHT])
-        levels = np.nonzero(counts[1:])[0] + 1
-        dp_sync = float(
-            np.sum(self._ar_lat[levels] + sums[levels] * self._ar_ibw[levels])
-        )
+        timed = stage.num_ops < SPLIT_BASE_OPS
+        table = self._class_table(mbs)
+        cols = (table if timed else table[:_TIME + 1]).take(codes, axis=1)
+        act_total, *summed = cols[_ACTIVATION:_TIME + 1].sum(axis=1).tolist()
         reserve = stage_allocator_reserve(
             cols[_TRANSIENT], safety_factor=self.reserve_safety_factor
         )
+        # Owned (a view pins every gathered row) and read-only, as
+        # stage_activation_bytes hands it out.
+        act_bytes = cols[_ACTIVATION].copy()
+        act_bytes.setflags(write=False)
+        eq1 = dict(zip(_EQ1_SUMMED, summed), reserved_bytes=reserve)
+        base = StageBase(eq1, act_bytes, act_total)
+        if timed:
+            base.time, base.rc_time = self._cost_stage_time(
+                stage, mbs, (cols[_TIME:], setting, dp_lv)
+            )
+        return base
+
+    def _cost_stage_time(self, stage: StageConfig, mbs: int, gathered=None):
+        """The time part of the stage's base, ``(fields, per-op recompute
+        seconds)``, from ``gathered`` (the base gather's time rows and the
+        other two :meth:`_stage_codes`) or its own gather: a base holds no
+        codes, as at 8,004 ops that costs more RSS than recomputing them."""
+        if gathered is None:
+            codes, setting, dp_lv = self._stage_codes(stage)
+            cols = self._class_table(mbs)[_TIME:].take(codes, axis=1)
+        else:
+            cols, setting, dp_lv = gathered
+        summed = cols[1:len(_TIME_SUMMED) + 1].sum(axis=1).tolist()
+        # One-way reshard; assembly charges it once forward, once back.
+        change = setting[:-1] != setting[1:]
+        reshard = float(np.where(change, cols[-1, :-1], 0.0).sum())
+        # One dp allreduce per distinct dp degree above 1 in the stage
+        # (ops sharing a degree share a process group), bucketed by level.
+        dp_sync = 0.0
+        if dp_lv.any():
+            counts = np.bincount(dp_lv)
+            sums = np.bincount(dp_lv, weights=cols[0])
+            levels = np.nonzero(counts[1:])[0] + 1
+            dp_sync = float(np.sum(
+                self._ar_lat[levels] + sums[levels] * self._ar_ibw[levels]
+            ))
         egress = float(
             self.graph.arrays.out_numel[stage.end - 1] * mbs
             / float(stage.dp[-1]) * self._elem
         )
-        fields = dict(
-            zip(_SUMMED, summed), reshard_time=reshard, dp_sync_time=dp_sync,
-            reserved_bytes=reserve, egress_bytes=egress,
-        )
-        # Owned copies: a view would pin every gathered row in the LRU.
-        # Read-only, since stage_activation_bytes hands them out.
-        rc_time, act_bytes = cols[_RECOMPUTE].copy(), cols[_ACTIVATION].copy()
+        rc_time = cols[1] + cols[3]  # recomputation repeats fwd + tp-fwd
         rc_time.setflags(write=False)
-        act_bytes.setflags(write=False)
-        return fields, rc_time, act_bytes, act_total
+        return dict(
+            zip(_TIME_SUMMED, summed), reshard_time=reshard,
+            dp_sync_time=dp_sync, egress_bytes=egress,
+        ), rc_time
 
     # ------------------------------------------------------------------
     # assembly (stage-count dependent, cheap)

@@ -50,7 +50,7 @@ class TestStageActivationBytes:
         assert act.shape == (stage.num_ops,)
         assert np.all(act >= 0)
         assert act.sum() > 0
-        base_act = tiny_perf_model._cost_stage_base(stage, mbs)[2]
+        base_act = tiny_perf_model._cost_stage_base(stage, mbs).act_bytes
         assert act.tobytes() == base_act.tobytes()
         assert not stage.recompute.any()
         cost = tiny_perf_model._cost_stage_uncached(stage, mbs, fresh=True)

@@ -60,8 +60,9 @@ def test_serve_request_matches_the_e2e_reference(fingerprint):
 
 def test_gpt3_350m_request_matches_the_e2e_reference(monkeypatch):
     # The counted cut of candidate pricing: recompute tuning reads an
-    # Eq. 1-only view (7,561 stage-cache misses before it), and move_ops
-    # reuses the re-spanned stages it already built (8,241 before).
+    # Eq. 1-only view (7,561 stage-cache misses before it), move_ops
+    # reuses the re-spanned stages it already built (8,241 before), and
+    # an OOM candidate is scored from its Eq. 1 peaks (5,655 before).
     models, built = [], []
     build_perf_model, respan = planner.build_perf_model, apply._respan
 
@@ -76,17 +77,21 @@ def test_gpt3_350m_request_matches_the_e2e_reference(monkeypatch):
     monkeypatch.setattr(planner, "build_perf_model", counted_model)
     monkeypatch.setattr(apply, "_respan", counted_respan)
     _check_against_reference(search_workers=1)
-    assert [model.num_stage_costs for model in models] == [5655]
+    assert [model.num_stage_costs for model in models] == [4969]
     assert len(built) == 4151
 
 
 def test_gpt_1000l_request_matches_the_e2e_reference(monkeypatch):
     # Depth is paid once: the graph builds one decoder layer and renames
     # it for the rest, and fine-tune clones a stage only for a candidate
-    # it prices.
-    built, clones, priced = [], Counter(), Counter()
+    # it prices.  An OOM candidate is scored from its Eq. 1 peaks, with
+    # no report and no stage's time terms (1,266 stage-cache misses and
+    # 920 report assemblies before).
+    built, clones, priced, models = [], Counter(), Counter(), []
     post_init = OpSpec.__post_init__
     mutated_copy, objective = ParallelConfig.mutated_copy, PerfModel.objective
+    build_perf_model, assemble = planner.build_perf_model, PerfModel._assemble
+    assembled = []
 
     def counted_post_init(self):
         built.append(None)
@@ -100,11 +105,23 @@ def test_gpt_1000l_request_matches_the_e2e_reference(monkeypatch):
         priced[sys._getframe(1).f_code.co_name] += 1
         return objective(self, *args)
 
+    def counted_model(*args, **kwargs):
+        models.append(build_perf_model(*args, **kwargs))
+        return models[-1]
+
+    def counted_assemble(self, *args):
+        assembled.append(None)
+        return assemble(self, *args)
+
     monkeypatch.setattr(OpSpec, "__post_init__", counted_post_init)
     monkeypatch.setattr(ParallelConfig, "mutated_copy", counted_copy)
     monkeypatch.setattr(PerfModel, "objective", counted_objective)
+    monkeypatch.setattr(planner, "build_perf_model", counted_model)
+    monkeypatch.setattr(PerfModel, "_assemble", counted_assemble)
     _check_against_reference("gpt-1000l", 2564, search_workers=1)
     assert len(built) == 12
+    assert [model.num_stage_costs for model in models] == [242]
+    assert len(assembled) == 139
     tuned = {"_tune_suffix_parallel": 536, "_tune_partition_dims": 51}
     assert {name: clones[name] for name in tuned} == tuned
     assert {name: priced[name] for name in tuned} == tuned

@@ -11,6 +11,7 @@ or fanned out over worker processes.
 import contextlib
 import dataclasses
 import functools
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -159,7 +160,8 @@ class TestRecomputeDeltaCosting:
         churn the base LRU: every estimate is bit-identical to costing
         from scratch, the LRU holds no more ops than its bound allows
         (beyond its one-entry floor), and a base is re-costed only
-        after the LRU evicted it."""
+        after the LRU evicted it; its time part is costed at most once
+        per costing of its Eq. 1 part."""
         monkeypatch.setattr(model_module, "STAGE_BASE_CACHE_SIZE", 1)
         monkeypatch.setattr(
             model_module, "STAGE_BASE_CACHE_OPS", base_cache_ops
@@ -169,14 +171,19 @@ class TestRecomputeDeltaCosting:
         database = SimulatedProfiler(cluster, seed=0).profile(graph)
         model = PerfModel(graph, cluster, database)
         reference = PerfModel(graph, cluster, database)
-        bases = []
-        original = model._cost_stage_base
+        bases, times = [], []
+        original, original_time = model._cost_stage_base, model._cost_stage_time
 
         def counted(stage, mbs):
             bases.append(stage.base_digest())
             return original(stage, mbs)
 
+        def counted_time(stage, mbs, gathered=None):
+            times.append(stage.base_digest())
+            return original_time(stage, mbs, gathered)
+
         model._cost_stage_base = counted
+        model._cost_stage_time = counted_time
         rng = np.random.default_rng(seed)
         config = balanced_config(graph, cluster, 2)  # 2 GPUs per stage
         evicted = set()
@@ -195,12 +202,13 @@ class TestRecomputeDeltaCosting:
             )
             cache = model._base_cache
             evicted |= {digest for digest, _ in held_before - set(cache)}
-            held_ops = sum(len(act) for _, _, act, _ in cache.values())
+            held_ops = sum(len(base.act_bytes) for base in cache.values())
             assert model._base_cache.ops == held_ops
             assert held_ops <= base_cache_ops or len(cache) <= 1
         # Recompute-only misses reused a base; a base is re-costed only
         # after the LRU evicted it.
         assert len(bases) < model.num_stage_costs
+        assert all(times.count(d) <= bases.count(d) for d in times)
         recosted = {digest for digest in bases if bases.count(digest) > 1}
         assert recosted <= evicted
         if base_cache_ops < graph.num_ops:
@@ -264,11 +272,11 @@ class TestRecomputeDeltaCosting:
             assert list(cache) == keys
             assert model._base_cache.ops == held_ops
         hit = model.stage_activation_bytes(config.stages[1], mbs)
-        assert hit is cache[keys[0]][2]
+        assert hit is cache[keys[0]].act_bytes
         assert not hit.flags.writeable
         with pytest.raises(ValueError):
             hit[0] = 0.0
-        assert not cache[keys[0]][1].flags.writeable
+        assert not cache[keys[0]].rc_time.flags.writeable
 
     def test_fresh_estimates_bypass_the_base_cache(self):
         graph = build_synthetic(16, seed=4)
@@ -422,9 +430,10 @@ class TestClassSettingTables:
         """Random stages on 1- to 16-GPU clusters with mixed per-op
         tp/dp, tp above an op's ``max_tp``, padded partition options
         (tp_dim past an op's real option count), any mbs and either
-        allocator safety factor: the gathered base costing and
-        ``stage_activation_bytes`` are bit-identical to the frozen
-        per-op costing."""
+        allocator safety factor: the gathered base costing (both parts,
+        field by field, gathered apart or together) and
+        ``stage_activation_bytes`` are bit-identical to the frozen per-op
+        costing."""
         model = capped_synthetic_model(seed, gpus, reserve_safety_factor)
         ga = model.graph.arrays
         num_ops = model.graph.num_ops
@@ -454,22 +463,32 @@ class TestClassSettingTables:
         )
         mbs = data.draw(st.sampled_from([1, 2, 4, 8, 16]), label="mbs")
 
-        fields, rc_vec, act_vec, act_sum = model._cost_stage_base(stage, mbs)
         want_fields, want_rc, want_act = frozen_fancy_index_cost_stage_base(
             model, stage, mbs
         )
-        assert fields == want_fields
-        assert rc_vec.tobytes() == want_rc.tobytes()
-        assert act_vec.tobytes() == want_act.tobytes()
-        assert act_sum == float(want_act.sum())
+        whole = model._cost_stage_base(stage, mbs)
+        with mock.patch.object(model_module, "SPLIT_BASE_OPS", 0):
+            base = model._cost_stage_base(stage, mbs)
+        assert base.time is None
+        base.time, base.rc_time = model._cost_stage_time(stage, mbs)
+        for base in (base, whole):
+            assert base.eq1.keys().isdisjoint(base.time)
+            assert {**base.eq1, **base.time} == want_fields
+            assert base.rc_time.tobytes() == want_rc.tobytes()
+            assert base.act_bytes.tobytes() == want_act.tobytes()
+            assert base.act_total == float(want_act.sum())
         activation = model.stage_activation_bytes(stage, mbs)
         assert activation.tobytes() == want_act.tobytes()
 
-    def test_base_lru_holds_owned_vectors_it_accounts_for(self):
-        """After a short gpt3-350m search, every per-op vector in the
-        base LRU owns its data (a view of the stage's gather would pin
-        all of its table rows) and has one entry per stage op, and the
-        LRU's op count is the sum of those lengths."""
+    def test_base_lru_holds_owned_vectors_it_accounts_for(self, monkeypatch):
+        """After a short gpt3-350m search whose every base is gathered in
+        two parts, every per-op vector in the base LRU owns its data (a
+        view of the stage's gather would pin all of its table rows), is
+        read-only and has one entry per stage op, an entry has its
+        recompute seconds exactly when it has its time part (some have
+        neither), and the LRU's op count is the sum of the stages'
+        lengths."""
+        monkeypatch.setattr(model_module, "SPLIT_BASE_OPS", 0)
         graph = build_model("gpt3-350m")
         cluster = paper_cluster(8)
         database = SimulatedProfiler(cluster, seed=0).profile(graph)
@@ -486,14 +505,16 @@ class TestClassSettingTables:
             balanced_config(graph, cluster, 4), SearchBudget(max_iterations=4)
         )
         cache = model._base_cache
-        assert cache
-        for key, (_, rc_time, act_bytes, _) in cache.items():
-            for vec in (rc_time, act_bytes):
-                assert vec.base is None
-                assert len(vec) == num_ops[key]
-        assert model._base_cache.ops == sum(
-            len(act_bytes) for _, _, act_bytes, _ in cache.values()
-        )
+        assert {base.time is None for base in cache.values()} == {
+            False, True
+        }
+        for key, base in cache.items():
+            assert (base.time is None) == (base.rc_time is None)
+            for vec in (base.rc_time, base.act_bytes):
+                if vec is not None:
+                    assert vec.base is None and not vec.flags.writeable
+                    assert len(vec) == num_ops[key]
+        assert model._base_cache.ops == sum(num_ops[key] for key in cache)
 
 
 class TestRecomputeTermsOracle:
@@ -562,7 +583,10 @@ class BuildingModel(PerfModel):
     def recompute_probe(self, config, stage_index, eq1):
         def peak(recompute):
             variant = config.with_recompute(stage_index, recompute)
-            return self.estimate(variant).peak_memories[stage_index]
+            stage = variant.stages[stage_index]
+            return self.estimate(variant).peak_memories[stage_index], (
+                stage.digest()
+            )
 
         return peak
 
@@ -637,12 +661,13 @@ class TestRecomputeProbe:
         cache_size=st.sampled_from([2, 500_000]),
         stage_cache_size=st.sampled_from([0, 200_000]),
         scale=st.sampled_from([1, 1.1]),
+        split_ops=st.sampled_from([0, model_module.SPLIT_BASE_OPS]),
         debug=st.booleans(),
         data=st.data(),
     )
     def test_probe_matches_building_and_estimating(
         self, seed, hetero, stages, mbs, cache_size, stage_cache_size,
-        scale, debug, data,
+        scale, split_ops, debug, data,
     ):
         """Interleaved probes (several per setup), estimates of probed
         variants, walks onto them, primitives (which move tp and dp) and
@@ -653,7 +678,8 @@ class TestRecomputeProbe:
         scratch; every estimate equals costing from scratch; and
         estimate counts, config hits and ``first_feasible_estimate``
         match a model that builds and estimates every probe, with or
-        without an LRU that evicts, a stage cache, or a DEBUG sink."""
+        without an LRU that evicts, a stage cache, bases gathered in two
+        parts, or a DEBUG sink."""
         graph, cluster, database = probe_setup(seed, hetero, scale)
         model = CheckedModel(
             graph, cluster, database,
@@ -686,17 +712,21 @@ class TestRecomputeProbe:
                 mask[flips] = ~mask[flips]
                 if data.draw(st.booleans(), label="uniform"):
                     mask[:] = data.draw(st.booleans(), label="all")
-                peak = probe(mask)
+                peak, digest = probe(mask)
                 variant = config.with_recompute(index, mask.copy())
                 assert next(reversed(model._cache)) == variant.cache_key()
+                assert digest == variant.stages[index].digest()
                 # The reference estimates the built variant.
-                assert peak == reference_probe(mask.copy())
+                assert (peak, digest) == reference_probe(mask.copy())
                 fresh = reference.estimate_fresh(variant)
                 assert peak == fresh.peak_memories[index]
                 probed.append(variant)
 
         with contextlib.ExitStack() as stack:
             stack.enter_context(using_bus(bus))
+            stack.enter_context(mock.patch.object(
+                model_module, "SPLIT_BASE_OPS", split_ops
+            ))
             for name in ("greedy_recompute", "greedy_unrecompute"):
                 stack.enter_context(mock.patch.object(
                     arguments_module, name,
@@ -765,12 +795,13 @@ class TestRecomputeProbe:
         mbs=st.sampled_from([1, 4, 16]),
         cache_size=st.sampled_from([2, 500_000]),
         stage_cache_size=st.sampled_from([0, 200_000]),
+        split_ops=st.sampled_from([0, model_module.SPLIT_BASE_OPS]),
         debug=st.booleans(),
         data=st.data(),
     )
     def test_eq1_view_matches_estimating(
         self, seed, hetero, stages, mbs, cache_size, stage_cache_size,
-        debug, data,
+        split_ops, debug, data,
     ):
         """``PerfModel.eq1`` calls interleaved with probes, estimates,
         primitives and ``tune_recompute``, on configs the LRU holds as a
@@ -778,8 +809,9 @@ class TestRecomputeProbe:
         ``estimate_fresh(config).eq1()`` bit for bit (CheckedModel), and
         estimate counts, config hits and ``first_feasible_estimate``
         match a model that estimates every config, with or without an
-        LRU that evicts, a stage cache, or a DEBUG sink, which gets one
-        ``perfmodel.estimate`` event per miss."""
+        LRU that evicts, a stage cache, bases gathered in two parts, or a
+        DEBUG sink, which gets one ``perfmodel.estimate`` event per
+        miss."""
         graph, cluster, database = probe_setup(seed, hetero, 1.1)
         model = CheckedModel(
             graph, cluster, database,
@@ -792,7 +824,9 @@ class TestRecomputeProbe:
         bus, sink = TelemetryBus(), RingBufferSink()
         if debug:
             bus.add_sink(sink)
-        with using_bus(bus):
+        with using_bus(bus), mock.patch.object(
+            model_module, "SPLIT_BASE_OPS", split_ops
+        ):
             for _ in range(data.draw(st.integers(1, 16), label="steps")):
                 config = data.draw(st.sampled_from(seen), label="config")
                 index = data.draw(st.integers(0, stages - 1), label="stage")
@@ -853,6 +887,192 @@ class TestRecomputeProbe:
                     model.first_feasible_estimate
                     == reference.first_feasible_estimate
                 )
+
+
+def frozen_objective_from_report(report):
+    """Frozen copy of ``PerfModel.objective_from_report`` as it scored a
+    report before the OOM score moved into ``_oom_score``, which
+    ``objective`` now also calls: the OOM score's independent oracle."""
+    if not report.is_oom:
+        return report.iteration_time
+    limits = report.stage_limits
+    if limits is None:
+        overflow = sum(
+            max(0.0, m - report.memory_limit) for m in report.peak_memories
+        )
+        return PerfModel.OOM_PENALTY * (1.0 + overflow / report.memory_limit)
+    overflow = sum(
+        max(0.0, m - limit) for m, limit in zip(report.peak_memories, limits)
+    )
+    return PerfModel.OOM_PENALTY * (1.0 + overflow / min(limits))
+
+
+class ReportModel(PerfModel):
+    """Scores every objective from a full report, as ``estimate``
+    returns it."""
+
+    def objective(self, config):
+        return self.objective_from_report(self.estimate(config))
+
+
+class TestObjectiveFromEq1:
+    """``objective`` scores an OOM config from its Eq. 1 peaks and
+    assembles a report only for a config that fits; nothing observable
+    may tell it apart from scoring a full report."""
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2),
+        hetero=st.booleans(),
+        stages=st.sampled_from([1, 2, 4]),
+        mbs=st.sampled_from([1, 4, 16]),
+        cache_size=st.sampled_from([2, 500_000]),
+        stage_cache_size=st.sampled_from([0, 200_000]),
+        split_ops=st.sampled_from([0, model_module.SPLIT_BASE_OPS]),
+        debug=st.booleans(),
+        data=st.data(),
+    )
+    def test_objective_matches_scoring_a_fresh_report(
+        self, seed, hetero, stages, mbs, cache_size, stage_cache_size,
+        split_ops, debug, data,
+    ):
+        """Objectives of random walks over OOM and fitting configs
+        (primitives, whose every candidate is scored, and tuned configs),
+        interleaved with Eq. 1 views, probes and estimates, so the LRU
+        holds a scored config as a report, as an Eq. 1-only entry or
+        not at all: every objective equals
+        ``objective_from_report(estimate_fresh(config))`` bit for bit
+        (as the scoring rule read before this path existed),
+        every report equals costing from scratch (CheckedModel), and
+        estimate counts, config hits and ``first_feasible_estimate``
+        match a model that scores every objective from a full report,
+        with or without an LRU that evicts, a stage cache, bases gathered
+        in two parts, or a DEBUG sink."""
+        graph, cluster, database = probe_setup(seed, hetero, 1.1)
+        model = CheckedModel(
+            graph, cluster, database,
+            cache_size=cache_size, stage_cache_size=stage_cache_size,
+        )
+        reference = ReportModel(graph, cluster, database, cache_size=cache_size)
+        seen = [balanced_config(graph, cluster, stages, microbatch_size=mbs)]
+        bus = TelemetryBus()
+        if debug:
+            bus.add_sink(RingBufferSink())
+
+        def check_objectives(configs):
+            got = model.objective_batch(configs)
+            assert got == reference.objective_batch(configs)
+            assert got == [
+                frozen_objective_from_report(model.estimate_fresh(config))
+                for config in configs
+            ]
+
+        with using_bus(bus), mock.patch.object(
+            model_module, "SPLIT_BASE_OPS", split_ops
+        ):
+            for _ in range(data.draw(st.integers(1, 16), label="steps")):
+                config = data.draw(st.sampled_from(seen), label="config")
+                index = data.draw(st.integers(0, stages - 1), label="stage")
+                action = data.draw(st.sampled_from(
+                    ["objective", "objective", "eq1", "probe", "estimate",
+                     "tune", "primitive"]
+                ), label="action")
+                if action == "objective":
+                    check_objectives([config])
+                elif action == "eq1":
+                    assert model.eq1(config) == reference.eq1(config)
+                elif action == "probe":
+                    mask = config.stages[index].recompute.copy()
+                    flips = data.draw(st.lists(
+                        st.integers(0, mask.size - 1), max_size=3
+                    ), label="flips")
+                    mask[flips] = ~mask[flips]
+                    assert model.recompute_probe(
+                        config, index, model.eq1(config)
+                    )(mask) == reference.recompute_probe(
+                        config, index, reference.eq1(config)
+                    )(mask.copy())
+                    seen.append(config.with_recompute(index, mask))
+                elif action == "estimate":
+                    model.estimate(config)
+                    reference.estimate(config)
+                elif action == "tune":
+                    tuned = tune_recompute(model, config, [index])
+                    want = tune_recompute(reference, config, [index])
+                    assert tuned.cache_key() == want.cache_key()
+                    seen.append(tuned)
+                else:
+                    name = data.draw(st.sampled_from(PRIMITIVES), label="p")
+                    got, want = (
+                        apply_primitive(name, ApplyContext(
+                            graph=graph, cluster=cluster, perf_model=m,
+                            config=config, report=r,
+                            bottleneck=identify_bottleneck(r),
+                        ))
+                        for m, r in ((model, model.estimate(config)),
+                                     (reference, reference.estimate(config)))
+                    )
+                    assert [c.cache_key() for c in got] == [
+                        c.cache_key() for c in want
+                    ]
+                    check_objectives(got)
+                    seen.extend(got)
+                assert model.num_estimates == reference.num_estimates
+                assert (
+                    model.counters["config_hits"].value
+                    == reference.counters["config_hits"].value
+                )
+                assert (
+                    model.first_feasible_estimate
+                    == reference.first_feasible_estimate
+                )
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("hetero", [False, True])
+    @pytest.mark.parametrize("state", ["miss", "eq1", "report"])
+    def test_each_entry_state_scores_as_a_fresh_report(
+        self, monkeypatch, hetero, state, split
+    ):
+        """Balanced configs on tight devices, OOM and fitting, scored
+        from a miss, an Eq. 1-only entry or a report, with bases
+        gathered whole or in two parts: the objective equals scoring a
+        fresh report bit for bit and counts one estimate.  An OOM config
+        scored from a miss or an Eq. 1-only entry stays an Eq. 1-only
+        entry, with no report assembled (and, for two-part bases, no
+        stage's time part costed); otherwise the LRU then holds the
+        config's report."""
+        if split:
+            monkeypatch.setattr(model_module, "SPLIT_BASE_OPS", 0)
+        graph, cluster, database = probe_setup(0, hetero, 1.1)
+        verdicts = set()
+        for stages, mbs in itertools.product((1, 2, 4), (1, 4, 16)):
+            model = PerfModel(graph, cluster, database)
+            config = balanced_config(
+                graph, cluster, stages, microbatch_size=mbs
+            )
+            fresh = model.estimate_fresh(config)
+            verdicts.add(fresh.is_oom)
+            if state == "eq1":
+                model.eq1(config)
+            elif state == "report":
+                model.estimate(config)
+            with mock.patch.object(
+                model, "_assemble", wraps=model._assemble
+            ) as assembled, mock.patch.object(
+                model, "_cost_stage_time", wraps=model._cost_stage_time
+            ) as timed:
+                got = model.objective(config)
+            assert got == frozen_objective_from_report(fresh)
+            assert got == model.objective_from_report(fresh)
+            assert model.num_estimates == 1
+            entry = model._cache[config.cache_key()]
+            if fresh.is_oom and state != "report":
+                assert isinstance(entry, list)
+                assert assembled.call_count == 0
+                assert timed.call_count == 0 or not split
+            else:
+                assert_reports_identical(entry, fresh)
+        assert verdicts == {False, True}
 
 
 class TestLRUEviction:
