@@ -678,25 +678,7 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
 
     from .elastic import ChurnTimeline, random_churn_timeline
 
-    if args.command == "gen":
-        timeline = random_churn_timeline(
-            args.nodes,
-            args.gpus_per_node,
-            seed=args.seed,
-            num_events=args.events,
-            horizon_seconds=args.horizon,
-        )
-        if args.output:
-            timeline.save(args.output)
-            print(
-                f"repro-elastic: wrote {len(timeline.events)} events "
-                f"to {args.output}"
-            )
-        else:
-            print(json.dumps(timeline.to_dict(), indent=2))
-        return 0
-
-    if args.timeline:
+    if args.command != "gen" and args.timeline:
         try:
             timeline = ChurnTimeline.load(args.timeline)
         except ValueError as exc:
@@ -713,6 +695,16 @@ def elastic_main(argv: Optional[List[str]] = None) -> int:
             num_events=args.events,
             horizon_seconds=args.horizon,
         )
+    if args.command == "gen":
+        if args.output:
+            timeline.save(args.output)
+            print(
+                f"repro-elastic: wrote {len(timeline.events)} events "
+                f"to {args.output}"
+            )
+        else:
+            print(json.dumps(timeline.to_dict(), indent=2))
+        return 0
     if args.mixed:
         from .cluster import a100, mixed_cluster, v100
 

@@ -112,6 +112,14 @@ class ClusterSpec:
         """
         if self.node_devices is None:
             return 1.0
+        reference = self.device.sustained_flops(precision)
+        return max(
+            reference / self.node_devices[n].sustained_flops(precision)
+            for n in self._span_nodes(first_device, num_devices)
+        )
+
+    def _span_nodes(self, first_device: int, num_devices: int) -> range:
+        """Indices of the nodes a contiguous device span occupies."""
         if num_devices < 1:
             raise ValueError("num_devices must be positive")
         last_device = first_device + num_devices - 1
@@ -120,13 +128,9 @@ class ClusterSpec:
                 f"span [{first_device}, {last_device}] exceeds cluster "
                 f"size {self.num_gpus}"
             )
-        reference = self.device.sustained_flops(precision)
-        return max(
-            reference / self.node_devices[n].sustained_flops(precision)
-            for n in range(
-                first_device // self.gpus_per_node,
-                last_device // self.gpus_per_node + 1,
-            )
+        return range(
+            first_device // self.gpus_per_node,
+            last_device // self.gpus_per_node + 1,
         )
 
     def span_memory_limit(
@@ -140,20 +144,9 @@ class ClusterSpec:
         """
         if self.node_devices is None:
             return float(self.device.memory_bytes)
-        if num_devices < 1:
-            raise ValueError("num_devices must be positive")
-        last_device = first_device + num_devices - 1
-        if not (0 <= first_device and last_device < self.num_gpus):
-            raise ValueError(
-                f"span [{first_device}, {last_device}] exceeds cluster "
-                f"size {self.num_gpus}"
-            )
         return float(min(
             self.node_devices[n].memory_bytes
-            for n in range(
-                first_device // self.gpus_per_node,
-                last_device // self.gpus_per_node + 1,
-            )
+            for n in self._span_nodes(first_device, num_devices)
         ))
 
     def node_of(self, device_id: int) -> int:

@@ -160,6 +160,20 @@ def _idlest_stage(ctx: ApplyContext, exclude: int) -> Optional[int]:
     return None
 
 
+def _move_candidates(ctx: ApplyContext, src: int, dst: int, neighbor: int):
+    """Each ``op_move_counts`` relay of ops from ``src`` to ``dst``
+    (balanced against ``neighbor``), retuned over the stages between."""
+    candidates = []
+    for count in op_move_counts(
+        ctx.graph, ctx.config, src, neighbor, from_front=dst < src
+    ):
+        moved = move_ops(ctx.config, ctx.graph, src, dst, count)
+        if moved is not None:
+            affected = list(range(min(src, dst), max(src, dst) + 1))
+            candidates.append(ctx.retune(moved, affected))
+    return _finalize(ctx, candidates)
+
+
 def apply_dec_op(ctx: ApplyContext) -> List[ParallelConfig]:
     """Shrink the bottleneck stage's op span toward the idlest stage."""
     src = ctx.stage_index
@@ -174,19 +188,7 @@ def apply_dec_op(ctx: ApplyContext) -> List[ParallelConfig]:
         dst = _idlest_stage(ctx, exclude=src)
     if dst is None:
         return []
-    neighbor = src - 1 if dst < src else src + 1
-    counts = op_move_counts(
-        ctx.graph, ctx.config, src, neighbor, from_front=dst < src
-    )
-    candidates = []
-    for count in counts:
-        moved = move_ops(ctx.config, ctx.graph, src, dst, count)
-        if moved is None:
-            continue
-        affected = list(range(min(src, dst), max(src, dst) + 1))
-        moved = ctx.retune(moved, affected)
-        candidates.append(moved)
-    return _finalize(ctx, candidates)
+    return _move_candidates(ctx, src, dst, src - 1 if dst < src else src + 1)
 
 
 def apply_inc_op(ctx: ApplyContext) -> List[ParallelConfig]:
@@ -199,19 +201,8 @@ def apply_inc_op(ctx: ApplyContext) -> List[ParallelConfig]:
     src = next((int(s) for s in order if int(s) != dst), None)
     if src is None:
         return []
-    neighbor = dst  # balance against the receiving stage
-    counts = op_move_counts(
-        ctx.graph, ctx.config, src, neighbor, from_front=dst < src
-    )
-    candidates = []
-    for count in counts:
-        moved = move_ops(ctx.config, ctx.graph, src, dst, count)
-        if moved is None:
-            continue
-        affected = list(range(min(src, dst), max(src, dst) + 1))
-        moved = ctx.retune(moved, affected)
-        candidates.append(moved)
-    return _finalize(ctx, candidates)
+    # Balance against the receiving stage.
+    return _move_candidates(ctx, src, dst, dst)
 
 
 # ----------------------------------------------------------------------

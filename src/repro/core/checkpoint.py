@@ -9,13 +9,22 @@ signatures, estimate counts, and structured failure records.
 ``visited_signatures`` holds the hex ``ParallelConfig.cache_key()`` of
 each visited configuration, the key the search deduplicates on (not
 ``signature()``); a resume restores it verbatim and never compares it
-with live configurations.  The file
-is rewritten atomically after every completed (or finally-failed) stage
-count, so a crash between writes costs at most one stage count of work.
+with live configurations.
+
+The file is an append-only log.  :meth:`SearchCheckpoint.save` writes
+the whole document atomically once, when the search starts; each
+completed (or finally-failed) stage count then appends one line,
+``{"completed": {"<count>": result}}`` or ``{"failure": {...}}``, in
+one ``write``.  Nothing on disk is re-encoded or renamed over (a rename
+onto an existing file can stall tens of ms).  The loader and
+``repro-lint`` read it back through
+:func:`repro.lint.artifacts.fold_checkpoint`; a torn final line is
+dropped (``ACE324``), and a resume compacts such a file.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,6 +92,8 @@ class SearchCheckpoint:
     completed: Dict[int, dict] = field(default_factory=dict)
     failures: List[dict] = field(default_factory=list)
     path: Optional[Path] = None
+    #: Loaded from a file whose torn final record was dropped.
+    torn: bool = field(default=False, compare=False)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -106,9 +117,12 @@ class SearchCheckpoint:
     def load(cls, path: Union[str, Path]) -> "SearchCheckpoint":
         """Read a checkpoint; raises :class:`CheckpointError` unless the
         file passes the checkpoint schema checker (``ACE32x``)."""
-        from ..lint.artifacts import check_checkpoint, load_artifact
+        from ..lint import artifacts as schema
 
-        data = load_artifact(path, "ACE320", check_checkpoint, CheckpointError)
+        data = schema.load_artifact(
+            path, "ACE320", schema.check_checkpoint, CheckpointError,
+            schema.fold_checkpoint,
+        )
         return cls(
             stage_counts=data["stage_counts"],
             budget_kwargs=data["budget_kwargs"],
@@ -119,6 +133,7 @@ class SearchCheckpoint:
             },
             failures=data.get("failures", []),
             path=Path(path),
+            torn=schema.TORN_RECORD in data,
         )
 
     @classmethod
@@ -127,14 +142,16 @@ class SearchCheckpoint:
     ) -> Optional["SearchCheckpoint"]:
         """Load a checkpoint, quarantining an unreadable file.
 
-        Atomic rename protects a checkpoint against crashes mid-write,
-        but not against disk-full, a kill mid-write of an *older*
-        non-atomic copy, or plain bit rot.  A resume must not die on
-        such a file: the corrupt checkpoint is moved aside to
-        ``<path>.corrupt`` (preserved for post-mortems), a
-        ``checkpoint.corrupt`` telemetry event is emitted, and ``None``
-        is returned so the caller starts a fresh search.  A missing
-        file also returns ``None`` (nothing to quarantine).
+        A crash mid-append tears only the final record, which the
+        load drops; this resume then compacts the file with one
+        :meth:`save` so the next append does not land after the torn
+        line.  Disk-full, a torn document or plain bit rot fail the
+        load instead.  A resume must not die on such a file: the
+        corrupt checkpoint is moved aside to ``<path>.corrupt``
+        (preserved for post-mortems), a ``checkpoint.corrupt``
+        telemetry event is emitted, and ``None`` is returned so the
+        caller starts a fresh search.  A missing file also returns
+        ``None`` (nothing to quarantine).
         """
         from ..telemetry import WARNING, get_bus
         from ..telemetry.events import CHECKPOINT_CORRUPT
@@ -143,7 +160,7 @@ class SearchCheckpoint:
         if not path.exists():
             return None
         try:
-            return cls.load(path)
+            checkpoint = cls.load(path)
         except CheckpointError as exc:
             quarantine = path.with_name(path.name + ".corrupt")
             quarantined = True
@@ -160,10 +177,13 @@ class SearchCheckpoint:
                 error=str(exc),
             )
             return None
+        if checkpoint.torn:
+            checkpoint.save()
+        return checkpoint
 
     def save(self) -> None:
-        """Atomic write (temp file + rename) so a crash mid-write never
-        corrupts the previous checkpoint."""
+        """Write the whole document atomically (temp file + rename), so
+        a crash mid-write never corrupts the previous checkpoint."""
         if self.path is None:
             raise CheckpointError("checkpoint has no path to save to")
         payload = {
@@ -208,29 +228,35 @@ class SearchCheckpoint:
     # recording / restoring
     # ------------------------------------------------------------------
     def record_run(self, run) -> None:
-        """Store one completed ``StageCountResult`` and persist."""
-        self.completed[run.num_stages] = _result_to_dict(run.result)
-        # A later success supersedes any earlier failure record.
-        self.failures = [
-            f for f in self.failures if f.get("num_stages") != run.num_stages
-        ]
-        self.save()
+        """Store one completed ``StageCountResult`` and append it."""
+        result = _result_to_dict(run.result)
+        self._record({"completed": {str(run.num_stages): result}})
 
     def record_failure(self, failure) -> None:
-        """Store one final ``SearchFailure`` and persist."""
-        self.failures = [
-            f
-            for f in self.failures
-            if f.get("num_stages") != failure.num_stages
-        ]
-        self.failures.append(
-            {
-                "num_stages": failure.num_stages,
-                "error": failure.error,
-                "attempts": failure.attempts,
-            }
-        )
-        self.save()
+        """Store one final ``SearchFailure`` and append it."""
+        self._record({"failure": {
+            "num_stages": failure.num_stages,
+            "error": failure.error,
+            "attempts": failure.attempts,
+        }})
+
+    def _record(self, record: dict) -> None:
+        """Apply ``record`` exactly as a load folds it (a later record
+        for a count supersedes an earlier one; a success drops that
+        count's failure), then append it as one line in one ``write``.
+        The line starts with its newline, so it never joins a line on
+        disk.  With no document on disk yet, :meth:`save` writes all."""
+        from ..lint.artifacts import fold_record
+
+        state = {"failures": self.failures}
+        fold_record(state, record)
+        self.failures = state["failures"]
+        for count, result in state.get("completed", {}).items():
+            self.completed[int(count)] = result
+        if self.path is None or not self.path.exists():
+            return self.save()
+        with open(self.path, "ab", buffering=0) as handle:
+            handle.write(("\n" + json.dumps(record)).encode())
 
     def restore_runs(self, perf_model) -> list:
         """Rebuild the completed ``StageCountResult`` list, count order."""

@@ -1,15 +1,16 @@
 """Atomic JSON artifact writes shared by every persistence site.
 
-Every JSON artifact the planner leaves on disk — plan-cache entries,
-request journals, search checkpoints, fleet state, tournament reports —
-goes through :func:`write_json_atomic`: encode the payload as compact
-JSON with the C encoder, write it to a temp file in the destination
-directory in one ``write``, then ``os.replace`` onto the final name
-(``fsync`` is deliberately skipped: these are resumable caches, not
-databases).  A crash mid-write therefore leaves either the previous
-complete file or a stray ``.tmp``-suffixed orphan, never a torn
-artifact — readers still tolerate torn files defensively (quarantine,
-skip-as-miss), but the writer no longer produces them.
+Every JSON document the planner leaves on disk — plan-cache entries,
+request journals, a search checkpoint's first line, fleet state,
+tournament reports — goes through :func:`write_json_atomic`: encode
+the payload as compact JSON with the C encoder, write it to a temp
+file in the destination directory in one ``write``, then
+``os.replace`` onto the final name (``fsync`` is deliberately skipped:
+these are resumable caches, not databases).  A crash mid-write leaves
+the previous file or a stray ``.tmp`` orphan, never a torn document.
+A checkpoint's later records are appended instead
+(:mod:`repro.core.checkpoint`): a rename onto an existing file can
+stall for tens of ms, and a torn append loses only its own record.
 """
 
 from __future__ import annotations

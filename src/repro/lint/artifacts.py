@@ -157,21 +157,24 @@ def load_artifact(
     code: str,
     check: Optional[Callable[[object, str], List[Diagnostic]]] = None,
     error: type = ArtifactError,
+    parse: Callable[[str], object] = json.loads,
 ) -> object:
-    """Parse the JSON at ``path`` (``code`` if unreadable) and raise
+    """``parse`` the text at ``path`` (``code`` if unreadable) and raise
     ``error`` unless ``check``, located at the path, finds no error."""
-    data, diagnostics = _read(Path(path), code)
+    data, diagnostics = _read(Path(path), code, parse)
     require_valid(diagnostics, error)
     if check is not None:
         require_valid(check(data, str(path)), error)
     return data
 
 
-def _file_linter(check, code: str) -> Callable[[Union[str, Path]], list]:
+def _file_linter(
+    check, code: str, parse: Callable[[str], object] = json.loads
+) -> Callable[[Union[str, Path]], list]:
     """A ``lint_*_file`` that is exactly ``check`` over the parsed file."""
 
     def lint(path: Union[str, Path]) -> List[Diagnostic]:
-        data, out = _read(Path(path), code)
+        data, out = _read(Path(path), code, parse)
         return out or check(data, str(path))
 
     return lint
@@ -271,6 +274,58 @@ lint_plan_cache_file = _file_linter(check_plan_cache_entry, "ACE301")
 # ----------------------------------------------------------------------
 # search checkpoints (ACE32x)
 # ----------------------------------------------------------------------
+#: Where :func:`fold_checkpoint` notes the length of a torn final record
+#: it dropped; :func:`check_checkpoint` warns ``ACE324`` on it.
+TORN_RECORD = "torn_record"
+_DECODER = json.JSONDecoder()
+
+
+def fold_record(data: dict, record) -> None:
+    """Apply one checkpoint record to ``data``: ``{"completed": {count:
+    result}}`` supersedes the count's result and drops its failure,
+    ``{"failure": {...}}`` supersedes its failure.  ``SearchCheckpoint``
+    records through this too, so a load folds what memory held."""
+    try:
+        (kind, value), = record.items()
+        if kind == "completed":
+            (key, result), = value.items()
+            count = int(key)
+            data.setdefault("completed", {})[key] = result
+        elif kind == "failure":
+            count = value["num_stages"]
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
+        kept = [
+            f for f in data.get("failures", []) if f.get("num_stages") != count
+        ]
+        data["failures"] = kept + [value] if kind == "failure" else kept
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed checkpoint record: {exc!r}") from exc
+
+
+def fold_checkpoint(text: str) -> object:
+    """The document a checkpoint file describes: its first JSON value
+    (what ``SearchCheckpoint.save`` wrote), then each later line as one
+    record, in order.  A file with no records is plain JSON.  A final
+    line that is not JSON is a torn append, dropped and noted under
+    :data:`TORN_RECORD`; any other bad line raises ``ValueError``."""
+    data, end = _DECODER.raw_decode(text, len(text) - len(text.lstrip()))
+    first, *lines = text[end:].split("\n")
+    if first.strip() or any(lines) and not OBJECT.ok(data):
+        raise ValueError("extra data after the checkpoint document")
+    tail = lines.pop() if lines else ""
+    for line in filter(None, lines):
+        fold_record(data, json.loads(line))
+    if tail:
+        try:
+            record = json.loads(tail)
+        except ValueError:
+            data[TORN_RECORD] = len(tail)
+            return data
+        fold_record(data, record)
+    return data
+
+
 _CHECKPOINT_FIELDS = {
     "format_version": _VERSION,
     "stage_counts": Field(True, Check(
@@ -280,6 +335,7 @@ _CHECKPOINT_FIELDS = {
     "context": Field(False, OBJECT),
     "completed": Field(False, OBJECT),
     "failures": Field(False, LIST),
+    TORN_RECORD: Field(False, NON_NEGATIVE_INT),
 }
 #: One completed stage count (``checkpoint._result_to_dict``).
 _RESULT_FIELDS = {
@@ -377,10 +433,20 @@ def check_checkpoint(data, location: str) -> List[Diagnostic]:
             f"stage counts {both} appear as both completed and failed",
             location,
         ))
+    if TORN_RECORD in data:
+        out.append(_diag(
+            "ACE324",
+            f"dropped a torn final record ({data[TORN_RECORD]} characters)",
+            location,
+            severity="warning",
+            hint="a resume compacts the file before it appends again",
+        ))
     return out
 
 
-lint_checkpoint_file = _file_linter(check_checkpoint, "ACE320")
+lint_checkpoint_file = _file_linter(
+    check_checkpoint, "ACE320", fold_checkpoint
+)
 
 
 # ----------------------------------------------------------------------
@@ -781,7 +847,7 @@ def lint_artifact_path(path: Union[str, Path]) -> List[Diagnostic]:
         name[: -len(".plan.json")]
     ):
         return lint_plan_cache_file(path)
-    data, out = _read(path, "ACE301")
+    data, out = _read(path, "ACE301", fold_checkpoint)
     if out:
         return out
     if isinstance(data, dict):

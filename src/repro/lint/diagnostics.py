@@ -72,6 +72,7 @@ CODES: Dict[str, str] = {
     "ACE321": "checkpoint format_version is unsupported",
     "ACE322": "checkpoint JSON violates the checkpoint schema",
     "ACE323": "checkpoint cross-field state is inconsistent",
+    "ACE324": "checkpoint ends in a torn record, which was dropped",
     "ACE330": "journaled request violates the PlanRequest schema",
     "ACE331": "journal filename does not match the request fingerprint",
     "ACE340": "run log line is not readable JSON",

@@ -21,6 +21,27 @@ from .recompute import rc_loss_and_grads
 from .tensor_ops import mse_loss_bwd, mse_loss_fwd, relu_bwd, relu_fwd
 
 
+def _data_parallel(
+    x: np.ndarray, target: np.ndarray, dp_ways: int, loss_and_grads
+) -> Tuple[float, List[LayerParams]]:
+    """``loss_and_grads(shard_x, shard_t)`` on each of ``dp_ways`` batch
+    shards, then the replica all-reduce.  Each replica normalizes by
+    its *shard* batch, so its loss and grads are first rescaled to the
+    global mean."""
+    batch = x.shape[0]
+    per_worker = []
+    total_loss = 0.0
+    for shard_x, shard_t in shard_batch(x, target, dp_ways):
+        fraction = shard_x.shape[0] / batch
+        loss, grads = loss_and_grads(shard_x, shard_t)
+        total_loss += loss * fraction
+        for grad in grads:
+            grad.weight *= fraction
+            grad.bias *= fraction
+        per_worker.append(grads)
+    return total_loss, allreduce_grads(per_worker)
+
+
 def dp_pp_loss_and_grads(
     model: MLP,
     x: np.ndarray,
@@ -35,23 +56,9 @@ def dp_pp_loss_and_grads(
     batch shard; gradients all-reduce across replicas.  Equals serial
     full-batch training exactly.
     """
-    shards = shard_batch(x, target, dp_ways)
-    batch = x.shape[0]
-    per_worker = []
-    total_loss = 0.0
-    for shard_x, shard_t in shards:
-        fraction = shard_x.shape[0] / batch
-        loss, grads = pp_loss_and_grads(
-            model, shard_x, shard_t, num_stages, num_microbatches
-        )
-        # pp_loss_and_grads normalizes by the *shard* batch; rescale to
-        # the global mean before the replica all-reduce.
-        total_loss += loss * fraction
-        for grad in grads:
-            grad.weight *= fraction
-            grad.bias *= fraction
-        per_worker.append(grads)
-    return total_loss, allreduce_grads(per_worker)
+    return _data_parallel(x, target, dp_ways, lambda sx, st: (
+        pp_loss_and_grads(model, sx, st, num_stages, num_microbatches)
+    ))
 
 
 def dp_rc_loss_and_grads(
@@ -62,21 +69,9 @@ def dp_rc_loss_and_grads(
     segment_size: int,
 ) -> Tuple[float, List[LayerParams]]:
     """Data parallelism over checkpointed replicas."""
-    shards = shard_batch(x, target, dp_ways)
-    batch = x.shape[0]
-    per_worker = []
-    total_loss = 0.0
-    for shard_x, shard_t in shards:
-        fraction = shard_x.shape[0] / batch
-        loss, grads = rc_loss_and_grads(
-            model, shard_x, shard_t, segment_size
-        )
-        total_loss += loss * fraction
-        for grad in grads:
-            grad.weight *= fraction
-            grad.bias *= fraction
-        per_worker.append(grads)
-    return total_loss, allreduce_grads(per_worker)
+    return _data_parallel(x, target, dp_ways, lambda sx, st: (
+        rc_loss_and_grads(model, sx, st, segment_size)
+    ))
 
 
 def pp_rc_loss_and_grads(
@@ -165,19 +160,8 @@ def dp_pp_rc_loss_and_grads(
     segment_size: int,
 ) -> Tuple[float, List[LayerParams]]:
     """The full hierarchy: dp replicas of a recomputing pipeline."""
-    shards = shard_batch(x, target, dp_ways)
-    batch = x.shape[0]
-    per_worker = []
-    total_loss = 0.0
-    for shard_x, shard_t in shards:
-        fraction = shard_x.shape[0] / batch
-        loss, grads = pp_rc_loss_and_grads(
-            model, shard_x, shard_t, num_stages, num_microbatches,
-            segment_size,
+    return _data_parallel(x, target, dp_ways, lambda sx, st: (
+        pp_rc_loss_and_grads(
+            model, sx, st, num_stages, num_microbatches, segment_size
         )
-        total_loss += loss * fraction
-        for grad in grads:
-            grad.weight *= fraction
-            grad.bias *= fraction
-        per_worker.append(grads)
-    return total_loss, allreduce_grads(per_worker)
+    ))

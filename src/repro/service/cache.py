@@ -92,17 +92,19 @@ class PlanCache:
 
     def put(self, fingerprint: str, entry: dict) -> None:
         stored = dict(entry)
+        evicted = []
         with self._lock:
             self._entries[fingerprint] = stored
             self._entries.move_to_end(fingerprint)
             while len(self._entries) > self.max_entries:
-                evicted, _ = self._entries.popitem(last=False)
-                self._unlink(evicted)
-        # Persist outside the lock: the atomic write is disk I/O, and
-        # holding the cache lock across it stalls every hit/miss while
-        # the kernel fsyncs.  Concurrent puts of the same fingerprint
-        # race benignly — os.replace is atomic, last writer wins, and
-        # the in-memory entry is the authority on the next get().
+                evicted.append(self._entries.popitem(last=False)[0])
+        # Touch the disk outside the lock: a rename or unlink can stall
+        # for tens of ms, and holding the cache lock across it would
+        # stall every hit and miss.  Concurrent puts of the same
+        # fingerprint race benignly — os.replace is atomic, last writer
+        # wins, and the in-memory entry is the authority on the next
+        # get().
+        self._unlink(evicted)
         if self.directory is not None:
             write_json_atomic(
                 self.directory / f"{fingerprint}.plan.json", stored
@@ -132,22 +134,23 @@ class PlanCache:
             ]
             for fingerprint in doomed:
                 del self._entries[fingerprint]
-                self._unlink(fingerprint)
             get_bus().emit(
                 SERVICE_CACHE_INVALIDATE,
                 source="service",
                 dropped=len(doomed),
                 remaining=len(self._entries),
             )
-            return len(doomed)
+        self._unlink(doomed)  # outside the lock, as in put
+        return len(doomed)
 
-    def _unlink(self, fingerprint: str) -> None:
+    def _unlink(self, fingerprints) -> None:
         if self.directory is None:
             return
-        try:
-            (self.directory / f"{fingerprint}.plan.json").unlink()
-        except OSError:
-            pass
+        for fingerprint in fingerprints:
+            try:
+                (self.directory / f"{fingerprint}.plan.json").unlink()
+            except OSError:
+                pass
 
     def __len__(self) -> int:
         with self._lock:

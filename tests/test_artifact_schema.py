@@ -36,6 +36,7 @@ from repro.lint.artifacts import (
     check_plan,
     check_plan_cache_entry,
     check_run_log_event,
+    fold_checkpoint,
     lint_checkpoint_file,
     lint_churn_timeline_file,
     lint_journal_file,
@@ -121,7 +122,7 @@ def seeds(tiny_graph, small_cluster, tiny_perf_model, tmp_path_factory):
         tiny_graph, small_cluster, tiny_perf_model,
         budget_per_count=budget, checkpoint_path=path,
     )
-    checkpoint = json.loads(path.read_text())
+    checkpoint = fold_checkpoint(path.read_text())
     # A second checkpoint whose count 4 failed for good.
     failed = SearchCheckpoint.new(
         [1, 2, 4], budget, checkpoint["context"], directory / "f.ckpt.json"
@@ -147,7 +148,7 @@ def seeds(tiny_graph, small_cluster, tiny_perf_model, tmp_path_factory):
             "strategy": "greedy",
         }],
         "checkpoint": [
-            checkpoint, json.loads(failed.path.read_text()),
+            checkpoint, fold_checkpoint(failed.path.read_text()),
         ],
         "journal": [
             PlanRequest(model="gpt-2l", gpus=4).to_json(),

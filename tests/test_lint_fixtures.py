@@ -7,11 +7,13 @@ the linter calls clean.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cluster import paper_cluster
 from repro.core.budget import SearchBudget
+from repro.core.checkpoint import SearchCheckpoint
 from repro.core.search import AcesoSearch, search_all_stage_counts
 from repro.lint import (
     analyze_source,
@@ -93,6 +95,39 @@ class TestNegativeFixtures:
         }))
         found = codes(lint_checkpoint_file(path))
         assert found.count("ACE323") == 2  # stray count + both-sets
+
+    @staticmethod
+    def failed_checkpoint(path):
+        """A checkpoint log: its document, then failure records for
+        counts 1, 2 and 4."""
+        checkpoint = SearchCheckpoint.new([1, 2, 4], {}, {}, path)
+        checkpoint.save()
+        for count in (1, 2, 4):
+            checkpoint.record_failure(SimpleNamespace(
+                num_stages=count, error="boom " * 8, attempts=1
+            ))
+        assert lint_checkpoint_file(path) == []
+        return path.read_text()
+
+    def test_torn_final_checkpoint_record_is_an_ace324_warning(
+        self, tmp_path
+    ):
+        path = tmp_path / "deadbeefdeadbeef.ckpt.json"
+        text = self.failed_checkpoint(path)
+        path.write_text(text[:-20])  # crash mid-append of count 4
+        found = lint_checkpoint_file(path)
+        assert codes(found) == ["ACE324"]
+        assert found[0].severity == "warning"
+        assert lint_main([str(path)]) == 0
+        loaded = SearchCheckpoint.load(path)
+        assert [f["num_stages"] for f in loaded.failures] == [1, 2]
+
+    def test_torn_middle_checkpoint_record_is_ace320(self, tmp_path):
+        path = tmp_path / "deadbeefdeadbeef.ckpt.json"
+        *head, middle, last = self.failed_checkpoint(path).split("\n")
+        path.write_text("\n".join([*head, middle[:-20], last]))
+        assert codes(lint_checkpoint_file(path)) == ["ACE320"]
+        assert lint_main([str(path)]) == 1
 
     def test_wrong_fingerprint_cache_entry_is_ace311(self, tmp_path):
         request = PlanRequest(model="gpt-2l", gpus=4)
@@ -286,6 +321,11 @@ class TestSearchArtifactsStayClean:
             checkpoint_path=checkpoint,
         )
         assert lint_checkpoint_file(checkpoint) == []
+        # repro-search --checkpoint takes any name: a checkpoint log is
+        # recognised by its folded shape.
+        renamed = tmp_path / "search-state.json"
+        renamed.write_bytes(checkpoint.read_bytes())
+        assert lint_artifact_path(renamed) == []
         plan = tmp_path / "best.plan-dict.json"
         plan.write_text(json.dumps(
             config_to_dict(multi.best.best_config)

@@ -40,6 +40,7 @@ from repro.faults import (
     degrade_cluster,
     shrink_cluster_checked,
 )
+from repro.lint.artifacts import fold_checkpoint
 from repro.perfmodel import PerfModel
 from repro.profiling import SimulatedProfiler
 from repro.runtime.simulator import simulate_pipeline
@@ -570,7 +571,7 @@ class TestCheckpointResume:
             _worker_fn=dies_on_four,
         )
         assert [run.num_stages for run in partial.runs] == [1, 2]
-        on_disk = json.loads(path.read_text())
+        on_disk = fold_checkpoint(path.read_text())
         assert sorted(on_disk["completed"]) == ["1", "2"]
         assert on_disk["failures"][0]["num_stages"] == 4
 
@@ -820,7 +821,7 @@ class TestCheckpointQuarantine:
         assert not result.failures
         assert (tmp_path / "search.ckpt.json.corrupt").exists()
         # The fresh checkpoint written alongside is valid and complete.
-        on_disk = json.loads(path.read_text())
+        on_disk = fold_checkpoint(path.read_text())
         assert sorted(on_disk["completed"]) == ["1", "2", "4"]
 
     def test_torn_completed_entry_is_quarantined(
@@ -843,7 +844,7 @@ class TestCheckpointQuarantine:
         reference = search()
         path = tmp_path / "search.ckpt.json"
         assert search(checkpoint_path=path) == reference
-        data = json.loads(path.read_text())
+        data = fold_checkpoint(path.read_text())
         del data["completed"]["2"]["top_configs"]
         path.write_text(json.dumps(data))
         events = []
@@ -1001,7 +1002,7 @@ class TestDeadline:
             checkpoint_path=path,
         )
         assert result.partial
-        on_disk = json.loads(path.read_text())
+        on_disk = fold_checkpoint(path.read_text())
         # Deadline-cut results are best-so-far, not the search's
         # answer: a resume must search these counts again.
         assert on_disk["completed"] == {}

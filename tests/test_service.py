@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint.artifacts import fold_checkpoint
 from repro.service import (
     STATUS_FAILED,
     STATUS_PARTIAL,
@@ -320,6 +321,39 @@ class TestPlanCache:
         assert not (tmp_path / "a.plan.json").exists()
         assert cache.invalidate() == 1
         assert len(cache) == 0
+
+    def test_get_does_not_wait_behind_an_unlink(self, tmp_path, monkeypatch):
+        """invalidate unlinks plan files after it releases the cache
+        lock, so a slow unlink never stalls a concurrent get."""
+        cache = PlanCache(directory=tmp_path)
+        cache.put("a", {"plan": 1, "gpus": 4})
+        cache.put("b", {"plan": 2, "gpus": 8})
+        entered, release = threading.Event(), threading.Event()
+        unlink = Path.unlink
+
+        def blocking_unlink(path, *args, **kwargs):
+            entered.set()
+            release.wait(10)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "unlink", blocking_unlink)
+        invalidating = threading.Thread(
+            target=cache.invalidate, kwargs={"gpus": 4}
+        )
+        invalidating.start()
+        try:
+            assert entered.wait(10)
+            hits = []
+            getter = threading.Thread(
+                target=lambda: hits.append(cache.get("b"))
+            )
+            getter.start()
+            getter.join(5)
+            assert hits == [{"plan": 2, "gpus": 8}]
+        finally:
+            release.set()
+            invalidating.join(10)
+        assert not (tmp_path / "a.plan.json").exists()
 
 
 class TestDaemon:
@@ -975,6 +1009,58 @@ class TestRealPlannerEndToEnd:
         finally:
             daemon.drain(timeout=10)
 
+    def test_cold_request_writes_its_checkpoint_once_then_appends(
+        self, tmp_path, monkeypatch
+    ):
+        """The counted cut: one atomic write of the checkpoint when the
+        search starts, one appended record per stage count, no rename
+        onto an existing checkpoint, and one unlink once served."""
+        import repro.core.checkpoint as checkpoint_module
+
+        request = PlanRequest(
+            model="gpt-16l", gpus=4, stage_counts=(1, 2, 4), iterations=3
+        )
+        path = tmp_path / f"{request.fingerprint()}.ckpt.json"
+        atomic, replaced_live, unlinked = [], [], []
+        write_json_atomic = checkpoint_module.write_json_atomic
+        replace, unlink = os.replace, Path.unlink
+
+        def counting_write(target, payload, **kwargs):
+            atomic.append(Path(target))
+            return write_json_atomic(target, payload, **kwargs)
+
+        def counting_replace(src, dst, *args, **kwargs):
+            if Path(dst) == path and path.exists():
+                replaced_live.append(dst)
+            return replace(src, dst, *args, **kwargs)
+
+        def counting_unlink(target, *args, **kwargs):
+            if target == path:
+                unlinked.append(target.read_text())
+            return unlink(target, *args, **kwargs)
+
+        monkeypatch.setattr(
+            checkpoint_module, "write_json_atomic", counting_write
+        )
+        monkeypatch.setattr(os, "replace", counting_replace)
+        monkeypatch.setattr(Path, "unlink", counting_unlink)
+        daemon = PlannerDaemon(
+            workers=1, queue_limit=2, state_dir=tmp_path
+        ).start()
+        try:
+            response = daemon.submit(request, timeout=120)
+        finally:
+            daemon.drain(timeout=10)
+        assert response.status == STATUS_SERVED
+        assert atomic == [path]
+        assert replaced_live == []
+        assert len(unlinked) == 1
+        header, *records = filter(None, unlinked[0].split("\n"))
+        assert fold_checkpoint(header)["completed"] == {}
+        assert [list(json.loads(r)["completed"]) for r in records] == [
+            ["1"], ["2"], ["4"]
+        ]
+
     def test_sub_second_deadline_returns_partial_or_valid(self):
         daemon = PlannerDaemon(workers=1, queue_limit=2).start()
         try:
@@ -1135,7 +1221,7 @@ class TestSigtermDrain:
                     break
                 if checkpoint.exists():
                     try:
-                        done = json.loads(
+                        done = fold_checkpoint(
                             checkpoint.read_text()
                         )["completed"]
                     except (ValueError, KeyError):
