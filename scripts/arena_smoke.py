@@ -3,7 +3,8 @@
 
 Races every registered search strategy (greedy, MCMC, bandit) on a
 small model under a shared estimate budget and a 10-second deadline per
-lane, then asserts that
+lane, through the ``repro-arena`` entry point (``cli.arena_main``), then
+reads the tournament record it wrote and asserts that
 
 * every lane finishes without an error and finds a **feasible** plan;
 * the tournament is **bit-reproducible**: the winner and the greedy
@@ -33,7 +34,8 @@ REFERENCE = os.path.join("scripts", "arena_smoke_reference.json")
 MODEL = "gpt-4l"
 GPUS = 4
 STAGE_COUNT = 2
-SEED = 0
+#: Greedy and bandit tie on the objective; the first listed wins.
+STRATEGIES = ("greedy", "mcmc", "bandit")
 MAX_ESTIMATES = 400
 DEADLINE_SECONDS = 10.0
 
@@ -59,59 +61,36 @@ def digest(outcome_json):
 
 
 def race(workers, run_log, report_path, reference):
-    """Race every strategy on one runner; returns the problems found
-    and the tournament's fingerprint."""
-    from repro.arena import ArenaEntry, run_tournament
-    from repro.cluster import paper_cluster
-    from repro.ir.models import build_model
-    from repro.profiling import SimulatedProfiler
-    from repro.telemetry import (
-        JsonlSink,
-        TelemetryBus,
-        using_bus,
-        validate_run_log,
-    )
+    """Race every strategy on one runner through ``repro-arena``;
+    returns the problems found and the tournament's fingerprint."""
+    from repro.arena import TournamentResult
+    from repro.cli import arena_main
+    from repro.telemetry import validate_run_log
 
-    if os.path.exists(run_log):
-        os.remove(run_log)
-
-    graph = build_model(MODEL)
-    cluster = paper_cluster(GPUS)
-    database = SimulatedProfiler(cluster, seed=SEED).profile(graph)
-    entries = [
-        ArenaEntry(strategy=name, seed=SEED)
-        for name in ("greedy", "mcmc", "bandit")
-    ]
-
-    sink = JsonlSink(run_log, flush_every=1)
-    bus = TelemetryBus()
-    bus.add_sink(sink)
-    try:
-        with using_bus(bus):
-            result = run_tournament(
-                graph, cluster, database,
-                entries=entries,
-                stage_count=STAGE_COUNT,
-                budget_per_entry={"max_estimates": MAX_ESTIMATES},
-                deadline_seconds=DEADLINE_SECONDS,
-                workers=workers,
-                label=f"smoke/{MODEL}/gpus={GPUS}",
-            )
-    finally:
-        sink.close()
-    result.write_json(report_path)
+    for path in (run_log, report_path):
+        if os.path.exists(path):
+            os.remove(path)
 
     print(f"-- workers={workers}")
+    status = arena_main([
+        "--model", MODEL,
+        "--gpus", str(GPUS),
+        "--stage-count", str(STAGE_COUNT),
+        "--strategies", *STRATEGIES,
+        "--max-estimates", str(MAX_ESTIMATES),
+        "--deadline", str(DEADLINE_SECONDS),
+        "--workers", str(workers),
+        "--run-log", run_log,
+        "--output", report_path,
+        "--quiet",
+    ])
+    if status != 0:
+        return [f"workers={workers}: repro-arena exited {status}"], None
+    with open(report_path) as handle:
+        result = TournamentResult.from_json(json.load(handle))
+
     problems = []
     for outcome in result.outcomes:
-        line = (
-            f"{outcome.strategy}#{outcome.seed}: "
-            f"objective={outcome.best_objective:.6f} "
-            f"feasible={outcome.feasible} "
-            f"estimates={outcome.num_estimates} "
-            f"iters={outcome.iterations}"
-        )
-        print(line)
         if outcome.failed:
             problems.append(f"{outcome.strategy}#{outcome.seed} failed: {outcome.error}")
         elif not outcome.feasible:
@@ -149,12 +128,11 @@ def race(workers, run_log, report_path, reference):
     if names.count("arena.begin") != 1 or names.count("arena.end") != 1:
         problems.append("run log missing the arena.begin/arena.end pair")
     for lifecycle in ("arena.entry.begin", "arena.entry.end"):
-        if names.count(lifecycle) != len(entries):
+        if names.count(lifecycle) != len(STRATEGIES):
             problems.append(
                 f"{names.count(lifecycle)} {lifecycle} events for "
-                f"{len(entries)} entries"
+                f"{len(STRATEGIES)} entries"
             )
-    print(f"report -> {report_path}")
     return problems, fingerprint
 
 

@@ -35,6 +35,8 @@ alone and leaves an Eq. 1-only entry in that LRU, counted as the
 estimate it stands for; so does a miss of :meth:`PerfModel.eq1`, the
 whole-config view recompute tuning reads, for every stage, and so
 :meth:`PerfModel.objective` scores an OOM config, with no report.
+Either kind of miss emits one ``perfmodel.estimate`` event carrying its
+OOM verdict, so a sink observes what is priced and never changes it.
 """
 
 from __future__ import annotations
@@ -276,21 +278,12 @@ class PerfModel:
             return cached
         report = self._estimate_uncached(config)
         self._record_miss(key, report, report.is_oom)
-        bus = get_bus()
-        if bus.wants(PERFMODEL_ESTIMATE, DEBUG):
-            bus.emit(
-                PERFMODEL_ESTIMATE,
-                source="perfmodel",
-                level=DEBUG,
-                oom=report.is_oom,
-                iteration_time=report.iteration_time,
-            )
         return report
 
     def eq1(self, config: ParallelConfig) -> Eq1View:
         """``estimate(config).eq1()``, from either kind of entry.  A miss
-        (with no DEBUG sink, as for a probe) prices only each stage's
-        Eq. 1 and stores it as the Eq. 1-only entry an estimate counts."""
+        (as for a probe) prices only each stage's Eq. 1 and stores it as
+        the Eq. 1-only entry an estimate counts."""
         key = config.cache_key()
         peaks = self._cache.get(key)
         if peaks is not None:
@@ -298,8 +291,6 @@ class PerfModel:
             self._c_config_hits.value += 1
             if not isinstance(peaks, list):
                 return peaks.eq1()
-        elif get_bus().wants(PERFMODEL_ESTIMATE, DEBUG):
-            return self.estimate(config).eq1()
         n, mbs = config.num_stages, config.microbatch_size
         num_mb = config.num_microbatches(self.graph.global_batch_size)
         in_flight = [min(n - i, num_mb) for i in range(n)]
@@ -334,15 +325,7 @@ class PerfModel:
         variant, keyed and counted as :meth:`estimate` of the variant
         would be.  A miss prices only the stage's Eq. 1 (:meth:`_eq1_peak`
         of the base the setup's first miss looks up) and stores the peaks
-        as an Eq. 1-only entry, which a later :meth:`estimate` replaces.
-        With a sink that keeps ``perfmodel.estimate`` DEBUG events (their
-        payload reads the iteration time), it estimates each variant."""
-        if get_bus().wants(PERFMODEL_ESTIMATE, DEBUG):
-            def built(recompute: np.ndarray) -> Tuple[float, bytes]:
-                variant = config.with_recompute(stage_index, recompute)
-                peak = self.estimate(variant).peak_memories[stage_index]
-                return peak, variant.stages[stage_index].digest()
-            return built
+        as an Eq. 1-only entry, which a later :meth:`estimate` replaces."""
         stage, mbs = config.stages[stage_index], config.microbatch_size
         digests = [s.digest() for s in config.stages]
         base_digest = stage.base_digest()
@@ -375,18 +358,24 @@ class PerfModel:
 
     def _record_miss(self, key: bytes, entry, oom: bool) -> None:
         """Insert a config-LRU miss, evicting the oldest entry when full,
-        and count it; the first feasible one is recorded."""
+        and count it; the first feasible one is recorded.  Either kind of
+        entry emits one ``perfmodel.estimate`` event, carrying ``oom``."""
         if len(self._cache) >= self._cache_size:
             self._cache.popitem(last=False)
         self._cache[key] = entry
         self._c_estimates.value += 1
+        bus = get_bus()
         if self.first_feasible_estimate is None and not oom:
             self.first_feasible_estimate = self._c_estimates.value
-            get_bus().emit(
+            bus.emit(
                 PERFMODEL_FIRST_FEASIBLE,
                 source="perfmodel",
                 level=DEBUG,
                 estimates=self.first_feasible_estimate,
+            )
+        if bus.wants(PERFMODEL_ESTIMATE, DEBUG):
+            bus.emit(
+                PERFMODEL_ESTIMATE, source="perfmodel", level=DEBUG, oom=oom
             )
 
     def estimate_batch(
@@ -437,12 +426,10 @@ class PerfModel:
         feasibility (the paper's "an infeasible configuration becomes
         feasible" notion of better).  That score reads only Eq. 1, so an
         Eq. 1-only entry or a miss (priced as by :meth:`eq1`) gets a
-        report only if it fits."""
+        report only if it fits, whatever sinks are attached."""
         key = config.cache_key()
         entry = self._cache.get(key)
         if entry is None:
-            if get_bus().wants(PERFMODEL_ESTIMATE, DEBUG):
-                return self.objective_from_report(self.estimate(config))
             peaks, _, limits = self.eq1(config)
         else:
             self._cache.move_to_end(key)

@@ -6,9 +6,10 @@ checks a plan's digest and objective; these tests also pin the estimate
 count, which is Exp#4's "explored configurations" metric and what every
 estimate-budgeted search spends.  The gpt3-350m request runs once
 serially and once on a 2-process worker pool, the two paths the
-benchmark times; the 8,004-op gpt-1000l request runs serially.  The
-21 serve-mixed fingerprints replay serially against their entries the
-same way.  They read the reference and never rewrite it.
+benchmark times; the 8,004-op gpt-1000l request runs serially, with
+and without a sink that keeps every event.  The 21 serve-mixed
+fingerprints replay serially against their entries the same way.  They
+read the reference and never rewrite it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,16 @@ from repro.parallel.config import ParallelConfig
 from repro.perfmodel.model import PerfModel
 from repro.service import PlanRequest, plan_digest, plan_request
 from repro.service import planner
-from repro.telemetry import CallbackSink, TelemetryBus, using_bus
-from repro.telemetry.events import DRIVER_POOL_WORKER_START
+from repro.telemetry import (
+    CallbackSink,
+    RingBufferSink,
+    TelemetryBus,
+    using_bus,
+)
+from repro.telemetry.events import (
+    DRIVER_POOL_WORKER_START,
+    PERFMODEL_ESTIMATE,
+)
 
 REFERENCE = (
     Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
@@ -81,12 +90,15 @@ def test_gpt3_350m_request_matches_the_e2e_reference(monkeypatch):
     assert len(built) == 4151
 
 
-def test_gpt_1000l_request_matches_the_e2e_reference(monkeypatch):
+@pytest.mark.parametrize("logged", [False, True], ids=["no-sink", "keep-all"])
+def test_gpt_1000l_request_matches_the_e2e_reference(monkeypatch, logged):
     # Depth is paid once: the graph builds one decoder layer and renames
     # it for the rest, and fine-tune clones a stage only for a candidate
     # it prices.  An OOM candidate is scored from its Eq. 1 peaks, with
     # no report and no stage's time terms (1,266 stage-cache misses and
-    # 920 report assemblies before).
+    # 920 report assemblies before).  A sink keeping every event, as a
+    # run log does, observes that work without changing it: one
+    # perfmodel.estimate event per estimate, and every count the same.
     built, clones, priced, models = [], Counter(), Counter(), []
     post_init = OpSpec.__post_init__
     mutated_copy, objective = ParallelConfig.mutated_copy, PerfModel.objective
@@ -118,7 +130,13 @@ def test_gpt_1000l_request_matches_the_e2e_reference(monkeypatch):
     monkeypatch.setattr(PerfModel, "objective", counted_objective)
     monkeypatch.setattr(planner, "build_perf_model", counted_model)
     monkeypatch.setattr(PerfModel, "_assemble", counted_assemble)
-    _check_against_reference("gpt-1000l", 2564, search_workers=1)
+    bus, sink = TelemetryBus(), RingBufferSink()
+    if logged:
+        bus.add_sink(sink)
+    with using_bus(bus):
+        _check_against_reference("gpt-1000l", 2564, search_workers=1)
+    estimates = [e for e in sink.events if e.name == PERFMODEL_ESTIMATE]
+    assert len(estimates) == (2564 if logged else 0)
     assert len(built) == 12
     assert [model.num_stage_costs for model in models] == [242]
     assert len(assembled) == 139

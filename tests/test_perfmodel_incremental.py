@@ -875,7 +875,8 @@ class TestRecomputeProbe:
                     ]
                     seen.extend(got)
                 assert model.num_estimates == reference.num_estimates
-                # With a DEBUG sink, each model's every miss estimates.
+                # A DEBUG sink gets one event per counted miss of
+                # either model, whichever kind of entry it stored.
                 assert sum(
                     event.name == PERFMODEL_ESTIMATE for event in sink.events
                 ) == (2 * model.num_estimates if debug else 0)

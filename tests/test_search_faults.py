@@ -638,8 +638,9 @@ class TestCheckpointResume:
         a_held, b_done = threading.Event(), threading.Event()
 
         def hold_a_until_b_is_done(event) -> None:
-            # A stalls inside its first count event, checkpoint sink
-            # attached, while B runs from start to finish.
+            # A stalls inside its first count-completed event, before
+            # it records that count in its checkpoint, while B runs
+            # from start to finish.
             if threading.current_thread().name == "a":
                 a_held.set()
                 assert b_done.wait(timeout=120)

@@ -183,9 +183,10 @@ class TestBus:
         ]
 
     def test_concurrent_sink_changes_lose_no_sink(self):
-        """Daemon threads attach and detach checkpoint sinks on the one
-        process bus; a lost add or remove would leave a thread's own
-        sink missing (its events undelivered) or a stale one behind."""
+        """Threads attach and detach their own sinks on one shared bus,
+        as ``TelemetryBus.sink`` blocks do, while the others emit; a
+        lost add or remove would leave a thread's own sink missing (its
+        events undelivered) or a stale one behind."""
         import sys
         import threading
 

@@ -221,9 +221,9 @@ def test_parent_ring_receives_every_worker_event(
 def test_checkpoint_only_parent_gets_no_worker_events(
     tiny_graph, small_cluster, tiny_database, tmp_path, monkeypatch
 ):
-    """The checkpoint sink keeps only ``driver.count.*``, which workers
-    never emit, so tasks capture nothing; every count is still
-    checkpointed."""
+    """The checkpoint records each count from the driver's completion
+    hook, not through a sink, so a parent bus with no sink gives the
+    tasks nothing to capture; every count is still checkpointed."""
     forwarded = []
     real_forward = WorkerPool.forward
     monkeypatch.setattr(
