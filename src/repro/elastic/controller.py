@@ -307,14 +307,13 @@ class ElasticController:
         try:
             result = self._search(planner, model, init)
         except Exception as error:  # ladder below, never crash
-            if bus.active:
-                bus.emit(
-                    ELASTIC_FALLBACK,
-                    source="elastic",
-                    level=WARNING,
-                    rung="search_error",
-                    error=repr(error),
-                )
+            bus.emit(
+                ELASTIC_FALLBACK,
+                source="elastic",
+                level=WARNING,
+                rung="search_error",
+                error=repr(error),
+            )
             result = None
 
         if result is not None and result.is_feasible:
@@ -340,14 +339,13 @@ class ElasticController:
             report = model.estimate(chosen)
             objective = model.objective_from_report(report)
             feasible = not report.is_oom
-        if bus.active:
-            bus.emit(
-                ELASTIC_FALLBACK,
-                source="elastic",
-                level=WARNING,
-                rung=rung,
-                feasible=feasible,
-            )
+        bus.emit(
+            ELASTIC_FALLBACK,
+            source="elastic",
+            level=WARNING,
+            rung=rung,
+            feasible=feasible,
+        )
         survivors[:] = [(objective, chosen)]
         return chosen, objective, feasible, rung
 
@@ -398,15 +396,14 @@ class ElasticController:
         """
         policy = self.policy
         bus = get_bus()
-        if bus.active:
-            bus.emit(
-                ELASTIC_RUN_BEGIN,
-                source="elastic",
-                level=INFO,
-                seed=self.seed,
-                num_events=len(timeline.events),
-                horizon=timeline.horizon,
-            )
+        bus.emit(
+            ELASTIC_RUN_BEGIN,
+            source="elastic",
+            level=INFO,
+            seed=self.seed,
+            num_events=len(timeline.events),
+            horizon=timeline.horizon,
+        )
         membership = Membership(self.cluster)
         current, current_obj, survivors = self._initial_plan()
         initial_signature = current.signature()
@@ -421,7 +418,7 @@ class ElasticController:
             now = batch[-1].time
             for event in batch:
                 membership.apply(event)
-                if bus.active:
+                if bus.wants(ELASTIC_EVENT, INFO):
                     # ``kind`` is TelemetryBus.emit's reserved
                     # event-kind parameter; rename the churn kind.
                     payload = event.to_dict()
@@ -455,18 +452,17 @@ class ElasticController:
                     replan_seconds=_time.monotonic() - started,
                 ))
                 feasible = False
-                if bus.active:
-                    bus.emit(
-                        ELASTIC_DECISION,
-                        source="elastic",
-                        level=WARNING,
-                        action="halt",
-                        reason="no_survivors",
-                        time=now,
-                    )
+                bus.emit(
+                    ELASTIC_DECISION,
+                    source="elastic",
+                    level=WARNING,
+                    action="halt",
+                    reason="no_survivors",
+                    time=now,
+                )
                 continue
 
-            if view.effective.num_gpus != last_gpus and bus.active:
+            if view.effective.num_gpus != last_gpus:
                 bus.emit(
                     ELASTIC_CLUSTER_SHRUNK,
                     source="elastic",
@@ -522,15 +518,14 @@ class ElasticController:
             # -- decide HOW -------------------------------------------
             rung: Optional[str] = None
             if action == "replan":
-                if bus.active:
-                    bus.emit(
-                        ELASTIC_REPLAN_BEGIN,
-                        source="elastic",
-                        level=INFO,
-                        reason=reason,
-                        time=now,
-                        gpus=view.effective.num_gpus,
-                    )
+                bus.emit(
+                    ELASTIC_REPLAN_BEGIN,
+                    source="elastic",
+                    level=INFO,
+                    reason=reason,
+                    time=now,
+                    gpus=view.effective.num_gpus,
+                )
                 current, current_obj, feasible, rung = self._replan(
                     view.planner, model, survivors, current
                 )
@@ -538,15 +533,14 @@ class ElasticController:
                 last_replan_time = now
                 if rung is not None:
                     action = "fallback"
-                if bus.active:
-                    bus.emit(
-                        ELASTIC_REPLAN_END,
-                        source="elastic",
-                        level=INFO if feasible else WARNING,
-                        objective=current_obj,
-                        feasible=feasible,
-                        fallback=rung or "",
-                    )
+                bus.emit(
+                    ELASTIC_REPLAN_END,
+                    source="elastic",
+                    level=INFO if feasible else WARNING,
+                    objective=current_obj,
+                    feasible=feasible,
+                    fallback=rung or "",
+                )
             else:
                 current_obj = (
                     current_on_new
@@ -572,18 +566,17 @@ class ElasticController:
                 throughput=round(throughput, 9),
                 replan_seconds=_time.monotonic() - started,
             ))
-            if bus.active:
-                bus.emit(
-                    ELASTIC_DECISION,
-                    source="elastic",
-                    level=INFO,
-                    action=action,
-                    reason=reason,
-                    time=now,
-                    objective=current_obj,
-                    feasible=feasible,
-                    loss=loss,
-                )
+            bus.emit(
+                ELASTIC_DECISION,
+                source="elastic",
+                level=INFO,
+                action=action,
+                reason=reason,
+                time=now,
+                objective=current_obj,
+                feasible=feasible,
+                loss=loss,
+            )
 
         result = ControllerRun(
             seed=self.seed,
@@ -593,13 +586,12 @@ class ElasticController:
             final_config=current,
             final_feasible=feasible,
         )
-        if bus.active:
-            bus.emit(
-                ELASTIC_RUN_END,
-                source="elastic",
-                level=INFO,
-                decisions=len(decisions),
-                replans=result.num_replans,
-                final_feasible=feasible,
-            )
+        bus.emit(
+            ELASTIC_RUN_END,
+            source="elastic",
+            level=INFO,
+            decisions=len(decisions),
+            replans=result.num_replans,
+            final_feasible=feasible,
+        )
         return result

@@ -1,12 +1,12 @@
 """Fault layer: deterministic injection and degraded execution.
 
-``Membership`` folds churn events against a base cluster into the
-surviving cluster, the planner's view of it and ``FaultPlan`` — the
-executor's in-memory view of deployment faults (device failure,
-stragglers, link degradation), which the runtime executor consumes to
-produce degraded ground-truth measurements.  ``inject`` shrinks and
-degrades clusters and adapts plans onto them for the elastic
-controller.
+Churn events are the one fault vocabulary.  ``Membership`` folds them
+against a base cluster into the surviving cluster, the planner's view
+of it and ``FaultPlan`` — the fold's end state (the failure log, the
+stragglers and link factors in effect) as plain data, which the
+runtime executor consumes to produce degraded ground-truth
+measurements.  ``inject`` shrinks and degrades clusters and adapts
+plans onto them for the elastic controller.
 """
 
 from ..exports import lazy_exports
@@ -16,8 +16,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "NoSurvivorsError", "adapt_config", "degrade_cluster",
         "memory_safe_variant", "shrink_cluster_checked",
     ),
-    "plan": (
-        "DeviceFailure", "FaultPlan", "LinkDegradation", "Membership",
-        "MembershipView", "StragglerSlowdown",
-    ),
+    "plan": ("FaultPlan", "Membership", "MembershipView"),
 })

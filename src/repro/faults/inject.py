@@ -49,16 +49,15 @@ def degrade_cluster(
     if intra >= 1.0 and inter >= 1.0:
         return cluster
     bus = get_bus()
-    if bus.active:
-        for scope, factor in (("intra", intra), ("inter", inter)):
-            if factor < 1.0:
-                bus.emit(
-                    FAULTS_LINK_DEGRADATION,
-                    source="faults",
-                    level=WARNING,
-                    scope=scope,
-                    factor=float(factor),
-                )
+    for scope, factor in (("intra", intra), ("inter", inter)):
+        if factor < 1.0:
+            bus.emit(
+                FAULTS_LINK_DEGRADATION,
+                source="faults",
+                level=WARNING,
+                scope=scope,
+                factor=float(factor),
+            )
     return replace(
         cluster,
         intra_node=_degrade_link(cluster.intra_node, intra),
@@ -160,17 +159,15 @@ def shrink_cluster_checked(
             else None
         ),
     )
-    bus = get_bus()
-    if bus.active:
-        bus.emit(
-            FAULTS_CLUSTER_SHRUNK,
-            source="faults",
-            level=WARNING,
-            failed=len(failed),
-            survivors=survivors,
-            usable=size,
-            dropped=survivors - size,
-        )
+    get_bus().emit(
+        FAULTS_CLUSTER_SHRUNK,
+        source="faults",
+        level=WARNING,
+        failed=len(failed),
+        survivors=survivors,
+        usable=size,
+        dropped=survivors - size,
+    )
     return shrunk, diagnostics
 
 

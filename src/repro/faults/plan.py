@@ -3,86 +3,41 @@
 Real V100/IB clusters fail in structured ways the analytic planner never
 sees: a GPU drops mid-iteration, one device runs hot and slow, and an
 oversubscribed IB link delivers a fraction of its nominal bandwidth.
-A :class:`FaultPlan` names those faults for one measured iteration.  It
-is never persisted: the fault artifact is a
-:class:`~repro.elastic.timeline.ChurnTimeline`, and
-:meth:`FaultPlan.from_timeline` derives the view from one.
-
-The plan is pure data; :mod:`repro.faults.inject` and
-:class:`repro.runtime.executor.Executor` interpret it.
+Churn events are the one vocabulary for those faults, and a
+:class:`~repro.elastic.timeline.ChurnTimeline` the only persisted fault
+artifact.  A :class:`FaultPlan` is the end state of folding one: what
+:class:`Membership` holds, as plain data for one measured iteration.
 
 :class:`Membership` is the one reading of churn events: it folds them
 against a base cluster into the surviving cluster, the planner's view
 of it and this fault view, for the controller, service and lint.
+:class:`repro.runtime.executor.Executor` interprets the view.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..cluster.topology import ClusterSpec
-from ..elastic.timeline import LINK_SCOPES, ChurnEvent, ChurnTimeline
+from ..elastic.timeline import ChurnEvent, ChurnTimeline
 from .inject import _surviving_nodes, degrade_cluster, shrink_cluster_checked
 
 
 @dataclass(frozen=True)
-class DeviceFailure:
-    """Device ``device_id`` becomes unusable ``time`` seconds in."""
-
-    device_id: int
-    time: float
-
-    def __post_init__(self) -> None:
-        if self.device_id < 0:
-            raise ValueError("device_id must be non-negative")
-        if self.time < 0:
-            raise ValueError("failure time must be non-negative")
-
-
-@dataclass(frozen=True)
-class StragglerSlowdown:
-    """Device ``device_id`` runs compute ``factor``x slower."""
-
-    device_id: int
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.device_id < 0:
-            raise ValueError("device_id must be non-negative")
-        if self.factor < 1.0:
-            raise ValueError("straggler factor must be >= 1.0")
-
-
-@dataclass(frozen=True)
-class LinkDegradation:
-    """A link class retains only ``factor`` of its nominal bandwidth."""
-
-    scope: str  # "intra" (NVLink) or "inter" (IB)
-    factor: float
-
-    def __post_init__(self) -> None:
-        if self.scope not in LINK_SCOPES:
-            raise ValueError(
-                f"unknown link scope {self.scope!r}; "
-                f"choose from {LINK_SCOPES}"
-            )
-        if not 0.0 < self.factor <= 1.0:
-            raise ValueError("bandwidth factor must be in (0, 1]")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic set of deployment faults.
+    """The faults a :class:`Membership` fold leaves in effect.
 
-    An empty plan (the default) injects nothing, so fault-aware code
-    paths can treat ``FaultPlan()`` and ``None`` identically.
+    Each field is a sorted tuple of pairs named as in the fold: the
+    ``(device, time)`` failure log, the ``(device, factor)`` stragglers
+    and the ``(scope, factor)`` link factors.  An empty plan (the
+    default) injects nothing, so fault-aware code paths can treat
+    ``FaultPlan()`` and ``None`` identically.
     """
 
-    device_failures: Tuple[DeviceFailure, ...] = ()
-    stragglers: Tuple[StragglerSlowdown, ...] = ()
-    link_degradations: Tuple[LinkDegradation, ...] = ()
+    failures: Tuple[Tuple[int, float], ...] = ()
+    stragglers: Tuple[Tuple[int, float], ...] = ()
+    link_factors: Tuple[Tuple[str, float], ...] = ()
 
     @classmethod
     def from_timeline(
@@ -90,82 +45,40 @@ class FaultPlan:
     ) -> "FaultPlan":
         """The faults ``timeline`` inflicts on ``cluster``.
 
-        A ``device_fail`` is a :class:`DeviceFailure` at its time, and a
-        ``node_preempt`` is one per device of that node; a later
+        A ``device_fail`` logs its device at its time, and a
+        ``node_preempt`` logs every device of that node; a later
         ``node_join`` keeps them, because the measured iteration has
         already lost those devices.  Stragglers and link degradations
         fold to their end state, so a recovered straggler or a repaired
         link leaves nothing behind.
         """
         membership = Membership.fold(cluster, timeline.events)
-        return _fault_plan(
-            membership.stragglers,
-            membership.link_factors,
-            membership.failures,
+        return cls(
+            failures=tuple(sorted(membership.failures)),
+            stragglers=tuple(sorted(membership.stragglers.items())),
+            link_factors=tuple(sorted(membership.link_factors.items())),
         )
 
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     @property
     def is_empty(self) -> bool:
-        return not (
-            self.device_failures
-            or self.stragglers
-            or self.link_degradations
-        )
+        return not (self.failures or self.stragglers or self.link_factors)
 
-    def first_failure(self, num_devices: int):
-        """Earliest :class:`DeviceFailure` hitting the first
+    def first_failure(self, num_devices: int) -> Optional[Tuple[float, int]]:
+        """``(time, device)`` of the earliest failure among the first
         ``num_devices`` devices (the span a config actually occupies),
         or ``None``."""
-        hits = [
-            f for f in self.device_failures if f.device_id < num_devices
-        ]
-        return min(hits, key=lambda f: (f.time, f.device_id)) if hits else None
-
-    def straggler_factor(self, device_id: int) -> float:
-        """Compound slowdown for one device (1.0 when healthy)."""
-        return math.prod(
-            (s.factor for s in self.stragglers if s.device_id == device_id),
-            start=1.0,
+        return min(
+            ((time, device) for device, time in self.failures
+             if device < num_devices),
+            default=None,
         )
-
-    def bandwidth_factor(self, scope: str) -> float:
-        """Remaining bandwidth fraction for a link scope."""
-        if scope not in LINK_SCOPES:
-            raise ValueError(f"unknown link scope {scope!r}")
-        return math.prod(
-            (d.factor for d in self.link_degradations if d.scope == scope),
-            start=1.0,
-        )
-
-
-def _fault_plan(
-    stragglers: Dict[int, float],
-    link_factors: Dict[str, float],
-    failures: Iterable[Tuple[int, float]] = (),
-) -> FaultPlan:
-    return FaultPlan(
-        device_failures=tuple(
-            DeviceFailure(device, time) for device, time in failures
-        ),
-        stragglers=tuple(
-            StragglerSlowdown(device, factor)
-            for device, factor in sorted(stragglers.items())
-        ),
-        link_degradations=tuple(
-            LinkDegradation(scope, factor)
-            for scope, factor in sorted(link_factors.items())
-        ),
-    )
 
 
 class MembershipView(NamedTuple):
     """The three coherent projections of a :class:`Membership`.
 
     ``effective`` keeps nominal links — the executor applies
-    ``fault_view``'s link degradations and stragglers itself — while
+    ``fault_view``'s link factors and stragglers itself — while
     ``planner`` bakes both into the hardware description the
     performance model prices, so neither path double-counts.
     """
@@ -319,5 +232,8 @@ class Membership:
         return MembershipView(
             effective=effective,
             planner=planner,
-            fault_view=_fault_plan(remapped, self.link_factors),
+            fault_view=FaultPlan(
+                stragglers=tuple(sorted(remapped.items())),
+                link_factors=tuple(sorted(self.link_factors.items())),
+            ),
         )

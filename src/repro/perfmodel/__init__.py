@@ -4,8 +4,8 @@ from ..exports import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "memory": (
-        "activation_kept_mask", "allocator_reserve", "in_flight_counts",
-        "stage_allocator_reserve", "stage_peak_memory",
+        "allocator_reserve", "in_flight_counts", "stage_allocator_reserve",
+        "stage_peak_memory",
     ),
     "model": ("PerfModel", "build_perf_model"),
     "report": ("PerfReport", "RESOURCES", "StageCost", "StageReport"),

@@ -38,26 +38,6 @@ def in_flight_counts(num_stages: int, num_microbatches: int) -> np.ndarray:
     return np.minimum(counts, num_microbatches)
 
 
-def activation_kept_mask(
-    recompute: np.ndarray, stage_id: np.ndarray
-) -> np.ndarray:
-    """Fraction (0/1) of each op's saved activation actually kept.
-
-    Non-recomputed ops keep their full saved activation.  A maximal run
-    of recomputed ops inside one stage keeps only its *first* op's
-    input (the checkpoint the segment restarts from); the rest keep
-    nothing until backward regenerates them.
-    """
-    if recompute.shape != stage_id.shape:
-        raise ValueError("recompute and stage_id must have the same shape")
-    # Dropped: recomputed ops whose same-stage predecessor recomputes.
-    dropped = np.zeros(recompute.shape, dtype=bool)
-    dropped[1:] = (
-        recompute[1:] & recompute[:-1] & (stage_id[1:] == stage_id[:-1])
-    )
-    return (~dropped).astype(np.float64)
-
-
 def allocator_reserve(
     transient_bytes: np.ndarray,
     stage_starts: np.ndarray,

@@ -117,9 +117,9 @@ class StageBase:
 
 
 def _kept_activation(rc: np.ndarray, act_bytes: np.ndarray) -> float:
-    """Eq. 1's activation bytes under flags ``rc``, some set:
-    ``activation_kept_mask`` within one stage, where a recomputed op
-    whose predecessor also recomputes keeps nothing."""
+    """Eq. 1's activation bytes under flags ``rc``, some set, within
+    one stage: a recomputed op whose predecessor also recomputes keeps
+    nothing."""
     kept = act_bytes.copy()
     kept[1:][rc[1:] & rc[:-1]] = 0.0
     return float(kept.sum())

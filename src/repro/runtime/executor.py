@@ -22,7 +22,6 @@ from ..cluster.collectives import CollectiveCostModel
 from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
-from ..perfmodel.memory import activation_kept_mask
 from ..telemetry import DEBUG, WARNING, get_bus
 from ..telemetry.events import (
     FAULTS_DEVICE_FAILURE,
@@ -31,6 +30,7 @@ from ..telemetry.events import (
     RUNTIME_TASK,
 )
 from .allocator import replay_transients
+from .memory_trace import activation_kept_mask
 from .schedule import max_in_flight
 from .simulator import TaskRecord, simulate_pipeline
 
@@ -149,10 +149,9 @@ class Executor:
         if plan is not None:
             from ..faults.inject import degrade_cluster
 
+            links = dict(plan.link_factors)
             faulty_cluster = degrade_cluster(
-                cluster,
-                plan.bandwidth_factor("intra"),
-                plan.bandwidth_factor("inter"),
+                cluster, links.get("intra", 1.0), links.get("inter", 1.0)
             )
             if faulty_cluster is not cluster:
                 collectives = CollectiveCostModel(faulty_cluster)
@@ -275,7 +274,7 @@ class Executor:
                 fwd_matrix *= straggle[:, None]
                 bwd_matrix *= straggle[:, None]
                 degraded = True
-                if bus.active:
+                if bus.wants(FAULTS_STRAGGLER, WARNING):
                     for stage, factor in enumerate(straggle):
                         if factor > 1.0:
                             bus.emit(
@@ -287,16 +286,14 @@ class Executor:
                             )
             failure = plan.first_failure(config.total_devices)
             if failure is not None:
-                halt_at = failure.time
-                failed_device = failure.device_id
-                if bus.active:
-                    bus.emit(
-                        FAULTS_DEVICE_FAILURE,
-                        source="faults",
-                        level=WARNING,
-                        device=failure.device_id,
-                        time=failure.time,
-                    )
+                halt_at, failed_device = failure
+                bus.emit(
+                    FAULTS_DEVICE_FAILURE,
+                    source="faults",
+                    level=WARNING,
+                    device=failed_device,
+                    time=halt_at,
+                )
 
         sim = simulate_pipeline(
             fwd_matrix,
@@ -308,7 +305,7 @@ class Executor:
             halt_at=halt_at,
             record_tasks=record_trace,
         )
-        if bus.active:
+        if bus.wants(RUNTIME_TASK, DEBUG):
             for task in sim.tasks:
                 bus.emit(
                     RUNTIME_TASK,
@@ -320,18 +317,18 @@ class Executor:
                     start=task.start,
                     end=task.end,
                 )
-            bus.emit(
-                RUNTIME_RUN,
-                source="runtime",
-                level=WARNING if sim.halted else DEBUG,
-                makespan=sim.makespan,
-                num_stages=num_stages,
-                num_microbatches=num_mb,
-                halted=sim.halted,
-                degraded=degraded,
-                tasks_completed=sim.tasks_completed,
-                tasks_total=sim.tasks_total,
-            )
+        bus.emit(
+            RUNTIME_RUN,
+            source="runtime",
+            level=WARNING if sim.halted else DEBUG,
+            makespan=sim.makespan,
+            num_stages=num_stages,
+            num_microbatches=num_mb,
+            halted=sim.halted,
+            degraded=degraded,
+            tasks_completed=sim.tasks_completed,
+            tasks_total=sim.tasks_total,
+        )
 
         memory = self._measure_memory(
             config, samples, etp, rc, stage_id, num_mb, rng
@@ -369,11 +366,12 @@ class Executor:
         """Per-stage slowdown: a stage runs at its slowest device."""
         if not plan.stragglers:
             return None
+        slow = dict(plan.stragglers)
         factors = np.ones(config.num_stages)
         for i, stage in enumerate(config.stages):
             first = config.stage_first_device(i)
             factors[i] = max(
-                plan.straggler_factor(device)
+                slow.get(device, 1.0)
                 for device in range(first, first + stage.num_devices)
             )
         return factors if factors.max() > 1.0 else None

@@ -23,12 +23,9 @@ from repro.elastic import (
     random_churn_timeline,
 )
 from repro.faults import (
-    DeviceFailure,
     FaultPlan,
-    LinkDegradation,
     Membership,
     NoSurvivorsError,
-    StragglerSlowdown,
     adapt_config,
     degrade_cluster,
     shrink_cluster_checked,
@@ -204,16 +201,9 @@ def test_fault_plan_json_round_trips(
         json.loads(json.dumps(timeline.to_dict()))
     )
     assert FaultPlan.from_timeline(rebuilt, cluster42) == FaultPlan(
-        device_failures=tuple(
-            DeviceFailure(device_id=d, time=t) for d, t in failures
-        ),
-        stragglers=tuple(
-            StragglerSlowdown(device_id=d, factor=f)
-            for d, f in sorted(stragglers)
-        ),
-        link_degradations=(
-            (LinkDegradation("intra", intra),) if intra is not None else ()
-        ),
+        failures=tuple(sorted(failures)),
+        stragglers=tuple(sorted(stragglers)),
+        link_factors=(("intra", intra),) if intra is not None else (),
     )
 
 
@@ -224,12 +214,8 @@ class TestFaultPlanFromTimeline:
             ChurnEvent(3.0, "device_fail", device_id=6),
         ))
         plan = FaultPlan.from_timeline(timeline, cluster42)
-        assert plan.device_failures == (
-            DeviceFailure(2, 2.0),
-            DeviceFailure(3, 2.0),
-            DeviceFailure(6, 3.0),
-        )
-        assert plan.first_failure(8) == DeviceFailure(2, 2.0)
+        assert plan.failures == ((2, 2.0), (3, 2.0), (6, 3.0))
+        assert plan.first_failure(8) == (2.0, 2)
 
     def test_straggler_off_leaves_no_straggler(self, cluster42):
         timeline = ChurnTimeline(events=(
@@ -238,9 +224,7 @@ class TestFaultPlanFromTimeline:
             ChurnEvent(4.0, "straggler_off", device_id=0),
         ))
         plan = FaultPlan.from_timeline(timeline, cluster42)
-        assert plan.stragglers == (StragglerSlowdown(3, 1.5),)
-        assert plan.straggler_factor(0) == 1.0
-        assert plan.straggler_factor(3) == 1.5
+        assert plan.stragglers == ((3, 1.5),)
 
     def test_link_repair_restores_bandwidth(self, cluster42):
         timeline = ChurnTimeline(events=(
@@ -249,9 +233,7 @@ class TestFaultPlanFromTimeline:
             ChurnEvent(3.0, "link_repair", scope="intra"),
         ))
         plan = FaultPlan.from_timeline(timeline, cluster42)
-        assert plan.link_degradations == (LinkDegradation("inter", 0.4),)
-        assert plan.bandwidth_factor("intra") == 1.0
-        assert plan.bandwidth_factor("inter") == 0.4
+        assert plan.link_factors == (("inter", 0.4),)
 
     def test_recovered_timeline_is_an_empty_plan(self, cluster42):
         timeline = ChurnTimeline(events=(
@@ -269,11 +251,7 @@ class TestFaultPlanFromTimeline:
             ChurnEvent(3.0, "node_join", node_id=1),
         ))
         plan = FaultPlan.from_timeline(timeline, cluster42)
-        assert plan.device_failures == (
-            DeviceFailure(2, 1.0),
-            DeviceFailure(3, 1.0),
-            DeviceFailure(0, 2.0),
-        )
+        assert plan.failures == ((0, 2.0), (2, 1.0), (3, 1.0))
 
 
 # ======================================================================
@@ -469,11 +447,7 @@ class TestStackedFaults:
 
     def test_degrade_then_shrink_then_adapt(self, graph, cluster42):
         plan = self.stacked_plan(cluster42)
-        degraded = degrade_cluster(
-            cluster42,
-            plan.bandwidth_factor("intra"),
-            plan.bandwidth_factor("inter"),
-        )
+        degraded = degrade_cluster(cluster42, **dict(plan.link_factors))
         assert degraded.intra_node.bandwidth == pytest.approx(
             cluster42.intra_node.bandwidth * 0.5
         )
@@ -481,7 +455,7 @@ class TestStackedFaults:
             cluster42.inter_node.bandwidth * 0.4
         )
         shrunk = shrink_cluster_checked(
-            degraded, [f.device_id for f in plan.device_failures]
+            degraded, [device for device, _ in plan.failures]
         )[0]
         assert shrunk.num_gpus == 4
         # The degraded links carry over to the surviving cluster.
@@ -499,12 +473,9 @@ class TestStackedFaults:
         self.stacked_timeline().save(path)
         loaded = FaultPlan.from_timeline(ChurnTimeline.load(path), cluster42)
         assert loaded == FaultPlan(
-            device_failures=(DeviceFailure(device_id=5, time=0.001),),
-            stragglers=(StragglerSlowdown(device_id=1, factor=2.5),),
-            link_degradations=(
-                LinkDegradation("inter", 0.4),
-                LinkDegradation("intra", 0.5),
-            ),
+            failures=((5, 0.001),),
+            stragglers=((1, 2.5),),
+            link_factors=(("inter", 0.4), ("intra", 0.5)),
         )
 
 
@@ -681,8 +652,9 @@ class TestElasticController:
         assert view.effective.intra_node.bandwidth == pytest.approx(
             cluster42.intra_node.bandwidth
         )
-        assert view.fault_view.stragglers[0].device_id == 2
-        assert view.fault_view.link_degradations[0].scope == "intra"
+        assert view.fault_view == FaultPlan(
+            stragglers=((2, 2.0),), link_factors=(("intra", 0.5),)
+        )
 
     def test_emits_elastic_telemetry(self, graph, cluster42):
         from repro.telemetry import CallbackSink, TelemetryBus, using_bus

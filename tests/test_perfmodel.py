@@ -7,7 +7,6 @@ from repro.cluster import paper_cluster
 from repro.parallel import balanced_config
 from repro.perfmodel import (
     PerfModel,
-    activation_kept_mask,
     allocator_reserve,
     in_flight_counts,
     iteration_time_1f1b,
@@ -15,6 +14,7 @@ from repro.perfmodel import (
     stage_totals,
 )
 from repro.perfmodel.memory import RESERVE_SAFETY_FACTOR
+from repro.runtime.memory_trace import activation_kept_mask
 
 from conftest import make_tiny_gpt
 

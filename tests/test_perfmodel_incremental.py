@@ -37,8 +37,8 @@ from repro.ir.models.synthetic import build_synthetic
 from repro.parallel import StageConfig, balanced_config, changed_stages
 from repro.perfmodel import PerfModel
 from repro.perfmodel import model as model_module
-from repro.perfmodel.memory import activation_kept_mask
 from repro.profiling import SimulatedProfiler
+from repro.runtime.memory_trace import activation_kept_mask
 from repro.telemetry import RingBufferSink, TelemetryBus, using_bus
 from repro.telemetry.events import PERFMODEL_ESTIMATE
 

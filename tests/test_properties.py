@@ -9,8 +9,8 @@ from repro.ir.tensor import TensorSpec
 from repro.numrt import MLP, make_dataset, pp_fn, rc_fn, runs_equivalent, serial_fn, train
 from repro.parallel import split_devices, split_ops_balanced
 from repro.perfmodel import in_flight_counts, iteration_time_1f1b
-from repro.perfmodel.memory import activation_kept_mask
 from repro.runtime import max_in_flight, simulate_pipeline, stage_schedule
+from repro.runtime.memory_trace import activation_kept_mask
 
 from conftest import make_tiny_gpt
 

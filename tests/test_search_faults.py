@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.cluster import paper_cluster
+from repro.cluster import ClusterSpec, paper_cluster
 from repro.core import (
     AcesoSearch,
     CheckpointError,
@@ -32,10 +32,7 @@ from repro.elastic import (
     ElasticController,
 )
 from repro.faults import (
-    DeviceFailure,
     FaultPlan,
-    LinkDegradation,
-    StragglerSlowdown,
     adapt_config,
     degrade_cluster,
     shrink_cluster_checked,
@@ -59,48 +56,29 @@ def fresh_model(graph, cluster, database):
     return PerfModel(graph, cluster, database)
 
 
+def churn_plan(cluster, *events):
+    """The fault plan ``events`` leave on ``cluster``."""
+    return FaultPlan.from_timeline(ChurnTimeline(events=events), cluster)
+
+
 class TestFaultPlan:
-    def test_empty_plan_is_empty(self):
+    def test_empty_plan_is_empty(self, small_cluster):
         assert FaultPlan().is_empty
-        assert not FaultPlan(
-            stragglers=(StragglerSlowdown(device_id=0, factor=2.0),)
+        assert not churn_plan(
+            small_cluster,
+            ChurnEvent(0.0, "straggler_on", device_id=0, factor=2.0),
         ).is_empty
 
     def test_first_failure_respects_device_span(self):
-        plan = FaultPlan(
-            device_failures=(
-                DeviceFailure(device_id=6, time=0.1),
-                DeviceFailure(device_id=1, time=0.5),
-            )
+        plan = churn_plan(
+            ClusterSpec(num_nodes=2, gpus_per_node=4),
+            ChurnEvent(0.1, "device_fail", device_id=6),
+            ChurnEvent(0.5, "device_fail", device_id=1),
         )
         # A 4-device config never sees device 6's (earlier) failure.
-        assert plan.first_failure(4).device_id == 1
-        assert plan.first_failure(8).device_id == 6
+        assert plan.first_failure(4) == (0.5, 1)
+        assert plan.first_failure(8) == (0.1, 6)
         assert plan.first_failure(1) is None
-
-    def test_compound_factors(self):
-        plan = FaultPlan(
-            stragglers=(
-                StragglerSlowdown(device_id=2, factor=1.5),
-                StragglerSlowdown(device_id=2, factor=2.0),
-            ),
-            link_degradations=(
-                LinkDegradation(scope="inter", factor=0.5),
-                LinkDegradation(scope="inter", factor=0.5),
-            ),
-        )
-        assert plan.straggler_factor(2) == pytest.approx(3.0)
-        assert plan.straggler_factor(0) == 1.0
-        assert plan.bandwidth_factor("inter") == pytest.approx(0.25)
-        assert plan.bandwidth_factor("intra") == 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StragglerSlowdown(device_id=0, factor=0.5)
-        with pytest.raises(ValueError):
-            LinkDegradation(scope="bogus", factor=0.5)
-        with pytest.raises(ValueError):
-            DeviceFailure(device_id=0, time=-1.0)
 
 
 class TestInjection:
@@ -179,9 +157,10 @@ class TestExecutorFaults:
     def test_fixed_seed_faults_are_deterministic(
         self, tiny_executor, tiny_config
     ):
-        plan = FaultPlan(
-            stragglers=(StragglerSlowdown(device_id=0, factor=1.7),),
-            link_degradations=(LinkDegradation(scope="intra", factor=0.5),),
+        plan = churn_plan(
+            tiny_executor.cluster,
+            ChurnEvent(0.0, "straggler_on", device_id=0, factor=1.7),
+            ChurnEvent(0.0, "link_degrade", scope="intra", factor=0.5),
         )
         first = tiny_executor.run(tiny_config, fault_plan=plan)
         second = tiny_executor.run(tiny_config, fault_plan=plan)
@@ -192,8 +171,9 @@ class TestExecutorFaults:
         healthy = tiny_executor.run(tiny_config)
         slow = tiny_executor.run(
             tiny_config,
-            fault_plan=FaultPlan(
-                stragglers=(StragglerSlowdown(device_id=0, factor=2.0),)
+            fault_plan=churn_plan(
+                tiny_executor.cluster,
+                ChurnEvent(0.0, "straggler_on", device_id=0, factor=2.0),
             ),
         )
         assert slow.degraded
@@ -205,11 +185,10 @@ class TestExecutorFaults:
         healthy = tiny_executor.run(tiny_config)
         slow = tiny_executor.run(
             tiny_config,
-            fault_plan=FaultPlan(
-                link_degradations=(
-                    LinkDegradation(scope="intra", factor=0.25),
-                    LinkDegradation(scope="inter", factor=0.25),
-                )
+            fault_plan=churn_plan(
+                tiny_executor.cluster,
+                ChurnEvent(0.0, "link_degrade", scope="intra", factor=0.25),
+                ChurnEvent(0.0, "link_degrade", scope="inter", factor=0.25),
             ),
         )
         assert slow.degraded
@@ -217,12 +196,11 @@ class TestExecutorFaults:
 
     def test_device_failure_halts_run(self, tiny_executor, tiny_config):
         healthy = tiny_executor.run(tiny_config)
-        plan = FaultPlan(
-            device_failures=(
-                DeviceFailure(
-                    device_id=0, time=healthy.iteration_time / 2
-                ),
-            )
+        plan = churn_plan(
+            tiny_executor.cluster,
+            ChurnEvent(
+                healthy.iteration_time / 2, "device_fail", device_id=0
+            ),
         )
         failed = tiny_executor.run(tiny_config, fault_plan=plan)
         assert not failed.completed
@@ -236,8 +214,9 @@ class TestExecutorFaults:
     def test_failure_outside_device_span_is_ignored(
         self, tiny_executor, tiny_config
     ):
-        plan = FaultPlan(
-            device_failures=(DeviceFailure(device_id=63, time=0.0),)
+        plan = churn_plan(
+            tiny_executor.cluster,
+            ChurnEvent(0.0, "device_fail", device_id=63),
         )
         run = tiny_executor.run(tiny_config, fault_plan=plan)
         assert run.completed

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core import AcesoSearch, SearchBudget, search_all_stage_counts
 from repro.core.trace import SearchTrace
-from repro.faults import DeviceFailure, FaultPlan, StragglerSlowdown
+from repro.elastic import ChurnEvent, ChurnTimeline
+from repro.faults import FaultPlan
 from repro.lint.diagnostics import ArtifactError
 from repro.parallel import balanced_config
 from repro.perfmodel import PerfModel
@@ -597,10 +598,10 @@ class TestRuntimeTelemetry:
     ):
         executor = Executor(tiny_graph, small_cluster, seed=0)
         config = balanced_config(tiny_graph, small_cluster, 2)
-        plan = FaultPlan(
-            stragglers=(StragglerSlowdown(device_id=0, factor=2.0),),
-            device_failures=(DeviceFailure(device_id=0, time=0.002),),
-        )
+        plan = FaultPlan.from_timeline(ChurnTimeline(events=(
+            ChurnEvent(0.0, "straggler_on", device_id=0, factor=2.0),
+            ChurnEvent(0.002, "device_fail", device_id=0),
+        )), small_cluster)
         bus = TelemetryBus()
         ring = bus.add_sink(RingBufferSink())
         with using_bus(bus):
