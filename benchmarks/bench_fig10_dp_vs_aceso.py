@@ -18,9 +18,7 @@ def _run_setting(model_name, gpus):
     graph, cluster, perf_model, executor = get_setup(model_name, gpus)
     dp = dp_solve(
         graph, cluster, perf_model,
-        options=DPSolverOptions(
-            microbatch_sizes=[2, 4, 8], max_stages=gpus, unit="op"
-        ),
+        options=DPSolverOptions(microbatch_sizes=[2, 4, 8], max_stages=gpus),
     )
     before = perf_model.num_estimates
     multi = search_all_stage_counts(

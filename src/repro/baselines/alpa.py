@@ -33,9 +33,15 @@ import numpy as np
 from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
-from ..parallel.stage import StageConfig
-from ..parallel.validation import is_valid
+from ..parallel.stage import powers_of_two
 from ..perfmodel.model import PerfModel
+from .partition import (
+    IN_FLIGHT,
+    SpanCoster,
+    default_microbatches,
+    prefix_sums,
+    uniform_config,
+)
 
 
 class AlpaCompilationError(RuntimeError):
@@ -90,75 +96,40 @@ def _group_layers(graph: OpGraph, num_groups: int) -> List[Tuple[int, int]]:
     return fixed
 
 
-class _StageCoster:
-    """Vectorized stage-candidate costing over one layer grouping."""
+class _StageCoster(SpanCoster):
+    """A :class:`SpanCoster` plus Alpa's comm-only intra-op pick."""
 
     def __init__(
         self,
         graph: OpGraph,
         perf_model: PerfModel,
-        groups: List[Tuple[int, int]],
         microbatch: int,
         recompute: bool,
         max_tp: int,
     ) -> None:
-        self.groups = groups
-        self.microbatch = microbatch
+        levels = perf_model.profiled.num_tp_levels
+        super().__init__(
+            graph, perf_model, microbatch, recompute,
+            [1 << lv for lv in range(levels) if (1 << lv) <= max_tp],
+        )
         self.num_microbatches = graph.global_batch_size // microbatch
-        self.recompute = recompute
         arrays = graph.arrays
-        pg = perf_model.profiled
         elem = graph.elem_bytes
-        n = graph.num_ops
-        idx = np.arange(n)
-        dim0 = np.zeros(n, dtype=np.int64)
-        levels = pg.num_tp_levels
-        self.tp_values = [
-            1 << lv for lv in range(levels) if (1 << lv) <= max_tp
-        ]
-        # Per-op prefix sums of fwd+bwd time at each tp level, taking
-        # samples as a linear argument: time = fixed + samples * slope.
-        self.fixed = {}
-        self.slope = {}
-        self.comm_bytes = {}
-        self.state_bytes = {}
-        self.act_bytes = {}
-        for lv, tp in enumerate(self.tp_values):
-            fixed = pg.fwd_fixed[idx, lv, dim0] + pg.bwd_fixed[idx, lv, dim0]
-            slope = pg.fwd_slope[idx, lv, dim0] + pg.bwd_slope[idx, lv, dim0]
-            if recompute:
-                fixed = fixed + pg.fwd_fixed[idx, lv, dim0]
-                slope = slope + pg.fwd_slope[idx, lv, dim0]
-            comm = (
-                (arrays.fwd_comm_numel[idx, 0] + arrays.bwd_comm_numel[idx, 0])
-                * elem
-            )
-            etp = np.minimum(tp, arrays.max_tp)
-            state = (
-                arrays.params * (elem + graph.optimizer_bytes_per_param) / etp
-            )
-            act = arrays.saved_numel * elem / etp
-            self.fixed[tp] = np.concatenate([[0.0], np.cumsum(fixed)])
-            self.slope[tp] = np.concatenate([[0.0], np.cumsum(slope)])
-            self.comm_bytes[tp] = np.concatenate([[0.0], np.cumsum(comm)])
-            self.state_bytes[tp] = np.concatenate([[0.0], np.cumsum(state)])
-            self.act_bytes[tp] = np.concatenate([[0.0], np.cumsum(act)])
-        params = arrays.params * elem
-        self.param_bytes = np.concatenate([[0.0], np.cumsum(params)])
-        self.memory_limit = float(perf_model.memory_limit)
-        self._ar_lat = perf_model._ar_lat
+        self.comm_bytes = prefix_sums(
+            (arrays.fwd_comm_numel[:, 0] + arrays.bwd_comm_numel[:, 0]) * elem
+        )
+        self.param_bytes = prefix_sums(arrays.params * elem)
         self._ar_ibw = perf_model._ar_ibw
 
-    def choose_tp(self, group_lo: int, group_hi: int, devices: int) -> int:
-        """Alpa's simplified intra-op pick: communication only.
+    def choose_tp(self, lo: int, hi: int, devices: int) -> int:
+        """Alpa's simplified intra-op pick for ops ``[lo, hi)``:
+        communication only.
 
         Compute-time differences between partition choices are treated
         as zero (the paper's description of Alpa's intra-stage
         estimator), so the chooser minimizes tp-collective traffic plus
         gradient-sync cost alone.
         """
-        lo = self.groups[group_lo][0]
-        hi = self.groups[group_hi - 1][1]
         best_tp, best_comm = 1, float("inf")
         for tp in self.tp_values:
             if tp > devices:
@@ -169,7 +140,7 @@ class _StageCoster:
             if tp > 1:
                 lv = tp.bit_length() - 1
                 traffic = (
-                    (self.comm_bytes[tp][hi] - self.comm_bytes[tp][lo])
+                    (self.comm_bytes[hi] - self.comm_bytes[lo])
                     * samples
                     * self.num_microbatches  # per-iteration traffic
                 )
@@ -182,42 +153,10 @@ class _StageCoster:
                 best_tp, best_comm = tp, comm
         return best_tp
 
-    def stage_time(
-        self,
-        group_lo: int,
-        group_hi: int,
-        devices: int,
-        tp: int,
-        *,
-        in_flight: int = 4,
-    ) -> float:
-        """Per-microbatch latency, or +inf when the stage can't fit.
-
-        The memory filter uses a conservative in-flight estimate (the
-        final stage index is unknown inside the DP), exactly the kind
-        of bound real Alpa's memory constraint applies per submesh.
-        """
-        lo = self.groups[group_lo][0]
-        hi = self.groups[group_hi - 1][1]
-        dp = devices // tp
-        samples = self.microbatch / dp
-        state = self.state_bytes[tp][hi] - self.state_bytes[tp][lo]
-        if self.recompute:
-            act = (
-                self.act_bytes[tp][lo + 1] - self.act_bytes[tp][lo]
-            ) * samples
-        else:
-            act = (self.act_bytes[tp][hi] - self.act_bytes[tp][lo]) * samples
-        if state + act * min(in_flight, self.num_microbatches) > self.memory_limit:
-            return float("inf")
-        fixed = self.fixed[tp][hi] - self.fixed[tp][lo]
-        slope = self.slope[tp][hi] - self.slope[tp][lo]
-        return fixed + samples * slope
-
 
 def _inter_op_dp(
     coster: _StageCoster,
-    num_groups: int,
+    groups: List[Tuple[int, int]],
     num_gpus: int,
     compiled: Dict[Tuple[int, int, int, int], float],
 ) -> Optional[List[Tuple[int, int, int, int]]]:
@@ -229,15 +168,16 @@ def _inter_op_dp(
     state keeps the best (total, sum, max) triple — a standard
     approximation of Alpa's t_max enumeration.
 
-    Returns the stage list as (group_lo, group_hi, devices, tp).
+    The memory filter holds a stage to at most :data:`IN_FLIGHT`
+    microbatches (the final stage index is unknown inside the DP),
+    the kind of bound real Alpa's memory constraint applies per
+    submesh.  Returns the stage list as (lo, hi, devices, tp) op spans.
     """
     INF = float("inf")
     num_mb = coster.num_microbatches
-    gpu_options = []
-    k = 1
-    while k <= num_gpus:
-        gpu_options.append(k)
-        k *= 2
+    in_flight = min(IN_FLIGHT, num_mb)
+    num_groups = len(groups)
+    gpu_options = powers_of_two(num_gpus)
     # state -> (total, sum, max)
     best = {(0, 0): (0.0, 0.0, 0.0)}
     parent = {}
@@ -247,13 +187,16 @@ def _inter_op_dp(
                 continue
             _, base_sum, base_max = best[used]
             for j in range(i + 1, num_groups + 1):
+                lo, hi = groups[i][0], groups[j - 1][1]
                 for devices in gpu_options:
                     if used[1] + devices > num_gpus:
                         break
-                    tp = coster.choose_tp(i, j, devices)
-                    key = (i, j, devices, tp)
+                    tp = coster.choose_tp(lo, hi, devices)
+                    key = (lo, hi, devices, tp)
                     if key not in compiled:
-                        compiled[key] = coster.stage_time(i, j, devices, tp)
+                        compiled[key] = coster.stage_time(
+                            lo, hi, devices, tp, in_flight
+                        )
                     t = compiled[key]
                     if t == INF:
                         continue
@@ -298,8 +241,8 @@ def alpa_search(
             max(1, num_layers // 4),
         }
     )
-    microbatches = opts.microbatch_sizes or _default_microbatches(
-        graph, cluster
+    microbatches = opts.microbatch_sizes or default_microbatches(
+        graph, cluster.num_gpus
     )
 
     result = AlpaResult(
@@ -315,10 +258,10 @@ def alpa_search(
             for recompute in (False, True):
                 compiled: Dict[Tuple[int, int, int, int], float] = {}
                 coster = _StageCoster(
-                    graph, perf_model, groups, mbs, recompute, opts.max_tp
+                    graph, perf_model, mbs, recompute, opts.max_tp
                 )
                 stages = _inter_op_dp(
-                    coster, len(groups), cluster.num_gpus, compiled
+                    coster, groups, cluster.num_gpus, compiled
                 )
                 result.compilations += len(compiled)
                 result.simulated_search_seconds += (
@@ -327,8 +270,8 @@ def alpa_search(
                 )
                 if stages is None:
                     continue
-                config = _materialize(
-                    graph, cluster, groups, stages, mbs, recompute
+                config = uniform_config(
+                    graph, cluster, stages, mbs, recompute
                 )
                 if config is None:
                     continue
@@ -342,40 +285,3 @@ def alpa_search(
                     result.best_config = config
     return result
 
-
-def _default_microbatches(graph: OpGraph, cluster: ClusterSpec) -> List[int]:
-    values = []
-    m = 1
-    while m <= min(graph.global_batch_size, 8 * cluster.num_gpus):
-        if graph.global_batch_size % m == 0:
-            values.append(m)
-        m *= 2
-    return values
-
-
-def _materialize(
-    graph: OpGraph,
-    cluster: ClusterSpec,
-    groups: List[Tuple[int, int]],
-    stages: List[Tuple[int, int, int, int]],
-    microbatch: int,
-    recompute: bool,
-) -> Optional[ParallelConfig]:
-    stage_configs = []
-    for group_lo, group_hi, devices, tp in stages:
-        start = groups[group_lo][0]
-        end = groups[group_hi - 1][1]
-        dp = devices // tp
-        if microbatch % dp:
-            return None
-        stage_configs.append(
-            StageConfig.uniform(
-                start, end, devices, tp=tp, recompute=recompute
-            )
-        )
-    config = ParallelConfig(
-        stages=stage_configs, microbatch_size=microbatch
-    )
-    if not is_valid(config, graph, cluster):
-        return None
-    return config

@@ -17,14 +17,17 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
-from ..parallel.stage import StageConfig
-from ..parallel.validation import is_valid
+from ..parallel.stage import powers_of_two
 from ..perfmodel.model import PerfModel
+from .partition import (
+    IN_FLIGHT,
+    SpanCoster,
+    default_microbatches,
+    uniform_config,
+)
 
 
 @dataclass
@@ -34,9 +37,6 @@ class DPSolverOptions:
     microbatch_sizes: Optional[List[int]] = None
     max_tp: int = 8
     max_stages: int = 8
-    min_ops_per_stage: int = 1
-    in_flight_estimate: int = 4
-    unit: str = "op"  # "op" or "layer"
 
 
 @dataclass
@@ -50,103 +50,6 @@ class DPSolverResult:
     wall_seconds: float
 
 
-class _UnitCoster:
-    """Prefix-sum machinery over partition units for one (mbs, rc)."""
-
-    def __init__(
-        self,
-        graph: OpGraph,
-        perf_model: PerfModel,
-        units: List[Tuple[int, int]],
-        microbatch: int,
-        recompute: bool,
-        tp_values: List[int],
-    ) -> None:
-        arrays = graph.arrays
-        pg = perf_model.profiled
-        elem = graph.elem_bytes
-        idx = np.arange(graph.num_ops)
-        dim0 = np.zeros(graph.num_ops, dtype=np.int64)
-        self.units = units
-        self.microbatch = microbatch
-        self.recompute = recompute
-        self.time_fixed: Dict[int, np.ndarray] = {}
-        self.time_slope: Dict[int, np.ndarray] = {}
-        self.weight_bytes: Dict[int, np.ndarray] = {}
-        self.act_slope: Dict[int, np.ndarray] = {}
-
-        def unit_prefix(per_op: np.ndarray) -> np.ndarray:
-            sums = np.array(
-                [per_op[a:b].sum() for a, b in units], dtype=np.float64
-            )
-            return np.concatenate([[0.0], np.cumsum(sums)])
-
-        for tp in tp_values:
-            lv = tp.bit_length() - 1
-            etp = np.minimum(tp, arrays.max_tp)
-            fixed = pg.fwd_fixed[idx, lv, dim0] + pg.bwd_fixed[idx, lv, dim0]
-            slope = pg.fwd_slope[idx, lv, dim0] + pg.bwd_slope[idx, lv, dim0]
-            if recompute:
-                fixed = fixed + pg.fwd_fixed[idx, lv, dim0]
-                slope = slope + pg.fwd_slope[idx, lv, dim0]
-            state_bytes = (
-                arrays.params
-                * (elem + graph.optimizer_bytes_per_param)
-                / etp
-            )
-            act = arrays.saved_numel * elem / etp
-            self.time_fixed[tp] = unit_prefix(fixed)
-            self.time_slope[tp] = unit_prefix(slope)
-            self.weight_bytes[tp] = unit_prefix(state_bytes)
-            self.act_slope[tp] = unit_prefix(act)
-
-    def stage_cost(
-        self,
-        unit_lo: int,
-        unit_hi: int,
-        devices: int,
-        tp: int,
-        memory_limit: float,
-        in_flight: int,
-    ) -> float:
-        """Per-microbatch stage latency, or +inf when infeasible."""
-        dp = devices // tp
-        if self.microbatch % dp:
-            return float("inf")
-        samples = self.microbatch / dp
-        weights = self.weight_bytes[tp][unit_hi] - self.weight_bytes[tp][unit_lo]
-        act = (
-            self.act_slope[tp][unit_hi] - self.act_slope[tp][unit_lo]
-        ) * samples
-        if self.recompute:
-            first = (
-                self.act_slope[tp][unit_lo + 1] - self.act_slope[tp][unit_lo]
-            ) * samples
-            act = first
-        if weights + act * in_flight > memory_limit:
-            return float("inf")
-        fixed = self.time_fixed[tp][unit_hi] - self.time_fixed[tp][unit_lo]
-        slope = self.time_slope[tp][unit_hi] - self.time_slope[tp][unit_lo]
-        return fixed + samples * slope
-
-
-def _units(graph: OpGraph, unit: str) -> List[Tuple[int, int]]:
-    if unit == "op":
-        return [(i, i + 1) for i in range(graph.num_ops)]
-    if unit != "layer":
-        raise ValueError(f"unknown unit {unit!r}")
-    spans = list(graph.layer_spans) or [(i, i + 1) for i in range(graph.num_ops)]
-    spans[0] = (0, spans[0][1])
-    spans[-1] = (spans[-1][0], graph.num_ops)
-    fixed = []
-    cursor = 0
-    for _, end in spans:
-        fixed.append((cursor, max(end, cursor + 1)))
-        cursor = fixed[-1][1]
-    fixed[-1] = (fixed[-1][0], graph.num_ops)
-    return fixed
-
-
 def dp_solve(
     graph: OpGraph,
     cluster: ClusterSpec,
@@ -157,16 +60,9 @@ def dp_solve(
     """Run the DP over every (microbatch, recompute) combination."""
     opts = options or DPSolverOptions()
     start_time = time.monotonic()
-    units = _units(graph, opts.unit)
-    num_units = len(units)
     gpus = cluster.num_gpus
-    tp_values = []
-    tp = 1
-    while tp <= min(opts.max_tp, gpus):
-        tp_values.append(tp)
-        tp *= 2
-    microbatches = opts.microbatch_sizes or _default_microbatches(graph, gpus)
-    memory_limit = float(cluster.device.memory_bytes)
+    tp_values = powers_of_two(min(opts.max_tp, gpus))
+    microbatches = opts.microbatch_sizes or default_microbatches(graph, gpus)
 
     best_config = None
     best_objective = float("inf")
@@ -174,18 +70,14 @@ def dp_solve(
     evaluations = 0
     for mbs in microbatches:
         for recompute in (False, True):
-            coster = _UnitCoster(
-                graph, perf_model, units, mbs, recompute, tp_values
-            )
-            outcome = _run_dp(
-                coster, num_units, gpus, tp_values, memory_limit, opts
-            )
+            coster = SpanCoster(graph, perf_model, mbs, recompute, tp_values)
+            outcome = _run_dp(coster, graph.num_ops, gpus, opts.max_stages)
             if outcome is None:
                 continue
             stages, paths, evals = outcome
             explored += paths
             evaluations += evals
-            config = _materialize(graph, cluster, units, stages, mbs, recompute)
+            config = uniform_config(graph, cluster, stages, mbs, recompute)
             if config is None:
                 continue
             objective = perf_model.objective(config)
@@ -201,54 +93,43 @@ def dp_solve(
     )
 
 
-def _run_dp(
-    coster: _UnitCoster,
-    num_units: int,
-    gpus: int,
-    tp_values: List[int],
-    memory_limit: float,
-    opts: DPSolverOptions,
-):
-    """DP over (units consumed, gpus consumed, stages used).
+def _run_dp(coster: SpanCoster, num_ops: int, gpus: int, max_stages: int):
+    """DP over (ops consumed, gpus consumed, stages used).
 
-    Returns the best stage list, the number of complete configurations
-    the recurrence covered (path count), and table evaluations.
+    Returns the best stage list as (lo, hi, devices, tp) op spans, the
+    number of complete configurations the recurrence covered (path
+    count), and table evaluations.
     """
     INF = float("inf")
-    gpu_options = []
-    k = 1
-    while k <= gpus:
-        gpu_options.append(k)
-        k *= 2
+    gpu_options = powers_of_two(gpus)
     best: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 0.0}
     paths: Dict[Tuple[int, int, int], float] = {(0, 0, 0): 1.0}
     parent: Dict[Tuple[int, int, int], tuple] = {}
     evaluations = 0
-    max_span = max(
-        opts.min_ops_per_stage, -(-num_units // 1)
-    )
-    for i in range(num_units):
+    for i in range(num_ops):
         for g_used in range(gpus + 1):
-            for s_used in range(opts.max_stages):
+            for s_used in range(max_stages):
                 state = (i, g_used, s_used)
                 if state not in best:
                     continue
                 base = best[state]
                 base_paths = paths[state]
-                hi_limit = min(num_units, i + max_span)
-                for j in range(i + opts.min_ops_per_stage, hi_limit + 1):
+                for j in range(i + 1, num_ops + 1):
                     for devices in gpu_options:
                         if g_used + devices > gpus:
                             break
                         branch_count = 0
                         branch_best = INF
                         branch_tp = None
-                        for tp in tp_values:
+                        for tp in coster.tp_values:
                             if tp > devices:
                                 break
-                            cost = coster.stage_cost(
-                                i, j, devices, tp, memory_limit,
-                                opts.in_flight_estimate,
+                            # A per-GPU share must be whole samples.
+                            cost = (
+                                INF if coster.microbatch % (devices // tp)
+                                else coster.stage_time(
+                                    i, j, devices, tp, IN_FLIGHT
+                                )
                             )
                             evaluations += 1
                             if cost < INF:
@@ -268,13 +149,13 @@ def _run_dp(
                         )
     goal_states = [
         s for s in best
-        if s[0] == num_units and s[1] == gpus and best[s] < INF
+        if s[0] == num_ops and s[1] == gpus and best[s] < INF
     ]
     if not goal_states:
         return None
     goal = min(goal_states, key=lambda s: best[s])
     total_paths = sum(
-        paths[s] for s in paths if s[0] == num_units and s[1] == gpus
+        paths[s] for s in paths if s[0] == num_ops and s[1] == gpus
     )
     stages = []
     state = goal
@@ -283,38 +164,3 @@ def _run_dp(
         stages.append(key)
     stages.reverse()
     return stages, total_paths, evaluations
-
-
-def _default_microbatches(graph: OpGraph, gpus: int) -> List[int]:
-    values = []
-    m = 1
-    while m <= min(graph.global_batch_size, 8 * gpus):
-        if graph.global_batch_size % m == 0:
-            values.append(m)
-        m *= 2
-    return values
-
-
-def _materialize(
-    graph: OpGraph,
-    cluster: ClusterSpec,
-    units: List[Tuple[int, int]],
-    stages: List[Tuple[int, int, int, int]],
-    microbatch: int,
-    recompute: bool,
-) -> Optional[ParallelConfig]:
-    stage_configs = []
-    for unit_lo, unit_hi, devices, tp in stages:
-        start = units[unit_lo][0]
-        end = units[unit_hi - 1][1]
-        stage_configs.append(
-            StageConfig.uniform(
-                start, end, devices, tp=tp, recompute=recompute
-            )
-        )
-    config = ParallelConfig(
-        stages=stage_configs, microbatch_size=microbatch
-    )
-    if not is_valid(config, graph, cluster):
-        return None
-    return config

@@ -20,9 +20,9 @@ from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..parallel.initializer import split_ops_balanced
-from ..parallel.stage import StageConfig
-from ..parallel.validation import is_valid
+from ..parallel.stage import powers_of_two
 from ..perfmodel.model import PerfModel
+from .partition import uniform_config
 
 
 @dataclass(frozen=True)
@@ -66,24 +66,16 @@ def plan_to_config(
         return None
     if plan.pp > graph.num_ops:
         return None
-    ones = np.ones(graph.num_ops)
-    boundaries = split_ops_balanced(graph, plan.pp, weights=ones)
-    stages = [
-        StageConfig.uniform(
-            boundaries[i],
-            boundaries[i + 1],
-            devices_per_stage,
-            tp=plan.tp,
-            recompute=plan.recompute,
-        )
+    boundaries = split_ops_balanced(
+        graph, plan.pp, weights=np.ones(graph.num_ops)
+    )
+    spans = [
+        (boundaries[i], boundaries[i + 1], devices_per_stage, plan.tp)
         for i in range(plan.pp)
     ]
-    config = ParallelConfig(
-        stages=stages, microbatch_size=plan.aggregated_microbatch
+    return uniform_config(
+        graph, cluster, spans, plan.aggregated_microbatch, plan.recompute
     )
-    if not is_valid(config, graph, cluster):
-        return None
-    return config
 
 
 def enumerate_plans(
@@ -95,27 +87,20 @@ def enumerate_plans(
 ) -> List[MegatronPlan]:
     """All grid points with power-of-two degrees filling the cluster."""
     gpus = cluster.num_gpus
+    batch = graph.global_batch_size
     plans = []
-    pp = 1
-    while pp <= min(gpus, graph.num_ops):
+    for pp in powers_of_two(min(gpus, graph.num_ops)):
         per_stage = gpus // pp
-        if per_stage * pp == gpus:
-            tp = 1
-            while tp <= min(per_stage, max_tp):
-                dp = per_stage // tp
-                b = 1
-                while (
-                    b <= max_microbatch_per_gpu
-                    and b * dp <= graph.global_batch_size
-                ):
-                    if graph.global_batch_size % (b * dp) == 0:
-                        for recompute in (False, True):
-                            plans.append(
-                                MegatronPlan(tp, dp, pp, b, recompute)
-                            )
-                    b *= 2
-                tp *= 2
-        pp *= 2
+        if per_stage * pp != gpus:
+            continue
+        for tp in powers_of_two(min(per_stage, max_tp)):
+            dp = per_stage // tp
+            for b in powers_of_two(min(max_microbatch_per_gpu, batch // dp)):
+                if batch % (b * dp) == 0:
+                    plans.extend(
+                        MegatronPlan(tp, dp, pp, b, recompute)
+                        for recompute in (False, True)
+                    )
     return plans
 
 

@@ -41,6 +41,7 @@ from ..cluster.topology import ClusterSpec
 from ..ir.graph import OpGraph
 from ..parallel.config import ParallelConfig
 from ..parallel.initializer import balanced_config
+from ..parallel.stage import powers_of_two
 from ..perfmodel.model import PerfModel
 from ..perfmodel.report import PerfReport
 from ..telemetry import WARNING, get_bus
@@ -403,13 +404,7 @@ class MultiStageSearchResult:
 
 def default_stage_counts(graph: OpGraph, cluster: ClusterSpec) -> List[int]:
     """Pipeline stage counts worth searching for this problem size."""
-    limit = min(cluster.num_gpus, graph.num_ops)
-    counts = []
-    value = 1
-    while value <= limit:
-        counts.append(value)
-        value *= 2
-    return counts
+    return powers_of_two(min(cluster.num_gpus, graph.num_ops))
 
 
 def _search_count(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -20,6 +20,11 @@ import numpy as np
 def is_power_of_two(value: int) -> bool:
     """True when ``value`` is a positive power of two."""
     return value >= 1 and (value & (value - 1)) == 0
+
+
+def powers_of_two(limit: int) -> List[int]:
+    """The powers of two from 1 up to ``limit``, ascending."""
+    return [1 << k for k in range(max(limit, 0).bit_length())]
 
 
 def stage_digest(base_digest: bytes, recompute: np.ndarray) -> bytes:

@@ -120,9 +120,7 @@ class TestAlpa:
 class TestDPSolver:
     @pytest.fixture(scope="class")
     def dp_result(self, tiny_graph, small_cluster, tiny_perf_model):
-        options = DPSolverOptions(
-            microbatch_sizes=[2, 4], max_stages=4, unit="layer"
-        )
+        options = DPSolverOptions(microbatch_sizes=[2, 4], max_stages=4)
         return dp_solve(
             tiny_graph, small_cluster, tiny_perf_model, options=options
         )
@@ -136,19 +134,13 @@ class TestDPSolver:
         assert dp_result.table_evaluations > 0
 
     def test_dp_explores_more_than_aceso(
-        self, tiny_graph, small_cluster, tiny_perf_model
+        self, dp_result, tiny_graph, small_cluster, tiny_perf_model
     ):
         """Exp#4's headline: at op granularity the DP's recurrence
         covers orders of magnitude more configurations than Aceso
         estimates."""
         from repro.core import AcesoSearch
 
-        op_dp = dp_solve(
-            tiny_graph, small_cluster, tiny_perf_model,
-            options=DPSolverOptions(
-                microbatch_sizes=[2, 4], max_stages=4, unit="op"
-            ),
-        )
         before = tiny_perf_model.num_estimates
         search = AcesoSearch(tiny_graph, small_cluster, tiny_perf_model)
         search.run(
@@ -156,7 +148,7 @@ class TestDPSolver:
             SearchBudget(max_iterations=8),
         )
         aceso_estimates = tiny_perf_model.num_estimates - before
-        assert op_dp.explored_configs > 10 * aceso_estimates
+        assert dp_result.explored_configs > 10 * aceso_estimates
 
     def test_dp_quality_close_to_aceso(
         self, dp_result, tiny_graph, small_cluster, tiny_perf_model
@@ -171,21 +163,11 @@ class TestDPSolver:
         assert multi.best.best_objective <= dp_result.best_objective * 1.2
 
     def test_op_unit_mode(self, tiny_graph, small_cluster, tiny_perf_model):
-        options = DPSolverOptions(
-            microbatch_sizes=[4], max_stages=2, unit="op"
-        )
+        options = DPSolverOptions(microbatch_sizes=[4], max_stages=2)
         result = dp_solve(
             tiny_graph, small_cluster, tiny_perf_model, options=options
         )
         assert result.best_config is not None
-
-    def test_bad_unit_raises(self, tiny_graph, small_cluster,
-                             tiny_perf_model):
-        with pytest.raises(ValueError):
-            dp_solve(
-                tiny_graph, small_cluster, tiny_perf_model,
-                options=DPSolverOptions(unit="block"),
-            )
 
 
 class TestRandomSearch:
