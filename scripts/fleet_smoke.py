@@ -12,8 +12,8 @@ Two stages:
    (2 replicas), fires plan requests (including a same-fingerprint
    pair for the shared-cache tier), checks /healthz and /invalidate,
    SIGTERMs it, then lints the run log (fleet.* cross-event
-   invariants, ACE410/ACE411) and the `*.fleet.json` state artifact
-   (ACE401-403) with the repo's own linter.
+   invariants, ACE410/ACE411) with the repo's own linter and checks
+   that its `fleet.start` event carries the fleet's routing config.
 
 Run from the repository root: ``PYTHONPATH=src python scripts/fleet_smoke.py``
 """
@@ -92,7 +92,7 @@ def chaos_stage(problems):
         daemon_kwargs={"workers": 2, "queue_limit": 16},
     )
     write_json_atomic(
-        os.path.join(SMOKE_DIR, "chaos-report.json"), report.to_json()
+        os.path.join(SMOKE_DIR, "chaos-report.json"), report.to_dict()
     )
     print(
         f"chaos: {report.total} requests, {report.lost} lost, "
@@ -191,7 +191,10 @@ def fleet_stage(problems):
             process.kill()
             problems.append("fleet did not stop within 60s of SIGTERM")
 
-    from repro.lint import lint_artifact_path, lint_run_log_file
+    from dataclasses import asdict
+
+    from repro.lint import lint_run_log_file
+    from repro.service.fleet import FleetConfig
     from repro.telemetry import validate_run_log
 
     events = validate_run_log(run_log)
@@ -209,18 +212,15 @@ def fleet_stage(problems):
             + "; ".join(d.render() for d in diagnostics)
         )
 
-    state_path = os.path.join(state_dir, "fleet.fleet.json")
-    if not os.path.exists(state_path):
-        problems.append(f"fleet state artifact missing: {state_path}")
+    # The fleet runs on the CLI's default routing knobs.
+    starts = [e for e in fleet_events if e.name == "fleet.start"]
+    if [e.attrs.get("config") for e in starts] != [asdict(FleetConfig())]:
+        problems.append("fleet.start does not carry the fleet config")
     else:
-        diagnostics = lint_artifact_path(state_path)
-        if diagnostics:
-            problems.append(
-                "fleet state artifact is invalid: "
-                + "; ".join(d.render() for d in diagnostics)
-            )
-        else:
-            print("fleet state artifact lints clean")
+        print("fleet.start carries the fleet config")
+    leftovers = sorted(set(os.listdir(state_dir)) - {"replica-0", "replica-1"})
+    if leftovers:
+        problems.append(f"state dir holds more than replica dirs: {leftovers}")
 
 
 def main():

@@ -78,21 +78,6 @@ class ArenaEntry:
         kwargs["seed"] = self.seed
         return build_options(self.strategy, kwargs)
 
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "strategy_kwargs": dict(self.strategy_kwargs or {}),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ArenaEntry":
-        return cls(
-            strategy=data["strategy"],
-            seed=int(data.get("seed", 0)),
-            strategy_kwargs=dict(data.get("strategy_kwargs", {})) or None,
-        )
-
 
 @dataclass
 class EntryOutcome:
@@ -255,7 +240,6 @@ def run_tournament(
     budget_per_entry: Optional[dict] = None,
     deadline_seconds: Optional[float] = None,
     workers: int = 1,
-    model_kwargs: Optional[dict] = None,
     label: str = "",
 ) -> TournamentResult:
     """Race ``entries`` under equal budget and per-entry deadline.
@@ -347,7 +331,7 @@ def run_tournament(
 
     # Each lane searches on a fresh model built from the shared database.
     build = functools.partial(_payload_from_task, (
-        graph, cluster, database, budget_kwargs, model_kwargs or {}, lanes,
+        graph, cluster, database, budget_kwargs, {}, lanes,
     ))
     if workers <= 1 or len(entries) <= 1:
         runner = InProcessRunner(

@@ -3,10 +3,14 @@
 ``repro-search`` plans one request with the function behind ``/plan``
 (:func:`~repro.service.planner.plan_request`) and measures the plan;
 ``repro-compare`` runs all three systems and prints a comparison table;
-``repro-replan`` simulates a device failure and measures warm vs. cold
-time-to-new-plan; ``repro-trace`` inspects the telemetry run logs the
-other tools write with ``--run-log``.  All accept ``--json`` for
-machine-readable output, and every run wires a fresh
+``repro-estimate`` predicts and measures a saved plan;
+``repro-elastic`` samples churn timelines and drives the elastic
+controller through one; ``repro-replan`` simulates a device failure and
+measures warm vs. cold time-to-new-plan; ``repro-arena`` races search
+strategies under one budget; ``repro-trace`` inspects the telemetry run
+logs the other tools write with ``--run-log``; ``repro-serve`` and
+``repro-fleet`` run the planner service.  The one-shot tools accept
+``--json`` for machine-readable output, and every run wires a fresh
 :class:`~repro.telemetry.TelemetryBus` from the shared ``--quiet`` /
 ``--log-level`` / ``--run-log`` flags, so warnings and progress reach
 the console through the same event stream that lands in the run log.
@@ -1155,9 +1159,9 @@ def _serve(
     Then every replica drains for at most ``--drain-timeout`` seconds:
     it sheds its queue with ``retry_after`` and cancels in-flight
     deadlines, so searches checkpoint at the next iteration boundary.
-    A restart on the same ``--state-dir`` (``replica-<i>/`` per
-    replica, plus ``fleet.fleet.json``) re-admits the journaled
-    requests and resumes their completed stage counts.
+    A restart on the same ``--state-dir`` (one ``replica-<i>/`` per
+    replica, nothing else) re-admits the journaled requests and resumes
+    their completed stage counts.
     """
     parser = argparse.ArgumentParser(
         prog=prog,
@@ -1305,13 +1309,7 @@ def _serve(
                     "worker_memory_mb": args.worker_memory_mb,
                 },
             ).start()
-        router = FleetRouter(
-            fleet,
-            config=config,
-            state_path=(
-                state_root / "fleet.fleet.json" if state_root else None
-            ),
-        ).start()
+        router = FleetRouter(fleet, config=config).start()
         server = serve(router, host=args.host, port=args.port)
 
         def _handle_signal(signum, _frame):

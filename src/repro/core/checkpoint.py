@@ -4,12 +4,11 @@ The paper's pitch — search cheap enough to re-run whenever the cluster
 changes — only holds if an interrupted search doesn't lose its work.
 A :class:`SearchCheckpoint` persists, as JSON, everything needed to
 resume ``search_all_stage_counts`` bit-exactly: per-stage-count best and
-top-k configurations (via :mod:`repro.parallel.serialization`), visited
-signatures, estimate counts, and structured failure records.
-``visited_signatures`` holds the hex ``ParallelConfig.cache_key()`` of
-each visited configuration, the key the search deduplicates on (not
-``signature()``); a resume restores it verbatim and never compares it
-with live configurations.
+top-k configurations (via :mod:`repro.parallel.serialization`), estimate
+counts, and structured failure records.  A completed count is never
+searched again, so its dedup set is not stored: a record with any key
+:func:`_result_from_dict` does not read fails the schema (``ACE322``),
+and the checkpoint is quarantined like any other invalid one.
 
 The file is an append-only log.  :meth:`SearchCheckpoint.save` writes
 the whole document atomically once, when the search starts; each
@@ -55,7 +54,6 @@ def _result_to_dict(result) -> dict:
         "num_estimates": result.num_estimates,
         "elapsed_seconds": result.elapsed_seconds,
         "converged": result.converged,
-        "visited_signatures": sorted(result.visited_signatures),
     }
 
 
@@ -78,7 +76,6 @@ def _result_from_dict(data: dict, perf_model):
         num_estimates=data["num_estimates"],
         elapsed_seconds=float(data["elapsed_seconds"]),
         converged=data["converged"],
-        visited_signatures=tuple(data["visited_signatures"]),
     )
 
 

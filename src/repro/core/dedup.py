@@ -37,10 +37,6 @@ class VisitedSet:
             self.hits += 1
         return seen
 
-    def signatures(self) -> frozenset:
-        """Every key seen, hex-encoded (for checkpointing)."""
-        return frozenset(key.hex() for key in self._keys)
-
     def __len__(self) -> int:
         return len(self._keys)
 

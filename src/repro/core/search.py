@@ -84,9 +84,8 @@ class SearchResult:
     ``num_estimates`` counts the estimates *this run* consumed (the
     delta of the model's counter over the run), so serial searches
     sharing one :class:`PerfModel` and parallel workers with fresh
-    models report the same quantity.  ``visited_signatures`` snapshots
-    the dedup set for checkpointing, as the hex ``cache_key()`` of every
-    visited configuration.
+    models report the same quantity.  The §4.3 dedup set lives and dies
+    with one search run; it is neither returned nor checkpointed.
 
     ``partial`` marks a search cut short by a :class:`Deadline`: the
     plan is the best found by that point — bit-exact with what an
@@ -107,7 +106,6 @@ class SearchResult:
     num_estimates: int
     elapsed_seconds: float
     converged: bool
-    visited_signatures: Tuple[str, ...] = ()
     partial: bool = False
     estimates_to_best: int = 0
 

@@ -247,7 +247,6 @@ class SearchContext:
             ),
             elapsed_seconds=self.budget.elapsed(),
             converged=self.converged,
-            visited_signatures=tuple(sorted(self.visited.signatures())),
             partial=self.partial,
             estimates_to_best=self.estimates_to_best,
         )

@@ -1,8 +1,8 @@
 """Atomic JSON artifact writes shared by every persistence site.
 
 Every JSON document the planner leaves on disk — plan-cache entries,
-request journals, a search checkpoint's first line, fleet state,
-tournament reports — goes through :func:`write_json_atomic`: encode
+request journals, a search checkpoint's first line, tournament
+reports — goes through :func:`write_json_atomic`: encode
 the payload as compact JSON with the C encoder, write it to a temp
 file in the destination directory in one ``write``, then
 ``os.replace`` onto the final name (``fsync`` is deliberately skipped:

@@ -28,9 +28,8 @@ from ..exports import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "artifacts": (
         "lint_artifact_path", "lint_checkpoint_file",
-        "lint_churn_timeline_file", "lint_fleet_state_file",
-        "lint_journal_file", "lint_plan_cache_file", "lint_plan_file",
-        "lint_run_log_file",
+        "lint_churn_timeline_file", "lint_journal_file",
+        "lint_plan_cache_file", "lint_plan_file", "lint_run_log_file",
     ),
     "baseline": ("apply_baseline", "load_baseline", "write_baseline"),
     "codebase": ("analyze_source", "analyze_tree"),

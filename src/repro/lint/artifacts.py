@@ -13,8 +13,7 @@ raises :class:`~repro.lint.diagnostics.ArtifactError` with the errors,
 so an artifact loads exactly when it lints clean.  Each ``lint_*_file``
 is the same checker plus the rules that are lint-only by design:
 unregistered event names (ACE343), the ``fleet.*`` cross-event
-invariants (ACE41x) and the total-preemption warning (ACE354).  Fleet
-state files (``*.fleet.json``, ``ACE40x``) are only linted.
+invariants (ACE41x) and the total-preemption warning (ACE354).
 """
 
 from __future__ import annotations
@@ -345,9 +344,6 @@ _RESULT_FIELDS = {
     "num_estimates": Field(True, NON_NEGATIVE_INT),
     "elapsed_seconds": Field(True, NON_NEGATIVE),
     "converged": Field(True, BOOLEAN),
-    "visited_signatures": Field(True, Check(
-        _list_of(STRING.ok), "a list of strings"
-    )),
 }
 _TOP_CONFIG_FIELDS = {
     "objective": Field(True, NUMBER),
@@ -614,9 +610,8 @@ def _lint_fleet_events(
       event is exactly the "lost request" the fleet promises never to
       produce (ACE410);
     * every fleet event naming a replica must name one declared by
-      ``fleet.start`` (or joined via ``fleet.ring.rebuilt``) — an
-      undeclared name means two runs' logs were interleaved or an event
-      was hand-edited (ACE411).
+      ``fleet.start`` — an undeclared name means two runs' logs were
+      interleaved or an event was hand-edited (ACE411).
     """
     out: List[Diagnostic] = []
     declared: set = set()
@@ -625,15 +620,13 @@ def _lint_fleet_events(
     for lineno, name, attrs in parsed:
         if not name.startswith("fleet."):
             continue
-        if name in ("fleet.start", "fleet.ring.rebuilt"):
-            saw_start = saw_start or name == "fleet.start"
+        if name == "fleet.start":
+            saw_start = True
             replicas = attrs.get("replicas")
             declared.update(
                 r for r in (replicas if LIST.ok(replicas) else ())
                 if isinstance(r, str)
             )
-            if isinstance(attrs.get("joined"), str):
-                declared.add(attrs["joined"])
         fingerprint = attrs.get("fingerprint")
         if isinstance(fingerprint, str):
             pending = routed.setdefault(fingerprint, [])
@@ -646,7 +639,7 @@ def _lint_fleet_events(
             out.append(_diag(
                 "ACE411",
                 f"{name} references replica {replica!r}, which no "
-                f"fleet.start or fleet.ring.rebuilt declared",
+                f"fleet.start declared",
                 f"{path}:{lineno}",
             ))
     for fingerprint, pending in sorted(routed.items()):
@@ -764,72 +757,10 @@ def lint_churn_timeline_file(path: Union[str, Path]) -> List[Diagnostic]:
 
 
 # ----------------------------------------------------------------------
-# fleet state artifacts (ACE40x, lint-only)
-# ----------------------------------------------------------------------
-_FLEET_STATE_FIELDS = {
-    "format_version": _VERSION,
-    "fleet": Field(True, OBJECT),
-    "replicas": Field(True, LIST),
-}
-_REPLICA_FIELDS = {
-    "name": Field(True, NAME),
-    "healthy": Field(False, BOOLEAN),
-    "address": Field(False, ANY),
-}
-
-
-def lint_fleet_state_file(path: Union[str, Path]) -> List[Diagnostic]:
-    """Lint one ``*.fleet.json`` router state artifact (ACE40x)."""
-    from ..service.fleet import fleet_config_problems
-
-    loc = str(path)
-    data, out = _read(Path(path), "ACE401")
-    out = out or _check_fields(
-        data, _FLEET_STATE_FIELDS, "ACE401", "fleet state", loc
-    )
-    if not isinstance(data, dict):
-        return out
-    out = _check_version(data, "ACE401", "fleet state", loc) + out
-    if isinstance(data.get("fleet"), dict):
-        out.extend(
-            _diag("ACE403", f"fleet config {problem}", loc)
-            for problem in fleet_config_problems(data["fleet"])
-        )
-    replicas = data.get("replicas")
-    if not LIST.ok(replicas):
-        return out
-    if not replicas:
-        out.append(_diag(
-            "ACE403",
-            "fleet state declares zero replicas",
-            loc,
-            hint="a fleet needs at least one replica",
-        ))
-    for i, replica in enumerate(replicas):
-        out.extend(_check_fields(
-            replica, _REPLICA_FIELDS, "ACE401", f"replicas[{i}]", loc
-        ))
-    names = [
-        replica["name"] for replica in replicas
-        if isinstance(replica, dict) and STRING.ok(replica.get("name"))
-    ]
-    duplicates = sorted({name for name in names if names.count(name) > 1})
-    if duplicates:
-        out.append(_diag(
-            "ACE402",
-            f"duplicate replica name(s) {duplicates}",
-            loc,
-            hint="replica names are ring identities; they must be unique",
-        ))
-    return out
-
-
-# ----------------------------------------------------------------------
 # dispatch
 # ----------------------------------------------------------------------
 _BY_SUFFIX = (
     (".churn.json", lint_churn_timeline_file),
-    (".fleet.json", lint_fleet_state_file),
     (".request.json", lint_journal_file),
     (".ckpt.json", lint_checkpoint_file),
     (".jsonl", lint_run_log_file),
@@ -852,8 +783,6 @@ def lint_artifact_path(path: Union[str, Path]) -> List[Diagnostic]:
         return out
     if isinstance(data, dict):
         keys = set(data)
-        if {"fleet", "replicas"} <= keys:
-            return lint_fleet_state_file(path)
         if {"events", "seed"} <= keys:
             return lint_churn_timeline_file(path)
         if {"plan", "objective"} <= keys:

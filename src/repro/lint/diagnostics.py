@@ -14,12 +14,13 @@ Code taxonomy:
 * ``ACE3xx`` — on-disk artifacts: plans, plan-cache entries,
   checkpoints, request journals, telemetry run logs, churn timelines.
   Loaders raise these as an :class:`ArtifactError`.
-* ``ACE4xx`` — fleet artifacts: ``*.fleet.json`` state files and the
-  cross-event ``fleet.*`` invariants of router run logs.
+* ``ACE4xx`` — fleet invariants: the cross-event ``fleet.*`` rules of
+  router run logs.
 * ``ACE9xx`` — codebase invariants enforced by the Tier-B ``ast`` lint.
 
 Codes are append-only: a shipped code never changes meaning, so tests,
-CI filters, and admission clients can match on them.
+CI filters, and admission clients can match on them; the code of a
+removed check is retired, never reused.
 """
 
 from __future__ import annotations
@@ -84,10 +85,7 @@ CODES: Dict[str, str] = {
     "ACE352": "churn timeline events are not time-ordered",
     "ACE353": "churn timeline event has an invalid kind or payload",
     "ACE354": "churn timeline preempts every node",
-    # -- ACE4xx: fleet artifacts --------------------------------------
-    "ACE401": "fleet state is not readable or violates the schema",
-    "ACE402": "fleet state declares duplicate replica names",
-    "ACE403": "fleet config value is out of range",
+    # -- ACE4xx: fleet run-log invariants -----------------------------
     "ACE410": "routed fleet request has no terminal completion event",
     "ACE411": "fleet event references an undeclared replica",
     # -- ACE9xx: codebase invariants ----------------------------------

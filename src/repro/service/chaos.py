@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -60,20 +60,8 @@ class ChaosEvent:
         if self.after_request < 0:
             raise ValueError("after_request must be >= 0")
 
-    def to_json(self) -> dict:
-        return {
-            "after_request": self.after_request,
-            "kind": self.kind,
-            "replica": self.replica,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChaosEvent":
-        return cls(
-            after_request=int(data["after_request"]),
-            kind=str(data["kind"]),
-            replica=str(data["replica"]),
-        )
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def seeded_schedule(
@@ -169,7 +157,7 @@ class ChaosReport:
         plans bit-identical to the single-daemon oracle."""
         return self.lost == 0 and not self.digest_mismatches
 
-    def to_json(self) -> dict:
+    def to_dict(self) -> dict:
         return {
             "total": self.total,
             "lost": self.lost,
@@ -183,21 +171,6 @@ class ChaosReport:
             "events": list(self.events),
             "ok": self.ok,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ChaosReport":
-        return cls(
-            total=int(data["total"]),
-            lost=int(data["lost"]),
-            by_status=dict(data.get("by_status", {})),
-            degraded=int(data.get("degraded", 0)),
-            failovers=int(data.get("failovers", 0)),
-            hedged=int(data.get("hedged", 0)),
-            coalesced=int(data.get("coalesced", 0)),
-            digest_checked=int(data.get("digest_checked", 0)),
-            digest_mismatches=list(data.get("digest_mismatches", [])),
-            events=list(data.get("events", [])),
-        )
 
 
 def run_chaos(
@@ -234,9 +207,6 @@ def run_chaos(
     router = FleetRouter(
         dict(fleet_replicas),
         config=config or FleetConfig(health_interval=0.1, retries=1),
-        state_path=(
-            state_root / "fleet.fleet.json" if state_root else None
-        ),
     ).start()
     schedule: Dict[int, List[ChaosEvent]] = {}
     for event in events:
@@ -292,7 +262,7 @@ def run_chaos(
     report = ChaosReport(
         total=len(responses),
         lost=sum(1 for r in responses if r is None),
-        events=[e.to_json() for e in events],
+        events=[e.to_dict() for e in events],
     )
     for response in responses:
         if response is None:

@@ -36,9 +36,11 @@ replica by default for ``repro-serve`` — behind the one HTTP front in
   (queue, breakers, cache), and the fleet reports ``degraded`` while
   any replica is down or degraded itself.
 
-Every decision is a ``fleet.*`` telemetry event; the router also
-persists its membership + health view as a ``*.fleet.json`` artifact
-(Tier-A lintable, ``ACE401``–``ACE403``) via atomic writes.
+Every decision is a ``fleet.*`` telemetry event: ``fleet.start``
+carries the replica names and the whole :class:`FleetConfig`, health
+flips are ``fleet.replica.down``/``up``, and ``/healthz`` serves the
+live view.  The router persists nothing of its own; a restarted fleet
+reads only its replicas' state directories.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.search import DEADLINE_KILL_GRACE
-from ..ioutil import write_json_atomic
 from ..telemetry import WARNING, get_bus
 from ..telemetry.events import (
     ELASTIC_CACHE_INVALIDATE,
@@ -74,37 +75,11 @@ from .daemon import PlannerDaemon
 from .protocol import STATUS_REJECTED, STATUS_SERVED, PlanRequest, PlanResponse
 from .ring import HashRing
 
-#: Format marker for ``*.fleet.json`` state artifacts.
-FLEET_STATE_FORMAT_VERSION = 1
-
 #: Seconds one replica call waits past its request's deadline: longer
 #: than the stage-count scheduler's reap of a worker past the deadline,
 #: so a deadline-cut search answers with its plan before the router
 #: stops waiting for it.
 ATTEMPT_GRACE = DEADLINE_KILL_GRACE + 2.0
-
-#: Bounds of the :class:`FleetConfig` knobs, declared once: the config
-#: raises on the first violation, ``repro-lint`` reports all (ACE403).
-FLEET_BOUNDS = {
-    "vnodes": (">=", 1),
-    "retries": (">=", 0),
-    "hedge_factor": (">", 0),
-    "down_after": (">=", 1),
-}
-
-
-def fleet_config_problems(values: dict) -> List[str]:
-    """Every :data:`FLEET_BOUNDS` violation in a config mapping."""
-    problems = []
-    for key, (relation, bound) in FLEET_BOUNDS.items():
-        value = values.get(key)
-        in_range = type(value) in (int, float) and (
-            value > bound or (relation == ">=" and value == bound)
-        )
-        if value is not None and not in_range:
-            problems.append(f"{key} must be {relation} {bound}, got {value!r}")
-    return problems
-
 
 def _attempt_bound(request: PlanRequest) -> Optional[float]:
     """Seconds to wait on one replica call for ``request``."""
@@ -140,19 +115,19 @@ class FleetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        problems = fleet_config_problems(self.to_json())
-        if problems:
-            raise ValueError(problems[0])
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FleetConfig":
-        return cls(**{
-            key: data[key] for key in cls.__dataclass_fields__
-            if key in data
-        })
+        for key, relation, bound in (
+            ("vnodes", ">=", 1),
+            ("retries", ">=", 0),
+            ("hedge_factor", ">", 0),
+            ("down_after", ">=", 1),
+        ):
+            value = getattr(self, key)
+            if type(value) not in (int, float) or not (
+                value > bound or (relation == ">=" and value == bound)
+            ):
+                raise ValueError(
+                    f"{key} must be {relation} {bound}, got {value!r}"
+                )
 
 
 # ----------------------------------------------------------------------
@@ -296,12 +271,10 @@ class FleetRouter:
         replicas: Dict[str, object],
         *,
         config: Optional[FleetConfig] = None,
-        state_path: Optional[Path] = None,
     ) -> None:
         if not replicas:
             raise ValueError("fleet needs at least one replica")
         self.config = config or FleetConfig()
-        self.state_path = Path(state_path) if state_path else None
         self.ring = HashRing(replicas, vnodes=self.config.vnodes)
         self._lock = threading.Lock()
         self._replicas: Dict[str, _ReplicaState] = {
@@ -327,6 +300,7 @@ class FleetRouter:
             source="fleet",
             replicas=sorted(self._replicas),
             vnodes=self.config.vnodes,
+            config=asdict(self.config),
         )
         self._stop.clear()
         self._poll()
@@ -334,7 +308,6 @@ class FleetRouter:
             target=self._poll_loop, name="fleet-health", daemon=True
         )
         self._poller.start()
-        self.save_state()
         return self
 
     def stop(self, *, drain_timeout: Optional[float] = 5.0) -> None:
@@ -351,7 +324,6 @@ class FleetRouter:
             ]
             for future in closing:
                 future.result()
-        self.save_state()
         get_bus().emit(FLEET_STOP, source="fleet", **dict(self.counters))
 
     # -- request path --------------------------------------------------
@@ -685,7 +657,6 @@ class FleetRouter:
                 level=WARNING,
                 replica=name,
             )
-            self.save_state()
 
     def _note_success(self, name: str) -> None:
         state = self._replicas[name]
@@ -695,7 +666,6 @@ class FleetRouter:
             state.consecutive_failures = 0
         if flip:
             get_bus().emit(FLEET_REPLICA_UP, source="fleet", replica=name)
-            self.save_state()
 
     def _poll_loop(self) -> None:
         while not self._stop.wait(self.config.health_interval):
@@ -803,18 +773,3 @@ class FleetRouter:
     def ready(self) -> bool:
         with self._lock:
             return any(s.healthy for s in self._replicas.values())
-
-    def save_state(self) -> Optional[Path]:
-        """Persist membership + health as a ``*.fleet.json`` artifact."""
-        if self.state_path is None:
-            return None
-        with self._lock:
-            replicas = [
-                {"name": name, "healthy": state.healthy}
-                for name, state in sorted(self._replicas.items())
-            ]
-        return write_json_atomic(self.state_path, {
-            "format_version": FLEET_STATE_FORMAT_VERSION,
-            "fleet": self.config.to_json(),
-            "replicas": replicas,
-        })

@@ -92,7 +92,6 @@ FLEET_REQUEST_HEDGED = "fleet.request.hedged"
 FLEET_REQUEST_DEGRADED = "fleet.request.degraded"
 FLEET_REPLICA_UP = "fleet.replica.up"
 FLEET_REPLICA_DOWN = "fleet.replica.down"
-FLEET_RING_REBUILT = "fleet.ring.rebuilt"
 FLEET_FANOUT = "fleet.fanout"
 FLEET_CHAOS_KILL = "fleet.chaos.kill"
 FLEET_CHAOS_RESTART = "fleet.chaos.restart"

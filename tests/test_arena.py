@@ -295,12 +295,3 @@ class TestArenaEntry:
         assert options.seed == 7
         assert options.initial_temperature == 0.5
         assert entry.name == "mcmc#7"
-
-    def test_json_round_trip(self):
-        entry = ArenaEntry(
-            strategy="bandit", seed=2,
-            strategy_kwargs={"exploration": 2.0},
-        )
-        assert ArenaEntry.from_json(entry.to_json()) == entry
-        bare = ArenaEntry(strategy="greedy")
-        assert ArenaEntry.from_json(bare.to_json()) == bare

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.checkpoint import SearchCheckpoint
+from repro.core.checkpoint import SearchCheckpoint, _result_from_dict
 from repro.core.search import search_all_stage_counts
 from repro.lint.artifacts import fold_checkpoint, lint_checkpoint_file
 from repro.parallel import config_to_dict
@@ -248,3 +248,51 @@ def test_a_one_document_checkpoint_loads_and_resumes(
     resume_matches(
         tiny_graph, small_cluster, tiny_database, path, uninterrupted
     )
+
+
+def test_a_completed_record_holds_exactly_what_the_loader_reads(
+    tiny_graph, small_cluster, tiny_database, uninterrupted
+):
+    """Nothing in a record is write-only: the loader reads every key."""
+
+    class Reads(dict):
+        def __init__(self, data):
+            super().__init__(data)
+            self.read = set()
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+    perf_model = PerfModel(tiny_graph, small_cluster, tiny_database)
+    for record in uninterrupted[2].completed.values():
+        reads = Reads(record)
+        _result_from_dict(reads, perf_model)
+        assert set(record) == reads.read == {
+            "best_config", "best_objective", "top_configs",
+            "num_estimates", "elapsed_seconds", "converged",
+        }
+
+
+def test_a_checkpoint_with_visited_sets_is_quarantined_and_resumed(
+    tiny_graph, small_cluster, tiny_database, uninterrupted, tmp_path
+):
+    """A record that also stores its count's dedup set (the older
+    layout) fails the schema: the file is moved aside and the search
+    starts fresh."""
+    document, *records = uninterrupted[1].decode().split("\n")
+    old = [document]
+    for line in records:
+        record = json.loads(line) if line else {}
+        for result in record.get("completed", {}).values():
+            result["visited_signatures"] = ["00" * 16]
+        old.append(json.dumps(record) if line else line)
+    assert len(old) > 1
+    text = "\n".join(old)
+    path = tmp_path / "search.ckpt.json"
+    path.write_text(text)
+    assert "ACE322" in [d.code for d in lint_checkpoint_file(path)]
+    resume_matches(
+        tiny_graph, small_cluster, tiny_database, path, uninterrupted
+    )
+    assert path.with_name(path.name + ".corrupt").read_text() == text

@@ -1,5 +1,5 @@
 """Planner fleet: ring properties, atomic writes, router resilience,
-chaos replay, fleet artifacts lint, and the HTTP front-end.
+chaos replay, fleet config and run-log lint, and the HTTP front-end.
 
 The hash-ring properties (balance, *exact* minimal remapping, ladder
 stability under membership changes) are pinned with hypothesis; the
@@ -17,6 +17,7 @@ import tempfile
 import threading
 import time
 import urllib.request
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -24,17 +25,12 @@ from hypothesis import strategies as st
 
 from repro.core.search import DEADLINE_KILL_GRACE
 from repro.ioutil import write_json_atomic
-from repro.lint.artifacts import (
-    lint_artifact_path,
-    lint_fleet_state_file,
-    lint_run_log_file,
-)
+from repro.lint.artifacts import lint_artifact_path, lint_run_log_file
 from repro.service import (
     STATUS_PARTIAL,
     STATUS_REJECTED,
     STATUS_SERVED,
     ChaosEvent,
-    ChaosReport,
     FleetConfig,
     FleetRouter,
     HashRing,
@@ -309,9 +305,7 @@ class TestFleetRouter:
             for i in range(n)
         }
         router = FleetRouter(
-            replicas,
-            config=_fleet_config(**config),
-            state_path=tmp_path / "router.fleet.json",
+            replicas, config=_fleet_config(**config)
         ).start()
         return router, replicas
 
@@ -509,16 +503,6 @@ class TestFleetRouter:
         assert all(c.invalidations == 1 for c in clients.values())
         router.stop()
 
-    def test_state_artifact_is_lintable(self, tmp_path):
-        router, _ = self._local_fleet(tmp_path, n=2)
-        try:
-            state = tmp_path / "router.fleet.json"
-            assert state.exists()
-            assert lint_fleet_state_file(state) == []
-            assert lint_artifact_path(state) == []
-        finally:
-            router.stop()
-
     def test_fleet_health_and_ready(self, tmp_path):
         router, replicas = self._local_fleet(tmp_path, n=2)
         try:
@@ -634,6 +618,14 @@ class TestFleetRouter:
         assert "fleet.request.completed" in names
         assert "fleet.stop" in names
 
+    def test_start_event_carries_config(self, tmp_path, bus_events):
+        router, _ = self._local_fleet(tmp_path, n=2, vnodes=64, retries=2)
+        router.stop()
+        starts = [e for e in bus_events if e.name == "fleet.start"]
+        assert [e.attrs["config"] for e in starts] == [asdict(router.config)]
+        assert starts[0].attrs["config"]["vnodes"] == 64
+        assert starts[0].attrs["config"]["retries"] == 2
+
 
 # ----------------------------------------------------------------------
 # chaos harness
@@ -644,8 +636,6 @@ class TestChaos:
             ChaosEvent(0, "explode", "r0")
         with pytest.raises(ValueError):
             ChaosEvent(-1, "kill", "r0")
-        event = ChaosEvent(3, "kill", "r0")
-        assert ChaosEvent.from_json(event.to_json()) == event
 
     def test_seeded_schedule_is_deterministic(self):
         names = ["replica-0", "replica-1", "replica-2"]
@@ -686,8 +676,50 @@ class TestChaos:
         assert report.ok
         # every answer is terminal and typed
         assert sum(report.by_status.values()) == report.total
-        round_tripped = ChaosReport.from_json(report.to_json())
-        assert round_tripped.to_json() == report.to_json()
+
+    def test_report_dict_is_plain_json(self, tmp_path):
+        """``to_dict`` is what the fleet smoke writes as
+        ``chaos-report.json``: plain JSON, events in schedule order."""
+        events = [
+            ChaosEvent(1, "kill", "replica-1"),
+            ChaosEvent(2, "restart", "replica-1"),
+        ]
+        report = run_chaos(
+            [_request(model=f"m{i}") for i in range(4)],
+            events,
+            replicas=2,
+            planner=synthetic_planner(),
+            state_root=tmp_path,
+            daemon_kwargs={"workers": 1, "queue_limit": 8},
+        )
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload["events"] == [
+            {"after_request": 1, "kind": "kill", "replica": "replica-1"},
+            {"after_request": 2, "kind": "restart", "replica": "replica-1"},
+        ]
+        assert payload["total"] == report.total == 4
+        assert payload["lost"] == 0
+        assert payload["ok"] is True
+        assert payload["by_status"] == dict(report.by_status)
+
+    def test_state_root_holds_only_replica_dirs(self, tmp_path):
+        """A restarted fleet reads only ``replica-<i>/``; the router
+        leaves nothing else under the state root (``oracle/`` is the
+        harness's own single-daemon oracle)."""
+        requests = [_request(model=f"m{i}") for i in range(4)]
+        report = run_chaos(
+            requests,
+            [ChaosEvent(1, "kill", "replica-1")],
+            replicas=2,
+            planner=synthetic_planner(),
+            state_root=tmp_path,
+            daemon_kwargs={"workers": 1, "queue_limit": 8},
+        )
+        assert report.ok
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "oracle", "replica-0", "replica-1",
+        ]
+        assert all(p.is_dir() for p in tmp_path.iterdir())
 
     def test_kill_every_owner_still_serves(self, tmp_path):
         """Kill each replica right before a request it owns; the fleet
@@ -731,21 +763,8 @@ class TestChaos:
 
 
 # ----------------------------------------------------------------------
-# fleet artifact lint (ACE40x / ACE41x)
+# fleet config and run-log lint (ACE41x)
 # ----------------------------------------------------------------------
-def _fleet_state(**overrides):
-    state = {
-        "format_version": 1,
-        "fleet": FleetConfig().to_json(),
-        "replicas": [
-            {"name": "r0", "healthy": True, "address": None},
-            {"name": "r1", "healthy": False, "address": None},
-        ],
-    }
-    state.update(overrides)
-    return state
-
-
 def _log_line(name, **attrs):
     return json.dumps({
         "name": name, "kind": "event", "ts": 1.0, "pid": 1,
@@ -754,61 +773,55 @@ def _log_line(name, **attrs):
 
 
 class TestFleetLint:
-    def test_clean_state(self, tmp_path):
-        path = tmp_path / "ok.fleet.json"
-        write_json_atomic(path, _fleet_state())
-        assert lint_fleet_state_file(path) == []
+    def test_config_out_of_range(self):
+        with pytest.raises(ValueError, match="^vnodes must be >= 1, got 0$"):
+            FleetConfig(vnodes=0, retries=-1)
+        with pytest.raises(ValueError, match="^retries must be >= 0"):
+            FleetConfig(retries=-1)
+        with pytest.raises(ValueError, match="^hedge_factor must be > 0"):
+            FleetConfig(hedge_factor=0)
+        with pytest.raises(ValueError, match="^down_after must be >= 1"):
+            FleetConfig(down_after=True)
+        assert FleetConfig(retries=0, down_after=1).retries == 0
 
-    def test_unreadable_and_missing_fields(self, tmp_path):
-        path = tmp_path / "torn.fleet.json"
-        path.write_text("{nope")
-        codes = [d.code for d in lint_fleet_state_file(path)]
-        assert codes == ["ACE401"]
-        path2 = tmp_path / "sparse.fleet.json"
-        write_json_atomic(path2, {"format_version": 1})
-        codes = [d.code for d in lint_fleet_state_file(path2)]
-        assert "ACE401" in codes
+    def test_config_rejects_non_numbers(self):
+        with pytest.raises(ValueError, match="^vnodes must be >= 1, got None"):
+            FleetConfig(vnodes=None)
+        with pytest.raises(ValueError, match="^hedge_factor must be > 0, "):
+            FleetConfig(hedge_factor="2")
+        assert FleetConfig(hedge_factor=1.5).hedge_factor == 1.5
 
-    def test_state_with_retired_request_timeout_still_loads(self, tmp_path):
-        state = _fleet_state()
-        state["fleet"]["request_timeout"] = 60.0
-        path = tmp_path / "old.fleet.json"
-        write_json_atomic(path, state)
-        assert lint_fleet_state_file(path) == []
-        assert FleetConfig.from_json(state["fleet"]) == FleetConfig()
-
-    def test_duplicate_replicas(self, tmp_path):
-        path = tmp_path / "dup.fleet.json"
-        write_json_atomic(path, _fleet_state(replicas=[
-            {"name": "r0", "healthy": True},
-            {"name": "r0", "healthy": True},
-        ]))
-        codes = [d.code for d in lint_fleet_state_file(path)]
-        assert codes == ["ACE402"]
-
-    def test_config_out_of_range(self, tmp_path):
-        bad = _fleet_state()
-        bad["fleet"]["vnodes"] = 0
-        bad["fleet"]["retries"] = -1
-        path = tmp_path / "bad.fleet.json"
-        write_json_atomic(path, bad)
-        codes = sorted(d.code for d in lint_fleet_state_file(path))
-        assert codes == ["ACE403", "ACE403"]
-
-    def test_zero_replicas(self, tmp_path):
-        path = tmp_path / "none.fleet.json"
-        write_json_atomic(path, _fleet_state(replicas=[]))
-        codes = [d.code for d in lint_fleet_state_file(path)]
-        assert codes == ["ACE403"]
+    def test_leftover_state_file_is_unrecognized(self, tmp_path):
+        """A router state file left in a state dir by an older fleet
+        is an unknown shape to lint: a warning, not an error."""
+        path = tmp_path / "fleet.fleet.json"
+        path.write_text(json.dumps({
+            "format_version": 1,
+            "fleet": asdict(FleetConfig()),
+            "replicas": [{"name": "r0", "healthy": True}],
+        }))
+        diagnostics = lint_artifact_path(path)
+        assert [(d.code, d.severity) for d in diagnostics] == [
+            ("ACE301", "warning"),
+        ]
 
     def test_dispatch_by_shape(self, tmp_path):
+        """The ``{"fleet", "replicas"}`` shape is no longer sniffed: a
+        renamed state file is an unknown shape like any other."""
         path = tmp_path / "renamed.json"
-        write_json_atomic(path, _fleet_state(replicas=[
-            {"name": "r0", "healthy": True},
-            {"name": "r0", "healthy": True},
-        ]))
-        codes = [d.code for d in lint_artifact_path(path)]
-        assert codes == ["ACE402"]
+        write_json_atomic(path, {
+            "format_version": 1,
+            "fleet": asdict(FleetConfig()),
+            "replicas": [
+                {"name": "r0", "healthy": True},
+                {"name": "r0", "healthy": True},
+            ],
+        })
+        assert [d.code for d in lint_artifact_path(path)] == ["ACE301"]
+
+    def test_zero_replicas(self):
+        with pytest.raises(ValueError, match="at least one replica"):
+            FleetRouter({})
 
     def test_run_log_clean(self, tmp_path):
         log = tmp_path / "run.jsonl"
@@ -841,7 +854,10 @@ class TestFleetLint:
         codes = [d.code for d in lint_run_log_file(log)]
         assert codes == ["ACE411"]
 
-    def test_run_log_joined_replica_is_declared(self, tmp_path):
+    def test_run_log_replicas_are_declared_by_start_only(self, tmp_path):
+        """The ring is fixed at construction, so only ``fleet.start``
+        declares replicas; a ``fleet.ring.rebuilt`` line is not a
+        registered event and declares nothing."""
         log = tmp_path / "run.jsonl"
         log.write_text("\n".join([
             _log_line("fleet.start", replicas=["r0"]),
@@ -849,7 +865,8 @@ class TestFleetLint:
                       joined="r2"),
             _log_line("fleet.replica.down", replica="r2"),
         ]) + "\n")
-        assert lint_run_log_file(log) == []
+        codes = [d.code for d in lint_run_log_file(log)]
+        assert codes == ["ACE343", "ACE411"]
 
 
 # ----------------------------------------------------------------------

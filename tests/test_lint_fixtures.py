@@ -87,7 +87,6 @@ class TestNegativeFixtures:
                 "num_estimates": 1,
                 "elapsed_seconds": 0.1,
                 "converged": True,
-                "visited_signatures": [],
             }},
             "failures": [
                 {"num_stages": 4, "error": "boom", "attempts": 1}

@@ -86,7 +86,6 @@ def deterministic_fields(result, *, with_estimates_to_best=True):
         "num_estimates": result.num_estimates,
         "converged": result.converged,
         "partial": result.partial,
-        "visited": result.visited_signatures,
         "top": [
             (objective, config.signature())
             for objective, config in result.top_configs
@@ -266,7 +265,7 @@ class TestCheckpointResume:
         # bit-exact.
         checkpointed = (
             "best_signature", "best_objective", "num_estimates",
-            "converged", "visited", "top",
+            "converged", "top",
         )
         for count in (1, 2):
             first = deterministic_fields(first_by_count[count])
@@ -655,7 +654,6 @@ def frozen_greedy_run(searcher, init_config, budget, *, deadline=None):
         num_estimates=perf_model.num_estimates - estimates_start,
         elapsed_seconds=budget.elapsed(),
         converged=converged,
-        visited_signatures=tuple(sorted(visited.signatures())),
         partial=partial,
     )
 
